@@ -1,66 +1,42 @@
 /**
  * @file
- * Clock abstraction for the serving tier.
+ * Virtual clock for the serving tier.
  *
  * The streaming service measures request latency and sustained QPS
  * against a clock, but its determinism bar — byte-identical summaries
  * at any --threads width — forbids reading wall time on the hot path.
- * The split mirrors the tracer's virtual-cycle discipline:
+ * Mirroring the tracer's virtual-cycle discipline, VirtualClock is a
+ * manually advanced microsecond counter: the serve replay loop
+ * advances it from *modeled* quantities (arrival schedules, modeled
+ * service durations), so every timestamp is a pure function of the
+ * inputs and the summary is reproducible. (The opt-in wall-clock
+ * service times read std::chrono::steady_clock directly.)
  *
- *  - VirtualClock: a manually advanced microsecond counter. The serve
- *    replay loop advances it from *modeled* quantities (arrival
- *    schedules, modeled service durations), so every timestamp is a
- *    pure function of the inputs and the summary is reproducible.
- *  - WallClock: std::chrono::steady_clock, for measuring real
- *    throughput on live traffic. Summaries under WallClock are
- *    explicitly nondeterministic.
- *
- * Both express time as integer microseconds since the clock's epoch,
- * so downstream percentile math never touches floating point.
+ * Time is integer microseconds since the clock's epoch, so downstream
+ * percentile math never touches floating point.
  */
 
 #ifndef DITILE_COMMON_CLOCK_HH
 #define DITILE_COMMON_CLOCK_HH
 
-#include <chrono>
 #include <cstdint>
 
 namespace ditile {
-
-/**
- * Monotonic microsecond clock interface.
- */
-class Clock
-{
-  public:
-    virtual ~Clock() = default;
-
-    /** Microseconds since this clock's epoch. */
-    virtual std::uint64_t nowMicros() const = 0;
-
-    /**
-     * Move the clock forward to at least `t` microseconds. Virtual
-     * clocks jump; the wall clock ignores it (real time advances on
-     * its own).
-     */
-    virtual void advanceTo(std::uint64_t t) = 0;
-
-    /** True when timestamps are deterministic (virtual time). */
-    virtual bool deterministic() const = 0;
-};
 
 /**
  * Deterministic, manually advanced clock. Not thread-safe: advance it
  * only from serial program points (the serve loop's admission and
  * merge steps), never from inside a parallel region.
  */
-class VirtualClock final : public Clock
+class VirtualClock
 {
   public:
-    std::uint64_t nowMicros() const override { return now_; }
+    /** Microseconds since this clock's epoch. */
+    std::uint64_t nowMicros() const { return now_; }
 
+    /** Move the clock forward to at least `t` microseconds. */
     void
-    advanceTo(std::uint64_t t) override
+    advanceTo(std::uint64_t t)
     {
         if (t > now_)
             now_ = t;
@@ -74,36 +50,8 @@ class VirtualClock final : public Clock
         return now_;
     }
 
-    bool deterministic() const override { return true; }
-
   private:
     std::uint64_t now_ = 0;
-};
-
-/**
- * Real time (steady_clock), microseconds since construction.
- */
-class WallClock final : public Clock
-{
-  public:
-    WallClock() : epoch_(std::chrono::steady_clock::now()) {}
-
-    std::uint64_t
-    nowMicros() const override
-    {
-        const auto elapsed = std::chrono::steady_clock::now() - epoch_;
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                elapsed)
-                .count());
-    }
-
-    void advanceTo(std::uint64_t) override {}
-
-    bool deterministic() const override { return false; }
-
-  private:
-    std::chrono::steady_clock::time_point epoch_;
 };
 
 } // namespace ditile

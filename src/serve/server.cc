@@ -89,7 +89,7 @@ struct Server::PendingQuery
     bool quarantined = false; ///< Breaker said No; answered busy.
     bool failed = false;      ///< plan/execute threw (typed).
     std::uint64_t planKey = 0;
-    sim::RunResult result;
+    sim::QueryOutcome result;
     std::uint64_t serviceUs = 0;
     std::string error; ///< InputError message when failed.
     std::string response;
@@ -102,7 +102,8 @@ struct Server::PendingQuery
 };
 
 Server::Server(ServerOptions options, sim::AcceleratorFactory factory)
-    : options_(std::move(options)), runner_(std::move(factory))
+    : options_(std::move(options)),
+      runner_(std::move(factory), options_.planCacheCapacity)
 {
     if (options_.queueCapacity < 1)
         options_.queueCapacity = 1;
@@ -112,7 +113,6 @@ Server::Server(ServerOptions options, sim::AcceleratorFactory factory)
         options_.maxTenants = 1;
     if (options_.serviceCyclesPerUs < 1)
         options_.serviceCyclesPerUs = 1;
-    runner_.planCache().setCapacity(options_.planCacheCapacity);
 }
 
 Server::~Server() = default;
@@ -362,10 +362,11 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
         (inserted ? reps : followers).push_back(i);
     }
 
-    // The spec is copied at this serial point: a concurrent `fault`
-    // verb cannot exist (dispatch is serial), but the batch must see
-    // one consistent spec even if that ever changes.
-    const sim::FaultSpec faults = activeFaults_;
+    // The spec is copied (and fingerprinted for the outcome memo) at
+    // this serial point: a concurrent `fault` verb cannot exist
+    // (dispatch is serial), but the batch must see one consistent spec
+    // even if that ever changes.
+    const sim::PinnedFaults faults(activeFaults_);
     const auto wall_start = std::chrono::steady_clock::now();
     auto runOne = [&](std::size_t i) {
         PendingQuery &pq = batch[i];
@@ -388,8 +389,9 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
         }
     };
     // Phase A: one representative per distinct graph structure plans
-    // (and publishes) first; phase B members then execute as
-    // guaranteed plan-cache hits. See the class comment on
+    // and publishes its plan set and outcome first; phase B members
+    // then answer as guaranteed outcome-memo hits (or, after a failed
+    // representative, fail the same way). See the class comment on
     // shared-cache determinism.
     parallelFor(reps.size(),
                 [&](std::size_t k) { runOne(reps[k]); });
@@ -447,10 +449,8 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
             plannedKeys_.insert(pq.planKey);
         pq.response = "ok query " + pq.request->tenant +
             " cycles=" + std::to_string(pq.result.totalCycles) +
-            " ops=" +
-            std::to_string(pq.result.ops.totalArithmetic()) +
-            " dram_bytes=" +
-            std::to_string(pq.result.dramTraffic.total()) +
+            " ops=" + std::to_string(pq.result.ops) +
+            " dram_bytes=" + std::to_string(pq.result.dramBytes) +
             " noc_bytes=" + std::to_string(pq.result.nocBytes) +
             " window=" +
             std::to_string(pq.tenant->window.windowSize()) +
@@ -475,14 +475,13 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
 
     // Serial point: bump real-cache recency in batch order and
     // enforce the plan-cache bound. Evicted keys leave the prediction
-    // set too, so the next query on that structure predicts (and
-    // pays) a miss.
+    // set and the outcome memo too, so the next query on that
+    // structure predicts (and pays) a miss.
     if (options_.planCacheCapacity > 0) {
         for (const PendingQuery &pq : batch)
             if (pq.completed() && pq.planKey != 0)
-                runner_.planCache().touch(pq.planKey);
-        for (std::uint64_t key :
-             runner_.planCache().evictToCapacity()) {
+                runner_.touch(pq.planKey);
+        for (std::uint64_t key : runner_.evictToCapacity()) {
             plannedKeys_.erase(key);
             ++counters_.planEvictions;
             metric("serve.plan_evictions");

@@ -4,10 +4,11 @@
  *
  * A Server owns a set of tenant snapshot windows, a bounded query
  * queue with admission control, and a re-entrant inference runner
- * whose PlanCache is the serving cache tier: a query on a quiet
- * tenant is "plan-cache hit + execute", and only a window roll (new
- * snapshot materialized) forces a replan — which the delta-incremental
- * digest cache then keeps cheap.
+ * whose PlanCache and outcome memo are the serving cache tier: a
+ * repeat query on a quiet tenant is one memo lookup, and only a window
+ * roll (new snapshot materialized) or a `fault` verb forces a replan
+ * or re-execution — which the delta-incremental digest cache then
+ * keeps cheap.
  *
  * Two entry modes share all tenant/admission logic:
  *
@@ -31,8 +32,8 @@
  * results but perturbs hit/miss counters across thread widths. The
  * batch executor forecloses the race: batch members are grouped by
  * graph-structure hash at a serial point, one representative per
- * group plans (and publishes) first, and the rest execute afterwards
- * as guaranteed hits. Summary hit/miss counts come from the serial
+ * group plans, executes and publishes first, and the rest answer
+ * afterwards as guaranteed outcome-memo hits. Summary hit/miss counts come from the serial
  * prediction, so they are deterministic by construction.
  */
 
@@ -99,7 +100,10 @@ struct ServerOptions
     /** Per-tenant circuit-breaker policy (degraded-mode serving). */
     BreakerOptions breaker;
 
-    /** Plan-cache entry bound; 0 = unbounded (see PlanCache). */
+    /**
+     * Plan-cache entry bound; 0 = unbounded (see PlanCache). The
+     * outcome memo follows the same LRU.
+     */
     std::size_t planCacheCapacity = 0;
 
     /** Model served to every tenant. */

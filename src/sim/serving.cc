@@ -5,73 +5,113 @@
 
 #include "sim/serving.hh"
 
-#include <mutex>
-
 #include "common/logging.hh"
+#include "common/trace.hh"
 
 namespace ditile::sim {
 
-namespace {
-
-// The cache key depends on the accelerator family's update algorithm,
-// which is only observable from a built plan. Latch it on first use;
-// until then the cache is empty and planned() is trivially false.
-std::mutex g_algo_mutex;
-
-} // namespace
-
-ConcurrentRunner::ConcurrentRunner(AcceleratorFactory factory)
-    : factory_(std::move(factory)), algo_(model::AlgoKind::DiTileAlg)
+PinnedFaults::PinnedFaults(FaultSpec spec)
+    : spec_(std::move(spec)), fingerprint_(1469598103934665603ull)
 {
-    DITILE_ASSERT(factory_, "ConcurrentRunner needs a factory");
-    algoKnown_ = false;
+    for (const unsigned char c : spec_.toString())
+        fingerprint_ = (fingerprint_ ^ c) * 1099511628211ull;
 }
 
-RunResult
+ConcurrentRunner::ConcurrentRunner(AcceleratorFactory factory,
+                                   std::size_t plan_capacity)
+    : factory_(std::move(factory))
+{
+    DITILE_ASSERT(factory_, "ConcurrentRunner needs a factory");
+    cache_.setCapacity(plan_capacity);
+}
+
+QueryOutcome
 ConcurrentRunner::infer(const graph::DynamicGraph &dg,
                         const model::DgnnConfig &config,
-                        const FaultSpec &faults)
+                        const PinnedFaults &faults)
 {
+    const bool overlap = overlap_;
+    QueryOutcome outcome;
+    bool hit = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        // Until the algorithm is latched nothing can be memoized, so
+        // the very first query misses without a key.
+        const QueryOutcome *memo = algo_ < 0
+            ? nullptr
+            : memoized(PlanCache::planKey(
+                           dg, config,
+                           static_cast<model::AlgoKind>(algo_)),
+                       faults.fingerprint(), overlap);
+        if (memo) {
+            outcome = *memo;
+            hit = true;
+        }
+    }
+    Tracer::global().addMetric(hit ? "cache.result.hits"
+                                   : "cache.result.misses",
+                               1);
+    if (hit)
+        return outcome;
+
     auto accel = factory_();
     DITILE_ASSERT(accel, "accelerator factory returned null");
     auto plan = accel->plan(dg, config, &cache_);
-    plan.options.overlap = overlap_;
-    if (!faults.empty())
-        plan.faults = faults;
-    if (!algoKnown_.load(std::memory_order_acquire)) {
-        std::lock_guard<std::mutex> lock(g_algo_mutex);
-        if (!algoKnown_.load(std::memory_order_relaxed)) {
-            algo_ = plan.options.algo;
-            algoKnown_.store(true, std::memory_order_release);
-        }
+    plan.options.overlap = overlap;
+    if (!faults.spec().empty())
+        plan.faults = faults.spec();
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (algo_ < 0)
+            algo_ = static_cast<int>(plan.options.algo);
     }
-    return executePlan(dg, plan);
+    // An InputError thrown here leaves nothing memoized.
+    const RunResult result = executePlan(dg, plan);
+    outcome = {result.totalCycles, result.ops.totalArithmetic(),
+               result.dramTraffic.total(), result.nocBytes};
+
+    const std::uint64_t key =
+        PlanCache::planKey(dg, config, plan.options.algo);
+    // Publish only under a key the plan cache holds, so the memo never
+    // outlives the LRU that bounds it. Eviction runs at serial points,
+    // never concurrently with infer().
+    if (cache_.contains(key)) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!memoized(key, faults.fingerprint(), overlap))
+            memo_[key].push_back({faults.fingerprint(), overlap, outcome});
+    }
+    return outcome;
 }
 
-bool
-ConcurrentRunner::planned(const graph::DynamicGraph &dg,
-                          const model::DgnnConfig &config) const
+const QueryOutcome *
+ConcurrentRunner::memoized(std::uint64_t key, std::uint64_t faults,
+                           bool overlap) const
 {
-    if (!algoKnown_.load(std::memory_order_acquire))
-        return false;
-    return cache_.contains(PlanCache::planKey(dg, config, algo_));
+    const auto it = memo_.find(key);
+    if (it == memo_.end())
+        return nullptr;
+    for (const MemoEntry &entry : it->second)
+        if (entry.faults == faults && entry.overlap == overlap)
+            return &entry.outcome;
+    return nullptr;
 }
 
 std::uint64_t
 ConcurrentRunner::planKeyFor(const graph::DynamicGraph &dg,
                              const model::DgnnConfig &config) const
 {
-    if (!algoKnown_.load(std::memory_order_acquire))
+    const int algo = algoIfKnown();
+    if (algo < 0)
         return 0;
-    return PlanCache::planKey(dg, config, algo_);
+    return PlanCache::planKey(dg, config,
+                              static_cast<model::AlgoKind>(algo));
 }
 
 int
 ConcurrentRunner::algoIfKnown() const
 {
-    if (!algoKnown_.load(std::memory_order_acquire))
-        return -1;
-    return static_cast<int>(algo_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return algo_;
 }
 
 void
@@ -79,9 +119,25 @@ ConcurrentRunner::latchAlgo(int algo)
 {
     if (algo < 0)
         return;
-    std::lock_guard<std::mutex> lock(g_algo_mutex);
-    algo_ = static_cast<model::AlgoKind>(algo);
-    algoKnown_.store(true, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    algo_ = algo;
+}
+
+std::vector<std::uint64_t>
+ConcurrentRunner::evictToCapacity()
+{
+    std::vector<std::uint64_t> evicted = cache_.evictToCapacity();
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (std::uint64_t key : evicted)
+        memo_.erase(key);
+    return evicted;
+}
+
+std::size_t
+ConcurrentRunner::memoizedKeys() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return memo_.size();
 }
 
 } // namespace ditile::sim

@@ -1,6 +1,6 @@
 /**
  * @file
- * Re-entrant plan+execute entry for concurrent tenants.
+ * Re-entrant, memoizing plan+execute entry for concurrent tenants.
  *
  * The batch CLIs call Accelerator::plan()/execute() from one thread
  * per accelerator object, which lets the concrete accelerators keep
@@ -10,23 +10,34 @@
  * parallelFor batch.
  *
  * ConcurrentRunner restores re-entrancy by construction instead of by
- * locking: every infer() builds a *fresh* accelerator instance from
- * the injected factory, so all mutable planner state is confined to
- * the call. The expensive part of planning — the per-snapshot
- * SnapshotPlans — is shared through the internally synchronized
- * PlanCache, so a fresh instance per call costs only the cheap
- * front-end passes on cache hits (and on a quiet tenant the whole
- * plan-key lookup hits). executePlan() itself is already safe for
- * concurrent callers: it is a pure replay over const inputs, and its
- * internal parallelFor nests safely in the global pool.
+ * locking: every executed infer() builds a *fresh* accelerator
+ * instance from the injected factory, so all mutable planner state is
+ * confined to the call. The per-snapshot SnapshotPlans are shared
+ * through the internally synchronized PlanCache, and executePlan() is
+ * a pure replay over const inputs whose internal parallelFor nests
+ * safely in the global pool.
+ *
+ * Because the runner's factory fixes the hardware, an inference is a
+ * pure function of (plan key, fault spec, overlap flag). The runner
+ * therefore memoizes the compact outcome of every successful run under
+ * that triple: a repeat query on a quiet tenant costs one key lookup
+ * and never builds an accelerator, plans or executes. The memo lives
+ * here rather than in the PlanCache because a PlanCache may be shared
+ * by accelerator families (ReaDy and DGNN-Booster share Re-Alg) or
+ * chips, where a plan key alone does not identify the executor. It is
+ * bounded by the plan cache's LRU: evictToCapacity() drops a plan
+ * key's outcomes together with its plan set.
  */
 
 #ifndef DITILE_SIM_SERVING_HH
 #define DITILE_SIM_SERVING_HH
 
-#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
+#include <vector>
 
 #include "sim/accelerator.hh"
 #include "sim/fault_model.hh"
@@ -39,39 +50,66 @@ using AcceleratorFactory =
     std::function<std::unique_ptr<Accelerator>()>;
 
 /**
- * Thread-safe inference front end over one accelerator family and one
- * shared PlanCache.
+ * The modeled costs a serve response reports — all the memo keeps of
+ * a RunResult.
+ */
+struct QueryOutcome
+{
+    Cycle totalCycles = 0;
+    OpCount ops = 0;         ///< RunResult::ops.totalArithmetic().
+    ByteCount dramBytes = 0; ///< RunResult::dramTraffic.total().
+    ByteCount nocBytes = 0;
+};
+
+/**
+ * A fault spec with its memo fingerprint (FNV-1a of the canonical
+ * toString()), hashed once where a batch pins its spec rather than
+ * once per query.
+ */
+class PinnedFaults
+{
+  public:
+    PinnedFaults() : PinnedFaults(FaultSpec{}) {}
+    explicit PinnedFaults(FaultSpec spec);
+
+    const FaultSpec &spec() const { return spec_; }
+    std::uint64_t fingerprint() const { return fingerprint_; }
+
+  private:
+    FaultSpec spec_;
+    std::uint64_t fingerprint_;
+};
+
+/**
+ * Thread-safe, memoizing inference front end over one accelerator
+ * family and its own PlanCache.
  */
 class ConcurrentRunner
 {
   public:
-    explicit ConcurrentRunner(AcceleratorFactory factory);
+    /** `plan_capacity` bounds the plan cache (0 = unbounded). */
+    explicit ConcurrentRunner(AcceleratorFactory factory,
+                              std::size_t plan_capacity = 0);
 
     /**
-     * Plan (through the shared cache) and execute one inference.
-     * Safe to call concurrently from pool workers; results are a pure
-     * function of (dg, config, faults), independent of interleaving.
-     * A non-empty fault spec is spliced into the execution plan; a
-     * spec that does not resolve against the hardware throws
-     * InputError from inside execution — typed and recoverable, which
-     * the serving tier turns into `err exec` plus breaker feedback.
+     * The outcome of one inference: memoized, or planned (through the
+     * cache) and executed. Safe to call concurrently from pool
+     * workers; outcomes are a pure function of (dg, config, faults,
+     * overlap), independent of interleaving. A non-empty fault spec
+     * is spliced into the execution plan; a spec that does not
+     * resolve against the hardware throws InputError from inside
+     * execution — typed and recoverable, which the serving tier turns
+     * into `err exec` plus breaker feedback. Failed runs are never
+     * memoized. Emits cache.result.hits / cache.result.misses.
      */
-    RunResult infer(const graph::DynamicGraph &dg,
-                    const model::DgnnConfig &config,
-                    const FaultSpec &faults = FaultSpec{});
-
-    /**
-     * Whether a plan for these inputs is already cached. Only
-     * meaningful from serial program points: under concurrency the
-     * answer may be stale by the time infer() runs.
-     */
-    bool planned(const graph::DynamicGraph &dg,
-                 const model::DgnnConfig &config) const;
+    QueryOutcome infer(const graph::DynamicGraph &dg,
+                       const model::DgnnConfig &config,
+                       const PinnedFaults &faults = PinnedFaults{});
 
     /**
      * The cache key infer() will use for these inputs, or 0 while the
      * algorithm is still unlatched (empty cache, nothing predicted).
-     * Serial points only, like planned().
+     * Only meaningful from serial program points.
      */
     std::uint64_t planKeyFor(const graph::DynamicGraph &dg,
                              const model::DgnnConfig &config) const;
@@ -85,25 +123,58 @@ class ConcurrentRunner
     int algoIfKnown() const;
     void latchAlgo(int algo);
 
-    PlanCache &planCache() { return cache_; }
     const PlanCache &planCache() const { return cache_; }
+
+    /** Mark a plan key most recently used (see PlanCache::touch). */
+    void touch(std::uint64_t key) { cache_.touch(key); }
+
+    /**
+     * Enforce the plan-cache bound, dropping each evicted key's
+     * memoized outcomes with it. Serial points only; returns the
+     * evicted keys.
+     */
+    std::vector<std::uint64_t> evictToCapacity();
+
+    /** Plan keys that currently hold memoized outcomes. */
+    std::size_t memoizedKeys() const;
 
     /**
      * Execute through the task-graph overlap scheduler (default) or
      * the legacy staged timeline. The serving tier reports latency to
      * tenants, so it defaults to the pipelined model; set false to
-     * reproduce the staged reference. Configure from serial program
-     * points only (not synchronized against in-flight infer calls).
+     * reproduce the staged reference. The flag is part of the memo
+     * key. Configure from serial program points only (not
+     * synchronized against in-flight infer calls).
      */
     void setOverlap(bool overlap) { overlap_ = overlap; }
     bool overlap() const { return overlap_; }
 
   private:
+    /** One memoized outcome under a plan key. */
+    struct MemoEntry
+    {
+        std::uint64_t faults; ///< PinnedFaults::fingerprint().
+        bool overlap;
+        QueryOutcome outcome;
+    };
+
+    /** The outcome memoized under (key, faults, overlap), or null.
+     *  Caller holds mutex_. */
+    const QueryOutcome *memoized(std::uint64_t key,
+                                 std::uint64_t faults,
+                                 bool overlap) const;
+
     AcceleratorFactory factory_;
-    model::AlgoKind algo_;
-    std::atomic<bool> algoKnown_{false};
     bool overlap_ = true;
     PlanCache cache_;
+
+    mutable std::mutex mutex_; ///< Guards algo_ and memo_.
+    /** Update algorithm as an int, latched from the first built plan
+     *  (the plan key depends on it); -1 until then. */
+    int algo_ = -1;
+    /** Outcomes per plan key; a key holds one entry per (fault spec,
+     *  overlap) pair it has been executed under. */
+    std::unordered_map<std::uint64_t, std::vector<MemoEntry>> memo_;
 };
 
 } // namespace ditile::sim

@@ -197,7 +197,10 @@ redundancyFreeSpatialComm(const ApplicationFeatures &app,
     // inter-tile in the same proportion as total communication.
     double rscomm = totalRedundantSpatialComm(app, tiling_factor) *
         scomm / total_scomm;
-    rscomm = std::clamp(rscomm, 0.0, scomm);
+    // Not std::clamp: when every edge is intra-tile, scomm can round a
+    // hair below 0, which breaks clamp's lo <= hi precondition. The
+    // min/max form is what clamp computes, so the result is then 0.
+    rscomm = std::min(std::max(rscomm, 0.0), scomm);
     // Eq. 9.
     return scomm - rscomm;
 }

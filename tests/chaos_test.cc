@@ -453,6 +453,8 @@ TEST(Breaker, QuarantinesFailingTenantInTheServer)
               "ok fault events=1");
     EXPECT_EQ(server.handle("query a").substr(0, 9), "err exec:");
     EXPECT_EQ(server.handle("query a").substr(0, 9), "err exec:");
+    // Failed runs are never memoized, so each retry re-executes.
+    EXPECT_EQ(server.runner().memoizedKeys(), 0u);
     // Threshold reached: quarantined with a retry-after hint.
     const auto busy = server.handle("query a");
     EXPECT_EQ(busy.substr(0, 9), "err busy:");
@@ -463,6 +465,7 @@ TEST(Breaker, QuarantinesFailingTenantInTheServer)
     EXPECT_EQ(server.handle("fault clear"), "ok fault cleared");
     EXPECT_EQ(server.handle("query a").substr(0, 8), "ok query");
     EXPECT_EQ(server.handle("query a").substr(0, 8), "ok query");
+    EXPECT_EQ(server.runner().memoizedKeys(), 1u);
 
     const auto summary = server.summary();
     EXPECT_EQ(summary.execFailures, 2u);
@@ -478,26 +481,45 @@ TEST(ServeDegraded, BoundedPlanCacheEvictsAndStaysCorrect)
     serve::ServerOptions options;
     options.planCacheCapacity = 1;
     serve::Server server(options, makeFactory());
-    server.handle("tenant a vertices=48 edges=96 features=4 window=1 "
-                  "roll-every=0");
-    server.handle("tenant b vertices=40 edges=80 features=4 window=1 "
-                  "roll-every=0");
+    serve::Server unbounded({}, makeFactory());
+    // The outcome memo follows the plan-cache LRU: it never holds
+    // outcomes for more keys than the bounded cache holds plans, and
+    // modeled costs match an unbounded server's (only the plan=
+    // prediction reflects the bound).
+    const auto handle = [&](const std::string &line) {
+        const auto response = server.handle(line);
+        const auto reference = unbounded.handle(line);
+        EXPECT_EQ(response.substr(0, response.find(" plan=")),
+                  reference.substr(0, reference.find(" plan=")))
+            << line;
+        EXPECT_LE(server.runner().memoizedKeys(),
+                  server.runner().planCache().size())
+            << line;
+        return response;
+    };
+    handle("tenant a vertices=48 edges=96 features=4 window=1 "
+           "roll-every=0");
+    handle("tenant b vertices=40 edges=80 features=4 window=1 "
+           "roll-every=0");
     // Alternating structures with capacity 1: every query evicts the
     // other tenant's plan, so repeats replan (predicted miss).
-    const auto a1 = server.handle("query a");
-    server.handle("query b");
-    const auto a2 = server.handle("query a");
-    server.handle("query b");
+    const auto a1 = handle("query a");
+    handle("query b");
+    const auto a2 = handle("query a");
+    handle("query b");
     EXPECT_EQ(a1, a2); // Same modeled costs either way.
     EXPECT_NE(a2.find("plan=miss"), std::string::npos);
     const auto summary = server.summary();
     EXPECT_GE(summary.planEvictions, 2u);
     EXPECT_LE(server.runner().planCache().size(), 1u);
     // Back-to-back queries on one tenant still hit.
-    const auto a3 = server.handle("query a");
-    EXPECT_NE(server.handle("query a").find("plan=hit"),
-              std::string::npos);
-    (void)a3;
+    handle("query a");
+    EXPECT_NE(handle("query a").find("plan=hit"), std::string::npos);
+    // A live fault spec adds outcomes under the resident key only.
+    handle("fault tile@0:r0c*");
+    handle("query b");
+    handle("query a");
+    handle("query a");
 }
 
 // --- deadline shedding ----------------------------------------------

@@ -389,6 +389,39 @@ TEST(PlanCache, StatsAccessorsSafeUnderConcurrentObtain)
     EXPECT_GE(cache.misses(), 2u);
 }
 
+TEST(ConcurrentRunner, RacingInfersOnOneKeyAgreeAndMemoizeOnce)
+{
+    // The server never races one key (it groups batches by structure),
+    // but a direct caller may: every racing miss executes and
+    // publishes, the memo keeps one entry, and all callers agree.
+    graph::EvolutionConfig config;
+    config.numVertices = 160;
+    config.numEdges = 640;
+    config.numSnapshots = 3;
+    config.featureDim = 8;
+    config.seed = 5;
+    const auto dg = graph::generateDynamicGraph(config);
+    const model::DgnnConfig mconfig;
+    sim::ConcurrentRunner runner([] {
+        return std::unique_ptr<sim::Accelerator>(
+            std::make_unique<core::DiTileAccelerator>());
+    });
+    std::vector<sim::QueryOutcome> outcomes(16);
+    ThreadPool::setGlobalThreads(8);
+    parallelFor(outcomes.size(), [&](std::size_t i) {
+        outcomes[i] = runner.infer(dg, mconfig);
+    });
+    ThreadPool::setGlobalThreads(1);
+    for (const sim::QueryOutcome &o : outcomes) {
+        EXPECT_EQ(o.totalCycles, outcomes[0].totalCycles);
+        EXPECT_EQ(o.ops, outcomes[0].ops);
+        EXPECT_EQ(o.dramBytes, outcomes[0].dramBytes);
+        EXPECT_EQ(o.nocBytes, outcomes[0].nocBytes);
+    }
+    EXPECT_GT(outcomes[0].totalCycles, 0u);
+    EXPECT_EQ(runner.memoizedKeys(), 1u);
+}
+
 TEST(EngineDeterminism, ChromeTraceIdenticalAcrossThreadCounts)
 {
     const auto dg = ctdgWorkload();
@@ -470,6 +503,7 @@ TEST(ServeDeterminism, ConcurrentTenantsIdenticalAcrossThreadCounts)
     const std::string serial = capture(1);
     EXPECT_NE(serial.find("serve summary"), std::string::npos);
     EXPECT_NE(serial.find("serve.completed="), std::string::npos);
+    EXPECT_NE(serial.find("cache.result.hits="), std::string::npos);
     for (int threads : {2, 8}) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         EXPECT_EQ(capture(threads), serial);

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
@@ -25,6 +28,28 @@ struct SweepPoint
     int featureDim;
     std::uint64_t seed;
 };
+
+/**
+ * gtest's byte-dump of the point, with the padding bytes zeroed. The
+ * default printer dumps padding as-is, which is uninitialized, so the
+ * parameter names (and the ctest names discovered from them) would
+ * change from one listing to the next.
+ */
+void
+PrintTo(const SweepPoint &p, std::ostream *os)
+{
+    unsigned char bytes[sizeof(SweepPoint)] = {};
+    const auto put = [&](std::size_t offset, const auto &field) {
+        std::memcpy(bytes + offset, &field, sizeof(field));
+    };
+    put(offsetof(SweepPoint, vertices), p.vertices);
+    put(offsetof(SweepPoint, edges), p.edges);
+    put(offsetof(SweepPoint, snapshots), p.snapshots);
+    put(offsetof(SweepPoint, dissimilarity), p.dissimilarity);
+    put(offsetof(SweepPoint, featureDim), p.featureDim);
+    put(offsetof(SweepPoint, seed), p.seed);
+    ::testing::internal::PrintBytesInObjectTo(bytes, sizeof(bytes), os);
+}
 
 class FullStackSweep : public ::testing::TestWithParam<SweepPoint>
 {

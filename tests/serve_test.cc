@@ -15,8 +15,11 @@
 #include "common/bounded_queue.hh"
 #include "common/clock.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/shutdown.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/generator.hh"
 #include "graph/window.hh"
 #include "serve/loadgen.hh"
 #include "serve/protocol.hh"
@@ -40,6 +43,34 @@ tinyTenantLine(const std::string &name)
 {
     return "tenant " + name +
         " vertices=48 edges=96 features=4 window=1 roll-every=0";
+}
+
+/** A query response's modeled costs, without the plan= prediction. */
+std::string
+costsOf(const std::string &response)
+{
+    return response.substr(0, response.find(" plan="));
+}
+
+/** Metrics registry on for one test, dropped again on exit. */
+struct ScopedMetrics
+{
+    ScopedMetrics()
+    {
+        Tracer::global().reset();
+        Tracer::global().enable(false, true);
+    }
+    ~ScopedMetrics() { Tracer::global().reset(); }
+};
+
+/** Current value of one metric (0 when never bumped). */
+long long
+metricValue(const std::string &path)
+{
+    for (const auto &[name, value] : Tracer::global().metrics())
+        if (name == path)
+            return value;
+    return 0;
 }
 
 // --- protocol -------------------------------------------------------
@@ -327,7 +358,6 @@ TEST(VirtualClockTest, AdvancesMonotonically)
 {
     VirtualClock clock;
     EXPECT_EQ(clock.nowMicros(), 0u);
-    EXPECT_TRUE(clock.deterministic());
     clock.advance(5);
     clock.advanceTo(3); // Never moves backwards.
     EXPECT_EQ(clock.nowMicros(), 5u);
@@ -370,15 +400,85 @@ TEST(ServeServer, HandleAnswersProtocolErrorsWithoutAborting)
 
 TEST(ServeServer, QueryIsDeterministicAndHitsPlanCacheOnRepeat)
 {
+    ScopedMetrics metrics;
     serve::Server server({}, makeFactory());
     server.handle(tinyTenantLine("a"));
     const auto first = server.handle("query a");
+    EXPECT_EQ(metricValue("engine.runs"), 1);
     const auto second = server.handle("query a");
+    const auto third = server.handle("query a");
     EXPECT_NE(first.find("plan=miss"), std::string::npos) << first;
     EXPECT_NE(second.find("plan=hit"), std::string::npos) << second;
     // Identical modeled costs, only the plan= field differs.
-    EXPECT_EQ(first.substr(0, first.find(" plan=")),
-              second.substr(0, second.find(" plan=")));
+    EXPECT_EQ(costsOf(first), costsOf(second));
+    EXPECT_EQ(second, third);
+    // A quiet tenant's repeats are outcome-memo hits: the engine ran
+    // once for all three queries.
+    EXPECT_EQ(metricValue("engine.runs"), 1);
+    EXPECT_EQ(metricValue("cache.result.misses"), 1);
+    EXPECT_EQ(metricValue("cache.result.hits"), 2);
+}
+
+TEST(ServeMemo, FaultVerbBetweenQueriesForcesReexecution)
+{
+    const std::string fault = "fault tile@0:r0c*";
+    ScopedMetrics metrics;
+    serve::Server server({}, makeFactory());
+    server.handle(tinyTenantLine("a"));
+    const auto clean = server.handle("query a");
+    ASSERT_EQ(server.handle(fault), "ok fault events=1");
+    const long long runs = metricValue("engine.runs");
+    const auto faulted = server.handle("query a");
+    EXPECT_EQ(metricValue("engine.runs"), runs + 1)
+        << "a new fault spec must not reuse the clean outcome";
+    EXPECT_NE(costsOf(faulted), costsOf(clean));
+    // Same structure, same spec: answered from the memo.
+    EXPECT_EQ(server.handle("query a"), faulted);
+    // Clearing returns to the clean entry, still without a run.
+    EXPECT_EQ(server.handle("fault clear"), "ok fault cleared");
+    EXPECT_EQ(costsOf(server.handle("query a")), costsOf(clean));
+    EXPECT_EQ(metricValue("engine.runs"), runs + 1);
+    EXPECT_EQ(server.runner().memoizedKeys(), 1u);
+
+    serve::Server fresh({}, makeFactory());
+    fresh.handle(tinyTenantLine("a"));
+    fresh.handle(fault);
+    EXPECT_EQ(costsOf(fresh.handle("query a")), costsOf(faulted));
+}
+
+TEST(ServeMemo, StagedRunsGetTheirOwnEntry)
+{
+    ScopedMetrics metrics;
+    Rng rng(5);
+    graph::SnapshotWindow window(
+        "t", graph::generateRmat(48, 96, {}, rng), 1, 4);
+    const graph::DynamicGraph &dg = window.graph();
+    const model::DgnnConfig config;
+    sim::ConcurrentRunner runner(makeFactory());
+    const auto overlapped = runner.infer(dg, config);
+    runner.setOverlap(false);
+    const auto staged = runner.infer(dg, config);
+    EXPECT_EQ(metricValue("engine.runs"), 2)
+        << "the staged query must not reuse the overlap outcome";
+    EXPECT_EQ(runner.memoizedKeys(), 1u);
+
+    core::DiTileAccelerator accel;
+    auto plan = accel.plan(dg, config);
+    plan.options.overlap = false;
+    const auto direct = sim::executePlan(dg, plan);
+    EXPECT_EQ(staged.totalCycles, direct.totalCycles);
+    EXPECT_EQ(staged.ops, direct.ops.totalArithmetic());
+    EXPECT_EQ(staged.dramBytes, direct.dramTraffic.total());
+    EXPECT_EQ(staged.nocBytes, direct.nocBytes);
+
+    // Both entries now answer without running the engine.
+    const long long runs = metricValue("engine.runs");
+    EXPECT_EQ(runner.infer(dg, config).totalCycles, staged.totalCycles);
+    runner.setOverlap(true);
+    EXPECT_EQ(runner.infer(dg, config).totalCycles,
+              overlapped.totalCycles);
+    EXPECT_EQ(metricValue("engine.runs"), runs);
+    EXPECT_EQ(metricValue("cache.result.hits"), 2);
 }
 
 TEST(ServeServer, LruTenantEvictionIsDeterministic)

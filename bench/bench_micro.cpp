@@ -13,6 +13,7 @@
 
 #include "common/simd.hh"
 #include "dram/dram_model.hh"
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "model/functional.hh"
 #include "model/incremental.hh"
@@ -47,6 +48,21 @@ BM_RmatGenerate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * state.range(0) * 8);
 }
 BENCHMARK(BM_RmatGenerate)->Arg(1 << 10)->Arg(1 << 14);
+
+/** Whole dynamic-graph generation: R-MAT base plus patched snapshots. */
+void
+BM_GenerateDynamicGraph(benchmark::State &state)
+{
+    graph::DatasetOptions options;
+    options.scale = 0.5;
+    options.numSnapshots = 16;
+    options.dissimilarity = 0.10;
+    for (auto _ : state) {
+        auto dg = graph::makeDataset("WD", options);
+        benchmark::DoNotOptimize(dg.structureHashValue());
+    }
+}
+BENCHMARK(BM_GenerateDynamicGraph)->Unit(benchmark::kMillisecond);
 
 void
 BM_CsrFromEdges(benchmark::State &state)

@@ -11,16 +11,6 @@
 
 namespace ditile {
 
-namespace {
-
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 mix64(std::uint64_t x)
 {
@@ -44,20 +34,6 @@ Rng::Rng(std::uint64_t seed)
     }
 }
 
-Rng::result_type
-Rng::operator()()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
 std::int64_t
 Rng::uniformInt(std::int64_t lo, std::int64_t hi)
 {
@@ -73,13 +49,6 @@ Rng::uniformInt(std::int64_t lo, std::int64_t hi)
         v = (*this)();
     } while (v >= limit);
     return lo + static_cast<std::int64_t>(v % range);
-}
-
-double
-Rng::uniformReal()
-{
-    // 53 high bits -> double in [0,1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double

@@ -34,14 +34,30 @@ class Rng
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type(0); }
 
-    /** Next raw 64-bit value. */
-    result_type operator()();
+    /** Next raw 64-bit value (inline: the generators call it ~10^6 times). */
+    result_type
+    operator()()
+    {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [lo, hi] (inclusive). Requires lo <= hi. */
     std::int64_t uniformInt(std::int64_t lo, std::int64_t hi);
 
-    /** Uniform double in [0, 1). */
-    double uniformReal();
+    /** Uniform double in [0, 1): the 53 high bits of one draw. */
+    double
+    uniformReal()
+    {
+        return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double uniformReal(double lo, double hi);
@@ -79,6 +95,12 @@ class Rng
                                                        std::int64_t k);
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
 };
 

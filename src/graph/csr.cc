@@ -61,6 +61,78 @@ Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
     return g;
 }
 
+namespace {
+
+/** Both directions of each edge, sorted by (source, target). */
+std::vector<Edge>
+directedSorted(VertexId num_vertices, const std::vector<Edge> &edges)
+{
+    std::vector<Edge> out;
+    out.reserve(2 * edges.size());
+    for (auto [u, v] : edges) {
+        DITILE_ASSERT(u >= 0 && u < num_vertices &&
+                      v >= 0 && v < num_vertices && u != v,
+                      "delta edge (", u, ",", v, ") is a self loop or "
+                      "out of range [0,", num_vertices, ")");
+        out.emplace_back(u, v);
+        out.emplace_back(v, u);
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+} // namespace
+
+Csr
+Csr::patched(const Csr &prev, const std::vector<Edge> &added,
+             const std::vector<Edge> &removed)
+{
+    const VertexId n = prev.numVertices_;
+    const std::vector<Edge> add = directedSorted(n, added);
+    const std::vector<Edge> rem = directedSorted(n, removed);
+
+    Csr g(n);
+    g.adj_.reserve(prev.adj_.size() + add.size());
+    std::size_t ai = 0;
+    std::size_t ri = 0;
+    for (VertexId v = 0; v < n; ++v) {
+        const auto nbrs = prev.neighbors(v);
+        const bool changed = (ai < add.size() && add[ai].first == v) ||
+                             (ri < rem.size() && rem[ri].first == v);
+        if (!changed) {
+            g.adj_.insert(g.adj_.end(), nbrs.begin(), nbrs.end());
+            g.rowPtr_[v + 1] = static_cast<EdgeId>(g.adj_.size());
+            continue;
+        }
+        // Copy prev's row, dropping the removed targets (sorted, so
+        // they are met in order) and slotting in the added ones.
+        auto keep = [&](VertexId w) {
+            if (ri < rem.size() && rem[ri] == Edge{v, w})
+                ++ri;
+            else
+                g.adj_.push_back(w);
+        };
+        auto it = nbrs.begin();
+        for (; ai < add.size() && add[ai].first == v; ++ai) {
+            const VertexId w = add[ai].second;
+            DITILE_ASSERT(ai == 0 || add[ai - 1] != add[ai],
+                          "edge (", v, ",", w, ") added twice");
+            for (; it != nbrs.end() && *it < w; ++it)
+                keep(*it);
+            DITILE_ASSERT(it == nbrs.end() || *it != w, "added edge (",
+                          v, ",", w, ") is already in the graph");
+            g.adj_.push_back(w);
+        }
+        for (; it != nbrs.end(); ++it)
+            keep(*it);
+        DITILE_ASSERT(ri == rem.size() || rem[ri].first != v,
+                      "removed edge (", v, ",", rem[ri].second,
+                      ") is not in the graph");
+        g.rowPtr_[v + 1] = static_cast<EdgeId>(g.adj_.size());
+    }
+    return g;
+}
+
 bool
 Csr::hasEdge(VertexId u, VertexId v) const
 {

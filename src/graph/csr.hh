@@ -40,6 +40,17 @@ class Csr
     static Csr fromEdges(VertexId num_vertices,
                          const std::vector<Edge> &edges);
 
+    /**
+     * prev with `added` inserted and `removed` deleted, in one merge
+     * pass over prev's rows: O(V + E + D log D) for D changed edges,
+     * instead of the full re-sort of fromEdges. Each list names every
+     * undirected edge once (as GraphDelta stores them). Fails loudly
+     * unless every removed edge is in prev and no added edge is, so the
+     * result always equals fromEdges() of the patched edge set.
+     */
+    static Csr patched(const Csr &prev, const std::vector<Edge> &added,
+                       const std::vector<Edge> &removed);
+
     VertexId numVertices() const { return numVertices_; }
 
     /** Undirected edge count. */

@@ -9,7 +9,6 @@
 #include <unordered_set>
 
 #include "common/logging.hh"
-#include "common/math_util.hh"
 #include "graph/generator.hh"
 
 namespace ditile::graph {
@@ -119,10 +118,7 @@ generateEventStream(const EventStreamConfig &config)
     for (auto [u, v] : live)
         keys.insert(edgeKey(u, v));
 
-    int levels = log2Floor(static_cast<std::uint64_t>(
-        config.numVertices));
-    if ((VertexId(1) << levels) < config.numVertices)
-        ++levels;
+    const int levels = rmatLevels(config.numVertices);
 
     // Uniform timestamps, sorted, then events assigned in order.
     std::vector<double> times;

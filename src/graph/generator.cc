@@ -26,7 +26,12 @@ edgeKey(VertexId u, VertexId v)
            static_cast<std::uint32_t>(v);
 }
 
-/** One R-MAT endpoint pair draw over a 2^levels universe. */
+/**
+ * One R-MAT endpoint pair draw over a 2^levels universe. Each level
+ * picks a quadrant from one uniform r: [0,a) top-left, [a,a+b)
+ * top-right (v bit), [a+b,a+b+c) bottom-left (u bit), else
+ * bottom-right (both bits), computed without branches.
+ */
 Edge
 rmatDraw(int levels, const RmatParams &p, Rng &rng)
 {
@@ -36,90 +41,63 @@ rmatDraw(int levels, const RmatParams &p, Rng &rng)
     std::int64_t v = 0;
     for (int i = 0; i < levels; ++i) {
         const double r = rng.uniformReal();
-        u <<= 1;
-        v <<= 1;
-        if (r < p.a) {
-            // top-left: nothing to add
-        } else if (r < ab) {
-            v |= 1;
-        } else if (r < abc) {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        const bool ge_a = r >= p.a;
+        const bool ge_ab = r >= ab;
+        const bool ge_abc = r >= abc;
+        u = (u << 1) | static_cast<std::int64_t>(ge_ab);
+        v = (v << 1) | static_cast<std::int64_t>((ge_a != ge_ab) | ge_abc);
     }
     return {static_cast<VertexId>(u), static_cast<VertexId>(v)};
 }
 
 /**
- * Mutable edge-set view: vector for uniform sampling plus hash set for
- * membership; removal is swap-erase.
+ * Insert-only open-addressing set of edge keys (linear probing),
+ * sized up front for a known number of keys at load <= 0.75. Key 0 is
+ * the empty marker: edgeKey(u, v) with u < v is never 0.
  */
-class EdgeSet
+class EdgeKeySet
 {
   public:
-    explicit EdgeSet(std::vector<Edge> edges)
-        : edges_(std::move(edges))
+    explicit EdgeKeySet(std::size_t max_keys)
     {
-        keys_.reserve(edges_.size() * 2);
-        for (auto [u, v] : edges_)
-            keys_.insert(edgeKey(u, v));
+        std::size_t cap = 16;
+        while (cap * 3 < max_keys * 4)
+            cap <<= 1;
+        slots_.assign(cap, 0);
+        mask_ = cap - 1;
+        shift_ = 64 - log2Floor(cap);
     }
 
-    bool contains(VertexId u, VertexId v) const
-    {
-        return keys_.count(edgeKey(u, v)) > 0;
-    }
-
+    /** Insert key; false if it was already present. */
     bool
-    insert(VertexId u, VertexId v)
+    insert(std::uint64_t key)
     {
-        if (u == v || !keys_.insert(edgeKey(u, v)).second)
-            return false;
-        if (u > v)
-            std::swap(u, v);
-        edges_.emplace_back(u, v);
+        std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+        while (slots_[i] != 0) {
+            if (slots_[i] == key)
+                return false;
+            i = (i + 1) & mask_;
+        }
+        slots_[i] = key;
         return true;
     }
 
-    /** Remove a uniformly random edge; returns it. */
-    Edge
-    removeRandom(Rng &rng)
-    {
-        DITILE_ASSERT(!edges_.empty());
-        auto idx = static_cast<std::size_t>(
-            rng.uniformInt(0, static_cast<std::int64_t>(edges_.size()) - 1));
-        Edge e = edges_[idx];
-        keys_.erase(edgeKey(e.first, e.second));
-        edges_[idx] = edges_.back();
-        edges_.pop_back();
-        return e;
-    }
-
-    std::size_t size() const { return edges_.size(); }
-    const std::vector<Edge> &edges() const { return edges_; }
-
   private:
-    std::vector<Edge> edges_;
-    std::unordered_set<std::uint64_t> keys_;
+    std::vector<std::uint64_t> slots_;
+    std::size_t mask_ = 0;
+    int shift_ = 0;
 };
 
-} // namespace
-
-Csr
-generateRmat(VertexId num_vertices, EdgeId num_edges,
-             const RmatParams &params, Rng &rng)
+/**
+ * Distinct in-range, non-self-loop R-MAT edges (canonical u < v), in
+ * draw order. A separate step so the key set is freed before the CSR
+ * build.
+ */
+std::vector<Edge>
+drawRmatEdges(VertexId num_vertices, EdgeId num_edges,
+              const RmatParams &params, Rng &rng)
 {
-    DITILE_ASSERT(num_vertices > 1, "R-MAT needs >= 2 vertices");
-    int levels = log2Floor(static_cast<std::uint64_t>(num_vertices));
-    if ((VertexId(1) << levels) < num_vertices)
-        ++levels;
-
-    std::vector<Edge> edges;
-    edges.reserve(static_cast<std::size_t>(num_edges));
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(static_cast<std::size_t>(num_edges) * 2);
+    const int levels = rmatLevels(num_vertices);
 
     // Draw until we have the requested count of distinct in-range,
     // non-self-loop edges. The retry bound protects dense corner cases
@@ -127,6 +105,9 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
     const EdgeId max_possible =
         static_cast<EdgeId>(num_vertices) * (num_vertices - 1) / 2;
     const EdgeId target = std::min(num_edges, max_possible);
+    std::vector<Edge> edges;
+    edges.reserve(static_cast<std::size_t>(target));
+    EdgeKeySet seen(static_cast<std::size_t>(target));
     std::uint64_t attempts = 0;
     const std::uint64_t attempt_cap =
         static_cast<std::uint64_t>(target) * 64 + 1024;
@@ -136,7 +117,7 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
         auto [u, v] = rmatDraw(levels, params, rng);
         if (u >= num_vertices || v >= num_vertices || u == v)
             continue;
-        if (!seen.insert(edgeKey(u, v)).second)
+        if (!seen.insert(edgeKey(u, v)))
             continue;
         if (u > v)
             std::swap(u, v);
@@ -147,13 +128,34 @@ generateRmat(VertexId num_vertices, EdgeId num_edges,
     while (static_cast<EdgeId>(edges.size()) < target) {
         auto u = static_cast<VertexId>(rng.uniformInt(0, num_vertices - 1));
         auto v = static_cast<VertexId>(rng.uniformInt(0, num_vertices - 1));
-        if (u == v || !seen.insert(edgeKey(u, v)).second)
+        if (u == v || !seen.insert(edgeKey(u, v)))
             continue;
         if (u > v)
             std::swap(u, v);
         edges.emplace_back(u, v);
     }
-    return Csr::fromEdges(num_vertices, edges);
+    return edges;
+}
+
+} // namespace
+
+int
+rmatLevels(VertexId num_vertices)
+{
+    int levels = log2Floor(static_cast<std::uint64_t>(num_vertices));
+    if ((VertexId(1) << levels) < num_vertices)
+        ++levels;
+    return levels;
+}
+
+Csr
+generateRmat(VertexId num_vertices, EdgeId num_edges,
+             const RmatParams &params, Rng &rng)
+{
+    DITILE_ASSERT(num_vertices > 1, "R-MAT needs >= 2 vertices");
+    return Csr::fromEdges(num_vertices,
+                          drawRmatEdges(num_vertices, num_edges, params,
+                                        rng));
 }
 
 DynamicGraph
@@ -165,51 +167,50 @@ generateDynamicGraph(const EvolutionConfig &config)
                   "dissimilarity must be a fraction");
     Rng rng(config.seed);
 
-    Csr base = generateRmat(config.numVertices, config.numEdges,
-                            config.rmat, rng);
-
     std::vector<Csr> snapshots;
     std::vector<GraphDelta> deltas;
     snapshots.reserve(static_cast<std::size_t>(config.numSnapshots));
-    snapshots.push_back(base);
+    snapshots.push_back(generateRmat(config.numVertices, config.numEdges,
+                                     config.rmat, rng));
 
-    EdgeSet working(base.edgeList());
-    int levels = log2Floor(static_cast<std::uint64_t>(config.numVertices));
-    if ((VertexId(1) << levels) < config.numVertices)
-        ++levels;
+    // Live edges for uniform removal draws (swap-erase). Membership is
+    // answered by the previous snapshot plus this step's added keys.
+    std::vector<Edge> working = snapshots.front().edgeList();
+    const int levels = rmatLevels(config.numVertices);
 
     const auto affected_target = static_cast<std::size_t>(
         config.dissimilarity * static_cast<double>(config.numVertices));
 
     for (SnapshotId t = 1; t < config.numSnapshots; ++t) {
+        const Csr &prev = snapshots.back();
         std::vector<Edge> added;
         std::vector<Edge> removed;
-        std::unordered_set<std::uint64_t> removed_keys;
         std::unordered_set<std::uint64_t> added_keys;
         std::unordered_set<VertexId> affected;
         affected.reserve(affected_target * 2);
 
         // Alternate removal/addition so |E| stays ~constant. R-MAT draws
         // keep the skewed degree profile for additions. The iteration cap
-        // bounds pathological small/dense graphs. Re-adding an edge that
-        // was removed earlier in the same step would desynchronize the
-        // recorded delta from the real snapshot diff, so such draws
-        // cancel the removal instead of being logged as additions.
+        // bounds pathological small/dense graphs. An edge of prev is
+        // never re-added in the step that removed it (the draw is
+        // skipped), so the recorded delta is exactly the snapshot diff.
         std::size_t iters = 0;
         const std::size_t iter_cap = affected_target * 16 + 256;
         bool remove_next = true;
         while (affected.size() < affected_target && iters < iter_cap) {
             ++iters;
-            if (remove_next && working.size() > 0) {
-                Edge e = working.removeRandom(rng);
-                const std::uint64_t key = edgeKey(e.first, e.second);
-                if (added_keys.erase(key)) {
+            if (remove_next && !working.empty()) {
+                const auto idx = static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<std::int64_t>(working.size()) - 1));
+                const Edge e = working[idx];
+                working[idx] = working.back();
+                working.pop_back();
+                if (added_keys.erase(edgeKey(e.first, e.second))) {
                     // The edge was added earlier this step: removing it
                     // cancels the addition rather than logging a removal.
                     std::erase(added, e);
                 } else {
                     removed.push_back(e);
-                    removed_keys.insert(key);
                 }
                 affected.insert(e.first);
                 affected.insert(e.second);
@@ -217,23 +218,25 @@ generateDynamicGraph(const EvolutionConfig &config)
                 auto [u, v] = rmatDraw(levels, config.rmat, rng);
                 if (u >= config.numVertices || v >= config.numVertices)
                     continue;
-                if (removed_keys.count(edgeKey(u, v)))
-                    continue;
-                if (!working.insert(u, v))
+                const std::uint64_t key = edgeKey(u, v);
+                if (u == v || prev.hasEdge(u, v) || added_keys.count(key))
                     continue;
                 if (u > v)
                     std::swap(u, v);
+                working.emplace_back(u, v);
                 added.emplace_back(u, v);
-                added_keys.insert(edgeKey(u, v));
+                added_keys.insert(key);
                 affected.insert(u);
                 affected.insert(v);
             }
             remove_next = !remove_next;
         }
 
-        deltas.push_back(GraphDelta::fromChanges(added, removed));
-        snapshots.push_back(Csr::fromEdges(config.numVertices,
-                                           working.edges()));
+        deltas.push_back(GraphDelta::fromChanges(std::move(added),
+                                                 std::move(removed)));
+        const GraphDelta &delta = deltas.back();
+        snapshots.push_back(Csr::patched(prev, delta.addedEdges(),
+                                         delta.removedEdges()));
     }
 
     return DynamicGraph(config.name, std::move(snapshots),

@@ -48,6 +48,13 @@ struct EvolutionConfig
     std::uint64_t seed = 1;
 };
 
+/**
+ * R-MAT recursion depth for num_vertices: the smallest levels with
+ * 2^levels >= num_vertices. Draws landing at or above num_vertices
+ * are rejected by the callers.
+ */
+int rmatLevels(VertexId num_vertices);
+
 /** Generate one static R-MAT graph (symmetric CSR, no self loops). */
 Csr generateRmat(VertexId num_vertices, EdgeId num_edges,
                  const RmatParams &params, Rng &rng);
@@ -58,7 +65,9 @@ Csr generateRmat(VertexId num_vertices, EdgeId num_edges,
  * Each step alternates edge removals and additions until the affected
  * vertex set reaches the configured dissimilarity target, keeping the
  * edge count approximately constant. Deltas are recorded exactly as
- * applied (no re-diffing), so generation is O(changes) per step.
+ * applied (no re-diffing) and snapshot t >= 1 is patched from snapshot
+ * t-1 and its delta (Csr::patched), so a step costs O(changes) to draw
+ * plus O(V + E) to copy the unchanged rows.
  */
 DynamicGraph generateDynamicGraph(const EvolutionConfig &config);
 

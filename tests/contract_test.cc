@@ -22,6 +22,25 @@ TEST(ContractCsr, OutOfRangeEdgeDies)
     EXPECT_DEATH(graph::Csr::fromEdges(3, {{0, 7}}), "out of range");
 }
 
+TEST(ContractCsr, PatchRemovingANonEdgeDies)
+{
+    const auto g = graph::Csr::fromEdges(4, {{0, 1}, {1, 2}});
+    EXPECT_DEATH(graph::Csr::patched(g, {}, {{0, 2}}),
+                 "removed edge \\(0,2\\) is not in the graph");
+    EXPECT_DEATH(graph::Csr::patched(g, {}, {{0, 1}, {0, 1}}),
+                 "is not in the graph");
+}
+
+TEST(ContractCsr, PatchAddingAnExistingEdgeDies)
+{
+    const auto g = graph::Csr::fromEdges(4, {{0, 1}, {1, 2}});
+    EXPECT_DEATH(graph::Csr::patched(g, {{1, 2}}, {}),
+                 "added edge \\(1,2\\) is already in the graph");
+    EXPECT_DEATH(graph::Csr::patched(g, {{2, 3}, {2, 3}}, {}),
+                 "added twice");
+    EXPECT_DEATH(graph::Csr::patched(g, {{3, 3}}, {}), "self loop");
+}
+
 TEST(ContractDynamicGraph, EmptySnapshotListDies)
 {
     EXPECT_DEATH(graph::DynamicGraph("x", std::vector<graph::Csr>{},

@@ -156,6 +156,70 @@ INSTANTIATE_TEST_SUITE_P(Band, DissimilarityTarget,
                          ::testing::Values(0.025, 0.05, 0.083, 0.10,
                                            0.133));
 
+/**
+ * Byte-identity goldens for generation. Snapshots t >= 1 are patched
+ * from their delta, so a delta that drifted from the draws would no
+ * longer show up as a diff mismatch; these structure hashes pin every
+ * adjacency list of every snapshot instead. Any change to the RNG
+ * draw order, the R-MAT sampler or snapshot construction moves them.
+ */
+std::uint64_t
+rmatHash(VertexId vertices, EdgeId edges, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<Csr> snapshots;
+    snapshots.push_back(generateRmat(vertices, edges, {}, rng));
+    return DynamicGraph("rmat", std::move(snapshots), 1)
+        .structureHashValue();
+}
+
+TEST(GenerationGolden, Rmat)
+{
+    EXPECT_EQ(rmatHash(1000, 6000, 11), 0x83e774734c2c775dULL);
+    // Dense enough to reach the uniform fallback fill.
+    EXPECT_EQ(rmatHash(48, 1100, 13), 0x40bd433e33b6e793ULL);
+}
+
+TEST(GenerationGolden, Evolution)
+{
+    EvolutionConfig config;
+    config.numVertices = 1000;
+    config.numEdges = 5000;
+    config.numSnapshots = 6;
+    config.dissimilarity = 0.08;
+    config.seed = 123;
+    EXPECT_EQ(generateDynamicGraph(config).structureHashValue(),
+              0x3739fdead7035a73ULL);
+}
+
+struct DatasetGolden
+{
+    SnapshotId snapshots;
+    double dissimilarity;
+    std::uint64_t hash;
+};
+
+TEST(GenerationGolden, WikipediaHalfScale)
+{
+    const DatasetGolden goldens[] = {
+        {8, 0.02, 0xa780f326d1f693b9ULL},
+        {8, 0.10, 0x02bb783b8fbafe14ULL},
+        {16, 0.02, 0xc8edc0f0b0894666ULL},
+        {16, 0.10, 0xc34e0b82e6042925ULL},
+    };
+    for (const auto &golden : goldens) {
+        DatasetOptions options;
+        options.scale = 0.5;
+        options.seed = 42;
+        options.numSnapshots = golden.snapshots;
+        options.dissimilarity = golden.dissimilarity;
+        EXPECT_EQ(makeDataset("WD", options).structureHashValue(),
+                  golden.hash)
+            << golden.snapshots << " snapshots, dis "
+            << golden.dissimilarity;
+    }
+}
+
 TEST(Datasets, RegistryMatchesTableOne)
 {
     const auto &registry = datasetRegistry();

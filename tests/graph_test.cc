@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 
 #include "common/rng.hh"
 #include "graph/delta.hh"
@@ -296,6 +297,104 @@ TEST_P(DeltaProperty, DiffMatchesAppliedChanges)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeltaProperty,
                          ::testing::Values(1u, 7u, 42u, 1000u));
+
+/** Csr::patched against a full rebuild over random deltas. */
+class PatchProperty : public ::testing::TestWithParam<std::uint64_t>
+{
+};
+
+void
+expectSameCsr(const Csr &got, const Csr &want)
+{
+    EXPECT_EQ(got.numVertices(), want.numVertices());
+    EXPECT_EQ(got.rowPtr(), want.rowPtr());
+    EXPECT_EQ(got.adjacency(), want.adjacency());
+}
+
+TEST_P(PatchProperty, MatchesFullRebuild)
+{
+    const VertexId n = 200;
+    Rng rng(GetParam());
+    // prev: an R-MAT graph with one vertex stripped of all its edges.
+    const auto isolated = static_cast<VertexId>(rng.uniformInt(1, n - 2));
+    std::vector<Edge> prev_edges;
+    for (const Edge &e : generateRmat(n, 900, {}, rng).edgeList())
+        if (e.first != isolated && e.second != isolated)
+            prev_edges.push_back(e);
+    const Csr prev = Csr::fromEdges(n, prev_edges);
+
+    std::set<Edge> added;
+    std::set<Edge> removed;
+    auto toggle = [&](VertexId u, VertexId v) {
+        if (u == v)
+            return;
+        const Edge e{std::min(u, v), std::max(u, v)};
+        if (prev.hasEdge(u, v))
+            removed.insert(e);
+        else
+            added.insert(e);
+    };
+    auto randomVertex = [&] {
+        return static_cast<VertexId>(rng.uniformInt(0, n - 1));
+    };
+    // One vertex loses every edge; no other change touches it.
+    VertexId emptied = static_cast<VertexId>(rng.uniformInt(1, n - 2));
+    while (emptied == isolated || prev.degree(emptied) == 0)
+        emptied = emptied % (n - 2) + 1;
+    for (VertexId w : prev.neighbors(emptied))
+        toggle(emptied, w);
+    auto change = [&](VertexId u, VertexId v) {
+        if (u != emptied && v != emptied)
+            toggle(u, v);
+    };
+    // The isolated vertex gains edges.
+    for (int i = 0; i < 5; ++i)
+        change(isolated, randomVertex());
+    // Changes on the first and last vertex.
+    change(0, n - 1);
+    change(0, randomVertex());
+    change(n - 1, randomVertex());
+    // Random additions and removals anywhere else.
+    for (int i = 0; i < 40; ++i)
+        change(randomVertex(), randomVertex());
+    ASSERT_EQ(prev.degree(isolated), 0);
+    ASSERT_GT(prev.degree(emptied), 0);
+
+    std::set<Edge> next(prev_edges.begin(), prev_edges.end());
+    for (const Edge &e : removed)
+        next.erase(e);
+    next.insert(added.begin(), added.end());
+    const std::vector<Edge> added_list(added.begin(), added.end());
+    const std::vector<Edge> removed_list(removed.begin(), removed.end());
+    const Csr got = Csr::patched(prev, added_list, removed_list);
+    expectSameCsr(got, Csr::fromEdges(n, {next.begin(), next.end()}));
+    EXPECT_EQ(got.degree(emptied), 0);
+    EXPECT_GT(got.degree(isolated), 0);
+
+    const auto diff = GraphDelta::diff(prev, got);
+    EXPECT_EQ(diff.addedEdges(), added_list);
+    EXPECT_EQ(diff.removedEdges(), removed_list);
+}
+
+TEST_P(PatchProperty, EmptyDeltaCopiesPrev)
+{
+    Rng rng(GetParam());
+    const Csr prev = generateRmat(200, 900, {}, rng);
+    expectSameCsr(Csr::patched(prev, {}, {}), prev);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PatchProperty,
+                         ::testing::Values(1u, 7u, 42u, 1000u, 31337u));
+
+TEST(CsrPatch, EveryEdgeRemovedAndReadded)
+{
+    const auto g = triangleWithTail();
+    const auto edges = g.edgeList();
+    const Csr empty = Csr::patched(g, {}, edges);
+    EXPECT_EQ(empty.numEdges(), 0);
+    expectSameCsr(empty, Csr(4));
+    expectSameCsr(Csr::patched(empty, edges, {}), g);
+}
 
 } // namespace
 } // namespace ditile::graph

@@ -188,18 +188,27 @@ BM_TileModelSchedule(benchmark::State &state)
 }
 BENCHMARK(BM_TileModelSchedule);
 
+/**
+ * Arg 0: 512 scattered requests (incremental gathers). Arg 1: one
+ * 8 MiB sequential read (a full-recompute region stream), where the
+ * per-request cost is bounded by the bank count, not the row count.
+ */
 void
 BM_DramReplay(benchmark::State &state)
 {
     dram::DramModel model;
     std::vector<dram::DramRequest> reqs;
-    Rng rng(5);
-    for (int i = 0; i < 512; ++i) {
-        reqs.push_back({static_cast<std::uint64_t>(
-                            rng.uniformInt(0, 1 << 28)),
-                        static_cast<ByteCount>(
-                            rng.uniformInt(256, 1 << 16)),
-                        i % 3 == 0, 0});
+    if (state.range(0) == 0) {
+        Rng rng(5);
+        for (int i = 0; i < 512; ++i) {
+            reqs.push_back({static_cast<std::uint64_t>(
+                                rng.uniformInt(0, 1 << 28)),
+                            static_cast<ByteCount>(
+                                rng.uniformInt(256, 1 << 16)),
+                            i % 3 == 0, 0});
+        }
+    } else {
+        reqs.push_back({0, ByteCount{8} << 20, false, 0});
     }
     for (auto _ : state) {
         model.reset();
@@ -207,7 +216,7 @@ BM_DramReplay(benchmark::State &state)
         benchmark::DoNotOptimize(res.completionCycle);
     }
 }
-BENCHMARK(BM_DramReplay);
+BENCHMARK(BM_DramReplay)->Arg(0)->Arg(1);
 
 void
 BM_GcnLayerFunctional(benchmark::State &state)

@@ -6,9 +6,23 @@
  * simulator is replaced here by a bank/row-buffer model that serves the
  * same role: it converts an access trace into service cycles with
  * row-locality, bank-level parallelism, and channel-bus bandwidth
- * effects. Requests are bulk transfers chopped into row-sized chunks
- * internally, which keeps full-application replays fast while retaining
- * per-row hit/miss behaviour.
+ * effects. Requests are bulk transfers chopped into row-sized chunks,
+ * which keeps full-application replays fast while retaining per-row
+ * hit/miss behaviour.
+ *
+ * Chunk timing: a chunk starts at max(issue, channel bus free), pays
+ * its row access (hit / miss / conflict) plus its bus transfer, and
+ * leaves the channel bus free at its completion. Because a chunk never
+ * starts before the bus is free, a channel's bus-free cycle is always
+ * at least every one of its banks' free cycles, so banks never gate a
+ * chunk and carry no timing state — only their open row. Per request,
+ * each channel's bus-free cycle therefore advances to
+ * max(issue, bus free) + sum(access + transfer) over its chunks, and
+ * since a request's rows strictly ascend, only a bank's first visit can
+ * hit or miss against its prior open row; every later visit conflicts.
+ * service() uses this closed form: a request spanning R rows costs
+ * O(min(R, totalBanks())) rather than O(R), with timing and row-buffer
+ * counts identical to the chunk-by-chunk replay.
  */
 
 #ifndef DITILE_DRAM_DRAM_MODEL_HH
@@ -80,7 +94,10 @@ class DramModel
   public:
     explicit DramModel(const DramConfig &config = {});
 
-    /** Replay a request batch (served in issue order). */
+    /**
+     * Replay a request batch (served in issue order) in
+     * O(min(rows, totalBanks())) per request; see the file comment.
+     */
     DramResult service(const std::vector<DramRequest> &requests);
 
     /** Convenience: single sequential stream starting "now". */
@@ -93,15 +110,10 @@ class DramModel
     const DramConfig &config() const { return config_; }
 
   private:
-    struct BankState
-    {
-        std::int64_t openRow = -1;
-        Cycle freeAt = 0;
-    };
-
     DramConfig config_;
-    std::vector<BankState> banks_;
+    std::vector<std::int64_t> openRow_;  ///< Per bank; -1 = idle.
     std::vector<Cycle> channelFreeAt_;
+    std::vector<Cycle> channelBusy_;     ///< Per-request scratch.
 };
 
 /**

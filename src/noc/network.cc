@@ -62,14 +62,20 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
     auto topology = Topology::create(config);
     NocResult result;
 
-    std::stable_sort(messages.begin(), messages.end(),
-        [](const Message &a, const Message &b) {
-            return a.injectCycle < b.injectCycle;
-        });
+    // Batches drained from a traffic matrix share one inject cycle;
+    // skipping the sort of an already ordered batch changes nothing.
+    const auto by_inject = [](const Message &a, const Message &b) {
+        return a.injectCycle < b.injectCycle;
+    };
+    if (!std::is_sorted(messages.begin(), messages.end(), by_inject))
+        std::stable_sort(messages.begin(), messages.end(), by_inject);
 
     std::vector<Cycle> link_free(
         static_cast<std::size_t>(topology->numLinks()), 0);
     double latency_sum = 0.0;
+    static const NocFaults no_faults;
+    const NocFaults &active_faults = faults ? *faults : no_faults;
+    Route rt; // Reused across the batch: routing never reallocates.
 
     for (const Message &m : messages) {
         DITILE_ASSERT(m.src >= 0 && m.src < config.numTiles() &&
@@ -79,12 +85,7 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
         result.totalBytes += m.bytes;
         result.bytesByClass[static_cast<int>(m.cls)] += m.bytes;
 
-        Route rt;
-        if (faults && !faults->empty()) {
-            rt = topology->routeResilient(m.src, m.dst, m.cls, *faults);
-        } else {
-            rt.hops = topology->route(m.src, m.dst, m.cls);
-        }
+        topology->routeInto(m.src, m.dst, m.cls, active_faults, rt);
         const auto &hops = rt.hops;
         Cycle t = m.injectCycle;
         if (rt.rerouted)
@@ -95,8 +96,8 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
             // through the degraded route.
             ++result.retriedMessages;
             Cycle backoff = 0;
-            Cycle step = faults->retryBackoffCycles;
-            for (int attempt = 0; attempt < faults->maxRetries;
+            Cycle step = active_faults.retryBackoffCycles;
+            for (int attempt = 0; attempt < active_faults.maxRetries;
                  ++attempt) {
                 backoff += step;
                 step *= 2;

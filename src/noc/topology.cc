@@ -125,35 +125,30 @@ class MeshTopology : public GridBase
   public:
     using GridBase::GridBase;
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass) const override
+    void
+    routeInto(TileId src, TileId dst, TrafficClass,
+              const NocFaults &faults, Route &out) const override
     {
-        return build(src, dst, true);
-    }
-
-    Route
-    routeResilient(TileId src, TileId dst, TrafficClass,
-                   const NocFaults &faults) const override
-    {
-        Route out;
-        out.hops = build(src, dst, true);
+        out.rerouted = false;
+        out.degraded = false;
+        build(src, dst, true, out.hops);
         if (!crossesDead(out.hops, faults))
-            return out;
-        std::vector<Hop> alt = build(src, dst, false);
-        if (!crossesDead(alt, faults)) {
-            out.hops = std::move(alt);
+            return;
+        build(src, dst, false, out.hops);
+        if (!crossesDead(out.hops, faults)) {
             out.rerouted = true;
-            return out;
+            return;
         }
+        build(src, dst, true, out.hops);
         out.degraded = true;
-        return out;
     }
 
   private:
-    std::vector<Hop>
-    build(TileId src, TileId dst, bool x_first) const
+    void
+    build(TileId src, TileId dst, bool x_first,
+          std::vector<Hop> &hops) const
     {
-        std::vector<Hop> hops;
+        hops.clear();
         int r = row(src);
         int c = col(src);
         const int rd = row(dst);
@@ -176,7 +171,6 @@ class MeshTopology : public GridBase
                 }
             }
         }
-        return hops;
     }
 };
 
@@ -195,18 +189,13 @@ class RingTopology : public GridBase
         DITILE_ASSERT(span_ >= 1);
     }
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass cls) const override
+    void
+    routeInto(TileId src, TileId dst, TrafficClass,
+              const NocFaults &faults, Route &out) const override
     {
-        static const NocFaults none;
-        return routeResilient(src, dst, cls, none).hops;
-    }
-
-    Route
-    routeResilient(TileId src, TileId dst, TrafficClass,
-                   const NocFaults &faults) const override
-    {
-        Route out;
+        out.hops.clear();
+        out.rerouted = false;
+        out.degraded = false;
         int r = row(src);
         int c = col(src);
         const int rd = row(dst);
@@ -261,7 +250,6 @@ class RingTopology : public GridBase
             }
             appendRingHops(out.hops, r, c, dir, steps, span);
         }
-        return out;
     }
 
   private:
@@ -280,12 +268,18 @@ class CrossbarTopology : public Topology
     {
     }
 
-    std::vector<Hop>
-    route(TileId src, TileId dst, TrafficClass) const override
+    void
+    routeInto(TileId src, TileId dst, TrafficClass,
+              const NocFaults &faults, Route &out) const override
     {
+        out.hops.clear();
+        out.rerouted = false;
+        out.degraded = false;
         if (src == dst)
-            return {};
-        return {{static_cast<LinkId>(dst), true}};
+            return;
+        const auto port = static_cast<LinkId>(dst);
+        out.hops.push_back({port, true});
+        out.degraded = faults.linkDead(port);
     }
 
     LinkId numLinks() const override { return tiles_; }
@@ -296,13 +290,19 @@ class CrossbarTopology : public Topology
 
 } // namespace
 
+std::vector<Hop>
+Topology::route(TileId src, TileId dst, TrafficClass cls) const
+{
+    static const NocFaults none;
+    return routeResilient(src, dst, cls, none).hops;
+}
+
 Route
 Topology::routeResilient(TileId src, TileId dst, TrafficClass cls,
                          const NocFaults &faults) const
 {
     Route out;
-    out.hops = route(src, dst, cls);
-    out.degraded = crossesDead(out.hops, faults);
+    routeInto(src, dst, cls, faults, out);
     return out;
 }
 

@@ -100,24 +100,36 @@ struct Route
 
 /**
  * Abstract route oracle for one interconnect style.
+ *
+ * Routing contract: every style implements exactly one virtual,
+ * routeInto(), which clears `out` and refills it in place — hops,
+ * rerouted and degraded — so a caller replaying a message batch keeps
+ * one Route and its hop storage across every message. With empty
+ * faults the result is the fault-free route with both flags false.
+ * route() and routeResilient() are non-virtual conveniences over it.
  */
 class Topology
 {
   public:
     virtual ~Topology() = default;
 
-    /** Hops from src to dst (empty if src == dst). */
-    virtual std::vector<Hop> route(TileId src, TileId dst,
-                                   TrafficClass cls) const = 0;
-
     /**
-     * Fault-aware routing. The base implementation returns the
-     * fault-free route and flags it degraded if it crosses a dead
-     * link; grid topologies override it to reroute around faults.
+     * Fault-aware route from src to dst into `out` (no hops if
+     * src == dst), reusing out.hops' storage. Grid styles reroute
+     * around dead links where an alternative exists; otherwise the
+     * fault-free route is kept and flagged degraded.
      */
-    virtual Route routeResilient(TileId src, TileId dst,
-                                 TrafficClass cls,
-                                 const NocFaults &faults) const;
+    virtual void routeInto(TileId src, TileId dst, TrafficClass cls,
+                           const NocFaults &faults,
+                           Route &out) const = 0;
+
+    /** Fault-free hops from src to dst (empty if src == dst). */
+    std::vector<Hop> route(TileId src, TileId dst,
+                           TrafficClass cls) const;
+
+    /** routeInto() into a fresh Route. */
+    Route routeResilient(TileId src, TileId dst, TrafficClass cls,
+                         const NocFaults &faults) const;
 
     /** Number of directed link resources. */
     virtual LinkId numLinks() const = 0;

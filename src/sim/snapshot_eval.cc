@@ -9,14 +9,15 @@
  * and results are bit-identical at any thread width.
  *
  * Hot-loop temporaries (per-slot MAC accumulators, the dense traffic
- * matrices, the changed-vertex bitmap) live in a thread-local arena
- * reused across snapshots and runs: the previous per-iteration
+ * matrices, the changed-vertex bitmap) live in a leased thread-local
+ * arena reused across snapshots and runs: the previous per-iteration
  * allocate/zero churn was the dominant stage-1 overhead on small
  * snapshots (ROADMAP item 5).
  */
 
 #include "sim/engine_internal.hh"
 
+#include "common/scratch_lease.hh"
 #include "common/thread_pool.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
@@ -27,7 +28,12 @@ namespace ditile::sim::detail {
 
 namespace {
 
-/** Per-worker scratch reused across snapshots (and across runs). */
+/**
+ * Per-worker scratch reused across snapshots (and across runs). Taken
+ * through a ScratchLease: with detailed tile timing this function
+ * blocks in a nested parallelFor while holding the arena, and the
+ * blocked thread may run another snapshot's evaluation meanwhile.
+ */
 struct EvalScratch
 {
     std::vector<OpCount> slotGnn;
@@ -38,13 +44,6 @@ struct EvalScratch
     std::vector<bool> changed;
     std::vector<std::uint64_t> changedCnt;
 };
-
-EvalScratch &
-scratch()
-{
-    thread_local EvalScratch s;
-    return s;
-}
 
 } // namespace
 
@@ -68,7 +67,8 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
     const auto t = static_cast<SnapshotId>(i);
     const graph::Csr &g = dg.snapshot(t);
     const model::SnapshotPlan &splan = ctx.snapshotPlans[i];
-    EvalScratch &s = scratch();
+    const ScratchLease<EvalScratch> lease;
+    EvalScratch &s = *lease;
 
     // ---- Accounting (ops + off-chip bytes). ----
     w.ops = model::countSnapshotOps(dg, t, model_config, splan);

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.hh"
@@ -364,6 +365,76 @@ INSTANTIATE_TEST_SUITE_P(Kinds, RouteValidity,
                                            TopologyKind::Ring,
                                            TopologyKind::Crossbar,
                                            TopologyKind::Reconfigurable));
+
+/**
+ * routeInto() must fully overwrite a reused Route: replaying a batch
+ * through one stale Route (leftover hops, both flags set) has to give
+ * exactly what a fresh routeResilient() gives, faults or not.
+ */
+TEST(RouteReuse, StaleRouteMatchesFreshRouteEveryTopology)
+{
+    Rng rng(14);
+    for (TopologyKind kind :
+         {TopologyKind::Mesh, TopologyKind::Ring, TopologyKind::Crossbar,
+          TopologyKind::Reconfigurable}) {
+        const NocConfig config = config4x4(kind);
+        auto topo = Topology::create(config);
+        int rerouted = 0;
+        int degraded = 0;
+        for (int variant = 0; variant < 4; ++variant) {
+            NocFaults faults;
+            if (variant & 1) {
+                for (int k = 0; k < 10; ++k) {
+                    faults.deadLinks.push_back(static_cast<LinkId>(
+                        rng.uniformInt(0, topo->numLinks() - 1)));
+                }
+                std::sort(faults.deadLinks.begin(),
+                          faults.deadLinks.end());
+            }
+            if (variant & 2)
+                faults.columnSpanOverride = {1, 3, 0, 2};
+            SCOPED_TRACE(testing::Message()
+                         << topologyKindName(kind) << " variant "
+                         << variant);
+            Route stale;
+            stale.hops = {{5, false}, {7, true}, {9, false}};
+            for (TileId src = 0; src < config.numTiles(); ++src) {
+                for (TileId dst = 0; dst < config.numTiles(); ++dst) {
+                    stale.rerouted = true;
+                    stale.degraded = true;
+                    topo->routeInto(src, dst, TrafficClass::Spatial,
+                                    faults, stale);
+                    const Route fresh = topo->routeResilient(
+                        src, dst, TrafficClass::Spatial, faults);
+                    ASSERT_EQ(stale.hops.size(), fresh.hops.size())
+                        << src << "->" << dst;
+                    for (std::size_t h = 0; h < fresh.hops.size(); ++h) {
+                        EXPECT_EQ(stale.hops[h].link, fresh.hops[h].link);
+                        EXPECT_EQ(stale.hops[h].routerStop,
+                                  fresh.hops[h].routerStop);
+                    }
+                    EXPECT_EQ(stale.rerouted, fresh.rerouted);
+                    EXPECT_EQ(stale.degraded, fresh.degraded);
+                    if (faults.empty()) {
+                        EXPECT_FALSE(fresh.rerouted || fresh.degraded);
+                        EXPECT_EQ(fresh.hops.size(),
+                                  topo->route(src, dst,
+                                              TrafficClass::Spatial)
+                                      .size());
+                    }
+                    rerouted += fresh.rerouted;
+                    degraded += fresh.degraded;
+                }
+            }
+        }
+        // The dead-link variants exercise the fault paths.
+        SCOPED_TRACE(topologyKindName(kind));
+        EXPECT_GT(degraded, 0);
+        if (kind != TopologyKind::Crossbar) {
+            EXPECT_GT(rerouted, 0);
+        }
+    }
+}
 
 } // namespace
 } // namespace ditile::noc

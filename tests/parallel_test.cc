@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/scratch_lease.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
@@ -125,6 +126,40 @@ TEST(ParallelFor, SubmitFromWorkerDoesNotDeadlock)
     // Submitted grandchildren drain at destruction at the latest.
 }
 
+TEST(ScratchLease, NestedLeasesOnOneThreadAreDistinct)
+{
+    struct Arena
+    {
+        int value = 0;
+    };
+    const Arena *outer_arena = nullptr;
+    {
+        const ScratchLease<Arena> outer;
+        outer_arena = &*outer;
+        const ScratchLease<Arena> inner;
+        EXPECT_NE(&*inner, outer_arena);
+        {
+            const ScratchLease<Arena> innermost;
+            EXPECT_NE(&*innermost, &*inner);
+            EXPECT_NE(&*innermost, outer_arena);
+        }
+        // A re-entrant lease sees its own arena, never the holder's.
+        outer->value = 1;
+        inner->value = 2;
+        EXPECT_EQ(outer->value, 1);
+    }
+    // Released arenas are reused, outermost first.
+    const ScratchLease<Arena> again;
+    EXPECT_EQ(&*again, outer_arena);
+    EXPECT_EQ(again->value, 1);
+    const Arena *other_thread = nullptr;
+    std::thread([&other_thread] {
+        const ScratchLease<Arena> lease;
+        other_thread = &*lease;
+    }).join();
+    EXPECT_NE(other_thread, &*again);
+}
+
 TEST(ThreadPool, GlobalPoolResizes)
 {
     ThreadPool::setGlobalThreads(3);
@@ -229,6 +264,25 @@ TEST(EngineDeterminism, DetailedTileTimingIdentical)
                                   options);
     const auto serial = runAt(1, accel, dg, mconfig);
     expectIdentical(serial, runAt(8, accel, dg, mconfig));
+}
+
+TEST(EngineDeterminism, DetailedTileTimingRepeatedIdentical)
+{
+    // Detailed timing nests a per-tile parallelFor inside each
+    // snapshot's evaluation; a blocked caller helps with other pool
+    // tasks, possibly another snapshot. Repeat the wide run so an
+    // arena shared between the two would show up as a mismatch.
+    const auto dg = ctdgWorkload();
+    const model::DgnnConfig mconfig;
+    core::DiTileOptions options;
+    options.detailedTileTiming = true;
+    core::DiTileAccelerator accel(sim::AcceleratorConfig::defaults(),
+                                  options);
+    const auto serial = runAt(1, accel, dg, mconfig);
+    for (int rep = 0; rep < 20 && !HasFailure(); ++rep) {
+        SCOPED_TRACE(testing::Message() << "repetition " << rep);
+        expectIdentical(serial, runAt(8, accel, dg, mconfig));
+    }
 }
 
 TEST(EngineDeterminism, BaselinesIdenticalAcrossThreadCounts)

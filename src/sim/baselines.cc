@@ -178,7 +178,6 @@ makeReady(const AcceleratorConfig &hw)
     // split between the kernels: both regions run concurrently.
     options.gnnMacFraction = 0.75;
     options.rnnMacFraction = 0.25;
-    options.rnnSeparateResource = true;
     // ReRAM processing-in-memory: weights live in the crossbars and a
     // large share of the feature stream is consumed in-situ.
     options.dramTrafficScale = 0.72;
@@ -200,7 +199,6 @@ makeDgnnBooster(const AcceleratorConfig &hw)
     // only after the dispatched GNN batch globally synchronizes.
     options.gnnMacFraction = 0.6;
     options.rnnMacFraction = 0.4;
-    options.rnnSeparateResource = true;
     options.globalGnnBarrier = true;
     // The dual pipelines share one streamed fetch of the graph batch.
     options.dramTrafficScale = 0.78;
@@ -222,7 +220,6 @@ makeRace(const AcceleratorConfig &hw)
     // (the paper's original RACE configuration), joined by a crossbar.
     options.gnnMacFraction = 0.5;
     options.rnnMacFraction = 0.5;
-    options.rnnSeparateResource = true;
     // Staging intermediate z-vectors between the two engines adds an
     // extra pass over the output stream.
     options.dramTrafficScale = 1.02;

@@ -30,15 +30,15 @@
  *   4. *serial* merge of every accumulator in canonical snapshot
  *      order, then the timeline.
  *
- * The timeline comes in two flavors. The staged model (default here,
- * `--no-overlap` in the CLIs) chains phases through the legacy
- * barrier formulas and is the byte-identity reference. Overlap mode
- * builds the Comp/Comm task DAG (task_graph.cc) over the *same*
- * per-task durations and lets the deterministic list scheduler
- * (scheduler.cc) propagate ready times, so independent phases
- * pipeline; because the DAG's dependencies are a strict relaxation of
- * the barriers, its makespan never exceeds the staged total on
- * fault-free runs.
+ * The timeline is one task DAG (task_graph.cc) over the per-task
+ * durations the stages produced, timed by the deterministic list
+ * scheduler (scheduler.cc). The two modes differ only in the DAG's
+ * edges. Overlap mode keeps the true data dependencies, so
+ * independent phases pipeline. The staged model (default here,
+ * `--no-overlap` in the CLIs) adds the barrier edges of the legacy
+ * formulas: column occupancy and a serial configuration tail. The
+ * overlap edges are a subset of the staged ones, so on fault-free
+ * runs the overlap makespan never exceeds the staged total.
  *
  * All accumulators merged in stage 4 are integers and the per-index
  * slots make the schedule invisible, so results are bit-identical to
@@ -96,22 +96,26 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     DITILE_ASSERT(plan.snapshots != nullptr,
                   "execution plan has no snapshot plans");
-    DITILE_ASSERT(plan.numSnapshots() == num_snapshots,
-                  "plan snapshot count does not match the workload");
+    // A plan loaded from a file (--plan-in) may have been made for
+    // another workload: reject the mismatch as bad input.
+    if (plan.numSnapshots() != num_snapshots)
+        DITILE_THROW("plan has ", plan.numSnapshots(),
+                     " snapshots, the workload ", num_snapshots);
     const std::vector<model::SnapshotPlan> &snapshot_plans =
         *plan.snapshots;
+    const graph::VertexPartition &partition = mapping.spatialOnly
+        ? mapping.tilePartition : mapping.rowPartition;
+    if (partition.numVertices() != num_vertices)
+        DITILE_THROW("plan partition does not cover the graph: ",
+                     partition.numVertices(), " vs ", num_vertices);
+    if (!mapping.spatialOnly &&
+        mapping.snapshotColumn.size() != snapshot_plans.size())
+        DITILE_THROW("snapshot->column map must cover every snapshot");
 
-    if (mapping.spatialOnly) {
-        DITILE_ASSERT(mapping.tilePartition.numVertices() == num_vertices,
-                      "tile partition does not cover the graph");
-    } else {
-        DITILE_ASSERT(mapping.rowPartition.numVertices() == num_vertices,
-                      "row partition does not cover the graph");
-        DITILE_ASSERT(static_cast<SnapshotId>(
-                          mapping.snapshotColumn.size()) == num_snapshots,
-                      "snapshot->column map must cover every snapshot");
-    }
-
+    // The task DAG is structural (a pure function of the plan). Built
+    // before the evaluation stages allocate, its small blocks do not
+    // split the freed per-snapshot buffers, which holds peak RSS.
+    TaskGraph tg = buildTaskGraph(plan);
     dram::DramModel dram_model(hw.dram);
 
     // Stable address regions so row-buffer locality behaves like a real
@@ -147,9 +151,10 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                                                   : hw.tileRows;
     std::vector<int> base_owner(static_cast<std::size_t>(num_vertices));
     for (VertexId v = 0; v < num_vertices; ++v) {
-        base_owner[static_cast<std::size_t>(v)] = mapping.spatialOnly
-            ? mapping.tilePartition.owner(v)
-            : mapping.rowPartition.owner(v);
+        const int owner = partition.owner(v);
+        if (owner < 0 || owner >= compute_slots)
+            DITILE_THROW("plan places vertex ", v, " on slot ", owner);
+        base_owner[static_cast<std::size_t>(v)] = owner;
     }
     const bool use_digest = workload::digestEnabled();
 
@@ -439,156 +444,64 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     }
 
     // ---- Timeline assembly. ----
+    // Annotate the task DAG built above with the durations the
+    // evaluation stages produced and let the deterministic scheduler
+    // propagate ready times. Staged mode charges the whole
+    // configuration time to the last Re-Link task; overlap mode gives
+    // every snapshot its own (task_graph.cc documents both modes'
+    // edges).
+    result.configCycles = static_cast<Cycle>(num_snapshots) *
+        hw.perSnapshotConfigCycles;
+    auto node = [&](int id) -> TaskNode & {
+        return tg.nodes[static_cast<std::size_t>(id)];
+    };
+    for (SnapshotId t = 0; t < num_snapshots; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto &st = tg.bySnapshot[i];
+        const SnapshotWork &w = work[i];
+        node(st.dram).duration =
+            dram_done[i] - (t > 0 ? dram_done[i - 1] : 0);
+        node(st.gnn).duration = w.gnnCompute;
+        node(st.spatial).duration = w.spatial.makespan;
+        if (st.temporal != -1)
+            node(st.temporal).duration = w.temporal.makespan;
+        node(st.rnn).duration = w.rnnCompute;
+        if (options.overlap)
+            node(st.relink).duration = hw.perSnapshotConfigCycles;
+        else if (t + 1 == num_snapshots)
+            node(st.relink).duration = result.configCycles;
+    }
+    const ScheduleResult sched = scheduleTaskGraph(tg);
+    auto task = [&](int id) -> const ScheduledTask & {
+        return sched.tasks[static_cast<std::size_t>(id)];
+    };
     result.trace.resize(static_cast<std::size_t>(num_snapshots));
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
+        const auto &st = tg.bySnapshot[i];
+        const SnapshotWork &w = work[i];
         auto &tr = result.trace[i];
         tr.snapshot = t;
         tr.column = mapping.spatialOnly
             ? 0 : mapping.snapshotColumn[i];
         tr.dramDone = dram_done[i];
-        tr.gnnComputeCycles = work[i].gnnCompute;
-        tr.rnnComputeCycles = work[i].rnnCompute;
-        tr.spatialCommCycles = work[i].spatial.makespan;
-        tr.temporalCommCycles = work[i].temporal.makespan;
-    }
-    result.configCycles = static_cast<Cycle>(num_snapshots) *
-        hw.perSnapshotConfigCycles;
-
-    TaskGraph tg;
-    ScheduleResult sched;
-    if (options.overlap) {
-        // ---- Overlap: annotate the task DAG with the durations the
-        // evaluation stages produced and let the deterministic
-        // scheduler propagate ready times. The DAG's dependencies
-        // relax the staged barriers (task_graph.cc documents the
-        // mapping), so the makespan is <= the staged total; the
-        // Re-Link reconfiguration chain rides its own lane instead of
-        // being appended serially.
-        tg = buildTaskGraph(plan);
-        auto node = [&](int id) -> TaskNode & {
-            return tg.nodes[static_cast<std::size_t>(id)];
-        };
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto &st = tg.bySnapshot[i];
-            const SnapshotWork &w = work[i];
-            node(st.dram).duration =
-                dram_done[i] - (t > 0 ? dram_done[i - 1] : 0);
-            node(st.gnn).duration = w.gnnCompute;
-            node(st.spatial).duration = w.spatial.makespan;
-            if (st.temporal != -1)
-                node(st.temporal).duration = w.temporal.makespan;
-            node(st.rnn).duration = w.rnnCompute;
-            node(st.relink).duration = hw.perSnapshotConfigCycles;
-        }
-        sched = scheduleTaskGraph(tg);
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto &st = tg.bySnapshot[i];
-            auto &tr = result.trace[i];
-            // The DRAM chain reproduces dram_done exactly; the GNN
-            // phase is complete once compute, spatial traffic and the
-            // off-chip stream have all landed.
-            tr.gnnDone = std::max(
-                {sched.tasks[static_cast<std::size_t>(st.gnn)].finish,
-                 sched.tasks[static_cast<std::size_t>(st.spatial)]
-                     .finish,
-                 dram_done[i]});
-            tr.rnnDone =
-                sched.tasks[static_cast<std::size_t>(st.rnn)].finish;
-        }
-        result.totalCycles = sched.makespan;
-
-        TaskGraphStats &ts = result.taskGraph;
-        ts.enabled = true;
-        ts.numTasks = tg.nodes.size();
-        ts.numEdges = tg.edges.size();
-        ts.makespan = sched.makespan;
-        ts.lanes.reserve(tg.lanes.size());
-        for (std::size_t li = 0; li < tg.lanes.size(); ++li) {
-            ts.lanes.push_back({tg.lanes[li].name(),
-                                sched.lanes[li].tasks,
-                                sched.lanes[li].busyCycles});
-        }
-        std::vector<bool> critical(tg.nodes.size(), false);
-        for (const int id : sched.criticalPath)
-            critical[static_cast<std::size_t>(id)] = true;
-        ts.tasks.reserve(tg.nodes.size());
-        for (const TaskNode &n : tg.nodes) {
-            const auto ni = static_cast<std::size_t>(n.id);
-            ts.tasks.push_back(
-                {n.id, taskKindToken(n.kind), n.snapshot,
-                 tg.lanes[static_cast<std::size_t>(n.lane)].name(),
-                 sched.tasks[ni].start, sched.tasks[ni].finish,
-                 static_cast<bool>(critical[ni])});
-        }
-    } else if (mapping.spatialOnly) {
-        // Snapshots run sequentially over the whole grid: GNN compute
-        // overlaps spatial communication, then the local RNN phase.
-        Cycle prev_done = 0;
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const Cycle gnn_done = std::max(
-                prev_done + std::max(work[i].gnnCompute,
-                                     work[i].spatial.makespan),
-                dram_done[i]);
-            const Cycle done = gnn_done + work[i].rnnCompute;
-            result.trace[i].gnnDone = gnn_done;
-            result.trace[i].rnnDone = done;
-            prev_done = done;
-        }
-        result.totalCycles = prev_done + result.configCycles;
-    } else {
-        // Pass 1: GNN phases with column occupancy and DRAM gating.
-        std::vector<Cycle> col_free(
-            static_cast<std::size_t>(hw.tileCols), 0);
-        std::vector<Cycle> gnn_done(
-            static_cast<std::size_t>(num_snapshots));
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const auto c = static_cast<std::size_t>(
-                mapping.snapshotColumn[i]);
-            const Cycle on_chip = std::max(work[i].gnnCompute,
-                                           work[i].spatial.makespan);
-            const Cycle done = std::max(col_free[c] + on_chip,
-                                        dram_done[i]);
-            gnn_done[i] = done;
-            result.trace[i].gnnDone = done;
-            col_free[c] = done;
-        }
-        // Pass 2: the RNN chain (temporal dependency across snapshots).
-        Cycle barrier = 0;
-        if (options.globalGnnBarrier) {
-            for (Cycle d : gnn_done)
-                barrier = std::max(barrier, d);
-        }
-        Cycle last_done = 0;
-        Cycle rnn_prev = 0;
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const Cycle start = std::max(
-                {gnn_done[i], barrier,
-                 rnn_prev + work[i].temporal.makespan});
-            const Cycle done = start + work[i].rnnCompute;
-            result.trace[i].rnnDone = done;
-            rnn_prev = done;
-            last_done = std::max(last_done, done);
-            if (!options.rnnSeparateResource) {
-                const auto c = static_cast<std::size_t>(
-                    mapping.snapshotColumn[i]);
-                col_free[c] = std::max(col_free[c], done);
-            }
-        }
-        result.totalCycles = last_done + result.configCycles;
-    }
-
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        result.computeCycles += work[i].gnnCompute + work[i].rnnCompute;
+        tr.gnnComputeCycles = w.gnnCompute;
+        tr.rnnComputeCycles = w.rnnCompute;
+        tr.spatialCommCycles = w.spatial.makespan;
+        tr.temporalCommCycles = w.temporal.makespan;
+        // The DRAM chain reproduces dram_done exactly; the GNN phase
+        // is complete once compute, spatial traffic and the off-chip
+        // stream have all landed.
+        tr.gnnDone = std::max({task(st.gnn).finish,
+                               task(st.spatial).finish, dram_done[i]});
+        tr.rnnDone = task(st.rnn).finish;
+        result.computeCycles += w.gnnCompute + w.rnnCompute;
         result.onChipCommCycles +=
-            work[i].spatial.makespan + work[i].temporal.makespan;
+            w.spatial.makespan + w.temporal.makespan;
     }
+    result.totalCycles = sched.makespan;
+    if (options.overlap)
+        result.taskGraph = taskGraphStats(tg, sched);
     result.offChipCycles = dram_cursor;
 
     // ---- Utilization: busy MAC-cycles over the MAC-cycles offered by
@@ -884,17 +797,11 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                 Cycle gnn_ts, spat_ts, rnn_ts, temp_ts;
                 if (options.overlap) {
                     const auto &st = tg.bySnapshot[i];
-                    gnn_ts = sched
-                        .tasks[static_cast<std::size_t>(st.gnn)].start;
-                    spat_ts = sched
-                        .tasks[static_cast<std::size_t>(st.spatial)]
-                        .start;
-                    rnn_ts = sched
-                        .tasks[static_cast<std::size_t>(st.rnn)].start;
-                    temp_ts = st.temporal != -1
-                        ? sched.tasks[static_cast<std::size_t>(
-                                          st.temporal)].start
-                        : rnn_ts;
+                    gnn_ts = task(st.gnn).start;
+                    spat_ts = task(st.spatial).start;
+                    rnn_ts = task(st.rnn).start;
+                    temp_ts = st.temporal != -1 ? task(st.temporal).start
+                                                : rnn_ts;
                 } else {
                     gnn_ts = row.gnnDone - w.gnnCompute;
                     spat_ts = row.gnnDone - w.spatial.makespan;

@@ -77,13 +77,6 @@ struct EngineOptions
     double rnnMacFraction = 1.0;
 
     /**
-     * RNN runs on a dedicated engine (RACE): the RNN phase of snapshot
-     * t does not block the tile column, so it pipelines with the GNN
-     * phase of t+1.
-     */
-    bool rnnSeparateResource = false;
-
-    /**
      * Global synchronization between the GNN phase of every snapshot
      * and the RNN chain (DGNN-Booster's per-batch dispatch).
      */
@@ -138,16 +131,16 @@ struct EngineOptions
     bool adaptiveRelink = false;
 
     /**
-     * Execute through the event-driven task-graph scheduler instead of
-     * the legacy staged barrier timeline: typed tasks (GNN/RNN
-     * compute, spatial/temporal comm, DRAM streaming, Re-Link
-     * reconfig) on per-device resource lanes, started as soon as their
-     * data dependencies allow. Per-task durations are identical to the
-     * staged model and the dependencies are a strict relaxation of the
-     * barriers, so overlap never reports a longer makespan than staged
-     * mode on fault-free runs. The staged timeline (the byte-identity
-     * reference, `--no-overlap` in the CLIs) remains the default here
-     * so existing plans and goldens are unaffected.
+     * Time the run with the overlap task graph instead of the staged
+     * one. Both are typed tasks (GNN/RNN compute, spatial/temporal
+     * comm, DRAM streaming, Re-Link reconfig) on per-device resource
+     * lanes, timed by the same scheduler over the same per-task
+     * durations. Overlap starts each task as soon as its data
+     * dependencies allow; staged (the byte-identity reference,
+     * `--no-overlap` in the CLIs) adds the legacy barrier edges, so
+     * overlap never reports a longer makespan than staged mode on
+     * fault-free runs. Staged remains the default here so existing
+     * plans and goldens are unaffected.
      */
     bool overlap = false;
 };

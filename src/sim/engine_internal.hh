@@ -5,9 +5,8 @@
  *
  * The 1439-line engine.cc monolith is split along its stage seams:
  * snapshot_eval.cc owns the parallel per-snapshot evaluation (stage
- * 1), engine.cc owns the serial device replays, the staged timeline
- * and the task-graph overlap path, and everything they exchange lives
- * here as plain data.
+ * 1), engine.cc owns the serial device replays and the task-graph
+ * timeline, and everything they exchange lives here as plain data.
  */
 
 #ifndef DITILE_SIM_ENGINE_INTERNAL_HH

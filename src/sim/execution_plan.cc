@@ -252,21 +252,30 @@ emitPartition(Emitter &e, const char *key,
     e.close();
 }
 
+/** Parse a partition whose parts must fit `max_parts` compute slots. */
 graph::VertexPartition
-parsePartition(const JsonValue &v)
+parsePartition(const JsonValue &v, long long max_parts)
 {
     const auto &owners = v.at("owners").items();
+    const long long parts = v.at("parts").asInt();
+    if (parts < 0 || parts > max_parts)
+        DITILE_THROW("plan partition parts ", parts, " not in [0, ",
+                     max_parts, "]");
     // An unused partition (e.g. tilePartition of a temporal-parallel
     // mapping) serializes as zero parts; reconstruct it as default.
-    if (v.at("parts").asInt() == 0)
+    if (parts == 0)
         return {};
     graph::VertexPartition partition(
-        static_cast<VertexId>(owners.size()),
-        static_cast<int>(v.at("parts").asInt()));
+        static_cast<VertexId>(owners.size()), static_cast<int>(parts));
     for (std::size_t i = 0; i < owners.size(); ++i) {
-        const int owner = static_cast<int>(owners[i].asInt());
-        if (owner != kInvalidTile)
-            partition.assign(static_cast<VertexId>(i), owner);
+        const long long owner = owners[i].asInt();
+        if (owner == kInvalidTile)
+            continue;
+        if (owner < 0 || owner >= parts)
+            DITILE_THROW("plan partition owner ", owner, " not in [0, ",
+                         parts, ")");
+        partition.assign(static_cast<VertexId>(i),
+                         static_cast<int>(owner));
     }
     return partition;
 }
@@ -378,7 +387,6 @@ ExecutionPlan::toJson() const
          options.accounting.uncachedIntermediateFraction);
     e.kv("gnn_mac_fraction", options.gnnMacFraction);
     e.kv("rnn_mac_fraction", options.rnnMacFraction);
-    e.kv("rnn_separate_resource", options.rnnSeparateResource);
     e.kv("global_gnn_barrier", options.globalGnnBarrier);
     e.kv("reuse_fifo_forwarding", options.reuseFifoForwarding);
     e.kvU("reconfig_events_per_snapshot",
@@ -477,7 +485,7 @@ ExecutionPlan::toJson() const
         e.close();
     }
 
-    // ---- Task-graph skeleton (overlap scheduler input). ----
+    // ---- Task-graph skeleton (scheduler input). ----
     // Derived entirely from the fields above, re-derived on load
     // (fromJson ignores it): serialized so plan documents are
     // self-describing for external tooling and so the content hash
@@ -633,14 +641,31 @@ ExecutionPlan::fromJson(const std::string &text)
     plan.modelConfig.precision =
         precisionFromToken(mc.at("precision").asString());
 
+    // The mapping indexes the tile grid and the NoC, so it is
+    // range-checked against the document's own hw and snapshot count:
+    // a hostile document is rejected here, not by a device model.
+    const long long tile_rows = plan.hw.tileRows;
+    const long long tile_cols = plan.hw.tileCols;
+    if (tile_rows < 1 || tile_cols < 1 ||
+        tile_rows * tile_cols > 1ll * plan.hw.noc.rows * plan.hw.noc.cols)
+        DITILE_THROW("plan tile grid does not fit its NoC");
     const JsonValue &mapping = doc.at("mapping");
     plan.mapping.spatialOnly = mapping.at("spatial_only").asBool();
     plan.mapping.rowPartition =
-        parsePartition(mapping.at("row_partition"));
+        parsePartition(mapping.at("row_partition"), tile_rows);
+    const auto &columns = mapping.at("snapshot_column").items();
+    if (!plan.mapping.spatialOnly &&
+        columns.size() != doc.at("snapshots").items().size())
+        DITILE_THROW("plan snapshot_column does not cover every snapshot");
+    for (const JsonValue &col : columns) {
+        if (col.asInt() < 0 || col.asInt() >= tile_cols)
+            DITILE_THROW("plan snapshot column ", col.asInt(),
+                         " not in [0, ", tile_cols, ")");
+    }
     plan.mapping.snapshotColumn =
         parseIntArray<int>(mapping.at("snapshot_column"));
-    plan.mapping.tilePartition =
-        parsePartition(mapping.at("tile_partition"));
+    plan.mapping.tilePartition = parsePartition(
+        mapping.at("tile_partition"), tile_rows * tile_cols);
 
     const JsonValue &options = doc.at("options");
     plan.options.algo = algoFromToken(options.at("algo").asString());
@@ -654,8 +679,8 @@ ExecutionPlan::fromJson(const std::string &text)
         options.at("gnn_mac_fraction").asDouble();
     plan.options.rnnMacFraction =
         options.at("rnn_mac_fraction").asDouble();
-    plan.options.rnnSeparateResource =
-        options.at("rnn_separate_resource").asBool();
+    // "rnn_separate_resource" (a knob no timeline read) is ignored
+    // when present, so documents written by earlier builds still load.
     plan.options.globalGnnBarrier =
         options.at("global_gnn_barrier").asBool();
     plan.options.reuseFifoForwarding =

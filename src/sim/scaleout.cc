@@ -397,29 +397,7 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     result.stats.set("interchip.busy_cycles",
                      static_cast<double>(interchip_busy));
 
-    TaskGraphStats &ts = result.taskGraph;
-    ts.enabled = true;
-    ts.numTasks = tg.nodes.size();
-    ts.numEdges = tg.edges.size();
-    ts.makespan = sched.makespan;
-    ts.lanes.reserve(tg.lanes.size());
-    for (std::size_t li = 0; li < tg.lanes.size(); ++li) {
-        ts.lanes.push_back({tg.lanes[li].name(),
-                            sched.lanes[li].tasks,
-                            sched.lanes[li].busyCycles});
-    }
-    std::vector<bool> critical(tg.nodes.size(), false);
-    for (const int id : sched.criticalPath)
-        critical[static_cast<std::size_t>(id)] = true;
-    ts.tasks.reserve(tg.nodes.size());
-    for (const TaskNode &n : tg.nodes) {
-        const auto ni = static_cast<std::size_t>(n.id);
-        ts.tasks.push_back(
-            {n.id, taskKindToken(n.kind), n.snapshot,
-             tg.lanes[static_cast<std::size_t>(n.lane)].name(),
-             sched.tasks[ni].start, sched.tasks[ni].finish,
-             static_cast<bool>(critical[ni])});
-    }
+    result.taskGraph = taskGraphStats(tg, sched);
     return result;
 }
 

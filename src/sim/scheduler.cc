@@ -99,4 +99,32 @@ scheduleTaskGraph(const TaskGraph &graph)
     return sched;
 }
 
+TaskGraphStats
+taskGraphStats(const TaskGraph &graph, const ScheduleResult &sched)
+{
+    TaskGraphStats ts;
+    ts.enabled = true;
+    ts.numTasks = graph.nodes.size();
+    ts.numEdges = graph.edges.size();
+    ts.makespan = sched.makespan;
+    ts.lanes.reserve(graph.lanes.size());
+    for (std::size_t li = 0; li < graph.lanes.size(); ++li) {
+        ts.lanes.push_back({graph.lanes[li].name(),
+                            sched.lanes[li].tasks,
+                            sched.lanes[li].busyCycles});
+    }
+    ts.tasks.reserve(graph.nodes.size());
+    for (const TaskNode &n : graph.nodes) {
+        const auto ni = static_cast<std::size_t>(n.id);
+        ts.tasks.push_back(
+            {n.id, taskKindToken(n.kind), n.snapshot,
+             graph.lanes[static_cast<std::size_t>(n.lane)].name(),
+             sched.tasks[ni].start, sched.tasks[ni].finish, false});
+    }
+    // Nodes are in id order, so ts.tasks is indexed by task id.
+    for (const int id : sched.criticalPath)
+        ts.tasks[static_cast<std::size_t>(id)].critical = true;
+    return ts;
+}
+
 } // namespace ditile::sim

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "sim/run_result.hh"
 #include "sim/task_graph.hh"
 
 namespace ditile::sim {
@@ -59,6 +60,14 @@ struct ScheduleResult
  * Schedule a duration-annotated graph. Asserts on dependency cycles.
  */
 ScheduleResult scheduleTaskGraph(const TaskGraph &graph);
+
+/**
+ * The reportable summary of a schedule: lane occupancy and every task
+ * with its lane name, times and critical-path membership. Shared by
+ * the chip and cluster timelines.
+ */
+TaskGraphStats taskGraphStats(const TaskGraph &graph,
+                              const ScheduleResult &sched);
 
 } // namespace ditile::sim
 

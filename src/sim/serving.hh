@@ -139,8 +139,8 @@ class ConcurrentRunner
     std::size_t memoizedKeys() const;
 
     /**
-     * Execute through the task-graph overlap scheduler (default) or
-     * the legacy staged timeline. The serving tier reports latency to
+     * Execute with the overlap task graph (default) or the staged
+     * one (barrier edges). The serving tier reports latency to
      * tenants, so it defaults to the pipelined model; set false to
      * reproduce the staged reference. The flag is part of the memo
      * key. Configure from serial program points only (not

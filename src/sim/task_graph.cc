@@ -151,7 +151,7 @@ buildTaskGraph(const ExecutionPlan &plan)
         st.relink = g.addTask(TaskKind::RelinkReconfig, t, relink_lane);
     }
 
-    // ---- Dependencies. The staged timeline's barriers relax to:
+    // ---- Dependencies shared by both timelines:
     //   - the DRAM stream chain (device cursor),
     //   - the Re-Link reconfiguration chain (controller sequencer),
     //   - RNN[t-1] -> RNN[t] (the temporal hidden-state chain),
@@ -161,9 +161,9 @@ buildTaskGraph(const ExecutionPlan &plan)
     //     (snapshots run sequentially over the whole grid),
     //   - under globalGnnBarrier, every GNN/Spatial/DRAM task ->
     //     RNN[0]; the RNN chain propagates the barrier onward.
-    // Column occupancy needs no edges: same-column GNN tasks are all
-    // ready at cycle 0 and their lane pops them in id (= snapshot)
-    // order, reproducing the staged col_free chaining exactly.
+    // In overlap mode column occupancy needs no edges: same-column GNN
+    // tasks are all ready at cycle 0 and their lane pops them in id
+    // (= snapshot) order.
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto &st = g.bySnapshot[static_cast<std::size_t>(t)];
         if (t > 0) {
@@ -194,6 +194,31 @@ buildTaskGraph(const ExecutionPlan &plan)
             g.addDep(st.spatial, rnn0);
             g.addDep(st.dram, rnn0);
         }
+    }
+
+    // ---- Staged barriers (--no-overlap), pointing forward in id
+    // order: the column chain (a snapshot's GNN phase waits for the
+    // previous snapshot on its column to finish compute, spatial
+    // traffic and its off-chip stream: col_free = max(col_free +
+    // on-chip, dram_done)) and the config tail RNN[T-1] ->
+    // Re-Link[T-1], the task the engine charges the whole run's
+    // configuration time.
+    if (!plan.options.overlap && num_snapshots > 0) {
+        std::vector<int> last_on_col(tile_lane.size(), -1);
+        for (SnapshotId t = 0; t < num_snapshots && !spatial_only; ++t) {
+            const auto &st = g.bySnapshot[static_cast<std::size_t>(t)];
+            int &prev = last_on_col[static_cast<std::size_t>(col_of(t))];
+            if (prev != -1) {
+                const auto &pv =
+                    g.bySnapshot[static_cast<std::size_t>(prev)];
+                for (const int src : {pv.gnn, pv.spatial, pv.dram}) {
+                    g.addDep(src, st.gnn);
+                    g.addDep(src, st.spatial);
+                }
+            }
+            prev = static_cast<int>(t);
+        }
+        g.addDep(g.bySnapshot.back().rnn, g.bySnapshot.back().relink);
     }
     return g;
 }

@@ -2,18 +2,20 @@
  * @file
  * Comp/Comm task DAG built from an ExecutionPlan.
  *
- * The staged engine times a run through four global barriers; the task
- * graph replaces the barriers with explicit dependencies between typed
- * tasks bound to per-device resource lanes, so GNN compute, RNN
- * compute, NoC traffic, DRAM streaming and Re-Link reconfiguration
- * overlap whenever their data dependencies allow (the pipelining idea
- * of PiPAD / DGNN-Booster applied to the paper's timing model).
+ * The task graph is the engine's only timeline: explicit dependencies
+ * between typed tasks bound to per-device resource lanes. In overlap
+ * mode GNN compute, RNN compute, NoC traffic, DRAM streaming and
+ * Re-Link reconfiguration overlap whenever their data dependencies
+ * allow (the pipelining idea of PiPAD / DGNN-Booster applied to the
+ * paper's timing model). Staged mode (`--no-overlap`) adds barrier
+ * edges that reproduce the legacy phase-by-phase formulas exactly.
  *
  * The graph is *structural*: it is a pure function of the plan (the
- * mapping, the policy knobs and the snapshot count), never of realized
- * durations or fault outcomes. Durations are filled in by the engine
- * after its evaluation stages, and the deterministic list scheduler
- * (scheduler.hh) turns the annotated graph into start/finish times.
+ * mapping, the policy knobs, the overlap mode and the snapshot count),
+ * never of realized durations or fault outcomes. Durations are filled
+ * in by the engine after its evaluation stages, and the deterministic
+ * list scheduler (scheduler.hh) turns the annotated graph into
+ * start/finish times.
  *
  * Canonical task ids are snapshot-major: for each snapshot t the tasks
  * are enumerated DramStream, GnnCompute, SpatialComm, TemporalComm
@@ -61,11 +63,10 @@ enum class LaneKind
 {
     TileColumn,      ///< One tile column's MAC arrays (the whole grid
                      ///< under spatial-only mapping).
-    RnnEngine,       ///< One column's RNN issue slot. The staged
-                     ///< timeline never re-blocks a column on its RNN
-                     ///< phase (the temporal chain already serializes
-                     ///< RNN globally), so RNN compute gets its own
-                     ///< lane regardless of rnnSeparateResource.
+    RnnEngine,       ///< One column's RNN issue slot. Neither mode
+                     ///< re-blocks a column on its RNN phase (the
+                     ///< temporal chain already serializes RNN
+                     ///< globally), so RNN compute gets its own lane.
     NocColumn,       ///< One column's share of the NoC.
     TemporalLink,    ///< Cross-column boundary links. Never binds: the
                      ///< RNN chain already serializes boundaries.
@@ -128,10 +129,12 @@ struct TaskGraph
 
 /**
  * Build the structural task graph for a plan. Durations are zero; the
- * engine annotates them from its evaluation stages. The construction
- * relaxes the staged timeline's barriers to the true data
- * dependencies, and only relaxes: with staged per-task durations the
- * scheduled makespan is provably <= the staged end-to-end time.
+ * engine annotates them from its evaluation stages. With
+ * plan.options.overlap the edges are the true data dependencies only;
+ * without it the staged barrier edges are added on top (a superset
+ * over the same nodes and lanes), so for equal durations the overlap
+ * makespan is <= the staged one. Every edge points forward in id
+ * order except the globalGnnBarrier edges into RNN[0].
  */
 TaskGraph buildTaskGraph(const ExecutionPlan &plan);
 

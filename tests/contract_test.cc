@@ -1,13 +1,17 @@
 /**
  * @file
  * Contract-violation (failure-injection) tests: misusing the public
- * API must fail loudly at the violated precondition, not corrupt the
- * simulation downstream. Every check here pins an assertion message
+ * API must fail loudly at the violated precondition (an assertion, or
+ * an InputError where the input may come from a file), not corrupt
+ * the simulation downstream. Every check here pins an assertion message
  * so refactors keep the diagnostics useful.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/logging.hh"
 #include "graph/ctdg.hh"
 #include "graph/dynamic_graph.hh"
 #include "graph/generator.hh"
@@ -16,6 +20,21 @@
 
 namespace ditile {
 namespace {
+
+/** `fn` must throw InputError whose message contains `needle`. */
+template <typename Fn>
+void
+expectInputError(Fn fn, const std::string &needle)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "expected InputError containing '" << needle
+                      << "'";
+    } catch (const InputError &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << e.what();
+    }
+}
 
 TEST(ContractCsr, OutOfRangeEdgeDies)
 {
@@ -110,7 +129,7 @@ TEST(ContractTiling, NonSquareGridDies)
     EXPECT_DEATH(tiling::gridDim(hw), "not a square grid");
 }
 
-TEST(ContractEngine, WrongPartitionSizeDies)
+TEST(ContractEngine, WrongPartitionSizeThrows)
 {
     graph::EvolutionConfig config;
     config.numVertices = 100;
@@ -126,11 +145,14 @@ TEST(ContractEngine, WrongPartitionSizeDies)
     mapping.rowPartition =
         graph::VertexPartition::contiguous(50, hw.tileRows); // wrong V
     mapping.snapshotColumn = {0, 1};
-    EXPECT_DEATH(sim::runEngine(dg, mconfig, hw, mapping, {}, "x"),
-                 "cover the graph");
+    // A mapping made for another workload is rejected input (a plan
+    // file may carry it), not a process abort.
+    expectInputError([&] { sim::runEngine(dg, mconfig, hw, mapping, {},
+                                          "x"); },
+                     "cover the graph");
 }
 
-TEST(ContractEngine, MissingColumnMapDies)
+TEST(ContractEngine, MissingColumnMapThrows)
 {
     graph::EvolutionConfig config;
     config.numVertices = 100;
@@ -146,8 +168,9 @@ TEST(ContractEngine, MissingColumnMapDies)
     mapping.rowPartition = graph::VertexPartition::contiguous(
         dg.numVertices(), hw.tileRows);
     mapping.snapshotColumn = {0}; // T = 3 but one entry.
-    EXPECT_DEATH(sim::runEngine(dg, mconfig, hw, mapping, {}, "x"),
-                 "cover every snapshot");
+    expectInputError([&] { sim::runEngine(dg, mconfig, hw, mapping, {},
+                                          "x"); },
+                     "cover every snapshot");
 }
 
 TEST(ContractGenerator, InvalidDissimilarityDies)

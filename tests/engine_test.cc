@@ -295,21 +295,6 @@ TEST(Engine, DetailedTileTimingDeterministic)
     EXPECT_EQ(a.totalCycles, b.totalCycles);
 }
 
-TEST(Engine, SeparateRnnResourcePipelinesBetterOrEqual)
-{
-    const auto dg = workload();
-    const auto hw = AcceleratorConfig::defaults();
-    EngineOptions shared;
-    EngineOptions engines = shared;
-    engines.rnnSeparateResource = true;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), shared, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), engines, "b");
-    // Freeing the column during the RNN phase can only help.
-    EXPECT_LE(b.totalCycles, a.totalCycles);
-}
-
 TEST(Engine, AlgorithmChoiceDrivesTime)
 {
     const auto dg = workload();

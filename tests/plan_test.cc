@@ -11,8 +11,10 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
@@ -209,6 +211,153 @@ TEST(PlanJson, MalformedDocumentsThrow)
     // not default-initialize.
     EXPECT_THROW(sim::ExecutionPlan::fromJson("{\"plan_format\":1}"),
                  std::runtime_error);
+}
+
+TEST(PlanJson, LegacyRnnSeparateResourceKeyIsIgnored)
+{
+    // Earlier builds serialized a "rnn_separate_resource" option that
+    // no timeline read. Documents carrying it must still load and
+    // replay exactly like the same document without the key.
+    const auto dg = planWorkload();
+    const model::DgnnConfig mconfig;
+    const auto race = sim::makeRace();
+    for (const bool overlap : {false, true}) {
+        SCOPED_TRACE(overlap ? "overlap" : "staged");
+        auto plan = race->plan(dg, mconfig);
+        plan.options.overlap = overlap;
+        const std::string json = plan.toJson();
+        std::string legacy = json;
+        const auto pos = legacy.find("\"global_gnn_barrier\":");
+        ASSERT_NE(pos, std::string::npos);
+        legacy.insert(pos, "\"rnn_separate_resource\":true,");
+        const auto parsed = sim::ExecutionPlan::fromJson(legacy);
+        EXPECT_EQ(parsed.toJson(), json);
+        EXPECT_EQ(sim::executePlan(dg, parsed).totalCycles,
+                  sim::executePlan(dg, sim::ExecutionPlan::fromJson(json))
+                      .totalCycles);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hostile plan documents (--plan-in): every malformed mapping and
+// every plan/workload mismatch is rejected with InputError before a
+// device model can index out of range.
+// ---------------------------------------------------------------------
+
+/** A canonical DiTile plan document for planWorkload(). */
+std::string
+ditilePlanJson(const sim::FaultSpec &faults = {})
+{
+    core::DiTileAccelerator accel;
+    auto plan = accel.plan(planWorkload(), model::DgnnConfig{});
+    plan.faults = faults;
+    return plan.toJson();
+}
+
+/** `doc` with the first array item after `anchor` set to `value`. */
+std::string
+withFirstItem(std::string doc, const std::string &anchor,
+              const std::string &value)
+{
+    const auto at = doc.find(anchor);
+    EXPECT_NE(at, std::string::npos) << anchor;
+    if (at == std::string::npos)
+        return doc;
+    const auto open = doc.find('[', at);
+    const auto end = doc.find_first_of(",]", open + 1);
+    doc.replace(open + 1, end - open - 1, value);
+    return doc;
+}
+
+TEST(PlanJsonHostile, ColumnOutsideTheGridIsRejected)
+{
+    for (const char *col : {"4000", "-3"}) {
+        SCOPED_TRACE(col);
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(withFirstItem(
+                         ditilePlanJson(), "\"snapshot_column\":", col)),
+                     InputError);
+    }
+    // A faulted plan would index the dead-tile map with the column
+    // first; the document is rejected before that.
+    const auto faults = sim::FaultSpec::parse("tile@0:r3c*;seed=3");
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(withFirstItem(
+                     ditilePlanJson(faults), "\"snapshot_column\":",
+                     "4000")),
+                 InputError);
+}
+
+TEST(PlanJsonHostile, ColumnMapOfWrongLengthIsRejected)
+{
+    std::string doc = ditilePlanJson();
+    const std::string key = "\"snapshot_column\":[";
+    const auto at = doc.find(key);
+    ASSERT_NE(at, std::string::npos);
+    doc.insert(at + key.size(), "0,");
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(doc), InputError);
+}
+
+TEST(PlanJsonHostile, RowOwnerOutsideThePartsIsRejected)
+{
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(withFirstItem(
+                     ditilePlanJson(), "\"row_partition\":", "999")),
+                 InputError);
+    // An unassigned vertex (-1) parses, but leaves the vertex without
+    // a compute slot: execution rejects it.
+    const auto unassigned = sim::ExecutionPlan::fromJson(withFirstItem(
+        ditilePlanJson(), "\"row_partition\":", "-1"));
+    EXPECT_THROW(sim::executePlan(planWorkload(), unassigned),
+                 InputError);
+}
+
+TEST(PlanJsonHostile, MorePartsThanTileRowsIsRejected)
+{
+    const auto plan = sim::ExecutionPlan::fromJson(ditilePlanJson());
+    const std::string parts =
+        "\"row_partition\":{\"parts\":" +
+        std::to_string(plan.mapping.rowPartition.numParts()) + ",";
+    std::string doc = ditilePlanJson();
+    const auto at = doc.find(parts);
+    ASSERT_NE(at, std::string::npos);
+    // Every owner stays below the new part count; only the part count
+    // exceeds the rows that could host it.
+    doc.replace(at, parts.size(),
+                "\"row_partition\":{\"parts\":" +
+                    std::to_string(plan.hw.tileRows + 1) + ",");
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(doc), InputError);
+}
+
+TEST(PlanJsonHostile, TileGridLargerThanItsNocIsRejected)
+{
+    const auto plan = sim::ExecutionPlan::fromJson(ditilePlanJson());
+    const std::string noc =
+        "\"noc\":{\"rows\":" + std::to_string(plan.hw.noc.rows) + ",";
+    std::string doc = ditilePlanJson();
+    const auto at = doc.find(noc);
+    ASSERT_NE(at, std::string::npos);
+    // Tiles on the missing NoC rows would route to routers that do
+    // not exist.
+    doc.replace(at, noc.size(), "\"noc\":{\"rows\":1,");
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(doc), InputError);
+}
+
+TEST(PlanJsonHostile, ReplayOnAnotherWorkloadIsRejected)
+{
+    const auto plan = sim::ExecutionPlan::fromJson(ditilePlanJson());
+    graph::EvolutionConfig other;
+    other.numVertices = 500; // Another dataset: fewer vertices.
+    other.numEdges = 4000;
+    other.numSnapshots = 6;
+    other.featureDim = 64;
+    other.seed = 7;
+    EXPECT_THROW(sim::executePlan(graph::generateDynamicGraph(other),
+                                  plan),
+                 InputError);
+    other.numVertices = 800; // Same graph size, fewer snapshots.
+    other.numEdges = 6400;
+    other.numSnapshots = 5;
+    EXPECT_THROW(sim::executePlan(graph::generateDynamicGraph(other),
+                                  plan),
+                 InputError);
 }
 
 // ---------------------------------------------------------------------

@@ -4,7 +4,8 @@
  * (makespan bounds, lane exclusivity, critical-path chaining), the
  * overlap-never-slower-than-staged guarantee on fault-free runs,
  * cross-thread bit-identity of overlap schedules (including degraded
- * faulted plans), and plan-JSON format-2 serialization of the graph.
+ * faulted plans), the staged DAG against the legacy barrier formulas,
+ * and plan-JSON format-2 serialization of the graph.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
@@ -318,6 +320,335 @@ TEST(TaskGraphBuild, SchedulerHonorsDurationsOnHandBuiltGraph)
     ASSERT_EQ(s.criticalPath.size(), 2u);
     EXPECT_EQ(s.criticalPath[0], a);
     EXPECT_EQ(s.criticalPath[1], c);
+}
+
+// ---------------------------------------------------------------------
+// Staged timeline oracle: the staged DAG (overlap off) scheduled over
+// random per-snapshot durations must reproduce the legacy barrier
+// formulas it replaced, milestone for milestone.
+// ---------------------------------------------------------------------
+
+/** One snapshot sequence's placement and per-task durations. */
+struct StagedCase
+{
+    bool spatialOnly = false;
+    bool globalGnnBarrier = false;
+    int tileCols = 1;
+    std::vector<int> column;       ///< Snapshot -> column.
+    std::vector<Cycle> dramDone;   ///< Cumulative, non-decreasing.
+    std::vector<Cycle> gnn, spatial, temporal, rnn;
+    Cycle perSnapshotConfig = 0;
+
+    SnapshotId
+    snapshots() const
+    {
+        return static_cast<SnapshotId>(column.size());
+    }
+};
+
+struct Timeline
+{
+    std::vector<Cycle> gnnDone, rnnDone;
+    Cycle total = 0;
+};
+
+/**
+ * The hand-written staged timeline the engine used before the task
+ * graph became its only scheduler, kept as the reference model.
+ */
+Timeline
+stagedReference(const StagedCase &c)
+{
+    const SnapshotId n = c.snapshots();
+    Timeline out;
+    out.gnnDone.resize(static_cast<std::size_t>(n));
+    out.rnnDone.resize(static_cast<std::size_t>(n));
+    const Cycle config =
+        static_cast<Cycle>(n) * c.perSnapshotConfig;
+    if (c.spatialOnly) {
+        // Snapshots run sequentially over the whole grid: GNN compute
+        // overlaps spatial communication, then the local RNN phase.
+        Cycle prev_done = 0;
+        for (SnapshotId t = 0; t < n; ++t) {
+            const auto i = static_cast<std::size_t>(t);
+            const Cycle gnn_done = std::max(
+                prev_done + std::max(c.gnn[i], c.spatial[i]),
+                c.dramDone[i]);
+            const Cycle done = gnn_done + c.rnn[i];
+            out.gnnDone[i] = gnn_done;
+            out.rnnDone[i] = done;
+            prev_done = done;
+        }
+        out.total = prev_done + config;
+        return out;
+    }
+    // Pass 1: GNN phases with column occupancy and DRAM gating.
+    std::vector<Cycle> col_free(static_cast<std::size_t>(c.tileCols), 0);
+    for (SnapshotId t = 0; t < n; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto col = static_cast<std::size_t>(c.column[i]);
+        const Cycle done = std::max(
+            col_free[col] + std::max(c.gnn[i], c.spatial[i]),
+            c.dramDone[i]);
+        out.gnnDone[i] = done;
+        col_free[col] = done;
+    }
+    // Pass 2: the RNN chain (temporal dependency across snapshots).
+    Cycle barrier = 0;
+    if (c.globalGnnBarrier) {
+        for (const Cycle d : out.gnnDone)
+            barrier = std::max(barrier, d);
+    }
+    Cycle last_done = 0;
+    Cycle rnn_prev = 0;
+    for (SnapshotId t = 0; t < n; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const Cycle start = std::max(
+            {out.gnnDone[i], barrier, rnn_prev + c.temporal[i]});
+        const Cycle done = start + c.rnn[i];
+        out.rnnDone[i] = done;
+        rnn_prev = done;
+        last_done = std::max(last_done, done);
+    }
+    out.total = last_done + config;
+    return out;
+}
+
+/** A plan carrying just what buildTaskGraph reads. */
+sim::ExecutionPlan
+stagedPlan(const StagedCase &c)
+{
+    sim::ExecutionPlan plan;
+    plan.mapping.spatialOnly = c.spatialOnly;
+    plan.mapping.snapshotColumn = c.column;
+    plan.options.globalGnnBarrier = c.globalGnnBarrier;
+    plan.options.overlap = false;
+    plan.snapshots = std::make_shared<std::vector<model::SnapshotPlan>>(
+        c.column.size());
+    return plan;
+}
+
+/** The staged DAG, annotated the way executePlan annotates it. */
+Timeline
+stagedDag(const StagedCase &c, sim::TaskGraph *graph_out = nullptr)
+{
+    const SnapshotId n = c.snapshots();
+    sim::TaskGraph g = sim::buildTaskGraph(stagedPlan(c));
+    auto node = [&](int id) -> sim::TaskNode & {
+        return g.nodes[static_cast<std::size_t>(id)];
+    };
+    for (SnapshotId t = 0; t < n; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto &st = g.bySnapshot[i];
+        node(st.dram).duration =
+            c.dramDone[i] - (t > 0 ? c.dramDone[i - 1] : 0);
+        node(st.gnn).duration = c.gnn[i];
+        node(st.spatial).duration = c.spatial[i];
+        if (st.temporal != -1)
+            node(st.temporal).duration = c.temporal[i];
+        node(st.rnn).duration = c.rnn[i];
+        if (t + 1 == n) {
+            node(st.relink).duration =
+                static_cast<Cycle>(n) * c.perSnapshotConfig;
+        }
+    }
+    const auto sched = sim::scheduleTaskGraph(g);
+    Timeline out;
+    for (SnapshotId t = 0; t < n; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto &st = g.bySnapshot[i];
+        auto finish = [&](int id) {
+            return sched.tasks[static_cast<std::size_t>(id)].finish;
+        };
+        out.gnnDone.push_back(std::max(
+            {finish(st.gnn), finish(st.spatial), c.dramDone[i]}));
+        out.rnnDone.push_back(finish(st.rnn));
+    }
+    out.total = sched.makespan;
+    if (graph_out)
+        *graph_out = std::move(g);
+    return out;
+}
+
+/**
+ * Random placement and durations. Columns come from a small grid so
+ * they repeat; DRAM-bound cases stream far longer than they compute
+ * and compute-bound ones the reverse, so both sides of every max()
+ * in the reference bind somewhere.
+ */
+StagedCase
+randomStagedCase(Rng &rng)
+{
+    StagedCase c;
+    c.spatialOnly = rng.bernoulli(0.25);
+    c.globalGnnBarrier = !c.spatialOnly && rng.bernoulli(0.3);
+    c.tileCols = static_cast<int>(rng.uniformInt(1, 5));
+    const auto n = static_cast<std::size_t>(rng.uniformInt(0, 24));
+    const bool wrap = rng.bernoulli(0.5);
+    const bool dram_bound = rng.bernoulli(0.5);
+    const Cycle dram_max = dram_bound ? 4000 : 300;
+    const Cycle compute_max = dram_bound ? 300 : 4000;
+    auto draw = [&](Cycle hi) {
+        // One draw in eight is zero: empty phases are legal.
+        return rng.bernoulli(0.125)
+            ? Cycle{0}
+            : static_cast<Cycle>(rng.uniformInt(
+                  1, static_cast<std::int64_t>(hi)));
+    };
+    Cycle dram = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        c.column.push_back(
+            c.spatialOnly ? 0
+            : wrap ? static_cast<int>(i % static_cast<std::size_t>(
+                                              c.tileCols))
+                   : static_cast<int>(rng.uniformInt(0, c.tileCols - 1)));
+        dram += draw(dram_max);
+        c.dramDone.push_back(dram);
+        c.gnn.push_back(draw(compute_max));
+        c.spatial.push_back(draw(compute_max));
+        c.rnn.push_back(draw(compute_max / 2));
+        // Temporal traffic exists only where the column changes.
+        const bool boundary =
+            !c.spatialOnly && i > 0 && c.column[i] != c.column[i - 1];
+        c.temporal.push_back(boundary ? draw(compute_max / 2) : 0);
+    }
+    c.perSnapshotConfig = static_cast<Cycle>(rng.uniformInt(0, 64));
+    return c;
+}
+
+void
+expectSameTimeline(const Timeline &want, const Timeline &got)
+{
+    ASSERT_EQ(want.gnnDone.size(), got.gnnDone.size());
+    for (std::size_t i = 0; i < want.gnnDone.size(); ++i) {
+        ASSERT_EQ(want.gnnDone[i], got.gnnDone[i]) << "snapshot " << i;
+        ASSERT_EQ(want.rnnDone[i], got.rnnDone[i]) << "snapshot " << i;
+    }
+    ASSERT_EQ(want.total, got.total);
+}
+
+TEST(StagedTimelineOracle, DagMatchesLegacyFormulasOnRandomDurations)
+{
+    constexpr int kCases = 5000;
+    std::uint64_t column_chain_binds = 0;
+    std::uint64_t barrier_cases = 0;
+    std::uint64_t spatial_only_cases = 0;
+    for (int k = 0; k < kCases; ++k) {
+        Rng rng(0x5eed0000ull + static_cast<std::uint64_t>(k));
+        const StagedCase c = randomStagedCase(rng);
+        SCOPED_TRACE(testing::Message() << "case " << k);
+        sim::TaskGraph g;
+        const Timeline dag = stagedDag(c, &g);
+        const Timeline ref = stagedReference(c);
+        expectSameTimeline(ref, dag);
+        if (HasFatalFailure())
+            return;
+
+        // Without the global barrier every edge points forward.
+        if (!c.globalGnnBarrier) {
+            for (const auto &[src, dst] : g.edges)
+                ASSERT_LT(src, dst) << "edge " << src << "->" << dst;
+        }
+        barrier_cases += c.globalGnnBarrier ? 1 : 0;
+        spatial_only_cases += c.spatialOnly ? 1 : 0;
+        // Count snapshots whose GNN phase the column predecessor (not
+        // the DRAM stream) held back: the case the chain edges model.
+        if (!c.spatialOnly) {
+            std::vector<Cycle> col_free(
+                static_cast<std::size_t>(c.tileCols), 0);
+            for (std::size_t i = 0; i < c.column.size(); ++i) {
+                const auto col = static_cast<std::size_t>(c.column[i]);
+                if (col_free[col] > 0 &&
+                    col_free[col] + std::max(c.gnn[i], c.spatial[i]) >
+                        c.dramDone[i])
+                    ++column_chain_binds;
+                col_free[col] = ref.gnnDone[i];
+            }
+        }
+    }
+    // The sample really exercises every staged rule.
+    EXPECT_GT(column_chain_binds, 10000u);
+    EXPECT_GT(barrier_cases, 500u);
+    EXPECT_GT(spatial_only_cases, 500u);
+}
+
+TEST(StagedTimelineOracle, EmptyAndSingleSnapshotRuns)
+{
+    for (const bool spatial_only : {false, true}) {
+        SCOPED_TRACE(spatial_only ? "spatial-only" : "temporal");
+        StagedCase empty;
+        empty.spatialOnly = spatial_only;
+        empty.perSnapshotConfig = 7;
+        const Timeline none = stagedDag(empty);
+        EXPECT_TRUE(none.gnnDone.empty());
+        EXPECT_EQ(none.total, 0u);
+        expectSameTimeline(stagedReference(empty), none);
+
+        StagedCase one = empty;
+        one.column = {0};
+        one.dramDone = {500};
+        one.gnn = {120};
+        one.spatial = {80};
+        one.temporal = {0};
+        one.rnn = {40};
+        const Timeline single = stagedDag(one);
+        expectSameTimeline(stagedReference(one), single);
+        // DRAM-gated GNN, then RNN, then the 1 x 7 config tail.
+        EXPECT_EQ(single.total, 500u + 40u + 7u);
+    }
+}
+
+TEST(StagedTimelineOracle, StagedGraphExtendsOverlapGraphOnEveryAccelerator)
+{
+    // 20 snapshots on a 16-column grid: DiTile's columns wrap, so the
+    // column-chain edges are present alongside the config tail.
+    graph::EvolutionConfig config;
+    config.numVertices = 400;
+    config.numEdges = 2400;
+    config.numSnapshots = 20;
+    config.dissimilarity = 0.1;
+    config.featureDim = 32;
+    config.seed = 5;
+    const auto dg = graph::generateDynamicGraph(config);
+    bool any_column_chain = false;
+    for (auto &accel : fullFleet()) {
+        SCOPED_TRACE(accel->name());
+        auto plan = accel->plan(dg, model::DgnnConfig{});
+        plan.options.overlap = true;
+        const auto overlap = sim::buildTaskGraph(plan);
+        plan.options.overlap = false;
+        const auto staged = sim::buildTaskGraph(plan);
+
+        ASSERT_EQ(staged.lanes.size(), overlap.lanes.size());
+        for (std::size_t i = 0; i < staged.lanes.size(); ++i)
+            EXPECT_EQ(staged.lanes[i].name(), overlap.lanes[i].name());
+        ASSERT_EQ(staged.nodes.size(), overlap.nodes.size());
+        for (std::size_t i = 0; i < staged.nodes.size(); ++i) {
+            EXPECT_EQ(staged.nodes[i].kind, overlap.nodes[i].kind);
+            EXPECT_EQ(staged.nodes[i].snapshot,
+                      overlap.nodes[i].snapshot);
+            EXPECT_EQ(staged.nodes[i].lane, overlap.nodes[i].lane);
+        }
+        auto sorted = [](std::vector<std::pair<int, int>> e) {
+            std::sort(e.begin(), e.end());
+            return e;
+        };
+        const auto se = sorted(staged.edges);
+        const auto oe = sorted(overlap.edges);
+        EXPECT_TRUE(std::includes(se.begin(), se.end(), oe.begin(),
+                                  oe.end()))
+            << "staged edges must be a superset of the overlap edges";
+        // At least the config-tail edge is staged-only.
+        EXPECT_GT(se.size(), oe.size());
+        for (const auto &[src, dst] : se) {
+            if (staged.nodes[static_cast<std::size_t>(src)].kind ==
+                    sim::TaskKind::GnnCompute &&
+                staged.nodes[static_cast<std::size_t>(dst)].kind ==
+                    sim::TaskKind::GnnCompute)
+                any_column_chain = true;
+        }
+    }
+    EXPECT_TRUE(any_column_chain);
 }
 
 // ---------------------------------------------------------------------

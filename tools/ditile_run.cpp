@@ -20,10 +20,10 @@
  *                           results identical at any width)
  *   --rnn=lstm|gru  --aggregator=gcn|sage|gin
  *   --detailed-tiles       (PE-level compute timing)
- *   --no-overlap           (legacy staged barrier timeline instead of
- *                           the task-graph overlap scheduler; overlap
- *                           never reports a longer makespan than
- *                           staged on fault-free runs)
+ *   --no-overlap           (staged timeline: the task graph plus the
+ *                           legacy barrier edges; overlap never
+ *                           reports a longer makespan than staged on
+ *                           fault-free runs)
  *   --task-stats           (task-graph schedule summary: per-lane
  *                           occupancy + critical-path tasks; table
  *                           mode prints to stdout, --json/--csv modes

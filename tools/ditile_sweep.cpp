@@ -18,8 +18,8 @@
  * the default M=1 is the unchanged single-chip path, byte-identical
  * to sweeps predating the flag.
  *
- * Runs execute through the task-graph overlap scheduler by default;
- * --no-overlap selects the legacy staged barrier timeline (the
+ * Runs execute with the overlap task graph by default; --no-overlap
+ * selects the staged one, which adds the legacy barrier edges (the
  * byte-identity reference, never faster than overlap on fault-free
  * points).
  *

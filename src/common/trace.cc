@@ -122,16 +122,36 @@ void
 Tracer::instant(const std::string &cat, const std::string &name,
                 std::uint64_t track, TraceEvent event)
 {
+    event.phase = 'i';
+    stepSpan(cat, name, track, std::move(event));
+}
+
+void
+Tracer::stepSpan(const std::string &cat, const std::string &name,
+                 std::uint64_t track, TraceEvent event)
+{
     if (!traceEnabled())
         return;
-    event.phase = 'i';
     event.cat = cat;
     event.name = name;
     event.track = track;
-    event.dur = 0;
     event.ts = nextStep(track);
+    event.dur = event.phase == 'i' ? 0 : 1;
     event.ord = event.ts;
     record(std::move(event));
+}
+
+void
+Tracer::cacheInstant(const char *name, std::uint64_t key)
+{
+    if (!traceEnabled())
+        return;
+    char hex[24];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(key));
+    TraceEvent event;
+    event.addArg("key", std::string(hex));
+    instant("cache", name, trackBase() + kCacheTrack, std::move(event));
 }
 
 std::uint64_t

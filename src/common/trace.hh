@@ -60,7 +60,7 @@ namespace ditile {
 struct TraceEvent
 {
     char phase = 'X';
-    std::string cat;  ///< plan | engine | noc | dram | cache | fault
+    std::string cat;  ///< plan|engine|noc|dram|cache|fault|cluster
     std::string name;
     std::uint64_t track = 0; ///< Chrome "tid"; see Tracer track layout.
     std::uint64_t ts = 0;    ///< Virtual timestamp (modeled cycles).
@@ -136,6 +136,16 @@ class Tracer
     /** Record an instant on `track` at the track's next virtual step. */
     void instant(const std::string &cat, const std::string &name,
                  std::uint64_t track, TraceEvent event = {});
+
+    /** Record a one-step span (an instant if event.phase is 'i') on
+     *  `track` at the track's next virtual step, for stages with no
+     *  cycle clock (planning, cache lookups). */
+    void stepSpan(const std::string &cat, const std::string &name,
+                  std::uint64_t track, TraceEvent event = {});
+
+    /** Record a cache hit/miss instant carrying `key` (16 hex digits)
+     *  on the calling run's cache track. */
+    void cacheInstant(const char *name, std::uint64_t key);
 
     /**
      * Advance and return the per-track virtual step cursor — the

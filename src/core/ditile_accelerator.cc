@@ -69,22 +69,11 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
                            sim::EngineOptions &engine_options,
                            SharedFrontEnd *shared)
 {
-    Tracer &tracer = Tracer::global();
-    const bool obs_trace = tracer.traceEnabled();
-    const std::uint64_t plan_track =
-        Tracer::trackBase() + Tracer::kPlanTrack;
     // Plan-stage spans live on a step clock (one step per sub-stage);
     // prepare() is serial per run, so the order is deterministic.
-    auto planSpan = [&](const std::string &nm, TraceEvent ev) {
-        if (!obs_trace)
-            return;
-        ev.cat = "plan";
-        ev.name = nm;
-        ev.track = plan_track;
-        ev.ts = tracer.nextStep(plan_track);
-        ev.dur = 1;
-        tracer.record(std::move(ev));
-    };
+    Tracer &tracer = Tracer::global();
+    const std::uint64_t plan_track =
+        Tracer::trackBase() + Tracer::kPlanTrack;
 
     // Step (2): per-vertex workload labels. A shared front end has
     // already built them for this graph (or builds them now, once
@@ -101,7 +90,7 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
         ev.addArg("vertices", static_cast<long long>(dg.numVertices()))
             .addArg("snapshots",
                     static_cast<long long>(dg.numSnapshots()));
-        planSpan("workload-loads", std::move(ev));
+        tracer.stepSpan("plan", "workload-loads", plan_track, std::move(ev));
     }
 
     // Step (3): Algorithm 1 — tiling factor + parallel factors,
@@ -119,7 +108,7 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
                         lastPlan_.parallelism.snapshotGroups))
             .addArg("vertex_parts", static_cast<long long>(
                         lastPlan_.parallelism.vertexParts));
-        planSpan("alg1-tiling", std::move(ev));
+        tracer.stepSpan("plan", "alg1-tiling", plan_track, std::move(ev));
     }
 
     // Steps (4)-(6): Algorithm 2 — the BDW mapping.
@@ -131,7 +120,7 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
                       lastMapping_.groups.size()))
             .addArg("imbalance_permille", static_cast<long long>(
                         lastMapping_.imbalance * 1000.0));
-        planSpan("alg2-bdw", std::move(ev));
+        tracer.stepSpan("plan", "alg2-bdw", plan_track, std::move(ev));
     }
 
     // Steps (8)-(9): interconnect mode.
@@ -144,7 +133,7 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
             .addArg("reconfig_events_per_snapshot",
                     static_cast<long long>(
                         reconfig.reconfigEventsPerSnapshot));
-        planSpan("relink-config", std::move(ev));
+        tracer.stepSpan("plan", "relink-config", plan_track, std::move(ev));
     }
     if (tracer.metricsEnabled()) {
         tracer.addMetric("plan.prepares", 1);

@@ -33,17 +33,17 @@ DramResult::avgBandwidth() const
         : 0.0;
 }
 
-StatSet
-DramResult::toStats() const
+DramResult &
+DramResult::operator+=(const DramResult &other)
 {
-    StatSet s;
-    s.set("dram.completion_cycles", static_cast<double>(completionCycle));
-    s.set("dram.row_hits", static_cast<double>(rowHits));
-    s.set("dram.row_misses", static_cast<double>(rowMisses));
-    s.set("dram.row_conflicts", static_cast<double>(rowConflicts));
-    s.set("dram.read_bytes", static_cast<double>(readBytes));
-    s.set("dram.write_bytes", static_cast<double>(writeBytes));
-    return s;
+    completionCycle = std::max(completionCycle, other.completionCycle);
+    requests += other.requests;
+    rowHits += other.rowHits;
+    rowMisses += other.rowMisses;
+    rowConflicts += other.rowConflicts;
+    readBytes += other.readBytes;
+    writeBytes += other.writeBytes;
+    return *this;
 }
 
 DramModel::DramModel(const DramConfig &config)
@@ -68,6 +68,7 @@ DramResult
 DramModel::service(const std::vector<DramRequest> &requests)
 {
     DramResult result;
+    result.requests = requests.size();
     const std::uint64_t row_bytes = config_.rowBytes;
     const auto total_banks =
         static_cast<std::uint64_t>(config_.totalBanks());

@@ -31,7 +31,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ditile::dram {
@@ -70,6 +69,7 @@ struct DramRequest
 struct DramResult
 {
     Cycle completionCycle = 0;
+    std::uint64_t requests = 0;      ///< Requests in the batch.
     std::uint64_t rowHits = 0;
     std::uint64_t rowMisses = 0;     ///< Activates on idle banks.
     std::uint64_t rowConflicts = 0;  ///< Activates closing another row.
@@ -78,11 +78,11 @@ struct DramResult
 
     ByteCount totalBytes() const { return readBytes + writeBytes; }
 
+    /** Fold a later batch in: counts add, completion is the latest. */
+    DramResult &operator+=(const DramResult &other);
+
     /** Achieved bandwidth over the busy window. */
     double avgBandwidth() const;
-
-    /** Export into a StatSet for report merging. */
-    StatSet toStats() const;
 };
 
 /**

@@ -24,37 +24,6 @@ serializationCycles(const NocConfig &config, ByteCount bytes)
 
 } // namespace
 
-StatSet
-NocResult::toStats() const
-{
-    StatSet s;
-    s.set("noc.makespan_cycles", static_cast<double>(makespan));
-    s.set("noc.avg_latency_cycles", avgLatency);
-    s.set("noc.messages", static_cast<double>(numMessages));
-    s.set("noc.total_bytes", static_cast<double>(totalBytes));
-    s.set("noc.hop_bytes", static_cast<double>(hopBytes));
-    s.set("noc.router_bytes", static_cast<double>(routerBytes));
-    s.set("noc.total_hops", static_cast<double>(totalHops));
-    s.set("noc.router_stops", static_cast<double>(routerStops));
-    s.set("noc.temporal_bytes",
-          static_cast<double>(bytesByClass[
-              static_cast<int>(TrafficClass::Temporal)]));
-    s.set("noc.spatial_bytes",
-          static_cast<double>(bytesByClass[
-              static_cast<int>(TrafficClass::Spatial)]));
-    s.set("noc.reuse_bytes",
-          static_cast<double>(bytesByClass[
-              static_cast<int>(TrafficClass::Reuse)]));
-    s.set("noc.control_bytes",
-          static_cast<double>(bytesByClass[
-              static_cast<int>(TrafficClass::Control)]));
-    s.set("noc.rerouted_messages", static_cast<double>(reroutedMessages));
-    s.set("noc.retried_messages", static_cast<double>(retriedMessages));
-    s.set("noc.retry_backoff_cycles",
-          static_cast<double>(retryBackoffCycles));
-    return s;
-}
-
 NocResult
 simulateTraffic(const NocConfig &config, std::vector<Message> messages,
                 const NocFaults *faults)

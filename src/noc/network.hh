@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "common/stats.hh"
 #include "noc/message.hh"
 #include "noc/topology.hh"
 
@@ -41,9 +40,6 @@ struct NocResult
     std::uint64_t retriedMessages = 0;  ///< No fault-free path; paid
                                         ///< bounded retry backoff.
     Cycle retryBackoffCycles = 0;       ///< Total backoff charged.
-
-    /** Export every field into a StatSet for report merging. */
-    StatSet toStats() const;
 };
 
 /**

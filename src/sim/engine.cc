@@ -28,7 +28,8 @@
  *   3. *parallel* spatial NoC replay for snapshots whose span was
  *      only known after stage 2 (adaptive Re-Link),
  *   4. *serial* merge of every accumulator in canonical snapshot
- *      order, then the timeline.
+ *      order, then the timeline, whose schedule drives the trace
+ *      spans and registry totals (run_trace.cc).
  *
  * The timeline is one task DAG (task_graph.cc) over the per-task
  * durations the stages produced, timed by the deterministic list
@@ -62,6 +63,7 @@
 #include "sim/engine_internal.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
+#include "sim/run_trace.hh"
 #include "sim/scaleout.hh"
 #include "sim/scheduler.hh"
 #include "sim/task_graph.hh"
@@ -70,7 +72,6 @@
 
 namespace ditile::sim {
 
-using detail::DramObs;
 using detail::SnapshotWork;
 
 RunResult
@@ -173,17 +174,6 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     ThreadPool &pool = ThreadPool::global();
     std::vector<SnapshotWork> work(
         static_cast<std::size_t>(num_snapshots));
-
-    // Observability gates, read once: a disabled tracer costs two
-    // relaxed loads per run and leaves every output byte-identical.
-    // Everything recorded below is emitted from *serial* sections out
-    // of per-snapshot slots, so traces and extended stats are
-    // bit-identical at any thread width (see common/trace.hh).
-    Tracer &tracer = Tracer::global();
-    const bool obs_trace = tracer.traceEnabled();
-    const bool obs_metrics = tracer.metricsEnabled();
-    const bool obs = obs_trace || obs_metrics;
-    const std::uint64_t track_base = Tracer::trackBase();
 
     // ---- Fault resolution + degraded-mode BDW re-deal. ----
     // A non-empty fault schedule resolves into per-snapshot fault
@@ -289,42 +279,21 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     // ---- Stage 2: serial DRAM replay + Re-Link decisions. ----
     // Row-buffer state and the completion cursor chain snapshot to
-    // snapshot; the controller's engaged span likewise.
+    // snapshot; the controller's engaged span likewise. Each
+    // snapshot's device outcome lands in its trace row.
     noc::RelinkController relink_controller(hw.tileRows);
-    std::vector<int> relink_span(
-        static_cast<std::size_t>(num_snapshots), hw.noc.reLinkSpan);
-    std::vector<Cycle> dram_done(
-        static_cast<std::size_t>(num_snapshots));
-    std::vector<std::uint64_t> dram_retry_requests(
-        static_cast<std::size_t>(num_snapshots), 0);
-    std::vector<ByteCount> dram_retry_bytes(
-        static_cast<std::size_t>(num_snapshots), 0);
-    std::vector<Cycle> dram_retry_cycles(
-        static_cast<std::size_t>(num_snapshots), 0);
-    std::vector<DramObs> dram_obs(
-        obs ? static_cast<std::size_t>(num_snapshots) : 0);
+    result.trace.resize(static_cast<std::size_t>(num_snapshots));
     Cycle dram_cursor = 0;
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
         SnapshotWork &w = work[i];
+        SnapshotTrace &row = result.trace[i];
+        row.snapshot = t;
+        row.column = mapping.spatialOnly ? 0 : mapping.snapshotColumn[i];
         for (auto &request : w.requests)
             request.issueCycle = dram_cursor;
-        const Cycle stream_begin = dram_cursor;
-        const auto dram_res = dram_model.service(w.requests);
-        if (obs) {
-            DramObs &d = dram_obs[i];
-            d.begin = stream_begin;
-            d.requests = w.requests.size();
-            d.rowHits = dram_res.rowHits;
-            d.rowMisses = dram_res.rowMisses;
-            d.rowConflicts = dram_res.rowConflicts;
-            d.readBytes = dram_res.readBytes;
-            d.writeBytes = dram_res.writeBytes;
-        }
-        dram_cursor = std::max(dram_cursor, dram_res.completionCycle);
-        result.energyEvents.dramBytes += dram_res.totalBytes();
-        result.energyEvents.dramActivates +=
-            dram_res.rowMisses + dram_res.rowConflicts;
+        row.dram = dram_model.service(w.requests);
+        dram_cursor = std::max(dram_cursor, row.dram.completionCycle);
         if (fm && fm->at(t).anyDram()) {
             // Transient channel errors: a seeded fraction of this
             // snapshot's reads fails ECC and is re-read after the
@@ -351,28 +320,20 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                 for (auto &request : retries)
                     request.issueCycle = dram_cursor;
                 const auto retry_res = dram_model.service(retries);
-                if (obs) {
-                    DramObs &d = dram_obs[i];
-                    d.requests += retries.size();
-                    d.rowHits += retry_res.rowHits;
-                    d.rowMisses += retry_res.rowMisses;
-                    d.rowConflicts += retry_res.rowConflicts;
-                    d.readBytes += retry_res.readBytes;
-                    d.writeBytes += retry_res.writeBytes;
-                }
-                dram_retry_requests[i] = retries.size();
-                dram_retry_bytes[i] = retry_res.totalBytes();
-                dram_retry_cycles[i] =
+                row.dramRetryRequests = retries.size();
+                row.dramRetryBytes = retry_res.totalBytes();
+                row.dramRetryCycles =
                     retry_res.completionCycle > dram_cursor
                         ? retry_res.completionCycle - dram_cursor : 0;
                 dram_cursor = std::max(dram_cursor,
                                        retry_res.completionCycle);
-                result.energyEvents.dramBytes += retry_res.totalBytes();
-                result.energyEvents.dramActivates +=
-                    retry_res.rowMisses + retry_res.rowConflicts;
+                row.dram += retry_res;
             }
         }
-        dram_done[i] = dram_cursor;
+        result.energyEvents.dramBytes += row.dram.totalBytes();
+        result.energyEvents.dramActivates +=
+            row.dram.rowMisses + row.dram.rowConflicts;
+        row.dramDone = dram_cursor;
         if (w.spatialPending) {
             // Stuck-open bypass columns force span-1 routing for the
             // traffic crossing them; the controller prices that into
@@ -391,7 +352,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             const auto decision = relink_controller.decide(
                 w.spatialDistances, hw.noc.routerLatencyCycles,
                 stuck_open);
-            relink_span[i] = decision.span;
+            row.relinkSpan = decision.span;
             result.energyEvents.reconfigEvents +=
                 decision.reconfigEvents;
         }
@@ -408,7 +369,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             const noc::NocFaults *noc_faults =
                 fm && fm->at(t).anyNoc() ? &fm->at(t).noc : nullptr;
             noc::NocConfig noc_config = hw.noc;
-            noc_config.reLinkSpan = relink_span[i];
+            noc_config.reLinkSpan = result.trace[i].relinkSpan;
             w.spatial = noc::simulateTraffic(noc_config,
                                              std::move(w.spatialMsgs),
                                              noc_faults);
@@ -417,11 +378,35 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     }
 
     // ---- Stage 4: ordered reduction into the result record. ----
-    // Every accumulator is an integer count, merged in ascending
-    // snapshot order, so this reproduces the serial loop exactly.
+    // Every accumulator is an integer count (the capacity sum aside,
+    // which keeps its own serial order), merged in ascending snapshot
+    // order, so this reproduces the serial loop exactly. The same
+    // pass annotates the task DAG built above with the durations the
+    // evaluation stages produced. Staged mode charges the whole
+    // configuration time to the last Re-Link task; overlap mode gives
+    // every snapshot its own (task_graph.cc documents both modes'
+    // edges).
+    result.configCycles = static_cast<Cycle>(num_snapshots) *
+        hw.perSnapshotConfigCycles;
+    auto node = [&](int id) -> TaskNode & {
+        return tg.nodes[static_cast<std::size_t>(id)];
+    };
+    // Busy MAC-cycles are offered by the tiles assigned to each
+    // compute phase (critical-path window x full per-tile array), so
+    // imbalance and statically-partitioned idle regions both show up
+    // as lost capacity.
+    const int active_tiles = mapping.spatialOnly ? hw.totalTiles()
+                                                 : hw.tileRows;
+    double capacity = 0.0;
+    std::uint64_t noc_messages = 0;
+    std::uint64_t digest_full_fastpath = 0;
+    std::uint64_t digest_rnn_fastpath = 0;
+    std::uint64_t relink_engaged = 0;
+    dram::DramResult dram_total;
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
         const SnapshotWork &w = work[i];
+        SnapshotTrace &row = result.trace[i];
         result.ops += w.ops;
         result.dramTraffic += w.dramTraffic;
         result.energyEvents.localBufferBytes += w.localBufferBytes;
@@ -441,26 +426,42 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             if (options.reuseFifoForwarding)
                 result.energyEvents.reuseFifoBytes += w.reuseTotal;
         }
-    }
+        result.computeCycles += w.gnnCompute + w.rnnCompute;
+        result.onChipCommCycles +=
+            w.spatial.makespan + w.temporal.makespan;
+        // Dead tiles offer no capacity; fault-free runs see the
+        // unmodified tile count (dead_slots stays all-zero).
+        capacity += static_cast<double>(active_tiles - dead_slots[i]) *
+            tile_macs *
+            (options.gnnMacFraction * static_cast<double>(w.gnnCompute) +
+             options.rnnMacFraction * static_cast<double>(w.rnnCompute));
 
-    // ---- Timeline assembly. ----
-    // Annotate the task DAG built above with the durations the
-    // evaluation stages produced and let the deterministic scheduler
-    // propagate ready times. Staged mode charges the whole
-    // configuration time to the last Re-Link task; overlap mode gives
-    // every snapshot its own (task_graph.cc documents both modes'
-    // edges).
-    result.configCycles = static_cast<Cycle>(num_snapshots) *
-        hw.perSnapshotConfigCycles;
-    auto node = [&](int id) -> TaskNode & {
-        return tg.nodes[static_cast<std::size_t>(id)];
-    };
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto i = static_cast<std::size_t>(t);
+        row.gnnComputeCycles = w.gnnCompute;
+        row.rnnComputeCycles = w.rnnCompute;
+        row.spatialCommCycles = w.spatial.makespan;
+        row.temporalCommCycles = w.temporal.makespan;
+        row.spatialBytes = w.spatial.totalBytes;
+        row.spatialMessages = w.spatial.numMessages;
+        row.temporalBytes = w.temporal.bytesByClass[static_cast<int>(
+            noc::TrafficClass::Temporal)];
+        row.reuseBytes = w.temporal.bytesByClass[static_cast<int>(
+            noc::TrafficClass::Reuse)];
+        noc_messages += w.spatial.numMessages + w.temporal.numMessages;
+        dram_total += row.dram;
+        relink_engaged += row.relinkSpan > 1 ? 1 : 0;
+        const model::SnapshotPlan &splan = snapshot_plans[i];
+        const bool digest_snapshot = pdigest && owner_remap[i].empty();
+        digest_full_fastpath += digest_snapshot && splan.fullRecompute &&
+                !options.detailedTileTiming
+            ? 1 : 0;
+        digest_rnn_fastpath += digest_snapshot &&
+                static_cast<VertexId>(splan.rnnVertices.size()) ==
+                    num_vertices
+            ? 1 : 0;
+
         const auto &st = tg.bySnapshot[i];
-        const SnapshotWork &w = work[i];
         node(st.dram).duration =
-            dram_done[i] - (t > 0 ? dram_done[i - 1] : 0);
+            row.dramDone - (t > 0 ? result.trace[i - 1].dramDone : 0);
         node(st.gnn).duration = w.gnnCompute;
         node(st.spatial).duration = w.spatial.makespan;
         if (st.temporal != -1)
@@ -471,60 +472,28 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         else if (t + 1 == num_snapshots)
             node(st.relink).duration = result.configCycles;
     }
+
+    // ---- Timeline: the deterministic scheduler propagates ready
+    // times through the annotated DAG. ----
     const ScheduleResult sched = scheduleTaskGraph(tg);
-    auto task = [&](int id) -> const ScheduledTask & {
-        return sched.tasks[static_cast<std::size_t>(id)];
-    };
-    result.trace.resize(static_cast<std::size_t>(num_snapshots));
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
         const auto &st = tg.bySnapshot[i];
-        const SnapshotWork &w = work[i];
-        auto &tr = result.trace[i];
-        tr.snapshot = t;
-        tr.column = mapping.spatialOnly
-            ? 0 : mapping.snapshotColumn[i];
-        tr.dramDone = dram_done[i];
-        tr.gnnComputeCycles = w.gnnCompute;
-        tr.rnnComputeCycles = w.rnnCompute;
-        tr.spatialCommCycles = w.spatial.makespan;
-        tr.temporalCommCycles = w.temporal.makespan;
-        // The DRAM chain reproduces dram_done exactly; the GNN phase
+        SnapshotTrace &row = result.trace[i];
+        // The DRAM chain reproduces dramDone exactly; the GNN phase
         // is complete once compute, spatial traffic and the off-chip
         // stream have all landed.
-        tr.gnnDone = std::max({task(st.gnn).finish,
-                               task(st.spatial).finish, dram_done[i]});
-        tr.rnnDone = task(st.rnn).finish;
-        result.computeCycles += w.gnnCompute + w.rnnCompute;
-        result.onChipCommCycles +=
-            w.spatial.makespan + w.temporal.makespan;
+        row.gnnDone = std::max(
+            {sched.tasks[static_cast<std::size_t>(st.gnn)].finish,
+             sched.tasks[static_cast<std::size_t>(st.spatial)].finish,
+             row.dramDone});
+        row.rnnDone = sched.tasks[static_cast<std::size_t>(st.rnn)].finish;
     }
     result.totalCycles = sched.makespan;
-    if (options.overlap)
-        result.taskGraph = taskGraphStats(tg, sched);
+    result.taskGraph = taskGraphStats(tg, sched);
     result.offChipCycles = dram_cursor;
-
-    // ---- Utilization: busy MAC-cycles over the MAC-cycles offered by
-    // the tiles assigned to each compute phase (critical-path window x
-    // full per-tile array). Imbalance and statically-partitioned idle
-    // regions both show up as lost capacity. ----
-    const double busy = static_cast<double>(result.ops.totalMacs());
-    const int active_tiles = mapping.spatialOnly ? hw.totalTiles()
-                                                 : hw.tileRows;
-    double capacity = 0.0;
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        // Dead tiles offer no capacity; fault-free runs see the
-        // unmodified tile count (dead_slots stays all-zero).
-        capacity +=
-            static_cast<double>(active_tiles - dead_slots[i]) *
-            tile_macs *
-            (options.gnnMacFraction *
-                 static_cast<double>(work[i].gnnCompute) +
-             options.rnnMacFraction *
-                 static_cast<double>(work[i].rnnCompute));
-    }
-    result.peUtilization = capacity > 0.0 ? busy / capacity : 0.0;
+    result.peUtilization = capacity > 0.0
+        ? static_cast<double>(result.ops.totalMacs()) / capacity : 0.0;
 
     // ---- Energy assembly. ----
     result.energyEvents.macs = result.ops.totalMacs();
@@ -562,6 +531,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         for (SnapshotId t = 0; t < num_snapshots; ++t) {
             const auto i = static_cast<std::size_t>(t);
             const SnapshotWork &w = work[i];
+            const SnapshotTrace &row = result.trace[i];
             const std::uint64_t rerouted = w.spatial.reroutedMessages +
                 w.temporal.reroutedMessages;
             const std::uint64_t retried = w.spatial.retriedMessages +
@@ -572,9 +542,9 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             rr.reroutedMessages += rerouted;
             rr.retriedMessages += retried;
             rr.nocRetryBackoffCycles += backoff;
-            rr.dramRetryRequests += dram_retry_requests[i];
-            rr.dramRetryBytes += dram_retry_bytes[i];
-            rr.dramRetryCycles += dram_retry_cycles[i];
+            rr.dramRetryRequests += row.dramRetryRequests;
+            rr.dramRetryBytes += row.dramRetryBytes;
+            rr.dramRetryCycles += row.dramRetryCycles;
             offline += static_cast<double>(dead_slots[i]) /
                 static_cast<double>(active_tiles);
             if (dead_slots[i] > 0) {
@@ -598,12 +568,12 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                          std::to_string(backoff) +
                          " backoff cycles on unavoidable dead links"});
             }
-            if (dram_retry_requests[i] > 0) {
+            if (row.dramRetryRequests > 0) {
                 rr.events.push_back(
                     {t, "dram-retry",
-                     std::to_string(dram_retry_requests[i]) +
+                     std::to_string(row.dramRetryRequests) +
                          " read request(s) re-streamed (" +
-                         std::to_string(dram_retry_bytes[i]) +
+                         std::to_string(row.dramRetryBytes) +
                          " bytes)"});
             }
         }
@@ -611,356 +581,37 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             ? offline / static_cast<double>(num_snapshots) : 0.0;
     }
 
-    // ---- Detail stats. ----
-    result.stats.set("cycles.total",
-                     static_cast<double>(result.totalCycles));
-    result.stats.set("cycles.compute",
-                     static_cast<double>(result.computeCycles));
-    result.stats.set("cycles.onchip_comm",
-                     static_cast<double>(result.onChipCommCycles));
-    result.stats.set("cycles.offchip",
-                     static_cast<double>(result.offChipCycles));
-    result.stats.set("cycles.config",
-                     static_cast<double>(result.configCycles));
-    result.stats.set("pe.utilization", result.peUtilization);
-    result.stats.set("ops.total",
-                     static_cast<double>(result.ops.totalArithmetic()));
-    result.stats.set("dram.bytes",
-                     static_cast<double>(result.dramTraffic.total()));
-    result.stats.set("noc.bytes", static_cast<double>(result.nocBytes));
-    result.stats.merge(result.energy.toStats());
-    if (fm)
-        result.stats.merge(result.resilience.toStats());
-
-    // ---- Observability: extended stats, metrics, trace spans. ----
-    // Everything here is re-derived from per-snapshot slots that the
-    // ordered reduction already pinned, so the emission is a pure
-    // serial walk: bit-identical at any thread width.
-    if (obs) {
-        std::uint64_t digest_full_fastpath = 0;
-        std::uint64_t digest_rnn_fastpath = 0;
-        std::uint64_t scratch_snapshots = 0;
-        std::uint64_t noc_messages = 0;
-        std::uint64_t dram_requests = 0;
-        std::uint64_t row_hits = 0;
-        std::uint64_t row_misses = 0;
-        std::uint64_t row_conflicts = 0;
-        ByteCount dram_read = 0;
-        ByteCount dram_write = 0;
-        std::uint64_t relink_engaged = 0;
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            const auto i = static_cast<std::size_t>(t);
-            const model::SnapshotPlan &splan = snapshot_plans[i];
-            const bool digest_snapshot =
-                pdigest && owner_remap[i].empty();
-            const bool full_fp = digest_snapshot &&
-                splan.fullRecompute && !options.detailedTileTiming;
-            digest_full_fastpath += full_fp ? 1 : 0;
-            digest_rnn_fastpath += digest_snapshot &&
-                    static_cast<VertexId>(splan.rnnVertices.size()) ==
-                        num_vertices
-                ? 1 : 0;
-            scratch_snapshots += full_fp ? 0 : 1;
-            noc_messages += work[i].spatial.numMessages +
-                work[i].temporal.numMessages;
-            const DramObs &d = dram_obs[i];
-            dram_requests += d.requests;
-            row_hits += d.rowHits;
-            row_misses += d.rowMisses;
-            row_conflicts += d.rowConflicts;
-            dram_read += d.readBytes;
-            dram_write += d.writeBytes;
-            if (adaptive_relink && relink_span[i] > 1)
-                ++relink_engaged;
-        }
-        if (obs_metrics) {
-            // Per-run extended stats (appended, so the stats JSON with
-            // metrics off keeps today's exact field sequence).
-            result.stats.set("noc.spatial_bytes",
-                             static_cast<double>(result.nocBytesSpatial));
-            result.stats.set("noc.temporal_bytes",
-                             static_cast<double>(result.nocBytesTemporal));
-            result.stats.set("noc.reuse_bytes",
-                             static_cast<double>(result.nocBytesReuse));
-            result.stats.set("noc.messages",
-                             static_cast<double>(noc_messages));
-            result.stats.set("dram.requests",
-                             static_cast<double>(dram_requests));
-            result.stats.set("dram.row_hits",
-                             static_cast<double>(row_hits));
-            result.stats.set("dram.row_misses",
-                             static_cast<double>(row_misses));
-            result.stats.set("dram.row_conflicts",
-                             static_cast<double>(row_conflicts));
-            result.stats.set("dram.read_bytes",
-                             static_cast<double>(dram_read));
-            result.stats.set("dram.write_bytes",
-                             static_cast<double>(dram_write));
-            result.stats.set("engine.digest_full_fastpath",
-                             static_cast<double>(digest_full_fastpath));
-            result.stats.set("engine.digest_rnn_fastpath",
-                             static_cast<double>(digest_rnn_fastpath));
-            result.stats.set("engine.scratch_snapshots",
-                             static_cast<double>(scratch_snapshots));
-            result.stats.set("relink.engaged_snapshots",
-                             static_cast<double>(relink_engaged));
-            if (result.taskGraph.enabled) {
-                result.stats.set(
-                    "taskgraph.tasks",
-                    static_cast<double>(result.taskGraph.numTasks));
-                result.stats.set(
-                    "taskgraph.edges",
-                    static_cast<double>(result.taskGraph.numEdges));
-                result.stats.set(
-                    "taskgraph.lanes",
-                    static_cast<double>(result.taskGraph.lanes.size()));
-                result.stats.set(
-                    "taskgraph.critical_tasks",
-                    static_cast<double>(sched.criticalPath.size()));
-            }
-            // Process-wide registry totals across runs.
-            tracer.addMetric("engine.runs", 1);
-            tracer.addMetric("engine.snapshots", num_snapshots);
-            tracer.addMetric("engine.digest_full_fastpath",
-                             static_cast<long long>(digest_full_fastpath));
-            tracer.addMetric("engine.digest_rnn_fastpath",
-                             static_cast<long long>(digest_rnn_fastpath));
-            tracer.addMetric("engine.scratch_snapshots",
-                             static_cast<long long>(scratch_snapshots));
-            tracer.addMetric("noc.spatial_bytes",
-                             static_cast<long long>(result.nocBytesSpatial));
-            tracer.addMetric("noc.temporal_bytes",
-                             static_cast<long long>(
-                                 result.nocBytesTemporal));
-            tracer.addMetric("noc.reuse_bytes",
-                             static_cast<long long>(result.nocBytesReuse));
-            tracer.addMetric("dram.row_hits",
-                             static_cast<long long>(row_hits));
-            tracer.addMetric("dram.row_misses",
-                             static_cast<long long>(row_misses));
-            tracer.addMetric("dram.row_conflicts",
-                             static_cast<long long>(row_conflicts));
-            tracer.addMetric("relink.engaged_snapshots",
-                             static_cast<long long>(relink_engaged));
-            if (result.taskGraph.enabled) {
-                tracer.addMetric("taskgraph.scheduled_tasks",
-                                 static_cast<long long>(
-                                     result.taskGraph.numTasks));
-            }
-            if (fm) {
-                tracer.addMetric("fault.recovery_events",
-                                 static_cast<long long>(
-                                     result.resilience.events.size()));
-            }
-        }
-        if (obs_trace) {
-            const std::string &an = plan.acceleratorName;
-            tracer.nameTrack(track_base + Tracer::kDramTrack,
-                             an + ": dram");
-            tracer.nameTrack(track_base + Tracer::kNocTrack,
-                             an + ": noc");
-            tracer.nameTrack(track_base + Tracer::kCacheTrack,
-                             an + ": cache");
-            if (fm) {
-                tracer.nameTrack(track_base + Tracer::kFaultTrack,
-                                 an + ": faults");
-            }
-            auto column_track = [&](int col) {
-                const auto off = std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(col),
-                    Tracer::kTracksPerRun - Tracer::kColumnTrackBase -
-                        1);
-                return track_base + Tracer::kColumnTrackBase + off;
-            };
-            std::vector<bool> col_named(
-                static_cast<std::size_t>(std::max(1, hw.tileCols)),
-                false);
-            for (SnapshotId t = 0; t < num_snapshots; ++t) {
-                const auto i = static_cast<std::size_t>(t);
-                const SnapshotWork &w = work[i];
-                const auto &row = result.trace[i];
-                const std::uint64_t ct = column_track(row.column);
-                if (!col_named[static_cast<std::size_t>(row.column)]) {
-                    col_named[static_cast<std::size_t>(row.column)] =
-                        true;
-                    tracer.nameTrack(
-                        ct, mapping.spatialOnly
-                            ? an + ": grid"
-                            : an + ": col " +
-                                std::to_string(row.column));
-                }
-                // Span geometry: overlap mode reads the scheduler's
-                // start times directly; staged mode reconstructs the
-                // spans backwards from the modeled completion cycles
-                // the timeline assembly pinned. Timestamps are
-                // virtual either way.
-                Cycle gnn_ts, spat_ts, rnn_ts, temp_ts;
-                if (options.overlap) {
-                    const auto &st = tg.bySnapshot[i];
-                    gnn_ts = task(st.gnn).start;
-                    spat_ts = task(st.spatial).start;
-                    rnn_ts = task(st.rnn).start;
-                    temp_ts = st.temporal != -1 ? task(st.temporal).start
-                                                : rnn_ts;
-                } else {
-                    gnn_ts = row.gnnDone - w.gnnCompute;
-                    spat_ts = row.gnnDone - w.spatial.makespan;
-                    rnn_ts = row.rnnDone - w.rnnCompute;
-                    temp_ts = rnn_ts - w.temporal.makespan;
-                }
-                const Cycle phase_start = std::min(gnn_ts, spat_ts);
-                const Cycle begin = std::min(phase_start, temp_ts);
-
-                TraceEvent snap;
-                snap.cat = "engine";
-                snap.name = "snapshot " + std::to_string(t);
-                snap.track = ct;
-                snap.ts = begin;
-                snap.dur = row.rnnDone - begin;
-                snap.ord = t;
-                snap.addArg("snapshot", t).addArg("column", row.column);
-                tracer.record(std::move(snap));
-                if (w.gnnCompute > 0) {
-                    TraceEvent e;
-                    e.cat = "engine";
-                    e.name = "gnn-compute";
-                    e.track = ct;
-                    e.ts = gnn_ts;
-                    e.dur = w.gnnCompute;
-                    e.ord = t;
-                    tracer.record(std::move(e));
-                }
-                if (w.spatial.makespan > 0 || w.spatial.totalBytes > 0) {
-                    TraceEvent e;
-                    e.cat = "noc";
-                    e.name = "spatial-comm";
-                    e.track = ct;
-                    e.ts = spat_ts;
-                    e.dur = w.spatial.makespan;
-                    e.ord = t;
-                    e.addArg("bytes", static_cast<long long>(
-                                 w.spatial.totalBytes))
-                        .addArg("messages", static_cast<long long>(
-                                    w.spatial.numMessages));
-                    tracer.record(std::move(e));
-                }
-                if (w.rnnCompute > 0) {
-                    TraceEvent e;
-                    e.cat = "engine";
-                    e.name = "rnn-compute";
-                    e.track = ct;
-                    e.ts = rnn_ts;
-                    e.dur = w.rnnCompute;
-                    e.ord = t;
-                    tracer.record(std::move(e));
-                }
-                if (w.hasTemporal && (w.temporal.makespan > 0 ||
-                                      w.temporal.totalBytes > 0)) {
-                    TraceEvent e;
-                    e.cat = "noc";
-                    e.name = "temporal-comm";
-                    e.track = ct;
-                    e.ts = temp_ts;
-                    e.dur = w.temporal.makespan;
-                    e.ord = t;
-                    e.addArg("temporal_bytes", static_cast<long long>(
-                                 w.temporal.bytesByClass[
-                                     static_cast<int>(
-                                         noc::TrafficClass::Temporal)]))
-                        .addArg("reuse_bytes", static_cast<long long>(
-                                    w.temporal.bytesByClass[
-                                        static_cast<int>(
-                                            noc::TrafficClass::Reuse)]));
-                    tracer.record(std::move(e));
-                }
-                // Per-class traffic samples render as counter series.
-                TraceEvent cls;
-                cls.phase = 'C';
-                cls.cat = "noc";
-                cls.name = "noc-bytes";
-                cls.track = track_base + Tracer::kNocTrack;
-                cls.ts = row.gnnDone;
-                cls.ord = t;
-                cls.addArg("spatial", static_cast<long long>(
-                               w.spatial.totalBytes))
-                    .addArg("temporal", static_cast<long long>(
-                                w.temporal.bytesByClass[
-                                    static_cast<int>(
-                                        noc::TrafficClass::Temporal)]))
-                    .addArg("reuse", static_cast<long long>(
-                                w.temporal.bytesByClass[
-                                    static_cast<int>(
-                                        noc::TrafficClass::Reuse)]));
-                tracer.record(std::move(cls));
-                if (adaptive_relink) {
-                    TraceEvent e;
-                    e.phase = 'i';
-                    e.cat = "noc";
-                    e.name = "relink-span";
-                    e.track = track_base + Tracer::kNocTrack;
-                    e.ts = phase_start;
-                    e.ord = t;
-                    e.addArg("span", relink_span[i]);
-                    tracer.record(std::move(e));
-                }
-                const DramObs &d = dram_obs[i];
-                TraceEvent stream;
-                stream.cat = "dram";
-                stream.name = "dram-stream";
-                stream.track = track_base + Tracer::kDramTrack;
-                stream.ts = d.begin;
-                stream.dur = row.dramDone - d.begin;
-                stream.ord = t;
-                stream.addArg("snapshot", t)
-                    .addArg("requests",
-                            static_cast<long long>(d.requests))
-                    .addArg("row_hits",
-                            static_cast<long long>(d.rowHits))
-                    .addArg("row_misses",
-                            static_cast<long long>(d.rowMisses))
-                    .addArg("row_conflicts",
-                            static_cast<long long>(d.rowConflicts))
-                    .addArg("read_bytes",
-                            static_cast<long long>(d.readBytes))
-                    .addArg("write_bytes",
-                            static_cast<long long>(d.writeBytes));
-                tracer.record(std::move(stream));
-                if (dram_retry_requests[i] > 0) {
-                    TraceEvent e;
-                    e.phase = 'i';
-                    e.cat = "dram";
-                    e.name = "dram-retry";
-                    e.track = track_base + Tracer::kDramTrack;
-                    e.ts = row.dramDone;
-                    e.ord = t;
-                    e.addArg("requests", static_cast<long long>(
-                                 dram_retry_requests[i]))
-                        .addArg("bytes", static_cast<long long>(
-                                    dram_retry_bytes[i]))
-                        .addArg("cycles", static_cast<long long>(
-                                    dram_retry_cycles[i]));
-                    tracer.record(std::move(e));
-                }
-            }
-            if (fm) {
-                std::uint64_t k = 0;
-                for (const auto &ev : result.resilience.events) {
-                    TraceEvent e;
-                    e.phase = 'i';
-                    e.cat = "fault";
-                    e.name = ev.kind;
-                    e.track = track_base + Tracer::kFaultTrack;
-                    e.ts = result.trace[static_cast<std::size_t>(
-                                            ev.snapshot)]
-                               .rnnDone;
-                    e.ord = k++;
-                    e.addArg("snapshot", ev.snapshot)
-                        .addArg("detail", ev.detail);
-                    tracer.record(std::move(e));
-                }
-            }
-        }
+    // ---- Stats, then the trace and registry emitted from them. ----
+    writeFieldStats(result);
+    if (Tracer::global().metricsEnabled()) {
+        // Appended, so the stats JSON with metrics off keeps its
+        // exact field sequence.
+        const std::pair<const char *, std::uint64_t> extended[] = {
+            {"noc.spatial_bytes", result.nocBytesSpatial},
+            {"noc.temporal_bytes", result.nocBytesTemporal},
+            {"noc.reuse_bytes", result.nocBytesReuse},
+            {"noc.messages", noc_messages},
+            {"dram.requests", dram_total.requests},
+            {"dram.row_hits", dram_total.rowHits},
+            {"dram.row_misses", dram_total.rowMisses},
+            {"dram.row_conflicts", dram_total.rowConflicts},
+            {"dram.read_bytes", dram_total.readBytes},
+            {"dram.write_bytes", dram_total.writeBytes},
+            {"engine.digest_full_fastpath", digest_full_fastpath},
+            {"engine.digest_rnn_fastpath", digest_rnn_fastpath},
+            {"engine.scratch_snapshots",
+             static_cast<std::uint64_t>(num_snapshots) -
+                 digest_full_fastpath},
+            {"relink.engaged_snapshots", relink_engaged},
+            {"taskgraph.tasks", tg.nodes.size()},
+            {"taskgraph.edges", tg.edges.size()},
+            {"taskgraph.lanes", tg.lanes.size()},
+            {"taskgraph.critical_tasks", sched.criticalPath.size()},
+        };
+        for (const auto &[key, value] : extended)
+            result.stats.set(key, static_cast<double>(value));
     }
+    emitRunTrace(tg, sched, result);
     return result;
 }
 

@@ -220,21 +220,6 @@ struct SnapshotWork
 };
 
 /**
- * Per-snapshot DRAM observability, filled in the serial replay so the
- * trace can attribute row behavior per stream.
- */
-struct DramObs
-{
-    Cycle begin = 0;
-    std::uint64_t requests = 0;
-    std::uint64_t rowHits = 0;
-    std::uint64_t rowMisses = 0;
-    std::uint64_t rowConflicts = 0;
-    ByteCount readBytes = 0;
-    ByteCount writeBytes = 0;
-};
-
-/**
  * Read-only inputs the per-snapshot evaluation needs, resolved once
  * per run by executePlan. All referenced objects outlive the stage-1
  * parallelFor.

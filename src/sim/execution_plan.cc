@@ -832,19 +832,8 @@ buildEnginePlan(const graph::DynamicGraph &dg,
                 const std::string &accelerator_name, PlanCache *cache)
 {
     Tracer &tracer = Tracer::global();
-    const bool obs_trace = tracer.traceEnabled();
     const std::uint64_t plan_track =
         Tracer::trackBase() + Tracer::kPlanTrack;
-    auto planSpan = [&](const std::string &nm, TraceEvent ev) {
-        if (!obs_trace)
-            return;
-        ev.cat = "plan";
-        ev.name = nm;
-        ev.track = plan_track;
-        ev.ts = tracer.nextStep(plan_track);
-        ev.dur = 1;
-        tracer.record(std::move(ev));
-    };
 
     ExecutionPlan plan;
     plan.acceleratorName = accelerator_name;
@@ -860,7 +849,8 @@ buildEnginePlan(const graph::DynamicGraph &dg,
                           plan.workloadDigest));
         TraceEvent ev;
         ev.addArg("key", std::string(key));
-        planSpan("workload-digest-key", std::move(ev));
+        tracer.stepSpan("plan", "workload-digest-key", plan_track,
+                        std::move(ev));
     }
     plan.hw = hw;
     plan.modelConfig = model_config;
@@ -873,13 +863,13 @@ buildEnginePlan(const graph::DynamicGraph &dg,
         ? cache->obtain(dg, model_config, options.algo)
         : PlanCache::buildSnapshotPlans(dg, model_config,
                                         options.algo);
-    if (obs_trace) {
+    if (tracer.traceEnabled()) {
         tracer.nameTrack(plan_track, accelerator_name + ": plan");
         TraceEvent ev;
         ev.addArg("snapshots", static_cast<long long>(
                       plan.snapshots ? plan.snapshots->size() : 0))
             .addArg("cached", std::string(cache ? "yes" : "no"));
-        planSpan("snapshot-planning", std::move(ev));
+        tracer.stepSpan("plan", "snapshot-planning", plan_track, std::move(ev));
     }
     if (tracer.metricsEnabled())
         tracer.addMetric("plan.builds", 1);

@@ -15,27 +15,6 @@ namespace ditile::sim {
 
 namespace {
 
-/** Emit a cache hit/miss instant on the caller's cache track. */
-void
-cacheInstant(const char *name, std::uint64_t key)
-{
-    Tracer &tracer = Tracer::global();
-    if (!tracer.traceEnabled())
-        return;
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key));
-    TraceEvent ev;
-    ev.addArg("key", std::string(hex));
-    tracer.instant("cache", name,
-                   Tracer::trackBase() + Tracer::kCacheTrack,
-                   std::move(ev));
-}
-
-} // namespace
-
-namespace {
-
 /** FNV-1a accumulation over 64-bit words. */
 struct ContentHasher
 {
@@ -99,11 +78,11 @@ PlanCache::obtain(const graph::DynamicGraph &dg,
     // Observability events fire outside the critical section; lookups
     // happen at serial points of a run, so traces stay deterministic.
     if (cached) {
-        cacheInstant("plan-cache hit", key);
+        Tracer::global().cacheInstant("plan-cache hit", key);
         Tracer::global().addMetric("cache.plan.hits", 1);
         return cached;
     }
-    cacheInstant("plan-cache miss", key);
+    Tracer::global().cacheInstant("plan-cache miss", key);
     Tracer::global().addMetric("cache.plan.misses", 1);
     // Plan outside the lock so concurrent misses on different keys
     // proceed in parallel.

@@ -11,6 +11,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "dram/dram_model.hh"
 #include "energy/energy_model.hh"
 #include "model/accounting.hh"
 
@@ -32,6 +33,22 @@ struct SnapshotTrace
     Cycle temporalCommCycles = 0; ///< RNN-boundary NoC makespan.
     Cycle gnnDone = 0;            ///< GNN phase completion time.
     Cycle rnnDone = 0;            ///< RNN phase completion time.
+
+    // What the phases moved; the trace reports it as span args.
+    ByteCount spatialBytes = 0;
+    std::uint64_t spatialMessages = 0;
+    ByteCount temporalBytes = 0;  ///< Temporal-class boundary bytes.
+    ByteCount reuseBytes = 0;     ///< Reuse-class boundary bytes.
+    dram::DramResult dram;        ///< Off-chip stream, retries merged.
+    std::uint64_t dramRetryRequests = 0;
+    ByteCount dramRetryBytes = 0;
+    Cycle dramRetryCycles = 0;    ///< Cycles the retries added.
+    int relinkSpan = 0;           ///< Adaptive Re-Link span, else 0.
+
+    /** Scale-out: the boundary exchange this chip sends after the
+     *  snapshot (payload and framed wire bytes). */
+    ByteCount interchipPayloadBytes = 0;
+    ByteCount interchipWireBytes = 0;
 };
 
 /**
@@ -113,15 +130,13 @@ struct ResilienceReport
 };
 
 /**
- * Task-graph schedule summary (overlap mode only). Everything here is
+ * Task-graph schedule summary of either timeline. Everything here is
  * derived from the deterministic scheduler, so it is bit-identical at
  * any thread width; `--task-stats` and `ditile_inspect plan --tasks`
  * render it.
  */
 struct TaskGraphStats
 {
-    bool enabled = false;
-
     std::uint64_t numTasks = 0;
     std::uint64_t numEdges = 0;
     Cycle makespan = 0;
@@ -189,7 +204,7 @@ struct RunResult
     /** Fault-injection outcome (disabled on fault-free runs). */
     ResilienceReport resilience;
 
-    /** Task-graph schedule summary (disabled on staged runs). */
+    /** Task-graph schedule summary. */
     TaskGraphStats taskGraph;
 };
 

@@ -13,6 +13,7 @@
 #include "common/trace.hh"
 #include "sim/execution_plan.hh"
 #include "sim/plan_cache.hh"
+#include "sim/run_trace.hh"
 #include "sim/scheduler.hh"
 #include "sim/task_graph.hh"
 #include "workload/chunk_partition.hh"
@@ -99,6 +100,12 @@ applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
     plan.scaleout.link = link;
     plan.scaleout.chunkSpan = cp.chunkSpan;
     plan.scaleout.chipOfChunk = cp.chipOfChunk;
+}
+
+int
+traceTrackGroups(int chips)
+{
+    return chips > 1 ? chips + 1 : 1;
 }
 
 TaskGraph
@@ -288,7 +295,7 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     Cycle interchip_busy = 0;
     for (int c = 0; c < chips; ++c) {
         const auto ci = static_cast<std::size_t>(c);
-        const RunResult &r = chip_results[ci];
+        RunResult &r = chip_results[ci];
         Cycle prev = 0;
         for (SnapshotId t = 0; t < num_snapshots; ++t) {
             const auto ti = static_cast<std::size_t>(t);
@@ -312,8 +319,11 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             const Cycle dur = link.transferCycles(payload);
             tg.nodes[static_cast<std::size_t>(commNodeId(t, c, chips))]
                 .duration = dur;
+            SnapshotTrace &row = r.trace[static_cast<std::size_t>(t)];
+            row.interchipPayloadBytes = payload;
+            row.interchipWireBytes = link.wireBytes(payload);
             interchip_payload += payload;
-            interchip_wire += link.wireBytes(payload);
+            interchip_wire += row.interchipWireBytes;
             interchip_busy += dur;
             if (payload > 0)
                 ++interchip_transfers;
@@ -385,6 +395,9 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     std::uint64_t cross_adj = 0;
     for (const std::uint64_t e : egress_adj)
         cross_adj += e;
+    // The merged stats summed the chips'; the mirrors of the cluster
+    // fields take the cluster's values.
+    writeFieldStats(result);
     result.stats.set("scaleout.chips", static_cast<double>(chips));
     result.stats.set("scaleout.cross_adjacencies",
                      static_cast<double>(cross_adj));
@@ -398,6 +411,11 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
                      static_cast<double>(interchip_busy));
 
     result.taskGraph = taskGraphStats(tg, sched);
+    // The cluster draws on the track group after its chips'.
+    Tracer::setTrackBase(track_base + static_cast<std::uint64_t>(chips) *
+                                          Tracer::kTracksPerRun);
+    emitRunTrace(tg, sched, result);
+    Tracer::setTrackBase(track_base);
     return result;
 }
 

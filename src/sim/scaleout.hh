@@ -74,6 +74,13 @@ void applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
                    int chips, const noc::InterChipLinkConfig &link);
 
 /**
+ * Trace track groups one run of a `chips`-chip plan spans: one per
+ * chip plus the cluster group, or the single group of a one-chip run.
+ * Tools step each run's track base by this many kTracksPerRun.
+ */
+int traceTrackGroups(int chips);
+
+/**
  * Execute a chips > 1 plan as a ChipCluster (see file comment).
  * `cache` (optional) shares the per-shard snapshot-plan sets across
  * chips and across repeated runs; when null a run-local cache still

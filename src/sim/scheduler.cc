@@ -103,7 +103,6 @@ TaskGraphStats
 taskGraphStats(const TaskGraph &graph, const ScheduleResult &sched)
 {
     TaskGraphStats ts;
-    ts.enabled = true;
     ts.numTasks = graph.nodes.size();
     ts.numEdges = graph.edges.size();
     ts.makespan = sched.makespan;

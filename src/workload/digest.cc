@@ -29,7 +29,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -284,28 +283,6 @@ partitionDigestKey(const graph::DynamicGraph &dg,
     return hasher.h;
 }
 
-namespace {
-
-/** Emit a digest-cache hit/miss instant on the caller's cache track. */
-void
-digestInstant(const char *name, std::uint64_t key)
-{
-    ditile::Tracer &tracer = ditile::Tracer::global();
-    if (!tracer.traceEnabled())
-        return;
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key));
-    ditile::TraceEvent ev;
-    ev.addArg("key", std::string(hex));
-    tracer.instant("cache", name,
-                   ditile::Tracer::trackBase() +
-                       ditile::Tracer::kCacheTrack,
-                   std::move(ev));
-}
-
-} // namespace
-
 std::shared_ptr<const LoadDigest>
 DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
 {
@@ -320,11 +297,11 @@ DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
         }
     }
     if (cached) {
-        digestInstant("digest-loads hit", key);
+        Tracer::global().cacheInstant("digest-loads hit", key);
         Tracer::global().addMetric("cache.digest_loads.hits", 1);
         return cached;
     }
-    digestInstant("digest-loads miss", key);
+    Tracer::global().cacheInstant("digest-loads miss", key);
     Tracer::global().addMetric("cache.digest_loads.misses", 1);
     // Build outside the lock; the first finished writer wins.
     auto digest = std::make_shared<const LoadDigest>(
@@ -350,11 +327,11 @@ DigestCache::partition(const graph::DynamicGraph &dg,
         }
     }
     if (cached) {
-        digestInstant("digest-partition hit", key);
+        Tracer::global().cacheInstant("digest-partition hit", key);
         Tracer::global().addMetric("cache.digest_partition.hits", 1);
         return cached;
     }
-    digestInstant("digest-partition miss", key);
+    Tracer::global().cacheInstant("digest-partition miss", key);
     Tracer::global().addMetric("cache.digest_partition.misses", 1);
     auto digest = std::make_shared<const PartitionDigest>(
         buildPartitionDigest(dg, owners, slots));

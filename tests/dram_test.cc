@@ -291,15 +291,6 @@ TEST(DramModel, AvgBandwidthReported)
                   model.config().channels + 1.0);
 }
 
-TEST(DramModel, StatsExport)
-{
-    DramModel model;
-    const auto res = model.serviceStream(0, 4096, true);
-    const auto stats = res.toStats();
-    EXPECT_DOUBLE_EQ(stats.get("dram.write_bytes"), 4096.0);
-    EXPECT_GT(stats.get("dram.completion_cycles"), 0.0);
-}
-
 TEST(DramModel, InterleavedReadWriteAccounting)
 {
     DramModel model;

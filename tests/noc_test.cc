@@ -220,21 +220,6 @@ TEST(SimulateTraffic, ByteAccountingConserved)
     EXPECT_GE(res.hopBytes, res.routerBytes);
 }
 
-TEST(SimulateTraffic, StatsExportComplete)
-{
-    Message m;
-    m.src = 0;
-    m.dst = 3;
-    m.bytes = 128;
-    m.cls = TrafficClass::Reuse;
-    const auto res = simulateTraffic(config4x4(TopologyKind::Ring),
-                                     {m});
-    const auto stats = res.toStats();
-    EXPECT_GT(stats.get("noc.makespan_cycles"), 0.0);
-    EXPECT_DOUBLE_EQ(stats.get("noc.reuse_bytes"), 128.0);
-    EXPECT_DOUBLE_EQ(stats.get("noc.total_bytes"), 128.0);
-}
-
 /**
  * Property: for random batches, the reconfigurable topology's vertical
  * traffic never loses to the plain ring (same paths, fewer stops).

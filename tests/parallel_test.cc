@@ -393,7 +393,7 @@ TEST(PlanDeterminism, OverlapExecutionIdenticalAcrossThreadCounts)
     auto plan = accel.plan(dg, mconfig);
     plan.options.overlap = true;
     const auto serial = sim::executePlan(dg, plan);
-    EXPECT_TRUE(serial.taskGraph.enabled);
+    EXPECT_GT(serial.taskGraph.numTasks, 0u);
     for (int threads : {2, 8}) {
         SCOPED_TRACE(testing::Message() << "threads=" << threads);
         ThreadPool::setGlobalThreads(threads);

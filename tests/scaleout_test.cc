@@ -4,21 +4,29 @@
  * plan JSON and execution, cross-thread bit-identity of M-chip
  * cluster schedules, chunk-partitioner balance invariants, format-3
  * plan round trips (with format-2 back-compat), InterChipLink cycle
- * math, and the cluster overlap-vs-staged makespan bound.
+ * math, the cluster overlap-vs-staged makespan bound, cluster stats
+ * that mirror the cluster's fields, and cluster trace spans and track
+ * groups.
  */
 
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
 #include "noc/interchip.hh"
+#include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
+#include "sim/fault_model.hh"
 #include "sim/plan_cache.hh"
 #include "sim/scaleout.hh"
 #include "sim/task_graph.hh"
@@ -281,6 +289,122 @@ TEST(ScaleOut, SharedPlanCacheHitsAcrossRepeatRuns)
     const auto second = sim::executePlan(dg, plan, &cache);
     expectSameResult(first, second);
     EXPECT_GT(cache.hits(), 0u);
+}
+
+TEST(ScaleOut, StatsThatMirrorFieldsEqualThem)
+{
+    // A cluster merges its chips' stats; the mirrors of the cluster's
+    // own fields must still read the cluster's values.
+    const auto dg = scaleoutWorkload();
+    for (const int chips : {1, 2, 4}) {
+        for (const bool faulted : {false, true}) {
+            SCOPED_TRACE(testing::Message() << "chips=" << chips
+                                            << " faulted=" << faulted);
+            auto plan = planFor(dg, chips);
+            if (faulted)
+                plan.faults = sim::FaultSpec::parse("tile@1:r3c*;dram@2:ch*");
+            const auto r = sim::executePlan(dg, plan);
+            auto d = [](auto v) { return static_cast<double>(v); };
+            const std::pair<const char *, double> mirrors[] = {
+                {"cycles.total", d(r.totalCycles)},
+                {"cycles.compute", d(r.computeCycles)},
+                {"cycles.onchip_comm", d(r.onChipCommCycles)},
+                {"cycles.offchip", d(r.offChipCycles)},
+                {"cycles.config", d(r.configCycles)},
+                {"pe.utilization", r.peUtilization},
+                {"ops.total", d(r.ops.totalArithmetic())},
+                {"dram.bytes", d(r.dramTraffic.total())},
+                {"noc.bytes", d(r.nocBytes)},
+            };
+            for (const auto &[key, field] : mirrors)
+                EXPECT_DOUBLE_EQ(r.stats.get(key), field) << key;
+            const StatSet energy = r.energy.toStats();
+            for (const std::string &key : energy.names())
+                EXPECT_DOUBLE_EQ(r.stats.get(key), energy.get(key)) << key;
+            EXPECT_EQ(r.resilience.enabled, faulted);
+            const StatSet res = r.resilience.toStats();
+            for (const std::string &key : res.names())
+                EXPECT_EQ(r.stats.has(key), faulted) << key;
+            if (faulted) {
+                EXPECT_GT(r.resilience.degradedCapacityFraction, 0.0);
+                for (const std::string &key : res.names())
+                    EXPECT_DOUBLE_EQ(r.stats.get(key), res.get(key)) << key;
+            }
+        }
+    }
+}
+
+/** RAII guard: always leave the process-wide tracer disabled. */
+struct TracerGuard
+{
+    TracerGuard() { Tracer::global().reset(); }
+    ~TracerGuard() { Tracer::global().reset(); }
+};
+
+TEST(ScaleOut, InterchipSpansSumToTheLinkBusyCycles)
+{
+    TracerGuard guard;
+    Tracer &tracer = Tracer::global();
+    tracer.enable(true, false);
+    Tracer::setTrackBase(0);
+    const auto dg = scaleoutWorkload();
+    const auto r = sim::executePlan(dg, planFor(dg, 2));
+    Cycle interchip = 0;
+    std::size_t chip_spans = 0;
+    for (const TraceEvent &e :
+         Tracer::parseChromeJson(tracer.toChromeJson())) {
+        if (e.cat != "cluster")
+            continue;
+        // The cluster group follows its two chips' groups.
+        EXPECT_GE(e.track, 2 * Tracer::kTracksPerRun);
+        EXPECT_LT(e.track, 3 * Tracer::kTracksPerRun);
+        if (e.name == "interchip-comm")
+            interchip += e.dur;
+        chip_spans += e.name == "chip-compute" ? 1 : 0;
+    }
+    EXPECT_GT(interchip, 0u);
+    EXPECT_EQ(static_cast<double>(interchip),
+              r.stats.get("interchip.busy_cycles"));
+    EXPECT_EQ(chip_spans, 2 * static_cast<std::size_t>(dg.numSnapshots()));
+}
+
+TEST(ScaleOut, RunsSteppedByTrackGroupsNeverShareATrack)
+{
+    // Two scale-out runs in one trace, each at its own track base as
+    // the tools step it: no track may carry two DRAM streams of one
+    // snapshot (which happens when runs overlap track groups).
+    TracerGuard guard;
+    Tracer &tracer = Tracer::global();
+    tracer.enable(true, false);
+    EXPECT_EQ(sim::traceTrackGroups(1), 1);
+    EXPECT_EQ(sim::traceTrackGroups(2), 3);
+    const auto dg = scaleoutWorkload();
+    core::DiTileAccelerator ditile;
+    const auto booster = sim::makeDgnnBooster();
+    std::uint64_t base = 0;
+    for (sim::Accelerator *accel :
+         {static_cast<sim::Accelerator *>(&ditile), booster.get()}) {
+        Tracer::setTrackBase(base);
+        auto plan = accel->plan(dg, model::DgnnConfig{});
+        sim::applyScaleOut(plan, dg, 2, noc::InterChipLinkConfig{});
+        sim::executePlan(dg, plan);
+        base += static_cast<std::uint64_t>(sim::traceTrackGroups(2)) *
+            Tracer::kTracksPerRun;
+    }
+    const JsonValue doc = JsonValue::parse(tracer.toChromeJson());
+    std::set<std::pair<std::uint64_t, std::uint64_t>> streams;
+    std::size_t count = 0;
+    for (const JsonValue &e : doc.at("traceEvents").items()) {
+        if (e.at("name").asString() != "dram-stream")
+            continue;
+        ++count;
+        const auto key = std::make_pair(
+            e.at("tid").asUint(), e.at("args").at("snapshot").asUint());
+        EXPECT_TRUE(streams.insert(key).second)
+            << "track " << key.first << " snapshot " << key.second;
+    }
+    // Two runs x two chips x every snapshot.
+    EXPECT_EQ(count, 4 * static_cast<std::size_t>(dg.numSnapshots()));
 }
 
 } // namespace

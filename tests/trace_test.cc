@@ -7,19 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
+#include "sim/execution_plan.hh"
+#include "sim/run_trace.hh"
 #include "workload/digest.hh"
 
 namespace ditile {
@@ -240,6 +246,115 @@ TEST(ChromeTrace, MatchesGoldenFile)
     // Byte-for-byte: the exported trace layout is part of the tool
     // contract (CI diffs traces across thread widths).
     EXPECT_EQ(json, buffer.str());
+}
+
+/** WD at scale 0.1 over enough snapshots to use several columns. */
+graph::DynamicGraph
+wdWorkload()
+{
+    graph::DatasetOptions options;
+    options.scale = 0.1;
+    options.numSnapshots = 8;
+    return graph::makeDataset("WD", options);
+}
+
+/** Trace one DiTile run in the given timeline and check that every
+ *  phase span sits at its task's scheduled [start, finish). */
+void
+expectSpansAtScheduledTasks(const graph::DynamicGraph &dg, bool overlap)
+{
+    SCOPED_TRACE(dg.name() + (overlap ? " overlap" : " staged"));
+    Tracer &tracer = Tracer::global();
+    tracer.reset();
+    tracer.enable(true, false);
+    Tracer::setTrackBase(0);
+    core::DiTileAccelerator accel;
+    auto plan = accel.plan(dg, model::DgnnConfig{});
+    plan.options.overlap = overlap;
+    const auto r = sim::executePlan(dg, plan);
+    const std::map<std::string, std::string> span_of = {
+        {"gnn", "gnn-compute"}, {"spatial", "spatial-comm"},
+        {"temporal", "temporal-comm"}, {"rnn", "rnn-compute"},
+        {"dram", "dram-stream"}};
+
+    // (name, track, ts, dur) of every drawn span and every task.
+    using Key = std::tuple<std::string, std::uint64_t, std::uint64_t,
+                           std::uint64_t>;
+    std::multiset<Key> spans;
+    for (const TraceEvent &e :
+         Tracer::parseChromeJson(tracer.toChromeJson())) {
+        for (const auto &[kind, name] : span_of) {
+            if (e.phase == 'X' && e.name == name)
+                spans.insert({e.name, e.track, e.ts, e.dur});
+        }
+    }
+    std::multiset<Key> tasks;
+    std::multiset<Key> busy;
+    std::set<int> columns;
+    for (const auto &task : r.taskGraph.tasks) {
+        const auto it = span_of.find(task.kind);
+        if (it == span_of.end())
+            continue;
+        const int column =
+            r.trace[static_cast<std::size_t>(task.snapshot)].column;
+        columns.insert(column);
+        const Key key{it->second,
+                      task.kind == "dram"
+                          ? Tracer::kDramTrack
+                          : Tracer::kColumnTrackBase +
+                              static_cast<std::uint64_t>(column),
+                      task.start, task.finish - task.start};
+        tasks.insert(key);
+        if (task.finish > task.start)
+            busy.insert(key);
+    }
+    tracer.reset();
+    EXPECT_GT(columns.size(), 1u) << "run should cross columns";
+    EXPECT_FALSE(busy.empty());
+    EXPECT_TRUE(std::includes(tasks.begin(), tasks.end(), spans.begin(),
+                              spans.end()))
+        << "a span is not at its task's scheduled interval";
+    EXPECT_TRUE(std::includes(spans.begin(), spans.end(), busy.begin(),
+                              busy.end()))
+        << "a busy task drew no span";
+}
+
+TEST(RunTrace, SpansSitAtScheduledTasksInBothTimelines)
+{
+    TracerGuard guard;
+    workload::setDigestEnabled(true);
+    for (const auto &dg : {tinyWorkload(), wdWorkload()}) {
+        for (const bool overlap : {true, false})
+            expectSpansAtScheduledTasks(dg, overlap);
+    }
+}
+
+TEST(RunTrace, RegistryIsTheSumOfEachRunsStats)
+{
+    TracerGuard guard;
+    Tracer &tracer = Tracer::global();
+    tracer.enable(false, true);
+    Tracer::setTrackBase(0);
+    const auto dg = tinyWorkload();
+    core::DiTileAccelerator accel;
+    auto plan = accel.plan(dg, model::DgnnConfig{});
+    std::vector<sim::RunResult> runs;
+    for (const bool overlap : {true, false}) {
+        plan.options.overlap = overlap;
+        runs.push_back(sim::executePlan(dg, plan));
+    }
+    std::map<std::string, long long> registry;
+    for (const auto &[path, value] : tracer.metrics())
+        registry[path] = value;
+    for (const auto &[path, key] : sim::kRegistryFromStats) {
+        EXPECT_TRUE(runs[0].stats.has(key)) << key;
+        EXPECT_EQ(registry[path],
+                  static_cast<long long>(runs[0].stats.get(key) +
+                                         runs[1].stats.get(key)))
+            << path << " <- " << key;
+    }
+    EXPECT_EQ(registry["engine.runs"], 2);
+    EXPECT_EQ(registry["engine.snapshots"], 2 * dg.numSnapshots());
 }
 
 TEST(ChromeTrace, WriteChromeJsonThrowsOnBadPath)

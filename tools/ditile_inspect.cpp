@@ -44,44 +44,17 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
-#include "graph/datasets.hh"
-#include "graph/generator.hh"
 #include "graph/metrics.hh"
 #include "model/incremental.hh"
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
 #include "sim/isa.hh"
+#include "workload_flags.hh"
 
 using namespace ditile;
 
 namespace {
-
-graph::DynamicGraph
-buildWorkload(const CliFlags &flags)
-{
-    if (flags.has("dataset")) {
-        graph::DatasetOptions options;
-        options.scale = flags.getDouble("scale", 0.0);
-        options.numSnapshots = static_cast<SnapshotId>(
-            flags.getInt("snapshots", 8));
-        options.seed = static_cast<std::uint64_t>(
-            flags.getInt("seed", 0));
-        return graph::makeDataset(flags.getString("dataset", "WD"),
-                                  options);
-    }
-    graph::EvolutionConfig config;
-    config.numVertices = static_cast<VertexId>(
-        flags.getInt("vertices", 2000));
-    config.numEdges = flags.getInt("edges", 16000);
-    config.numSnapshots = static_cast<SnapshotId>(
-        flags.getInt("snapshots", 8));
-    config.dissimilarity = flags.getDouble("dissimilarity", 0.10);
-    config.featureDim = static_cast<int>(flags.getInt("features",
-                                                      128));
-    config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    return graph::generateDynamicGraph(config);
-}
 
 model::AlgoKind
 algoFromFlag(const CliFlags &flags)
@@ -582,7 +555,9 @@ runTool(const CliFlags &flags)
         return diffPlans(flags.positional()[1],
                          flags.positional()[2]);
     }
-    const auto dg = buildWorkload(flags);
+    // The first positional argument is the command, not a snapshot
+    // file.
+    const auto dg = tools::buildWorkload(flags, {});
     if (command == "dataset") {
         inspectDataset(dg);
     } else if (command == "stats") {

@@ -24,10 +24,10 @@
  *                           legacy barrier edges; overlap never
  *                           reports a longer makespan than staged on
  *                           fault-free runs)
- *   --task-stats           (task-graph schedule summary: per-lane
- *                           occupancy + critical-path tasks; table
- *                           mode prints to stdout, --json/--csv modes
- *                           to stderr)
+ *   --task-stats           (task-graph schedule summary of either
+ *                           timeline: per-lane occupancy +
+ *                           critical-path tasks; table mode prints to
+ *                           stdout, --json/--csv modes to stderr)
  *   --plan-out=FILE        (write the ExecutionPlan JSON before
  *                           executing; requires a single --accel)
  *   --plan-in=FILE         (skip planning: execute a previously
@@ -65,70 +65,16 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
-#include "graph/datasets.hh"
-#include "graph/generator.hh"
-#include "graph/io.hh"
 #include "sim/baselines.hh"
 #include "sim/engine.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
 #include "sim/scaleout.hh"
+#include "workload_flags.hh"
 
 using namespace ditile;
 
 namespace {
-
-graph::DynamicGraph
-buildWorkload(const CliFlags &flags)
-{
-    if (!flags.positional().empty()) {
-        return graph::readSnapshotFiles(
-            "disk", flags.positional(),
-            static_cast<int>(flags.getInt("features", 128)));
-    }
-    if (flags.has("dataset")) {
-        graph::DatasetOptions options;
-        options.scale = flags.getDouble("scale", 0.0);
-        options.numSnapshots = static_cast<SnapshotId>(
-            flags.getInt("snapshots", 8));
-        options.dissimilarity = flags.getDouble("dissimilarity", 0.0);
-        options.seed = static_cast<std::uint64_t>(
-            flags.getInt("seed", 0));
-        return graph::makeDataset(flags.getString("dataset", "WD"),
-                                  options);
-    }
-    graph::EvolutionConfig config;
-    config.name = "synthetic";
-    config.numVertices = static_cast<VertexId>(
-        flags.getInt("vertices", 2000));
-    config.numEdges = flags.getInt("edges", 16000);
-    config.numSnapshots = static_cast<SnapshotId>(
-        flags.getInt("snapshots", 8));
-    config.dissimilarity = flags.getDouble("dissimilarity", 0.10);
-    config.featureDim = static_cast<int>(flags.getInt("features",
-                                                      128));
-    config.seed = static_cast<std::uint64_t>(flags.getInt("seed", 1));
-    return graph::generateDynamicGraph(config);
-}
-
-model::DgnnConfig
-buildModel(const CliFlags &flags)
-{
-    model::DgnnConfig config;
-    const auto rnn = flags.getString("rnn", "lstm");
-    if (rnn == "gru")
-        config.rnn = model::RnnKind::Gru;
-    else if (rnn != "lstm")
-        DITILE_FATAL("unknown --rnn '", rnn, "'");
-    const auto agg = flags.getString("aggregator", "gcn");
-    if (agg == "sage")
-        config.aggregator = model::GnnAggregator::SageMean;
-    else if (agg == "gin")
-        config.aggregator = model::GnnAggregator::GinSum;
-    else if (agg != "gcn")
-        DITILE_FATAL("unknown --aggregator '", agg, "'");
-    return config;
-}
 
 std::vector<std::unique_ptr<sim::Accelerator>>
 buildAccelerators(const CliFlags &flags)
@@ -324,8 +270,8 @@ runTool(const CliFlags &flags)
 {
     ThreadPool::setGlobalThreads(
         static_cast<int>(flags.getInt("threads", 1)));
-    const auto dg = buildWorkload(flags);
-    const auto mconfig = buildModel(flags);
+    const auto dg = tools::buildWorkload(flags, flags.positional());
+    const auto mconfig = tools::buildModel(flags);
 
     const bool json = flags.getBool("json", false);
     const bool csv = flags.getBool("csv", false);
@@ -381,10 +327,14 @@ runTool(const CliFlags &flags)
         auto accelerators = buildAccelerators(flags);
         if (!plan_out.empty() && accelerators.size() != 1)
             DITILE_FATAL("--plan-out requires a single --accel");
-        std::uint64_t run_idx = 0;
+        std::uint64_t track_base = 0;
         for (auto &acc : accelerators) {
-            // Disjoint track group per accelerator run.
-            Tracer::setTrackBase(run_idx++ * Tracer::kTracksPerRun);
+            // Disjoint track groups per accelerator run (a scale-out
+            // run spans one per chip plus the cluster's).
+            Tracer::setTrackBase(track_base);
+            track_base += static_cast<std::uint64_t>(
+                              sim::traceTrackGroups(chips)) *
+                Tracer::kTracksPerRun;
             auto plan = acc->plan(dg, mconfig);
             if (have_faults)
                 plan.faults = fault_spec;
@@ -410,7 +360,7 @@ runTool(const CliFlags &flags)
     for (const sim::RunResult &r : results) {
         if (r.resilience.enabled && !json && !csv)
             printResilience(r);
-        if (task_stats && r.taskGraph.enabled)
+        if (task_stats)
             printTaskStats(r, (json || csv) ? stderr : stdout);
         if (trace && !json) {
             Table timeline(r.acceleratorName +

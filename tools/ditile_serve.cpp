@@ -106,29 +106,11 @@
 #include "core/ditile_accelerator.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
+#include "workload_flags.hh"
 
 using namespace ditile;
 
 namespace {
-
-model::DgnnConfig
-buildModel(const CliFlags &flags)
-{
-    model::DgnnConfig config;
-    const auto rnn = flags.getString("rnn", "lstm");
-    if (rnn == "gru")
-        config.rnn = model::RnnKind::Gru;
-    else if (rnn != "lstm")
-        DITILE_FATAL("unknown --rnn '", rnn, "'");
-    const auto agg = flags.getString("aggregator", "gcn");
-    if (agg == "sage")
-        config.aggregator = model::GnnAggregator::SageMean;
-    else if (agg == "gin")
-        config.aggregator = model::GnnAggregator::GinSum;
-    else if (agg != "gcn")
-        DITILE_FATAL("unknown --aggregator '", agg, "'");
-    return config;
-}
 
 serve::ServerOptions
 buildServerOptions(const CliFlags &flags)
@@ -165,7 +147,7 @@ buildServerOptions(const CliFlags &flags)
     options.planCacheCapacity = static_cast<std::size_t>(
         flags.getInt("plan-cache-capacity", static_cast<long long>(
                                                 options.planCacheCapacity)));
-    options.model = buildModel(flags);
+    options.model = tools::buildModel(flags);
     return options;
 }
 

@@ -136,6 +136,11 @@ runTool(const CliFlags &flags)
     const auto fault_spec =
         sim::FaultSpec::parse(flags.getString("faults", ""));
     const int chips = static_cast<int>(flags.getInt("chips", 1));
+    // Tracks one run spans: a scale-out run takes a group per chip
+    // plus the cluster's.
+    const std::uint64_t run_tracks =
+        static_cast<std::uint64_t>(sim::traceTrackGroups(chips)) *
+        Tracer::kTracksPerRun;
     noc::InterChipLinkConfig interchip;
     interchip.bandwidthGbps =
         flags.getDouble("interchip-gbps", interchip.bandwidthGbps);
@@ -250,7 +255,7 @@ runTool(const CliFlags &flags)
             for (auto &accel : fleet) {
                 Tracer::setTrackBase(
                     (static_cast<std::uint64_t>(rep) * fleet.size() +
-                     accel_idx++) * Tracer::kTracksPerRun);
+                     accel_idx++) * run_tracks);
                 sim::ExecutionPlan plan;
                 if (auto *ditile =
                         dynamic_cast<core::DiTileAccelerator *>(
@@ -300,11 +305,11 @@ runTool(const CliFlags &flags)
             const graph::DynamicGraph &dg = *state->dg;
             const std::size_t fleet_n = state->plans.size();
             for (std::size_t a = 0; a < fleet_n; ++a) {
-                // Disjoint track group per (grid point, accelerator)
+                // Disjoint track groups per (grid point, accelerator)
                 // so concurrent jobs never share a trace track.
                 Tracer::setTrackBase(
                     (static_cast<std::uint64_t>(j) * fleet_n + a) *
-                    Tracer::kTracksPerRun);
+                    run_tracks);
                 const auto r = sim::executePlan(dg, state->plans[a],
                                                 &plan_cache);
                 job.rows.push_back(

@@ -9,8 +9,8 @@
  * manually advanced microsecond counter: the serve replay loop
  * advances it from *modeled* quantities (arrival schedules, modeled
  * service durations), so every timestamp is a pure function of the
- * inputs and the summary is reproducible. (The opt-in wall-clock
- * service times read std::chrono::steady_clock directly.)
+ * inputs and the summary is reproducible. No host time reaches a
+ * serve latency or the summary.
  *
  * Time is integer microseconds since the clock's epoch, so downstream
  * percentile math never touches floating point.

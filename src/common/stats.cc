@@ -1,6 +1,6 @@
 /**
  * @file
- * StatSet and Distribution implementations.
+ * StatSet implementation.
  */
 
 #include "common/stats.hh"
@@ -46,30 +46,10 @@ StatSet::merge(const StatSet &other)
 }
 
 void
-StatSet::mergePrefixed(const std::string &prefix, const StatSet &other)
-{
-    for (const auto &name : other.order_)
-        add(prefix + "." + name, other.get(name));
-}
-
-void
 StatSet::clear()
 {
     for (auto &kv : values_)
         kv.second = 0.0;
-}
-
-void
-Distribution::sample(double v)
-{
-    if (count_ == 0) {
-        min_ = max_ = v;
-    } else {
-        if (v < min_) min_ = v;
-        if (v > max_) max_ = v;
-    }
-    ++count_;
-    sum_ += v;
 }
 
 } // namespace ditile

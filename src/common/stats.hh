@@ -11,7 +11,6 @@
 #ifndef DITILE_COMMON_STATS_HH
 #define DITILE_COMMON_STATS_HH
 
-#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -39,9 +38,6 @@ class StatSet
     /** Merge another StatSet by summing matching names. */
     void merge(const StatSet &other);
 
-    /** Merge with every incoming name prefixed by "prefix.". */
-    void mergePrefixed(const std::string &prefix, const StatSet &other);
-
     /** Reset all stats to zero (names are kept). */
     void clear();
 
@@ -54,26 +50,6 @@ class StatSet
   private:
     std::unordered_map<std::string, double> values_;
     std::vector<std::string> order_;
-};
-
-/**
- * Scalar accumulator helpers for min/max/mean tracking of one quantity.
- */
-class Distribution
-{
-  public:
-    void sample(double v);
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return count_ ? min_ : 0.0; }
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
 };
 
 } // namespace ditile

@@ -25,35 +25,6 @@ ChipArea::total() const
     return tileArray + onChipBuffer + noc + logic;
 }
 
-StatSet
-ChipArea::toStats() const
-{
-    StatSet s;
-    const double chip = total();
-    s.set("area.chip_um2", chip);
-    s.set("area.frac.tiles", tileArray / chip);
-    s.set("area.frac.onchip_buffer", onChipBuffer / chip);
-    s.set("area.frac.noc", noc / chip);
-    s.set("area.frac.logic", logic / chip);
-
-    const double t = tile.total();
-    s.set("area.tile_um2", t);
-    s.set("area.tile.frac.pe_array", tile.peArray / t);
-    s.set("area.tile.frac.dist_buffer", tile.distBuffer / t);
-    s.set("area.tile.frac.reuse_fifo", tile.reuseFifo / t);
-    s.set("area.tile.frac.mesh", tile.mesh / t);
-    s.set("area.tile.frac.control", tile.control / t);
-
-    const double p = tile.pe.total();
-    s.set("area.pe_um2", p);
-    s.set("area.pe.frac.mac_array", tile.pe.macArray / p);
-    s.set("area.pe.frac.local_buffer", tile.pe.localBuffer / p);
-    s.set("area.pe.frac.ppu", tile.pe.ppu / p);
-    s.set("area.pe.frac.dispatcher", tile.pe.dispatcher / p);
-    s.set("area.pe.frac.control", tile.pe.control / p);
-    return s;
-}
-
 ChipArea
 computeArea(const AreaConfig &config, const AreaParams &params)
 {

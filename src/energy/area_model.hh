@@ -15,7 +15,6 @@
 #ifndef DITILE_ENERGY_AREA_MODEL_HH
 #define DITILE_ENERGY_AREA_MODEL_HH
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace ditile::energy {
@@ -84,9 +83,6 @@ struct ChipArea
     AreaUm2 noc = 0;
     AreaUm2 logic = 0;
     AreaUm2 total() const;
-
-    /** Export every level as fractional stats for the bench. */
-    StatSet toStats() const;
 };
 
 /** Compose the full area hierarchy. */

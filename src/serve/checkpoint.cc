@@ -84,17 +84,23 @@ parseNumberArray(const JsonValue &value)
 }
 
 std::vector<graph::Edge>
-parseEdgeArray(const JsonValue &value, const char *what)
+parseEdgeArray(const JsonValue &value, const char *what,
+               VertexId vertices)
 {
     if (value.size() % 2 != 0)
         DITILE_THROW("checkpoint: odd-length ", what, " edge array");
     std::vector<graph::Edge> edges;
     edges.reserve(value.size() / 2);
     const auto &items = value.items();
-    for (std::size_t i = 0; i < items.size(); i += 2)
-        edges.emplace_back(
-            static_cast<VertexId>(items[i].asInt()),
-            static_cast<VertexId>(items[i + 1].asInt()));
+    for (std::size_t i = 0; i < items.size(); i += 2) {
+        const long long u = items[i].asInt();
+        const long long v = items[i + 1].asInt();
+        if (u < 0 || u >= vertices || v < 0 || v >= vertices)
+            DITILE_THROW("checkpoint: ", what, " edge (", u, ",", v,
+                         ") outside [0,", vertices, ")");
+        edges.emplace_back(static_cast<VertexId>(u),
+                           static_cast<VertexId>(v));
+    }
     return edges;
 }
 
@@ -165,9 +171,18 @@ parseTenant(const JsonValue &value)
     tenant.window.noopEvents = value.at("noop").asUint();
     tenant.window.rolls = value.at("rolls").asUint();
     tenant.window.sinceRoll = value.at("sinceRoll").asUint();
-    tenant.live = parseEdgeArray(value.at("live"), "live");
+    // The spec must be one a `tenant` line could provision: re-parsing
+    // its protocol rendering applies the protocol's bounds.
+    Request provision;
+    provision.kind = Request::Kind::CreateTenant;
+    provision.tenant = tenant.spec.name;
+    provision.spec = tenant.spec;
+    parseRequest(renderRequest(provision));
+    const VertexId vertices = tenant.spec.vertices;
+    tenant.live = parseEdgeArray(value.at("live"), "live", vertices);
     for (const JsonValue &snapshot : value.at("ring").items())
-        tenant.ring.push_back(parseEdgeArray(snapshot, "ring"));
+        tenant.ring.push_back(
+            parseEdgeArray(snapshot, "ring", vertices));
     return tenant;
 }
 

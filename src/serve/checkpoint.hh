@@ -108,8 +108,10 @@ std::string renderCheckpoint(const ServerCheckpoint &checkpoint);
 
 /**
  * Parse and verify a checkpoint document. Throws InputError (typed,
- * recoverable) on malformed JSON, an unknown format, or a crc
- * mismatch — callers warn and fall back to WAL-only recovery.
+ * recoverable) on malformed JSON, an unknown format, a crc mismatch,
+ * a tenant spec no `tenant` line could provision, or an edge outside
+ * its tenant's vertex range — callers warn and fall back to WAL-only
+ * recovery.
  */
 ServerCheckpoint parseCheckpoint(const std::string &text);
 

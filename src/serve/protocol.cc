@@ -110,7 +110,9 @@ applyTenantOption(TenantSpec &spec, const std::string &token)
 bool
 isNopLine(const std::string &line)
 {
-    const auto first = line.find_first_not_of(" \t\r");
+    // The tokenizer's whitespace set: a line of only \v or \f would
+    // otherwise reach the parser with no verb token.
+    const auto first = line.find_first_not_of(" \t\r\n\v\f");
     return first == std::string::npos || line[first] == '#';
 }
 

@@ -6,7 +6,7 @@
 #include "serve/server.hh"
 
 #include <algorithm>
-#include <chrono>
+#include <iterator>
 #include <map>
 
 #include "common/bounded_queue.hh"
@@ -28,7 +28,68 @@ metric(const char *path)
     Tracer::global().addMetric(path, 1);
 }
 
+/**
+ * The serve counter table. Row order is the checkpoint's key order
+ * and the summary's row order, so both stay byte-stable. The last
+ * three rows are latency bookkeeping: checkpointed, never counted.
+ */
+constexpr ServeCounter kServeCounters[] = {
+    {&ServeSummary::requests, "requests", "serve.requests", "requests"},
+    {&ServeSummary::queries, "queries", "serve.queries", "queries"},
+    {&ServeSummary::events, "events", "serve.events", "events"},
+    {&ServeSummary::noopEvents, "noopEvents", "serve.noop_events",
+     "noop events"},
+    {&ServeSummary::rolls, "rolls", "serve.rolls", "rolls"},
+    {&ServeSummary::rejected, "rejected", "serve.rejected",
+     "rejected (queue full)"},
+    {&ServeSummary::errors, "errors", "serve.errors", "errors"},
+    {&ServeSummary::evictions, "evictions", "serve.evictions",
+     "tenant evictions"},
+    {&ServeSummary::batches, "batches", "serve.batches", "batches"},
+    {&ServeSummary::completed, "completed", "serve.completed",
+     "completed queries"},
+    {&ServeSummary::planHits, "planHits", "serve.plan_hits",
+     "plan hits (predicted)"},
+    {&ServeSummary::planMisses, "planMisses", "serve.plan_misses",
+     "plan misses (predicted)"},
+    {&ServeSummary::planEvictions, "planEvictions",
+     "serve.plan_evictions", "plan evictions"},
+    {&ServeSummary::busyDeadline, "busyDeadline", "serve.busy_deadline",
+     "deadline busy"},
+    {&ServeSummary::breakerRejected, "breakerRejected",
+     "serve.breaker.rejected", "breaker rejected"},
+    {&ServeSummary::breakerOpens, "breakerOpens", "serve.breaker.opens",
+     "breaker opens"},
+    {&ServeSummary::execFailures, "execFailures", "serve.exec_failures",
+     "exec failures"},
+    {&ServeSummary::faultSplices, "faultSplices", "serve.fault_splices",
+     "fault splices"},
+    {&ServeSummary::maxUs, "maxUs", nullptr, nullptr},
+    {&ServeSummary::firstArrivalUs, "firstArrivalUs", nullptr, nullptr},
+    {&ServeSummary::lastCompletionUs, "lastCompletionUs", nullptr,
+     nullptr},
+};
+
 } // namespace
+
+/** A counted row of the table, found at compile time. */
+struct Server::Counter
+{
+    consteval Counter(std::uint64_t ServeSummary::*field)
+    {
+        // Runs off the table, a compile error, for an uncounted field.
+        while (kServeCounters[row].field != field ||
+               kServeCounters[row].metricPath == nullptr)
+            ++row;
+    }
+    std::size_t row = 0;
+};
+
+std::span<const ServeCounter>
+serveCounters()
+{
+    return kServeCounters;
+}
 
 std::uint64_t
 percentileNearestRank(const std::vector<std::uint64_t> &sorted,
@@ -117,11 +178,32 @@ Server::Server(ServerOptions options, sim::AcceleratorFactory factory)
 
 Server::~Server() = default;
 
-Server::Tenant *
-Server::findTenant(const std::string &name)
+void
+Server::count(Counter counter)
 {
-    const auto it = tenants_.find(name);
-    return it == tenants_.end() ? nullptr : it->second.get();
+    const ServeCounter &row = kServeCounters[counter.row];
+    ++(counters_.*row.field);
+    metric(row.metricPath);
+}
+
+std::string
+Server::fail(const std::string &code, const std::string &text)
+{
+    count(&ServeSummary::errors);
+    return errorResponse(code, text);
+}
+
+Server::Tenant *
+Server::lookupTenant(const Request &request, std::string &error)
+{
+    const auto it = tenants_.find(request.tenant);
+    if (it == tenants_.end()) {
+        error = fail("unknown-tenant",
+                     "no tenant '" + request.tenant + "'");
+        return nullptr;
+    }
+    touch(*it->second);
+    return it->second.get();
 }
 
 void
@@ -142,8 +224,7 @@ Server::evictForCapacity()
                 victim = it;
         const std::string name = victim->first;
         tenants_.erase(victim);
-        ++counters_.evictions;
-        metric("serve.evictions");
+        count(&ServeSummary::evictions);
         if (wal_ && logging_) {
             // Logged after the line record that caused it: replay of
             // that line must evict the same victim, and recover()
@@ -158,13 +239,9 @@ Server::evictForCapacity()
 std::string
 Server::createTenant(const Request &request)
 {
-    if (findTenant(request.tenant)) {
-        ++counters_.errors;
-        metric("serve.errors");
-        return errorResponse("tenant-exists",
-                             "tenant '" + request.tenant +
-                                 "' already provisioned");
-    }
+    if (tenants_.contains(request.tenant))
+        return fail("tenant-exists",
+                    "tenant '" + request.tenant + "' already provisioned");
     const std::size_t before = counters_.evictions;
     evictForCapacity();
     const bool evicted = counters_.evictions != before;
@@ -194,35 +271,25 @@ Server::maybeAutoRoll(Tenant &tenant)
         tenant.window.eventsSinceRoll() < tenant.spec.rollEvery)
         return;
     tenant.window.roll();
-    ++counters_.rolls;
-    metric("serve.rolls");
+    count(&ServeSummary::rolls);
 }
 
 std::string
 Server::applyEvent(const Request &request)
 {
-    Tenant *tenant = findTenant(request.tenant);
-    if (!tenant) {
-        ++counters_.errors;
-        metric("serve.errors");
-        return errorResponse("unknown-tenant",
-                             "no tenant '" + request.tenant + "'");
-    }
-    touch(*tenant);
+    std::string error;
+    Tenant *tenant = lookupTenant(request, error);
+    if (!tenant)
+        return error;
     const std::uint64_t noops_before = tenant->window.noopEvents();
     try {
         tenant->window.apply(request.event);
     } catch (const InputError &e) {
-        ++counters_.errors;
-        metric("serve.errors");
-        return errorResponse("bad-event", e.what());
+        return fail("bad-event", e.what());
     }
-    ++counters_.events;
-    metric("serve.events");
-    if (tenant->window.noopEvents() != noops_before) {
-        ++counters_.noopEvents;
-        metric("serve.noop_events");
-    }
+    count(&ServeSummary::events);
+    if (tenant->window.noopEvents() != noops_before)
+        count(&ServeSummary::noopEvents);
     const std::uint64_t rolls_before = counters_.rolls;
     maybeAutoRoll(*tenant);
     std::string response = "ok event " + request.tenant +
@@ -235,17 +302,12 @@ Server::applyEvent(const Request &request)
 std::string
 Server::rollTenant(const Request &request)
 {
-    Tenant *tenant = findTenant(request.tenant);
-    if (!tenant) {
-        ++counters_.errors;
-        metric("serve.errors");
-        return errorResponse("unknown-tenant",
-                             "no tenant '" + request.tenant + "'");
-    }
-    touch(*tenant);
+    std::string error;
+    Tenant *tenant = lookupTenant(request, error);
+    if (!tenant)
+        return error;
     tenant->window.roll();
-    ++counters_.rolls;
-    metric("serve.rolls");
+    count(&ServeSummary::rolls);
     return "ok roll " + request.tenant +
         " window=" + std::to_string(tenant->window.windowSize()) +
         " live=" + std::to_string(tenant->window.liveEdges());
@@ -265,13 +327,10 @@ Server::spliceFaults(const Request &request)
     } catch (const InputError &e) {
         // parseRequest already validated the grammar; only a spec
         // from a corrupt WAL can land here.
-        ++counters_.errors;
-        metric("serve.errors");
-        return errorResponse("parse", e.what());
+        return fail("parse", e.what());
     }
     activeFaults_.merge(spec);
-    ++counters_.faultSplices;
-    metric("serve.fault_splices");
+    count(&ServeSummary::faultSplices);
     return "ok fault events=" +
         std::to_string(activeFaults_.events.size());
 }
@@ -301,6 +360,9 @@ Server::dispatchControl(const Request &request)
         return spliceFaults(request);
     case Request::Kind::Stats:
         return statsResponse();
+    case Request::Kind::Quit:
+        stopped_ = true;
+        return "ok quit";
     default:
         DITILE_PANIC("not a control request");
     }
@@ -318,21 +380,13 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
     std::vector<std::size_t> followers;
     for (std::size_t i = 0; i < batch.size(); ++i) {
         PendingQuery &pq = batch[i];
-        pq.tenant = findTenant(pq.request->tenant);
-        if (!pq.tenant) {
-            ++counters_.errors;
-            metric("serve.errors");
-            pq.response = errorResponse(
-                "unknown-tenant",
-                "no tenant '" + pq.request->tenant + "'");
+        pq.tenant = lookupTenant(*pq.request, pq.response);
+        if (!pq.tenant)
             continue;
-        }
-        touch(*pq.tenant);
         const auto admit = pq.tenant->breaker.admit(start_us);
         if (admit == CircuitBreaker::Admit::No) {
             pq.quarantined = true;
-            ++counters_.breakerRejected;
-            metric("serve.breaker.rejected");
+            count(&ServeSummary::breakerRejected);
             pq.response = errorResponse(
                 "busy",
                 "tenant '" + pq.request->tenant +
@@ -349,13 +403,10 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
         pq.planKey = runner_.planKeyFor(*pq.dg, options_.model);
         pq.planHit =
             pq.planKey != 0 && plannedKeys_.count(pq.planKey) > 0;
-        if (pq.planHit) {
-            ++counters_.planHits;
-            metric("serve.plan_hits");
-        } else {
-            ++counters_.planMisses;
-            metric("serve.plan_misses");
-        }
+        if (pq.planHit)
+            count(&ServeSummary::planHits);
+        else
+            count(&ServeSummary::planMisses);
         const auto [it, inserted] =
             groups.emplace(pq.dg->structureHashValue(), i);
         pq.groupRep = inserted;
@@ -367,7 +418,6 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
     // (dispatch is serial), but the batch must see one consistent spec
     // even if that ever changes.
     const sim::PinnedFaults faults(activeFaults_);
-    const auto wall_start = std::chrono::steady_clock::now();
     auto runOne = [&](std::size_t i) {
         PendingQuery &pq = batch[i];
         // Disjoint trace-track group per request, so concurrent
@@ -399,22 +449,10 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
                 [&](std::size_t k) { runOne(followers[k]); });
 
     std::uint64_t dur_us = options_.batchOverheadUs;
-    if (options_.wallClock) {
-        const auto elapsed =
-            std::chrono::steady_clock::now() - wall_start;
-        dur_us += std::max<std::uint64_t>(
-            1,
-            static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    elapsed)
-                    .count()));
-    } else {
-        for (const PendingQuery &pq : batch)
-            if (pq.tenant)
-                dur_us = std::max(dur_us,
-                                  options_.batchOverheadUs +
-                                      pq.serviceUs);
-    }
+    for (const PendingQuery &pq : batch)
+        if (pq.tenant)
+            dur_us = std::max(dur_us,
+                              options_.batchOverheadUs + pq.serviceUs);
     const std::uint64_t end_us = start_us + dur_us;
 
     // Serial merge: breaker outcomes, responses, and request spans in
@@ -424,15 +462,12 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
         if (!pq.tenant || pq.quarantined)
             continue;
         if (pq.failed) {
-            ++counters_.execFailures;
-            metric("serve.exec_failures");
+            count(&ServeSummary::execFailures);
             const auto outcome =
                 pq.tenant->breaker.onFailure(end_us);
             if (outcome == CircuitBreaker::Outcome::Opened ||
-                outcome == CircuitBreaker::Outcome::Reopened) {
-                ++counters_.breakerOpens;
-                metric("serve.breaker.opens");
-            }
+                outcome == CircuitBreaker::Outcome::Reopened)
+                count(&ServeSummary::breakerOpens);
             pq.response = errorResponse("exec", pq.error);
             continue;
         }
@@ -483,21 +518,25 @@ Server::executeBatch(std::vector<PendingQuery> &batch,
                 runner_.touch(pq.planKey);
         for (std::uint64_t key : runner_.evictToCapacity()) {
             plannedKeys_.erase(key);
-            ++counters_.planEvictions;
-            metric("serve.plan_evictions");
+            count(&ServeSummary::planEvictions);
         }
     }
-    return end_us;
-}
 
-void
-Server::recordLatency(std::uint64_t latency_us,
-                      std::uint64_t completion_us)
-{
-    latencies_.push_back(latency_us);
-    counters_.maxUs = std::max(counters_.maxUs, latency_us);
-    counters_.lastCompletionUs =
-        std::max(counters_.lastCompletionUs, completion_us);
+    // Completion, shared by both modes.
+    count(&ServeSummary::batches);
+    clock_.advanceTo(end_us);
+    for (const PendingQuery &pq : batch) {
+        if (!pq.completed())
+            continue;
+        const std::uint64_t latency_us = end_us - pq.request->arrivalUs;
+        latencies_.push_back(latency_us);
+        counters_.maxUs = std::max(counters_.maxUs, latency_us);
+        counters_.lastCompletionUs =
+            std::max(counters_.lastCompletionUs, end_us);
+        count(&ServeSummary::completed);
+    }
+    commitWal();
+    return end_us;
 }
 
 void
@@ -515,6 +554,23 @@ Server::commitWal()
         wal_->commit();
 }
 
+std::optional<std::string>
+Server::admit(const Request &request)
+{
+    count(&ServeSummary::requests);
+    if (!sawArrival_) {
+        counters_.firstArrivalUs = request.arrivalUs;
+        sawArrival_ = true;
+    }
+    if (request.kind == Request::Kind::Query) {
+        count(&ServeSummary::queries);
+        return std::nullopt;
+    }
+    std::string response = dispatchControl(request);
+    commitWal();
+    return response;
+}
+
 std::string
 Server::handle(const std::string &line)
 {
@@ -528,44 +584,18 @@ Server::handle(const std::string &line)
     try {
         request = parseRequest(line);
     } catch (const InputError &e) {
-        ++counters_.errors;
-        metric("serve.errors");
-        commitWal();
-        return errorResponse("parse", e.what());
-    }
-    request.id = nextRequestId_++;
-    request.arrivalUs = clock_.nowMicros();
-    ++counters_.requests;
-    metric("serve.requests");
-    if (!sawArrival_) {
-        counters_.firstArrivalUs = request.arrivalUs;
-        sawArrival_ = true;
-    }
-    if (request.kind == Request::Kind::Quit) {
-        stopped_ = true;
-        commitWal();
-        return "ok quit";
-    }
-    if (request.kind != Request::Kind::Query) {
-        std::string response = dispatchControl(request);
+        std::string response = fail("parse", e.what());
         commitWal();
         return response;
     }
-
-    ++counters_.queries;
-    metric("serve.queries");
+    request.id = nextRequestId_++;
+    request.arrivalUs = clock_.nowMicros();
+    if (auto response = admit(request))
+        return std::move(*response);
     std::vector<PendingQuery> batch(1);
     batch[0].request = &request;
-    const std::uint64_t end = executeBatch(batch, request.arrivalUs);
-    ++counters_.batches;
-    metric("serve.batches");
-    clock_.advanceTo(end);
-    if (batch[0].completed()) {
-        recordLatency(end - request.arrivalUs, end);
-        ++counters_.completed;
-    }
-    commitWal();
-    return batch[0].response;
+    executeBatch(batch, request.arrivalUs);
+    return std::move(batch[0].response);
 }
 
 void
@@ -601,44 +631,22 @@ Server::replay(const std::vector<Request> &schedule,
                 parseRequest(request.raw);
                 DITILE_PANIC("malformed chaos line parsed cleanly");
             } catch (const InputError &e) {
-                ++counters_.errors;
-                metric("serve.errors");
-                respond(idx, errorResponse("parse", e.what()));
+                respond(idx, fail("parse", e.what()));
             }
             commitWal();
             return;
         }
-        ++counters_.requests;
-        metric("serve.requests");
-        if (!sawArrival_) {
-            counters_.firstArrivalUs = request.arrivalUs;
-            sawArrival_ = true;
+        if (auto response = admit(request)) {
+            respond(idx, std::move(*response));
+            return;
         }
-        switch (request.kind) {
-        case Request::Kind::Query:
-            ++counters_.queries;
-            metric("serve.queries");
-            if (!queue.tryPush(idx)) {
-                ++counters_.rejected;
-                metric("serve.rejected");
-                respond(idx,
-                        errorResponse(
-                            "queue-full",
-                            "queue at capacity (" +
-                                std::to_string(queue.capacity()) +
-                                "); retry later"));
-                commitWal();
-            }
-            return;
-        case Request::Kind::Quit:
-            stopped_ = true;
-            respond(idx, "ok quit");
+        if (!queue.tryPush(idx)) {
+            count(&ServeSummary::rejected);
+            respond(idx, errorResponse("queue-full",
+                                       "queue at capacity (" +
+                                           std::to_string(queue.capacity()) +
+                                           "); retry later"));
             commitWal();
-            return;
-        default:
-            respond(idx, dispatchControl(request));
-            commitWal();
-            return;
         }
     };
 
@@ -670,18 +678,16 @@ Server::replay(const std::vector<Request> &schedule,
             // deadline is answered busy instead of burning a batch
             // slot — load-shedding that keeps tail latency bounded
             // during overload.
+            const std::uint64_t waited_us =
+                start_us - schedule[idx].arrivalUs;
             if (options_.deadlineUs > 0 &&
-                start_us - schedule[idx].arrivalUs >
-                    options_.deadlineUs) {
-                ++counters_.busyDeadline;
-                metric("serve.busy_deadline");
+                waited_us > options_.deadlineUs) {
+                count(&ServeSummary::busyDeadline);
                 respond(idx,
                         errorResponse(
                             "busy",
                             "deadline exceeded after " +
-                                std::to_string(
-                                    start_us -
-                                    schedule[idx].arrivalUs) +
+                                std::to_string(waited_us) +
                                 "us; retry-after=" +
                                 std::to_string(options_.deadlineUs) +
                                 "us"));
@@ -694,23 +700,12 @@ Server::replay(const std::vector<Request> &schedule,
         }
         if (batch.empty())
             continue;
-        const std::uint64_t end_us = executeBatch(batch, start_us);
-        ++counters_.batches;
-        metric("serve.batches");
-        next_free_us = end_us;
-        clock_.advanceTo(end_us);
-        for (PendingQuery &pq : batch) {
-            if (pq.completed()) {
-                recordLatency(end_us - pq.request->arrivalUs, end_us);
-                ++counters_.completed;
-                metric("serve.completed");
-            }
+        next_free_us = executeBatch(batch, start_us);
+        for (PendingQuery &pq : batch)
             respond(pq.scheduleIndex, std::move(pq.response));
-        }
-        commitWal();
         // Requests that arrived while the batch was in service.
         while (next < schedule.size() && !stopped_ &&
-               schedule[next].arrivalUs <= end_us)
+               schedule[next].arrivalUs <= next_free_us)
             processArrival(next++);
     }
 }
@@ -777,29 +772,8 @@ Server::checkpointState() const
         ? std::string()
         : activeFaults_.toString();
     cp.plannedKeys.assign(plannedKeys_.begin(), plannedKeys_.end());
-    cp.counters = {
-        {"requests", counters_.requests},
-        {"queries", counters_.queries},
-        {"events", counters_.events},
-        {"noopEvents", counters_.noopEvents},
-        {"rolls", counters_.rolls},
-        {"rejected", counters_.rejected},
-        {"errors", counters_.errors},
-        {"evictions", counters_.evictions},
-        {"batches", counters_.batches},
-        {"completed", counters_.completed},
-        {"planHits", counters_.planHits},
-        {"planMisses", counters_.planMisses},
-        {"planEvictions", counters_.planEvictions},
-        {"busyDeadline", counters_.busyDeadline},
-        {"breakerRejected", counters_.breakerRejected},
-        {"breakerOpens", counters_.breakerOpens},
-        {"execFailures", counters_.execFailures},
-        {"faultSplices", counters_.faultSplices},
-        {"maxUs", counters_.maxUs},
-        {"firstArrivalUs", counters_.firstArrivalUs},
-        {"lastCompletionUs", counters_.lastCompletionUs},
-    };
+    for (const ServeCounter &row : kServeCounters)
+        cp.counters.emplace_back(row.checkpointKey, counters_.*row.field);
     cp.latencies = latencies_;
     for (const auto &[name, tenant] : tenants_) {
         TenantCheckpoint tc;
@@ -842,37 +816,18 @@ Server::restoreState(const ServerCheckpoint &cp)
     plannedKeys_.insert(cp.plannedKeys.begin(),
                         cp.plannedKeys.end());
 
-    std::map<std::string, std::uint64_t *> slots = {
-        {"requests", &counters_.requests},
-        {"queries", &counters_.queries},
-        {"events", &counters_.events},
-        {"noopEvents", &counters_.noopEvents},
-        {"rolls", &counters_.rolls},
-        {"rejected", &counters_.rejected},
-        {"errors", &counters_.errors},
-        {"evictions", &counters_.evictions},
-        {"batches", &counters_.batches},
-        {"completed", &counters_.completed},
-        {"planHits", &counters_.planHits},
-        {"planMisses", &counters_.planMisses},
-        {"planEvictions", &counters_.planEvictions},
-        {"busyDeadline", &counters_.busyDeadline},
-        {"breakerRejected", &counters_.breakerRejected},
-        {"breakerOpens", &counters_.breakerOpens},
-        {"execFailures", &counters_.execFailures},
-        {"faultSplices", &counters_.faultSplices},
-        {"maxUs", &counters_.maxUs},
-        {"firstArrivalUs", &counters_.firstArrivalUs},
-        {"lastCompletionUs", &counters_.lastCompletionUs},
-    };
     for (const auto &[name, value] : cp.counters) {
-        const auto it = slots.find(name);
-        if (it == slots.end()) {
+        const auto row = std::find_if(
+            std::begin(kServeCounters), std::end(kServeCounters),
+            [&name](const ServeCounter &c) {
+                return name == c.checkpointKey;
+            });
+        if (row == std::end(kServeCounters)) {
             warnOnce("checkpoint: unknown counter", " '", name,
                      "' ignored (newer writer?)");
             continue;
         }
-        *it->second = value;
+        counters_.*row->field = value;
     }
     latencies_ = cp.latencies;
 
@@ -929,24 +884,9 @@ ServeSummary::toTable() const
         table.addRow({name,
                       Table::integer(static_cast<long long>(value))});
     };
-    row("requests", requests);
-    row("queries", queries);
-    row("events", events);
-    row("noop events", noopEvents);
-    row("rolls", rolls);
-    row("rejected (queue full)", rejected);
-    row("errors", errors);
-    row("tenant evictions", evictions);
-    row("batches", batches);
-    row("completed queries", completed);
-    row("plan hits (predicted)", planHits);
-    row("plan misses (predicted)", planMisses);
-    row("plan evictions", planEvictions);
-    row("deadline busy", busyDeadline);
-    row("breaker rejected", breakerRejected);
-    row("breaker opens", breakerOpens);
-    row("exec failures", execFailures);
-    row("fault splices", faultSplices);
+    for (const ServeCounter &counter : kServeCounters)
+        if (counter.label)
+            row(counter.label, this->*counter.field);
     row("live tenants", tenants);
     row("p50 latency (us)", p50Us);
     row("p99 latency (us)", p99Us);

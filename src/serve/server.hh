@@ -44,7 +44,9 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,13 +84,6 @@ struct ServerOptions
 
     /** Fixed per-batch dispatch overhead (virtual us). */
     std::uint64_t batchOverheadUs = 2;
-
-    /**
-     * Measure service times with the wall clock instead of deriving
-     * them from modeled cycles. Real throughput numbers, but the
-     * summary is no longer reproducible.
-     */
-    bool wallClock = false;
 
     /**
      * Max virtual-us a queued query may wait before it is answered
@@ -161,6 +156,21 @@ struct ServeSummary
     /** Deterministic table rendering ("serve summary"). */
     std::string toTable() const;
 };
+
+/**
+ * One row of the serve counter table, the single list of the counters
+ * the server bumps, publishes, checkpoints and prints.
+ */
+struct ServeCounter
+{
+    std::uint64_t ServeSummary::*field;
+    const char *checkpointKey;
+    const char *metricPath; ///< `serve.*` path; nullptr: not counted.
+    const char *label;      ///< Summary row; nullptr: no counter row.
+};
+
+/** The counter table, in checkpoint and summary-row order. */
+std::span<const ServeCounter> serveCounters();
 
 /**
  * The serving engine. Not thread-safe at the interface: one control
@@ -248,6 +258,19 @@ class Server
   private:
     struct Tenant;
     struct PendingQuery;
+    struct Counter; ///< A counted table row, resolved at compile time.
+
+    /** Bump a counter and publish its `serve.*` registry path. */
+    void count(Counter counter);
+
+    /** Count an error and render its `err <code>:` response. */
+    std::string fail(const std::string &code, const std::string &text);
+
+    /**
+     * Ingest step of both modes, after write-ahead: count the request
+     * and answer a non-query (WAL committed); nullopt for a query.
+     */
+    std::optional<std::string> admit(const Request &request);
 
     std::string dispatchControl(const Request &request);
     std::string createTenant(const Request &request);
@@ -255,7 +278,9 @@ class Server
     std::string rollTenant(const Request &request);
     std::string spliceFaults(const Request &request);
     std::string statsResponse() const;
-    Tenant *findTenant(const std::string &name);
+
+    /** The request's tenant, touched; nullptr and `error` if none. */
+    Tenant *lookupTenant(const Request &request, std::string &error);
     void touch(Tenant &tenant);
     void maybeAutoRoll(Tenant &tenant);
     void evictForCapacity();
@@ -263,15 +288,12 @@ class Server
     void commitWal();
 
     /**
-     * Execute a set of admitted queries in parallel and fill their
-     * response/latency slots. `startUs` is the batch's virtual start;
-     * returns the batch's virtual end time.
+     * Execute admitted queries in parallel from virtual `start_us`,
+     * fill their responses, then complete the batch: advance the
+     * clock, record latencies, commit the WAL. Returns the end time.
      */
     std::uint64_t executeBatch(std::vector<PendingQuery> &batch,
                                std::uint64_t start_us);
-
-    void recordLatency(std::uint64_t latency_us,
-                       std::uint64_t completion_us);
 
     ServerOptions options_;
     sim::ConcurrentRunner runner_;

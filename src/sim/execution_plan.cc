@@ -13,6 +13,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "common/json.hh"
@@ -289,6 +290,48 @@ parseIntArray(const JsonValue &v)
     for (const auto &item : v.items())
         out.push_back(static_cast<T>(item.asInt()));
     return out;
+}
+
+/** An integer member of `obj` that must lie in [lo, hi]. */
+int
+intIn(const JsonValue &obj, const char *key, int lo, int hi)
+{
+    const long long value = obj.at(key).asInt();
+    if (value < lo || value > hi)
+        DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", ",
+                     hi, "]");
+    return static_cast<int>(value);
+}
+
+/** A finite, strictly positive rate member of `obj`. */
+double
+positiveRate(const JsonValue &obj, const char *key)
+{
+    const double value = obj.at(key).asDouble();
+    if (!(value > 0.0) || !std::isfinite(value))
+        DITILE_THROW("plan ", key, " ", value, " must be positive");
+    return value;
+}
+
+/** A fraction member of `obj` that must lie in [lo, 1]. */
+double
+fractionFrom(const JsonValue &obj, const char *key, double lo)
+{
+    const double value = obj.at(key).asDouble();
+    if (!(value >= lo && value <= 1.0))
+        DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", 1]");
+    return value;
+}
+
+/** A vertex-id array, each id range-checked against [0, vertices). */
+std::vector<VertexId>
+parseVertexIds(const JsonValue &v, VertexId vertices)
+{
+    for (const auto &item : v.items())
+        if (item.asInt() < 0 || item.asInt() >= vertices)
+            DITILE_THROW("plan vertex ", item.asInt(), " not in [0, ",
+                         vertices, ")");
+    return parseIntArray<VertexId>(v);
 }
 
 } // namespace
@@ -576,41 +619,46 @@ ExecutionPlan::fromJson(const std::string &text)
     if (const JsonValue *digest = doc.find("workload_digest"))
         plan.workloadDigest = digest->asUint();
 
+    // Hardware sizes become allocations, loop bounds and divisors:
+    // each is bounded so a hostile document costs a typed error, not
+    // a crash or an unbounded allocation. The caps sit far above any
+    // modeled instance (the paper's chip is a 16x16 grid of 16x16-MAC
+    // tiles).
+    constexpr int kMaxGridSide = 128;
+    constexpr int kMaxPerTile = 256;
     const JsonValue &hw = doc.at("hw");
-    plan.hw.tileRows = static_cast<int>(hw.at("tile_rows").asInt());
-    plan.hw.tileCols = static_cast<int>(hw.at("tile_cols").asInt());
-    plan.hw.pesPerTile =
-        static_cast<int>(hw.at("pes_per_tile").asInt());
-    plan.hw.macsPerPe = static_cast<int>(hw.at("macs_per_pe").asInt());
-    plan.hw.frequencyGhz = hw.at("frequency_ghz").asDouble();
+    plan.hw.tileRows = intIn(hw, "tile_rows", 1, kMaxGridSide);
+    plan.hw.tileCols = intIn(hw, "tile_cols", 1, kMaxGridSide);
+    plan.hw.pesPerTile = intIn(hw, "pes_per_tile", 1, kMaxPerTile);
+    plan.hw.macsPerPe = intIn(hw, "macs_per_pe", 1, kMaxPerTile);
+    plan.hw.frequencyGhz = positiveRate(hw, "frequency_ghz");
     plan.hw.distBufferBytes = hw.at("dist_buffer_bytes").asUint();
     plan.hw.reuseFifoBytes = hw.at("reuse_fifo_bytes").asUint();
     plan.hw.localBufferBytes = hw.at("local_buffer_bytes").asUint();
     plan.hw.perSnapshotConfigCycles =
         hw.at("per_snapshot_config_cycles").asUint();
     const JsonValue &noc = hw.at("noc");
-    plan.hw.noc.rows = static_cast<int>(noc.at("rows").asInt());
-    plan.hw.noc.cols = static_cast<int>(noc.at("cols").asInt());
-    plan.hw.noc.linkBytesPerCycle =
-        static_cast<int>(noc.at("link_bytes_per_cycle").asInt());
+    plan.hw.noc.rows = intIn(noc, "rows", 1, kMaxGridSide);
+    plan.hw.noc.cols = intIn(noc, "cols", 1, kMaxGridSide);
+    plan.hw.noc.linkBytesPerCycle = intIn(
+        noc, "link_bytes_per_cycle", 1, std::numeric_limits<int>::max());
     plan.hw.noc.routerLatencyCycles =
         noc.at("router_latency_cycles").asUint();
     plan.hw.noc.topology =
         topologyFromToken(noc.at("topology").asString());
-    plan.hw.noc.reLinkSpan =
-        static_cast<int>(noc.at("relink_span").asInt());
+    plan.hw.noc.reLinkSpan = intIn(noc, "relink_span", 1, kMaxGridSide);
     const JsonValue &dram = hw.at("dram");
-    plan.hw.dram.channels =
-        static_cast<int>(dram.at("channels").asInt());
+    plan.hw.dram.channels = intIn(dram, "channels", 1, 1024);
     plan.hw.dram.banksPerChannel =
-        static_cast<int>(dram.at("banks_per_channel").asInt());
-    plan.hw.dram.rowBytes = dram.at("row_bytes").asUint();
+        intIn(dram, "banks_per_channel", 1, 1024);
+    plan.hw.dram.rowBytes = static_cast<ByteCount>(
+        intIn(dram, "row_bytes", 1, std::numeric_limits<int>::max()));
     plan.hw.dram.rowHitCycles = dram.at("row_hit_cycles").asUint();
     plan.hw.dram.rowMissCycles = dram.at("row_miss_cycles").asUint();
     plan.hw.dram.rowConflictCycles =
         dram.at("row_conflict_cycles").asUint();
     plan.hw.dram.channelBytesPerCycle =
-        dram.at("channel_bytes_per_cycle").asDouble();
+        positiveRate(dram, "channel_bytes_per_cycle");
     const JsonValue &energy = hw.at("energy");
     auto &table = plan.hw.energyTable;
     table.fp32AddPj = energy.at("fp32_add_pj").asDouble();
@@ -629,12 +677,19 @@ ExecutionPlan::fromJson(const std::string &text)
     table.controlOverheadFraction =
         energy.at("control_overhead_fraction").asDouble();
 
+    constexpr int kMaxWidth = 1 << 16;
     const JsonValue &mc = doc.at("model");
+    const auto &dims = mc.at("gcn_dims").items();
+    if (dims.empty() || dims.size() > 64)
+        DITILE_THROW("plan model has ", dims.size(),
+                     " GCN layers (want 1 to 64)");
+    for (const JsonValue &dim : dims)
+        if (dim.asInt() < 1 || dim.asInt() > kMaxWidth)
+            DITILE_THROW("plan GCN width ", dim.asInt(), " not in [1, ",
+                         kMaxWidth, "]");
     plan.modelConfig.gcnDims = parseIntArray<int>(mc.at("gcn_dims"));
-    plan.modelConfig.lstmHidden =
-        static_cast<int>(mc.at("lstm_hidden").asInt());
-    plan.modelConfig.bytesPerValue =
-        static_cast<int>(mc.at("bytes_per_value").asInt());
+    plan.modelConfig.lstmHidden = intIn(mc, "lstm_hidden", 1, kMaxWidth);
+    plan.modelConfig.bytesPerValue = intIn(mc, "bytes_per_value", 1, 16);
     plan.modelConfig.aggregator =
         aggregatorFromToken(mc.at("aggregator").asString());
     plan.modelConfig.rnn = rnnFromToken(mc.at("rnn").asString());
@@ -646,8 +701,7 @@ ExecutionPlan::fromJson(const std::string &text)
     // a hostile document is rejected here, not by a device model.
     const long long tile_rows = plan.hw.tileRows;
     const long long tile_cols = plan.hw.tileCols;
-    if (tile_rows < 1 || tile_cols < 1 ||
-        tile_rows * tile_cols > 1ll * plan.hw.noc.rows * plan.hw.noc.cols)
+    if (tile_rows * tile_cols > 1ll * plan.hw.noc.rows * plan.hw.noc.cols)
         DITILE_THROW("plan tile grid does not fit its NoC");
     const JsonValue &mapping = doc.at("mapping");
     plan.mapping.spatialOnly = mapping.at("spatial_only").asBool();
@@ -670,15 +724,17 @@ ExecutionPlan::fromJson(const std::string &text)
     const JsonValue &options = doc.at("options");
     plan.options.algo = algoFromToken(options.at("algo").asString());
     plan.options.accounting.crossFetchFraction =
-        options.at("cross_fetch_fraction").asDouble();
+        fractionFrom(options, "cross_fetch_fraction", 0.0);
     plan.options.accounting.cachedIntermediateFraction =
-        options.at("cached_intermediate_fraction").asDouble();
+        fractionFrom(options, "cached_intermediate_fraction", 0.0);
     plan.options.accounting.uncachedIntermediateFraction =
-        options.at("uncached_intermediate_fraction").asDouble();
+        fractionFrom(options, "uncached_intermediate_fraction", 0.0);
+    // A kernel's share of a tile must keep at least one MAC unit.
+    const double min_mac_fraction = 1.0 / plan.hw.macsPerTile();
     plan.options.gnnMacFraction =
-        options.at("gnn_mac_fraction").asDouble();
+        fractionFrom(options, "gnn_mac_fraction", min_mac_fraction);
     plan.options.rnnMacFraction =
-        options.at("rnn_mac_fraction").asDouble();
+        fractionFrom(options, "rnn_mac_fraction", min_mac_fraction);
     // "rnn_separate_resource" (a knob no timeline read) is ignored
     // when present, so documents written by earlier builds still load.
     plan.options.globalGnnBarrier =
@@ -774,21 +830,32 @@ ExecutionPlan::fromJson(const std::string &text)
     // Format-2 (and earlier) documents carry no "scaleout" key; they
     // load as single-chip plans.
     if (const JsonValue *so = doc.find("scaleout")) {
-        plan.scaleout.chips = static_cast<int>(so->at("chips").asInt());
+        plan.scaleout.chips = intIn(*so, "chips", 2, 1024);
         const JsonValue &link = so->at("interchip");
         plan.scaleout.link.bandwidthGbps =
-            link.at("bandwidth_gbps").asDouble();
+            positiveRate(link, "bandwidth_gbps");
         plan.scaleout.link.latencyNs = link.at("latency_ns").asDouble();
-        plan.scaleout.link.packetBytes =
-            link.at("packet_bytes").asUint();
+        if (!(plan.scaleout.link.latencyNs >= 0.0) ||
+            !std::isfinite(plan.scaleout.link.latencyNs))
+            DITILE_THROW("plan latency_ns ", plan.scaleout.link.latencyNs,
+                         " must be finite and nonnegative");
+        plan.scaleout.link.packetBytes = static_cast<ByteCount>(intIn(
+            link, "packet_bytes", 1, std::numeric_limits<int>::max()));
         plan.scaleout.link.packetHeaderBytes =
             link.at("packet_header_bytes").asUint();
-        plan.scaleout.chunkSpan = static_cast<VertexId>(
-            so->at("chunk_span").asInt());
+        plan.scaleout.chunkSpan = intIn(
+            *so, "chunk_span", 1, std::numeric_limits<VertexId>::max());
         plan.scaleout.chipOfChunk =
             parseIntArray<int>(so->at("chip_of_chunk"));
     }
 
+    // Snapshot plans index per-vertex state and per-layer model
+    // dimensions: every vertex id must lie in the partition's range and
+    // every snapshot must plan each GCN layer of the model.
+    const VertexId vertices = plan.mapping.spatialOnly
+        ? plan.mapping.tilePartition.numVertices()
+        : plan.mapping.rowPartition.numVertices();
+    const std::size_t layers = plan.modelConfig.gcnDims.size();
     auto snaps = std::make_shared<std::vector<model::SnapshotPlan>>();
     for (const auto &item : doc.at("snapshots").items()) {
         model::SnapshotPlan snap;
@@ -796,7 +863,11 @@ ExecutionPlan::fromJson(const std::string &text)
         snap.adjacencyUpdates = static_cast<std::size_t>(
             item.at("adjacency_updates").asUint());
         snap.rnnVertices =
-            parseIntArray<VertexId>(item.at("rnn_vertices"));
+            parseVertexIds(item.at("rnn_vertices"), vertices);
+        if (item.at("gcn").items().size() != layers)
+            DITILE_THROW("plan snapshot has ",
+                         item.at("gcn").items().size(),
+                         " GCN layers, the model ", layers);
         for (const auto &layer_item : item.at("gcn").items()) {
             model::LayerWork layer;
             layer.gatherEdges = static_cast<EdgeId>(
@@ -804,7 +875,7 @@ ExecutionPlan::fromJson(const std::string &text)
             layer.uniqueInputs = static_cast<VertexId>(
                 layer_item.at("unique_inputs").asInt());
             layer.vertices =
-                parseIntArray<VertexId>(layer_item.at("vertices"));
+                parseVertexIds(layer_item.at("vertices"), vertices);
             snap.gcn.push_back(std::move(layer));
         }
         snaps->push_back(std::move(snap));

@@ -46,9 +46,19 @@ chipOfVertex(const ScaleOutSpec &spec, VertexId v)
 }
 
 void
-validateSpec(const ScaleOutSpec &spec, VertexId num_vertices)
+validateSpec(const ExecutionPlan &plan, VertexId num_vertices)
 {
+    const ScaleOutSpec &spec = plan.scaleout;
     DITILE_ASSERT(spec.chips > 1, "scale-out run needs chips > 1");
+    // Shards restrict every recorded partition, so each must cover the
+    // workload.
+    for (const graph::VertexPartition *partition :
+         {&plan.mapping.rowPartition, &plan.mapping.tilePartition}) {
+        if (partition->numParts() > 0 &&
+            partition->numVertices() != num_vertices)
+            DITILE_THROW("plan partition does not cover the graph: ",
+                         partition->numVertices(), " vs ", num_vertices);
+    }
     if (spec.chunkSpan < 1)
         DITILE_THROW("scale-out chunk span must be >= 1");
     const auto expected = static_cast<std::size_t>(
@@ -184,7 +194,7 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const auto chips_sz = static_cast<std::size_t>(chips);
     const VertexId num_vertices = dg.numVertices();
     const SnapshotId num_snapshots = dg.numSnapshots();
-    validateSpec(spec, num_vertices);
+    validateSpec(plan, num_vertices);
 
     // ---- Shard the vertex universe per the recorded assignment.
     std::vector<std::vector<VertexId>> global_ids(chips_sz);

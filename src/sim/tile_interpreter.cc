@@ -12,21 +12,6 @@
 
 namespace ditile::sim {
 
-StatSet
-InterpreterResult::toStats() const
-{
-    StatSet s;
-    s.set("tile.cycles", static_cast<double>(cycles));
-    s.set("tile.instructions", static_cast<double>(instructions));
-    s.set("tile.mac_busy", static_cast<double>(macBusyCycles));
-    s.set("tile.buffer_busy", static_cast<double>(bufferBusyCycles));
-    s.set("tile.fifo_busy", static_cast<double>(fifoBusyCycles));
-    s.set("tile.ppu_busy", static_cast<double>(ppuBusyCycles));
-    s.set("tile.router_busy", static_cast<double>(routerBusyCycles));
-    s.set("tile.mac_utilization", macUtilization);
-    return s;
-}
-
 TileInterpreter::TileInterpreter(const TileConfig &config)
     : config_(config)
 {

@@ -15,7 +15,6 @@
 #ifndef DITILE_SIM_TILE_INTERPRETER_HH
 #define DITILE_SIM_TILE_INTERPRETER_HH
 
-#include "common/stats.hh"
 #include "sim/isa.hh"
 #include "sim/tile_model.hh"
 
@@ -37,9 +36,6 @@ struct InterpreterResult
     ByteCount fifoBytes = 0;
     ByteCount sentBytes = 0;
     double macUtilization = 0.0;
-
-    /** Export into a StatSet. */
-    StatSet toStats() const;
 };
 
 /**

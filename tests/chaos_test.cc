@@ -5,7 +5,8 @@
  * round-trip byte-identity, crash -> restore -> replay response
  * identity at multiple thread widths, circuit-breaker transitions,
  * eviction-record verification during recovery, bounded-plan-cache
- * behavior under serving load, and chaos-mode load generation.
+ * behavior under serving load, chaos-mode load generation, and the
+ * serve counter table (summary, registry and checkpoint agree).
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +14,13 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
+#include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
 #include "serve/breaker.hh"
 #include "serve/checkpoint.hh"
@@ -245,6 +248,32 @@ TEST(Checkpoint, CorruptionIsATypedError)
     EXPECT_THROW(serve::loadCheckpointFile(
                      tempPath("ckpt_missing.json")),
                  InputError);
+}
+
+TEST(Checkpoint, TenantNoProvisioningCouldCreateIsATypedError)
+{
+    serve::Server server(serve::ServerOptions{}, makeFactory());
+    server.handle(sessionLines()[0]);
+    const serve::ServerCheckpoint good = server.checkpointState();
+    ASSERT_EQ(good.tenants.size(), 1u);
+    ASSERT_FALSE(good.tenants[0].ring.empty());
+
+    // Each document carries a valid crc: only the state is hostile,
+    // and restoring it would index outside the tenant's graph.
+    auto huge = good;
+    huge.tenants[0].spec.vertices = (1 << 24) + 1;
+    EXPECT_THROW(serve::parseCheckpoint(serve::renderCheckpoint(huge)),
+                 InputError);
+    auto featureless = good;
+    featureless.tenants[0].spec.features = 0;
+    EXPECT_THROW(
+        serve::parseCheckpoint(serve::renderCheckpoint(featureless)),
+        InputError);
+    auto stray = good;
+    stray.tenants[0].ring[0].emplace_back(0, good.tenants[0].spec.vertices);
+    EXPECT_THROW(serve::parseCheckpoint(serve::renderCheckpoint(stray)),
+                 InputError);
+    EXPECT_NO_THROW(serve::parseCheckpoint(serve::renderCheckpoint(good)));
 }
 
 // --- crash -> restore -> replay identity ----------------------------
@@ -583,6 +612,18 @@ chaosConfig()
     return config;
 }
 
+/** Options that reach the degraded-mode counters under chaos. */
+serve::ServerOptions
+degradedOptions()
+{
+    serve::ServerOptions options;
+    options.deadlineUs = 4000;
+    options.planCacheCapacity = 4;
+    options.breaker.threshold = 2;
+    options.breaker.baseBackoffUs = 500;
+    return options;
+}
+
 TEST(ChaosLoadGen, ScheduleIsSeededAndAdversarial)
 {
     const auto config = chaosConfig();
@@ -624,12 +665,7 @@ TEST(ChaosLoadGen, ChaosReplayIsThreadWidthInvariant)
     std::vector<std::vector<std::string>> responses;
     for (int threads : {1, 4}) {
         ThreadPool::setGlobalThreads(threads);
-        serve::ServerOptions options;
-        options.deadlineUs = 4000;
-        options.planCacheCapacity = 4;
-        options.breaker.threshold = 2;
-        options.breaker.baseBackoffUs = 500;
-        serve::Server server(options, makeFactory());
+        serve::Server server(degradedOptions(), makeFactory());
         std::vector<std::string> out;
         server.replay(schedule, &out);
         responses.push_back(std::move(out));
@@ -683,6 +719,111 @@ TEST(ChaosLoadGen, CrashRecoveryCycleOverChaosScript)
     for (std::size_t i = 0; i < tail.size(); ++i)
         EXPECT_EQ(tail[i], reference[crash_at + i])
             << "line " << crash_at + i << ": " << lines[crash_at + i];
+}
+
+// --- counter table --------------------------------------------------
+
+/** Current value of one registry metric (0 when never bumped). */
+long long
+metricValue(const std::string &path)
+{
+    for (const auto &[name, value] : Tracer::global().metrics())
+        if (name == path)
+            return value;
+    return 0;
+}
+
+/** Metrics registry on for one test, dropped again on exit. */
+struct ScopedMetrics
+{
+    ScopedMetrics()
+    {
+        Tracer::global().reset();
+        Tracer::global().enable(false, true);
+    }
+    ~ScopedMetrics() { Tracer::global().reset(); }
+};
+
+/**
+ * Every counted summary field equals its `serve.*` registry value,
+ * and a checkpoint restored into a fresh server reproduces every
+ * counter and the summary table.
+ */
+void
+expectCountersAgree(const serve::Server &server,
+                    const serve::ServerOptions &options)
+{
+    const serve::ServeSummary summary = server.summary();
+    std::size_t counted = 0;
+    for (const serve::ServeCounter &row : serve::serveCounters()) {
+        if (!row.metricPath)
+            continue;
+        ++counted;
+        EXPECT_EQ(static_cast<long long>(summary.*row.field),
+                  metricValue(row.metricPath))
+            << row.metricPath;
+    }
+    EXPECT_EQ(counted, 18u);
+
+    serve::Server restored(options, makeFactory());
+    restored.restoreState(serve::parseCheckpoint(
+        serve::renderCheckpoint(server.checkpointState())));
+    const serve::ServeSummary again = restored.summary();
+    for (const serve::ServeCounter &row : serve::serveCounters())
+        EXPECT_EQ(again.*row.field, summary.*row.field)
+            << row.checkpointKey;
+    EXPECT_EQ(again.toTable(), summary.toTable());
+}
+
+TEST(ServeCounters, TableNamesEachCounterOnce)
+{
+    std::set<std::string> keys, paths, labels;
+    for (const serve::ServeCounter &row : serve::serveCounters()) {
+        EXPECT_TRUE(keys.insert(row.checkpointKey).second)
+            << row.checkpointKey;
+        // A row is counted exactly when it is a summary counter row.
+        EXPECT_EQ(row.metricPath == nullptr, row.label == nullptr)
+            << row.checkpointKey;
+        if (!row.metricPath)
+            continue;
+        EXPECT_EQ(std::string(row.metricPath).rfind("serve.", 0), 0u);
+        EXPECT_TRUE(paths.insert(row.metricPath).second);
+        EXPECT_TRUE(labels.insert(row.label).second);
+        EXPECT_NE(serve::ServeSummary{}.toTable().find(row.label),
+                  std::string::npos)
+            << row.label;
+    }
+}
+
+TEST(ServeCounters, HandleModeSummaryMatchesRegistryAndCheckpoint)
+{
+    ScopedMetrics metrics;
+    const serve::ServerOptions options;
+    serve::Server server(options, makeFactory());
+    std::ifstream session(DITILE_EXAMPLES_DIR "/serve_session.txt");
+    ASSERT_TRUE(session);
+    std::string line;
+    while (std::getline(session, line))
+        server.handle(line);
+    ASSERT_TRUE(server.stopped());
+    EXPECT_GT(server.summary().completed, 0u);
+    EXPECT_GT(server.summary().errors, 0u);
+    expectCountersAgree(server, options);
+}
+
+TEST(ServeCounters, ReplayModeSummaryMatchesRegistryAndCheckpoint)
+{
+    ScopedMetrics metrics;
+    auto config = chaosConfig();
+    config.requests = 150;
+    const serve::ServerOptions options = degradedOptions();
+    serve::Server server(options, makeFactory());
+    server.replay(serve::LoadGen(config).schedule());
+    const serve::ServeSummary summary = server.summary();
+    EXPECT_GT(summary.completed, 0u);
+    EXPECT_GT(summary.errors, 0u);
+    EXPECT_GT(summary.faultSplices, 0u);
+    expectCountersAgree(server, options);
 }
 
 } // namespace

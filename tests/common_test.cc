@@ -213,15 +213,6 @@ TEST(StatSet, MergeSums)
     EXPECT_DOUBLE_EQ(a.get("y"), 3.0);
 }
 
-TEST(StatSet, MergePrefixed)
-{
-    StatSet a;
-    StatSet b;
-    b.add("x", 2.0);
-    a.mergePrefixed("sub", b);
-    EXPECT_DOUBLE_EQ(a.get("sub.x"), 2.0);
-}
-
 TEST(StatSet, ClearKeepsNames)
 {
     StatSet s;
@@ -229,20 +220,6 @@ TEST(StatSet, ClearKeepsNames)
     s.clear();
     EXPECT_TRUE(s.has("x"));
     EXPECT_DOUBLE_EQ(s.get("x"), 0.0);
-}
-
-TEST(Distribution, TracksMinMaxMean)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    d.sample(2.0);
-    d.sample(4.0);
-    d.sample(-1.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.min(), -1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.mean(), 5.0 / 3.0, 1e-12);
 }
 
 TEST(Table, RendersAlignedAscii)

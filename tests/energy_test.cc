@@ -166,24 +166,5 @@ TEST(AreaModel, ScalesWithConfiguration)
     EXPECT_LT(small_area.tile.distBuffer, big_area.tile.distBuffer);
 }
 
-TEST(AreaModel, StatsExportHierarchy)
-{
-    const auto stats = computeArea().toStats();
-    EXPECT_GT(stats.get("area.chip_um2"), 0.0);
-    EXPECT_GT(stats.get("area.tile_um2"), 0.0);
-    EXPECT_GT(stats.get("area.pe_um2"), 0.0);
-    // Fractions at each level sum to ~1.
-    const double chip_frac = stats.get("area.frac.tiles") +
-        stats.get("area.frac.onchip_buffer") +
-        stats.get("area.frac.noc") + stats.get("area.frac.logic");
-    EXPECT_NEAR(chip_frac, 1.0, 1e-9);
-    const double pe_frac = stats.get("area.pe.frac.mac_array") +
-        stats.get("area.pe.frac.local_buffer") +
-        stats.get("area.pe.frac.ppu") +
-        stats.get("area.pe.frac.dispatcher") +
-        stats.get("area.pe.frac.control");
-    EXPECT_NEAR(pe_frac, 1.0, 1e-9);
-}
-
 } // namespace
 } // namespace ditile::energy

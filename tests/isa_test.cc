@@ -192,16 +192,6 @@ TEST(Interpreter, IssueRateBoundsInstructionThroughput)
     EXPECT_EQ(r.instructions, 1000u);
 }
 
-TEST(Interpreter, StatsExport)
-{
-    TileInterpreter interp;
-    const auto r = interp.execute({{Opcode::GatherLoad, 640},
-                                   {Opcode::Mac, 256}});
-    const auto stats = r.toStats();
-    EXPECT_GT(stats.get("tile.cycles"), 0.0);
-    EXPECT_GT(stats.get("tile.buffer_busy"), 0.0);
-}
-
 /**
  * Cross-validation: executing a generated GNN program through the
  * interpreter lands within a bounded envelope of the scheduling tile

@@ -12,6 +12,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -358,6 +359,72 @@ TEST(PlanJsonHostile, ReplayOnAnotherWorkloadIsRejected)
     EXPECT_THROW(sim::executePlan(graph::generateDynamicGraph(other),
                                   plan),
                  InputError);
+}
+
+TEST(PlanJsonHostile, VertexOutsideThePartitionIsRejected)
+{
+    // The engine indexes per-vertex state with these ids before the
+    // partition check of executePlan could catch them.
+    for (const char *anchor : {"\"rnn_vertices\":", "\"vertices\":"}) {
+        for (const char *id : {"1000000", "800", "-1"}) {
+            SCOPED_TRACE(std::string(anchor) + id);
+            EXPECT_THROW(sim::ExecutionPlan::fromJson(withFirstItem(
+                             ditilePlanJson(), anchor, id)),
+                         InputError);
+        }
+    }
+    // The last vertex of planWorkload() is still in range.
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(
+        withFirstItem(ditilePlanJson(), "\"vertices\":", "799")));
+}
+
+TEST(PlanJsonHostile, GcnLayerCountOtherThanTheModelsIsRejected)
+{
+    const std::string doc = ditilePlanJson();
+    const std::string key = "\"gcn\":[";
+    const auto open = doc.find(key, doc.find("\"snapshots\":"));
+    ASSERT_NE(open, std::string::npos);
+    // Layer objects hold no nested objects, so the first "}]" closes
+    // this snapshot's layer array.
+    const auto close = doc.find("}]", open);
+    ASSERT_NE(close, std::string::npos);
+    const std::string layers =
+        doc.substr(open + key.size(), close + 1 - open - key.size());
+
+    std::string none = doc;
+    none.erase(open + key.size(), layers.size());
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(none), InputError);
+
+    std::string extra = doc;
+    extra.insert(close + 1, "," + layers.substr(0, layers.find('}') + 1));
+    EXPECT_THROW(sim::ExecutionPlan::fromJson(extra), InputError);
+}
+
+TEST(PlanJsonHostile, DeviceSizesAndFractionsOutOfRangeAreRejected)
+{
+    // Each value reached a device-model assertion, a division by zero
+    // or an unbounded allocation before the document was range-checked.
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"channels\":", "0"},
+        {"\"row_bytes\":", "0"},
+        {"\"rows\":", "2147483647"},
+        {"\"relink_span\":", "0"},
+        {"\"frequency_ghz\":", "0"},
+        {"\"cross_fetch_fraction\":", "2"},
+        {"\"gnn_mac_fraction\":", "0"},
+        {"\"lstm_hidden\":", "-1"},
+    };
+    const std::string doc = ditilePlanJson();
+    for (const auto &[key, value] : cases) {
+        SCOPED_TRACE(std::string(key) + value);
+        std::string hostile = doc;
+        const auto at = hostile.find(key);
+        ASSERT_NE(at, std::string::npos);
+        const auto begin = at + std::string(key).size();
+        hostile.replace(begin, hostile.find_first_of(",}", begin) - begin,
+                        value);
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(hostile), InputError);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -116,6 +116,13 @@ TEST(ServeProtocol, BlankAndCommentLinesAreNops)
               serve::Request::Kind::Nop);
     EXPECT_EQ(serve::parseRequest("# a comment").kind,
               serve::Request::Kind::Nop);
+    // Every byte the tokenizer splits on is blank, so no line reaches
+    // the parser without a verb.
+    for (const char *blank : {"\n", "\v", "\f", " \v\f\r\n"}) {
+        EXPECT_TRUE(serve::isNopLine(blank));
+        EXPECT_EQ(serve::parseRequest(blank).kind,
+                  serve::Request::Kind::Nop);
+    }
 }
 
 TEST(ServeProtocol, MalformedInputThrowsTypedInputError)

@@ -39,8 +39,6 @@
  *                         (per-tenant circuit breaker; see
  *                          serve/breaker.hh)
  *   --plan-cache-capacity=N  (bound the plan cache, LRU; 0 = off)
- *   --wall-clock          (measure service with the wall clock; no
- *                          longer reproducible)
  *   --threads=N           (batch-execution width; summaries are
  *                          byte-identical at any width under the
  *                          virtual clock)
@@ -131,7 +129,6 @@ buildServerOptions(const CliFlags &flags)
     options.batchOverheadUs = static_cast<std::uint64_t>(
         flags.getInt("batch-overhead-us", static_cast<long long>(
                                               options.batchOverheadUs)));
-    options.wallClock = flags.getBool("wall-clock", false);
     options.deadlineUs = static_cast<std::uint64_t>(
         flags.getInt("deadline-us",
                      static_cast<long long>(options.deadlineUs)));

@@ -39,10 +39,8 @@ jsonQuote(const std::string &s)
     return out;
 }
 
-namespace {
-
 std::string
-numberToJson(double value)
+jsonNumber(double value)
 {
     // JSON has no NaN/Inf tokens; emitting "null" here used to
     // silently corrupt downstream consumers expecting a number.
@@ -62,8 +60,6 @@ numberToJson(double value)
     return buf;
 }
 
-} // namespace
-
 JsonObject &
 JsonObject::add(const std::string &key, const std::string &value)
 {
@@ -80,7 +76,7 @@ JsonObject::add(const std::string &key, const char *value)
 JsonObject &
 JsonObject::add(const std::string &key, double value)
 {
-    fields_.emplace_back(key, numberToJson(value));
+    fields_.emplace_back(key, jsonNumber(value));
     return *this;
 }
 

@@ -56,6 +56,13 @@ class JsonObject
 std::string jsonQuote(const std::string &s);
 
 /**
+ * Canonical JSON number: integral values below 1e15 print as
+ * integers, others with %.17g (strtod reads them back bit-exactly).
+ * Throws InputError on NaN/Inf, which JSON cannot represent.
+ */
+std::string jsonNumber(double value);
+
+/**
  * Parsed JSON document node.
  *
  * Numbers keep their source token and convert on demand, so integer

@@ -7,10 +7,10 @@
 #include "common/trace.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <tuple>
 
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -146,11 +146,8 @@ Tracer::cacheInstant(const char *name, std::uint64_t key)
 {
     if (!traceEnabled())
         return;
-    char hex[24];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(key));
     TraceEvent event;
-    event.addArg("key", std::string(hex));
+    event.addArg("key", hex64(key));
     instant("cache", name, trackBase() + kCacheTrack, std::move(event));
 }
 

@@ -1,12 +1,11 @@
 /**
  * @file
- * SharedFrontEnd + planBatch implementation.
+ * SharedFrontEnd implementation.
  */
 
 #include "core/plan_batch.hh"
 
 #include "common/logging.hh"
-#include "core/ditile_accelerator.hh"
 
 namespace ditile::core {
 
@@ -60,27 +59,6 @@ SharedFrontEnd::strategy(const graph::DynamicGraph &dg,
         strategyAdjuster_.adjust(dg, model_config, hw, optimize);
     strategies_.push_back(std::move(entry));
     return strategies_.back().plan;
-}
-
-std::vector<sim::ExecutionPlan>
-planBatch(const graph::DynamicGraph &dg,
-          const model::DgnnConfig &model_config,
-          const std::vector<std::unique_ptr<sim::Accelerator>> &fleet,
-          sim::PlanCache *cache)
-{
-    SharedFrontEnd shared;
-    std::vector<sim::ExecutionPlan> plans;
-    plans.reserve(fleet.size());
-    for (const auto &accel : fleet) {
-        if (auto *ditile =
-                dynamic_cast<DiTileAccelerator *>(accel.get())) {
-            plans.push_back(
-                ditile->plan(dg, model_config, cache, &shared));
-        } else {
-            plans.push_back(accel->plan(dg, model_config, cache));
-        }
-    }
-    return plans;
 }
 
 } // namespace ditile::core

@@ -29,11 +29,9 @@
 #define DITILE_CORE_PLAN_BATCH_HH
 
 #include <deque>
-#include <memory>
 #include <vector>
 
 #include "core/units.hh"
-#include "sim/accelerator.hh"
 
 namespace ditile::core {
 
@@ -80,18 +78,6 @@ class SharedFrontEnd
     WorkloadComputationUnit workloadUnit_;
     ParallelizationStrategyAdjuster strategyAdjuster_;
 };
-
-/**
- * Plan every fleet member against one graph, sharing the front end
- * across the DiTile variants (baselines plan independently — their
- * front ends are their own). Plans come back in fleet order and are
- * bit-identical to calling accel->plan() per member.
- */
-std::vector<sim::ExecutionPlan>
-planBatch(const graph::DynamicGraph &dg,
-          const model::DgnnConfig &model_config,
-          const std::vector<std::unique_ptr<sim::Accelerator>> &fleet,
-          sim::PlanCache *cache);
 
 } // namespace ditile::core
 

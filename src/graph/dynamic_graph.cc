@@ -7,6 +7,7 @@
 
 #include <algorithm>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 
 namespace ditile::graph {
@@ -97,22 +98,19 @@ DynamicGraph::dissimilarity(SnapshotId t) const
 std::uint64_t
 DynamicGraph::computeStructureHash() const
 {
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-        h = (h ^ v) * 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(numVertices()));
-    mix(static_cast<std::uint64_t>(featureDim()));
-    mix(static_cast<std::uint64_t>(numSnapshots()));
+    WordHasher hasher;
+    hasher.mix(static_cast<std::uint64_t>(numVertices()));
+    hasher.mix(static_cast<std::uint64_t>(featureDim()));
+    hasher.mix(static_cast<std::uint64_t>(numSnapshots()));
     for (const Csr &g : snapshots_) {
-        mix(static_cast<std::uint64_t>(g.numEdges()));
+        hasher.mix(static_cast<std::uint64_t>(g.numEdges()));
         for (VertexId v = 0; v < g.numVertices(); ++v) {
-            mix(static_cast<std::uint64_t>(g.degree(v)));
+            hasher.mix(static_cast<std::uint64_t>(g.degree(v)));
             for (VertexId u : g.neighbors(v))
-                mix(static_cast<std::uint64_t>(u));
+                hasher.mix(static_cast<std::uint64_t>(u));
         }
     }
-    return h;
+    return hasher.h;
 }
 
 std::uint64_t

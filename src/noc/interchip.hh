@@ -41,12 +41,22 @@ struct InterChipLinkConfig
 };
 
 /**
+ * The one validity check for a link at a chip clock. Throws
+ * InputError for a value that is not finite, bandwidth <= 0,
+ * latency < 0, an empty packet, or a hop latency or per-byte
+ * serialization time whose cycle conversion would overflow Cycle.
+ */
+void checkInterChipLink(const InterChipLinkConfig &config,
+                        double frequency_ghz);
+
+/**
  * Cycle-cost model of one inter-chip link at a given chip clock.
  * Mirrors how the NoC devices convert NocConfig into cycle costs.
  */
 class InterChipLink
 {
   public:
+    /** Throws InputError on a link checkInterChipLink rejects. */
     InterChipLink(const InterChipLinkConfig &config,
                   double frequency_ghz);
 
@@ -64,6 +74,7 @@ class InterChipLink
     /**
      * End-to-end cycles for one transfer: hop latency plus wire-byte
      * serialization (ceil). Zero-byte transfers cost zero cycles.
+     * Throws InputError when the total would overflow Cycle.
      */
     Cycle transferCycles(ByteCount payload_bytes) const;
 

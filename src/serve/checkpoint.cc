@@ -11,30 +11,13 @@
 
 #include <unistd.h>
 
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
 namespace ditile::serve {
 
 namespace {
-
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : bytes)
-        h = (h ^ c) * 1099511628211ull;
-    return h;
-}
-
-std::string
-hex64(std::uint64_t value)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(value));
-    return std::string(buf);
-}
 
 /** Append a uint64 as a raw JSON number (no int64 clamp). */
 JsonObject &

@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 
@@ -18,25 +19,6 @@
 namespace ditile::serve {
 
 namespace {
-
-/** FNV-1a over a byte string, rendered as the record checksum. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : bytes)
-        h = (h ^ c) * 1099511628211ull;
-    return h;
-}
-
-std::string
-hex64(std::uint64_t v)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 std::string
 recordChecksum(std::uint64_t seq, const char *kind,

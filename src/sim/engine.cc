@@ -142,7 +142,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const double tile_macs = hw.macsPerTile();
     const OpCount rnn_vertex_macs =
         model::rnnMacsPerVertex(model_config);
-    const bool adaptive_relink = plan.relink.adaptive &&
+    const bool adaptive_relink = options.adaptiveRelink &&
         hw.noc.topology == noc::TopologyKind::Reconfigurable;
 
     // Resolve the planned vertex->slot assignment once per mapping:
@@ -510,7 +510,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     // Mode-switch events per snapshot, on top of any adaptive Re-Link
     // toggles counted during the NoC phases.
     result.energyEvents.reconfigEvents +=
-        plan.relink.reconfigEventsPerSnapshot *
+        options.reconfigEventsPerSnapshot *
         static_cast<std::uint64_t>(num_snapshots);
     result.energy = energy::computeEnergy(result.energyEvents,
                                           hw.energyTable);

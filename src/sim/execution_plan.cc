@@ -2,6 +2,11 @@
  * @file
  * ExecutionPlan assembly, JSON (de)serialization and content hashing.
  *
+ * The document format is declared once, by planFields(): each key
+ * with its member and its bounds, in emission order. PlanWriter walks
+ * it to emit the canonical bytes; PlanReader walks it to parse them,
+ * range-checking each value against the members already read.
+ *
  * The serialization is canonical: field order is fixed, doubles are
  * emitted with %.17g (strtod round-trips them bit-exactly), and
  * integer-valued doubles print as integers. Two plans are semantically
@@ -12,10 +17,10 @@
 #include "sim/execution_plan.hh"
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
+#include <type_traits>
 
+#include "common/hash.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
@@ -27,597 +32,464 @@ namespace ditile::sim {
 
 namespace {
 
-// ---- Canonical enum spellings. ----
-
-const char *
-algoToken(model::AlgoKind kind)
+/** One enum value and its canonical spelling. */
+template <typename E>
+struct Token
 {
-    switch (kind) {
-      case model::AlgoKind::ReAlg: return "re";
-      case model::AlgoKind::RaceAlg: return "race";
-      case model::AlgoKind::MegaAlg: return "mega";
-      case model::AlgoKind::DiTileAlg: return "ditile";
-    }
-    return "ditile";
-}
+    E value;
+    const char *token;
+};
 
-model::AlgoKind
-algoFromToken(const std::string &token)
-{
-    if (token == "re")
-        return model::AlgoKind::ReAlg;
-    if (token == "race")
-        return model::AlgoKind::RaceAlg;
-    if (token == "mega")
-        return model::AlgoKind::MegaAlg;
-    if (token == "ditile")
-        return model::AlgoKind::DiTileAlg;
-    DITILE_THROW("unknown algo token '", token, "'");
-}
+constexpr Token<model::AlgoKind> kAlgoTokens[] = {
+    {model::AlgoKind::ReAlg, "re"},
+    {model::AlgoKind::RaceAlg, "race"},
+    {model::AlgoKind::MegaAlg, "mega"},
+    {model::AlgoKind::DiTileAlg, "ditile"},
+};
 
-const char *
-aggregatorToken(model::GnnAggregator kind)
-{
-    switch (kind) {
-      case model::GnnAggregator::GcnNormalized: return "gcn";
-      case model::GnnAggregator::SageMean: return "sage";
-      case model::GnnAggregator::GinSum: return "gin";
-    }
-    return "gcn";
-}
+constexpr Token<model::GnnAggregator> kAggregatorTokens[] = {
+    {model::GnnAggregator::GcnNormalized, "gcn"},
+    {model::GnnAggregator::SageMean, "sage"},
+    {model::GnnAggregator::GinSum, "gin"},
+};
 
-model::GnnAggregator
-aggregatorFromToken(const std::string &token)
-{
-    if (token == "gcn")
-        return model::GnnAggregator::GcnNormalized;
-    if (token == "sage")
-        return model::GnnAggregator::SageMean;
-    if (token == "gin")
-        return model::GnnAggregator::GinSum;
-    DITILE_THROW("unknown aggregator token '", token, "'");
-}
+constexpr Token<model::RnnKind> kRnnTokens[] = {
+    {model::RnnKind::Lstm, "lstm"},
+    {model::RnnKind::Gru, "gru"},
+};
 
-const char *
-rnnToken(model::RnnKind kind)
-{
-    return kind == model::RnnKind::Gru ? "gru" : "lstm";
-}
+constexpr Token<model::Precision> kPrecisionTokens[] = {
+    {model::Precision::Fp32, "fp32"},
+    {model::Precision::Fp16, "fp16"},
+    {model::Precision::Int8, "int8"},
+};
 
-model::RnnKind
-rnnFromToken(const std::string &token)
-{
-    if (token == "lstm")
-        return model::RnnKind::Lstm;
-    if (token == "gru")
-        return model::RnnKind::Gru;
-    DITILE_THROW("unknown rnn token '", token, "'");
-}
+constexpr Token<noc::TopologyKind> kTopologyTokens[] = {
+    {noc::TopologyKind::Mesh, "mesh"},
+    {noc::TopologyKind::Ring, "ring"},
+    {noc::TopologyKind::Crossbar, "crossbar"},
+    {noc::TopologyKind::Reconfigurable, "reconfigurable"},
+};
 
-const char *
-precisionToken(model::Precision precision)
-{
-    switch (precision) {
-      case model::Precision::Fp32: return "fp32";
-      case model::Precision::Fp16: return "fp16";
-      case model::Precision::Int8: return "int8";
-    }
-    return "fp32";
-}
+template <typename T>
+constexpr long long kMinOf = std::numeric_limits<T>::min();
+template <typename T>
+constexpr long long kMaxOf = std::numeric_limits<T>::max();
 
-model::Precision
-precisionFromToken(const std::string &token)
-{
-    if (token == "fp32")
-        return model::Precision::Fp32;
-    if (token == "fp16")
-        return model::Precision::Fp16;
-    if (token == "int8")
-        return model::Precision::Int8;
-    DITILE_THROW("unknown precision token '", token, "'");
-}
-
-const char *
-topologyToken(noc::TopologyKind kind)
-{
-    switch (kind) {
-      case noc::TopologyKind::Mesh: return "mesh";
-      case noc::TopologyKind::Ring: return "ring";
-      case noc::TopologyKind::Crossbar: return "crossbar";
-      case noc::TopologyKind::Reconfigurable: return "reconfigurable";
-    }
-    return "mesh";
-}
-
-noc::TopologyKind
-topologyFromToken(const std::string &token)
-{
-    if (token == "mesh")
-        return noc::TopologyKind::Mesh;
-    if (token == "ring")
-        return noc::TopologyKind::Ring;
-    if (token == "crossbar")
-        return noc::TopologyKind::Crossbar;
-    if (token == "reconfigurable")
-        return noc::TopologyKind::Reconfigurable;
-    DITILE_THROW("unknown topology token '", token, "'");
-}
-
-// ---- Emission helpers. ----
-
-/** %.17g double formatting; integral values print as integers. */
-std::string
-fmtDouble(double value)
-{
-    char buf[64];
-    if (!std::isfinite(value))
-        return "null";
-    if (value == static_cast<double>(static_cast<long long>(value)) &&
-        std::fabs(value) < 1e15) {
-        std::snprintf(buf, sizeof(buf), "%lld",
-                      static_cast<long long>(value));
-    } else {
-        std::snprintf(buf, sizeof(buf), "%.17g", value);
-    }
-    return buf;
-}
-
-/** Key-value stream with automatic comma placement. */
-class Emitter
+/** Emits the canonical bytes of the fields it is walked over. */
+class PlanWriter
 {
   public:
-    explicit Emitter(std::ostringstream &out) : out_(out) {}
+    std::string take() { return std::move(out_); }
 
+    template <typename Fn>
     void
-    open(const char *key = nullptr)
+    object(const char *key, Fn &&fields)
     {
-        comma();
-        if (key)
-            out_ << jsonQuote(key) << ":";
-        out_ << "{";
+        name(key);
+        out_ += '{';
         first_ = true;
-    }
-
-    void
-    close()
-    {
-        out_ << "}";
+        fields();
+        out_ += '}';
         first_ = false;
     }
 
+    /** Writes every key; a section is written when `emit` is set. */
+    bool has(const char *, bool emit = true) const { return emit; }
+
     void
-    raw(const char *key, const std::string &value)
+    text(const char *key, const std::string &value)
     {
-        comma();
-        out_ << jsonQuote(key) << ":" << value;
+        name(key);
+        out_ += jsonQuote(value);
     }
 
-    void kv(const char *key, const std::string &v)
-    {
-        raw(key, jsonQuote(v));
-    }
-    void kv(const char *key, const char *v) { raw(key, jsonQuote(v)); }
-    void kv(const char *key, bool v) { raw(key, v ? "true" : "false"); }
-    void kv(const char *key, double v) { raw(key, fmtDouble(v)); }
     void
-    kv(const char *key, long long v)
+    boolean(const char *key, bool value)
     {
-        raw(key, std::to_string(v));
+        name(key);
+        out_ += value ? "true" : "false";
     }
+
     void
-    kvU(const char *key, std::uint64_t v)
+    real(const char *key, double value)
     {
-        raw(key, std::to_string(v));
+        name(key);
+        out_ += jsonNumber(value);
+    }
+
+    void rate(const char *key, double value) { real(key, value); }
+
+    void fraction(const char *key, double v, double) { real(key, v); }
+
+    void
+    u64(const char *key, std::uint64_t value)
+    {
+        name(key);
+        out_ += std::to_string(value);
     }
 
     template <typename T>
     void
-    intArray(const char *key, const std::vector<T> &values)
+    integer(const char *key, T value, long long = 0, long long = 0)
     {
-        comma();
-        out_ << jsonQuote(key) << ":[";
-        for (std::size_t i = 0; i < values.size(); ++i) {
-            if (i)
-                out_ << ",";
-            out_ << static_cast<long long>(values[i]);
-        }
-        out_ << "]";
+        static_assert(std::is_integral_v<T>);
+        name(key);
+        out_ += std::to_string(value);
     }
 
-    std::ostringstream &stream() { return out_; }
+    /** An array of integers (or, emit-only, of strings). */
+    template <typename T>
+    void
+    array(const char *key, const std::vector<T> &values, long long = 0,
+          long long = 0)
+    {
+        name(key);
+        out_ += '[';
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            if (i)
+                out_ += ',';
+            if constexpr (std::is_same_v<T, std::string>)
+                out_ += jsonQuote(values[i]);
+            else
+                out_ += std::to_string(values[i]);
+        }
+        out_ += ']';
+    }
+
+    template <typename E, std::size_t N>
+    void
+    token(const char *key, E value, const Token<E> (&table)[N])
+    {
+        for (const Token<E> &t : table)
+            if (t.value == value)
+                return text(key, t.token);
+        DITILE_PANIC("no ", key, " token for value ",
+                     static_cast<int>(value));
+    }
+
+    template <typename E>
+    void
+    token(const char *key, E value, const char *(*format)(E),
+          E (*)(const std::string &))
+    {
+        text(key, format(value));
+    }
 
     void
-    comma()
+    partition(const char *key, const graph::VertexPartition &partition,
+              long long)
     {
-        if (!first_)
-            out_ << ",";
+        std::vector<int> owners(
+            static_cast<std::size_t>(partition.numVertices()));
+        for (VertexId v = 0; v < partition.numVertices(); ++v)
+            owners[static_cast<std::size_t>(v)] = partition.owner(v);
+        object(key, [&] {
+            integer("parts", partition.numParts());
+            array("owners", owners);
+        });
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(const char *key, const std::vector<T> &items, Fn &&fields)
+    {
+        name(key);
+        out_ += '[';
+        first_ = true;
+        for (const T &item : items)
+            object(nullptr, [&] { fields(item); });
+        out_ += ']';
         first_ = false;
     }
 
+    template <typename T, typename Fn>
+    void
+    list(const char *key,
+         const std::shared_ptr<const std::vector<T>> &items, Fn &&fields)
+    {
+        static const std::vector<T> empty;
+        list(key, items ? *items : empty, fields);
+    }
+
+    /** A second copy of a fact already written. */
+    template <typename T>
+    void
+    mirror(const char *key, T value, const char *)
+    {
+        if constexpr (std::is_same_v<T, bool>)
+            boolean(key, value);
+        else
+            u64(key, value);
+    }
+
+    /** Reader-side checks are not evaluated on write. */
+    template <typename Fn>
+    void check(Fn &&) {}
+
+    /** A section derived from the fields above, never read back. */
+    template <typename Fn>
+    void
+    emitOnly(const char *key, Fn &&fields)
+    {
+        object(key, [&] { fields(*this); });
+    }
+
   private:
-    std::ostringstream &out_;
+    void
+    name(const char *key)
+    {
+        if (!first_)
+            out_ += ',';
+        first_ = false;
+        if (key) {
+            out_ += jsonQuote(key);
+            out_ += ':';
+        }
+    }
+
+    std::string out_;
     bool first_ = true;
 };
 
-void
-emitPartition(Emitter &e, const char *key,
-              const graph::VertexPartition &partition)
+/** Parses and range-checks the fields it is walked over. */
+class PlanReader
 {
-    e.open(key);
-    e.kv("parts", static_cast<long long>(partition.numParts()));
-    std::vector<int> owners(
-        static_cast<std::size_t>(partition.numVertices()));
-    for (VertexId v = 0; v < partition.numVertices(); ++v)
-        owners[static_cast<std::size_t>(v)] = partition.owner(v);
-    e.intArray("owners", owners);
-    e.close();
-}
+  public:
+    explicit PlanReader(const JsonValue &doc) : obj_(&doc) {}
 
-/** Parse a partition whose parts must fit `max_parts` compute slots. */
-graph::VertexPartition
-parsePartition(const JsonValue &v, long long max_parts)
-{
-    const auto &owners = v.at("owners").items();
-    const long long parts = v.at("parts").asInt();
-    if (parts < 0 || parts > max_parts)
-        DITILE_THROW("plan partition parts ", parts, " not in [0, ",
-                     max_parts, "]");
-    // An unused partition (e.g. tilePartition of a temporal-parallel
-    // mapping) serializes as zero parts; reconstruct it as default.
-    if (parts == 0)
-        return {};
-    graph::VertexPartition partition(
-        static_cast<VertexId>(owners.size()), static_cast<int>(parts));
-    for (std::size_t i = 0; i < owners.size(); ++i) {
-        const long long owner = owners[i].asInt();
-        if (owner == kInvalidTile)
-            continue;
-        if (owner < 0 || owner >= parts)
-            DITILE_THROW("plan partition owner ", owner, " not in [0, ",
-                         parts, ")");
-        partition.assign(static_cast<VertexId>(i),
-                         static_cast<int>(owner));
+    template <typename Fn>
+    void
+    object(const char *key, Fn &&fields)
+    {
+        const JsonValue *outer = obj_;
+        if (key)
+            obj_ = &at(key);
+        fields();
+        obj_ = outer;
     }
-    return partition;
+
+    /** Whether an optional key is present in the document. */
+    bool has(const char *key, bool = true) const { return obj_->has(key); }
+
+    void text(const char *key, std::string &v) { v = at(key).asString(); }
+    void boolean(const char *key, bool &v) { v = at(key).asBool(); }
+
+    /** A finite number (the writer cannot emit NaN/Inf). */
+    void
+    real(const char *key, double &value)
+    {
+        value = at(key).asDouble();
+        if (!std::isfinite(value))
+            DITILE_THROW("plan ", key, " ", value, " is not finite");
+    }
+
+    /** A finite, strictly positive rate. */
+    void
+    rate(const char *key, double &value)
+    {
+        real(key, value);
+        if (!(value > 0.0))
+            DITILE_THROW("plan ", key, " ", value, " must be positive");
+    }
+
+    /** A fraction in [lo, 1]. */
+    void
+    fraction(const char *key, double &value, double lo)
+    {
+        value = at(key).asDouble();
+        if (!(value >= lo && value <= 1.0))
+            DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", 1]");
+    }
+
+    template <typename T>
+    void u64(const char *key, T &v) { v = at(key).asUint(); }
+
+    /** An integer in [lo, hi] (by default, the range of T). */
+    template <typename T>
+    void
+    integer(const char *key, T &value, long long lo = kMinOf<T>,
+            long long hi = kMaxOf<T>)
+    {
+        value = static_cast<T>(checkedInt(key, at(key), lo, hi));
+    }
+
+    /** An integer array, each item in [lo, hi]. */
+    template <typename T>
+    void
+    array(const char *key, std::vector<T> &values, long long lo = kMinOf<T>,
+          long long hi = kMaxOf<T>)
+    {
+        const auto &items = at(key).items();
+        values.clear();
+        values.reserve(items.size());
+        for (const JsonValue &item : items)
+            values.push_back(static_cast<T>(checkedInt(key, item, lo, hi)));
+    }
+
+    template <typename E, std::size_t N>
+    void
+    token(const char *key, E &value, const Token<E> (&table)[N])
+    {
+        const std::string &token = at(key).asString();
+        for (const Token<E> &t : table) {
+            if (token == t.token) {
+                value = t.value;
+                return;
+            }
+        }
+        DITILE_THROW("unknown ", key, " token '", token, "'");
+    }
+
+    template <typename E>
+    void
+    token(const char *key, E &value, const char *(*)(E),
+          E (*parse)(const std::string &))
+    {
+        value = parse(at(key).asString());
+    }
+
+    /** A partition whose parts must fit `max_parts` compute slots. */
+    void
+    partition(const char *key, graph::VertexPartition &partition,
+              long long max_parts)
+    {
+        const JsonValue &v = at(key);
+        const auto &owners = v.at("owners").items();
+        const long long parts = v.at("parts").asInt();
+        if (parts < 0 || parts > max_parts)
+            DITILE_THROW("plan partition parts ", parts, " not in [0, ",
+                         max_parts, "]");
+        // An unused partition (e.g. tilePartition of a temporal-parallel
+        // mapping) serializes as zero parts; reconstruct it as default.
+        if (parts == 0) {
+            partition = {};
+            return;
+        }
+        partition = graph::VertexPartition(
+            static_cast<VertexId>(owners.size()), static_cast<int>(parts));
+        for (std::size_t i = 0; i < owners.size(); ++i) {
+            const long long owner = owners[i].asInt();
+            if (owner == kInvalidTile)
+                continue;
+            if (owner < 0 || owner >= parts)
+                DITILE_THROW("plan partition owner ", owner, " not in [0, ",
+                             parts, ")");
+            partition.assign(static_cast<VertexId>(i),
+                             static_cast<int>(owner));
+        }
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(const char *key, std::vector<T> &items, Fn &&fields)
+    {
+        const auto &src = at(key).items();
+        const JsonValue *outer = obj_;
+        items.clear();
+        items.reserve(src.size());
+        for (const JsonValue &item : src) {
+            obj_ = &item;
+            T value;
+            fields(value);
+            items.push_back(std::move(value));
+        }
+        obj_ = outer;
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(const char *key, std::shared_ptr<const std::vector<T>> &items,
+         Fn &&fields)
+    {
+        auto parsed = std::make_shared<std::vector<T>>();
+        list(key, *parsed, fields);
+        items = std::move(parsed);
+    }
+
+    /** A second copy of the option `source`: the two must agree. */
+    template <typename T>
+    void
+    mirror(const char *key, const T &value, const char *source)
+    {
+        T copy;
+        if constexpr (std::is_same_v<T, bool>)
+            copy = at(key).asBool();
+        else
+            copy = at(key).asUint();
+        if (copy != value)
+            DITILE_THROW("plan ", key, " ", copy, " disagrees with option ",
+                         source, " ", value);
+    }
+
+    template <typename Fn>
+    void check(Fn &&fn) { fn(); }
+
+    template <typename Fn>
+    void emitOnly(const char *, Fn &&) {}
+
+  private:
+    const JsonValue &at(const char *key) const { return obj_->at(key); }
+
+    static long long
+    checkedInt(const char *key, const JsonValue &v, long long lo,
+               long long hi)
+    {
+        const long long value = v.asInt();
+        if (value < lo || value > hi)
+            DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", ",
+                         hi, "]");
+        return value;
+    }
+
+    const JsonValue *obj_;
+};
+
+/** The derived task-graph skeleton (scheduler input). */
+void
+taskGraphFields(PlanWriter &w, const TaskGraph &tg)
+{
+    std::vector<std::string> lanes;
+    lanes.reserve(tg.lanes.size());
+    for (const auto &lane : tg.lanes)
+        lanes.push_back(lane.name());
+    w.array("lanes", lanes);
+    w.list("nodes", tg.nodes, [&](const TaskNode &n) {
+        w.integer("id", n.id);
+        w.text("kind", taskKindToken(n.kind));
+        w.integer("snapshot", n.snapshot);
+        w.integer("lane", n.lane);
+    });
+    std::vector<int> flat_edges;
+    flat_edges.reserve(tg.edges.size() * 2);
+    for (const auto &[u, v] : tg.edges) {
+        flat_edges.push_back(u);
+        flat_edges.push_back(v);
+    }
+    w.array("edges", flat_edges);
 }
 
-template <typename T>
-std::vector<T>
-parseIntArray(const JsonValue &v)
+/**
+ * The plan document, declared once: each key with its member and the
+ * bounds the reader enforces, in emission order. A bound may read
+ * members declared before it; the reader has filled those in.
+ */
+template <typename Io, typename Plan>
+void
+planFields(Io &io, Plan &plan)
 {
-    std::vector<T> out;
-    out.reserve(v.items().size());
-    for (const auto &item : v.items())
-        out.push_back(static_cast<T>(item.asInt()));
-    return out;
-}
-
-/** An integer member of `obj` that must lie in [lo, hi]. */
-int
-intIn(const JsonValue &obj, const char *key, int lo, int hi)
-{
-    const long long value = obj.at(key).asInt();
-    if (value < lo || value > hi)
-        DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", ",
-                     hi, "]");
-    return static_cast<int>(value);
-}
-
-/** A finite, strictly positive rate member of `obj`. */
-double
-positiveRate(const JsonValue &obj, const char *key)
-{
-    const double value = obj.at(key).asDouble();
-    if (!(value > 0.0) || !std::isfinite(value))
-        DITILE_THROW("plan ", key, " ", value, " must be positive");
-    return value;
-}
-
-/** A fraction member of `obj` that must lie in [lo, 1]. */
-double
-fractionFrom(const JsonValue &obj, const char *key, double lo)
-{
-    const double value = obj.at(key).asDouble();
-    if (!(value >= lo && value <= 1.0))
-        DITILE_THROW("plan ", key, " ", value, " not in [", lo, ", 1]");
-    return value;
-}
-
-/** A vertex-id array, each id range-checked against [0, vertices). */
-std::vector<VertexId>
-parseVertexIds(const JsonValue &v, VertexId vertices)
-{
-    for (const auto &item : v.items())
-        if (item.asInt() < 0 || item.asInt() >= vertices)
-            DITILE_THROW("plan vertex ", item.asInt(), " not in [0, ",
-                         vertices, ")");
-    return parseIntArray<VertexId>(v);
-}
-
-} // namespace
-
-std::string
-ExecutionPlan::toJson() const
-{
-    std::ostringstream out;
-    Emitter e(out);
-    e.open();
     // Format 2 added the "overlap" option and the derived "task_graph"
     // section; format-1 documents still load (overlap defaults off).
     // Format 3 adds the "scaleout" section for multi-chip plans;
-    // single-chip plans keep serializing as format 2 byte-identically.
-    e.kv("plan_format", scaleout.enabled() ? 3ll : 2ll);
-    e.kv("accelerator", acceleratorName);
-    e.kv("workload", workloadName);
-    e.kvU("workload_digest", workloadDigest);
-
-    // ---- Hardware. ----
-    e.open("hw");
-    e.kv("tile_rows", static_cast<long long>(hw.tileRows));
-    e.kv("tile_cols", static_cast<long long>(hw.tileCols));
-    e.kv("pes_per_tile", static_cast<long long>(hw.pesPerTile));
-    e.kv("macs_per_pe", static_cast<long long>(hw.macsPerPe));
-    e.kv("frequency_ghz", hw.frequencyGhz);
-    e.kvU("dist_buffer_bytes", hw.distBufferBytes);
-    e.kvU("reuse_fifo_bytes", hw.reuseFifoBytes);
-    e.kvU("local_buffer_bytes", hw.localBufferBytes);
-    e.kvU("per_snapshot_config_cycles", hw.perSnapshotConfigCycles);
-    e.open("noc");
-    e.kv("rows", static_cast<long long>(hw.noc.rows));
-    e.kv("cols", static_cast<long long>(hw.noc.cols));
-    e.kv("link_bytes_per_cycle",
-         static_cast<long long>(hw.noc.linkBytesPerCycle));
-    e.kvU("router_latency_cycles", hw.noc.routerLatencyCycles);
-    e.kv("topology", topologyToken(hw.noc.topology));
-    e.kv("relink_span", static_cast<long long>(hw.noc.reLinkSpan));
-    e.close();
-    e.open("dram");
-    e.kv("channels", static_cast<long long>(hw.dram.channels));
-    e.kv("banks_per_channel",
-         static_cast<long long>(hw.dram.banksPerChannel));
-    e.kvU("row_bytes", hw.dram.rowBytes);
-    e.kvU("row_hit_cycles", hw.dram.rowHitCycles);
-    e.kvU("row_miss_cycles", hw.dram.rowMissCycles);
-    e.kvU("row_conflict_cycles", hw.dram.rowConflictCycles);
-    e.kv("channel_bytes_per_cycle", hw.dram.channelBytesPerCycle);
-    e.close();
-    e.open("energy");
-    e.kv("fp32_add_pj", hw.energyTable.fp32AddPj);
-    e.kv("fp32_mul_pj", hw.energyTable.fp32MulPj);
-    e.kv("fp32_mac_pj", hw.energyTable.fp32MacPj);
-    e.kv("activation_pj", hw.energyTable.activationPj);
-    e.kv("sram_small_pj", hw.energyTable.sramSmallPjPerByte);
-    e.kv("sram_medium_pj", hw.energyTable.sramMediumPjPerByte);
-    e.kv("sram_large_pj", hw.energyTable.sramLargePjPerByte);
-    e.kv("noc_link_pj", hw.energyTable.nocLinkPjPerByte);
-    e.kv("noc_router_pj", hw.energyTable.nocRouterPjPerByte);
-    e.kv("dram_pj", hw.energyTable.dramPjPerByte);
-    e.kv("dram_activate_pj", hw.energyTable.dramActivatePj);
-    e.kv("reconfig_event_pj", hw.energyTable.reconfigEventPj);
-    e.kv("control_per_op_pj", hw.energyTable.controlPerOpPj);
-    e.kv("control_overhead_fraction",
-         hw.energyTable.controlOverheadFraction);
-    e.close();
-    e.close();
-
-    // ---- Model shape. ----
-    e.open("model");
-    e.intArray("gcn_dims", modelConfig.gcnDims);
-    e.kv("lstm_hidden", static_cast<long long>(modelConfig.lstmHidden));
-    e.kv("bytes_per_value",
-         static_cast<long long>(modelConfig.bytesPerValue));
-    e.kv("aggregator", aggregatorToken(modelConfig.aggregator));
-    e.kv("rnn", rnnToken(modelConfig.rnn));
-    e.kv("precision", precisionToken(modelConfig.precision));
-    e.close();
-
-    // ---- Mapping. ----
-    e.open("mapping");
-    e.kv("spatial_only", mapping.spatialOnly);
-    emitPartition(e, "row_partition", mapping.rowPartition);
-    e.intArray("snapshot_column", mapping.snapshotColumn);
-    emitPartition(e, "tile_partition", mapping.tilePartition);
-    e.close();
-
-    // ---- Engine options. ----
-    e.open("options");
-    e.kv("algo", algoToken(options.algo));
-    e.kv("cross_fetch_fraction",
-         options.accounting.crossFetchFraction);
-    e.kv("cached_intermediate_fraction",
-         options.accounting.cachedIntermediateFraction);
-    e.kv("uncached_intermediate_fraction",
-         options.accounting.uncachedIntermediateFraction);
-    e.kv("gnn_mac_fraction", options.gnnMacFraction);
-    e.kv("rnn_mac_fraction", options.rnnMacFraction);
-    e.kv("global_gnn_barrier", options.globalGnnBarrier);
-    e.kv("reuse_fifo_forwarding", options.reuseFifoForwarding);
-    e.kvU("reconfig_events_per_snapshot",
-          options.reconfigEventsPerSnapshot);
-    e.kv("dram_traffic_scale", options.dramTrafficScale);
-    e.kv("compute_energy_scale", options.computeEnergyScale);
-    e.kv("onchip_energy_scale", options.onChipEnergyScale);
-    e.kv("offchip_energy_scale", options.offChipEnergyScale);
-    e.kv("detailed_tile_timing", options.detailedTileTiming);
-    e.kv("adaptive_relink", options.adaptiveRelink);
-    e.kv("overlap", options.overlap);
-    e.close();
-
-    // ---- Algorithm-1 strategy. ----
-    e.open("parallel");
-    e.open("tiling");
-    e.kv("tiling_factor",
-         static_cast<long long>(parallel.tiling.tilingFactor));
-    e.kv("dram_access_units", parallel.tiling.dramAccessUnits);
-    e.kv("avg_subgraph_vertices",
-         parallel.tiling.avgSubgraphVertices);
-    e.kv("avg_subgraph_edges", parallel.tiling.avgSubgraphEdges);
-    e.kv("refetch_factor", parallel.tiling.refetchFactor);
-    e.kv("measured_cross", parallel.tiling.measuredCross);
-    e.close();
-    e.open("parallelism");
-    e.kv("snapshot_groups",
-         static_cast<long long>(parallel.parallelism.snapshotGroups));
-    e.kv("vertex_parts",
-         static_cast<long long>(parallel.parallelism.vertexParts));
-    e.kv("snapshots_per_group",
-         static_cast<long long>(
-             parallel.parallelism.snapshotsPerGroup));
-    e.kv("vertices_per_part",
-         static_cast<long long>(parallel.parallelism.verticesPerPart));
-    e.kv("tcomm", parallel.parallelism.tcomm);
-    e.kv("rfscomm", parallel.parallelism.rfscomm);
-    e.kv("recomm", parallel.parallelism.recomm);
-    e.kv("total_comm_units", parallel.parallelism.totalCommUnits);
-    e.close();
-    e.close();
-
-    // ---- Algorithm-2 BDW groups. ----
-    e.comma();
-    out << jsonQuote("groups") << ":[";
-    for (std::size_t i = 0; i < groups.size(); ++i) {
-        const auto &group = groups[i];
-        if (i)
-            out << ",";
-        out << "{\"id\":" << group.groupId
-            << ",\"snap_begin\":" << group.snapshotBegin
-            << ",\"snap_end\":" << group.snapshotEnd
-            << ",\"vertex_part\":" << group.vertexPart << "}";
-    }
-    out << "]";
-
-    // ---- Re-Link reconfiguration schedule. ----
-    e.open("relink");
-    e.kv("adaptive", relink.adaptive);
-    e.kvU("reconfig_events_per_snapshot",
-          relink.reconfigEventsPerSnapshot);
-    e.close();
-
-    // ---- Fault-injection schedule. ----
-    e.open("faults");
-    e.kvU("seed", faults.seed);
-    e.kv("dram_retry_fraction", faults.dramRetryFraction);
-    e.kvU("noc_backoff", faults.nocBackoffCycles);
-    e.kv("noc_retries", static_cast<long long>(faults.nocMaxRetries));
-    e.comma();
-    out << jsonQuote("events") << ":[";
-    for (std::size_t i = 0; i < faults.events.size(); ++i) {
-        const FaultEvent &ev = faults.events[i];
-        if (i)
-            out << ",";
-        out << "{\"kind\":" << jsonQuote(faultKindToken(ev.kind))
-            << ",\"snapshot\":" << ev.snapshot << ",\"row\":" << ev.row
-            << ",\"col\":" << ev.col << ",\"channel\":" << ev.channel
-            << "}";
-    }
-    out << "]";
-    e.close();
-
-    // ---- Multi-chip scale-out (format 3 only). ----
-    if (scaleout.enabled()) {
-        e.open("scaleout");
-        e.kv("chips", static_cast<long long>(scaleout.chips));
-        e.open("interchip");
-        e.kv("bandwidth_gbps", scaleout.link.bandwidthGbps);
-        e.kv("latency_ns", scaleout.link.latencyNs);
-        e.kvU("packet_bytes", scaleout.link.packetBytes);
-        e.kvU("packet_header_bytes", scaleout.link.packetHeaderBytes);
-        e.close();
-        e.kv("chunk_span", static_cast<long long>(scaleout.chunkSpan));
-        e.intArray("chip_of_chunk", scaleout.chipOfChunk);
-        e.close();
-    }
-
-    // ---- Task-graph skeleton (scheduler input). ----
-    // Derived entirely from the fields above, re-derived on load
-    // (fromJson ignores it): serialized so plan documents are
-    // self-describing for external tooling and so the content hash
-    // pins the DAG shape alongside the knobs that induce it.
-    {
-        const TaskGraph tg = buildTaskGraph(*this);
-        e.open("task_graph");
-        e.comma();
-        out << jsonQuote("lanes") << ":[";
-        for (std::size_t i = 0; i < tg.lanes.size(); ++i) {
-            if (i)
-                out << ",";
-            out << jsonQuote(tg.lanes[i].name());
-        }
-        out << "]";
-        e.comma();
-        out << jsonQuote("nodes") << ":[";
-        for (std::size_t i = 0; i < tg.nodes.size(); ++i) {
-            const TaskNode &n = tg.nodes[i];
-            if (i)
-                out << ",";
-            out << "{\"id\":" << n.id << ",\"kind\":"
-                << jsonQuote(taskKindToken(n.kind))
-                << ",\"snapshot\":" << n.snapshot
-                << ",\"lane\":" << n.lane << "}";
-        }
-        out << "]";
-        std::vector<int> flat_edges;
-        flat_edges.reserve(tg.edges.size() * 2);
-        for (const auto &[u, v] : tg.edges) {
-            flat_edges.push_back(u);
-            flat_edges.push_back(v);
-        }
-        e.intArray("edges", flat_edges);
-        e.close();
-    }
-
-    // ---- Redundancy-free per-snapshot plans. ----
-    e.comma();
-    out << jsonQuote("snapshots") << ":[";
-    const std::vector<model::SnapshotPlan> empty;
-    const auto &snaps = snapshots ? *snapshots : empty;
-    for (std::size_t i = 0; i < snaps.size(); ++i) {
-        const auto &snap = snaps[i];
-        if (i)
-            out << ",";
-        Emitter se(out);
-        se.open();
-        se.kv("full_recompute", snap.fullRecompute);
-        se.kvU("adjacency_updates",
-               static_cast<std::uint64_t>(snap.adjacencyUpdates));
-        se.intArray("rnn_vertices", snap.rnnVertices);
-        se.comma();
-        out << jsonQuote("gcn") << ":[";
-        for (std::size_t l = 0; l < snap.gcn.size(); ++l) {
-            const auto &layer = snap.gcn[l];
-            if (l)
-                out << ",";
-            Emitter le(out);
-            le.open();
-            le.kv("gather_edges",
-                  static_cast<long long>(layer.gatherEdges));
-            le.kv("unique_inputs",
-                  static_cast<long long>(layer.uniqueInputs));
-            le.intArray("vertices", layer.vertices);
-            le.close();
-        }
-        out << "]";
-        se.close();
-    }
-    out << "]";
-    e.close();
-    return out.str();
-}
-
-ExecutionPlan
-ExecutionPlan::fromJson(const std::string &text)
-{
-    const JsonValue doc = JsonValue::parse(text);
-    const long long format = doc.at("plan_format").asInt();
-    if (format != 1 && format != 2 && format != 3)
-        DITILE_THROW("unsupported plan_format");
-
-    ExecutionPlan plan;
-    plan.acceleratorName = doc.at("accelerator").asString();
-    plan.workloadName = doc.at("workload").asString();
+    // single-chip plans keep serializing as format 2. The writer
+    // derives the format; the reader only range-checks it.
+    int format = plan.scaleout.enabled() ? 3 : 2;
+    io.integer("plan_format", format, 1, 3);
+    io.text("accelerator", plan.acceleratorName);
+    io.text("workload", plan.workloadName);
     // Documents predating the digest field load with key 0.
-    if (const JsonValue *digest = doc.find("workload_digest"))
-        plan.workloadDigest = digest->asUint();
+    if (io.has("workload_digest"))
+        io.u64("workload_digest", plan.workloadDigest);
 
     // Hardware sizes become allocations, loop bounds and divisors:
     // each is bounded so a hostile document costs a typed error, not
@@ -626,273 +498,270 @@ ExecutionPlan::fromJson(const std::string &text)
     // tiles).
     constexpr int kMaxGridSide = 128;
     constexpr int kMaxPerTile = 256;
-    const JsonValue &hw = doc.at("hw");
-    plan.hw.tileRows = intIn(hw, "tile_rows", 1, kMaxGridSide);
-    plan.hw.tileCols = intIn(hw, "tile_cols", 1, kMaxGridSide);
-    plan.hw.pesPerTile = intIn(hw, "pes_per_tile", 1, kMaxPerTile);
-    plan.hw.macsPerPe = intIn(hw, "macs_per_pe", 1, kMaxPerTile);
-    plan.hw.frequencyGhz = positiveRate(hw, "frequency_ghz");
-    plan.hw.distBufferBytes = hw.at("dist_buffer_bytes").asUint();
-    plan.hw.reuseFifoBytes = hw.at("reuse_fifo_bytes").asUint();
-    plan.hw.localBufferBytes = hw.at("local_buffer_bytes").asUint();
-    plan.hw.perSnapshotConfigCycles =
-        hw.at("per_snapshot_config_cycles").asUint();
-    const JsonValue &noc = hw.at("noc");
-    plan.hw.noc.rows = intIn(noc, "rows", 1, kMaxGridSide);
-    plan.hw.noc.cols = intIn(noc, "cols", 1, kMaxGridSide);
-    plan.hw.noc.linkBytesPerCycle = intIn(
-        noc, "link_bytes_per_cycle", 1, std::numeric_limits<int>::max());
-    plan.hw.noc.routerLatencyCycles =
-        noc.at("router_latency_cycles").asUint();
-    plan.hw.noc.topology =
-        topologyFromToken(noc.at("topology").asString());
-    plan.hw.noc.reLinkSpan = intIn(noc, "relink_span", 1, kMaxGridSide);
-    const JsonValue &dram = hw.at("dram");
-    plan.hw.dram.channels = intIn(dram, "channels", 1, 1024);
-    plan.hw.dram.banksPerChannel =
-        intIn(dram, "banks_per_channel", 1, 1024);
-    plan.hw.dram.rowBytes = static_cast<ByteCount>(
-        intIn(dram, "row_bytes", 1, std::numeric_limits<int>::max()));
-    plan.hw.dram.rowHitCycles = dram.at("row_hit_cycles").asUint();
-    plan.hw.dram.rowMissCycles = dram.at("row_miss_cycles").asUint();
-    plan.hw.dram.rowConflictCycles =
-        dram.at("row_conflict_cycles").asUint();
-    plan.hw.dram.channelBytesPerCycle =
-        positiveRate(dram, "channel_bytes_per_cycle");
-    const JsonValue &energy = hw.at("energy");
-    auto &table = plan.hw.energyTable;
-    table.fp32AddPj = energy.at("fp32_add_pj").asDouble();
-    table.fp32MulPj = energy.at("fp32_mul_pj").asDouble();
-    table.fp32MacPj = energy.at("fp32_mac_pj").asDouble();
-    table.activationPj = energy.at("activation_pj").asDouble();
-    table.sramSmallPjPerByte = energy.at("sram_small_pj").asDouble();
-    table.sramMediumPjPerByte = energy.at("sram_medium_pj").asDouble();
-    table.sramLargePjPerByte = energy.at("sram_large_pj").asDouble();
-    table.nocLinkPjPerByte = energy.at("noc_link_pj").asDouble();
-    table.nocRouterPjPerByte = energy.at("noc_router_pj").asDouble();
-    table.dramPjPerByte = energy.at("dram_pj").asDouble();
-    table.dramActivatePj = energy.at("dram_activate_pj").asDouble();
-    table.reconfigEventPj = energy.at("reconfig_event_pj").asDouble();
-    table.controlPerOpPj = energy.at("control_per_op_pj").asDouble();
-    table.controlOverheadFraction =
-        energy.at("control_overhead_fraction").asDouble();
+    constexpr int kIntMax = std::numeric_limits<int>::max();
+    auto &hw = plan.hw;
+    io.object("hw", [&] {
+        io.integer("tile_rows", hw.tileRows, 1, kMaxGridSide);
+        io.integer("tile_cols", hw.tileCols, 1, kMaxGridSide);
+        io.integer("pes_per_tile", hw.pesPerTile, 1, kMaxPerTile);
+        io.integer("macs_per_pe", hw.macsPerPe, 1, kMaxPerTile);
+        io.rate("frequency_ghz", hw.frequencyGhz);
+        io.u64("dist_buffer_bytes", hw.distBufferBytes);
+        io.u64("reuse_fifo_bytes", hw.reuseFifoBytes);
+        io.u64("local_buffer_bytes", hw.localBufferBytes);
+        io.u64("per_snapshot_config_cycles", hw.perSnapshotConfigCycles);
+        io.object("noc", [&] {
+            io.integer("rows", hw.noc.rows, 1, kMaxGridSide);
+            io.integer("cols", hw.noc.cols, 1, kMaxGridSide);
+            io.integer("link_bytes_per_cycle", hw.noc.linkBytesPerCycle,
+                       1, kIntMax);
+            io.u64("router_latency_cycles", hw.noc.routerLatencyCycles);
+            io.token("topology", hw.noc.topology, kTopologyTokens);
+            io.integer("relink_span", hw.noc.reLinkSpan, 1, kMaxGridSide);
+        });
+        io.object("dram", [&] {
+            io.integer("channels", hw.dram.channels, 1, 1024);
+            io.integer("banks_per_channel", hw.dram.banksPerChannel, 1,
+                       1024);
+            io.integer("row_bytes", hw.dram.rowBytes, 1, kIntMax);
+            io.u64("row_hit_cycles", hw.dram.rowHitCycles);
+            io.u64("row_miss_cycles", hw.dram.rowMissCycles);
+            io.u64("row_conflict_cycles", hw.dram.rowConflictCycles);
+            io.rate("channel_bytes_per_cycle",
+                    hw.dram.channelBytesPerCycle);
+        });
+        auto &table = hw.energyTable;
+        io.object("energy", [&] {
+            io.real("fp32_add_pj", table.fp32AddPj);
+            io.real("fp32_mul_pj", table.fp32MulPj);
+            io.real("fp32_mac_pj", table.fp32MacPj);
+            io.real("activation_pj", table.activationPj);
+            io.real("sram_small_pj", table.sramSmallPjPerByte);
+            io.real("sram_medium_pj", table.sramMediumPjPerByte);
+            io.real("sram_large_pj", table.sramLargePjPerByte);
+            io.real("noc_link_pj", table.nocLinkPjPerByte);
+            io.real("noc_router_pj", table.nocRouterPjPerByte);
+            io.real("dram_pj", table.dramPjPerByte);
+            io.real("dram_activate_pj", table.dramActivatePj);
+            io.real("reconfig_event_pj", table.reconfigEventPj);
+            io.real("control_per_op_pj", table.controlPerOpPj);
+            io.real("control_overhead_fraction",
+                    table.controlOverheadFraction);
+        });
+    });
 
     constexpr int kMaxWidth = 1 << 16;
-    const JsonValue &mc = doc.at("model");
-    const auto &dims = mc.at("gcn_dims").items();
-    if (dims.empty() || dims.size() > 64)
-        DITILE_THROW("plan model has ", dims.size(),
-                     " GCN layers (want 1 to 64)");
-    for (const JsonValue &dim : dims)
-        if (dim.asInt() < 1 || dim.asInt() > kMaxWidth)
-            DITILE_THROW("plan GCN width ", dim.asInt(), " not in [1, ",
-                         kMaxWidth, "]");
-    plan.modelConfig.gcnDims = parseIntArray<int>(mc.at("gcn_dims"));
-    plan.modelConfig.lstmHidden = intIn(mc, "lstm_hidden", 1, kMaxWidth);
-    plan.modelConfig.bytesPerValue = intIn(mc, "bytes_per_value", 1, 16);
-    plan.modelConfig.aggregator =
-        aggregatorFromToken(mc.at("aggregator").asString());
-    plan.modelConfig.rnn = rnnFromToken(mc.at("rnn").asString());
-    plan.modelConfig.precision =
-        precisionFromToken(mc.at("precision").asString());
+    auto &mc = plan.modelConfig;
+    io.object("model", [&] {
+        io.array("gcn_dims", mc.gcnDims, 1, kMaxWidth);
+        io.check([&] {
+            if (mc.gcnDims.empty() || mc.gcnDims.size() > 64)
+                DITILE_THROW("plan model has ", mc.gcnDims.size(),
+                             " GCN layers (want 1 to 64)");
+        });
+        io.integer("lstm_hidden", mc.lstmHidden, 1, kMaxWidth);
+        io.integer("bytes_per_value", mc.bytesPerValue, 1, 16);
+        io.token("aggregator", mc.aggregator, kAggregatorTokens);
+        io.token("rnn", mc.rnn, kRnnTokens);
+        io.token("precision", mc.precision, kPrecisionTokens);
+    });
 
     // The mapping indexes the tile grid and the NoC, so it is
-    // range-checked against the document's own hw and snapshot count:
-    // a hostile document is rejected here, not by a device model.
-    const long long tile_rows = plan.hw.tileRows;
-    const long long tile_cols = plan.hw.tileCols;
-    if (tile_rows * tile_cols > 1ll * plan.hw.noc.rows * plan.hw.noc.cols)
-        DITILE_THROW("plan tile grid does not fit its NoC");
-    const JsonValue &mapping = doc.at("mapping");
-    plan.mapping.spatialOnly = mapping.at("spatial_only").asBool();
-    plan.mapping.rowPartition =
-        parsePartition(mapping.at("row_partition"), tile_rows);
-    const auto &columns = mapping.at("snapshot_column").items();
-    if (!plan.mapping.spatialOnly &&
-        columns.size() != doc.at("snapshots").items().size())
-        DITILE_THROW("plan snapshot_column does not cover every snapshot");
-    for (const JsonValue &col : columns) {
-        if (col.asInt() < 0 || col.asInt() >= tile_cols)
-            DITILE_THROW("plan snapshot column ", col.asInt(),
-                         " not in [0, ", tile_cols, ")");
-    }
-    plan.mapping.snapshotColumn =
-        parseIntArray<int>(mapping.at("snapshot_column"));
-    plan.mapping.tilePartition = parsePartition(
-        mapping.at("tile_partition"), tile_rows * tile_cols);
+    // range-checked against the document's own hw (and, below the
+    // snapshots, their count): a hostile document is rejected here,
+    // not by a device model.
+    io.check([&] {
+        if (1ll * hw.tileRows * hw.tileCols >
+            1ll * hw.noc.rows * hw.noc.cols)
+            DITILE_THROW("plan tile grid does not fit its NoC");
+    });
+    auto &mapping = plan.mapping;
+    io.object("mapping", [&] {
+        io.boolean("spatial_only", mapping.spatialOnly);
+        io.partition("row_partition", mapping.rowPartition, hw.tileRows);
+        io.array("snapshot_column", mapping.snapshotColumn, 0,
+                hw.tileCols - 1);
+        io.partition("tile_partition", mapping.tilePartition,
+                     1ll * hw.tileRows * hw.tileCols);
+    });
 
-    const JsonValue &options = doc.at("options");
-    plan.options.algo = algoFromToken(options.at("algo").asString());
-    plan.options.accounting.crossFetchFraction =
-        fractionFrom(options, "cross_fetch_fraction", 0.0);
-    plan.options.accounting.cachedIntermediateFraction =
-        fractionFrom(options, "cached_intermediate_fraction", 0.0);
-    plan.options.accounting.uncachedIntermediateFraction =
-        fractionFrom(options, "uncached_intermediate_fraction", 0.0);
     // A kernel's share of a tile must keep at least one MAC unit.
-    const double min_mac_fraction = 1.0 / plan.hw.macsPerTile();
-    plan.options.gnnMacFraction =
-        fractionFrom(options, "gnn_mac_fraction", min_mac_fraction);
-    plan.options.rnnMacFraction =
-        fractionFrom(options, "rnn_mac_fraction", min_mac_fraction);
-    // "rnn_separate_resource" (a knob no timeline read) is ignored
-    // when present, so documents written by earlier builds still load.
-    plan.options.globalGnnBarrier =
-        options.at("global_gnn_barrier").asBool();
-    plan.options.reuseFifoForwarding =
-        options.at("reuse_fifo_forwarding").asBool();
-    plan.options.reconfigEventsPerSnapshot =
-        options.at("reconfig_events_per_snapshot").asUint();
-    plan.options.dramTrafficScale =
-        options.at("dram_traffic_scale").asDouble();
-    plan.options.computeEnergyScale =
-        options.at("compute_energy_scale").asDouble();
-    plan.options.onChipEnergyScale =
-        options.at("onchip_energy_scale").asDouble();
-    plan.options.offChipEnergyScale =
-        options.at("offchip_energy_scale").asDouble();
-    plan.options.detailedTileTiming =
-        options.at("detailed_tile_timing").asBool();
-    plan.options.adaptiveRelink =
-        options.at("adaptive_relink").asBool();
-    // Format-1 documents predate the task-graph scheduler: they load
-    // with the staged timeline (overlap off).
-    if (const JsonValue *overlap = options.find("overlap"))
-        plan.options.overlap = overlap->asBool();
+    const double min_mac_fraction = 1.0 / hw.macsPerTile();
+    auto &options = plan.options;
+    io.object("options", [&] {
+        io.token("algo", options.algo, kAlgoTokens);
+        io.fraction("cross_fetch_fraction",
+                    options.accounting.crossFetchFraction, 0.0);
+        io.fraction("cached_intermediate_fraction",
+                    options.accounting.cachedIntermediateFraction, 0.0);
+        io.fraction("uncached_intermediate_fraction",
+                    options.accounting.uncachedIntermediateFraction, 0.0);
+        io.fraction("gnn_mac_fraction", options.gnnMacFraction,
+                    min_mac_fraction);
+        io.fraction("rnn_mac_fraction", options.rnnMacFraction,
+                    min_mac_fraction);
+        // "rnn_separate_resource" (a knob no timeline read) is ignored
+        // when present, so documents written by earlier builds load.
+        io.boolean("global_gnn_barrier", options.globalGnnBarrier);
+        io.boolean("reuse_fifo_forwarding", options.reuseFifoForwarding);
+        io.u64("reconfig_events_per_snapshot",
+               options.reconfigEventsPerSnapshot);
+        io.real("dram_traffic_scale", options.dramTrafficScale);
+        io.real("compute_energy_scale", options.computeEnergyScale);
+        io.real("onchip_energy_scale", options.onChipEnergyScale);
+        io.real("offchip_energy_scale", options.offChipEnergyScale);
+        io.boolean("detailed_tile_timing", options.detailedTileTiming);
+        io.boolean("adaptive_relink", options.adaptiveRelink);
+        // Format-1 documents predate the task-graph scheduler: they
+        // load with the staged timeline (overlap off).
+        if (io.has("overlap"))
+            io.boolean("overlap", options.overlap);
+    });
 
-    const JsonValue &tiling = doc.at("parallel").at("tiling");
-    plan.parallel.tiling.tilingFactor =
-        static_cast<int>(tiling.at("tiling_factor").asInt());
-    plan.parallel.tiling.dramAccessUnits =
-        tiling.at("dram_access_units").asDouble();
-    plan.parallel.tiling.avgSubgraphVertices =
-        tiling.at("avg_subgraph_vertices").asDouble();
-    plan.parallel.tiling.avgSubgraphEdges =
-        tiling.at("avg_subgraph_edges").asDouble();
-    plan.parallel.tiling.refetchFactor =
-        tiling.at("refetch_factor").asDouble();
-    plan.parallel.tiling.measuredCross =
-        tiling.at("measured_cross").asDouble();
-    const JsonValue &par = doc.at("parallel").at("parallelism");
-    plan.parallel.parallelism.snapshotGroups =
-        static_cast<int>(par.at("snapshot_groups").asInt());
-    plan.parallel.parallelism.vertexParts =
-        static_cast<int>(par.at("vertex_parts").asInt());
-    plan.parallel.parallelism.snapshotsPerGroup =
-        static_cast<int>(par.at("snapshots_per_group").asInt());
-    plan.parallel.parallelism.verticesPerPart =
-        static_cast<int>(par.at("vertices_per_part").asInt());
-    plan.parallel.parallelism.tcomm = par.at("tcomm").asDouble();
-    plan.parallel.parallelism.rfscomm = par.at("rfscomm").asDouble();
-    plan.parallel.parallelism.recomm = par.at("recomm").asDouble();
-    plan.parallel.parallelism.totalCommUnits =
-        par.at("total_comm_units").asDouble();
+    auto &tiling = plan.parallel.tiling;
+    auto &par = plan.parallel.parallelism;
+    io.object("parallel", [&] {
+        io.object("tiling", [&] {
+            io.integer("tiling_factor", tiling.tilingFactor);
+            io.real("dram_access_units", tiling.dramAccessUnits);
+            io.real("avg_subgraph_vertices", tiling.avgSubgraphVertices);
+            io.real("avg_subgraph_edges", tiling.avgSubgraphEdges);
+            io.real("refetch_factor", tiling.refetchFactor);
+            io.real("measured_cross", tiling.measuredCross);
+        });
+        io.object("parallelism", [&] {
+            io.integer("snapshot_groups", par.snapshotGroups);
+            io.integer("vertex_parts", par.vertexParts);
+            io.integer("snapshots_per_group", par.snapshotsPerGroup);
+            io.integer("vertices_per_part", par.verticesPerPart);
+            io.real("tcomm", par.tcomm);
+            io.real("rfscomm", par.rfscomm);
+            io.real("recomm", par.recomm);
+            io.real("total_comm_units", par.totalCommUnits);
+        });
+    });
 
-    for (const auto &item : doc.at("groups").items()) {
-        workload::BalancedGroup group;
-        group.groupId = static_cast<int>(item.at("id").asInt());
-        group.snapshotBegin =
-            static_cast<SnapshotId>(item.at("snap_begin").asInt());
-        group.snapshotEnd =
-            static_cast<SnapshotId>(item.at("snap_end").asInt());
-        group.vertexPart =
-            static_cast<int>(item.at("vertex_part").asInt());
-        plan.groups.push_back(group);
-    }
+    io.list("groups", plan.groups, [&](auto &group) {
+        io.integer("id", group.groupId);
+        io.integer("snap_begin", group.snapshotBegin);
+        io.integer("snap_end", group.snapshotEnd);
+        io.integer("vertex_part", group.vertexPart);
+    });
 
-    const JsonValue &relink = doc.at("relink");
-    plan.relink.adaptive = relink.at("adaptive").asBool();
-    plan.relink.reconfigEventsPerSnapshot =
-        relink.at("reconfig_events_per_snapshot").asUint();
+    // The Re-Link schedule (Figure-5 steps (8)-(9)) is written from
+    // the options the engine reads, and must agree with them on load.
+    io.object("relink", [&] {
+        io.mirror("adaptive", options.adaptiveRelink, "adaptive_relink");
+        io.mirror("reconfig_events_per_snapshot",
+                  options.reconfigEventsPerSnapshot,
+                  "reconfig_events_per_snapshot");
+    });
 
     // Plans serialized before the fault model existed carry no
     // "faults" key; they load as fault-free.
-    if (const JsonValue *faults = doc.find("faults")) {
-        plan.faults.seed = faults->at("seed").asUint();
-        plan.faults.dramRetryFraction =
-            faults->at("dram_retry_fraction").asDouble();
-        plan.faults.nocBackoffCycles =
-            faults->at("noc_backoff").asUint();
-        plan.faults.nocMaxRetries =
-            static_cast<int>(faults->at("noc_retries").asInt());
-        for (const auto &item : faults->at("events").items()) {
-            FaultEvent ev;
-            ev.kind = faultKindFromToken(item.at("kind").asString());
-            ev.snapshot =
-                static_cast<SnapshotId>(item.at("snapshot").asInt());
-            ev.row = static_cast<int>(item.at("row").asInt());
-            ev.col = static_cast<int>(item.at("col").asInt());
-            ev.channel = static_cast<int>(item.at("channel").asInt());
-            plan.faults.events.push_back(ev);
-        }
+    auto &faults = plan.faults;
+    if (io.has("faults")) {
+        io.object("faults", [&] {
+            io.u64("seed", faults.seed);
+            io.real("dram_retry_fraction", faults.dramRetryFraction);
+            io.u64("noc_backoff", faults.nocBackoffCycles);
+            io.integer("noc_retries", faults.nocMaxRetries);
+            io.list("events", faults.events, [&](auto &ev) {
+                io.token("kind", ev.kind, faultKindToken,
+                         faultKindFromToken);
+                io.integer("snapshot", ev.snapshot);
+                io.integer("row", ev.row);
+                io.integer("col", ev.col);
+                io.integer("channel", ev.channel);
+            });
+        });
     }
 
     // Format-2 (and earlier) documents carry no "scaleout" key; they
     // load as single-chip plans.
-    if (const JsonValue *so = doc.find("scaleout")) {
-        plan.scaleout.chips = intIn(*so, "chips", 2, 1024);
-        const JsonValue &link = so->at("interchip");
-        plan.scaleout.link.bandwidthGbps =
-            positiveRate(link, "bandwidth_gbps");
-        plan.scaleout.link.latencyNs = link.at("latency_ns").asDouble();
-        if (!(plan.scaleout.link.latencyNs >= 0.0) ||
-            !std::isfinite(plan.scaleout.link.latencyNs))
-            DITILE_THROW("plan latency_ns ", plan.scaleout.link.latencyNs,
-                         " must be finite and nonnegative");
-        plan.scaleout.link.packetBytes = static_cast<ByteCount>(intIn(
-            link, "packet_bytes", 1, std::numeric_limits<int>::max()));
-        plan.scaleout.link.packetHeaderBytes =
-            link.at("packet_header_bytes").asUint();
-        plan.scaleout.chunkSpan = intIn(
-            *so, "chunk_span", 1, std::numeric_limits<VertexId>::max());
-        plan.scaleout.chipOfChunk =
-            parseIntArray<int>(so->at("chip_of_chunk"));
+    auto &so = plan.scaleout;
+    if (io.has("scaleout", so.enabled())) {
+        io.object("scaleout", [&] {
+            io.integer("chips", so.chips, 2, 1024);
+            io.object("interchip", [&] {
+                io.real("bandwidth_gbps", so.link.bandwidthGbps);
+                io.real("latency_ns", so.link.latencyNs);
+                io.integer("packet_bytes", so.link.packetBytes, 1,
+                           kIntMax);
+                io.u64("packet_header_bytes", so.link.packetHeaderBytes);
+                io.check([&] {
+                    noc::checkInterChipLink(so.link, hw.frequencyGhz);
+                });
+            });
+            io.integer("chunk_span", so.chunkSpan, 1, kMaxOf<VertexId>);
+            io.array("chip_of_chunk", so.chipOfChunk);
+        });
     }
+
+    // Derived entirely from the fields above and ignored on load:
+    // serialized so plan documents are self-describing for external
+    // tooling and so the content hash pins the DAG shape alongside
+    // the knobs that induce it.
+    io.emitOnly("task_graph", [&](PlanWriter &w) {
+        taskGraphFields(w, buildTaskGraph(plan));
+    });
 
     // Snapshot plans index per-vertex state and per-layer model
     // dimensions: every vertex id must lie in the partition's range and
     // every snapshot must plan each GCN layer of the model.
-    const VertexId vertices = plan.mapping.spatialOnly
-        ? plan.mapping.tilePartition.numVertices()
-        : plan.mapping.rowPartition.numVertices();
-    const std::size_t layers = plan.modelConfig.gcnDims.size();
-    auto snaps = std::make_shared<std::vector<model::SnapshotPlan>>();
-    for (const auto &item : doc.at("snapshots").items()) {
-        model::SnapshotPlan snap;
-        snap.fullRecompute = item.at("full_recompute").asBool();
-        snap.adjacencyUpdates = static_cast<std::size_t>(
-            item.at("adjacency_updates").asUint());
-        snap.rnnVertices =
-            parseVertexIds(item.at("rnn_vertices"), vertices);
-        if (item.at("gcn").items().size() != layers)
-            DITILE_THROW("plan snapshot has ",
-                         item.at("gcn").items().size(),
-                         " GCN layers, the model ", layers);
-        for (const auto &layer_item : item.at("gcn").items()) {
-            model::LayerWork layer;
-            layer.gatherEdges = static_cast<EdgeId>(
-                layer_item.at("gather_edges").asInt());
-            layer.uniqueInputs = static_cast<VertexId>(
-                layer_item.at("unique_inputs").asInt());
-            layer.vertices =
-                parseVertexIds(layer_item.at("vertices"), vertices);
-            snap.gcn.push_back(std::move(layer));
-        }
-        snaps->push_back(std::move(snap));
-    }
-    plan.snapshots = std::move(snaps);
+    const long long vertices = mapping.spatialOnly
+        ? mapping.tilePartition.numVertices()
+        : mapping.rowPartition.numVertices();
+    const std::size_t layers = mc.gcnDims.size();
+    io.list("snapshots", plan.snapshots, [&](auto &snap) {
+        io.boolean("full_recompute", snap.fullRecompute);
+        io.u64("adjacency_updates", snap.adjacencyUpdates);
+        io.array("rnn_vertices", snap.rnnVertices, 0, vertices - 1);
+        io.list("gcn", snap.gcn, [&](auto &layer) {
+            io.integer("gather_edges", layer.gatherEdges);
+            io.integer("unique_inputs", layer.uniqueInputs);
+            io.array("vertices", layer.vertices, 0, vertices - 1);
+        });
+        io.check([&] {
+            if (snap.gcn.size() != layers)
+                DITILE_THROW("plan snapshot has ", snap.gcn.size(),
+                             " GCN layers, the model ", layers);
+        });
+    });
+    io.check([&] {
+        if (!mapping.spatialOnly &&
+            mapping.snapshotColumn.size() !=
+                static_cast<std::size_t>(plan.numSnapshots()))
+            DITILE_THROW("plan snapshot_column does not cover every "
+                         "snapshot");
+    });
+}
+
+} // namespace
+
+std::string
+ExecutionPlan::toJson() const
+{
+    PlanWriter writer;
+    writer.object(nullptr, [&] { planFields(writer, *this); });
+    return writer.take();
+}
+
+ExecutionPlan
+ExecutionPlan::fromJson(const std::string &text)
+{
+    const JsonValue doc = JsonValue::parse(text);
+    ExecutionPlan plan;
+    PlanReader reader(doc);
+    reader.object(nullptr, [&] { planFields(reader, plan); });
     return plan;
 }
 
 std::uint64_t
 ExecutionPlan::contentHash() const
 {
-    // FNV-1a over the canonical serialization: equal hash <=>
-    // byte-identical canonical form (modulo collisions).
-    std::uint64_t h = 1469598103934665603ull;
-    for (const char c : toJson())
-        h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
-    return h;
+    // Equal hash <=> byte-identical canonical form (modulo collisions).
+    return fnv1a(toJson());
 }
 
 ExecutionPlan
@@ -914,12 +783,8 @@ buildEnginePlan(const graph::DynamicGraph &dg,
     plan.workloadDigest =
         workload::loadDigestKey(dg, model_config.numGcnLayers());
     {
-        char key[24];
-        std::snprintf(key, sizeof(key), "%016llx",
-                      static_cast<unsigned long long>(
-                          plan.workloadDigest));
         TraceEvent ev;
-        ev.addArg("key", std::string(key));
+        ev.addArg("key", hex64(plan.workloadDigest));
         tracer.stepSpan("plan", "workload-digest-key", plan_track,
                         std::move(ev));
     }
@@ -927,9 +792,6 @@ buildEnginePlan(const graph::DynamicGraph &dg,
     plan.modelConfig = model_config;
     plan.mapping = mapping;
     plan.options = options;
-    plan.relink.adaptive = options.adaptiveRelink;
-    plan.relink.reconfigEventsPerSnapshot =
-        options.reconfigEventsPerSnapshot;
     plan.snapshots = cache
         ? cache->obtain(dg, model_config, options.algo)
         : PlanCache::buildSnapshotPlans(dg, model_config,

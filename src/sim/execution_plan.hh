@@ -15,9 +15,9 @@
  *   - the engine policy knobs (EngineOptions),
  *   - the Algorithm-1 ParallelPlan (tiling factor, Ps/Pv),
  *   - the Algorithm-2 BDW group assignments,
- *   - the Re-Link reconfiguration schedule (mode + per-snapshot
- *     switch budget; span selection stays in the §6.1 runtime
- *     controller, which reacts to realized traffic),
+ *   - the Re-Link reconfiguration schedule (the options' adaptive
+ *     mode and per-snapshot switch budget; span selection stays in
+ *     the §6.1 runtime controller, which reacts to realized traffic),
  *   - the per-snapshot redundancy-free SnapshotPlans.
  *
  * Plans are pure data: executePlan() replays one bit-identically at
@@ -43,19 +43,6 @@
 namespace ditile::sim {
 
 class PlanCache;
-
-/**
- * NoC reconfiguration schedule (Figure-5 steps (8)-(9)): the selected
- * interconnect mode and the Re-Link switch budget charged per
- * snapshot. When `adaptive` is set the §6.1 runtime controller picks
- * the bypass span per phase from the realized traffic; the schedule
- * fixes everything decidable before execution.
- */
-struct RelinkSchedule
-{
-    bool adaptive = false;
-    std::uint64_t reconfigEventsPerSnapshot = 0;
-};
 
 /**
  * Complete, serializable execution plan for one (workload, model,
@@ -87,7 +74,7 @@ struct ExecutionPlan
     /** Work placement onto the tile grid. */
     MappingSpec mapping;
 
-    /** Engine policy knobs distinguishing the accelerator styles. */
+    /** Engine policy knobs, the Re-Link schedule's included. */
     EngineOptions options;
 
     /** Algorithm-1 output (analytic defaults for the baselines). */
@@ -95,9 +82,6 @@ struct ExecutionPlan
 
     /** Algorithm-2 BDW groups (empty for the baselines). */
     std::vector<workload::BalancedGroup> groups;
-
-    /** NoC reconfiguration schedule. */
-    RelinkSchedule relink;
 
     /**
      * Fault-injection schedule (empty = fault-free run). Part of the
@@ -137,9 +121,11 @@ struct ExecutionPlan
     std::string toJson() const;
 
     /**
-     * Rebuild a plan from toJson() output. Throws std::runtime_error
-     * on malformed or incomplete documents. Round-trips bit-exactly:
-     * executing the parsed plan reproduces the original RunResult.
+     * Rebuild a plan from toJson() output. Throws InputError on
+     * malformed, incomplete or out-of-range documents, and on a
+     * "relink" section that disagrees with its "options". Round-trips
+     * bit-exactly: executing the parsed plan reproduces the original
+     * RunResult.
      */
     static ExecutionPlan fromJson(const std::string &text);
 };
@@ -147,8 +133,7 @@ struct ExecutionPlan
 /**
  * Assemble a plan from engine inputs: captures the IncrementalPlanner
  * output (via `cache` when given, so equal planning inputs share one
- * snapshot-plan set) and mirrors the options' reconfiguration fields
- * into the RelinkSchedule.
+ * snapshot-plan set).
  */
 ExecutionPlan buildEnginePlan(const graph::DynamicGraph &dg,
                               const model::DgnnConfig &model_config,

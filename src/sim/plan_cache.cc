@@ -7,27 +7,12 @@
 
 #include <cstdio>
 
+#include "common/hash.hh"
 #include "common/trace.hh"
 #include "tiling/comm_model.hh"
 #include "workload/digest.hh"
 
 namespace ditile::sim {
-
-namespace {
-
-/** FNV-1a accumulation over 64-bit words. */
-struct ContentHasher
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        h = (h ^ v) * 1099511628211ull;
-    }
-};
-
-} // namespace
 
 std::shared_ptr<const PlanCache::SnapshotPlans>
 PlanCache::buildSnapshotPlans(const graph::DynamicGraph &dg,
@@ -46,7 +31,7 @@ std::uint64_t
 PlanCache::planKey(const graph::DynamicGraph &dg,
                    const model::DgnnConfig &config, model::AlgoKind algo)
 {
-    ContentHasher hasher;
+    WordHasher hasher;
     hasher.mix(static_cast<std::uint64_t>(algo));
     hasher.mix(static_cast<std::uint64_t>(config.lstmHidden));
     hasher.mix(static_cast<std::uint64_t>(config.bytesPerValue));

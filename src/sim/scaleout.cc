@@ -102,6 +102,7 @@ applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
         plan.scaleout = ScaleOutSpec{};
         return;
     }
+    noc::checkInterChipLink(link, plan.hw.frequencyGhz);
     workload::ChunkPartitionOptions options;
     options.chips = chips;
     const workload::ChunkPartition cp =

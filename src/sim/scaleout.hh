@@ -68,7 +68,8 @@ struct ScaleOutSpec
  * Attach a scale-out spec to a plan: runs the chunk partitioner over
  * the workload and records the assignment. chips <= 1 clears the spec
  * (plan serializes and executes exactly as before). Throws InputError
- * on infeasible configurations (more chips than vertices).
+ * on infeasible configurations (more chips than vertices) and on a
+ * link noc::checkInterChipLink rejects.
  */
 void applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
                    int chips, const noc::InterChipLinkConfig &link);

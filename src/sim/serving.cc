@@ -5,16 +5,15 @@
 
 #include "sim/serving.hh"
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/trace.hh"
 
 namespace ditile::sim {
 
 PinnedFaults::PinnedFaults(FaultSpec spec)
-    : spec_(std::move(spec)), fingerprint_(1469598103934665603ull)
+    : spec_(std::move(spec)), fingerprint_(fnv1a(spec_.toString()))
 {
-    for (const unsigned char c : spec_.toString())
-        fingerprint_ = (fingerprint_ ^ c) * 1099511628211ull;
 }
 
 ConcurrentRunner::ConcurrentRunner(AcceleratorFactory factory,

@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
 #include "common/trace.hh"
@@ -42,18 +43,6 @@ namespace ditile::workload {
 namespace {
 
 std::atomic<int> g_digest_state{-1}; // -1 unset, 0 off, 1 on.
-
-/** FNV-1a accumulation over 64-bit words. */
-struct ContentHasher
-{
-    std::uint64_t h = 1469598103934665603ull;
-
-    void
-    mix(std::uint64_t v)
-    {
-        h = (h ^ v) * 1099511628211ull;
-    }
-};
 
 /**
  * Scratch walk pass retaining every hop: walks[h][v] is the number of
@@ -263,7 +252,7 @@ buildPartitionDigest(const graph::DynamicGraph &dg,
 std::uint64_t
 loadDigestKey(const graph::DynamicGraph &dg, int gcn_layers)
 {
-    ContentHasher hasher;
+    WordHasher hasher;
     hasher.mix(0x4c4f414453ull); // "LOADS" tag.
     hasher.mix(static_cast<std::uint64_t>(gcn_layers));
     hasher.mix(graph::structureHash(dg));
@@ -274,7 +263,7 @@ std::uint64_t
 partitionDigestKey(const graph::DynamicGraph &dg,
                    const std::vector<int> &owners, int slots)
 {
-    ContentHasher hasher;
+    WordHasher hasher;
     hasher.mix(0x5041525453ull); // "PARTS" tag.
     hasher.mix(static_cast<std::uint64_t>(slots));
     for (const int owner : owners)

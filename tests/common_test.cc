@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for the common substrate: RNG, stats, tables, CLI flags
- * and integer math helpers.
+ * Unit tests for the common substrate: RNG, the FNV-1a hash, stats,
+ * tables, CLI flags and integer math helpers.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/cli.hh"
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/rng.hh"
@@ -167,6 +168,26 @@ TEST(Mix64, AvalanchesAndIsDeterministic)
     // Single-bit input changes should flip roughly half the bits.
     const auto diff = mix64(100) ^ mix64(101);
     EXPECT_GT(__builtin_popcountll(diff), 16);
+}
+
+TEST(Hash, Fnv1aKeepsTheRepoOffsetBasis)
+{
+    // The repo's basis is 1469598103934665603, not the textbook
+    // 14695981039346656037: every stored WAL/checkpoint checksum, plan
+    // hash and cache key depends on it.
+    EXPECT_EQ(fnv1a(""), 0x14650fb0739d0383ull);
+    EXPECT_EQ(fnv1a("a"), 0x44bd8ad473cd9906ull);
+    WordHasher words;
+    EXPECT_EQ(words.h, fnv1a(""));
+    words.mix('a');
+    EXPECT_EQ(words.h, fnv1a("a"));
+}
+
+TEST(Hash, Hex64IsSixteenLowercaseDigits)
+{
+    EXPECT_EQ(hex64(0), "0000000000000000");
+    EXPECT_EQ(hex64(0x14650fb0739d0383ull), "14650fb0739d0383");
+    EXPECT_EQ(hex64(~0ull), "ffffffffffffffff");
 }
 
 TEST(StatSet, AddAndGet)

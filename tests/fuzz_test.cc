@@ -12,13 +12,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/ditile_accelerator.hh"
@@ -246,14 +246,8 @@ withFreshCrc(const std::string &doc)
         return doc;
     const std::string payload =
         doc.substr(state + key.size(), doc.size() - state - key.size() - 1);
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : payload)
-        h = (h ^ c) * 1099511628211ull;
-    char hex[17];
-    std::snprintf(hex, sizeof(hex), "%016llx",
-                  static_cast<unsigned long long>(h));
     std::string out = doc;
-    out.replace(crc + 7, 16, hex);
+    out.replace(crc + 7, 16, hex64(fnv1a(payload)));
     return out;
 }
 

@@ -9,7 +9,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,6 +26,7 @@
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
 #include "sim/plan_cache.hh"
+#include "sim/scaleout.hh"
 
 namespace ditile {
 namespace {
@@ -270,6 +275,94 @@ withFirstItem(std::string doc, const std::string &anchor,
     return doc;
 }
 
+/** `doc` with the occurrence of `from` at or after `after` replaced. */
+std::string
+replacedAfter(std::string doc, const std::string &after,
+              const std::string &from, const std::string &to)
+{
+    const auto at = doc.find(from, doc.find(after));
+    EXPECT_NE(at, std::string::npos) << after << " " << from;
+    if (at != std::string::npos)
+        doc.replace(at, from.size(), to);
+    return doc;
+}
+
+TEST(PlanJson, RelinkOptionsChangeTheRun)
+{
+    // The engine reads the Re-Link schedule from the options, and the
+    // "relink" section is written from them: flipping an option moves
+    // the run and its serialized mirror.
+    const auto dg = planWorkload();
+    core::DiTileAccelerator accel;
+    const auto plan = accel.plan(dg, model::DgnnConfig{});
+    ASSERT_TRUE(plan.options.adaptiveRelink);
+    const auto base = sim::executePlan(dg, plan);
+
+    auto fixed = plan;
+    fixed.options.adaptiveRelink = false;
+    EXPECT_NE(sim::executePlan(dg, fixed).totalCycles, base.totalCycles);
+    EXPECT_NE(fixed.toJson().find("\"relink\":{\"adaptive\":false"),
+              std::string::npos);
+
+    auto budget = plan;
+    budget.options.reconfigEventsPerSnapshot += 5;
+    EXPECT_EQ(sim::executePlan(dg, budget).energyEvents.reconfigEvents,
+              base.energyEvents.reconfigEvents +
+                  5u * static_cast<std::uint64_t>(dg.numSnapshots()));
+
+    // Editing the option and its mirror in a document replays like
+    // the edited plan.
+    std::string doc = plan.toJson();
+    doc = replacedAfter(doc, "\"options\":", "\"adaptive_relink\":true",
+                        "\"adaptive_relink\":false");
+    doc = replacedAfter(doc, "\"relink\":", "\"adaptive\":true",
+                        "\"adaptive\":false");
+    EXPECT_EQ(sim::executePlan(dg, sim::ExecutionPlan::fromJson(doc))
+                  .totalCycles,
+              sim::executePlan(dg, fixed).totalCycles);
+}
+
+TEST(PlanJson, NonFiniteFieldsThrowOnWrite)
+{
+    // JSON has no NaN/Inf: the writer refuses them instead of
+    // emitting a "null" no reader accepts.
+    core::DiTileAccelerator accel;
+    const auto plan = accel.plan(planWorkload(), model::DgnnConfig{});
+    auto nan = plan;
+    nan.options.dramTrafficScale = std::nan("");
+    EXPECT_THROW(nan.toJson(), InputError);
+    auto inf = plan;
+    inf.hw.energyTable.dramPjPerByte = HUGE_VAL;
+    EXPECT_THROW(inf.contentHash(), InputError);
+}
+
+TEST(PlanJsonHostile, RelinkDisagreeingWithTheOptionsIsRejected)
+{
+    const std::string doc = ditilePlanJson();
+    const sim::ExecutionPlan plan = sim::ExecutionPlan::fromJson(doc);
+    ASSERT_TRUE(plan.options.adaptiveRelink);
+    const std::string events =
+        "\"reconfig_events_per_snapshot\":" +
+        std::to_string(plan.options.reconfigEventsPerSnapshot);
+    const std::string more =
+        "\"reconfig_events_per_snapshot\":" +
+        std::to_string(plan.options.reconfigEventsPerSnapshot + 1);
+    for (const char *section : {"\"options\":", "\"relink\":"}) {
+        SCOPED_TRACE(section);
+        const std::string adaptive = std::string(section) ==
+                "\"options\":"
+            ? "\"adaptive_relink\":"
+            : "\"adaptive\":";
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(replacedAfter(
+                         doc, section, adaptive + "true",
+                         adaptive + "false")),
+                     InputError);
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(
+                         replacedAfter(doc, section, events, more)),
+                     InputError);
+    }
+}
+
 TEST(PlanJsonHostile, ColumnOutsideTheGridIsRejected)
 {
     for (const char *col : {"4000", "-3"}) {
@@ -413,6 +506,8 @@ TEST(PlanJsonHostile, DeviceSizesAndFractionsOutOfRangeAreRejected)
         {"\"cross_fetch_fraction\":", "2"},
         {"\"gnn_mac_fraction\":", "0"},
         {"\"lstm_hidden\":", "-1"},
+        // Overflows to Inf, which the writer could not emit back.
+        {"\"dram_pj\":", "1e999"},
     };
     const std::string doc = ditilePlanJson();
     for (const auto &[key, value] : cases) {
@@ -425,6 +520,72 @@ TEST(PlanJsonHostile, DeviceSizesAndFractionsOutOfRangeAreRejected)
                         value);
         EXPECT_THROW(sim::ExecutionPlan::fromJson(hostile), InputError);
     }
+}
+
+// ---------------------------------------------------------------------
+// Golden plan documents: the canonical bytes of one plan per document
+// shape, pinned across commits (a round trip only compares a plan
+// with its own re-serialization).
+// ---------------------------------------------------------------------
+
+/** The plans of tests/golden/plan_small.jsonl, one JSON line each. */
+std::string
+goldenPlanLines()
+{
+    graph::EvolutionConfig config;
+    config.numVertices = 48;
+    config.numEdges = 192;
+    config.numSnapshots = 3;
+    config.dissimilarity = 0.2;
+    config.featureDim = 16;
+    config.seed = 5;
+    const auto dg = graph::generateDynamicGraph(config);
+    const model::DgnnConfig mconfig;
+    core::DiTileAccelerator ditile;
+
+    std::vector<sim::ExecutionPlan> plans;
+    plans.push_back(ditile.plan(dg, mconfig));
+    plans.back().options.overlap = true;
+    plans.push_back(sim::makeDgnnBooster()->plan(dg, mconfig));
+    plans.back().options.overlap = false;
+    plans.push_back(sim::makeMega()->plan(dg, mconfig));
+    plans.push_back(ditile.plan(dg, mconfig));
+    plans.back().faults = sim::FaultSpec::parse(
+        "seed=9;dram-retry-fraction=0.25;"
+        "tile@1:r3c2;vlink@0:r1c2;bypass-open@1:c5;dram@2:ch*");
+    plans.push_back(ditile.plan(dg, mconfig));
+    sim::applyScaleOut(plans.back(), dg, 2, noc::InterChipLinkConfig{});
+
+    std::string lines;
+    for (const auto &plan : plans)
+        lines += plan.toJson() + "\n";
+    return lines;
+}
+
+TEST(PlanGolden, MatchesGoldenFile)
+{
+    const std::string golden_path =
+        std::string(DITILE_GOLDEN_DIR) + "/plan_small.jsonl";
+    const std::string lines = goldenPlanLines();
+    if (std::getenv("DITILE_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(golden_path);
+        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+        out << lines;
+        GTEST_SKIP() << "regenerated " << golden_path;
+    }
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << golden_path
+        << " (run with DITILE_REGEN_GOLDEN=1 to create it)";
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    // Byte for byte: plan bytes are the content hash's input and the
+    // --plan-out / --plan-in contract.
+    EXPECT_EQ(lines, buffer.str());
+    // Every golden document loads and re-serializes to itself.
+    std::istringstream docs(buffer.str());
+    for (std::string line; std::getline(docs, line);)
+        EXPECT_EQ(sim::ExecutionPlan::fromJson(line).toJson(), line);
 }
 
 // ---------------------------------------------------------------------

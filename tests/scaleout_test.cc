@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <numeric>
 #include <set>
 #include <string>
@@ -257,6 +258,77 @@ TEST(ScaleOut, InterChipLinkCycleMath)
     // Fractional clocks ceil the latency: 350 ns at 0.7 GHz = 245.
     const noc::InterChipLink slow(config, 0.7);
     EXPECT_EQ(slow.latencyCycles(), 245u);
+}
+
+/** A link value the scale-out flags must reject, by its flag. */
+struct BadLink
+{
+    const char *flag;
+    double gbps;
+    double ns;
+};
+
+const BadLink kBadLinks[] = {
+    {"--interchip-gbps=0", 0.0, 350.0},
+    {"--interchip-gbps=-5", -5.0, 350.0},
+    {"--interchip-ns=-1", 100.0, -1.0},
+    {"--interchip-ns=nan", 100.0, std::nan("")},
+    // 7e19 cycles at 0.7 GHz: wrapped to fewer cycles than 350 ns.
+    {"--interchip-ns=1e20", 100.0, 1e20},
+    // Cycles per byte overflow: priced like infinite bandwidth.
+    {"--interchip-gbps=1e-300", 1e-300, 350.0},
+    {"--interchip-gbps=inf", HUGE_VAL, 350.0},
+};
+
+TEST(ScaleOut, InvalidLinksAreInputErrors)
+{
+    const auto dg = scaleoutWorkload();
+    for (const BadLink &bad : kBadLinks) {
+        SCOPED_TRACE(bad.flag);
+        noc::InterChipLinkConfig link;
+        link.bandwidthGbps = bad.gbps;
+        link.latencyNs = bad.ns;
+        EXPECT_THROW(noc::checkInterChipLink(link, 0.7), InputError);
+        EXPECT_THROW(noc::InterChipLink(link, 0.7), InputError);
+        auto plan = planFor(dg, 1);
+        EXPECT_THROW(sim::applyScaleOut(plan, dg, 2, link), InputError);
+        EXPECT_FALSE(plan.scaleout.enabled());
+    }
+    // chips <= 1 never uses the link, so it is not checked.
+    noc::InterChipLinkConfig unused;
+    unused.bandwidthGbps = 0.0;
+    auto plan = planFor(dg, 1);
+    EXPECT_NO_THROW(sim::applyScaleOut(plan, dg, 1, unused));
+}
+
+TEST(ScaleOut, PlanDocumentsWithInvalidLinksAreRejected)
+{
+    const auto dg = scaleoutWorkload();
+    const std::string doc = planFor(dg, 2).toJson();
+    const std::pair<const char *, const char *> cases[] = {
+        {"\"bandwidth_gbps\":100", "\"bandwidth_gbps\":0"},
+        {"\"bandwidth_gbps\":100", "\"bandwidth_gbps\":-5"},
+        {"\"bandwidth_gbps\":100", "\"bandwidth_gbps\":1e-300"},
+        {"\"latency_ns\":350", "\"latency_ns\":-1"},
+        {"\"latency_ns\":350", "\"latency_ns\":1e20"},
+    };
+    for (const auto &[from, to] : cases) {
+        SCOPED_TRACE(to);
+        std::string hostile = doc;
+        const auto at = hostile.find(from);
+        ASSERT_NE(at, std::string::npos);
+        hostile.replace(at, std::string(from).size(), to);
+        EXPECT_THROW(sim::ExecutionPlan::fromJson(hostile), InputError);
+    }
+}
+
+TEST(ScaleOut, TransferCyclesThatOverflowAreInputErrors)
+{
+    noc::InterChipLinkConfig config;
+    config.bandwidthGbps = 1e-12; // 8e12 cycles per byte at 1 GHz.
+    const noc::InterChipLink link(config, 1.0);
+    EXPECT_GT(link.transferCycles(1), 8'000'000'000'000u);
+    EXPECT_THROW(link.transferCycles(ByteCount{1} << 40), InputError);
 }
 
 TEST(ScaleOut, ClusterGraphShapeAndOverlapBound)

@@ -4,7 +4,7 @@
  * must be bit-identical with the gate on and off, the flat SlotArrays
  * census kernels must reproduce the retired map-based walks on
  * adds+removes deltas, the DenseTraffic touched-cell drain must match
- * a dense reference, and batch planning (SharedFrontEnd / planBatch)
+ * a dense reference, and batch planning (SharedFrontEnd)
  * must emit byte-identical plans to per-accelerator planning at any
  * thread width.
  */
@@ -328,9 +328,9 @@ TEST(DenseTraffic, TouchedDrainMatchesDenseReference)
     EXPECT_EQ(11u, reused[0].bytes);
 }
 
-// Batch planning: plans built through planBatch / a SharedFrontEnd
-// must serialize byte-identically to per-accelerator planning, at
-// thread width 1 and 4.
+// Batch planning: plans built through a SharedFrontEnd must serialize
+// byte-identically to per-accelerator planning, at thread width 1
+// and 4.
 
 std::vector<std::unique_ptr<sim::Accelerator>>
 makeFleet()
@@ -359,16 +359,22 @@ TEST(BatchPlanning, PlanBatchMatchesPerAccelPlans)
             solo_json.push_back(
                 accel->plan(dg, mconfig, &solo_cache).toJson());
 
+        // Plan the way ditile_sweep plans a group: DiTile through one
+        // shared front end, the baselines on their own.
         workload::DigestCache::global().clear();
         sim::PlanCache batch_cache;
+        core::SharedFrontEnd shared;
         auto batch_fleet = makeFleet();
-        const auto batch_plans =
-            core::planBatch(dg, mconfig, batch_fleet, &batch_cache);
-
-        ASSERT_EQ(solo_json.size(), batch_plans.size());
-        for (std::size_t i = 0; i < batch_plans.size(); ++i)
-            EXPECT_EQ(solo_json[i], batch_plans[i].toJson())
+        ASSERT_EQ(solo_json.size(), batch_fleet.size());
+        for (std::size_t i = 0; i < batch_fleet.size(); ++i) {
+            auto *ditile = dynamic_cast<core::DiTileAccelerator *>(
+                batch_fleet[i].get());
+            const auto plan = ditile
+                ? ditile->plan(dg, mconfig, &batch_cache, &shared)
+                : batch_fleet[i]->plan(dg, mconfig, &batch_cache);
+            EXPECT_EQ(solo_json[i], plan.toJson())
                 << "fleet member " << i << " at threads=" << threads;
+        }
     }
     ThreadPool::setGlobalThreads(1);
 }

@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hh"
@@ -78,6 +79,36 @@ BM_CsrFromEdges(benchmark::State &state)
                             static_cast<long>(edges.size()));
 }
 BENCHMARK(BM_CsrFromEdges)->Arg(1 << 12)->Arg(1 << 15);
+
+/**
+ * The edge sort inside Csr::fromEdges at the size generation sorts:
+ * WD at scale 0.5, edges shuffled and randomly oriented as R-MAT
+ * draws arrive.
+ */
+void
+BM_EdgeSort(benchmark::State &state)
+{
+    graph::DatasetOptions options;
+    options.scale = 0.5;
+    options.numSnapshots = 1;
+    const auto base = graph::makeDataset("WD", options).snapshot(0);
+    auto edges = base.edgeList();
+    Rng rng(5);
+    for (std::size_t i = edges.size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<std::int64_t>(i) - 1));
+        std::swap(edges[i - 1], edges[j]);
+        if (rng.uniformInt(0, 1) == 1)
+            std::swap(edges[i - 1].first, edges[i - 1].second);
+    }
+    for (auto _ : state) {
+        auto g = graph::Csr::fromEdges(base.numVertices(), edges);
+        benchmark::DoNotOptimize(g.numAdjacencies());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<long>(edges.size()));
+}
+BENCHMARK(BM_EdgeSort);
 
 void
 BM_FrontierExpansion(benchmark::State &state)
@@ -370,17 +401,21 @@ BM_PartitionDigestBuild(benchmark::State &state)
 }
 BENCHMARK(BM_PartitionDigestBuild);
 
-/** Touched-cell accumulate + diagonal clear + mix64-ordered drain. */
+/**
+ * Touched-cell accumulate + diagonal clear + mix64-ordered drain of
+ * slots * 64 random adds into a slots x slots matrix.
+ */
 void
 BM_DenseTrafficDrain(benchmark::State &state)
 {
-    const int slots = 64;
+    const auto slots = static_cast<int>(state.range(0));
+    const int adds = slots * 64;
     sim::detail::DenseTraffic traffic(slots);
     std::vector<noc::Message> out;
     std::uint64_t x = 99;
     for (auto _ : state) {
         traffic.reset(slots);
-        for (int i = 0; i < 4096; ++i) {
+        for (int i = 0; i < adds; ++i) {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
@@ -396,9 +431,9 @@ BM_DenseTrafficDrain(benchmark::State &state)
             [](int s) { return static_cast<TileId>(s); });
         benchmark::DoNotOptimize(out.data());
     }
-    state.SetItemsProcessed(state.iterations() * 4096);
+    state.SetItemsProcessed(state.iterations() * adds);
 }
-BENCHMARK(BM_DenseTrafficDrain);
+BENCHMARK(BM_DenseTrafficDrain)->Arg(64)->Arg(256);
 
 } // namespace
 

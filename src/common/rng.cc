@@ -11,15 +11,6 @@
 
 namespace ditile {
 
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
 Rng::Rng(std::uint64_t seed)
 {
     // SplitMix64 expansion of the seed into the four state lanes; this

@@ -104,8 +104,19 @@ class Rng
     std::uint64_t s_[4];
 };
 
-/** Stateless 64-bit mix (SplitMix64 finalizer); handy for hashing seeds. */
-std::uint64_t mix64(std::uint64_t x);
+/**
+ * Stateless 64-bit mix (SplitMix64 finalizer); handy for hashing seeds.
+ * Inline: the planner's edge sampling and the traffic drain call it
+ * once per edge or message.
+ */
+inline std::uint64_t
+mix64(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+}
 
 } // namespace ditile
 

@@ -18,6 +18,35 @@ Csr::Csr(VertexId num_vertices)
     DITILE_ASSERT(num_vertices >= 0);
 }
 
+namespace {
+
+/**
+ * Sort edges by (first, second) in O(E + V): one stable counting pass
+ * on the second endpoint, then one on the first (an LSD radix sort
+ * over vertex ids). Both endpoints must lie in [0, num_vertices).
+ */
+void
+sortEdges(VertexId num_vertices, std::vector<Edge> &edges)
+{
+    std::vector<Edge> tmp(edges.size());
+    std::vector<std::size_t> start(
+        static_cast<std::size_t>(num_vertices) + 1);
+    auto pass = [&start](const std::vector<Edge> &from,
+                         std::vector<Edge> &to, auto key) {
+        std::fill(start.begin(), start.end(), 0);
+        for (const Edge &e : from)
+            ++start[static_cast<std::size_t>(key(e)) + 1];
+        for (std::size_t v = 1; v < start.size(); ++v)
+            start[v] += start[v - 1];
+        for (const Edge &e : from)
+            to[start[static_cast<std::size_t>(key(e))]++] = e;
+    };
+    pass(edges, tmp, [](const Edge &e) { return e.second; });
+    pass(tmp, edges, [](const Edge &e) { return e.first; });
+}
+
+} // namespace
+
 Csr
 Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
 {
@@ -37,7 +66,7 @@ Csr::fromEdges(VertexId num_vertices, const std::vector<Edge> &edges)
             std::swap(u, v);
         canon.emplace_back(u, v);
     }
-    std::sort(canon.begin(), canon.end());
+    sortEdges(num_vertices, canon);
     canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
 
     // Count symmetric degrees, then fill.
@@ -77,7 +106,7 @@ directedSorted(VertexId num_vertices, const std::vector<Edge> &edges)
         out.emplace_back(u, v);
         out.emplace_back(v, u);
     }
-    std::sort(out.begin(), out.end());
+    sortEdges(num_vertices, out);
     return out;
 }
 

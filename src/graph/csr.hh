@@ -42,8 +42,8 @@ class Csr
 
     /**
      * prev with `added` inserted and `removed` deleted, in one merge
-     * pass over prev's rows: O(V + E + D log D) for D changed edges,
-     * instead of the full re-sort of fromEdges. Each list names every
+     * pass over prev's rows: O(V + E + D) for D changed edges, instead
+     * of the full rebuild of fromEdges. Each list names every
      * undirected edge once (as GraphDelta stores them). Fails loudly
      * unless every removed edge is in prev and no added edge is, so the
      * result always equals fromEdges() of the patched edge set.

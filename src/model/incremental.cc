@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -27,12 +28,77 @@ sumDegrees(const graph::Csr &g, const std::vector<VertexId> &vs)
     return total;
 }
 
+/**
+ * Per-vertex state over one snapshot's vertex range, backed by a
+ * reused thread-local arena (plan sets build on pool workers). mark()
+ * records every entry it sets and the destructor clears exactly those,
+ * so one use costs O(marked), not an O(V) allocation and fill, and a
+ * throw never leaks stale state into the next use. At most one
+ * Membership may be alive per thread.
+ */
+class Membership
+{
+  public:
+    enum : char { kUnseen = 0, kInSet = 1, kSeen = 2 };
+
+    explicit Membership(VertexId num_vertices) : state_(arena())
+    {
+        if (state_.size() < static_cast<std::size_t>(num_vertices))
+            state_.assign(static_cast<std::size_t>(num_vertices), kUnseen);
+    }
+
+    ~Membership()
+    {
+        for (VertexId v : marked_)
+            state_[static_cast<std::size_t>(v)] = kUnseen;
+    }
+
+    Membership(const Membership &) = delete;
+    Membership &operator=(const Membership &) = delete;
+
+    char &
+    operator[](VertexId v)
+    {
+        return state_[static_cast<std::size_t>(v)];
+    }
+
+    /** Give v `state` unless it already has one. */
+    void
+    mark(VertexId v, char state)
+    {
+        char &s = (*this)[v];
+        if (s != kUnseen)
+            return;
+        s = state;
+        marked_.push_back(v);
+    }
+
+    /** Distinct vertices marked so far. */
+    std::size_t marked() const { return marked_.size(); }
+
+  private:
+    static std::vector<char> &
+    arena()
+    {
+        static thread_local std::vector<char> bits;
+        return bits;
+    }
+
+    std::vector<char> &state_;
+    std::vector<VertexId> marked_;
+};
+
 /** |vs union N(vs)|: distinct input features a re-aggregation reads. */
 VertexId
 uniqueInputCount(const graph::Csr &g, const std::vector<VertexId> &vs)
 {
-    const auto expanded = graph::expandFrontier(g, vs, 1);
-    return static_cast<VertexId>(expanded.size());
+    Membership seen(g.numVertices());
+    for (VertexId v : vs)
+        seen.mark(v, Membership::kInSet);
+    for (VertexId v : vs)
+        for (VertexId u : g.neighbors(v))
+            seen.mark(u, Membership::kInSet);
+    return static_cast<VertexId>(seen.marked());
 }
 
 /** Endpoints of added edges only (deletion-to-addition transform). */
@@ -107,39 +173,23 @@ IncrementalPlanner::plan(SnapshotId t) const
 std::vector<VertexId>
 IncrementalPlanner::expandOnce(const graph::Csr &g,
                                const std::vector<VertexId> &from,
-                               int salt, double kappa) const
+                               int salt, double kappa,
+                               VertexId &unique_inputs) const
 {
-    // Reused membership scratch (thread-local: plan sets build on
-    // pool workers). Only the bits this call sets — the frontier and
-    // its additions — are cleared on exit, so a call costs
-    // O(frontier + edges scanned), not an O(V) allocation + fill.
-    static thread_local std::vector<char> in;
-    if (in.size() < static_cast<std::size_t>(g.numVertices()))
-        in.assign(static_cast<std::size_t>(g.numVertices()), 0);
+    // kInSet: in `from` or propagated to; kSeen: a neighbor the
+    // sampling has not (yet) crossed to. Every neighbor is marked one
+    // way or the other, so the walk counts |from union N(from)| too.
+    Membership in(g.numVertices());
     for (VertexId v : from)
-        in[static_cast<std::size_t>(v)] = 1;
+        in.mark(v, Membership::kInSet);
 
     std::vector<VertexId> added;
-    // Clears the set bits even when the expansion throws, so the
-    // arena never leaks stale membership into the next call.
-    struct ScratchGuard
-    {
-        std::vector<char> &bits;
-        const std::vector<VertexId> &from;
-        const std::vector<VertexId> &added;
-        ~ScratchGuard()
-        {
-            for (VertexId v : from)
-                bits[static_cast<std::size_t>(v)] = 0;
-            for (VertexId v : added)
-                bits[static_cast<std::size_t>(v)] = 0;
-        }
-    } guard{in, from, added};
     for (VertexId v : from) {
         const double dv = g.degree(v);
         for (VertexId u : g.neighbors(v)) {
-            if (in[static_cast<std::size_t>(u)] != 0)
+            if (in[u] == Membership::kInSet)
                 continue;
+            in.mark(u, Membership::kSeen);
             if (!exactExpansion_) {
                 // Influence-damped propagation: the change at v moves
                 // v's contribution to u's aggregate by a term weighted
@@ -159,10 +209,11 @@ IncrementalPlanner::expandOnce(const graph::Csr &g,
                 if (unit >= p)
                     continue;
             }
-            in[static_cast<std::size_t>(u)] = 1;
+            in[u] = Membership::kInSet;
             added.push_back(u);
         }
     }
+    unique_inputs = static_cast<VertexId>(in.marked());
     std::sort(added.begin(), added.end());
     return unionSorted(from, added);
 }
@@ -185,7 +236,6 @@ IncrementalPlanner::fullPlan(SnapshotId t) const
         lw.gatherEdges = g.numAdjacencies();
         lw.uniqueInputs = g.numVertices();
     }
-    p.rnnVertices = all;
     p.adjacencyUpdates = static_cast<std::size_t>(g.numEdges());
     return p;
 }
@@ -202,8 +252,8 @@ IncrementalPlanner::buildAll()
     // delta — the hash-sampled expansion carries its own salt — so it
     // fans out over the thread pool into per-snapshot slots. Only
     // DiTile's cumulative selective-RNN state chains across
-    // snapshots; that union runs in a cheap serial epilogue below, so
-    // plans are identical at any thread width.
+    // snapshots; assignRnnVertices fills every RNN set in a cheap
+    // serial epilogue, so plans are identical at any thread width.
     parallelFor(static_cast<std::size_t>(t_count), [&](std::size_t i) {
         const auto t = static_cast<SnapshotId>(i);
         if (t == 0 || kind_ == AlgoKind::ReAlg) {
@@ -240,58 +290,78 @@ IncrementalPlanner::buildAll()
         const double kappa = kind_ == AlgoKind::MegaAlg
             ? kappa_ * 2.0 / 3.0 : kappa_;
         std::vector<std::vector<VertexId>> sets;
-        sets.push_back(seeds);
+        std::vector<VertexId> unique_inputs(
+            static_cast<std::size_t>(layers));
+        sets.push_back(std::move(seeds));
         for (int l = 1; l < layers; ++l) {
-            sets.push_back(expandOnce(g, sets.back(),
-                                      static_cast<int>(t) * 16 + l,
-                                      kappa));
+            sets.push_back(expandOnce(
+                g, sets.back(), static_cast<int>(t) * 16 + l, kappa,
+                unique_inputs[static_cast<std::size_t>(l) - 1]));
         }
+        unique_inputs.back() = uniqueInputCount(g, sets.back());
 
         if (kind_ == AlgoKind::MegaAlg) {
             // Output-granularity redundancy tracking: every layer
             // recomputes the full max-hop affected set because
             // intermediate features are not tracked (paper §7.3).
             const auto &coarse = sets.back();
-            for (int l = 0; l < layers; ++l) {
-                auto &lw = p.gcn[static_cast<std::size_t>(l)];
+            const EdgeId gather = sumDegrees(g, coarse);
+            for (auto &lw : p.gcn) {
                 lw.vertices = coarse;
-                lw.gatherEdges = sumDegrees(g, coarse);
-                lw.uniqueInputs = uniqueInputCount(g, coarse);
+                lw.gatherEdges = gather;
+                lw.uniqueInputs = unique_inputs.back();
             }
         } else {
             for (int l = 0; l < layers; ++l) {
                 auto &lw = p.gcn[static_cast<std::size_t>(l)];
-                lw.vertices = sets[static_cast<std::size_t>(l)];
+                lw.vertices = std::move(sets[static_cast<std::size_t>(l)]);
                 lw.gatherEdges = sumDegrees(g, lw.vertices);
-                lw.uniqueInputs = uniqueInputCount(g, lw.vertices);
+                lw.uniqueInputs = unique_inputs[static_cast<std::size_t>(l)];
             }
-        }
-
-        // RNN: baselines update every hidden state; DiTile's
-        // selective set depends on earlier snapshots and is filled in
-        // by the serial epilogue.
-        if (kind_ != AlgoKind::DiTileAlg) {
-            p.rnnVertices.resize(
-                static_cast<std::size_t>(g.numVertices()));
-            for (VertexId v = 0; v < g.numVertices(); ++v)
-                p.rnnVertices[static_cast<std::size_t>(v)] = v;
         }
         plans_[i] = std::move(p);
     });
 
+    assignRnnVertices(dg_, kind_, plans_);
+}
+
+void
+assignRnnVertices(const graph::DynamicGraph &dg, AlgoKind kind,
+                  std::vector<SnapshotPlan> &plans)
+{
+    DITILE_ASSERT(plans.size() ==
+                  static_cast<std::size_t>(dg.numSnapshots()));
     // Cumulative hidden-state change set: once a vertex's z changes at
     // some snapshot, its h/c differ from the reuse baseline at every
     // later snapshot, so DiTile's selective RNN keeps updating it.
-    if (kind_ == AlgoKind::DiTileAlg) {
-        std::vector<VertexId> dirty_hidden;
-        for (SnapshotId t = 1; t < t_count; ++t) {
-            auto &p = plans_[static_cast<std::size_t>(t)];
-            if (p.fullRecompute)
-                continue;
+    // Full recomputes and the baselines update every hidden state.
+    std::vector<VertexId> dirty_hidden;
+    for (std::size_t t = 0; t < plans.size(); ++t) {
+        SnapshotPlan &p = plans[t];
+        if (kind == AlgoKind::DiTileAlg && !p.fullRecompute) {
             dirty_hidden = unionSorted(dirty_hidden,
                                        p.gcn.back().vertices);
             p.rnnVertices = dirty_hidden;
+            continue;
         }
+        const VertexId n =
+            dg.snapshot(static_cast<SnapshotId>(t)).numVertices();
+        p.rnnVertices.resize(static_cast<std::size_t>(n));
+        for (VertexId v = 0; v < n; ++v)
+            p.rnnVertices[static_cast<std::size_t>(v)] = v;
+    }
+}
+
+std::optional<AlgoKind>
+layerSetSibling(AlgoKind kind)
+{
+    // Race and DiTile seed from the same affected set and expand with
+    // the same kappa and salt (buildAll), so their GCN layer sets are
+    // identical; only their RNN sets differ.
+    switch (kind) {
+      case AlgoKind::RaceAlg: return AlgoKind::DiTileAlg;
+      case AlgoKind::DiTileAlg: return AlgoKind::RaceAlg;
+      default: return std::nullopt;
     }
 }
 

@@ -48,6 +48,7 @@
 #ifndef DITILE_MODEL_INCREMENTAL_HH
 #define DITILE_MODEL_INCREMENTAL_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -132,11 +133,13 @@ class IncrementalPlanner
 
     /**
      * One damped (or exact) BFS level from `from` on snapshot t's
-     * graph; returns from's union with the propagated neighbors.
+     * graph; returns from's union with the propagated neighbors. The
+     * same walk stores |from union N(from)| in `unique_inputs`.
      */
     std::vector<VertexId> expandOnce(const graph::Csr &g,
                                      const std::vector<VertexId> &from,
-                                     int salt, double kappa) const;
+                                     int salt, double kappa,
+                                     VertexId &unique_inputs) const;
 
     const graph::DynamicGraph &dg_;
     DgnnConfig config_;
@@ -145,6 +148,23 @@ class IncrementalPlanner
     double kappa_;
     std::vector<SnapshotPlan> plans_;
 };
+
+/**
+ * Fill every plan's rnnVertices from its GCN layer sets: DiTile's
+ * selective RNN updates the cumulative union of the last layer's sets
+ * over its incremental snapshots; full recomputes and every other
+ * algorithm update all vertices. The one home of that rule:
+ * IncrementalPlanner and PlanCache's sibling derivation both call it.
+ */
+void assignRnnVertices(const graph::DynamicGraph &dg, AlgoKind kind,
+                       std::vector<SnapshotPlan> &plans);
+
+/**
+ * The algorithm whose default-planner GCN layer sets (and adjacency
+ * updates) equal kind's — Race-Alg and DiTile-Alg share seeds, kappa
+ * and salt — or nullopt. Sibling plans differ only in rnnVertices.
+ */
+std::optional<AlgoKind> layerSetSibling(AlgoKind kind);
 
 } // namespace ditile::model
 

@@ -13,6 +13,8 @@
 #define DITILE_SIM_ENGINE_INTERNAL_HH
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -59,7 +61,7 @@ namespace detail {
  * each cell, emit() drains only that list (the sort order pins the
  * output regardless of list order), and reset() zeroes only what was
  * written, so draining a sparse snapshot no longer rescans the full
- * matrix (ROADMAP item 5's SoA drain).
+ * matrix.
  */
 class DenseTraffic
 {
@@ -133,46 +135,80 @@ class DenseTraffic
      * Flush nonzero cells in mix64(src tile, dst tile) order, mapping
      * each endpoint through its own slot->tile function (the temporal
      * boundary places src and dst in different tile columns). The
-     * mix64 sort makes the touched-list accumulation order
+     * mix64 order makes the touched-list accumulation order
      * invisible: the drain order is a deterministic hash scatter of
      * the (src, dst) tile pair, which models simultaneous injection
      * for the greedy link scheduler and is reproducible across
      * platforms and thread widths.
+     *
+     * The sort is O(n) expected: mix64 keys are uniform, so one
+     * counting pass on their top ceil(log2 n) bits leaves about one
+     * cell per bucket, and an insertion sort over the bucketed array
+     * only reorders within a bucket. mix64 is a bijection, so keys
+     * are unique and the order needs no tie-break. Only (key, cell)
+     * pairs are sorted; each message is built from its cell index
+     * as it is appended to `out`.
      */
     template <typename SrcTile, typename DstTile>
     void
     emit(std::vector<noc::Message> &out, noc::TrafficClass cls,
          Cycle inject, SrcTile &&src_tile, DstTile &&dst_tile) const
     {
-        std::vector<std::pair<std::uint64_t, noc::Message>> cells;
-        cells.reserve(touched_.size());
+        const auto s = static_cast<std::size_t>(slots_);
+        auto key_of = [&](std::size_t idx) {
+            return mix64(
+                (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                     src_tile(static_cast<int>(idx / s))))
+                 << 32) |
+                static_cast<std::uint32_t>(
+                    dst_tile(static_cast<int>(idx % s))));
+        };
+        const int bits = std::bit_width(
+            std::max<std::size_t>(touched_.size(), 1) - 1);
+        auto bucket_of = [bits](std::uint64_t key) {
+            return bits == 0 ? std::size_t{0}
+                             : static_cast<std::size_t>(key >> (64 - bits));
+        };
+
+        // Counting pass: bucket starts over the nonzero cells.
+        std::vector<std::uint32_t> start((std::size_t{1} << bits) + 1, 0);
+        std::uint32_t n = 0;
         for (const std::size_t idx : touched_) {
-            const ByteCount bytes = bytes_[idx];
-            if (bytes == 0)
+            if (bytes_[idx] == 0)
                 continue;
-            const auto s = static_cast<std::size_t>(slots_);
+            ++start[bucket_of(key_of(idx)) + 1];
+            ++n;
+        }
+        for (std::size_t b = 1; b < start.size(); ++b)
+            start[b] += start[b - 1];
+
+        // Scatter by bucket (keys recomputed: cheaper than a second
+        // buffer), then insertion-sort the nearly sorted result.
+        std::vector<std::pair<std::uint64_t, std::size_t>> cells(n);
+        for (const std::size_t idx : touched_) {
+            if (bytes_[idx] == 0)
+                continue;
+            const std::uint64_t key = key_of(idx);
+            cells[start[bucket_of(key)]++] = {key, idx};
+        }
+        for (std::size_t i = 1; i < cells.size(); ++i) {
+            const auto cell = cells[i];
+            std::size_t j = i;
+            for (; j > 0 && cells[j - 1].first > cell.first; --j)
+                cells[j] = cells[j - 1];
+            cells[j] = cell;
+        }
+
+        out.reserve(out.size() + cells.size());
+        for (const auto &[key, idx] : cells) {
             noc::Message m;
             m.src = src_tile(static_cast<int>(idx / s));
             m.dst = dst_tile(static_cast<int>(idx % s));
-            m.bytes = bytes;
+            m.bytes = bytes_[idx];
             m.injectCycle = inject;
             m.cls = cls;
-            // mix64 is a bijection, so keys are unique and the
-            // sort needs no tie-break.
-            const std::uint64_t key = mix64(
-                (static_cast<std::uint64_t>(
-                     static_cast<std::uint32_t>(m.src))
-                 << 32) |
-                static_cast<std::uint32_t>(m.dst));
-            cells.emplace_back(key, m);
-        }
-        std::sort(cells.begin(), cells.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        out.reserve(out.size() + cells.size());
-        for (const auto &[key, m] : cells)
             out.push_back(m);
+        }
     }
 
   private:

@@ -51,13 +51,23 @@ PlanCache::obtain(const graph::DynamicGraph &dg,
                   const model::DgnnConfig &config, model::AlgoKind algo)
 {
     const std::uint64_t key = planKey(dg, config, algo);
+    const auto sibling_algo = model::layerSetSibling(algo);
+    const std::uint64_t sibling_key =
+        sibling_algo ? planKey(dg, config, *sibling_algo) : key;
     std::shared_ptr<const SnapshotPlans> cached;
+    std::shared_ptr<const SnapshotPlans> sibling;
     {
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
         if (it != entries_.end()) {
             ++hits_;
             cached = it->second;
+        } else if (sibling_algo) {
+            // Read without counting a lookup or touching recency: the
+            // counters and eviction order stay those of a plain miss.
+            const auto sib = entries_.find(sibling_key);
+            if (sib != entries_.end())
+                sibling = sib->second;
         }
     }
     // Observability events fire outside the critical section; lookups
@@ -70,8 +80,16 @@ PlanCache::obtain(const graph::DynamicGraph &dg,
     Tracer::global().cacheInstant("plan-cache miss", key);
     Tracer::global().addMetric("cache.plan.misses", 1);
     // Plan outside the lock so concurrent misses on different keys
-    // proceed in parallel.
-    auto plans = buildSnapshotPlans(dg, config, algo);
+    // proceed in parallel. A resident sibling already holds this
+    // algorithm's GCN layer sets; only the RNN sets are redone.
+    std::shared_ptr<const SnapshotPlans> plans;
+    if (sibling) {
+        auto derived = std::make_shared<SnapshotPlans>(*sibling);
+        model::assignRnnVertices(dg, algo, *derived);
+        plans = std::move(derived);
+    } else {
+        plans = buildSnapshotPlans(dg, config, algo);
+    }
     std::lock_guard<std::mutex> lock(mutex_);
     ++misses_;
     const auto [it, inserted] = entries_.emplace(key, std::move(plans));

@@ -10,7 +10,10 @@
  * Re-Alg — can therefore share one plan set. The cache keys on a
  * content hash of the planning inputs, so it works across separately
  * constructed but identical workloads (e.g. sweep grid points that
- * regenerate the same dataset).
+ * regenerate the same dataset). Race-Alg and DiTile-Alg plan identical
+ * GCN layer sets (model::layerSetSibling), so a miss on one whose
+ * sibling is resident copies the sibling's plans and recomputes only
+ * the RNN sets (model::assignRnnVertices) instead of re-expanding.
  *
  * Thread-safe: lookups lock, misses plan outside the lock (the first
  * finished writer wins; losers reuse the published set).
@@ -49,7 +52,11 @@ class PlanCache
                                  const model::DgnnConfig &config,
                                  model::AlgoKind algo);
 
-    /** Return the cached plan set for the inputs, planning on miss. */
+    /**
+     * Return the cached plan set for the inputs, planning on miss
+     * (from a resident layer-set sibling when there is one; reading
+     * the sibling counts no lookup and touches no recency).
+     */
     std::shared_ptr<const SnapshotPlans>
     obtain(const graph::DynamicGraph &dg,
            const model::DgnnConfig &config, model::AlgoKind algo);

@@ -11,9 +11,12 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
@@ -21,6 +24,7 @@
 #include "sim/execution_plan.hh"
 #include "workload/balance.hh"
 #include "workload/digest.hh"
+#include "workload/slot_arrays.hh"
 
 namespace ditile {
 namespace {
@@ -223,6 +227,115 @@ TEST(PartitionDigest, MatchesBruteForceCounts)
         ASSERT_EQ(std::vector<std::uint64_t>(row_hist.begin(),
                                              row_hist.end()),
                   hist);
+    }
+}
+
+/**
+ * A dynamic graph whose deltas flip cross-owner cells both ways: each
+ * step removes every edge between one connected slot pair (n -> 0)
+ * and adds two edges between one unconnected pair (0 -> 2). Owners
+ * are v % slots; intra-slot edges keep each delta small enough for
+ * the digest's patch path.
+ */
+graph::DynamicGraph
+flippingWorkload(int slots, std::vector<int> &owners)
+{
+    const VertexId n = 8 * slots;
+    owners.resize(static_cast<std::size_t>(n));
+    for (VertexId v = 0; v < n; ++v)
+        owners[static_cast<std::size_t>(v)] = v % slots;
+    std::set<graph::Edge> edges;
+    for (VertexId v = 0; v + slots < n; ++v)
+        edges.emplace(v, v + slots); // same owner
+    Rng rng(static_cast<std::uint64_t>(slots));
+    auto vertex_of = [&](int slot) {
+        return static_cast<VertexId>(
+            slot + slots * rng.uniformInt(0, 7));
+    };
+    auto connect = [&](int a, int b) {
+        const VertexId u = vertex_of(a);
+        const VertexId v = vertex_of(b);
+        edges.emplace(std::min(u, v), std::max(u, v));
+    };
+    for (int i = 0; i < slots / 2; ++i) {
+        connect(i, (i + 1 + i % 3) % slots);
+        connect(i, (i + 1 + i % 3) % slots);
+    }
+
+    std::vector<graph::Csr> snapshots;
+    snapshots.push_back(graph::Csr::fromEdges(
+        n, {edges.begin(), edges.end()}));
+    for (int step = 0; step < 6; ++step) {
+        auto slot_of = [&](VertexId v) {
+            return owners[static_cast<std::size_t>(v)];
+        };
+        // Drop one connected pair entirely.
+        int a = -1, b = -1;
+        for (const auto &[u, v] : edges) {
+            if (slot_of(u) != slot_of(v)) {
+                a = slot_of(u);
+                b = slot_of(v);
+                break;
+            }
+        }
+        std::erase_if(edges, [&](const graph::Edge &e) {
+            const int su = slot_of(e.first), sv = slot_of(e.second);
+            return (su == a && sv == b) || (su == b && sv == a);
+        });
+        // Connect one pair that has no edge.
+        std::set<std::pair<int, int>> linked;
+        for (const auto &[u, v] : edges)
+            linked.emplace(slot_of(u), slot_of(v));
+        int c = 0, d = 1;
+        while (linked.count({c, d}) != 0 || linked.count({d, c}) != 0 ||
+               (c == a && d == b) || (c == b && d == a)) {
+            d = (d + 1) % slots;
+            if (d == c) {
+                c = (c + 1) % slots;
+                d = (c + 1) % slots;
+            }
+        }
+        edges.emplace(std::min<VertexId>(c, d), std::max<VertexId>(c, d));
+        edges.emplace(std::min<VertexId>(c + slots, d + slots),
+                      std::max<VertexId>(c + slots, d + slots));
+        snapshots.push_back(graph::Csr::fromEdges(
+            n, {edges.begin(), edges.end()}));
+    }
+    return graph::DynamicGraph("flipping", std::move(snapshots), 8);
+}
+
+TEST(PartitionDigest, PatchedHistogramMatchesRecount)
+{
+    for (const int slots : {8, 256}) {
+        SCOPED_TRACE(slots);
+        std::vector<int> owners;
+        const auto dg = flippingWorkload(slots, owners);
+        const auto digest =
+            workload::buildPartitionDigest(dg, owners, slots);
+        EXPECT_GT(digest.incrementalSnapshots, 0u);
+
+        const auto s_slots = static_cast<std::size_t>(slots);
+        std::size_t rises = 0;
+        std::size_t falls = 0;
+        for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+            SCOPED_TRACE(t);
+            const auto cross = digest.crossRow(t);
+            std::vector<std::uint64_t> want(s_slots / 2 + 1, ~0ull);
+            workload::distanceHistogram(cross.data(), slots, want.data());
+            const auto got = digest.verticalDistanceHist(t);
+            EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+                      want);
+            if (t == 0)
+                continue;
+            const auto prev = digest.crossRow(t - 1);
+            for (std::size_t i = 0; i < cross.size(); ++i) {
+                rises += prev[i] == 0 && cross[i] != 0 ? 1 : 0;
+                falls += prev[i] != 0 && cross[i] == 0 ? 1 : 0;
+            }
+        }
+        // The deltas really flipped cells both ways.
+        EXPECT_GT(rises, 0u);
+        EXPECT_GT(falls, 0u);
     }
 }
 

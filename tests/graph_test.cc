@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <vector>
 
 #include "common/rng.hh"
 #include "graph/delta.hh"
@@ -394,6 +395,124 @@ TEST(CsrPatch, EveryEdgeRemovedAndReadded)
     EXPECT_EQ(empty.numEdges(), 0);
     expectSameCsr(empty, Csr(4));
     expectSameCsr(Csr::patched(empty, edges, {}), g);
+}
+
+// fromEdges and patched sort their edge lists with a counting sort;
+// both must build exactly the CSR a std::sort-based builder builds.
+
+/** Reference CSR: canonicalize, std::sort, unique, fill rows. */
+void
+expectMatchesSortReference(const Csr &got, VertexId n,
+                           std::vector<Edge> edges)
+{
+    std::vector<Edge> canon;
+    for (auto [u, v] : edges) {
+        if (u == v)
+            continue;
+        canon.emplace_back(std::min(u, v), std::max(u, v));
+    }
+    std::sort(canon.begin(), canon.end());
+    canon.erase(std::unique(canon.begin(), canon.end()), canon.end());
+    std::vector<Edge> directed;
+    for (auto [u, v] : canon) {
+        directed.emplace_back(u, v);
+        directed.emplace_back(v, u);
+    }
+    std::sort(directed.begin(), directed.end());
+    std::vector<EdgeId> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+    std::vector<VertexId> adj;
+    for (auto [u, v] : directed) {
+        ++row_ptr[static_cast<std::size_t>(u) + 1];
+        adj.push_back(v);
+    }
+    for (std::size_t v = 1; v < row_ptr.size(); ++v)
+        row_ptr[v] += row_ptr[v - 1];
+    EXPECT_EQ(got.numVertices(), n);
+    EXPECT_EQ(got.rowPtr(), row_ptr);
+    EXPECT_EQ(got.adjacency(), adj);
+}
+
+/** Random edges with duplicates, self loops, reversed pairs and ends. */
+std::vector<Edge>
+messyEdges(VertexId n, int count, Rng &rng)
+{
+    std::vector<Edge> edges;
+    auto vertex = [&] {
+        return static_cast<VertexId>(rng.uniformInt(0, n - 1));
+    };
+    for (int i = 0; i < count; ++i) {
+        const VertexId u = vertex();
+        const VertexId v = vertex();
+        edges.emplace_back(u, v);
+        if (i % 7 == 0)
+            edges.emplace_back(v, u); // reversed duplicate
+        if (i % 11 == 0)
+            edges.emplace_back(u, u); // self loop
+        if (i % 13 == 0)
+            edges.emplace_back(u, v); // exact duplicate
+    }
+    edges.emplace_back(0, n - 1);
+    edges.emplace_back(n - 1, 0);
+    edges.emplace_back(0, vertex());
+    edges.emplace_back(vertex(), n - 1);
+    return edges;
+}
+
+TEST(CsrEdgeSort, FromEdgesMatchesStdSortReference)
+{
+    expectMatchesSortReference(Csr::fromEdges(6, {}), 6, {});
+    expectMatchesSortReference(Csr::fromEdges(1, {{0, 0}}), 1, {{0, 0}});
+    for (const std::uint64_t seed : {1u, 7u, 42u}) {
+        for (const VertexId n : {2, 17, 500}) {
+            SCOPED_TRACE(testing::Message() << seed << " " << n);
+            Rng rng(seed);
+            const auto edges = messyEdges(n, 4 * n, rng);
+            expectMatchesSortReference(Csr::fromEdges(n, edges), n,
+                                       edges);
+        }
+    }
+}
+
+TEST(CsrEdgeSort, PatchedMatchesStdSortReference)
+{
+    for (const std::uint64_t seed : {3u, 9u, 1000u}) {
+        SCOPED_TRACE(seed);
+        const VertexId n = 300;
+        Rng rng(seed);
+        const Csr prev = Csr::fromEdges(n, messyEdges(n, 1200, rng));
+        // Unsorted, mixed-orientation delta lists that touch vertex 0
+        // and vertex n-1, so the sort inside patched() does real work.
+        const std::vector<Edge> prev_edges = prev.edgeList();
+        std::set<Edge> next(prev_edges.begin(), prev_edges.end());
+        std::vector<Edge> added;
+        std::vector<Edge> removed;
+        std::set<Edge> touched;
+        auto change = [&](VertexId u, VertexId v) {
+            const Edge canon{std::min(u, v), std::max(u, v)};
+            if (u == v || !touched.insert(canon).second)
+                return;
+            if (prev.hasEdge(u, v)) {
+                removed.emplace_back(v, u);
+                next.erase(canon);
+            } else {
+                added.emplace_back(v, u);
+                next.insert(canon);
+            }
+        };
+        change(0, n - 1);
+        for (int i = 0; i < 80; ++i) {
+            change(static_cast<VertexId>(rng.uniformInt(0, n - 1)),
+                   static_cast<VertexId>(rng.uniformInt(0, n - 1)));
+        }
+        for (const Edge &e : prev_edges) {
+            if (e.first == 0 || e.second == n - 1)
+                change(e.first, e.second);
+        }
+        ASSERT_FALSE(added.empty());
+        ASSERT_FALSE(removed.empty());
+        expectMatchesSortReference(Csr::patched(prev, added, removed), n,
+                                   {next.begin(), next.end()});
+    }
 }
 
 } // namespace

@@ -9,10 +9,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "graph/generator.hh"
 #include "model/functional.hh"
 #include "model/incremental.hh"
+#include "sim/plan_cache.hh"
 
 namespace ditile::model {
 namespace {
@@ -286,6 +288,99 @@ TEST(Planner, Deterministic)
         EXPECT_EQ(a.plan(t).gcn[0].vertices, b.plan(t).gcn[0].vertices);
         EXPECT_EQ(a.plan(t).rnnVertices, b.plan(t).rnnVertices);
     }
+}
+
+// uniqueInputs is counted by the expansion walk (and a bitmap walk
+// for the last layer); graph::expandFrontier is its oracle.
+TEST(Planner, UniqueInputsMatchOneHopFrontier)
+{
+    DgnnConfig three;
+    three.gcnDims = {16, 8, 4};
+    three.lstmHidden = 4;
+    for (const std::uint64_t seed : {3u, 11u}) {
+        const auto dg = smallDynamicGraph(seed, 0.10, 5);
+        for (const DgnnConfig &config : {smallModel(), three}) {
+            for (AlgoKind kind : allAlgorithms()) {
+                for (const bool exact : {false, true}) {
+                    IncrementalPlanner planner(dg, config, kind, exact);
+                    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+                        const auto &g = dg.snapshot(t);
+                        const auto &p = planner.plan(t);
+                        for (std::size_t l = 0; l < p.gcn.size(); ++l) {
+                            const auto &lw = p.gcn[l];
+                            EXPECT_EQ(
+                                graph::expandFrontier(g, lw.vertices, 1)
+                                    .size(),
+                                static_cast<std::size_t>(lw.uniqueInputs))
+                                << algoName(kind) << " exact=" << exact
+                                << " t=" << t << " layer=" << l;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+void
+expectSamePlans(const sim::PlanCache::SnapshotPlans &got,
+                const sim::PlanCache::SnapshotPlans &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t t = 0; t < got.size(); ++t) {
+        SCOPED_TRACE(t);
+        ASSERT_EQ(got[t].gcn.size(), want[t].gcn.size());
+        for (std::size_t l = 0; l < got[t].gcn.size(); ++l) {
+            EXPECT_EQ(got[t].gcn[l].vertices, want[t].gcn[l].vertices);
+            EXPECT_EQ(got[t].gcn[l].gatherEdges,
+                      want[t].gcn[l].gatherEdges);
+            EXPECT_EQ(got[t].gcn[l].uniqueInputs,
+                      want[t].gcn[l].uniqueInputs);
+        }
+        EXPECT_EQ(got[t].rnnVertices, want[t].rnnVertices);
+        EXPECT_EQ(got[t].adjacencyUpdates, want[t].adjacencyUpdates);
+        EXPECT_EQ(got[t].fullRecompute, want[t].fullRecompute);
+    }
+}
+
+// PlanCache derives a Race or DiTile plan set from its resident
+// sibling; the result and the cache counters must be those of a
+// direct build.
+TEST(PlanCacheSibling, DerivedPlansMatchDirectBuild)
+{
+    const auto dg = smallDynamicGraph(5, 0.12, 6);
+    const DgnnConfig config = smallModel();
+    const std::pair<AlgoKind, AlgoKind> orders[] = {
+        {AlgoKind::RaceAlg, AlgoKind::DiTileAlg},
+        {AlgoKind::DiTileAlg, AlgoKind::RaceAlg},
+    };
+    for (const auto &[first, second] : orders) {
+        SCOPED_TRACE(algoName(second));
+        ASSERT_EQ(layerSetSibling(second), first);
+        sim::PlanCache cache;
+        const auto built_first = cache.obtain(dg, config, first);
+        const auto derived = cache.obtain(dg, config, second);
+        expectSamePlans(*derived,
+                        *sim::PlanCache::buildSnapshotPlans(dg, config,
+                                                            second));
+        expectSamePlans(*built_first,
+                        *sim::PlanCache::buildSnapshotPlans(dg, config,
+                                                            first));
+        cache.obtain(dg, config, second);
+
+        // The same sequence with a first entry that is not a sibling.
+        sim::PlanCache plain;
+        plain.obtain(dg, config, AlgoKind::MegaAlg);
+        plain.obtain(dg, config, second);
+        plain.obtain(dg, config, second);
+        EXPECT_EQ(cache.hits(), plain.hits());
+        EXPECT_EQ(cache.misses(), plain.misses());
+        EXPECT_EQ(cache.size(), plain.size());
+        EXPECT_EQ(1u, cache.hits());
+        EXPECT_EQ(2u, cache.misses());
+    }
+    EXPECT_FALSE(layerSetSibling(AlgoKind::ReAlg).has_value());
+    EXPECT_FALSE(layerSetSibling(AlgoKind::MegaAlg).has_value());
 }
 
 /**

@@ -4,7 +4,8 @@
  * must be bit-identical with the gate on and off, the flat SlotArrays
  * census kernels must reproduce the retired map-based walks on
  * adds+removes deltas, the DenseTraffic touched-cell drain must match
- * a dense reference, and batch planning (SharedFrontEnd)
+ * a dense reference and a std::sort of its mix64 drain keys, and batch
+ * planning (SharedFrontEnd)
  * must emit byte-identical plans to per-accelerator planning at any
  * thread width.
  */
@@ -18,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "common/simd.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
@@ -326,6 +328,115 @@ TEST(DenseTraffic, TouchedDrainMatchesDenseReference)
     EXPECT_EQ(2, reused[0].src);
     EXPECT_EQ(3, reused[0].dst);
     EXPECT_EQ(11u, reused[0].bytes);
+}
+
+// The drain order itself: emit() must produce exactly the messages a
+// std::sort by ascending mix64(src tile << 32 | dst tile) produces,
+// for empty, tiny and large drains, at several matrix sizes, and with
+// distinct src/dst tile maps (as the temporal boundary uses). The
+// forward/backward test above only proves the order is stable.
+
+/** A traffic matrix plus a plain map of what was added to it. */
+struct TrafficCase
+{
+    explicit TrafficCase(int slots) : traffic(slots) {}
+
+    void
+    add(int src, int dst, ByteCount bytes)
+    {
+        traffic.add(src, dst, bytes);
+        cells[{src, dst}] += bytes;
+    }
+
+    sim::detail::DenseTraffic traffic;
+    std::map<std::pair<int, int>, ByteCount> cells;
+};
+
+/** `adds` random off-diagonal adds to a `slots` x `slots` matrix. */
+TrafficCase
+randomTraffic(int slots, int adds, std::uint64_t seed)
+{
+    TrafficCase c(slots);
+    std::uint64_t x = seed * 0x9e3779b97f4a7c15ull + 1;
+    for (int i = 0; i < adds; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        const int src = static_cast<int>(x % slots);
+        const int dst = static_cast<int>((x >> 20) % slots);
+        if (src != dst)
+            c.add(src, dst, 1 + (x >> 40) % 9);
+    }
+    return c;
+}
+
+template <typename SrcTile, typename DstTile>
+void
+expectSortedDrain(const TrafficCase &c, SrcTile src_tile,
+                  DstTile dst_tile)
+{
+    std::vector<noc::Message> got;
+    c.traffic.emit(got, noc::TrafficClass::Temporal, 5, src_tile,
+                   dst_tile);
+
+    // Reference: every added cell as a message, std::sort-ed by key.
+    std::vector<std::pair<std::uint64_t, noc::Message>> want;
+    for (const auto &[cell, bytes] : c.cells) {
+        noc::Message m;
+        m.src = src_tile(cell.first);
+        m.dst = dst_tile(cell.second);
+        m.bytes = bytes;
+        const std::uint64_t key = mix64(
+            (static_cast<std::uint64_t>(static_cast<std::uint32_t>(m.src))
+             << 32) |
+            static_cast<std::uint32_t>(m.dst));
+        want.emplace_back(key, m);
+    }
+    std::sort(want.begin(), want.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first < b.first;
+              });
+    ASSERT_EQ(want.size(), got.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(want[i].second.src, got[i].src) << "message " << i;
+        EXPECT_EQ(want[i].second.dst, got[i].dst) << "message " << i;
+        EXPECT_EQ(want[i].second.bytes, got[i].bytes) << "message " << i;
+        EXPECT_EQ(5u, got[i].injectCycle);
+        EXPECT_EQ(noc::TrafficClass::Temporal, got[i].cls);
+    }
+}
+
+TEST(DenseTraffic, DrainOrderMatchesSortedMix64Reference)
+{
+    const auto same = [](int s) { return static_cast<TileId>(s); };
+    // Temporal-boundary style: src and dst slots land in different
+    // tile columns of a 16-column grid.
+    const auto left = [](int s) {
+        return static_cast<TileId>(s * 16 + 3);
+    };
+    const auto right = [](int s) {
+        return static_cast<TileId>(s * 16 + 11);
+    };
+    for (const int slots : {9, 64, 256}) {
+        SCOPED_TRACE(slots);
+        for (int n = 0; n <= 3; ++n) {
+            TrafficCase c(slots);
+            for (int i = 0; i < n; ++i)
+                c.add(i, i + 1, static_cast<ByteCount>(10 + i));
+            ASSERT_EQ(static_cast<std::size_t>(n), c.traffic.nonzero());
+            expectSortedDrain(c, same, same);
+            expectSortedDrain(c, left, right);
+        }
+        // Thousands of cells (every off-diagonal cell at 9 slots).
+        const auto big =
+            randomTraffic(slots, 6000, static_cast<std::uint64_t>(slots));
+        const auto all_cells = static_cast<std::size_t>(slots) *
+            static_cast<std::size_t>(slots - 1);
+        EXPECT_EQ(big.cells.size(), big.traffic.nonzero());
+        EXPECT_GE(big.cells.size(), std::min<std::size_t>(1000, all_cells));
+        expectSortedDrain(big, same, same);
+        expectSortedDrain(big, left, right);
+    }
 }
 
 // Batch planning: plans built through a SharedFrontEnd must serialize

@@ -300,38 +300,20 @@ BENCHMARK(BM_IncrementalPlanning);
 
 // ---- SoA / SIMD hot-path kernels (ROADMAP item 5) ----
 
-/** Arg(0): SIMD gate off (scalar fallback); Arg(1): on. */
 void
 BM_F64Axpy(benchmark::State &state)
 {
-    simd::setSimdEnabled(state.range(0) != 0);
     const std::size_t n = 1 << 14;
     std::vector<double> dst(n, 0.5), src(n, 1.25);
     for (auto _ : state) {
         simd::f64Axpy(dst.data(), src.data(), 0.999, n);
         benchmark::DoNotOptimize(dst.data());
+        benchmark::ClobberMemory();
     }
-    simd::setSimdEnabled(true);
     state.SetItemsProcessed(state.iterations() *
                             static_cast<long>(n));
 }
-BENCHMARK(BM_F64Axpy)->Arg(0)->Arg(1);
-
-void
-BM_U64Add(benchmark::State &state)
-{
-    simd::setSimdEnabled(state.range(0) != 0);
-    const std::size_t n = 1 << 14;
-    std::vector<std::uint64_t> dst(n, 3), src(n, 7);
-    for (auto _ : state) {
-        simd::u64Add(dst.data(), src.data(), n);
-        benchmark::DoNotOptimize(dst.data());
-    }
-    simd::setSimdEnabled(true);
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<long>(n));
-}
-BENCHMARK(BM_U64Add)->Arg(0)->Arg(1);
+BENCHMARK(BM_F64Axpy);
 
 /** The scratch slot-census kernel over one CSR snapshot. */
 void

@@ -1,197 +1,52 @@
 /**
  * @file
- * Portable SIMD kernel wrappers for the planner/engine hot loops.
+ * Elementwise f64 kernels for the digest/balance load planes.
  *
  * The SoA rework (ROADMAP item 5) flattens the per-slot walks into
- * contiguous arrays precisely so the inner loops become the three
+ * contiguous arrays precisely so the inner loops become the two
  * elementwise kernels below: unit-stride, branch-free, with all the
- * irregular work (gathers, scatter-increments) hoisted out. Each
- * kernel has an explicit vector path behind the usual compiler
- * feature macros (AVX2/SSE2 for f64, plain loops elsewhere) and a
- * scalar fallback that is bit-identical by construction:
+ * irregular work (gathers, scatter-increments) hoisted out.
  *
- *   - the u64 kernel is integer arithmetic, associative and exact;
- *   - the f64 kernels are purely elementwise (dst[i] op src[i] with
- *     one shared scalar), so lane order never changes the rounding —
- *     no horizontal reductions, no re-association.
+ * Plain `__restrict` loops are enough. Without target flags, gcc
+ * vectorizes them at -O3 (the Release build perfbench times) or -O2
+ * -ftree-vectorize, and clang at -O2; the CI spot-check compiles them
+ * with -fopt-info-vec / -Rpass=loop-vectorize and requires both to
+ * vectorize. Vectorizing cannot move a result bit:
  *
- * DITILE_NO_SIMD=1 (or setSimdEnabled(false)) routes every call
- * through the scalar loops at runtime; CI diffs both modes
- * byte-for-byte. The scalar loops are also what the autovectorization
- * spot-check compiles with -fopt-info-vec / -Rpass=loop-vectorize:
- * they are written so gcc and clang vectorize them at -O2/-O3 without
- * target flags, keeping the fallback fast where the intrinsics are
- * compiled out.
+ *   - each kernel is purely elementwise (dst[i] op src[i] with one
+ *     shared scalar), so lane order never changes the rounding — no
+ *     horizontal reductions, no re-association;
+ *   - the default x86-64 target has no FMA, so `dst[i] + w * src[i]`
+ *     is never contracted into one rounding.
  */
 
 #ifndef DITILE_COMMON_SIMD_HH
 #define DITILE_COMMON_SIMD_HH
 
-#include <atomic>
-#include <cstdint>
-#include <cstdlib>
-
-#if defined(__AVX2__)
-#include <immintrin.h>
-#elif defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
-#endif
+#include <cstddef>
 
 namespace ditile::simd {
 
-namespace detail {
-
-inline std::atomic<int> g_simd_state{-1}; // -1 unset, 0 off, 1 on.
-
-} // namespace detail
-
 /**
- * Global SIMD gate, the sibling of workload::digestEnabled().
- * Initialized once from the DITILE_NO_SIMD environment variable (any
- * non-empty value other than "0" selects the scalar loops); tests and
- * CI flip it to compare both paths.
+ * dst[i] += w * src[i] for i in [0, n). The Eq.-17 load-accumulation
+ * kernel (one multiply and one add per element, weight shared across
+ * the array).
  */
-inline bool
-simdEnabled()
-{
-    int s = detail::g_simd_state.load(std::memory_order_relaxed);
-    if (s < 0) {
-        const char *env = std::getenv("DITILE_NO_SIMD");
-        const bool disabled = env != nullptr && *env != '\0' &&
-            !(env[0] == '0' && env[1] == '\0');
-        s = disabled ? 0 : 1;
-        detail::g_simd_state.store(s, std::memory_order_relaxed);
-    }
-    return s == 1;
-}
-
 inline void
-setSimdEnabled(bool enabled)
-{
-    detail::g_simd_state.store(enabled ? 1 : 0,
-                               std::memory_order_relaxed);
-}
-
-namespace detail {
-
-/** Scalar dst[i] += w * src[i]; the vectorizable reference loop. */
-inline void
-f64AxpyScalar(double *__restrict dst, const double *__restrict src,
-              double w, std::size_t n)
+f64Axpy(double *__restrict dst, const double *__restrict src, double w,
+        std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] += w * src[i];
 }
 
-/** Scalar dst[i] += src[i] over f64. */
-inline void
-f64AddScalar(double *__restrict dst, const double *__restrict src,
-             std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] += src[i];
-}
-
-/** Scalar dst[i] += src[i] over u64 (exact, order-free). */
-inline void
-u64AddScalar(std::uint64_t *__restrict dst,
-             const std::uint64_t *__restrict src, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        dst[i] += src[i];
-}
-
-} // namespace detail
-
-/**
- * dst[i] += w * src[i] for i in [0, n). The Eq.-17 load-accumulation
- * kernel (one fused multiply per element, weight shared across the
- * array). Elementwise, so the vector and scalar paths round
- * identically lane by lane.
- */
-inline void
-f64Axpy(double *dst, const double *src, double w, std::size_t n)
-{
-    if (!simdEnabled()) {
-        detail::f64AxpyScalar(dst, src, w, n);
-        return;
-    }
-    std::size_t i = 0;
-#if defined(__AVX2__)
-    const __m256d vw = _mm256_set1_pd(w);
-    for (; i + 4 <= n; i += 4) {
-        const __m256d s = _mm256_loadu_pd(src + i);
-        const __m256d d = _mm256_loadu_pd(dst + i);
-        _mm256_storeu_pd(dst + i,
-                         _mm256_add_pd(d, _mm256_mul_pd(vw, s)));
-    }
-#elif defined(__SSE2__) || defined(_M_X64)
-    const __m128d vw = _mm_set1_pd(w);
-    for (; i + 2 <= n; i += 2) {
-        const __m128d s = _mm_loadu_pd(src + i);
-        const __m128d d = _mm_loadu_pd(dst + i);
-        _mm_storeu_pd(dst + i, _mm_add_pd(d, _mm_mul_pd(vw, s)));
-    }
-#endif
-    detail::f64AxpyScalar(dst + i, src + i, w, n - i);
-}
-
 /** dst[i] += src[i] over f64 (the totalLoads ascending-t merge). */
 inline void
-f64Add(double *dst, const double *src, std::size_t n)
+f64Add(double *__restrict dst, const double *__restrict src,
+       std::size_t n)
 {
-    if (!simdEnabled()) {
-        detail::f64AddScalar(dst, src, n);
-        return;
-    }
-    std::size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-        _mm256_storeu_pd(dst + i,
-                         _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                       _mm256_loadu_pd(src + i)));
-    }
-#elif defined(__SSE2__) || defined(_M_X64)
-    for (; i + 2 <= n; i += 2) {
-        _mm_storeu_pd(dst + i, _mm_add_pd(_mm_loadu_pd(dst + i),
-                                          _mm_loadu_pd(src + i)));
-    }
-#endif
-    detail::f64AddScalar(dst + i, src + i, n - i);
-}
-
-/**
- * dst[i] += src[i] over u64 (the accumulate-then-merge step of the
- * slot counter kernels). Integer adds: exact in any width.
- */
-inline void
-u64Add(std::uint64_t *dst, const std::uint64_t *src, std::size_t n)
-{
-    if (!simdEnabled()) {
-        detail::u64AddScalar(dst, src, n);
-        return;
-    }
-    std::size_t i = 0;
-#if defined(__AVX2__)
-    for (; i + 4 <= n; i += 4) {
-        const __m256i s = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(src + i));
-        const __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            _mm256_add_epi64(d, s));
-    }
-#elif defined(__SSE2__) || defined(_M_X64)
-    for (; i + 2 <= n; i += 2) {
-        const __m128i s = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(src + i));
-        const __m128i d = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(dst + i));
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + i),
-                         _mm_add_epi64(d, s));
-    }
-#endif
-    detail::u64AddScalar(dst + i, src + i, n - i);
+    for (std::size_t i = 0; i < n; ++i)
+        dst[i] += src[i];
 }
 
 } // namespace ditile::simd

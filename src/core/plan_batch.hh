@@ -18,11 +18,11 @@
  * each distinct Algorithm-1 variant on first use. Both cached
  * results come from the exact functions the unshared path calls, so
  * plans built through a SharedFrontEnd are bit-identical to per-run
- * planning — the --batch-plan=off escape hatch diffs the two
- * byte-for-byte in CI.
+ * planning; `BatchPlanning.*` in simd_test diffs the two
+ * byte-for-byte.
  *
- * Not thread-safe by design: a batch plans its group serially (the
- * sweep parallelizes across groups, not within one).
+ * Not thread-safe by design: one caller plans its batch serially
+ * (bench_fig11b's ablation fleet, perfbench's sweep points).
  */
 
 #ifndef DITILE_CORE_PLAN_BATCH_HH

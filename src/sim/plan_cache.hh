@@ -117,8 +117,8 @@ class PlanCache
  * Print one consolidated cache-stats block to `out` covering every
  * caching layer a run exercises: the given PlanCache, the global
  * workload DigestCache, and the global CommModelCache memo. Shared
- * by ditile_sweep --digest-stats and the benches so the stderr
- * format stays in one place (CI parses it).
+ * by ditile_sweep and the benches so the stderr format stays in one
+ * place (CI parses it).
  */
 void printCacheStats(std::FILE *out, const PlanCache &plan_cache);
 

@@ -29,7 +29,6 @@ ConcurrentRunner::infer(const graph::DynamicGraph &dg,
                         const model::DgnnConfig &config,
                         const PinnedFaults &faults)
 {
-    const bool overlap = overlap_;
     QueryOutcome outcome;
     bool hit = false;
     {
@@ -41,7 +40,7 @@ ConcurrentRunner::infer(const graph::DynamicGraph &dg,
             : memoized(PlanCache::planKey(
                            dg, config,
                            static_cast<model::AlgoKind>(algo_)),
-                       faults.fingerprint(), overlap);
+                       faults.fingerprint());
         if (memo) {
             outcome = *memo;
             hit = true;
@@ -56,7 +55,7 @@ ConcurrentRunner::infer(const graph::DynamicGraph &dg,
     auto accel = factory_();
     DITILE_ASSERT(accel, "accelerator factory returned null");
     auto plan = accel->plan(dg, config, &cache_);
-    plan.options.overlap = overlap;
+    plan.options.overlap = true;
     if (!faults.spec().empty())
         plan.faults = faults.spec();
     {
@@ -76,21 +75,21 @@ ConcurrentRunner::infer(const graph::DynamicGraph &dg,
     // never concurrently with infer().
     if (cache_.contains(key)) {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (!memoized(key, faults.fingerprint(), overlap))
-            memo_[key].push_back({faults.fingerprint(), overlap, outcome});
+        if (!memoized(key, faults.fingerprint()))
+            memo_[key].push_back({faults.fingerprint(), outcome});
     }
     return outcome;
 }
 
 const QueryOutcome *
-ConcurrentRunner::memoized(std::uint64_t key, std::uint64_t faults,
-                           bool overlap) const
+ConcurrentRunner::memoized(std::uint64_t key,
+                           std::uint64_t faults) const
 {
     const auto it = memo_.find(key);
     if (it == memo_.end())
         return nullptr;
     for (const MemoEntry &entry : it->second)
-        if (entry.faults == faults && entry.overlap == overlap)
+        if (entry.faults == faults)
             return &entry.outcome;
     return nullptr;
 }

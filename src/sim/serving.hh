@@ -17,14 +17,15 @@
  * a pure replay over const inputs whose internal parallelFor nests
  * safely in the global pool.
  *
- * Because the runner's factory fixes the hardware, an inference is a
- * pure function of (plan key, fault spec, overlap flag). The runner
- * therefore memoizes the compact outcome of every successful run under
- * that triple: a repeat query on a quiet tenant costs one key lookup
- * and never builds an accelerator, plans or executes. The memo lives
- * here rather than in the PlanCache because a PlanCache may be shared
- * by accelerator families (ReaDy and DGNN-Booster share Re-Alg) or
- * chips, where a plan key alone does not identify the executor. It is
+ * Because the runner's factory fixes the hardware and always runs the
+ * overlap task graph, an inference is a pure function of (plan key,
+ * fault spec). The runner therefore memoizes the compact outcome of
+ * every successful run under that pair: a repeat query on a quiet
+ * tenant costs one key lookup and never builds an accelerator, plans
+ * or executes. The memo lives here rather than in the PlanCache
+ * because a PlanCache may be shared by accelerator families (ReaDy
+ * and DGNN-Booster share Re-Alg) or chips, where a plan key alone
+ * does not identify the executor. It is
  * bounded by the plan cache's LRU: evictToCapacity() drops a plan
  * key's outcomes together with its plan set.
  */
@@ -94,13 +95,14 @@ class ConcurrentRunner
     /**
      * The outcome of one inference: memoized, or planned (through the
      * cache) and executed. Safe to call concurrently from pool
-     * workers; outcomes are a pure function of (dg, config, faults,
-     * overlap), independent of interleaving. A non-empty fault spec
-     * is spliced into the execution plan; a spec that does not
-     * resolve against the hardware throws InputError from inside
-     * execution — typed and recoverable, which the serving tier turns
-     * into `err exec` plus breaker feedback. Failed runs are never
-     * memoized. Emits cache.result.hits / cache.result.misses.
+     * workers; outcomes are a pure function of (dg, config, faults),
+     * independent of interleaving. Execution always uses the overlap
+     * task graph: the serving tier reports pipelined latency. A
+     * non-empty fault spec is spliced into the execution plan; a spec
+     * that does not resolve against the hardware throws InputError
+     * from inside execution — typed and recoverable, which the serving
+     * tier turns into `err exec` plus breaker feedback. Failed runs are
+     * never memoized. Emits cache.result.hits / cache.result.misses.
      */
     QueryOutcome infer(const graph::DynamicGraph &dg,
                        const model::DgnnConfig &config,
@@ -138,42 +140,28 @@ class ConcurrentRunner
     /** Plan keys that currently hold memoized outcomes. */
     std::size_t memoizedKeys() const;
 
-    /**
-     * Execute with the overlap task graph (default) or the staged
-     * one (barrier edges). The serving tier reports latency to
-     * tenants, so it defaults to the pipelined model; set false to
-     * reproduce the staged reference. The flag is part of the memo
-     * key. Configure from serial program points only (not
-     * synchronized against in-flight infer calls).
-     */
-    void setOverlap(bool overlap) { overlap_ = overlap; }
-    bool overlap() const { return overlap_; }
-
   private:
     /** One memoized outcome under a plan key. */
     struct MemoEntry
     {
         std::uint64_t faults; ///< PinnedFaults::fingerprint().
-        bool overlap;
         QueryOutcome outcome;
     };
 
-    /** The outcome memoized under (key, faults, overlap), or null.
-     *  Caller holds mutex_. */
+    /** The outcome memoized under (key, faults), or null. Caller
+     *  holds mutex_. */
     const QueryOutcome *memoized(std::uint64_t key,
-                                 std::uint64_t faults,
-                                 bool overlap) const;
+                                 std::uint64_t faults) const;
 
     AcceleratorFactory factory_;
-    bool overlap_ = true;
     PlanCache cache_;
 
     mutable std::mutex mutex_; ///< Guards algo_ and memo_.
     /** Update algorithm as an int, latched from the first built plan
      *  (the plan key depends on it); -1 until then. */
     int algo_ = -1;
-    /** Outcomes per plan key; a key holds one entry per (fault spec,
-     *  overlap) pair it has been executed under. */
+    /** Outcomes per plan key; a key holds one entry per fault spec
+     *  it has been executed under. */
     std::unordered_map<std::uint64_t, std::vector<MemoEntry>> memo_;
 };
 

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -240,31 +241,26 @@ commBreakdown(const ApplicationFeatures &app, int tiling_factor,
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnvInt(std::uint64_t h, std::uint64_t value)
+/** Folds one word through mix64 first, so a difference in any bit
+ *  (a double's sign or exponent included) reaches every key bit. */
+void
+mixWord(WordHasher &h, std::uint64_t v)
 {
-    for (int i = 0; i < 8; ++i) {
-        h ^= (value >> (i * 8)) & 0xffu;
-        h *= kFnvPrime;
-    }
-    return h;
+    h.mix(mix64(v));
 }
 
-std::uint64_t
-fnvDoubles(std::uint64_t h, const std::vector<double> &values)
+/** Mixes the size, then the bit pattern of every value. Bitwise
+ *  identity, not numeric equality: +0.0/-0.0 and NaN payloads hash
+ *  apart, which is safe (at worst a duplicate entry). */
+void
+mixDoubles(WordHasher &h, const std::vector<double> &values)
 {
-    // Bitwise identity, not numeric equality: +0.0/-0.0 and NaN
-    // payloads hash apart, which is safe (at worst a duplicate entry).
-    h = fnvInt(h, values.size());
+    mixWord(h, values.size());
     for (double v : values) {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &v, sizeof(bits));
-        h = fnvInt(h, bits);
+        mixWord(h, bits);
     }
-    return h;
 }
 
 } // namespace
@@ -272,16 +268,16 @@ fnvDoubles(std::uint64_t h, const std::vector<double> &values)
 std::uint64_t
 appFeatureKey(const ApplicationFeatures &app)
 {
-    std::uint64_t h = kFnvOffset;
-    h = fnvInt(h, static_cast<std::uint64_t>(app.gcnLayers));
-    h = fnvInt(h, static_cast<std::uint64_t>(app.numSnapshots));
-    h = fnvInt(h, static_cast<std::uint64_t>(app.featureDim));
-    h = fnvInt(h, static_cast<std::uint64_t>(app.residentDims));
-    h = fnvInt(h, static_cast<std::uint64_t>(app.bytesPerValue));
-    h = fnvDoubles(h, app.vertices);
-    h = fnvDoubles(h, app.edges);
-    h = fnvDoubles(h, app.dissimilarity);
-    return h;
+    WordHasher h;
+    mixWord(h, static_cast<std::uint64_t>(app.gcnLayers));
+    mixWord(h, static_cast<std::uint64_t>(app.numSnapshots));
+    mixWord(h, static_cast<std::uint64_t>(app.featureDim));
+    mixWord(h, static_cast<std::uint64_t>(app.residentDims));
+    mixWord(h, static_cast<std::uint64_t>(app.bytesPerValue));
+    mixDoubles(h, app.vertices);
+    mixDoubles(h, app.edges);
+    mixDoubles(h, app.dissimilarity);
+    return h.h;
 }
 
 std::size_t

@@ -146,9 +146,10 @@ CommBreakdown commBreakdown(const ApplicationFeatures &app,
 
 /**
  * Content key over every field Eq. 8-16 reads from the application
- * features (FNV-1a over the scalar widths and the raw bytes of the
- * per-snapshot vectors). Two feature sets with the same key share
- * every communication-model value.
+ * features (word-wise FNV-1a, common/hash.hh, over the mix64 of
+ * each scalar width and of each per-snapshot value's bit pattern).
+ * Two feature sets with the same key share every communication-model
+ * value.
  */
 std::uint64_t appFeatureKey(const ApplicationFeatures &app);
 

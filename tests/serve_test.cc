@@ -453,41 +453,6 @@ TEST(ServeMemo, FaultVerbBetweenQueriesForcesReexecution)
     EXPECT_EQ(costsOf(fresh.handle("query a")), costsOf(faulted));
 }
 
-TEST(ServeMemo, StagedRunsGetTheirOwnEntry)
-{
-    ScopedMetrics metrics;
-    Rng rng(5);
-    graph::SnapshotWindow window(
-        "t", graph::generateRmat(48, 96, {}, rng), 1, 4);
-    const graph::DynamicGraph &dg = window.graph();
-    const model::DgnnConfig config;
-    sim::ConcurrentRunner runner(makeFactory());
-    const auto overlapped = runner.infer(dg, config);
-    runner.setOverlap(false);
-    const auto staged = runner.infer(dg, config);
-    EXPECT_EQ(metricValue("engine.runs"), 2)
-        << "the staged query must not reuse the overlap outcome";
-    EXPECT_EQ(runner.memoizedKeys(), 1u);
-
-    core::DiTileAccelerator accel;
-    auto plan = accel.plan(dg, config);
-    plan.options.overlap = false;
-    const auto direct = sim::executePlan(dg, plan);
-    EXPECT_EQ(staged.totalCycles, direct.totalCycles);
-    EXPECT_EQ(staged.ops, direct.ops.totalArithmetic());
-    EXPECT_EQ(staged.dramBytes, direct.dramTraffic.total());
-    EXPECT_EQ(staged.nocBytes, direct.nocBytes);
-
-    // Both entries now answer without running the engine.
-    const long long runs = metricValue("engine.runs");
-    EXPECT_EQ(runner.infer(dg, config).totalCycles, staged.totalCycles);
-    runner.setOverlap(true);
-    EXPECT_EQ(runner.infer(dg, config).totalCycles,
-              overlapped.totalCycles);
-    EXPECT_EQ(metricValue("engine.runs"), runs);
-    EXPECT_EQ(metricValue("cache.result.hits"), 2);
-}
-
 TEST(ServeServer, LruTenantEvictionIsDeterministic)
 {
     serve::ServerOptions options;

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the SoA/SIMD hot-path rework: the portable SIMD kernels
- * must be bit-identical with the gate on and off, the flat SlotArrays
+ * Tests for the SoA/SIMD hot-path rework: the elementwise f64 kernels
+ * must round like a separately rounded reference, the flat SlotArrays
  * census kernels must reproduce the retired map-based walks on
  * adds+removes deltas, the DenseTraffic touched-cell drain must match
  * a dense reference and a std::sort of its mix64 drain keys, and batch
@@ -34,14 +34,6 @@
 namespace ditile {
 namespace {
 
-/** RAII: force the SIMD gate for a scope, restore enabled after. */
-class SimdGate
-{
-  public:
-    explicit SimdGate(bool enabled) { simd::setSimdEnabled(enabled); }
-    ~SimdGate() { simd::setSimdEnabled(true); }
-};
-
 /** Deterministic pseudo-random doubles (no libm rounding variance). */
 std::vector<double>
 patternDoubles(std::size_t n, std::uint64_t seed)
@@ -71,65 +63,38 @@ simdWorkload(double dissimilarity = 0.10, std::uint64_t seed = 29)
     return graph::generateDynamicGraph(config);
 }
 
-// The SIMD wrappers must be bit-identical to their scalar fallbacks:
-// every kernel is elementwise (no reassociation), so the vector and
-// scalar paths perform the same rounding per lane.
+// The kernels are elementwise: each result is one multiply and one
+// add, each rounded on its own. The axpy reference stores every
+// product through a volatile, so a kernel whose multiply-add had been
+// contracted into an FMA would differ from it in the last bit.
 
-TEST(SimdKernels, F64AxpyBitIdenticalOnOff)
+TEST(SimdKernels, F64AxpyMatchesSeparatelyRoundedReference)
 {
-    // Odd length exercises the vector body plus the scalar tail.
+    // Odd length exercises a vector body plus a scalar tail.
     const std::size_t n = 1027;
     const auto src = patternDoubles(n, 7);
-    auto a = patternDoubles(n, 11);
-    auto b = a;
-    {
-        SimdGate gate(false);
-        simd::f64Axpy(a.data(), src.data(), 1.75, n);
+    auto got = patternDoubles(n, 11);
+    auto want = got;
+    for (std::size_t i = 0; i < n; ++i) {
+        volatile double product = 1.75 * src[i];
+        want[i] += product;
     }
-    {
-        SimdGate gate(true);
-        simd::f64Axpy(b.data(), src.data(), 1.75, n);
-    }
+    simd::f64Axpy(got.data(), src.data(), 1.75, n);
     ASSERT_EQ(0,
-              std::memcmp(a.data(), b.data(), n * sizeof(double)));
+              std::memcmp(got.data(), want.data(), n * sizeof(double)));
 }
 
-TEST(SimdKernels, F64AddBitIdenticalOnOff)
+TEST(SimdKernels, F64AddMatchesElementwiseReference)
 {
     const std::size_t n = 513;
     const auto src = patternDoubles(n, 3);
-    auto a = patternDoubles(n, 5);
-    auto b = a;
-    {
-        SimdGate gate(false);
-        simd::f64Add(a.data(), src.data(), n);
-    }
-    {
-        SimdGate gate(true);
-        simd::f64Add(b.data(), src.data(), n);
-    }
+    auto got = patternDoubles(n, 5);
+    auto want = got;
+    for (std::size_t i = 0; i < n; ++i)
+        want[i] = want[i] + src[i];
+    simd::f64Add(got.data(), src.data(), n);
     ASSERT_EQ(0,
-              std::memcmp(a.data(), b.data(), n * sizeof(double)));
-}
-
-TEST(SimdKernels, U64AddBitIdenticalOnOff)
-{
-    const std::size_t n = 259;
-    std::vector<std::uint64_t> src(n), a(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        src[i] = i * 0x9e3779b9ull + 17;
-        a[i] = i * 31 + 5;
-    }
-    auto b = a;
-    {
-        SimdGate gate(false);
-        simd::u64Add(a.data(), src.data(), n);
-    }
-    {
-        SimdGate gate(true);
-        simd::u64Add(b.data(), src.data(), n);
-    }
-    EXPECT_EQ(a, b);
+              std::memcmp(got.data(), want.data(), n * sizeof(double)));
 }
 
 // The flat SlotArrays kernels must reproduce the retired map-based
@@ -218,39 +183,6 @@ TEST(SlotArraysKernels, MatchMapBasedReferenceOnAddsAndRemoves)
         }
         EXPECT_EQ(ref_hist, hist) << "snapshot " << t;
     }
-}
-
-// The digest built over those kernels (patch path included) must be
-// identical with SIMD on and off: the float kernels only touch the
-// load planes, the census planes are integer.
-
-TEST(SlotArraysKernels, PartitionDigestIdenticalWithSimdOnOff)
-{
-    const auto dg = simdWorkload();
-    const int slots = 8;
-    std::vector<int> owners(
-        static_cast<std::size_t>(dg.numVertices()));
-    for (VertexId v = 0; v < dg.numVertices(); ++v)
-        owners[static_cast<std::size_t>(v)] = v % slots;
-
-    workload::PartitionDigest on, off;
-    {
-        SimdGate gate(true);
-        on = workload::buildPartitionDigest(dg, owners, slots);
-    }
-    {
-        SimdGate gate(false);
-        off = workload::buildPartitionDigest(dg, owners, slots);
-    }
-    EXPECT_EQ(on.arrays.slotVertexCount, off.arrays.slotVertexCount);
-    EXPECT_EQ(on.arrays.degreeSum, off.arrays.degreeSum);
-    EXPECT_EQ(on.arrays.cross, off.arrays.cross);
-    EXPECT_EQ(on.arrays.distanceHist, off.arrays.distanceHist);
-    // Both builds must have exercised the delta patch path, not just
-    // scratch walks.
-    EXPECT_GT(on.incrementalSnapshots, 0u);
-    EXPECT_EQ(on.incrementalSnapshots, off.incrementalSnapshots);
-    EXPECT_EQ(on.scratchSnapshots, off.scratchSnapshots);
 }
 
 // The DenseTraffic touched-cell drain: accumulation order must be

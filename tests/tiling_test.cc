@@ -53,6 +53,25 @@ TEST(ApplicationFeatures, FromGraphExtractsShape)
     EXPECT_NEAR(app.avgEdges(), 2.0 * dg.avgEdges(), 32.0);
 }
 
+TEST(ApplicationFeatures, KeySeparatesTopBitDifferences)
+{
+    // CommModelCache trusts the key alone, so feature sets that differ
+    // only in the top bits of their doubles must key apart: two sign
+    // flips cancel in a bare word-wise FNV, whose multiply carries a
+    // change of bit 63 to bit 63 only.
+    const auto app = uniformApp(100.0, 400.0, 3);
+    auto flipped = app;
+    flipped.vertices[0] = -flipped.vertices[0];
+    flipped.vertices[1] = -flipped.vertices[1];
+    EXPECT_NE(appFeatureKey(app), appFeatureKey(flipped));
+    auto exponent = app;
+    exponent.edges[0] *= 2.0;
+    exponent.edges[2] *= 0.5;
+    EXPECT_NE(appFeatureKey(app), appFeatureKey(exponent));
+    EXPECT_EQ(appFeatureKey(app),
+              appFeatureKey(uniformApp(100.0, 400.0, 3)));
+}
+
 TEST(DramAccessModel, EquationSixHandComputed)
 {
     // One snapshot, V = 100, E = 400 adjacency entries, a = 4:

@@ -8,8 +8,7 @@
  *
  *   ditile_sweep --dataset=WD --dis=0.02,0.06,0.10,0.14 \
  *                --snapshots=4,8,16 [--all-accels] [--scale=F] \
- *                [--threads=N] [--faults=SPEC] [--digest-stats] \
- *                [--no-overlap] [--batch-plan=on|off] \
+ *                [--threads=N] [--faults=SPEC] [--no-overlap] \
  *                [--chips=M] [--interchip-gbps=G] [--interchip-ns=L] \
  *                [--trace=FILE] [--metrics=FILE]
  *
@@ -23,18 +22,6 @@
  * byte-identity reference, never faster than overlap on fault-free
  * points).
  *
- * Grid points that share generator parameters (same dissimilarity and
- * snapshot count, hence the same generated graph) are planned as one
- * batch: the group's first-arriving job generates the dataset and
- * builds the whole fleet's execution plans once — DiTile variants
- * drawing the graph-determined front-end prefix (workload loads +
- * Algorithm 1) from one SharedFrontEnd — and every member replays
- * those plans. --batch-plan=off makes every point its own group
- * (generate + plan per point, the pre-batching behavior); the sweep
- * CSV is byte-identical either way, batching only removes redundant
- * front-end work. Group state is freed as soon as its last member
- * finishes, so peak memory stays at a few live grid points.
- *
  * --trace=FILE captures a structured Chrome trace across the whole
  * sweep (each grid point on its own track group); --metrics=FILE
  * writes a per-point rollup CSV sidecar with the extended per-run
@@ -42,12 +29,14 @@
  * bit-identical at any --threads width; in the trace, only the
  * shared-cache hit/miss instants can shift with thread contention
  * (which racing grid point pays the miss), every modeled span is
- * width-independent. With batching on, plan-stage spans live on the
- * group representative's track group (they happen once per group).
+ * width-independent.
  *
- * Config points are independent, so with --threads=N they fan out
- * across the process-wide thread pool; rows are still emitted in
- * grid order and every number is bit-identical to --threads=1.
+ * Config points are independent: each generates its graph, plans the
+ * fleet and executes the plans. With --threads=N they fan out across
+ * the process-wide thread pool; rows are still emitted in grid order
+ * and every number is bit-identical to --threads=1. Points whose
+ * graphs share a structure hash share snapshot plans, workload
+ * digests and comm-model results through the process-wide caches.
  *
  * A failing grid point (bad input, unsatisfiable fault schedule, ...)
  * does not abort the sweep: the rows of every successful point are
@@ -61,12 +50,8 @@
  * kills the process immediately.
  */
 
-#include <atomic>
 #include <cstdio>
-#include <deque>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <utility>
 
@@ -77,7 +62,6 @@
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
-#include "core/plan_batch.hh"
 #include "graph/datasets.hh"
 #include "sim/baselines.hh"
 #include "sim/fault_model.hh"
@@ -109,19 +93,6 @@ parseList(const std::string &csv, double fallback)
     return values;
 }
 
-bool
-parseBatchPlan(const CliFlags &flags)
-{
-    // Not getBool: "off" must disable (getBool treats any value other
-    // than "0"/"false" as true).
-    const auto v = flags.getString("batch-plan", "on");
-    if (v == "on" || v == "1" || v == "true")
-        return true;
-    if (v == "off" || v == "0" || v == "false")
-        return false;
-    DITILE_FATAL("--batch-plan must be on or off, got '", v, "'");
-}
-
 int
 runTool(const CliFlags &flags)
 {
@@ -131,7 +102,6 @@ runTool(const CliFlags &flags)
                                      8.0);
     const bool all_accels = flags.getBool("all-accels", false);
     const bool overlap = !flags.getBool("no-overlap", false);
-    const bool batch_plan = parseBatchPlan(flags);
     const bool have_faults = flags.has("faults");
     const auto fault_spec =
         sim::FaultSpec::parse(flags.getString("faults", ""));
@@ -165,7 +135,6 @@ runTool(const CliFlags &flags)
     {
         double dis = 0.0;
         double snaps = 0.0;
-        std::size_t group = 0;
         std::vector<std::vector<std::string>> rows;
         std::vector<std::vector<std::string>> metricRows;
         std::string error;
@@ -175,58 +144,19 @@ runTool(const CliFlags &flags)
     std::vector<Job> jobs;
     for (double dis : dis_list)
         for (double snaps : snap_list)
-            jobs.push_back({dis, snaps, 0, {}, {}, {}});
-
-    // Jobs with equal generator parameters regenerate the same graph
-    // (makeDataset is deterministic in (dataset, scale, seed, dis,
-    // snapshots)), so they share one planning group; the group key is
-    // a conservative proxy for graph::structureHash equality that
-    // needs no generation up front. --batch-plan=off degenerates to
-    // one group per point. The shared graph + plans are built lazily
-    // by the group's first-arriving job and freed by its last.
-    struct GroupState
-    {
-        std::shared_ptr<const graph::DynamicGraph> dg;
-        std::vector<sim::ExecutionPlan> plans; ///< Fleet order.
-        std::string error; ///< Build failure, replicated to members.
-    };
-    struct Group
-    {
-        std::size_t rep = 0; ///< Lowest member index: trace track owner.
-        std::mutex mutex;
-        std::shared_ptr<GroupState> state;
-        std::atomic<std::size_t> remaining{0};
-    };
-    std::map<std::pair<double, double>, std::size_t> group_index;
-    std::deque<Group> groups;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        Job &job = jobs[j];
-        const std::pair<double, double> key{job.dis, job.snaps};
-        auto it = batch_plan ? group_index.find(key)
-                             : group_index.end();
-        if (it == group_index.end()) {
-            if (batch_plan)
-                group_index.emplace(key, groups.size());
-            job.group = groups.size();
-            groups.emplace_back();
-            groups.back().rep = j;
-        } else {
-            job.group = it->second;
-        }
-        ++groups[job.group].remaining;
-    }
+            jobs.push_back({dis, snaps, {}, {}, {}});
 
     // One process-wide plan cache: accelerators sharing an update
     // algorithm on the same grid point (ReaDy and DGNN-Booster both
     // run Re-Alg) reuse one snapshot-plan set instead of replanning.
     sim::PlanCache plan_cache;
 
-    // Generate the group's graph and plan the whole fleet against it.
-    // Never throws: a failure is stored so every member of the group
-    // reports it. Plan-stage trace spans land on the representative
-    // job's track group regardless of which job arrives first.
-    const auto buildGroupState = [&](const Job &job, std::size_t rep) {
-        auto state = std::make_shared<GroupState>();
+    const auto runPoint = [&](std::size_t j, Job &job) {
+        if (shutdownRequested()) {
+            // Skip cleanly; already-finished points still flush below.
+            job.interrupted = true;
+            return;
+        }
         try {
             graph::DatasetOptions options;
             options.scale = flags.getDouble("scale", 0.0);
@@ -234,8 +164,8 @@ runTool(const CliFlags &flags)
             options.dissimilarity = job.dis;
             options.seed = static_cast<std::uint64_t>(
                 flags.getInt("seed", 0));
-            state->dg = std::make_shared<const graph::DynamicGraph>(
-                graph::makeDataset(dataset, options));
+            const graph::DynamicGraph dg =
+                graph::makeDataset(dataset, options);
             const model::DgnnConfig mconfig;
 
             std::vector<std::unique_ptr<sim::Accelerator>> fleet;
@@ -247,71 +177,29 @@ runTool(const CliFlags &flags)
             }
             fleet.push_back(
                 std::make_unique<core::DiTileAccelerator>());
-            // The shared front end memoizes the graph-determined
-            // prefix (loads + Algorithm 1) across the DiTile plans of
-            // this group; baselines plan as before.
-            core::SharedFrontEnd shared;
-            std::uint64_t accel_idx = 0;
-            for (auto &accel : fleet) {
+            // Disjoint track groups per (grid point, accelerator) so
+            // concurrent jobs never share a trace track.
+            const auto setTrack = [&](std::size_t a) {
                 Tracer::setTrackBase(
-                    (static_cast<std::uint64_t>(rep) * fleet.size() +
-                     accel_idx++) * run_tracks);
-                sim::ExecutionPlan plan;
-                if (auto *ditile =
-                        dynamic_cast<core::DiTileAccelerator *>(
-                            accel.get())) {
-                    plan = ditile->plan(*state->dg, mconfig,
-                                        &plan_cache, &shared);
-                } else {
-                    plan = accel->plan(*state->dg, mconfig,
-                                       &plan_cache);
-                }
+                    (static_cast<std::uint64_t>(j) * fleet.size() + a) *
+                    run_tracks);
+            };
+            std::vector<sim::ExecutionPlan> plans;
+            for (std::size_t a = 0; a < fleet.size(); ++a) {
+                setTrack(a);
+                sim::ExecutionPlan plan =
+                    fleet[a]->plan(dg, mconfig, &plan_cache);
                 if (have_faults)
                     plan.faults = fault_spec;
                 plan.options.overlap = overlap;
                 if (chips > 1)
-                    sim::applyScaleOut(plan, *state->dg, chips,
-                                       interchip);
-                state->plans.push_back(std::move(plan));
+                    sim::applyScaleOut(plan, dg, chips, interchip);
+                plans.push_back(std::move(plan));
             }
-        } catch (const std::exception &e) {
-            state->error = e.what();
-            state->plans.clear();
-            state->dg.reset();
-        }
-        return state;
-    };
-
-    const auto runPoint = [&](std::size_t j, Job &job, Group &group) {
-        if (shutdownRequested()) {
-            // Skip cleanly; already-finished points still flush below.
-            job.interrupted = true;
-            return;
-        }
-        try {
-            std::shared_ptr<GroupState> state;
-            {
-                // Later arrivals of the group wait here for the
-                // build; they cannot proceed without the plans anyway.
-                std::lock_guard<std::mutex> lock(group.mutex);
-                if (!group.state)
-                    group.state = buildGroupState(job, group.rep);
-                state = group.state;
-            }
-            if (!state->error.empty()) {
-                job.error = state->error;
-                return;
-            }
-            const graph::DynamicGraph &dg = *state->dg;
-            const std::size_t fleet_n = state->plans.size();
-            for (std::size_t a = 0; a < fleet_n; ++a) {
-                // Disjoint track groups per (grid point, accelerator)
-                // so concurrent jobs never share a trace track.
-                Tracer::setTrackBase(
-                    (static_cast<std::uint64_t>(j) * fleet_n + a) *
-                    run_tracks);
-                const auto r = sim::executePlan(dg, state->plans[a],
-                                                &plan_cache);
+            for (std::size_t a = 0; a < plans.size(); ++a) {
+                setTrack(a);
+                const auto r =
+                    sim::executePlan(dg, plans[a], &plan_cache);
                 job.rows.push_back(
                     {dataset, Table::num(job.dis, 3),
                      Table::integer(static_cast<long long>(job.snaps)),
@@ -365,17 +253,8 @@ runTool(const CliFlags &flags)
     std::fputs(table.headerCsv().c_str(), stdout);
     std::fflush(stdout);
 
-    parallelFor(jobs.size(), [&](std::size_t j) {
-        Job &job = jobs[j];
-        Group &group = groups[job.group];
-        runPoint(j, job, group);
-        // Free the shared graph + plans once the last member is done
-        // so peak memory tracks live points, not the whole grid.
-        if (group.remaining.fetch_sub(1) == 1) {
-            std::lock_guard<std::mutex> lock(group.mutex);
-            group.state.reset();
-        }
-    });
+    parallelFor(jobs.size(),
+                [&](std::size_t j) { runPoint(j, jobs[j]); });
 
     // Flush every successful point in grid order even when some
     // points failed, so a long sweep's partial CSV survives.
@@ -423,20 +302,7 @@ runTool(const CliFlags &flags)
         std::fprintf(stderr, "wrote Chrome trace to %s\n",
                      trace_file.c_str());
     }
-    std::fprintf(stderr,
-                 "batch planning: %zu point(s) in %zu group(s) "
-                 "(batch-plan=%s)\n",
-                 jobs.size(), groups.size(),
-                 batch_plan ? "on" : "off");
-    if (flags.getBool("digest-stats", false)) {
-        sim::printCacheStats(stderr, plan_cache);
-    } else {
-        std::fprintf(stderr, "plan cache: %llu hits, %llu misses\n",
-                     static_cast<unsigned long long>(
-                         plan_cache.hits()),
-                     static_cast<unsigned long long>(
-                         plan_cache.misses()));
-    }
+    sim::printCacheStats(stderr, plan_cache);
     int interrupted = 0;
     for (const auto &job : jobs)
         if (job.interrupted)

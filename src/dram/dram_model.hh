@@ -5,10 +5,17 @@
  * The paper obtains off-chip communication time from DRAMSim2; that
  * simulator is replaced here by a bank/row-buffer model that serves the
  * same role: it converts an access trace into service cycles with
- * row-locality, bank-level parallelism, and channel-bus bandwidth
- * effects. Requests are bulk transfers chopped into row-sized chunks,
- * which keeps full-application replays fast while retaining per-row
- * hit/miss behaviour.
+ * row-locality (each bank's open row decides hit, miss or conflict),
+ * channel interleaving, and channel-bus bandwidth effects. Requests are
+ * bulk transfers chopped into row-sized chunks, which keeps
+ * full-application replays fast while retaining per-row hit/miss
+ * behaviour.
+ *
+ * What is not modeled is bank-level parallelism: a chunk's row access
+ * is charged on its channel bus in series with its transfer, so one
+ * bank's activate/precharge never overlaps another bank's data burst
+ * (DRAMSim2 does overlap them). ROADMAP item 1b tracks giving banks
+ * their own ready cycle.
  *
  * Chunk timing: a chunk starts at max(issue, channel bus free), pays
  * its row access (hit / miss / conflict) plus its bus transfer, and

@@ -201,4 +201,33 @@ Csr::maxDegree() const
     return best;
 }
 
+Csr
+Csr::induced(const std::vector<VertexId> &local_of) const
+{
+    DITILE_ASSERT(local_of.size() ==
+                  static_cast<std::size_t>(numVertices_),
+                  "induced subgraph needs one local id per vertex");
+    VertexId kept = 0;
+    for (const VertexId l : local_of) {
+        if (l == kInvalidVertex)
+            continue;
+        DITILE_ASSERT(l == kept, "local ids must number the kept "
+                      "vertices in ascending order");
+        ++kept;
+    }
+    Csr g(kept);
+    for (VertexId v = 0; v < numVertices_; ++v) {
+        const VertexId lv = local_of[static_cast<std::size_t>(v)];
+        if (lv == kInvalidVertex)
+            continue;
+        for (const VertexId u : neighbors(v)) {
+            const VertexId lu = local_of[static_cast<std::size_t>(u)];
+            if (lu != kInvalidVertex)
+                g.adj_.push_back(lu);
+        }
+        g.rowPtr_[lv + 1] = static_cast<EdgeId>(g.adj_.size());
+    }
+    return g;
+}
+
 } // namespace ditile::graph

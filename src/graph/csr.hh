@@ -51,6 +51,15 @@ class Csr
     static Csr patched(const Csr &prev, const std::vector<Edge> &added,
                        const std::vector<Edge> &removed);
 
+    /**
+     * Subgraph induced by the vertices v with local_of[v] !=
+     * kInvalidVertex, renumbered to local_of[v], in one walk of the
+     * kept rows. The local ids must number the kept vertices 0, 1, 2,
+     * ... in ascending v order, so every filtered row stays sorted and
+     * the result equals fromEdges() of the renumbered kept edges.
+     */
+    Csr induced(const std::vector<VertexId> &local_of) const;
+
     VertexId numVertices() const { return numVertices_; }
 
     /** Undirected edge count. */

@@ -149,4 +149,24 @@ expandFrontierLevels(const Csr &g, const std::vector<VertexId> &seeds,
     return levels;
 }
 
+GraphDelta
+GraphDelta::induced(const std::vector<VertexId> &local_of) const
+{
+    auto restrict = [&local_of](const std::vector<Edge> &edges) {
+        std::vector<Edge> kept;
+        for (const auto &[u, v] : edges) {
+            const VertexId lu = local_of[static_cast<std::size_t>(u)];
+            const VertexId lv = local_of[static_cast<std::size_t>(v)];
+            if (lu != kInvalidVertex && lv != kInvalidVertex)
+                kept.emplace_back(lu, lv);
+        }
+        return kept;
+    };
+    GraphDelta d;
+    d.added_ = restrict(added_);
+    d.removed_ = restrict(removed_);
+    d.rebuildAffected();
+    return d;
+}
+
 } // namespace ditile::graph

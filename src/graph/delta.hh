@@ -51,6 +51,15 @@ class GraphDelta
         return added_.size() + removed_.size();
     }
 
+    /**
+     * The changes among the vertices v with local_of[v] !=
+     * kInvalidVertex, renumbered to local_of[v] (ids ascending with v,
+     * as Csr::induced takes them). The renumbering keeps the lists
+     * sorted and canonical, so the restriction of an exact delta
+     * equals diff() of the two induced snapshots, at O(changes).
+     */
+    GraphDelta induced(const std::vector<VertexId> &local_of) const;
+
     /** Build directly from change lists (generator fast path). */
     static GraphDelta fromChanges(std::vector<Edge> added,
                                   std::vector<Edge> removed);

@@ -14,6 +14,7 @@
 #include "sim/execution_plan.hh"
 #include "sim/plan_cache.hh"
 #include "sim/run_trace.hh"
+#include "sim/scaleout_internal.hh"
 #include "sim/scheduler.hh"
 #include "sim/task_graph.hh"
 #include "workload/chunk_partition.hh"
@@ -35,14 +36,6 @@ int
 commNodeId(SnapshotId t, int chip, int chips)
 {
     return static_cast<int>(t) * 2 * chips + chips + chip;
-}
-
-/** Chunk owner of a global vertex under the recorded assignment. */
-int
-chipOfVertex(const ScaleOutSpec &spec, VertexId v)
-{
-    return spec.chipOfChunk[static_cast<std::size_t>(
-        v / spec.chunkSpan)];
 }
 
 void
@@ -93,6 +86,91 @@ restrictPartition(const graph::VertexPartition &global,
 }
 
 } // namespace
+
+ShardLayout
+shardLayout(const ScaleOutSpec &spec, VertexId num_vertices)
+{
+    ShardLayout layout;
+    layout.chipOf.resize(static_cast<std::size_t>(num_vertices));
+    layout.globalIds.resize(static_cast<std::size_t>(spec.chips));
+    for (VertexId v = 0; v < num_vertices; ++v) {
+        const int c = spec.chipOfChunk[static_cast<std::size_t>(
+            v / spec.chunkSpan)];
+        layout.chipOf[static_cast<std::size_t>(v)] = c;
+        layout.globalIds[static_cast<std::size_t>(c)].push_back(v);
+    }
+    for (int c = 0; c < spec.chips; ++c) {
+        if (layout.globalIds[static_cast<std::size_t>(c)].empty())
+            DITILE_THROW("scale-out assignment leaves chip ", c,
+                         " empty");
+    }
+    return layout;
+}
+
+graph::DynamicGraph
+buildShard(const graph::DynamicGraph &dg, const ShardLayout &layout,
+           int chip)
+{
+    const auto &global_ids =
+        layout.globalIds[static_cast<std::size_t>(chip)];
+    std::vector<VertexId> local_of(layout.chipOf.size(), kInvalidVertex);
+    for (std::size_t i = 0; i < global_ids.size(); ++i)
+        local_of[static_cast<std::size_t>(global_ids[i])] =
+            static_cast<VertexId>(i);
+
+    const SnapshotId num_snapshots = dg.numSnapshots();
+    std::vector<graph::Csr> snaps;
+    std::vector<graph::GraphDelta> deltas;
+    snaps.reserve(static_cast<std::size_t>(num_snapshots));
+    deltas.reserve(static_cast<std::size_t>(num_snapshots) - 1);
+    snaps.push_back(dg.snapshot(0).induced(local_of));
+    for (SnapshotId t = 1; t < num_snapshots; ++t) {
+        deltas.push_back(dg.delta(t).induced(local_of));
+        snaps.push_back(graph::Csr::patched(snaps.back(),
+                                            deltas.back().addedEdges(),
+                                            deltas.back().removedEdges()));
+    }
+    return graph::DynamicGraph(dg.name() + "#chip" + std::to_string(chip),
+                               std::move(snaps), std::move(deltas),
+                               dg.featureDim());
+}
+
+std::vector<std::uint64_t>
+crossEgress(const graph::DynamicGraph &dg, const ShardLayout &layout)
+{
+    const auto chips = layout.globalIds.size();
+    const SnapshotId num_snapshots = dg.numSnapshots();
+    const auto chip_of = [&layout](VertexId v) {
+        return static_cast<std::size_t>(
+            layout.chipOf[static_cast<std::size_t>(v)]);
+    };
+    std::vector<std::uint64_t> egress(
+        static_cast<std::size_t>(num_snapshots) * chips, 0);
+    const graph::Csr &first = dg.snapshot(0);
+    for (VertexId v = 0; v < first.numVertices(); ++v) {
+        const std::size_t cv = chip_of(v);
+        for (const VertexId u : first.neighbors(v))
+            egress[cv] += chip_of(u) != cv ? 1 : 0;
+    }
+    for (SnapshotId t = 1; t < num_snapshots; ++t) {
+        auto *row = egress.data() + static_cast<std::size_t>(t) * chips;
+        std::copy_n(row - chips, chips, row);
+        const graph::GraphDelta &delta = dg.delta(t);
+        for (const auto &[u, v] : delta.addedEdges()) {
+            if (chip_of(u) != chip_of(v)) {
+                ++row[chip_of(u)];
+                ++row[chip_of(v)];
+            }
+        }
+        for (const auto &[u, v] : delta.removedEdges()) {
+            if (chip_of(u) != chip_of(v)) {
+                --row[chip_of(u)];
+                --row[chip_of(v)];
+            }
+        }
+    }
+    return egress;
+}
 
 void
 applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
@@ -197,84 +275,30 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const SnapshotId num_snapshots = dg.numSnapshots();
     validateSpec(plan, num_vertices);
 
-    // ---- Shard the vertex universe per the recorded assignment.
-    std::vector<std::vector<VertexId>> global_ids(chips_sz);
-    std::vector<VertexId> local_id(
-        static_cast<std::size_t>(num_vertices));
-    for (VertexId v = 0; v < num_vertices; ++v) {
-        auto &ids =
-            global_ids[static_cast<std::size_t>(chipOfVertex(spec, v))];
-        local_id[static_cast<std::size_t>(v)] =
-            static_cast<VertexId>(ids.size());
-        ids.push_back(v);
-    }
-    for (int c = 0; c < chips; ++c) {
-        if (global_ids[static_cast<std::size_t>(c)].empty())
-            DITILE_THROW("scale-out assignment leaves chip ", c,
-                         " empty");
-    }
+    const ShardLayout layout = shardLayout(spec, num_vertices);
+    const std::vector<std::uint64_t> egress_adj = crossEgress(dg, layout);
 
-    // One edge scan per snapshot: intra-chip edges become the shard
-    // adjacency; cross-chip adjacency entries are counted per source
-    // chip (each endpoint's chip must ship that vertex's state to the
-    // other side, so an edge contributes one entry in each direction).
-    std::vector<std::vector<std::vector<graph::Edge>>> shard_edges(
-        chips_sz);
-    for (auto &per_chip : shard_edges)
-        per_chip.resize(static_cast<std::size_t>(num_snapshots));
-    std::vector<std::uint64_t> egress_adj(
-        static_cast<std::size_t>(num_snapshots) * chips_sz, 0);
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        auto *egress =
-            egress_adj.data() + static_cast<std::size_t>(t) * chips_sz;
-        for (const auto &[u, v] : dg.snapshot(t).edgeList()) {
-            const int cu = chipOfVertex(spec, u);
-            const int cv = chipOfVertex(spec, v);
-            if (cu == cv) {
-                shard_edges[static_cast<std::size_t>(cu)]
-                           [static_cast<std::size_t>(t)]
-                               .emplace_back(
-                                   local_id[static_cast<std::size_t>(u)],
-                                   local_id[static_cast<std::size_t>(
-                                       v)]);
-            } else {
-                ++egress[static_cast<std::size_t>(cu)];
-                ++egress[static_cast<std::size_t>(cv)];
-            }
-        }
-    }
-
-    // ---- Instantiate and execute the M per-chip plans serially.
-    // Shards share `cache` (or a run-local one), keyed per shard by
-    // the shard graph's structure hash, so equal shards plan once.
+    // ---- Build, instantiate and execute the M per-chip plans
+    // serially, one shard alive at a time. Shards share `cache` (or a
+    // run-local one), keyed per shard by the shard graph's structure
+    // hash, so equal shards plan once.
     PlanCache local_cache;
     PlanCache *shard_cache = cache ? cache : &local_cache;
     const std::uint64_t track_base = Tracer::trackBase();
     std::vector<RunResult> chip_results;
     chip_results.reserve(chips_sz);
     for (int c = 0; c < chips; ++c) {
-        const auto ci = static_cast<std::size_t>(c);
-        const auto shard_v =
-            static_cast<VertexId>(global_ids[ci].size());
-        std::vector<graph::Csr> snaps;
-        snaps.reserve(static_cast<std::size_t>(num_snapshots));
-        for (SnapshotId t = 0; t < num_snapshots; ++t) {
-            snaps.push_back(graph::Csr::fromEdges(
-                shard_v, shard_edges[ci][static_cast<std::size_t>(t)]));
-        }
-        const graph::DynamicGraph shard(
-            dg.name() + "#chip" + std::to_string(c), std::move(snaps),
-            dg.featureDim());
+        const auto &global_ids =
+            layout.globalIds[static_cast<std::size_t>(c)];
+        const graph::DynamicGraph shard = buildShard(dg, layout, c);
 
         MappingSpec shard_mapping;
         shard_mapping.spatialOnly = plan.mapping.spatialOnly;
         shard_mapping.snapshotColumn = plan.mapping.snapshotColumn;
         shard_mapping.rowPartition =
-            restrictPartition(plan.mapping.rowPartition,
-                              global_ids[ci]);
+            restrictPartition(plan.mapping.rowPartition, global_ids);
         shard_mapping.tilePartition =
-            restrictPartition(plan.mapping.tilePartition,
-                              global_ids[ci]);
+            restrictPartition(plan.mapping.tilePartition, global_ids);
 
         // Disjoint trace track group per chip; restored below.
         Tracer::setTrackBase(track_base +

@@ -7,18 +7,22 @@
  * count, the InterChipLink parameters, and the recorded chunk→chip
  * assignment from the DGC-style chunk partitioner
  * (workload/chunk_partition.hh). Execution shards the workload into
- * per-chip induced subgraphs, instantiates one per-chip ExecutionPlan
- * each (restricting the global mapping to the shard and re-deriving
- * the redundancy-free snapshot plans through the shared PlanCache,
- * keyed per shard by its structure hash), executes every chip through
- * the unchanged single-chip engine, and assembles the cluster timeline
- * as a task graph: ChipCompute nodes chained per chip, InterChipComm
- * nodes on per-chip link lanes carrying the boundary state between
- * consecutive snapshots. The deterministic list scheduler propagates
- * ready times, so cross-chip traffic overlaps other chips' compute
- * exactly like on-chip comm overlaps compute in the PR-7 DAG; with
- * --no-overlap the comm nodes gain barrier edges and the timeline
- * degrades to compute-all / exchange-all phases (never faster).
+ * per-chip induced subgraphs, built by patching: each shard's snapshot
+ * 0 is one walk of the chip's rows, and each later snapshot is patched
+ * from the global delta restricted to the chip, which is also the
+ * shard's delta (sim/scaleout_internal.hh). It then instantiates one
+ * per-chip ExecutionPlan each (restricting the global mapping to the
+ * shard and re-deriving the redundancy-free snapshot plans through the
+ * shared PlanCache, keyed per shard by its structure hash), executes
+ * every chip through the unchanged single-chip engine, and assembles
+ * the cluster timeline as a task graph: ChipCompute nodes chained per
+ * chip, InterChipComm nodes on per-chip link lanes carrying the
+ * boundary state between consecutive snapshots. The deterministic
+ * list scheduler propagates ready times, so cross-chip traffic
+ * overlaps other chips' compute exactly like on-chip comm overlaps
+ * compute in the single-chip task graph; with --no-overlap the comm
+ * nodes gain barrier edges and the timeline degrades to compute-all /
+ * exchange-all phases (never faster).
  *
  * Determinism: chips execute in serial chip order (each chip's engine
  * parallelism is already bit-identical at any width), the partitioner

@@ -1,7 +1,7 @@
 /**
  * @file
- * Chunk census (SlotArrays kernels) and deterministic greedy chunk
- * placement.
+ * Chunk census (a PartitionDigest over the chunks) and deterministic
+ * greedy chunk placement.
  */
 
 #include "workload/chunk_partition.hh"
@@ -10,7 +10,7 @@
 #include <numeric>
 
 #include "common/logging.hh"
-#include "workload/slot_arrays.hh"
+#include "workload/digest.hh"
 
 namespace ditile::workload {
 
@@ -63,43 +63,34 @@ buildChunkPartition(const graph::DynamicGraph &dg,
     const auto slots_sz = static_cast<std::size_t>(slots);
 
     // ---- Census: per-chunk degree mass and cross-chunk adjacency per
-    // snapshot, via the SlotArrays planes and kernels.
+    // snapshot. The partition digest scans snapshot 0 and patches each
+    // later snapshot +/-1 per delta edge (exact either way); built
+    // directly, not through DigestCache, so no cache entry outlives
+    // the placement.
     std::vector<int> owners(static_cast<std::size_t>(num_vertices));
     for (VertexId v = 0; v < num_vertices; ++v)
         owners[static_cast<std::size_t>(v)] =
             static_cast<int>(v / cp.chunkSpan);
-
-    SlotArrays census;
-    census.resize(num_snapshots, slots);
-    for (VertexId v = 0; v < num_vertices; ++v)
-        ++census.slotVertexCount[static_cast<std::size_t>(
-            owners[static_cast<std::size_t>(v)])];
-
-    std::vector<std::int32_t> edge_owner;
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const graph::Csr &g = dg.snapshot(t);
-        buildEdgeOwnerIndex(g, owners, edge_owner);
-        countSlotEdges(g, owners, edge_owner.data(), slots,
-                       census.degreeSumRowMut(t), census.crossRowMut(t));
-    }
+    const PartitionDigest census =
+        buildPartitionDigest(dg, owners, slots);
 
     // Per-chunk load: edge mass over every snapshot plus one RNN unit
     // per vertex per snapshot (the per-vertex temporal work).
     cp.chunkLoad.assign(slots_sz, 0);
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto row = census.degreeSumRow(t);
+        const auto row = census.slotDegreeSum(t);
         for (int s = 0; s < slots; ++s)
             cp.chunkLoad[static_cast<std::size_t>(s)] +=
                 row[static_cast<std::size_t>(s)];
     }
     for (int s = 0; s < slots; ++s) {
         cp.chunkLoad[static_cast<std::size_t>(s)] +=
-            census.slotVertexCount[static_cast<std::size_t>(s)] *
+            census.slotVertexCount()[static_cast<std::size_t>(s)] *
             static_cast<std::uint64_t>(num_snapshots);
     }
 
-    // Cross-chunk adjacency aggregated over snapshots (refinement
-    // objective; per-snapshot planes are re-read for the final census).
+    // Cross-chunk adjacency aggregated over snapshots (the refinement
+    // objective).
     std::vector<std::uint64_t> cross_total(slots_sz * slots_sz, 0);
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto row = census.crossRow(t);
@@ -189,36 +180,6 @@ buildChunkPartition(const graph::DynamicGraph &dg,
             break;
     }
 
-    // ---- Final cross-chip census under the chosen assignment.
-    cp.egressAdj.assign(static_cast<std::size_t>(num_snapshots) *
-                            static_cast<std::size_t>(cp.chips),
-                        0);
-    cp.crossAdjPerSnapshot.assign(
-        static_cast<std::size_t>(num_snapshots), 0);
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto row = census.crossRow(t);
-        auto *egress = cp.egressAdj.data() +
-            static_cast<std::size_t>(t) *
-                static_cast<std::size_t>(cp.chips);
-        std::uint64_t snapshot_cross = 0;
-        for (int s = 0; s < slots; ++s) {
-            const int cs = cp.chipOfChunk[static_cast<std::size_t>(s)];
-            for (int d = 0; d < slots; ++d) {
-                const int cd =
-                    cp.chipOfChunk[static_cast<std::size_t>(d)];
-                if (cs == cd)
-                    continue;
-                const std::uint64_t n =
-                    row[static_cast<std::size_t>(s) * slots_sz +
-                        static_cast<std::size_t>(d)];
-                egress[static_cast<std::size_t>(cs)] += n;
-                snapshot_cross += n;
-            }
-        }
-        cp.crossAdjPerSnapshot[static_cast<std::size_t>(t)] =
-            snapshot_cross;
-        cp.crossAdjTotal += snapshot_cross;
-    }
     return cp;
 }
 

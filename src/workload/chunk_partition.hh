@@ -4,12 +4,14 @@
  * scale-out.
  *
  * The vertex universe is cut into contiguous chunks (several per
- * chip), the SlotArrays census kernels count per-chunk degree mass and
- * cross-chunk adjacency per snapshot, and a deterministic greedy
- * placement assigns chunks to chips: longest-processing-time first for
- * load balance, then a bounded refinement sweep that moves chunks only
- * when the move strictly reduces modeled cross-chip adjacency without
- * breaking the balance slack. Chunks — not single vertices — are the
+ * chip), a PartitionDigest over the chunks counts per-chunk degree
+ * mass and cross-chunk adjacency per snapshot (each snapshot after the
+ * first patched from its delta, unless the delta is large), and a
+ * deterministic greedy placement assigns chunks to chips:
+ * longest-processing-time first for load balance, then a bounded
+ * refinement sweep that moves chunks only when the move strictly
+ * reduces modeled cross-chip adjacency without breaking the balance
+ * slack. Chunks — not single vertices — are the
  * placement granularity, exactly DGC's argument: the spatio-temporal
  * load varies per (snapshot, region), so the census integrates degree
  * mass over every snapshot before placing anything.
@@ -46,7 +48,9 @@ struct ChunkPartitionOptions
 };
 
 /**
- * Chunk→chip assignment plus the census it was derived from.
+ * Chunk→chip assignment plus the loads it was balanced on. The
+ * cross-chip census under the assignment is the scale-out run's
+ * `scaleout.cross_adjacencies` stat.
  */
 struct ChunkPartition
 {
@@ -68,18 +72,6 @@ struct ChunkPartition
     /** Per-chip load under the final assignment, size `chips`. */
     std::vector<std::uint64_t> chipLoad;
 
-    /**
-     * Cross-chip adjacency entries whose source chunk lives on chip c
-     * at snapshot t (the chip's boundary egress), row-major [T*chips].
-     */
-    std::vector<std::uint64_t> egressAdj;
-
-    /** Cross-chip adjacency entries per snapshot, size T. */
-    std::vector<std::uint64_t> crossAdjPerSnapshot;
-
-    /** Total cross-chip adjacency entries over all snapshots. */
-    std::uint64_t crossAdjTotal = 0;
-
     int
     chipOfVertex(VertexId v) const
     {
@@ -91,8 +83,8 @@ struct ChunkPartition
 };
 
 /**
- * Build the chunk census with the SlotArrays kernels and place chunks
- * on `options.chips` chips. Throws InputError when the graph has
+ * Build the chunk census with workload::buildPartitionDigest and place
+ * chunks on `options.chips` chips. Throws InputError when the graph has
  * fewer vertices than chips (a chip would be empty) or when options
  * are out of range.
  */

@@ -122,6 +122,38 @@ TEST(GraphDelta, FromChangesNormalizes)
     EXPECT_EQ(delta.affectedVertices(), expected);
 }
 
+TEST(Csr, InducedKeepsKeptEdgesRenumbered)
+{
+    // Keep {1, 2, 3} as local {0, 1, 2}: edges 1-2 and 2-3 survive.
+    const auto g = triangleWithTail();
+    const std::vector<VertexId> local_of = {kInvalidVertex, 0, 1, 2};
+    const auto sub = g.induced(local_of);
+    const auto expected = Csr::fromEdges(3, {{0, 1}, {1, 2}});
+    EXPECT_EQ(sub.rowPtr(), expected.rowPtr());
+    EXPECT_EQ(sub.adjacency(), expected.adjacency());
+    // Nothing kept: an empty graph.
+    EXPECT_EQ(g.induced(std::vector<VertexId>(4, kInvalidVertex))
+                  .numVertices(),
+              0);
+}
+
+TEST(GraphDelta, InducedEqualsDiffOfInducedSnapshots)
+{
+    const auto before = Csr::fromEdges(5, {{0, 1}, {1, 3}, {3, 4}});
+    const auto after = Csr::fromEdges(5, {{0, 3}, {1, 4}, {3, 4}});
+    // Keep {0, 1, 4} as local {0, 1, 2}: 0-1 removed, 1-4 added.
+    const std::vector<VertexId> local_of = {0, 1, kInvalidVertex,
+                                            kInvalidVertex, 2};
+    const auto delta = GraphDelta::diff(before, after).induced(local_of);
+    const auto expected = GraphDelta::diff(before.induced(local_of),
+                                           after.induced(local_of));
+    EXPECT_EQ(delta.addedEdges(), expected.addedEdges());
+    EXPECT_EQ(delta.removedEdges(), expected.removedEdges());
+    EXPECT_EQ(delta.affectedVertices(), expected.affectedVertices());
+    EXPECT_EQ(delta.addedEdges(), (std::vector<Edge>{{1, 2}}));
+    EXPECT_EQ(delta.removedEdges(), (std::vector<Edge>{{0, 1}}));
+}
+
 TEST(ExpandFrontier, ZeroHopsReturnsSeeds)
 {
     const auto g = triangleWithTail();

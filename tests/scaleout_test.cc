@@ -12,14 +12,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
@@ -30,6 +34,7 @@
 #include "sim/fault_model.hh"
 #include "sim/plan_cache.hh"
 #include "sim/scaleout.hh"
+#include "sim/scaleout_internal.hh"
 #include "sim/task_graph.hh"
 #include "workload/chunk_partition.hh"
 
@@ -165,18 +170,22 @@ TEST(ScaleOut, PartitionerBalanceInvariants)
     EXPECT_LE(part.imbalance(),
               (mean + static_cast<double>(max_chunk)) / mean);
 
-    // The egress census is self-consistent: per-snapshot totals sum
-    // to the overall cross-adjacency count, and the per-chip egress
-    // rows count every cross adjacency from both endpoints.
-    const auto T = dg.numSnapshots();
-    ASSERT_EQ(part.crossAdjPerSnapshot.size(),
-              static_cast<std::size_t>(T));
-    ASSERT_EQ(part.egressAdj.size(), static_cast<std::size_t>(T) * 4);
-    EXPECT_EQ(std::accumulate(part.crossAdjPerSnapshot.begin(),
-                              part.crossAdjPerSnapshot.end(),
-                              std::uint64_t{0}),
-              part.crossAdjTotal);
-    EXPECT_GT(part.crossAdjTotal, 0u);
+    // A 4-chip run records this assignment, and its cross-adjacency
+    // stat is the census under it: every adjacency entry of every
+    // snapshot whose endpoints sit on different chips.
+    const auto plan = planFor(dg, 4);
+    EXPECT_EQ(plan.scaleout.chipOfChunk, part.chipOfChunk);
+    std::uint64_t cross = 0;
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        const graph::Csr &g = dg.snapshot(t);
+        for (VertexId v = 0; v < g.numVertices(); ++v)
+            for (const VertexId u : g.neighbors(v))
+                cross += part.chipOfVertex(u) != part.chipOfVertex(v);
+    }
+    EXPECT_GT(cross, 0u);
+    EXPECT_EQ(sim::executePlan(dg, plan).stats.get(
+                  "scaleout.cross_adjacencies"),
+              static_cast<double>(cross));
 
     // chipOfVertex is the contiguous-chunk lookup.
     for (VertexId v : {VertexId{0}, dg.numVertices() / 2,
@@ -404,6 +413,213 @@ TEST(ScaleOut, StatsThatMirrorFieldsEqualThem)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Patched shards: each chip's shard is built from snapshot 0 plus the
+// global deltas restricted to the chip. The reference rebuilds every
+// shard snapshot from the global edge list and diffs the shard back
+// into deltas, as the shard build did before it was patched.
+// ---------------------------------------------------------------------
+
+/** Shard of `chip` rebuilt per snapshot with fromEdges, diffed back. */
+graph::DynamicGraph
+rebuiltShard(const graph::DynamicGraph &dg, const sim::ShardLayout &layout,
+             int chip)
+{
+    const auto &ids = layout.globalIds[static_cast<std::size_t>(chip)];
+    std::vector<VertexId> local_of(layout.chipOf.size(), kInvalidVertex);
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        local_of[static_cast<std::size_t>(ids[i])] =
+            static_cast<VertexId>(i);
+    std::vector<graph::Csr> snaps;
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        std::vector<graph::Edge> edges;
+        for (const auto &[u, v] : dg.snapshot(t).edgeList()) {
+            const VertexId lu = local_of[static_cast<std::size_t>(u)];
+            const VertexId lv = local_of[static_cast<std::size_t>(v)];
+            if (lu != kInvalidVertex && lv != kInvalidVertex)
+                edges.emplace_back(lu, lv);
+        }
+        snaps.push_back(graph::Csr::fromEdges(
+            static_cast<VertexId>(ids.size()), edges));
+    }
+    return graph::DynamicGraph(dg.name(), std::move(snaps),
+                               dg.featureDim());
+}
+
+void
+expectPatchedShardsEqualRebuilt(const graph::DynamicGraph &dg,
+                                const sim::ScaleOutSpec &spec)
+{
+    const auto layout = sim::shardLayout(spec, dg.numVertices());
+    for (int c = 0; c < spec.chips; ++c) {
+        SCOPED_TRACE(testing::Message() << "chip " << c);
+        const auto patched = sim::buildShard(dg, layout, c);
+        const auto rebuilt = rebuiltShard(dg, layout, c);
+        ASSERT_EQ(patched.numSnapshots(), rebuilt.numSnapshots());
+        ASSERT_EQ(patched.numVertices(), rebuilt.numVertices());
+        for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+            SCOPED_TRACE(testing::Message() << "snapshot " << t);
+            EXPECT_EQ(patched.snapshot(t).rowPtr(),
+                      rebuilt.snapshot(t).rowPtr());
+            EXPECT_EQ(patched.snapshot(t).adjacency(),
+                      rebuilt.snapshot(t).adjacency());
+            if (t == 0)
+                continue;
+            const auto &pd = patched.delta(t);
+            const auto &rd = rebuilt.delta(t);
+            EXPECT_EQ(pd.addedEdges(), rd.addedEdges());
+            EXPECT_EQ(pd.removedEdges(), rd.removedEdges());
+            EXPECT_EQ(pd.affectedVertices(), rd.affectedVertices());
+        }
+        // The hash walks the snapshots, not the name, so the plan
+        // cache keys both builds alike.
+        EXPECT_EQ(patched.structureHashValue(),
+                  rebuilt.structureHashValue());
+    }
+
+    // Egress carried by deltas == a full scan of every snapshot.
+    const auto egress = sim::crossEgress(dg, layout);
+    const auto chips = static_cast<std::size_t>(spec.chips);
+    ASSERT_EQ(egress.size(),
+              static_cast<std::size_t>(dg.numSnapshots()) * chips);
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
+        std::vector<std::uint64_t> scan(chips, 0);
+        for (const auto &[u, v] : dg.snapshot(t).edgeList()) {
+            const int cu = layout.chipOf[static_cast<std::size_t>(u)];
+            const int cv = layout.chipOf[static_cast<std::size_t>(v)];
+            if (cu != cv) {
+                ++scan[static_cast<std::size_t>(cu)];
+                ++scan[static_cast<std::size_t>(cv)];
+            }
+        }
+        const auto row =
+            egress.begin() + static_cast<std::ptrdiff_t>(
+                                 static_cast<std::size_t>(t) * chips);
+        EXPECT_EQ(std::vector<std::uint64_t>(
+                      row, row + static_cast<std::ptrdiff_t>(chips)),
+                  scan)
+            << "snapshot " << t;
+    }
+}
+
+/**
+ * A hand-made 3-chip assignment: chips 0 and 1 interleave vertices,
+ * and chip 2 holds only the last vertex, so its shard never has an
+ * intra-chip edge.
+ */
+sim::ScaleOutSpec
+interleavedSpec(VertexId num_vertices)
+{
+    sim::ScaleOutSpec spec;
+    spec.chips = 3;
+    spec.chunkSpan = 1;
+    for (VertexId v = 0; v < num_vertices; ++v)
+        spec.chipOfChunk.push_back(v + 1 == num_vertices ? 2 : v % 2);
+    return spec;
+}
+
+TEST(ScaleOut, PatchedShardsEqualRebuiltShards)
+{
+    // Generator graph: deltas recorded by the generator.
+    const auto generated = scaleoutWorkload();
+    // 3-argument constructor: deltas diffed from the snapshots. Two
+    // steps skip a generator snapshot and the last is a fresh R-MAT
+    // draw, so the deltas span small and whole-graph changes.
+    Rng rng(11);
+    std::vector<graph::Csr> snaps{generated.snapshot(0),
+                                  generated.snapshot(2),
+                                  generated.snapshot(4),
+                                  graph::generateRmat(
+                                      generated.numVertices(), 6000,
+                                      graph::RmatParams{}, rng)};
+    const graph::DynamicGraph diffed("diffed", std::move(snaps), 64);
+
+    for (const graph::DynamicGraph *dg : {&generated, &diffed}) {
+        SCOPED_TRACE(dg->name());
+        const auto spec = interleavedSpec(dg->numVertices());
+        {
+            SCOPED_TRACE("interleaved");
+            const auto layout = sim::shardLayout(spec, dg->numVertices());
+            ASSERT_EQ(layout.globalIds[2].size(), 1u);
+            EXPECT_EQ(sim::buildShard(*dg, layout, 2).maxEdges(), 0);
+            expectPatchedShardsEqualRebuilt(*dg, spec);
+        }
+        for (const int chips : {2, 4}) {
+            SCOPED_TRACE(testing::Message() << chips << " partitioned");
+            expectPatchedShardsEqualRebuilt(
+                *dg, planFor(*dg, chips).scaleout);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Golden scale-out results: the modeled numbers of every chip count and
+// timeline mode, pinned across commits, so a shard-build change that
+// claims byte identity is checked against the numbers recorded before
+// it, and a deliberate change shows as a diff of this file.
+// ---------------------------------------------------------------------
+
+constexpr const char *kScaleoutGoldenHeader =
+    "chips,overlap,cycles,ops,dram_bytes,noc_bytes,energy_pj,"
+    "interchip_payload_bytes,cross_adjacencies,chip_of_chunk";
+
+/** One CSV row per (chips, overlap) run of scaleoutWorkload(). */
+std::vector<std::string>
+goldenScaleoutRows()
+{
+    const auto dg = scaleoutWorkload();
+    std::vector<std::string> rows{kScaleoutGoldenHeader};
+    for (const int chips : {2, 3, 4}) {
+        for (const bool overlap : {true, false}) {
+            auto plan = planFor(dg, chips);
+            plan.options.overlap = overlap;
+            const auto r = sim::executePlan(dg, plan);
+            std::string assignment;
+            for (const int chip : plan.scaleout.chipOfChunk) {
+                if (!assignment.empty())
+                    assignment += ';';
+                assignment += std::to_string(chip);
+            }
+            std::ostringstream row;
+            row << chips << ',' << (overlap ? 1 : 0) << ','
+                << r.totalCycles << ',' << r.ops.totalArithmetic() << ','
+                << r.dramTraffic.total() << ',' << r.nocBytes << ','
+                << jsonNumber(r.energy.totalPj()) << ','
+                << jsonNumber(r.stats.get("interchip.payload_bytes"))
+                << ','
+                << jsonNumber(r.stats.get("scaleout.cross_adjacencies"))
+                << ',' << assignment;
+            rows.push_back(row.str());
+        }
+    }
+    return rows;
+}
+
+TEST(ScaleOutGolden, MatchesGoldenFile)
+{
+    const std::string golden_path =
+        std::string(DITILE_GOLDEN_DIR) + "/scaleout_small.csv";
+    const std::vector<std::string> rows = goldenScaleoutRows();
+    if (std::getenv("DITILE_REGEN_GOLDEN") != nullptr) {
+        std::ofstream out(golden_path);
+        ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+        for (const std::string &row : rows)
+            out << row << '\n';
+        GTEST_SKIP() << "regenerated " << golden_path;
+    }
+    std::ifstream in(golden_path);
+    ASSERT_TRUE(in.good())
+        << "missing golden file " << golden_path
+        << " (run with DITILE_REGEN_GOLDEN=1 to create it)";
+    std::vector<std::string> golden;
+    for (std::string line; std::getline(in, line);)
+        golden.push_back(line);
+    // Row by row, so a failure names the configuration that moved.
+    ASSERT_EQ(golden.size(), rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        EXPECT_EQ(rows[i], golden[i]) << "row " << i;
 }
 
 /** RAII guard: always leave the process-wide tracer disabled. */

@@ -12,22 +12,6 @@
 
 namespace ditile {
 
-namespace {
-LogLevel g_level = LogLevel::Normal;
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
-
 namespace detail {
 
 void
@@ -47,8 +31,7 @@ fatalImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (g_level != LogLevel::Quiet)
-        std::fprintf(stdout, "info: %s\n", msg.c_str());
+    std::fprintf(stdout, "info: %s\n", msg.c_str());
 }
 
 void

@@ -35,13 +35,6 @@ class InputError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** Verbosity threshold for inform(); warn() always prints. */
-enum class LogLevel { Quiet, Normal, Verbose };
-
-/** Process-wide log level (defaults to Normal). */
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
@@ -92,7 +85,7 @@ format(Args &&...args)
         } \
     } while (0)
 
-/** Informational message (suppressed at LogLevel::Quiet). */
+/** Informational message on stdout. */
 template <typename... Args>
 void
 inform(Args &&...args)

@@ -23,6 +23,21 @@ namespace ditile::graph {
 using Edge = std::pair<VertexId, VertexId>;
 
 /**
+ * Pack an undirected edge into one 64-bit key (smaller id in the high
+ * half), so {u,v} and {v,u} share a key. Edge-set membership in the
+ * generators and the event replay hashes these keys.
+ */
+inline std::uint64_t
+edgeKey(VertexId u, VertexId v)
+{
+    if (u > v)
+        std::swap(u, v);
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
+            << 32) |
+           static_cast<std::uint32_t>(v);
+}
+
+/**
  * Immutable symmetric CSR graph.
  */
 class Csr

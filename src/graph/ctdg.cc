@@ -10,22 +10,9 @@
 
 #include "common/logging.hh"
 #include "graph/generator.hh"
+#include "graph/window.hh"
 
 namespace ditile::graph {
-
-namespace {
-
-std::uint64_t
-edgeKey(VertexId u, VertexId v)
-{
-    if (u > v)
-        std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
-            << 32) |
-           static_cast<std::uint32_t>(v);
-}
-
-} // namespace
 
 ContinuousDynamicGraph::ContinuousDynamicGraph(
     std::string name, Csr initial, std::vector<GraphEvent> events)
@@ -60,49 +47,19 @@ ContinuousDynamicGraph::discretize(SnapshotId num_snapshots,
                                    int feature_dim) const
 {
     DITILE_ASSERT(num_snapshots >= 1);
-
-    // Live edge set, replayed forward in time.
-    std::vector<Edge> live = initial_.edgeList();
-    std::unordered_set<std::uint64_t> keys;
-    keys.reserve(live.size() * 2);
-    for (auto [u, v] : live)
-        keys.insert(edgeKey(u, v));
-
-    std::vector<Csr> snapshots;
-    snapshots.reserve(static_cast<std::size_t>(num_snapshots));
-    snapshots.push_back(initial_);
-
+    SnapshotWindow window(name_, initial_, num_snapshots, feature_dim);
     const double begin = beginTime();
-    const double end = endTime();
-    const double span = end - begin;
+    const double span = endTime() - begin;
     std::size_t cursor = 0;
     for (SnapshotId t = 1; t < num_snapshots; ++t) {
-        const double cutoff = num_snapshots > 1
-            ? begin + span * static_cast<double>(t) /
-                  static_cast<double>(num_snapshots - 1)
-            : end;
+        const double cutoff = begin + span * static_cast<double>(t) /
+            static_cast<double>(num_snapshots - 1);
         while (cursor < events_.size() &&
-               events_[cursor].timestamp <= cutoff) {
-            const auto &e = events_[cursor++];
-            const auto key = edgeKey(e.u, e.v);
-            if (e.kind == GraphEvent::Kind::AddEdge) {
-                if (e.u != e.v && keys.insert(key).second) {
-                    live.emplace_back(std::min(e.u, e.v),
-                                      std::max(e.u, e.v));
-                }
-            } else if (keys.erase(key)) {
-                const Edge victim{std::min(e.u, e.v),
-                                  std::max(e.u, e.v)};
-                auto it = std::find(live.begin(), live.end(), victim);
-                DITILE_ASSERT(it != live.end());
-                *it = live.back();
-                live.pop_back();
-            }
-        }
-        snapshots.push_back(Csr::fromEdges(initial_.numVertices(),
-                                           live));
+               events_[cursor].timestamp <= cutoff)
+            window.apply(events_[cursor++]);
+        window.roll();
     }
-    return DynamicGraph(name_, std::move(snapshots), feature_dim);
+    return window.graph();
 }
 
 ContinuousDynamicGraph
@@ -149,19 +106,7 @@ generateEventStream(const EventStreamConfig &config)
             // on dense graphs.
             for (int attempt = 0; attempt < 64; ++attempt) {
                 Rng draw_rng(mix64(rng()));
-                VertexId u = 0;
-                VertexId v = 0;
-                for (int b = 0; b < levels; ++b) {
-                    const double r = draw_rng.uniformReal();
-                    u = static_cast<VertexId>(u << 1);
-                    v = static_cast<VertexId>(v << 1);
-                    if (r >= 0.57 && r < 0.76)
-                        v |= 1;
-                    else if (r >= 0.76 && r < 0.95)
-                        u |= 1;
-                    else if (r >= 0.95)
-                        u |= 1, v |= 1;
-                }
+                const auto [u, v] = rmatDraw(levels, {}, draw_rng);
                 if (u >= config.numVertices || v >= config.numVertices
                     || u == v || keys.count(edgeKey(u, v))) {
                     continue;

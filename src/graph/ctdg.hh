@@ -8,7 +8,9 @@
  * (Eq. 1). This module provides the CTDG representation plus the
  * regular-interval sampling that turns it into a DynamicGraph, so
  * event-log workloads (the natural form of most real dynamic-graph
- * sources) can drive the accelerator directly.
+ * sources) can drive the accelerator directly. The sampling has no
+ * replay of its own: it runs the stream through a SnapshotWindow
+ * (graph/window.hh), the same replay the serving tier uses.
  */
 
 #ifndef DITILE_GRAPH_CTDG_HH
@@ -43,10 +45,12 @@ class ContinuousDynamicGraph
 {
   public:
     /**
-     * @param events Must be sorted by timestamp (ascending); events
-     *        that are no-ops against the running state (adding an
-     *        existing edge, removing a missing one) are tolerated and
-     *        skipped during replay.
+     * @param events Must be sorted by timestamp (ascending), with
+     *        endpoints inside initial's vertex universe (checked;
+     *        readEventStream() turns a violation in a file into
+     *        InputError). Events that are no-ops against the running
+     *        state (adding an existing edge, removing a missing one,
+     *        self loops) are tolerated and skipped during replay.
      */
     ContinuousDynamicGraph(std::string name, Csr initial,
                            std::vector<GraphEvent> events);
@@ -60,10 +64,11 @@ class ContinuousDynamicGraph
     double endTime() const;
 
     /**
-     * Eq. 1 sampling: replay the stream and emit `num_snapshots`
-     * snapshots at regular intervals across the event span. Snapshot
-     * 0 is the initial graph; snapshot t reflects every event with
-     * timestamp <= begin + t * (end - begin) / (num_snapshots - 1).
+     * Eq. 1 sampling: replay the stream through a SnapshotWindow of
+     * capacity `num_snapshots`, rolling it at regular intervals across
+     * the event span. Snapshot 0 is the initial graph; snapshot t
+     * reflects every event with timestamp
+     * <= begin + t * (end - begin) / (num_snapshots - 1).
      */
     DynamicGraph discretize(SnapshotId num_snapshots,
                             int feature_dim) const;

@@ -15,41 +15,6 @@ namespace ditile::graph {
 
 namespace {
 
-/** Pack an undirected canonical edge into one 64-bit key. */
-std::uint64_t
-edgeKey(VertexId u, VertexId v)
-{
-    if (u > v)
-        std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
-            << 32) |
-           static_cast<std::uint32_t>(v);
-}
-
-/**
- * One R-MAT endpoint pair draw over a 2^levels universe. Each level
- * picks a quadrant from one uniform r: [0,a) top-left, [a,a+b)
- * top-right (v bit), [a+b,a+b+c) bottom-left (u bit), else
- * bottom-right (both bits), computed without branches.
- */
-Edge
-rmatDraw(int levels, const RmatParams &p, Rng &rng)
-{
-    const double ab = p.a + p.b;
-    const double abc = p.a + p.b + p.c;
-    std::int64_t u = 0;
-    std::int64_t v = 0;
-    for (int i = 0; i < levels; ++i) {
-        const double r = rng.uniformReal();
-        const bool ge_a = r >= p.a;
-        const bool ge_ab = r >= ab;
-        const bool ge_abc = r >= abc;
-        u = (u << 1) | static_cast<std::int64_t>(ge_ab);
-        v = (v << 1) | static_cast<std::int64_t>((ge_a != ge_ab) | ge_abc);
-    }
-    return {static_cast<VertexId>(u), static_cast<VertexId>(v)};
-}
-
 /**
  * Insert-only open-addressing set of edge keys (linear probing),
  * sized up front for a known number of keys at load <= 0.75. Key 0 is
@@ -138,6 +103,24 @@ drawRmatEdges(VertexId num_vertices, EdgeId num_edges,
 }
 
 } // namespace
+
+Edge
+rmatDraw(int levels, const RmatParams &p, Rng &rng)
+{
+    const double ab = p.a + p.b;
+    const double abc = p.a + p.b + p.c;
+    std::int64_t u = 0;
+    std::int64_t v = 0;
+    for (int i = 0; i < levels; ++i) {
+        const double r = rng.uniformReal();
+        const bool ge_a = r >= p.a;
+        const bool ge_ab = r >= ab;
+        const bool ge_abc = r >= abc;
+        u = (u << 1) | static_cast<std::int64_t>(ge_ab);
+        v = (v << 1) | static_cast<std::int64_t>((ge_a != ge_ab) | ge_abc);
+    }
+    return {static_cast<VertexId>(u), static_cast<VertexId>(v)};
+}
 
 int
 rmatLevels(VertexId num_vertices)

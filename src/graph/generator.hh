@@ -55,6 +55,15 @@ struct EvolutionConfig
  */
 int rmatLevels(VertexId num_vertices);
 
+/**
+ * One R-MAT endpoint pair draw over a 2^levels universe. Each level
+ * picks a quadrant from one uniform r: [0,a) top-left, [a,a+b)
+ * top-right (v bit), [a+b,a+b+c) bottom-left (u bit), else
+ * bottom-right (both bits), computed without branches. The pair is
+ * uncanonicalized and may fall outside the universe or be a self loop.
+ */
+Edge rmatDraw(int levels, const RmatParams &params, Rng &rng);
+
 /** Generate one static R-MAT graph (symmetric CSR, no self loops). */
 Csr generateRmat(VertexId num_vertices, EdgeId num_edges,
                  const RmatParams &params, Rng &rng);

@@ -156,6 +156,14 @@ readEventStream(const std::string &name, Csr initial, std::istream &in)
         }
         if (u < 0 || v < 0)
             DITILE_THROW("negative vertex id at line ", line_no);
+        if (u >= initial.numVertices() || v >= initial.numVertices())
+            DITILE_THROW("event at line ", line_no, " references vertex ",
+                         std::max(u, v), " outside the universe [0,",
+                         initial.numVertices(), ")");
+        if (!events.empty() && ts < events.back().timestamp)
+            DITILE_THROW("event at line ", line_no, " has timestamp ",
+                         ts, ", earlier than the previous event's ",
+                         events.back().timestamp);
         GraphEvent e;
         e.kind = op == "+" ? GraphEvent::Kind::AddEdge
                            : GraphEvent::Kind::RemoveEdge;

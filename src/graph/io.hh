@@ -10,7 +10,10 @@
  *    comment lines, ids remapped densely in first-seen order or kept
  *    as-is when already dense;
  *  - dynamic graphs: one edge-list file per snapshot;
- *  - event streams: "op u v timestamp" lines with op in {+, -}.
+ *  - event streams: "op u v timestamp" lines with op in {+, -}. A
+ *    malformed stream throws InputError before it reaches the
+ *    ContinuousDynamicGraph invariant checks, so no event file can
+ *    abort the process.
  */
 
 #ifndef DITILE_GRAPH_IO_HH
@@ -54,7 +57,9 @@ DynamicGraph readSnapshotFiles(const std::string &name,
 
 /**
  * Parse an event stream: lines "op u v timestamp", op in {+, -}.
- * Events must be time-ordered; the initial graph is passed in.
+ * The initial graph is passed in and fixes the vertex universe. A
+ * malformed line, a negative or out-of-universe endpoint, or an event
+ * earlier than the one before it throws InputError naming the line.
  */
 ContinuousDynamicGraph readEventStream(const std::string &name,
                                        Csr initial, std::istream &in);

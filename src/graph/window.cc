@@ -11,30 +11,18 @@
 
 namespace ditile::graph {
 
-namespace {
-
-std::uint64_t
-packedEdgeKey(VertexId u, VertexId v)
-{
-    if (u > v)
-        std::swap(u, v);
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(u))
-            << 32) |
-        static_cast<std::uint32_t>(v);
-}
-
-} // namespace
-
 SnapshotWindow::SnapshotWindow(std::string name, Csr initial,
                                SnapshotId capacity, int feature_dim)
-    : name_(std::move(name)), numVertices_(initial.numVertices()),
-      capacity_(capacity < 1 ? 1 : capacity), featureDim_(feature_dim)
+    : capacity_(capacity < 1 ? 1 : capacity)
 {
-    live_ = initial.edgeList();
+    std::vector<Csr> snapshots;
+    snapshots.push_back(std::move(initial));
+    graph_ = DynamicGraph(std::move(name), std::move(snapshots),
+                          feature_dim);
+    live_ = graph_.snapshot(0).edgeList();
     keys_.reserve(live_.size() * 2);
     for (auto [u, v] : live_)
-        keys_.insert(packedEdgeKey(u, v));
-    ring_.push_back(std::move(initial));
+        keys_.insert(edgeKey(u, v));
 }
 
 SnapshotWindow
@@ -49,6 +37,9 @@ SnapshotWindow::restore(std::string name, SnapshotId capacity,
     if (capacity < 1)
         DITILE_THROW("window restore for '", name,
                      "': capacity must be >= 1");
+    if (feature_dim < 1)
+        DITILE_THROW("window restore for '", name,
+                     "': feature width must be >= 1");
     if (static_cast<SnapshotId>(ring.size()) > capacity)
         DITILE_THROW("window restore for '", name, "': ring has ",
                      ring.size(), " snapshots but capacity is ",
@@ -61,20 +52,17 @@ SnapshotWindow::restore(std::string name, SnapshotId capacity,
                          vertices, " vs ", csr.numVertices(), ")");
     }
 
-    SnapshotWindow window(std::move(name), std::move(ring.front()),
-                          capacity, feature_dim);
-    for (std::size_t i = 1; i < ring.size(); ++i)
-        window.ring_.push_back(std::move(ring[i]));
-
-    window.live_.clear();
-    window.keys_.clear();
+    SnapshotWindow window(
+        DynamicGraph(std::move(name), std::move(ring), feature_dim),
+        capacity);
+    window.keys_.reserve(live.size() * 2);
     for (auto [u, v] : live) {
         if (u < 0 || u >= vertices || v < 0 || v >= vertices)
-            DITILE_THROW("window restore for '", window.name_,
+            DITILE_THROW("window restore for '", window.name(),
                          "': live edge (", u, ",", v,
                          ") outside universe [0,", vertices, ")");
-        if (!window.keys_.insert(packedEdgeKey(u, v)).second)
-            DITILE_THROW("window restore for '", window.name_,
+        if (!window.keys_.insert(edgeKey(u, v)).second)
+            DITILE_THROW("window restore for '", window.name(),
                          "': duplicate live edge (", u, ",", v, ")");
         window.live_.emplace_back(std::min(u, v), std::max(u, v));
     }
@@ -97,13 +85,14 @@ SnapshotWindow::liveEdgeList() const
 void
 SnapshotWindow::apply(const GraphEvent &event)
 {
-    if (event.u < 0 || event.u >= numVertices_ || event.v < 0 ||
-        event.v >= numVertices_) {
+    const VertexId vertices = numVertices();
+    if (event.u < 0 || event.u >= vertices || event.v < 0 ||
+        event.v >= vertices) {
         DITILE_THROW("event endpoint (", event.u, ",", event.v,
-                     ") outside tenant '", name_, "' universe [0,",
-                     numVertices_, ")");
+                     ") outside tenant '", name(), "' universe [0,",
+                     vertices, ")");
     }
-    const auto key = packedEdgeKey(event.u, event.v);
+    const auto key = edgeKey(event.u, event.v);
     if (event.kind == GraphEvent::Kind::AddEdge) {
         if (event.u == event.v || !keys_.insert(key).second) {
             ++noopEvents_;
@@ -131,23 +120,25 @@ SnapshotWindow::apply(const GraphEvent &event)
 void
 SnapshotWindow::roll()
 {
-    ring_.push_back(Csr::fromEdges(numVertices_, live_));
-    while (static_cast<SnapshotId>(ring_.size()) > capacity_)
-        ring_.pop_front();
+    // Keep the newest capacity - 1 snapshots and the deltas between
+    // them, then append the live set and its one diff.
+    const SnapshotId size = graph_.numSnapshots();
+    const SnapshotId first = size < capacity_ ? 0 : 1;
+    std::vector<Csr> snapshots;
+    std::vector<GraphDelta> deltas;
+    for (SnapshotId t = first; t < size; ++t) {
+        snapshots.push_back(graph_.snapshot(t));
+        if (t > first)
+            deltas.push_back(graph_.delta(t));
+    }
+    Csr next = Csr::fromEdges(numVertices(), live_);
+    if (!snapshots.empty())
+        deltas.push_back(GraphDelta::diff(snapshots.back(), next));
+    snapshots.push_back(std::move(next));
+    graph_ = DynamicGraph(graph_.name(), std::move(snapshots),
+                          std::move(deltas), graph_.featureDim());
     ++rolls_;
     sinceRoll_ = 0;
-    cacheValid_ = false;
-}
-
-const DynamicGraph &
-SnapshotWindow::graph() const
-{
-    if (!cacheValid_) {
-        std::vector<Csr> snapshots(ring_.begin(), ring_.end());
-        cached_ = DynamicGraph(name_, std::move(snapshots), featureDim_);
-        cacheValid_ = true;
-    }
-    return cached_;
 }
 
 } // namespace ditile::graph

@@ -1,24 +1,28 @@
 /**
  * @file
- * Live snapshot windows over a continuous event stream (serving tier).
+ * Snapshot windows over a continuous event stream: the one event
+ * replay of the graph layer.
  *
- * ContinuousDynamicGraph::discretize() replays the whole <G, O> stream
- * from scratch — the right tool for offline Eq.-1 sampling, and the
- * wrong one for a long-lived service where each tenant's stream grows
- * forever. SnapshotWindow is the incremental counterpart: it holds the
- * *live* edge set of one tenant, patches it in O(1) per event, and
- * materializes snapshots on demand into a bounded ring of the W most
- * recent ones. The window's DynamicGraph view is cached and only
- * rebuilt after a roll, so back-to-back queries on a quiet tenant see
- * the same graph object — same structure hash — and ride the
- * PlanCache/DigestCache instead of replanning.
+ * A SnapshotWindow holds the *live* edge set of a <G, O> stream,
+ * patches it in O(1) per event (no-op events are counted and skipped),
+ * and on roll() materializes the live set as the newest snapshot. Its
+ * window is stored once, as one DynamicGraph of the W most recent
+ * snapshots and their deltas: a roll appends the new snapshot and one
+ * diff against the previous newest, and at capacity drops the oldest
+ * snapshot and its delta. graph() is a plain accessor, so back-to-back
+ * queries on a quiet tenant see the same graph object — same
+ * structure hash — and ride the PlanCache/DigestCache instead of
+ * replanning.
+ *
+ * Both consumers of the Eq.-1 replay run through it: the serving tier
+ * keeps one window per tenant, and ContinuousDynamicGraph::discretize()
+ * replays a whole stream through a window as wide as its output.
  */
 
 #ifndef DITILE_GRAPH_WINDOW_HH
 #define DITILE_GRAPH_WINDOW_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -66,7 +70,8 @@ class SnapshotWindow
      * non-empty and within capacity, consistent vertex universes,
      * live edges in range) and throws InputError on a corrupt
      * checkpoint; a restored window is behaviorally identical to one
-     * that applied the original event stream.
+     * that applied the original event stream. The window graph is
+     * built once, diffing the ring's consecutive snapshots.
      */
     static SnapshotWindow restore(std::string name, SnapshotId capacity,
                                   int feature_dim,
@@ -78,34 +83,31 @@ class SnapshotWindow
      * Apply one structural event to the live edge set. Out-of-universe
      * endpoints throw InputError; no-op events (adding an existing
      * edge, removing a missing one, self loops) are counted and
-     * skipped, mirroring ContinuousDynamicGraph replay semantics.
+     * skipped.
      */
     void apply(const GraphEvent &event);
 
     /**
-     * Materialize the live edge set as the newest snapshot. Evicts the
-     * oldest snapshot when the ring is at capacity and invalidates the
-     * cached window graph.
+     * Materialize the live edge set as the newest snapshot, with one
+     * diff against the previous newest. At capacity the oldest
+     * snapshot and its delta leave the window.
      */
     void roll();
 
     /**
-     * The current window as a DynamicGraph (size = min(rolls + 1,
-     * capacity)). Cached between rolls, so repeated calls return the
-     * identical object and downstream content-hash caches hit.
+     * The current window, oldest -> newest (size = min(rolls + 1,
+     * capacity)). Only roll() replaces it, so repeated calls between
+     * rolls see the identical graph and downstream content-hash
+     * caches hit.
      */
-    const DynamicGraph &graph() const;
+    const DynamicGraph &graph() const { return graph_; }
 
-    const std::string &name() const { return name_; }
-    VertexId numVertices() const { return numVertices_; }
+    const std::string &name() const { return graph_.name(); }
+    VertexId numVertices() const { return graph_.numVertices(); }
     SnapshotId capacity() const { return capacity_; }
 
     /** Snapshots currently in the window. */
-    SnapshotId
-    windowSize() const
-    {
-        return static_cast<SnapshotId>(ring_.size());
-    }
+    SnapshotId windowSize() const { return graph_.numSnapshots(); }
 
     /** Live (undirected) edge count, including unrolled mutations. */
     EdgeId liveEdges() const
@@ -120,10 +122,7 @@ class SnapshotWindow
     /** Events applied since the last roll(). */
     std::uint64_t eventsSinceRoll() const { return sinceRoll_; }
 
-    int featureDim() const { return featureDim_; }
-
-    /** The snapshot ring, oldest -> newest (checkpoint path). */
-    const std::deque<Csr> &snapshots() const { return ring_; }
+    int featureDim() const { return graph_.featureDim(); }
 
     /**
      * The live edge set in canonical order (sorted, u <= v). The
@@ -134,22 +133,21 @@ class SnapshotWindow
     std::vector<Edge> liveEdgeList() const;
 
   private:
-    std::string name_;
-    VertexId numVertices_ = 0;
-    SnapshotId capacity_ = 1;
-    int featureDim_ = 0;
+    SnapshotWindow(DynamicGraph graph, SnapshotId capacity)
+        : capacity_(capacity), graph_(std::move(graph))
+    {
+    }
 
-    std::vector<Edge> live_;               ///< Canonical u <= v.
-    std::unordered_set<std::uint64_t> keys_; ///< Packed edge keys.
-    std::deque<Csr> ring_;                 ///< Oldest -> newest.
+    SnapshotId capacity_ = 1;
+    DynamicGraph graph_;                     ///< The window, stored once.
+
+    std::vector<Edge> live_;                 ///< Canonical u <= v.
+    std::unordered_set<std::uint64_t> keys_; ///< edgeKey() of live_.
 
     std::uint64_t appliedEvents_ = 0;
     std::uint64_t noopEvents_ = 0;
     std::uint64_t rolls_ = 0;
     std::uint64_t sinceRoll_ = 0;
-
-    mutable DynamicGraph cached_;
-    mutable bool cacheValid_ = false;
 };
 
 } // namespace ditile::graph

@@ -169,8 +169,7 @@ parseTenant(const JsonValue &value)
     return tenant;
 }
 
-} // namespace
-
+/** Canonical compact JSON of the state object (the hashed bytes). */
 std::string
 checkpointPayload(const ServerCheckpoint &checkpoint)
 {
@@ -201,6 +200,8 @@ checkpointPayload(const ServerCheckpoint &checkpoint)
     return state.toCompactString();
 }
 
+} // namespace
+
 std::string
 checkpointStateHash(const ServerCheckpoint &checkpoint)
 {
@@ -210,11 +211,12 @@ checkpointStateHash(const ServerCheckpoint &checkpoint)
 std::string
 renderCheckpoint(const ServerCheckpoint &checkpoint)
 {
+    const std::string payload = checkpointPayload(checkpoint);
     JsonObject doc;
     doc.add("format",
             static_cast<long long>(ServerCheckpoint::kFormat));
-    doc.add("crc", checkpointStateHash(checkpoint));
-    doc.addRaw("state", checkpointPayload(checkpoint));
+    doc.add("crc", hex64(fnv1a(payload)));
+    doc.addRaw("state", payload);
     return doc.toCompactString();
 }
 

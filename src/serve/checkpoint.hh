@@ -21,7 +21,7 @@
  * set (so plan=hit/miss fields survive a restart with a cold real
  * cache), and per tenant: the provisioning spec, LRU stamp, circuit
  * breaker fields, window counters, live edge set, and the full
- * snapshot ring as edge lists. Derived state (CSR arrays, cached
+ * snapshot ring as edge lists. Derived state (CSR arrays, window
  * DynamicGraphs, plan sets) is rebuilt on restore.
  *
  * ### File format
@@ -97,10 +97,7 @@ struct ServerCheckpoint
     std::vector<TenantCheckpoint> tenants; ///< Name order.
 };
 
-/** Canonical compact JSON of the state object (the hashed bytes). */
-std::string checkpointPayload(const ServerCheckpoint &checkpoint);
-
-/** Hex FNV-1a over checkpointPayload(). */
+/** Hex FNV-1a over the compact JSON of the state object. */
 std::string checkpointStateHash(const ServerCheckpoint &checkpoint);
 
 /** Full file content: format + crc + state, one line. */

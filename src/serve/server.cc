@@ -789,9 +789,9 @@ Server::checkpointState() const
         tc.window.rolls = tenant->window.rolls();
         tc.window.sinceRoll = tenant->window.eventsSinceRoll();
         tc.live = tenant->window.liveEdgeList();
-        for (const graph::Csr &snapshot :
-             tenant->window.snapshots())
-            tc.ring.push_back(snapshot.edgeList());
+        const graph::DynamicGraph &ring = tenant->window.graph();
+        for (SnapshotId t = 0; t < ring.numSnapshots(); ++t)
+            tc.ring.push_back(ring.snapshot(t).edgeList());
         cp.tenants.push_back(std::move(tc));
     }
     return cp;

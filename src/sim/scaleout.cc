@@ -181,10 +181,8 @@ applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
         return;
     }
     noc::checkInterChipLink(link, plan.hw.frequencyGhz);
-    workload::ChunkPartitionOptions options;
-    options.chips = chips;
     const workload::ChunkPartition cp =
-        workload::buildChunkPartition(dg, options);
+        workload::buildChunkPartition(dg, chips);
     plan.scaleout.chips = chips;
     plan.scaleout.link = link;
     plan.scaleout.chunkSpan = cp.chunkSpan;

@@ -14,6 +14,19 @@
 
 namespace ditile::workload {
 
+namespace {
+
+/** Vertex chunks per chip (the placement granularity). */
+constexpr VertexId kChunksPerChip = 8;
+
+/**
+ * Refinement may not push a chip's load past (1 + kBalanceSlack) x
+ * the mean chip load.
+ */
+constexpr double kBalanceSlack = 0.10;
+
+} // namespace
+
 double
 ChunkPartition::imbalance() const
 {
@@ -32,30 +45,24 @@ ChunkPartition::imbalance() const
 }
 
 ChunkPartition
-buildChunkPartition(const graph::DynamicGraph &dg,
-                    const ChunkPartitionOptions &options)
+buildChunkPartition(const graph::DynamicGraph &dg, int chips)
 {
     const VertexId num_vertices = dg.numVertices();
     const SnapshotId num_snapshots = dg.numSnapshots();
-    if (options.chips < 1)
-        DITILE_THROW("chip count must be >= 1, got ", options.chips);
-    if (options.chunksPerChip < 1)
-        DITILE_THROW("chunks per chip must be >= 1, got ",
-                     options.chunksPerChip);
-    if (num_vertices < static_cast<VertexId>(options.chips)) {
+    if (chips < 1)
+        DITILE_THROW("chip count must be >= 1, got ", chips);
+    if (num_vertices < static_cast<VertexId>(chips)) {
         DITILE_THROW("cannot shard ", num_vertices, " vertices over ",
-                     options.chips, " chips: a chip would be empty");
+                     chips, " chips: a chip would be empty");
     }
 
     ChunkPartition cp;
-    cp.chips = options.chips;
+    cp.chips = chips;
 
-    // Contiguous chunking: enough chunks for the requested placement
+    // Contiguous chunking: enough chunks for the placement
     // granularity, never more than one per vertex.
     const VertexId target_chunks = std::min<VertexId>(
-        num_vertices,
-        static_cast<VertexId>(options.chips) *
-            static_cast<VertexId>(options.chunksPerChip));
+        num_vertices, static_cast<VertexId>(chips) * kChunksPerChip);
     cp.chunkSpan = (num_vertices + target_chunks - 1) / target_chunks;
     cp.chunks = static_cast<int>(
         (num_vertices + cp.chunkSpan - 1) / cp.chunkSpan);
@@ -128,7 +135,7 @@ buildChunkPartition(const graph::DynamicGraph &dg,
     const std::uint64_t total_load =
         std::accumulate(cp.chunkLoad.begin(), cp.chunkLoad.end(),
                         std::uint64_t{0});
-    const double allowed = (1.0 + options.balanceSlack) *
+    const double allowed = (1.0 + kBalanceSlack) *
         static_cast<double>(total_load) /
         static_cast<double>(cp.chips);
     // Cross-chip adjacency touching chunk s if s lived on chip c.

@@ -17,7 +17,7 @@
  * mass over every snapshot before placing anything.
  *
  * Everything here is integer counting plus a fixed-order greedy, so
- * the assignment is a pure function of the graph and the options —
+ * the assignment is a pure function of the graph and the chip count —
  * bit-identical at any --threads width, safe to record in plan JSON.
  */
 
@@ -30,22 +30,6 @@
 #include "graph/dynamic_graph.hh"
 
 namespace ditile::workload {
-
-/** Partitioner knobs. */
-struct ChunkPartitionOptions
-{
-    /** Number of chips to place chunks on (>= 1). */
-    int chips = 1;
-
-    /** Target vertex chunks per chip (placement granularity). */
-    int chunksPerChip = 8;
-
-    /**
-     * Refinement may not push a chip's load past
-     * (1 + balanceSlack) x mean chip load.
-     */
-    double balanceSlack = 0.10;
-};
 
 /**
  * Chunk→chip assignment plus the loads it was balanced on. The
@@ -84,12 +68,13 @@ struct ChunkPartition
 
 /**
  * Build the chunk census with workload::buildPartitionDigest and place
- * chunks on `options.chips` chips. Throws InputError when the graph has
- * fewer vertices than chips (a chip would be empty) or when options
- * are out of range.
+ * chunks on `chips` chips, eight chunks per chip where the vertex
+ * count allows, with a 10% balance slack for refinement. Throws
+ * InputError when chips < 1 or the graph has fewer vertices than
+ * chips (a chip would be empty).
  */
 ChunkPartition buildChunkPartition(const graph::DynamicGraph &dg,
-                                   const ChunkPartitionOptions &options);
+                                   int chips);
 
 } // namespace ditile::workload
 

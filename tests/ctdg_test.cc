@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
+#include "common/hash.hh"
 #include "graph/ctdg.hh"
 
 namespace ditile::graph {
@@ -77,6 +80,41 @@ TEST(Ctdg, NoOpEventsTolerated)
     const auto dg = ctdg.discretize(3, 4);
     for (SnapshotId t = 0; t < 3; ++t)
         EXPECT_EQ(dg.snapshot(t).numEdges(), 1) << t;
+}
+
+TEST(Ctdg, DiscretizeNoopEvents)
+{
+    // Initial 0-1, 1-2 on 5 vertices; events span [0, 4], so the
+    // four snapshots after the initial one cut at 1, 2, 3 and 4.
+    Csr initial = Csr::fromEdges(5, {{0, 1}, {1, 2}});
+    std::vector<GraphEvent> events = {
+        {GraphEvent::Kind::AddEdge, 3, 3, 0.0},    // self loop.
+        {GraphEvent::Kind::AddEdge, 1, 0, 1.5},    // duplicate add.
+        {GraphEvent::Kind::AddEdge, 2, 3, 2.0},
+        {GraphEvent::Kind::AddEdge, 0, 4, 2.4},    // added, then
+        {GraphEvent::Kind::RemoveEdge, 3, 4, 2.5}, // (missing edge)
+        {GraphEvent::Kind::RemoveEdge, 4, 0, 2.8}, // removed in (2, 3].
+        {GraphEvent::Kind::RemoveEdge, 1, 2, 4.0},
+    };
+    ContinuousDynamicGraph ctdg("noops", std::move(initial),
+                                std::move(events));
+    const auto dg = ctdg.discretize(5, 4);
+    const std::vector<std::vector<Edge>> expected = {
+        {{0, 1}, {1, 2}},
+        {{0, 1}, {1, 2}},
+        {{0, 1}, {1, 2}, {2, 3}},
+        {{0, 1}, {1, 2}, {2, 3}},
+        {{0, 1}, {2, 3}},
+    };
+    ASSERT_EQ(dg.numSnapshots(), 5);
+    for (SnapshotId t = 0; t < 5; ++t)
+        EXPECT_EQ(dg.snapshot(t).edgeList(),
+                  expected[static_cast<std::size_t>(t)])
+            << "snapshot " << t;
+    // The interval that added and removed 0-4 leaves no trace.
+    EXPECT_TRUE(dg.delta(3).addedEdges().empty());
+    EXPECT_TRUE(dg.delta(3).removedEdges().empty());
+    EXPECT_EQ(dg.delta(4).removedEdges(), (std::vector<Edge>{{1, 2}}));
 }
 
 TEST(Ctdg, EmptyEventStream)
@@ -166,6 +204,63 @@ TEST(GenerateEventStream, RemovalFractionShapesStream)
     const auto shrunk = generateEventStream(shrink).discretize(3, 4);
     EXPECT_LT(shrunk.snapshot(2).numEdges(),
               shrunk.snapshot(0).numEdges());
+}
+
+struct EventStreamGolden
+{
+    EventStreamConfig config;
+    std::size_t events;
+    std::uint64_t hash;
+};
+
+/** FNV over the initial graph's edges and every event field. */
+std::uint64_t
+eventStreamHash(const ContinuousDynamicGraph &ctdg)
+{
+    WordHasher hasher;
+    for (auto [u, v] : ctdg.initial().edgeList()) {
+        hasher.mix(static_cast<std::uint64_t>(u));
+        hasher.mix(static_cast<std::uint64_t>(v));
+    }
+    for (const GraphEvent &e : ctdg.events()) {
+        hasher.mix(static_cast<std::uint64_t>(e.kind));
+        hasher.mix(static_cast<std::uint64_t>(e.u));
+        hasher.mix(static_cast<std::uint64_t>(e.v));
+        hasher.mix(std::bit_cast<std::uint64_t>(e.timestamp));
+    }
+    return hasher.h;
+}
+
+// Recorded before generateEventStream switched to the shared R-MAT
+// sampler; any change to its draw order moves these.
+TEST(Ctdg, EventStreamPinned)
+{
+    EventStreamConfig sparse;
+    sparse.numVertices = 100;
+    sparse.initialEdges = 300;
+    sparse.numEvents = 120;
+    sparse.duration = 20.0;
+    sparse.removalFraction = 0.4;
+    sparse.seed = 9;
+    // Near-clique: many additions exhaust their retries and are
+    // skipped (24 of 40 events survive).
+    EventStreamConfig dense;
+    dense.numVertices = 8;
+    dense.initialEdges = 24;
+    dense.numEvents = 40;
+    dense.removalFraction = 0.2;
+    dense.seed = 4;
+    const EventStreamGolden goldens[] = {
+        {sparse, 120, 0xd9c52e2a5edd48afULL},
+        {dense, 24, 0x2d9872951f6113faULL},
+    };
+    for (const auto &golden : goldens) {
+        const auto ctdg = generateEventStream(golden.config);
+        EXPECT_EQ(ctdg.events().size(), golden.events)
+            << golden.config.numVertices << " vertices";
+        EXPECT_EQ(eventStreamHash(ctdg), golden.hash)
+            << golden.config.numVertices << " vertices";
+    }
 }
 
 } // namespace

@@ -1,10 +1,11 @@
 /**
  * @file
- * Seeded mutation fuzzing of the four input parsers: protocol lines
+ * Seeded mutation fuzzing of the five input parsers: protocol lines
  * through Server::handle, checkpoint documents (parseCheckpoint, then
- * restoreState), WAL files (recoverWal, then recover) and plan
- * documents (ExecutionPlan::fromJson, then executePlan on the graph the
- * plan was made for). Every mutant must end in success or a typed
+ * restoreState), WAL files (recoverWal, then recover), plan documents
+ * (ExecutionPlan::fromJson, then executePlan on the graph the plan was
+ * made for) and event streams (readEventStream, then discretize).
+ * Every mutant must end in success or a typed
  * InputError; any other exception fails the test, and a crash fails the
  * whole binary. Fixed seeds make every run see the same mutants, so a
  * failure reproduces from the test name alone.
@@ -15,6 +16,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -22,7 +24,9 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/ctdg.hh"
 #include "graph/generator.hh"
+#include "graph/io.hh"
 #include "serve/checkpoint.hh"
 #include "serve/loadgen.hh"
 #include "serve/protocol.hh"
@@ -360,6 +364,45 @@ TEST(Fuzz, PlanParseAndExecute)
         ++accepted;
         try {
             sim::executePlan(dg, plan);
+        } catch (const InputError &) {
+        }
+    }
+    EXPECT_GT(accepted, 200);
+}
+
+TEST(Fuzz, EventStreamParseAndDiscretize)
+{
+    graph::EventStreamConfig config;
+    config.numVertices = 16;
+    config.initialEdges = 40;
+    config.numEvents = 60;
+    config.duration = 10.0;
+    config.seed = 5;
+    const auto source = graph::generateEventStream(config);
+    std::ostringstream text;
+    text << "# op u v timestamp\n";
+    for (const graph::GraphEvent &e : source.events())
+        text << (e.kind == graph::GraphEvent::Kind::AddEdge ? '+' : '-')
+             << ' ' << e.u << ' ' << e.v << ' ' << e.timestamp << '\n';
+    const std::string seed = text.str();
+    {
+        std::istringstream in(seed);
+        ASSERT_EQ(graph::readEventStream("seed", source.initial(), in)
+                      .events()
+                      .size(),
+                  source.events().size());
+    }
+
+    Mutator mutator(0x5eed0005);
+    int accepted = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::istringstream in(mutator.mutate(seed));
+        try {
+            const auto ctdg =
+                graph::readEventStream("mutant", source.initial(), in);
+            ++accepted;
+            const auto dg = ctdg.discretize(4, 8);
+            EXPECT_EQ(dg.numSnapshots(), 4);
         } catch (const InputError &) {
         }
     }

@@ -211,5 +211,27 @@ TEST(EventStream, TruncatedRecordThrows)
                        "event parse error");
 }
 
+TEST(EventStream, OutOfUniverseThrows)
+{
+    std::istringstream in("+ 0 1 0.5\n+ 1 99 1.0\n");
+    EXPECT_INPUT_ERROR(readEventStream("bad", Csr(8), in),
+                       "line 2 references vertex 99");
+}
+
+TEST(EventStream, OutOfOrderThrows)
+{
+    std::istringstream in("+ 1 2 5.0\n# comment\n+ 2 3 1.0\n");
+    EXPECT_INPUT_ERROR(readEventStream("bad", Csr(8), in),
+                       "line 3 has timestamp 1");
+}
+
+TEST(EventStream, HugeIdThrows)
+{
+    // 2^32 + 1 would wrap to vertex 1 in a 32-bit id.
+    std::istringstream in("+ 4294967297 2 0.5\n");
+    EXPECT_INPUT_ERROR(readEventStream("bad", Csr(8), in),
+                       "references vertex 4294967297");
+}
+
 } // namespace
 } // namespace ditile::graph

@@ -124,9 +124,7 @@ TEST(ScaleOut, MultiChipScheduleBitIdenticalAcrossThreadWidths)
 TEST(ScaleOut, PartitionerBalanceInvariants)
 {
     const auto dg = scaleoutWorkload();
-    workload::ChunkPartitionOptions options;
-    options.chips = 4;
-    const auto part = workload::buildChunkPartition(dg, options);
+    const auto part = workload::buildChunkPartition(dg, 4);
 
     ASSERT_EQ(part.chips, 4);
     ASSERT_GT(part.chunks, 0);
@@ -198,10 +196,7 @@ TEST(ScaleOut, PartitionerBalanceInvariants)
 TEST(ScaleOut, PartitionerRejectsMoreChipsThanVertices)
 {
     const auto dg = scaleoutWorkload(16, 64);
-    workload::ChunkPartitionOptions options;
-    options.chips = 32;
-    EXPECT_THROW(workload::buildChunkPartition(dg, options),
-                 InputError);
+    EXPECT_THROW(workload::buildChunkPartition(dg, 32), InputError);
 }
 
 TEST(ScaleOut, FormatThreePlanRoundTrips)

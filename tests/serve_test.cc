@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -339,6 +342,119 @@ TEST(SnapshotWindow, GraphIsCachedBetweenRolls)
     window.roll();
     // Rolling invalidates; the rebuilt graph differs in content.
     EXPECT_EQ(window.graph().numSnapshots(), 2);
+}
+
+/** Field-by-field equality of two window graphs. */
+void
+expectSameWindow(const graph::DynamicGraph &actual,
+                 const graph::DynamicGraph &expected, int roll)
+{
+    ASSERT_EQ(actual.numSnapshots(), expected.numSnapshots()) << roll;
+    EXPECT_EQ(actual.name(), expected.name()) << roll;
+    EXPECT_EQ(actual.featureDim(), expected.featureDim()) << roll;
+    for (SnapshotId t = 0; t < expected.numSnapshots(); ++t) {
+        EXPECT_EQ(actual.snapshot(t).rowPtr(),
+                  expected.snapshot(t).rowPtr())
+            << "roll " << roll << " snapshot " << t;
+        EXPECT_EQ(actual.snapshot(t).adjacency(),
+                  expected.snapshot(t).adjacency())
+            << "roll " << roll << " snapshot " << t;
+    }
+    for (SnapshotId t = 1; t < expected.numSnapshots(); ++t) {
+        EXPECT_EQ(actual.delta(t).addedEdges(),
+                  expected.delta(t).addedEdges())
+            << "roll " << roll << " delta " << t;
+        EXPECT_EQ(actual.delta(t).removedEdges(),
+                  expected.delta(t).removedEdges())
+            << "roll " << roll << " delta " << t;
+        EXPECT_EQ(actual.delta(t).affectedVertices(),
+                  expected.delta(t).affectedVertices())
+            << "roll " << roll << " delta " << t;
+    }
+    EXPECT_EQ(graph::structureHash(actual),
+              graph::structureHash(expected))
+        << roll;
+}
+
+/** The window rebuilt the way a checkpoint restore rebuilds it. */
+graph::SnapshotWindow
+restoredWindow(const graph::SnapshotWindow &window)
+{
+    std::vector<graph::Csr> ring;
+    const graph::DynamicGraph &dg = window.graph();
+    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t)
+        ring.push_back(graph::Csr::fromEdges(
+            dg.numVertices(), dg.snapshot(t).edgeList()));
+    graph::SnapshotWindow::Counters counters;
+    counters.appliedEvents = window.appliedEvents();
+    counters.noopEvents = window.noopEvents();
+    counters.rolls = window.rolls();
+    counters.sinceRoll = window.eventsSinceRoll();
+    return graph::SnapshotWindow::restore(
+        window.name(), window.capacity(), window.featureDim(),
+        std::move(ring), window.liveEdgeList(), counters);
+}
+
+TEST(SnapshotWindow, RolledGraphEqualsRebuiltWindow)
+{
+    // A 12-vertex universe makes duplicate adds, missing removes and
+    // self loops common; some rolls apply no event at all.
+    constexpr VertexId kVertices = 12;
+    constexpr SnapshotId kCapacity = 4;
+    const auto initial =
+        graph::Csr::fromEdges(kVertices, {{0, 1}, {1, 2}, {3, 4}});
+    graph::SnapshotWindow window("w", initial, kCapacity, 4);
+    std::set<graph::Edge> live = {{0, 1}, {1, 2}, {3, 4}};
+    std::deque<graph::Csr> ring = {initial};
+    Rng rng(0x5eed);
+
+    for (int roll = 1; roll <= 24; ++roll) {
+        const auto events = rng.uniformInt(0, 6);
+        for (std::int64_t i = 0; i < events; ++i) {
+            const auto u =
+                static_cast<VertexId>(rng.uniformInt(0, kVertices - 1));
+            const auto v =
+                static_cast<VertexId>(rng.uniformInt(0, kVertices - 1));
+            const graph::Edge edge{std::min(u, v), std::max(u, v)};
+            if (rng.bernoulli(0.4)) {
+                window.apply({graph::GraphEvent::Kind::RemoveEdge, u, v,
+                              0});
+                live.erase(edge);
+            } else {
+                window.apply({graph::GraphEvent::Kind::AddEdge, u, v, 0});
+                if (u != v)
+                    live.insert(edge);
+            }
+        }
+        window.roll();
+        ring.push_back(graph::Csr::fromEdges(
+            kVertices, std::vector<graph::Edge>(live.begin(), live.end())));
+        if (static_cast<SnapshotId>(ring.size()) > kCapacity)
+            ring.pop_front();
+        const graph::DynamicGraph expected(
+            "w", std::vector<graph::Csr>(ring.begin(), ring.end()), 4);
+        expectSameWindow(window.graph(), expected, roll);
+
+        if (roll % 5 == 0) {
+            // Checkpoint -> restore, then both windows roll on alike.
+            graph::SnapshotWindow restored = restoredWindow(window);
+            expectSameWindow(restored.graph(), expected, roll);
+            EXPECT_EQ(restored.liveEdgeList(), window.liveEdgeList());
+            const graph::GraphEvent add{graph::GraphEvent::Kind::AddEdge,
+                                        5, 11, 0};
+            graph::SnapshotWindow original = window;
+            original.apply(add);
+            original.roll();
+            restored.apply(add);
+            restored.roll();
+            expectSameWindow(restored.graph(), original.graph(), roll);
+            EXPECT_EQ(restored.rolls(), original.rolls());
+            EXPECT_EQ(restored.appliedEvents(), original.appliedEvents());
+            EXPECT_EQ(restored.noopEvents(), original.noopEvents());
+        }
+    }
+    EXPECT_GT(window.noopEvents(), 0u);
+    EXPECT_EQ(window.windowSize(), kCapacity);
 }
 
 // --- common primitives ----------------------------------------------

@@ -8,11 +8,15 @@
 #include <benchmark/benchmark.h>
 
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/simd.hh"
+#include "core/ditile_accelerator.hh"
 #include "dram/dram_model.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
@@ -20,6 +24,11 @@
 #include "model/incremental.hh"
 #include "noc/flit_network.hh"
 #include "noc/network.hh"
+#include "serve/checkpoint.hh"
+#include "serve/loadgen.hh"
+#include "serve/protocol.hh"
+#include "serve/server.hh"
+#include "serve/wal.hh"
 #include "sim/engine_internal.hh"
 #include "sim/tile_model.hh"
 #include "workload/balance.hh"
@@ -416,6 +425,93 @@ BM_DenseTrafficDrain(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * adds);
 }
 BENCHMARK(BM_DenseTrafficDrain)->Arg(64)->Arg(256);
+
+// ---- serve durability ----------------------------------------------
+
+/** Non-nop lines of the default LoadGen script (perfbench serve_durable). */
+const std::vector<std::string> &
+serveScript()
+{
+    static const std::vector<std::string> lines = [] {
+        std::istringstream in(serve::LoadGen::renderLines(
+            serve::LoadGen(serve::LoadGenConfig{}).schedule()));
+        std::vector<std::string> out;
+        std::string line;
+        while (std::getline(in, line))
+            if (!serve::isNopLine(line))
+                out.push_back(line);
+        return out;
+    }();
+    return lines;
+}
+
+/** Server state after the whole script: what each checkpoint holds. */
+const serve::ServerCheckpoint &
+serveState()
+{
+    static const serve::ServerCheckpoint state = [] {
+        serve::Server server(serve::ServerOptions{}, [] {
+            return std::unique_ptr<sim::Accelerator>(
+                std::make_unique<core::DiTileAccelerator>());
+        });
+        for (const std::string &line : serveScript())
+            server.handle(line);
+        return server.checkpointState();
+    }();
+    return state;
+}
+
+/** One WAL record per script line, OS-buffered, into a fresh log. */
+void
+BM_WalAppend(benchmark::State &state)
+{
+    const auto &lines = serveScript();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "bench_micro.wal")
+            .string();
+    for (auto _ : state) {
+        auto wal = serve::WalWriter::openFresh(path, serve::WalSync::Off);
+        for (const std::string &line : lines)
+            wal->append(serve::WalRecord::Kind::Line, line);
+        state.PauseTiming(); // close() fsyncs: time the appends only.
+        wal.reset();
+        state.ResumeTiming();
+    }
+    std::filesystem::remove(path);
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(lines.size()));
+}
+BENCHMARK(BM_WalAppend)->Unit(benchmark::kMillisecond);
+
+void
+BM_CheckpointRender(benchmark::State &state)
+{
+    const serve::ServerCheckpoint &checkpoint = serveState();
+    std::size_t bytes = 0;
+    for (auto _ : state) {
+        const std::string text = serve::renderCheckpoint(checkpoint);
+        bytes = text.size();
+        benchmark::DoNotOptimize(text.data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_CheckpointRender)->Unit(benchmark::kMillisecond);
+
+/** Parse and verify (crc re-render included) the rendered state. */
+void
+BM_CheckpointParse(benchmark::State &state)
+{
+    const std::string text = serve::renderCheckpoint(serveState());
+    for (auto _ : state) {
+        const serve::ServerCheckpoint parsed =
+            serve::parseCheckpoint(text);
+        benchmark::DoNotOptimize(parsed.tenants.data());
+    }
+    state.SetBytesProcessed(state.iterations() *
+                            static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_CheckpointParse)->Unit(benchmark::kMillisecond);
 
 } // namespace
 

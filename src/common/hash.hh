@@ -16,7 +16,6 @@
 #define DITILE_COMMON_HASH_HH
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -25,11 +24,13 @@ namespace ditile {
 inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
 inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 
-/** Byte-wise FNV-1a over `bytes`. */
+/**
+ * Byte-wise FNV-1a over `bytes`. Pass a previous result as `h` to
+ * continue it: fnv1a(b, fnv1a(a)) == fnv1a(a + b).
+ */
 inline std::uint64_t
-fnv1a(std::string_view bytes)
+fnv1a(std::string_view bytes, std::uint64_t h = kFnvOffset)
 {
-    std::uint64_t h = kFnvOffset;
     for (const unsigned char c : bytes)
         h = (h ^ c) * kFnvPrime;
     return h;
@@ -47,14 +48,22 @@ struct WordHasher
     }
 };
 
+/** Write `v` as 16 lowercase hex digits, zero-padded, to out[0..16). */
+inline void
+hex64To(char *out, std::uint64_t v)
+{
+    constexpr char kDigits[] = "0123456789abcdef";
+    for (int i = 15; i >= 0; --i, v >>= 4)
+        out[i] = kDigits[v & 0xf];
+}
+
 /** `v` as 16 lowercase hex digits, zero-padded. */
 inline std::string
 hex64(std::uint64_t v)
 {
-    char buf[17];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return buf;
+    std::string out(16, '0');
+    hex64To(out.data(), v);
+    return out;
 }
 
 } // namespace ditile

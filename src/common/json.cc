@@ -14,28 +14,41 @@
 
 namespace ditile {
 
-std::string
-jsonQuote(const std::string &s)
+void
+appendJsonQuoted(std::string &out, std::string_view s)
 {
-    std::string out = "\"";
-    for (char c : s) {
+    out += '"';
+    std::size_t run = 0; // Start of the pending run of plain bytes.
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\t': out += "\\t"; break;
           case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            constexpr char kHex[] = "0123456789abcdef";
+            const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                                   kHex[c & 0xf]};
+            out.append(escape, sizeof(escape));
+          }
         }
     }
-    out += "\"";
+    out.append(s.data() + run, s.size() - run);
+    out += '"';
+}
+
+std::string
+jsonQuote(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size() + 2);
+    appendJsonQuoted(out, s);
     return out;
 }
 
@@ -155,7 +168,7 @@ JsonObject::toCompactString() const
 class JsonValue::Parser
 {
   public:
-    explicit Parser(const std::string &text) : text_(text) {}
+    explicit Parser(std::string_view text) : text_(text) {}
 
     JsonValue
     document()
@@ -221,15 +234,17 @@ class JsonValue::Parser
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote or escape in one step.
+            std::size_t stop = pos_;
+            while (stop < text_.size() && text_[stop] != '"' &&
+                   text_[stop] != '\\')
+                ++stop;
+            out.append(text_.data() + pos_, stop - pos_);
+            pos_ = stop;
             if (pos_ >= text_.size())
                 fail("unterminated string");
-            const char c = text_[pos_++];
-            if (c == '"')
+            if (text_[pos_++] == '"')
                 return out;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos_ >= text_.size())
                 fail("unterminated escape");
             const char e = text_[pos_++];
@@ -290,6 +305,9 @@ class JsonValue::Parser
                 ++pos_;
                 return v;
             }
+            // One allocation for a small record (a WAL line has four
+            // members) instead of three growth steps.
+            v.members_.reserve(4);
             while (true) {
                 std::string key = string();
                 expect(':');
@@ -374,18 +392,18 @@ class JsonValue::Parser
                     fail("bad exponent");
             }
             v.kind_ = Kind::Number;
-            v.scalar_ = text_.substr(start, pos_ - start);
+            v.scalar_.assign(text_.data() + start, pos_ - start);
             return v;
         }
         fail("unexpected character");
     }
 
-    const std::string &text_;
+    std::string_view text_;
     std::size_t pos_ = 0;
 };
 
 JsonValue
-JsonValue::parse(const std::string &text)
+JsonValue::parse(std::string_view text)
 {
     return Parser(text).document();
 }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,9 @@ class JsonObject
 /** Escape a string for JSON embedding (quotes included). */
 std::string jsonQuote(const std::string &s);
 
+/** Append jsonQuote(s) to `out` without a temporary. */
+void appendJsonQuoted(std::string &out, std::string_view s);
+
 /**
  * Canonical JSON number: integral values below 1e15 print as
  * integers, others with %.17g (strtod reads them back bit-exactly).
@@ -76,7 +80,7 @@ class JsonValue
     enum class Kind { Null, Bool, Number, String, Array, Object };
 
     /** Parse a complete document (trailing garbage is an error). */
-    static JsonValue parse(const std::string &text);
+    static JsonValue parse(std::string_view text);
 
     Kind kind() const { return kind_; }
     bool isNull() const { return kind_ == Kind::Null; }

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -47,6 +48,11 @@ parseEdges(std::istream &in, VertexId &max_id)
         if (u < 0 || v < 0) {
             DITILE_THROW("negative vertex id at line ", line_no);
         }
+        // Check before the cast: 2^32 + 1 would wrap to vertex 1.
+        if (std::max(u, v) > std::numeric_limits<VertexId>::max())
+            DITILE_THROW("vertex id ", std::max(u, v), " at line ",
+                         line_no, " exceeds the largest vertex id ",
+                         std::numeric_limits<VertexId>::max());
         edges.emplace_back(static_cast<VertexId>(u),
                            static_cast<VertexId>(v));
         max_id = std::max<VertexId>(max_id, static_cast<VertexId>(

@@ -6,6 +6,7 @@
 #include "graph/window.hh"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -25,47 +26,96 @@ SnapshotWindow::SnapshotWindow(std::string name, Csr initial,
         keys_.insert(edgeKey(u, v));
 }
 
+namespace {
+
+/**
+ * Throw InputError unless `delta` is canonical and applies to `prev`:
+ * everything Csr::patched asserts, checked first so that a hostile
+ * checkpoint is an error, not an abort.
+ */
+void
+checkDelta(const std::string &name, const Csr &prev,
+           const GraphDelta &delta, const char *what)
+{
+    const VertexId vertices = prev.numVertices();
+    auto check = [&](const std::vector<Edge> &edges, bool in_prev,
+                     const char *list) {
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            const auto [u, v] = edges[i];
+            if (u < 0 || u >= v || v >= vertices)
+                DITILE_THROW("window restore for '", name, "': ", what,
+                             " ", list, " edge (", u, ",", v,
+                             ") is not a canonical edge of [0,",
+                             vertices, ")");
+            if (i > 0 && !(edges[i - 1] < edges[i]))
+                DITILE_THROW("window restore for '", name, "': ", what,
+                             " ", list, " edges are unsorted or "
+                             "duplicated at (", u, ",", v, ")");
+            if (prev.hasEdge(u, v) != in_prev)
+                DITILE_THROW("window restore for '", name, "': ", what,
+                             " ", list, " edge (", u, ",", v, ") is ",
+                             in_prev ? "missing from" : "already in",
+                             " the snapshot before it");
+        }
+    };
+    check(delta.removedEdges(), true, "removed");
+    check(delta.addedEdges(), false, "added");
+}
+
+} // namespace
+
 SnapshotWindow
 SnapshotWindow::restore(std::string name, SnapshotId capacity,
-                        int feature_dim, std::vector<Csr> ring,
-                        const std::vector<Edge> &live,
+                        int feature_dim, Csr oldest,
+                        std::vector<GraphDelta> deltas,
+                        const GraphDelta &pending,
                         const Counters &counters)
 {
-    if (ring.empty())
-        DITILE_THROW("window restore for '", name,
-                     "': checkpoint has an empty snapshot ring");
     if (capacity < 1)
         DITILE_THROW("window restore for '", name,
                      "': capacity must be >= 1");
     if (feature_dim < 1)
         DITILE_THROW("window restore for '", name,
                      "': feature width must be >= 1");
-    if (static_cast<SnapshotId>(ring.size()) > capacity)
-        DITILE_THROW("window restore for '", name, "': ring has ",
-                     ring.size(), " snapshots but capacity is ",
-                     capacity);
-    const VertexId vertices = ring.front().numVertices();
-    for (const auto &csr : ring) {
-        if (csr.numVertices() != vertices)
-            DITILE_THROW("window restore for '", name,
-                         "': inconsistent vertex universes in ring (",
-                         vertices, " vs ", csr.numVertices(), ")");
-    }
+    // A window holds min(rolls + 1, capacity) snapshots.
+    const std::uint64_t want = std::min<std::uint64_t>(
+        counters.rolls, static_cast<std::uint64_t>(capacity) - 1);
+    if (deltas.size() != want)
+        DITILE_THROW("window restore for '", name, "': checkpoint has ",
+                     deltas.size(), " deltas, but ", counters.rolls,
+                     " rolls at capacity ", capacity, " leave ", want);
 
-    SnapshotWindow window(
-        DynamicGraph(std::move(name), std::move(ring), feature_dim),
-        capacity);
-    window.keys_.reserve(live.size() * 2);
-    for (auto [u, v] : live) {
-        if (u < 0 || u >= vertices || v < 0 || v >= vertices)
-            DITILE_THROW("window restore for '", window.name(),
-                         "': live edge (", u, ",", v,
-                         ") outside universe [0,", vertices, ")");
-        if (!window.keys_.insert(edgeKey(u, v)).second)
-            DITILE_THROW("window restore for '", window.name(),
-                         "': duplicate live edge (", u, ",", v, ")");
-        window.live_.emplace_back(std::min(u, v), std::max(u, v));
+    std::vector<Csr> snapshots;
+    snapshots.reserve(deltas.size() + 1);
+    snapshots.push_back(std::move(oldest));
+    for (const GraphDelta &delta : deltas) {
+        checkDelta(name, snapshots.back(), delta, "delta");
+        Csr next = Csr::patched(snapshots.back(), delta.addedEdges(),
+                                delta.removedEdges());
+        snapshots.push_back(std::move(next));
     }
+    checkDelta(name, snapshots.back(), pending, "pending delta");
+
+    // Live set = newest snapshot - removed + added; all three lists
+    // are canonical, so one difference and one merge build it sorted.
+    const std::vector<Edge> newest = snapshots.back().edgeList();
+    std::vector<Edge> kept;
+    kept.reserve(newest.size());
+    std::set_difference(newest.begin(), newest.end(),
+                        pending.removedEdges().begin(),
+                        pending.removedEdges().end(),
+                        std::back_inserter(kept));
+    SnapshotWindow window(DynamicGraph(std::move(name),
+                                       std::move(snapshots),
+                                       std::move(deltas), feature_dim),
+                          capacity);
+    window.live_.reserve(kept.size() + pending.addedEdges().size());
+    std::merge(kept.begin(), kept.end(), pending.addedEdges().begin(),
+               pending.addedEdges().end(),
+               std::back_inserter(window.live_));
+    window.keys_.reserve(window.live_.size() * 2);
+    for (auto [u, v] : window.live_)
+        window.keys_.insert(edgeKey(u, v));
 
     window.appliedEvents_ = counters.appliedEvents;
     window.noopEvents_ = counters.noopEvents;
@@ -74,12 +124,20 @@ SnapshotWindow::restore(std::string name, SnapshotId capacity,
     return window;
 }
 
-std::vector<Edge>
-SnapshotWindow::liveEdgeList() const
+GraphDelta
+SnapshotWindow::pendingDelta() const
 {
-    std::vector<Edge> edges = live_;
-    std::sort(edges.begin(), edges.end());
-    return edges;
+    const Csr &newest = graph_.snapshot(graph_.numSnapshots() - 1);
+    std::vector<Edge> added;
+    for (auto [u, v] : live_)
+        if (!newest.hasEdge(u, v))
+            added.emplace_back(u, v);
+    std::vector<Edge> removed;
+    for (VertexId u = 0; u < newest.numVertices(); ++u)
+        for (VertexId v : newest.neighbors(u))
+            if (u < v && !keys_.count(edgeKey(u, v)))
+                removed.emplace_back(u, v);
+    return GraphDelta::fromChanges(std::move(added), std::move(removed));
 }
 
 void

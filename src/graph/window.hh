@@ -64,19 +64,22 @@ class SnapshotWindow
     };
 
     /**
-     * Rebuild a window from checkpointed state (crash recovery):
-     * the snapshot ring oldest->newest, the live edge set, and the
-     * event counters. Validates the pieces against each other (ring
-     * non-empty and within capacity, consistent vertex universes,
-     * live edges in range) and throws InputError on a corrupt
-     * checkpoint; a restored window is behaviorally identical to one
-     * that applied the original event stream. The window graph is
-     * built once, diffing the ring's consecutive snapshots.
+     * Rebuild a window from checkpointed state (crash recovery): the
+     * oldest snapshot, the delta to each later one, the live edge set
+     * as a delta against the newest snapshot, and the event counters.
+     * The snapshots are patched from the oldest (Csr::patched), not
+     * rebuilt or re-diffed. Throws InputError on a corrupt checkpoint:
+     * a delta count other than min(rolls, capacity - 1), or a delta
+     * (pending included) that is not canonical (u < v, strictly
+     * ascending, in range) or does not apply to the snapshot before
+     * it (a removed edge missing, an added edge present). A restored
+     * window is behaviorally identical to one that applied the
+     * original event stream.
      */
     static SnapshotWindow restore(std::string name, SnapshotId capacity,
-                                  int feature_dim,
-                                  std::vector<Csr> ring,
-                                  const std::vector<Edge> &live,
+                                  int feature_dim, Csr oldest,
+                                  std::vector<GraphDelta> deltas,
+                                  const GraphDelta &pending,
                                   const Counters &counters);
 
     /**
@@ -125,12 +128,12 @@ class SnapshotWindow
     int featureDim() const { return graph_.featureDim(); }
 
     /**
-     * The live edge set in canonical order (sorted, u <= v). The
-     * in-memory order of live_ is mutation-history-dependent (removal
-     * swap-pops), but it is behaviorally irrelevant — Csr::fromEdges
-     * sorts — so checkpoints store this canonical form.
+     * The live edge set as a delta against the newest snapshot, in
+     * canonical order: what restore() takes back. The in-memory order
+     * of live_ is mutation-history-dependent (removal swap-pops), but
+     * it is behaviorally irrelevant, so checkpoints store this form.
      */
-    std::vector<Edge> liveEdgeList() const;
+    GraphDelta pendingDelta() const;
 
   private:
     SnapshotWindow(DynamicGraph graph, SnapshotId capacity)

@@ -5,9 +5,12 @@
 
 #include "serve/checkpoint.hh"
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include <unistd.h>
 
@@ -19,42 +22,190 @@ namespace ditile::serve {
 
 namespace {
 
-/** Append a uint64 as a raw JSON number (no int64 clamp). */
-JsonObject &
-addU64(JsonObject &obj, const std::string &key, std::uint64_t value)
+// ---- rendering: one buffer, std::to_chars for every number ----------
+
+template <typename Int>
+void
+putInt(std::string &out, Int value)
 {
-    return obj.addRaw(key, std::to_string(value));
+    char buf[24];
+    const auto end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+    out.append(buf, static_cast<std::size_t>(end - buf));
 }
 
-/** Render a flat JSON number array: [a,b,c]. */
-std::string
-numberArray(const std::vector<std::uint64_t> &values)
+/** Append `,"key":` (or `{"key":` for an object's first member). */
+void
+putKey(std::string &out, std::string_view key, bool first = false)
 {
-    std::string out = "[";
+    out += first ? '{' : ',';
+    appendJsonQuoted(out, key);
+    out += ':';
+}
+
+template <typename Int>
+void
+putField(std::string &out, std::string_view key, Int value,
+         bool first = false)
+{
+    putKey(out, key, first);
+    putInt(out, value);
+}
+
+void
+putNumbers(std::string &out, const std::vector<std::uint64_t> &values)
+{
+    out += '[';
     for (std::size_t i = 0; i < values.size(); ++i) {
         if (i > 0)
             out += ',';
-        out += std::to_string(values[i]);
+        putInt(out, values[i]);
     }
     out += ']';
-    return out;
 }
 
-/** Render an edge list as a flat [u,v,u,v,...] array. */
-std::string
-edgeArray(const std::vector<graph::Edge> &edges)
+/** An edge list as a flat [u,v,u,v,...] array. */
+void
+putEdges(std::string &out, const std::vector<graph::Edge> &edges)
 {
-    std::string out = "[";
+    out += '[';
     for (std::size_t i = 0; i < edges.size(); ++i) {
         if (i > 0)
             out += ',';
-        out += std::to_string(edges[i].first);
+        putInt(out, edges[i].first);
         out += ',';
-        out += std::to_string(edges[i].second);
+        putInt(out, edges[i].second);
     }
     out += ']';
-    return out;
 }
+
+/** A delta as an [[added],[removed]] pair. */
+void
+putDelta(std::string &out, const graph::GraphDelta &delta)
+{
+    out += '[';
+    putEdges(out, delta.addedEdges());
+    out += ',';
+    putEdges(out, delta.removedEdges());
+    out += ']';
+}
+
+/**
+ * Format 1 stored every window snapshot and the live set in full. A
+ * format-1 document is verified against its own rendering of these.
+ */
+struct FullLists
+{
+    std::vector<graph::Edge> live;
+    std::vector<std::vector<graph::Edge>> ring;
+};
+
+/** A tenant's members up to its window: the same in both formats. */
+void
+putTenantHead(std::string &out, const TenantCheckpoint &tenant)
+{
+    putKey(out, "name", true);
+    appendJsonQuoted(out, tenant.spec.name);
+    putField(out, "vertices", tenant.spec.vertices);
+    putField(out, "edges", tenant.spec.edges);
+    putField(out, "seed", tenant.spec.seed);
+    putField(out, "window", tenant.spec.window);
+    putField(out, "features", tenant.spec.features);
+    putField(out, "rollEvery", tenant.spec.rollEvery);
+    putField(out, "lastUse", tenant.lastUse);
+    putKey(out, "breaker");
+    putNumbers(out, {static_cast<std::uint64_t>(tenant.breakerState),
+                     static_cast<std::uint64_t>(tenant.breakerFailures),
+                     tenant.breakerBackoffUs, tenant.breakerOpenUntilUs,
+                     tenant.breakerOpens});
+    putField(out, "applied", tenant.window.appliedEvents);
+    putField(out, "noop", tenant.window.noopEvents);
+    putField(out, "rolls", tenant.window.rolls);
+    putField(out, "sinceRoll", tenant.window.sinceRoll);
+}
+
+/** Rough rendered size, so the payload buffer grows at most once. */
+std::size_t
+payloadEstimate(const ServerCheckpoint &checkpoint)
+{
+    std::size_t edges = 0;
+    for (const TenantCheckpoint &tenant : checkpoint.tenants) {
+        edges += tenant.oldest.size() + tenant.pending.numChanges();
+        for (const graph::GraphDelta &delta : tenant.deltas)
+            edges += delta.numChanges();
+    }
+    return 1024 + 21 * checkpoint.plannedKeys.size() +
+        8 * checkpoint.latencies.size() +
+        256 * checkpoint.tenants.size() + 12 * edges;
+}
+
+/**
+ * Append the canonical compact JSON of the state object (the hashed
+ * bytes): format 2, or format 1 when `full` holds each tenant's lists.
+ */
+void
+appendPayload(std::string &out, const ServerCheckpoint &checkpoint,
+              const std::vector<FullLists> *full = nullptr)
+{
+    putField(out, "walSeq", checkpoint.walSeq, true);
+    putField(out, "ackLines", checkpoint.ackLines);
+    putField(out, "clockUs", checkpoint.clockUs);
+    putField(out, "useSeq", checkpoint.useSeq);
+    putField(out, "nextRequestId", checkpoint.nextRequestId);
+    putKey(out, "sawArrival");
+    out += checkpoint.sawArrival ? "true" : "false";
+    putKey(out, "stopped");
+    out += checkpoint.stopped ? "true" : "false";
+    putField(out, "algo", checkpoint.algo);
+    putKey(out, "faultSpec");
+    appendJsonQuoted(out, checkpoint.faultSpec);
+    putKey(out, "plannedKeys");
+    putNumbers(out, checkpoint.plannedKeys);
+    putKey(out, "counters");
+    for (std::size_t i = 0; i < checkpoint.counters.size(); ++i)
+        putField(out, checkpoint.counters[i].first,
+                 checkpoint.counters[i].second, i == 0);
+    out += checkpoint.counters.empty() ? "{}" : "}";
+    putKey(out, "latencies");
+    putNumbers(out, checkpoint.latencies);
+    putKey(out, "tenants");
+    out += '[';
+    for (std::size_t i = 0; i < checkpoint.tenants.size(); ++i) {
+        const TenantCheckpoint &tenant = checkpoint.tenants[i];
+        if (i > 0)
+            out += ',';
+        putTenantHead(out, tenant);
+        if (full) {
+            const FullLists &lists = (*full)[i];
+            putKey(out, "live");
+            putEdges(out, lists.live);
+            putKey(out, "ring");
+            out += '[';
+            for (std::size_t s = 0; s < lists.ring.size(); ++s) {
+                if (s > 0)
+                    out += ',';
+                putEdges(out, lists.ring[s]);
+            }
+            out += ']';
+        } else {
+            putKey(out, "oldest");
+            putEdges(out, tenant.oldest);
+            putKey(out, "deltas");
+            out += '[';
+            for (std::size_t d = 0; d < tenant.deltas.size(); ++d) {
+                if (d > 0)
+                    out += ',';
+                putDelta(out, tenant.deltas[d]);
+            }
+            out += ']';
+            putKey(out, "pending");
+            putDelta(out, tenant.pending);
+        }
+        out += '}';
+    }
+    out += "]}";
+}
+
+// ---- parsing ---------------------------------------------------------
 
 std::vector<std::uint64_t>
 parseNumberArray(const JsonValue &value)
@@ -87,44 +238,52 @@ parseEdgeArray(const JsonValue &value, const char *what,
     return edges;
 }
 
-std::string
-tenantPayload(const TenantCheckpoint &tenant)
+graph::GraphDelta
+parseDelta(const JsonValue &value, VertexId vertices)
 {
-    JsonObject obj;
-    obj.add("name", tenant.spec.name);
-    obj.add("vertices", static_cast<long long>(tenant.spec.vertices));
-    obj.add("edges", static_cast<long long>(tenant.spec.edges));
-    addU64(obj, "seed", tenant.spec.seed);
-    obj.add("window", static_cast<long long>(tenant.spec.window));
-    obj.add("features", static_cast<long long>(tenant.spec.features));
-    addU64(obj, "rollEvery", tenant.spec.rollEvery);
-    addU64(obj, "lastUse", tenant.lastUse);
-    obj.addRaw("breaker",
-               numberArray({static_cast<std::uint64_t>(
-                                tenant.breakerState),
-                            static_cast<std::uint64_t>(
-                                tenant.breakerFailures),
-                            tenant.breakerBackoffUs,
-                            tenant.breakerOpenUntilUs,
-                            tenant.breakerOpens}));
-    addU64(obj, "applied", tenant.window.appliedEvents);
-    addU64(obj, "noop", tenant.window.noopEvents);
-    addU64(obj, "rolls", tenant.window.rolls);
-    addU64(obj, "sinceRoll", tenant.window.sinceRoll);
-    obj.addRaw("live", edgeArray(tenant.live));
-    std::string ring = "[";
-    for (std::size_t i = 0; i < tenant.ring.size(); ++i) {
-        if (i > 0)
-            ring += ',';
-        ring += edgeArray(tenant.ring[i]);
-    }
-    ring += ']';
-    obj.addRaw("ring", ring);
-    return obj.toCompactString();
+    if (value.size() != 2)
+        DITILE_THROW("checkpoint: a delta has ", value.size(),
+                     " lists (want [added, removed])");
+    return graph::GraphDelta::fromChanges(
+        parseEdgeArray(value.items()[0], "added", vertices),
+        parseEdgeArray(value.items()[1], "removed", vertices));
 }
 
+/**
+ * Format 1's full lists in format-2 form, built the way its restore
+ * built them (Csr::fromEdges per snapshot) and diffed once here.
+ */
+void
+encodeDeltas(TenantCheckpoint &tenant, const FullLists &lists)
+{
+    const std::string &name = tenant.spec.name;
+    if (lists.ring.empty())
+        DITILE_THROW("checkpoint: tenant '", name,
+                     "' has an empty snapshot ring");
+    std::vector<graph::Edge> live = lists.live;
+    for (graph::Edge &edge : live)
+        edge = {std::min(edge.first, edge.second),
+                std::max(edge.first, edge.second)};
+    std::sort(live.begin(), live.end());
+    const auto dup = std::adjacent_find(live.begin(), live.end());
+    if (dup != live.end())
+        DITILE_THROW("checkpoint: tenant '", name, "' has duplicate live "
+                     "edge (", dup->first, ",", dup->second, ")");
+    const VertexId vertices = tenant.spec.vertices;
+    graph::Csr prev = graph::Csr::fromEdges(vertices, lists.ring.front());
+    tenant.oldest = prev.edgeList();
+    for (std::size_t s = 1; s < lists.ring.size(); ++s) {
+        graph::Csr next = graph::Csr::fromEdges(vertices, lists.ring[s]);
+        tenant.deltas.push_back(graph::GraphDelta::diff(prev, next));
+        prev = std::move(next);
+    }
+    tenant.pending = graph::GraphDelta::diff(
+        prev, graph::Csr::fromEdges(vertices, live));
+}
+
+/** A tenant record; format 1's edge lists go to `full`. */
 TenantCheckpoint
-parseTenant(const JsonValue &value)
+parseTenant(const JsonValue &value, FullLists *full)
 {
     TenantCheckpoint tenant;
     tenant.spec.name = value.at("name").asString();
@@ -162,42 +321,18 @@ parseTenant(const JsonValue &value)
     provision.spec = tenant.spec;
     parseRequest(renderRequest(provision));
     const VertexId vertices = tenant.spec.vertices;
-    tenant.live = parseEdgeArray(value.at("live"), "live", vertices);
-    for (const JsonValue &snapshot : value.at("ring").items())
-        tenant.ring.push_back(
-            parseEdgeArray(snapshot, "ring", vertices));
-    return tenant;
-}
-
-/** Canonical compact JSON of the state object (the hashed bytes). */
-std::string
-checkpointPayload(const ServerCheckpoint &checkpoint)
-{
-    JsonObject state;
-    addU64(state, "walSeq", checkpoint.walSeq);
-    addU64(state, "ackLines", checkpoint.ackLines);
-    addU64(state, "clockUs", checkpoint.clockUs);
-    addU64(state, "useSeq", checkpoint.useSeq);
-    addU64(state, "nextRequestId", checkpoint.nextRequestId);
-    state.add("sawArrival", checkpoint.sawArrival);
-    state.add("stopped", checkpoint.stopped);
-    state.add("algo", static_cast<long long>(checkpoint.algo));
-    state.add("faultSpec", checkpoint.faultSpec);
-    state.addRaw("plannedKeys", numberArray(checkpoint.plannedKeys));
-    JsonObject counters;
-    for (const auto &[name, value] : checkpoint.counters)
-        addU64(counters, name, value);
-    state.addRaw("counters", counters.toCompactString());
-    state.addRaw("latencies", numberArray(checkpoint.latencies));
-    std::string tenants = "[";
-    for (std::size_t i = 0; i < checkpoint.tenants.size(); ++i) {
-        if (i > 0)
-            tenants += ',';
-        tenants += tenantPayload(checkpoint.tenants[i]);
+    if (full) {
+        full->live = parseEdgeArray(value.at("live"), "live", vertices);
+        for (const JsonValue &snapshot : value.at("ring").items())
+            full->ring.push_back(
+                parseEdgeArray(snapshot, "ring", vertices));
+        return tenant;
     }
-    tenants += ']';
-    state.addRaw("tenants", tenants);
-    return state.toCompactString();
+    tenant.oldest = parseEdgeArray(value.at("oldest"), "oldest", vertices);
+    for (const JsonValue &delta : value.at("deltas").items())
+        tenant.deltas.push_back(parseDelta(delta, vertices));
+    tenant.pending = parseDelta(value.at("pending"), vertices);
+    return tenant;
 }
 
 } // namespace
@@ -205,19 +340,31 @@ checkpointPayload(const ServerCheckpoint &checkpoint)
 std::string
 checkpointStateHash(const ServerCheckpoint &checkpoint)
 {
-    return hex64(fnv1a(checkpointPayload(checkpoint)));
+    std::string payload;
+    payload.reserve(payloadEstimate(checkpoint));
+    appendPayload(payload, checkpoint);
+    return hex64(fnv1a(payload));
 }
 
 std::string
 renderCheckpoint(const ServerCheckpoint &checkpoint)
 {
-    const std::string payload = checkpointPayload(checkpoint);
-    JsonObject doc;
-    doc.add("format",
-            static_cast<long long>(ServerCheckpoint::kFormat));
-    doc.add("crc", hex64(fnv1a(payload)));
-    doc.addRaw("state", payload);
-    return doc.toCompactString();
+    // The crc precedes the state it covers: reserve its 16 digits,
+    // render the state after them, then hash it and fill them in.
+    std::string out;
+    out.reserve(64 + payloadEstimate(checkpoint));
+    out += "{\"format\":";
+    putInt(out, ServerCheckpoint::kFormat);
+    out += ",\"crc\":\"";
+    const std::size_t crc_at = out.size();
+    out.append(16, '0');
+    out += "\",\"state\":";
+    const std::size_t state_at = out.size();
+    appendPayload(out, checkpoint);
+    hex64To(out.data() + crc_at,
+            fnv1a(std::string_view(out).substr(state_at)));
+    out += '}';
+    return out;
 }
 
 ServerCheckpoint
@@ -232,9 +379,9 @@ parseCheckpoint(const std::string &text)
     ServerCheckpoint checkpoint;
     try {
         const long long format = doc.at("format").asInt();
-        if (format != ServerCheckpoint::kFormat)
+        if (format != 1 && format != ServerCheckpoint::kFormat)
             DITILE_THROW("checkpoint: unsupported format ", format,
-                         " (this build reads ",
+                         " (this build reads 1 and ",
                          ServerCheckpoint::kFormat, ")");
         const JsonValue &state = doc.at("state");
         checkpoint.walSeq = state.at("walSeq").asUint();
@@ -254,15 +401,25 @@ parseCheckpoint(const std::string &text)
             checkpoint.counters.emplace_back(name, value.asUint());
         checkpoint.latencies =
             parseNumberArray(state.at("latencies"));
-        for (const JsonValue &tenant : state.at("tenants").items())
-            checkpoint.tenants.push_back(parseTenant(tenant));
+        std::vector<FullLists> full;
+        for (const JsonValue &tenant : state.at("tenants").items()) {
+            if (format == 1)
+                full.emplace_back();
+            checkpoint.tenants.push_back(
+                parseTenant(tenant, format == 1 ? &full.back() : nullptr));
+        }
         // Re-render the decoded struct and compare hashes: one check
         // covers on-disk integrity and round-trip fidelity.
+        std::string payload;
+        payload.reserve(text.size());
+        appendPayload(payload, checkpoint, format == 1 ? &full : nullptr);
         const std::string crc = doc.at("crc").asString();
-        const std::string expected = checkpointStateHash(checkpoint);
+        const std::string expected = hex64(fnv1a(payload));
         if (crc != expected)
             DITILE_THROW("checkpoint: crc mismatch (file ", crc,
                          ", state ", expected, ")");
+        for (std::size_t i = 0; i < full.size(); ++i)
+            encodeDeltas(checkpoint.tenants[i], full[i]);
     } catch (const InputError &) {
         throw;
     } catch (const std::exception &e) {
@@ -280,7 +437,8 @@ writeCheckpointFile(const std::string &path,
     if (!fp)
         DITILE_THROW("checkpoint: cannot open '", tmp,
                      "' for writing");
-    const std::string body = renderCheckpoint(checkpoint) + "\n";
+    std::string body = renderCheckpoint(checkpoint);
+    body += '\n';
     const bool wrote =
         std::fwrite(body.data(), 1, body.size(), fp) == body.size();
     const bool flushed = std::fflush(fp) == 0;

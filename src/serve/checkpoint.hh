@@ -20,21 +20,41 @@
  * fault spec, the latched plan algorithm plus the predicted plan-key
  * set (so plan=hit/miss fields survive a restart with a cold real
  * cache), and per tenant: the provisioning spec, LRU stamp, circuit
- * breaker fields, window counters, live edge set, and the full
- * snapshot ring as edge lists. Derived state (CSR arrays, window
- * DynamicGraphs, plan sets) is rebuilt on restore.
+ * breaker fields, window counters, and the window itself, delta-encoded
+ * (below). Derived state (CSR arrays, window DynamicGraphs, plan sets)
+ * is rebuilt on restore.
  *
  * ### File format
  *
- * A single JSON document:
+ * A single JSON document on one line:
  *
- *   {"format":1,"crc":"<hex>","state":{...}}
+ *   {"format":2,"crc":"<hex>","state":{...}}
  *
  * `crc` is FNV-1a over the canonical compact rendering of `state`;
  * verification re-renders the *parsed* struct and compares, which
  * checks integrity and round-trip fidelity in one step. Writes go to
  * `<path>.tmp` then rename(2), so the file at `path` is always a
  * complete checkpoint or absent — a crash mid-write costs nothing.
+ *
+ * Format 2 stores each tenant's window the way the window holds it,
+ * so a checkpoint costs O(delta) per later snapshot, not O(snapshot):
+ *
+ *   "oldest":[u,v,u,v,...]               the oldest snapshot, in full
+ *   "deltas":[[[added],[removed]],...]   one per later snapshot
+ *   "pending":[[added],[removed]]        live set vs the newest snapshot
+ *
+ * Edge lists are flat [u,v,...] arrays, written in canonical order
+ * (u < v, ascending). A window of W snapshots carries W - 1 deltas,
+ * and W is min(rolls + 1, window): restore checks the count, checks
+ * every delta against the snapshot before it (canonical, removed edges
+ * present, added edges absent), and patches the snapshots forward from
+ * the oldest (SnapshotWindow::restore).
+ *
+ * Format 1 (written before delta encoding) stored every window
+ * snapshot and the live set in full, as "ring":[[u,v,...],...] and
+ * "live":[u,v,...]. It is still read: its crc is checked against its
+ * own rendering, and its lists are converted to the format-2 form.
+ * Only format 2 is written. WAL records are unaffected by either.
  */
 
 #ifndef DITILE_SERVE_CHECKPOINT_HH
@@ -46,6 +66,7 @@
 #include <vector>
 
 #include "graph/csr.hh"
+#include "graph/delta.hh"
 #include "graph/window.hh"
 #include "serve/protocol.hh"
 
@@ -66,9 +87,12 @@ struct TenantCheckpoint
     std::uint64_t breakerOpens = 0;
 
     graph::SnapshotWindow::Counters window;
-    std::vector<graph::Edge> live; ///< Canonical order (sorted).
-    /** Snapshot ring as edge lists, oldest -> newest. */
-    std::vector<std::vector<graph::Edge>> ring;
+    /** Oldest window snapshot as an edge list, canonical order. */
+    std::vector<graph::Edge> oldest;
+    /** Delta to each later window snapshot, oldest -> newest. */
+    std::vector<graph::GraphDelta> deltas;
+    /** Live edge set as a delta against the newest snapshot. */
+    graph::GraphDelta pending;
 };
 
 /**
@@ -76,7 +100,7 @@ struct TenantCheckpoint
  */
 struct ServerCheckpoint
 {
-    static constexpr int kFormat = 1;
+    static constexpr int kFormat = 2; ///< Written; 1 is still read.
 
     std::uint64_t walSeq = 0;   ///< Last WAL seq included.
     std::uint64_t ackLines = 0; ///< Non-Nop lines acknowledged.
@@ -97,18 +121,19 @@ struct ServerCheckpoint
     std::vector<TenantCheckpoint> tenants; ///< Name order.
 };
 
-/** Hex FNV-1a over the compact JSON of the state object. */
+/** Hex FNV-1a over the format-2 compact JSON of the state object. */
 std::string checkpointStateHash(const ServerCheckpoint &checkpoint);
 
 /** Full file content: format + crc + state, one line. */
 std::string renderCheckpoint(const ServerCheckpoint &checkpoint);
 
 /**
- * Parse and verify a checkpoint document. Throws InputError (typed,
- * recoverable) on malformed JSON, an unknown format, a crc mismatch,
- * a tenant spec no `tenant` line could provision, or an edge outside
- * its tenant's vertex range — callers warn and fall back to WAL-only
- * recovery.
+ * Parse and verify a checkpoint document (format 1 or 2). Throws
+ * InputError (typed, recoverable) on malformed JSON, an unknown
+ * format, a crc mismatch, a tenant spec no `tenant` line could
+ * provision, or an edge outside its tenant's vertex range — callers
+ * warn and fall back to WAL-only recovery. Deltas that do not apply
+ * are InputErrors of Server::restoreState.
  */
 ServerCheckpoint parseCheckpoint(const std::string &text);
 

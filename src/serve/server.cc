@@ -788,10 +788,12 @@ Server::checkpointState() const
         tc.window.noopEvents = tenant->window.noopEvents();
         tc.window.rolls = tenant->window.rolls();
         tc.window.sinceRoll = tenant->window.eventsSinceRoll();
-        tc.live = tenant->window.liveEdgeList();
+        // The window's own deltas: only the oldest snapshot is listed.
         const graph::DynamicGraph &ring = tenant->window.graph();
-        for (SnapshotId t = 0; t < ring.numSnapshots(); ++t)
-            tc.ring.push_back(ring.snapshot(t).edgeList());
+        tc.oldest = ring.snapshot(0).edgeList();
+        for (SnapshotId t = 1; t < ring.numSnapshots(); ++t)
+            tc.deltas.push_back(ring.delta(t));
+        tc.pending = tenant->window.pendingDelta();
         cp.tenants.push_back(std::move(tc));
     }
     return cp;
@@ -832,14 +834,10 @@ Server::restoreState(const ServerCheckpoint &cp)
     latencies_ = cp.latencies;
 
     for (const TenantCheckpoint &tc : cp.tenants) {
-        std::vector<graph::Csr> ring;
-        ring.reserve(tc.ring.size());
-        for (const auto &edges : tc.ring)
-            ring.push_back(
-                graph::Csr::fromEdges(tc.spec.vertices, edges));
         auto window = graph::SnapshotWindow::restore(
             tc.spec.name, tc.spec.window, tc.spec.features,
-            std::move(ring), tc.live, tc.window);
+            graph::Csr::fromEdges(tc.spec.vertices, tc.oldest),
+            tc.deltas, tc.pending, tc.window);
         auto tenant = std::make_unique<Tenant>(
             tc.spec, std::move(window), options_.breaker);
         tenant->lastUse = tc.lastUse;

@@ -5,8 +5,11 @@
 
 #include "serve/wal.hh"
 
+#include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstring>
+#include <string_view>
 
 #include "common/hash.hh"
 #include "common/json.hh"
@@ -20,17 +23,58 @@ namespace ditile::serve {
 
 namespace {
 
-std::string
-recordChecksum(std::uint64_t seq, const char *kind,
-               const std::string &data)
-{
-    return hex64(fnv1a(std::to_string(seq) + "|" + kind + "|" + data));
-}
-
 const char *
 kindToken(WalRecord::Kind kind)
 {
     return kind == WalRecord::Kind::Line ? "line" : "evict";
+}
+
+/** FNV-1a over "<seq>|<kind>|<data>", fed piecewise. */
+std::uint64_t
+recordChecksum(std::string_view seq, std::string_view kind,
+               std::string_view data)
+{
+    std::uint64_t h = fnv1a(seq);
+    h = fnv1a("|", h);
+    h = fnv1a(kind, h);
+    h = fnv1a("|", h);
+    return fnv1a(data, h);
+}
+
+/** Decimal digits of `seq`, as std::to_string writes them. */
+struct SeqText
+{
+    explicit SeqText(std::uint64_t seq)
+        : size(static_cast<std::size_t>(
+              std::to_chars(digits, digits + sizeof(digits), seq).ptr -
+              digits))
+    {
+    }
+
+    std::string_view view() const { return {digits, size}; }
+
+    char digits[20];
+    std::size_t size;
+};
+
+/** Append the canonical text of one record (no newline) to `out`. */
+void
+appendRecord(std::string &out, std::uint64_t seq, WalRecord::Kind kind,
+             std::string_view data)
+{
+    const SeqText seq_text(seq);
+    const std::string_view kind_text = kindToken(kind);
+    char crc[16];
+    hex64To(crc, recordChecksum(seq_text.view(), kind_text, data));
+    out += "{\"seq\":";
+    out += seq_text.view();
+    out += ",\"kind\":\"";
+    out += kind_text;
+    out += "\",\"data\":";
+    appendJsonQuoted(out, data);
+    out += ",\"crc\":\"";
+    out.append(crc, sizeof(crc));
+    out += "\"}";
 }
 
 /**
@@ -39,7 +83,7 @@ kindToken(WalRecord::Kind kind)
  * checksum or sequence mismatch — so the caller can truncate there.
  */
 bool
-parseWalLine(const std::string &text, std::uint64_t expected_seq,
+parseWalLine(std::string_view text, std::uint64_t expected_seq,
              WalRecord &out)
 {
     JsonValue doc;
@@ -57,19 +101,28 @@ parseWalLine(const std::string &text, std::uint64_t expected_seq,
     if (!seq || !kind || !data || !crc)
         return false;
     try {
-        out.seq = seq->asUint();
+        const std::uint64_t seq_value = seq->asUint();
         const std::string &k = kind->asString();
+        WalRecord::Kind kind_value;
         if (k == "line")
-            out.kind = WalRecord::Kind::Line;
+            kind_value = WalRecord::Kind::Line;
         else if (k == "evict")
-            out.kind = WalRecord::Kind::Evict;
+            kind_value = WalRecord::Kind::Evict;
         else
             return false;
-        out.data = data->asString();
-        if (out.seq != expected_seq)
+        const std::string &payload = data->asString();
+        const std::string &stored = crc->asString();
+        if (seq_value != expected_seq || stored.size() != 16)
             return false;
-        return crc->asString() ==
-            recordChecksum(out.seq, k.c_str(), out.data);
+        char want[16];
+        hex64To(want, recordChecksum(SeqText(seq_value).view(), k,
+                                     payload));
+        if (std::memcmp(stored.data(), want, sizeof(want)) != 0)
+            return false;
+        out.seq = seq_value;
+        out.kind = kind_value;
+        out.data = payload;
+        return true;
     } catch (const std::exception &) {
         return false;
     }
@@ -106,13 +159,10 @@ walSyncToken(WalSync sync)
 std::string
 formatWalRecord(const WalRecord &record)
 {
-    const char *kind = kindToken(record.kind);
-    JsonObject obj;
-    obj.add("seq", static_cast<long long>(record.seq));
-    obj.add("kind", kind);
-    obj.add("data", record.data);
-    obj.add("crc", recordChecksum(record.seq, kind, record.data));
-    return obj.toCompactString();
+    std::string out;
+    out.reserve(record.data.size() + 80);
+    appendRecord(out, record.seq, record.kind, record.data);
+    return out;
 }
 
 WalRecovery
@@ -133,14 +183,17 @@ recoverWal(const std::string &path)
     if (read_error)
         DITILE_THROW("wal: cannot read '", path, "'");
 
+    const std::string_view text = contents;
+    result.records.reserve(static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n')));
     std::size_t pos = 0;
-    while (pos < contents.size()) {
-        const std::size_t nl = contents.find('\n', pos);
-        if (nl == std::string::npos)
+    while (pos < text.size()) {
+        const std::size_t nl = text.find('\n', pos);
+        if (nl == std::string_view::npos)
             break; // Torn final record (no newline): invalid tail.
         WalRecord record;
-        if (!parseWalLine(contents.substr(pos, nl - pos),
-                          result.nextSeq(), record))
+        if (!parseWalLine(text.substr(pos, nl - pos), result.nextSeq(),
+                          record))
             break;
         result.records.push_back(std::move(record));
         pos = nl + 1;
@@ -223,12 +276,10 @@ void
 WalWriter::append(WalRecord::Kind kind, const std::string &data)
 {
     DITILE_ASSERT(fp_, "append on a closed WAL");
-    WalRecord record;
-    record.seq = nextSeq_++;
-    record.kind = kind;
-    record.data = data;
-    const std::string text = formatWalRecord(record) + "\n";
-    if (std::fwrite(text.data(), 1, text.size(), fp_) != text.size())
+    line_.clear();
+    appendRecord(line_, nextSeq_++, kind, data);
+    line_ += '\n';
+    if (std::fwrite(line_.data(), 1, line_.size(), fp_) != line_.size())
         DITILE_THROW("wal: short write to '", path_, "'");
     ++appended_;
     ++uncommitted_;

@@ -171,6 +171,7 @@ class WalWriter
     std::size_t uncommitted_ = 0; ///< Records since the last fsync.
     std::uint64_t appended_ = 0;
     std::uint64_t syncs_ = 0;
+    std::string line_; ///< Record buffer, reused by every append().
 };
 
 /** Render one record in the canonical on-disk form (no newline). */

@@ -18,7 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.hh"
+#include "common/json.hh"
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
 #include "core/ditile_accelerator.hh"
@@ -62,6 +65,19 @@ writeFile(const std::string &path, const std::string &content)
 {
     std::ofstream out(path, std::ios::binary);
     out << content;
+}
+
+/** Non-nop lines of examples/serve_session.txt. */
+std::vector<std::string>
+exampleSessionLines()
+{
+    std::ifstream session(DITILE_EXAMPLES_DIR "/serve_session.txt");
+    std::vector<std::string> lines;
+    std::string line;
+    while (std::getline(session, line))
+        if (!serve::isNopLine(line))
+            lines.push_back(line);
+    return lines;
 }
 
 /** A small session exercising every state-mutating verb. */
@@ -209,6 +225,135 @@ TEST(Wal, GroupCommitBatchesSyncs)
     EXPECT_EQ(serve::recoverWal(path).records.size(), 8u);
 }
 
+// --- WAL record bytes -----------------------------------------------
+
+/** The record rendering the WAL shipped with: a JsonObject per record. */
+std::string
+referenceWalRecord(const serve::WalRecord &record)
+{
+    const char *kind =
+        record.kind == serve::WalRecord::Kind::Line ? "line" : "evict";
+    char crc[17];
+    std::snprintf(crc, sizeof(crc), "%016llx",
+                  static_cast<unsigned long long>(
+                      fnv1a(std::to_string(record.seq) + "|" + kind +
+                            "|" + record.data)));
+    JsonObject obj;
+    obj.add("seq", static_cast<long long>(record.seq));
+    obj.add("kind", kind);
+    obj.add("data", record.data);
+    obj.add("crc", crc);
+    return obj.toCompactString();
+}
+
+/** The per-byte escaping jsonQuote shipped with. */
+std::string
+referenceQuote(const std::string &s)
+{
+    std::string out = "\"";
+    for (char c : s) {
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          case '\r': out += "\\r"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20) {
+                char buf[8];
+                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+                out += buf;
+            } else {
+                out += c;
+            }
+        }
+    }
+    return out + "\"";
+}
+
+TEST(WalFormat, MatchesJsonObjectReference)
+{
+    std::vector<std::string> payloads = {
+        "",
+        "query t0",
+        "event t0 add 1 2",
+        "say \"hi\"",
+        "back\\slash\\\\",
+        "tab\there\nnewline\rreturn",
+        std::string("nul\0byte", 8),
+        "\x01\x02\x1b\x1f edge controls",
+        "\x7f del and \xc3\xa9 utf-8 \xff",
+        "\"\\\n\t\r\x05",
+        std::string(300, 'x') + "\x10",
+    };
+    std::string all_bytes;
+    for (int c = 0; c < 256; ++c)
+        all_bytes += static_cast<char>(c);
+    payloads.push_back(all_bytes);
+
+    for (const std::string &payload : payloads)
+        EXPECT_EQ(jsonQuote(payload), referenceQuote(payload));
+    for (std::uint64_t seq : {1ull, 9ull, 10ull, 99999ull,
+                              12345678901234ull}) {
+        for (auto kind : {serve::WalRecord::Kind::Line,
+                          serve::WalRecord::Kind::Evict}) {
+            for (const std::string &payload : payloads) {
+                serve::WalRecord record;
+                record.seq = seq;
+                record.kind = kind;
+                record.data = payload;
+                EXPECT_EQ(serve::formatWalRecord(record),
+                          referenceWalRecord(record))
+                    << "seq " << seq << " payload " << payload;
+            }
+        }
+    }
+}
+
+TEST(WalFormat, AppendedRecordsMatchFormatAndRecover)
+{
+    const std::string path = tempPath("wal_format.wal");
+    std::string expected;
+    {
+        auto wal = serve::WalWriter::openFresh(path, serve::WalSync::Off);
+        serve::WalRecord record;
+        for (const std::string data : {"", "a \"b\" \\c", "\x01\n"}) {
+            record.seq = wal->lastSeq() + 1;
+            record.data = data;
+            expected += serve::formatWalRecord(record) + "\n";
+            wal->append(record.kind, record.data);
+        }
+        wal->close();
+    }
+    EXPECT_EQ(readFile(path), expected);
+    const auto recovery = serve::recoverWal(path);
+    ASSERT_EQ(recovery.records.size(), 3u);
+    EXPECT_EQ(recovery.records[1].data, "a \"b\" \\c");
+    EXPECT_EQ(recovery.records[2].data, "\x01\n");
+}
+
+TEST(WalFormat, SessionWalMatchesGolden)
+{
+    // The log examples/serve_session.txt writes, as ditile_serve
+    // --script --wal writes it.
+    const std::string path = tempPath("wal_session.wal");
+    {
+        serve::Server server(serve::ServerOptions{}, makeFactory());
+        server.attachWal(
+            serve::WalWriter::openFresh(path, serve::WalSync::Off));
+        for (const std::string &line : exampleSessionLines()) {
+            if (server.stopped())
+                break;
+            server.handle(line);
+        }
+        server.wal()->close();
+    }
+    const std::string golden =
+        readFile(DITILE_GOLDEN_DIR "/serve_session.wal");
+    ASSERT_FALSE(golden.empty());
+    EXPECT_EQ(readFile(path), golden);
+}
+
 // --- checkpoint -----------------------------------------------------
 
 TEST(Checkpoint, RoundTripIsByteIdentical)
@@ -256,7 +401,7 @@ TEST(Checkpoint, TenantNoProvisioningCouldCreateIsATypedError)
     server.handle(sessionLines()[0]);
     const serve::ServerCheckpoint good = server.checkpointState();
     ASSERT_EQ(good.tenants.size(), 1u);
-    ASSERT_FALSE(good.tenants[0].ring.empty());
+    ASSERT_FALSE(good.tenants[0].oldest.empty());
 
     // Each document carries a valid crc: only the state is hostile,
     // and restoring it would index outside the tenant's graph.
@@ -270,13 +415,14 @@ TEST(Checkpoint, TenantNoProvisioningCouldCreateIsATypedError)
         serve::parseCheckpoint(serve::renderCheckpoint(featureless)),
         InputError);
     auto stray = good;
-    stray.tenants[0].ring[0].emplace_back(0, good.tenants[0].spec.vertices);
+    stray.tenants[0].oldest.emplace_back(0, good.tenants[0].spec.vertices);
     EXPECT_THROW(serve::parseCheckpoint(serve::renderCheckpoint(stray)),
                  InputError);
     EXPECT_NO_THROW(serve::parseCheckpoint(serve::renderCheckpoint(good)));
 }
 
 // --- crash -> restore -> replay identity ----------------------------
+
 
 /** Responses of an uncrashed server over the whole session. */
 std::vector<std::string>
@@ -289,6 +435,92 @@ uncrashedResponses(const std::vector<std::string> &lines, int threads)
         responses.push_back(server.handle(line));
     ThreadPool::setGlobalThreads(1);
     return responses;
+}
+
+TEST(Checkpoint, FormatOneGoldenRestoresAndResumes)
+{
+    // A format-1 checkpoint written after the first 16 lines of
+    // examples/serve_session.txt, before delta encoding.
+    const auto lines = exampleSessionLines();
+    const auto reference = uncrashedResponses(lines, 1);
+    const std::string text =
+        readFile(DITILE_GOLDEN_DIR "/serve_checkpoint_v1.json");
+    ASSERT_EQ(text.rfind("{\"format\":1,", 0), 0u);
+    const serve::ServerCheckpoint v1 =
+        serve::loadCheckpointFile(DITILE_GOLDEN_DIR
+                                  "/serve_checkpoint_v1.json");
+    ASSERT_EQ(v1.ackLines, 16u);
+
+    serve::Server restored(serve::ServerOptions{}, makeFactory());
+    restored.restoreState(v1);
+    ASSERT_EQ(restored.acknowledgedLines(), 16u);
+
+    // Re-checkpointing writes format 2, in the state of a live server
+    // that handled the same 16 lines.
+    serve::Server live(serve::ServerOptions{}, makeFactory());
+    for (std::size_t i = 0; i < 16; ++i)
+        live.handle(lines[i]);
+    const serve::ServerCheckpoint again = restored.checkpointState();
+    EXPECT_EQ(serve::renderCheckpoint(again).rfind("{\"format\":2,", 0),
+              0u);
+    EXPECT_EQ(serve::checkpointStateHash(again),
+              serve::checkpointStateHash(live.checkpointState()));
+
+    for (std::size_t i = 16; i < lines.size(); ++i)
+        EXPECT_EQ(restored.handle(lines[i]), reference[i]) << lines[i];
+}
+
+TEST(Checkpoint, TenantRecordIsTheWindowDeltaEncoded)
+{
+    constexpr VertexId kVertices = 40;
+    constexpr SnapshotId kWindow = 3;
+    constexpr std::uint64_t kRollEvery = 5;
+    serve::Server server(serve::ServerOptions{}, makeFactory());
+    server.handle("tenant w vertices=40 edges=80 features=4 window=3 "
+                  "roll-every=5");
+    // A mirror window fed the same events, rolled when the tenant is.
+    const serve::ServerCheckpoint first = server.checkpointState();
+    ASSERT_EQ(first.tenants.size(), 1u);
+    EXPECT_TRUE(first.tenants[0].deltas.empty());
+    EXPECT_EQ(first.tenants[0].pending.numChanges(), 0u);
+    graph::SnapshotWindow mirror(
+        "w", graph::Csr::fromEdges(kVertices, first.tenants[0].oldest),
+        kWindow, 4);
+
+    Rng rng(0x5eed);
+    for (int i = 0; i < 60; ++i) {
+        const bool remove = rng.bernoulli(0.35);
+        const auto u =
+            static_cast<VertexId>(rng.uniformInt(0, kVertices - 1));
+        const auto v =
+            static_cast<VertexId>(rng.uniformInt(0, kVertices - 1));
+        server.handle("event w " + std::string(remove ? "del " : "add ") +
+                      std::to_string(u) + " " + std::to_string(v));
+        mirror.apply({remove ? graph::GraphEvent::Kind::RemoveEdge
+                             : graph::GraphEvent::Kind::AddEdge,
+                      u, v, 0});
+        const serve::ServerCheckpoint cp = server.checkpointState();
+        const serve::TenantCheckpoint &tc = cp.tenants[0];
+        if (tc.window.rolls > mirror.rolls())
+            mirror.roll();
+        ASSERT_EQ(tc.window.rolls, mirror.rolls());
+
+        // One full snapshot, then W - 1 deltas: the window's own.
+        const graph::DynamicGraph &dg = mirror.graph();
+        EXPECT_EQ(tc.oldest, dg.snapshot(0).edgeList());
+        ASSERT_EQ(tc.deltas.size() + 1,
+                  static_cast<std::size_t>(dg.numSnapshots()));
+        for (SnapshotId t = 1; t < dg.numSnapshots(); ++t) {
+            const graph::GraphDelta &delta = tc.deltas[t - 1];
+            EXPECT_EQ(delta.addedEdges(), dg.delta(t).addedEdges());
+            EXPECT_EQ(delta.removedEdges(), dg.delta(t).removedEdges());
+        }
+        const graph::GraphDelta pending = mirror.pendingDelta();
+        EXPECT_EQ(tc.pending.addedEdges(), pending.addedEdges());
+        EXPECT_EQ(tc.pending.removedEdges(), pending.removedEdges());
+        EXPECT_LE(tc.pending.numChanges(), kRollEvery);
+    }
+    EXPECT_EQ(mirror.windowSize(), kWindow);
 }
 
 /**

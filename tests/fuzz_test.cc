@@ -1,10 +1,11 @@
 /**
  * @file
- * Seeded mutation fuzzing of the five input parsers: protocol lines
+ * Seeded mutation fuzzing of the six input parsers: protocol lines
  * through Server::handle, checkpoint documents (parseCheckpoint, then
  * restoreState), WAL files (recoverWal, then recover), plan documents
  * (ExecutionPlan::fromJson, then executePlan on the graph the plan was
- * made for) and event streams (readEventStream, then discretize).
+ * made for), event streams (readEventStream, then discretize) and edge
+ * lists (readEdgeList).
  * Every mutant must end in success or a typed
  * InputError; any other exception fails the test, and a crash fails the
  * whole binary. Fixed seeds make every run see the same mutants, so a
@@ -13,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <iterator>
 #include <memory>
@@ -255,6 +257,125 @@ withFreshCrc(const std::string &doc)
     return out;
 }
 
+/** True when parseCheckpoint or restoreState rejects `doc` (typed). */
+bool
+rejectedCheckpoint(const std::string &doc)
+{
+    try {
+        const serve::ServerCheckpoint checkpoint =
+            serve::parseCheckpoint(doc);
+        serve::Server server(fuzzOptions(), makeFactory());
+        server.restoreState(checkpoint);
+    } catch (const InputError &) {
+        return true;
+    }
+    return false;
+}
+
+/**
+ * A checkpoint whose one tenant has two deltas and a pending delta,
+ * each with an added and a removed edge.
+ */
+serve::ServerCheckpoint
+deltaSeed()
+{
+    serve::Server server(fuzzOptions(), makeFactory());
+    server.handle("tenant d vertices=32 edges=64 features=4 window=3 "
+                  "roll-every=0");
+    const std::vector<graph::Edge> initial =
+        server.checkpointState().tenants[0].oldest;
+    auto edgeText = [](VertexId u, VertexId v) {
+        return std::to_string(u) + " " + std::to_string(v);
+    };
+    VertexId fresh = 1;
+    for (int step = 0; step < 3; ++step) {
+        server.handle("event d del " + edgeText(initial[step].first,
+                                                initial[step].second));
+        while (std::binary_search(initial.begin(), initial.end(),
+                                  graph::Edge{0, fresh}))
+            ++fresh;
+        server.handle("event d add " + edgeText(0, fresh++));
+        if (step < 2)
+            server.handle("roll d");
+    }
+    return server.checkpointState();
+}
+
+/**
+ * Delta-shaped hostile checkpoints, each with a valid crc: every one
+ * must be a typed error of parse or restore.
+ */
+std::vector<std::pair<std::string, std::string>>
+deltaMutants(const serve::ServerCheckpoint &seed)
+{
+    const serve::TenantCheckpoint &tenant = seed.tenants[0];
+    const VertexId n = tenant.spec.vertices;
+    graph::Csr newest = graph::Csr::fromEdges(n, tenant.oldest);
+    for (const graph::GraphDelta &delta : tenant.deltas)
+        newest = graph::Csr::patched(newest, delta.addedEdges(),
+                                     delta.removedEdges());
+    // Canonical edges absent from / present in a snapshot.
+    auto absent = [n](const graph::Csr &g) {
+        for (VertexId u = 0; u < n; ++u)
+            for (VertexId v = u + 1; v < n; ++v)
+                if (!g.hasEdge(u, v))
+                    return graph::Edge{u, v};
+        return graph::Edge{0, 0};
+    };
+    const graph::Csr oldest = graph::Csr::fromEdges(n, tenant.oldest);
+
+    std::vector<std::pair<std::string, std::string>> out;
+    // `edit` changes one list of the first delta (or of the pending
+    // delta) of a copy of the seed.
+    auto mutant = [&](const std::string &what, bool pending, auto edit) {
+        serve::ServerCheckpoint m = seed;
+        graph::GraphDelta &delta = pending ? m.tenants[0].pending
+                                           : m.tenants[0].deltas[0];
+        std::vector<graph::Edge> added = delta.addedEdges();
+        std::vector<graph::Edge> removed = delta.removedEdges();
+        edit(added, removed);
+        delta = graph::GraphDelta::fromChanges(added, removed);
+        out.emplace_back(what, serve::renderCheckpoint(m));
+    };
+    using Edges = std::vector<graph::Edge>;
+    mutant("removed edge missing from the previous snapshot", false,
+           [&](Edges &, Edges &r) { r.push_back(absent(oldest)); });
+    mutant("added edge already present", false,
+           [&](Edges &a, Edges &) { a.push_back(tenant.oldest.back()); });
+    mutant("pending removes an edge missing from the newest", true,
+           [&](Edges &, Edges &r) { r.push_back(absent(newest)); });
+    mutant("pending adds an edge already in the newest", true,
+           [&](Edges &a, Edges &) {
+               a.push_back(newest.edgeList().back());
+           });
+    mutant("duplicate added entry", false,
+           [](Edges &a, Edges &) { a.push_back(a.front()); });
+    mutant("duplicate removed entry", true,
+           [](Edges &, Edges &r) { r.push_back(r.front()); });
+    mutant("reversed (non-canonical) edge", false, [](Edges &a, Edges &) {
+        a.front() = {a.front().second, a.front().first};
+    });
+    mutant("self loop", true,
+           [](Edges &a, Edges &) { a.push_back({3, 3}); });
+    mutant("out-of-range id", false,
+           [n](Edges &a, Edges &) { a.push_back({0, n}); });
+    mutant("negative id", true,
+           [](Edges &a, Edges &) { a.push_back({-1, 2}); });
+
+    serve::ServerCheckpoint fewer = seed;
+    fewer.tenants[0].deltas.pop_back();
+    out.emplace_back("one delta too few", serve::renderCheckpoint(fewer));
+    serve::ServerCheckpoint more = seed;
+    more.tenants[0].deltas.emplace_back();
+    out.emplace_back("one delta too many", serve::renderCheckpoint(more));
+    serve::ServerCheckpoint rolls = seed;
+    rolls.tenants[0].window.rolls = 0;
+    out.emplace_back("rolls disagree with the delta count",
+                     serve::renderCheckpoint(rolls));
+
+    return out;
+}
+
 TEST(Fuzz, CheckpointParseAndRestore)
 {
     serve::Server source(fuzzOptions(), makeFactory());
@@ -287,6 +408,45 @@ TEST(Fuzz, CheckpointParseAndRestore)
     }
     // The crc fix-up lets a good share of mutants reach restore.
     EXPECT_GT(restored, 25);
+
+    // Delta-shaped mutants of a format-2 window, each with a valid crc.
+    const serve::ServerCheckpoint window = deltaSeed();
+    const serve::TenantCheckpoint &tenant = window.tenants[0];
+    ASSERT_EQ(tenant.deltas.size(), 2u);
+    for (const graph::GraphDelta *delta :
+         {&tenant.deltas[0], &tenant.deltas[1], &tenant.pending}) {
+        ASSERT_FALSE(delta->addedEdges().empty());
+        ASSERT_FALSE(delta->removedEdges().empty());
+    }
+    ASSERT_FALSE(rejectedCheckpoint(serve::renderCheckpoint(window)));
+    for (const auto &[what, doc] : deltaMutants(window))
+        EXPECT_TRUE(rejectedCheckpoint(doc)) << what;
+
+    // Unsorted entries cannot be held by a GraphDelta: give the first
+    // delta two added edges, swap them in the text, refresh the crc.
+    serve::ServerCheckpoint two = window;
+    graph::GraphDelta &first = two.tenants[0].deltas[0];
+    std::vector<graph::Edge> added = first.addedEdges();
+    for (VertexId v = 2; added.size() < 2; ++v)
+        if (!std::binary_search(tenant.oldest.begin(), tenant.oldest.end(),
+                                graph::Edge{1, v}))
+            added.push_back({1, v});
+    first = graph::GraphDelta::fromChanges(added, first.removedEdges());
+    auto pairText = [](const graph::Edge &e) {
+        return std::to_string(e.first) + "," + std::to_string(e.second);
+    };
+    const std::string sorted = "\"deltas\":[[[" +
+        pairText(first.addedEdges()[0]) + "," +
+        pairText(first.addedEdges()[1]) + "]";
+    const std::string swapped = "\"deltas\":[[[" +
+        pairText(first.addedEdges()[1]) + "," +
+        pairText(first.addedEdges()[0]) + "]";
+    std::string doc = serve::renderCheckpoint(two);
+    ASSERT_FALSE(rejectedCheckpoint(doc));
+    const auto at = doc.find(sorted);
+    ASSERT_NE(at, std::string::npos);
+    doc.replace(at, sorted.size(), swapped);
+    EXPECT_TRUE(rejectedCheckpoint(withFreshCrc(doc)));
 }
 
 TEST(Fuzz, WalRecoverAndReplay)
@@ -403,6 +563,37 @@ TEST(Fuzz, EventStreamParseAndDiscretize)
             ++accepted;
             const auto dg = ctdg.discretize(4, 8);
             EXPECT_EQ(dg.numSnapshots(), 4);
+        } catch (const InputError &) {
+        }
+    }
+    EXPECT_GT(accepted, 200);
+}
+
+TEST(Fuzz, EdgeListParse)
+{
+    constexpr VertexId kUniverse = 32;
+    graph::EvolutionConfig config;
+    config.numVertices = kUniverse;
+    config.numEdges = 64;
+    config.numSnapshots = 1;
+    config.seed = 6;
+    std::ostringstream text;
+    graph::writeEdgeList(text, graph::generateDynamicGraph(config).snapshot(0));
+    const std::string seed = text.str();
+
+    Mutator mutator(0x5eed0006);
+    int accepted = 0;
+    for (int i = 0; i < 2000; ++i) {
+        const std::string mutant = mutator.mutate(seed);
+        try {
+            // The declared universe bounds what a mutant can allocate;
+            // one it accepts is small enough to read undeclared too.
+            std::istringstream in(mutant);
+            EXPECT_EQ(graph::readEdgeList(in, kUniverse).numVertices(),
+                      kUniverse);
+            ++accepted;
+            std::istringstream again(mutant);
+            EXPECT_LE(graph::readEdgeList(again).numVertices(), kUniverse);
         } catch (const InputError &) {
         }
     }

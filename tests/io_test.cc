@@ -91,6 +91,22 @@ TEST(ReadEdgeList, NegativeIdThrows)
     EXPECT_INPUT_ERROR(readEdgeList(in), "negative vertex id");
 }
 
+TEST(ReadEdgeList, IdPast32BitsThrows)
+{
+    // 2^32 + 1 would wrap to vertex 1 in a 32-bit id: edge (2,1).
+    std::istringstream in("0 1\n2 4294967297\n");
+    EXPECT_INPUT_ERROR(readEdgeList(in),
+                       "vertex id 4294967297 at line 2");
+}
+
+TEST(ReadEdgeList, IdPastSignedRangeThrows)
+{
+    // 2^31 would wrap to a negative 32-bit id.
+    std::istringstream in("0 1\n# comment\n2147483648 3\n");
+    EXPECT_INPUT_ERROR(readEdgeList(in),
+                       "vertex id 2147483648 at line 3");
+}
+
 TEST(ReadEdgeList, NegativeUniverseThrows)
 {
     std::istringstream in("0 1\n");

@@ -380,11 +380,10 @@ expectSameWindow(const graph::DynamicGraph &actual,
 graph::SnapshotWindow
 restoredWindow(const graph::SnapshotWindow &window)
 {
-    std::vector<graph::Csr> ring;
     const graph::DynamicGraph &dg = window.graph();
-    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t)
-        ring.push_back(graph::Csr::fromEdges(
-            dg.numVertices(), dg.snapshot(t).edgeList()));
+    std::vector<graph::GraphDelta> deltas;
+    for (SnapshotId t = 1; t < dg.numSnapshots(); ++t)
+        deltas.push_back(dg.delta(t));
     graph::SnapshotWindow::Counters counters;
     counters.appliedEvents = window.appliedEvents();
     counters.noopEvents = window.noopEvents();
@@ -392,7 +391,8 @@ restoredWindow(const graph::SnapshotWindow &window)
     counters.sinceRoll = window.eventsSinceRoll();
     return graph::SnapshotWindow::restore(
         window.name(), window.capacity(), window.featureDim(),
-        std::move(ring), window.liveEdgeList(), counters);
+        graph::Csr::fromEdges(dg.numVertices(), dg.snapshot(0).edgeList()),
+        std::move(deltas), window.pendingDelta(), counters);
 }
 
 TEST(SnapshotWindow, RolledGraphEqualsRebuiltWindow)
@@ -439,7 +439,11 @@ TEST(SnapshotWindow, RolledGraphEqualsRebuiltWindow)
             // Checkpoint -> restore, then both windows roll on alike.
             graph::SnapshotWindow restored = restoredWindow(window);
             expectSameWindow(restored.graph(), expected, roll);
-            EXPECT_EQ(restored.liveEdgeList(), window.liveEdgeList());
+            EXPECT_EQ(restored.pendingDelta().addedEdges(),
+                      window.pendingDelta().addedEdges());
+            EXPECT_EQ(restored.pendingDelta().removedEdges(),
+                      window.pendingDelta().removedEdges());
+            EXPECT_EQ(restored.liveEdges(), window.liveEdges());
             const graph::GraphEvent add{graph::GraphEvent::Kind::AddEdge,
                                         5, 11, 0};
             graph::SnapshotWindow original = window;

@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark micro benchmarks of the simulator substrates:
  * graph generation, CSR construction, frontier expansion, workload
- * labeling, NoC replay, DRAM replay, and the functional kernels.
+ * labeling, the Stage-1 GCN walk, NoC replay, DRAM replay, and the
+ * functional kernels.
  */
 
 #include <benchmark/benchmark.h>
@@ -159,14 +160,20 @@ BM_BalancedPartition(benchmark::State &state)
 }
 BENCHMARK(BM_BalancedPartition);
 
+/**
+ * Args: topology kind, message count. Every message injects at cycle
+ * 0 between random tiles of the 16x16 grid; {Mesh, 12288} is the size
+ * of one MEGA snapshot's spatial phase.
+ */
 void
 BM_NocReplay(benchmark::State &state)
 {
     noc::NocConfig config;
     config.topology = static_cast<noc::TopologyKind>(state.range(0));
+    const auto count = static_cast<int>(state.range(1));
     Rng rng(3);
     std::vector<noc::Message> msgs;
-    for (int i = 0; i < 4096; ++i) {
+    for (int i = 0; i < count; ++i) {
         noc::Message m;
         m.src = static_cast<TileId>(rng.uniformInt(0, 255));
         m.dst = static_cast<TileId>(rng.uniformInt(0, 255));
@@ -177,12 +184,52 @@ BM_NocReplay(benchmark::State &state)
         auto res = noc::simulateTraffic(config, msgs);
         benchmark::DoNotOptimize(res.makespan);
     }
-    state.SetItemsProcessed(state.iterations() * 4096);
+    state.SetItemsProcessed(state.iterations() * count);
 }
 BENCHMARK(BM_NocReplay)
-    ->Arg(static_cast<int>(noc::TopologyKind::Mesh))
-    ->Arg(static_cast<int>(noc::TopologyKind::Crossbar))
-    ->Arg(static_cast<int>(noc::TopologyKind::Reconfigurable));
+    ->Args({static_cast<int>(noc::TopologyKind::Mesh), 4096})
+    ->Args({static_cast<int>(noc::TopologyKind::Ring), 4096})
+    ->Args({static_cast<int>(noc::TopologyKind::Crossbar), 4096})
+    ->Args({static_cast<int>(noc::TopologyKind::Reconfigurable), 4096})
+    ->Args({static_cast<int>(noc::TopologyKind::Mesh), 12288});
+
+/**
+ * The Stage-1 GCN walk (slot MACs plus spatial gather traffic) of one
+ * incremental WD snapshot under DiTile-Alg, over 256 slots.
+ */
+void
+BM_SpatialWalk(benchmark::State &state)
+{
+    graph::DatasetOptions options;
+    options.scale = 0.5;
+    options.numSnapshots = 4;
+    const auto dg = graph::makeDataset("WD", options);
+    const model::DgnnConfig mconfig;
+    const model::IncrementalPlanner planner(dg, mconfig,
+                                            model::AlgoKind::DiTileAlg);
+    const model::SnapshotPlan &plan = planner.plan(1);
+    const int slots = 256;
+    std::vector<int> owners(static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v)
+        owners[static_cast<std::size_t>(v)] = v % slots;
+    std::vector<OpCount> slot_gnn(slots);
+    std::vector<ByteCount> gather;
+    sim::detail::DenseTraffic traffic(slots);
+    std::size_t occurrences = 0;
+    for (const auto &layer : plan.gcn)
+        occurrences += layer.vertices.size();
+    for (auto _ : state) {
+        std::fill(slot_gnn.begin(), slot_gnn.end(), 0);
+        traffic.reset(slots);
+        sim::detail::walkGcnLayers(dg.snapshot(1), plan.gcn, mconfig,
+                                   dg.featureDim(), 2, owners.data(),
+                                   slot_gnn, nullptr, gather, traffic);
+        benchmark::DoNotOptimize(slot_gnn.data());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(occurrences));
+}
+BENCHMARK(BM_SpatialWalk);
 
 void
 BM_FlitNocReplay(benchmark::State &state)

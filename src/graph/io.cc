@@ -61,6 +61,21 @@ parseEdges(std::istream &in, VertexId &max_id)
     return edges;
 }
 
+/**
+ * The universe an undeclared edge list derives, max_id + 1, computed
+ * in 64 bits: the largest VertexId has no successor to count it.
+ */
+VertexId
+derivedUniverse(VertexId max_id)
+{
+    const std::int64_t universe = std::int64_t{max_id} + 1;
+    if (universe > std::numeric_limits<VertexId>::max())
+        DITILE_THROW("vertex id ", max_id, " needs a universe of ",
+                     universe, " vertices, past the largest vertex "
+                     "count ", std::numeric_limits<VertexId>::max());
+    return static_cast<VertexId>(universe);
+}
+
 } // namespace
 
 Csr
@@ -70,14 +85,13 @@ readEdgeList(std::istream &in, VertexId num_vertices)
         DITILE_THROW("negative vertex count ", num_vertices);
     VertexId max_id = -1;
     const auto edges = parseEdges(in, max_id);
-    const VertexId universe = num_vertices > 0 ? num_vertices
-                                               : max_id + 1;
     if (num_vertices > 0 && max_id >= num_vertices) {
         DITILE_THROW("edge list references vertex ", max_id,
                      " outside the declared universe of ",
                      num_vertices);
     }
-    return Csr::fromEdges(std::max<VertexId>(universe, 0), edges);
+    return Csr::fromEdges(
+        num_vertices > 0 ? num_vertices : derivedUniverse(max_id), edges);
 }
 
 Csr
@@ -127,7 +141,7 @@ readSnapshotFiles(const std::string &name,
         VertexId max_id = -1;
         per_snapshot.push_back(parseEdges(in, max_id));
         if (num_vertices == 0)
-            universe = std::max(universe, max_id + 1);
+            universe = std::max(universe, derivedUniverse(max_id));
         else if (max_id >= num_vertices)
             DITILE_THROW("snapshot '", path, "' references vertex ",
                          max_id, " outside the declared universe");

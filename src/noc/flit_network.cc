@@ -39,7 +39,7 @@ NocResult
 simulateFlitTraffic(const FlitConfig &config,
                     std::vector<Message> messages)
 {
-    auto topology = Topology::create(config.noc);
+    const Topology topology(config.noc);
     NocResult result;
 
     std::stable_sort(messages.begin(), messages.end(),
@@ -61,7 +61,7 @@ simulateFlitTraffic(const FlitConfig &config,
         p.flits = std::max<Cycle>(1, ceilDiv<Cycle>(
             static_cast<Cycle>(m.bytes),
             static_cast<Cycle>(config.flitBytes)));
-        p.path = topology->route(m.src, m.dst, m.cls);
+        p.path = topology.route(m.src, m.dst, m.cls);
         for (const Hop &hop : p.path) {
             result.hopBytes += m.bytes;
             ++result.totalHops;
@@ -80,7 +80,7 @@ simulateFlitTraffic(const FlitConfig &config,
     // linkFreeAt[l]: first cycle the link can accept a new packet's
     // head (previous owner's tail has drained).
     std::vector<Cycle> link_free(
-        static_cast<std::size_t>(topology->numLinks()), 0);
+        static_cast<std::size_t>(topology.numLinks()), 0);
 
     double latency_sum = 0.0;
     std::size_t remaining = 0;

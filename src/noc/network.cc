@@ -22,29 +22,30 @@ serializationCycles(const NocConfig &config, ByteCount bytes)
                           static_cast<Cycle>(config.linkBytesPerCycle));
 }
 
-} // namespace
-
+/**
+ * The replay loop over one style's route walker. Each hop is timed as
+ * the walker produces it; only the links of the current bypass
+ * segment are held (in `segment`, whose storage the batch reuses).
+ */
+template <typename Routes>
 NocResult
-simulateTraffic(const NocConfig &config, std::vector<Message> messages,
-                const NocFaults *faults)
+replay(const Routes &routes, const NocConfig &config,
+       const std::vector<Message> &messages, const NocFaults &faults)
 {
-    auto topology = Topology::create(config);
     NocResult result;
-
-    // Batches drained from a traffic matrix share one inject cycle;
-    // skipping the sort of an already ordered batch changes nothing.
-    const auto by_inject = [](const Message &a, const Message &b) {
-        return a.injectCycle < b.injectCycle;
-    };
-    if (!std::is_sorted(messages.begin(), messages.end(), by_inject))
-        std::stable_sort(messages.begin(), messages.end(), by_inject);
-
     std::vector<Cycle> link_free(
-        static_cast<std::size_t>(topology->numLinks()), 0);
+        static_cast<std::size_t>(routes.numLinks()), 0);
+    std::vector<LinkId> segment;
     double latency_sum = 0.0;
-    static const NocFaults no_faults;
-    const NocFaults &active_faults = faults ? *faults : no_faults;
-    Route rt; // Reused across the batch: routing never reallocates.
+
+    // No fault-free path: the sender retries with bounded exponential
+    // backoff before forcing the transfer through the degraded route.
+    Cycle backoff = 0;
+    Cycle step = faults.retryBackoffCycles;
+    for (int attempt = 0; attempt < faults.maxRetries; ++attempt) {
+        backoff += step;
+        step *= 2;
+    }
 
     for (const Message &m : messages) {
         DITILE_ASSERT(m.src >= 0 && m.src < config.numTiles() &&
@@ -54,23 +55,12 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
         result.totalBytes += m.bytes;
         result.bytesByClass[static_cast<int>(m.cls)] += m.bytes;
 
-        topology->routeInto(m.src, m.dst, m.cls, active_faults, rt);
-        const auto &hops = rt.hops;
+        const RouteChoice choice = routes.choose(m.src, m.dst, faults);
         Cycle t = m.injectCycle;
-        if (rt.rerouted)
+        if (choice.rerouted)
             ++result.reroutedMessages;
-        if (rt.degraded) {
-            // No fault-free path exists: the sender retries with
-            // bounded exponential backoff before forcing the transfer
-            // through the degraded route.
+        if (choice.degraded) {
             ++result.retriedMessages;
-            Cycle backoff = 0;
-            Cycle step = active_faults.retryBackoffCycles;
-            for (int attempt = 0; attempt < active_faults.maxRetries;
-                 ++attempt) {
-                backoff += step;
-                step *= 2;
-            }
             result.retryBackoffCycles += backoff;
             t += backoff;
         }
@@ -79,26 +69,31 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
         // message serializes once over the whole segment (cut-through
         // across bypassed routers), so Re-Link bypasses save both the
         // router latency and the per-hop re-serialization.
-        std::size_t seg_begin = 0;
-        for (std::size_t h = 0; h < hops.size(); ++h) {
-            result.hopBytes += m.bytes;
-            ++result.totalHops;
-            if (!hops[h].routerStop)
-                continue;
-            Cycle start = t;
-            for (std::size_t k = seg_begin; k <= h; ++k) {
-                start = std::max(start, link_free[
-                    static_cast<std::size_t>(hops[k].link)]);
+        std::uint64_t hops = 0;
+        std::uint64_t stops = 0;
+        routes.walk(m.src, m.dst, choice, [&](LinkId link, bool stop) {
+            ++hops;
+            if (!stop) {
+                segment.push_back(link);
+                return;
             }
+            Cycle start = std::max(
+                t, link_free[static_cast<std::size_t>(link)]);
+            for (const LinkId l : segment)
+                start = std::max(start,
+                                 link_free[static_cast<std::size_t>(l)]);
             t = start + ser;
-            for (std::size_t k = seg_begin; k <= h; ++k) {
-                link_free[static_cast<std::size_t>(hops[k].link)] = t;
-            }
+            link_free[static_cast<std::size_t>(link)] = t;
+            for (const LinkId l : segment)
+                link_free[static_cast<std::size_t>(l)] = t;
+            segment.clear();
             t += config.routerLatencyCycles;
-            result.routerBytes += m.bytes;
-            ++result.routerStops;
-            seg_begin = h + 1;
-        }
+            ++stops;
+        });
+        result.totalHops += hops;
+        result.hopBytes += m.bytes * hops;
+        result.routerStops += stops;
+        result.routerBytes += m.bytes * stops;
         latency_sum += static_cast<double>(t - m.injectCycle);
         result.makespan = std::max(result.makespan, t);
     }
@@ -108,12 +103,32 @@ simulateTraffic(const NocConfig &config, std::vector<Message> messages,
     return result;
 }
 
+} // namespace
+
+NocResult
+simulateTraffic(const NocConfig &config, std::vector<Message> messages,
+                const NocFaults *faults)
+{
+    // Batches drained from a traffic matrix share one inject cycle;
+    // skipping the sort of an already ordered batch changes nothing.
+    const auto by_inject = [](const Message &a, const Message &b) {
+        return a.injectCycle < b.injectCycle;
+    };
+    if (!std::is_sorted(messages.begin(), messages.end(), by_inject))
+        std::stable_sort(messages.begin(), messages.end(), by_inject);
+
+    static const NocFaults no_faults;
+    return withRoutes(config, [&](const auto &routes) {
+        return replay(routes, config, messages,
+                      faults ? *faults : no_faults);
+    });
+}
+
 Cycle
 zeroLoadLatency(const NocConfig &config, const Message &message)
 {
-    auto topology = Topology::create(config);
-    const auto hops = topology->route(message.src, message.dst,
-                                      message.cls);
+    const auto hops = Topology(config).route(message.src, message.dst,
+                                             message.cls);
     const Cycle ser = serializationCycles(config, message.bytes);
     Cycle t = 0;
     for (const Hop &hop : hops) {

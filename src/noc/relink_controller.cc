@@ -34,7 +34,7 @@ RelinkController::stopsForDistance(int distance, int span)
     if (distance == 0)
         return 0;
     // The ring stops every `span` hops; the final hop always stops.
-    // Mirrors RingTopology's stop placement: intermediate stops at
+    // Mirrors RingRoutes' stop placement: intermediate stops at
     // multiples of span that are not the last hop, plus the arrival.
     return (distance - 1) / span + 1;
 }

@@ -25,6 +25,7 @@
 #include "dram/dram_model.hh"
 #include "noc/network.hh"
 #include "sim/engine.hh"
+#include "sim/tile_model.hh"
 
 namespace ditile {
 class ThreadPool;
@@ -291,10 +292,37 @@ struct EvalContext
 };
 
 /**
+ * Stage-1 GCN work of one snapshot walked over its adjacency (every
+ * case the digest closed form does not cover): per-slot MACs into
+ * `slot_gnn`, detailed-tile vertex tasks into `slot_tasks` (when
+ * non-null) and the spatial gather bytes into `traffic`, diagonal
+ * cleared, for the per-layer vertex sets `layers` of snapshot `g`
+ * under the vertex -> slot map `owner`.
+ *
+ * The layer loop visits each vertex occurrence without an edge walk
+ * (O(sum |S_l|)) and adds the layer's gather bytes to the vertex's
+ * total in `gather`; a second pass then walks each distinct vertex's
+ * adjacency once with that total, O(E(union S_l)) instead of
+ * O(sum E(S_l)). Integer sums are associative and
+ * DenseTraffic::emit drains in mix64 order, so every drained message
+ * equals a per-layer walk's. `gather` is scratch: all zero on entry
+ * and on exit, grown to g.numVertices() on first use.
+ */
+void walkGcnLayers(const graph::Csr &g,
+                   const std::vector<model::LayerWork> &layers,
+                   const model::DgnnConfig &model_config,
+                   int feature_dim, ByteCount bpv, const int *owner,
+                   std::vector<OpCount> &slot_gnn,
+                   std::vector<std::vector<VertexTask>> *slot_tasks,
+                   std::vector<ByteCount> &gather,
+                   DenseTraffic &traffic);
+
+/**
  * Stage 1 for one snapshot: accounting, off-chip request synthesis,
  * compute distribution, NoC replays. Pure per-snapshot function of
  * the context; runs under parallelFor. A thread-local scratch arena
- * (slot accumulators, traffic matrices, changed bitmaps) is reused
+ * (slot accumulators, traffic matrices, changed bitmaps, per-vertex
+ * gather totals) is reused
  * across snapshots instead of reallocating per iteration.
  */
 void evaluateSnapshot(const EvalContext &ctx, std::size_t i,

@@ -9,13 +9,16 @@
  * and results are bit-identical at any thread width.
  *
  * Hot-loop temporaries (per-slot MAC accumulators, the dense traffic
- * matrices, the changed-vertex bitmap) live in a leased thread-local
+ * matrices, the changed-vertex bitmap, the per-vertex gather totals of
+ * walkGcnLayers) live in a leased thread-local
  * arena reused across snapshots and runs: the previous per-iteration
  * allocate/zero churn was the dominant stage-1 overhead on small
  * snapshots (ROADMAP item 5).
  */
 
 #include "sim/engine_internal.hh"
+
+#include <utility>
 
 #include "common/scratch_lease.hh"
 #include "common/thread_pool.hh"
@@ -43,9 +46,75 @@ struct EvalScratch
     DenseTraffic reuse{0};
     std::vector<bool> changed;
     std::vector<std::uint64_t> changedCnt;
+    std::vector<ByteCount> gather; ///< Per-vertex gather-byte totals.
 };
 
 } // namespace
+
+void
+walkGcnLayers(const graph::Csr &g,
+              const std::vector<model::LayerWork> &layers,
+              const model::DgnnConfig &model_config, int feature_dim,
+              ByteCount bpv, const int *owner,
+              std::vector<OpCount> &slot_gnn,
+              std::vector<std::vector<VertexTask>> *slot_tasks,
+              std::vector<ByteCount> &gather, DenseTraffic &traffic)
+{
+    DITILE_ASSERT(static_cast<int>(layers.size()) ==
+                  model_config.numGcnLayers());
+    const EdgeId *row_ptr = g.rowPtr().data();
+    const VertexId *adj = g.adjacency().data();
+    if (gather.size() < static_cast<std::size_t>(g.numVertices()))
+        gather.resize(static_cast<std::size_t>(g.numVertices()), 0);
+    for (std::size_t l = 0; l < layers.size(); ++l) {
+        const int layer = static_cast<int>(l);
+        const auto in_dim = static_cast<OpCount>(
+            model_config.gcnInputDim(layer, feature_dim));
+        const auto out_dim =
+            static_cast<OpCount>(model_config.gcnOutputDim(layer));
+        const ByteCount gather_bytes =
+            static_cast<ByteCount>(in_dim) * bpv;
+        for (VertexId v : layers[l].vertices) {
+            const int ov = owner[static_cast<std::size_t>(v)];
+            const auto degree =
+                static_cast<OpCount>(row_ptr[v + 1] - row_ptr[v]);
+            const OpCount vertex_macs =
+                (degree + 1) * in_dim + in_dim * out_dim;
+            slot_gnn[static_cast<std::size_t>(ov)] += vertex_macs;
+            if (slot_tasks) {
+                VertexTask task;
+                task.vertex = v;
+                task.macs = vertex_macs;
+                task.postOps = out_dim;
+                task.inputBytes = (static_cast<ByteCount>(degree) + 1) *
+                    static_cast<ByteCount>(in_dim) * bpv;
+                (*slot_tasks)[static_cast<std::size_t>(ov)].push_back(
+                    task);
+            }
+            gather[static_cast<std::size_t>(v)] += gather_bytes;
+        }
+    }
+    // One adjacency walk per distinct vertex: its first occurrence
+    // takes the total and zeroes it, so later occurrences skip (the
+    // total and the row end are locals: a cell store could otherwise
+    // alias them and force a reload per edge). Every
+    // (ou, ov) pair accumulates branch-free, diagonal included, and
+    // the meaningless same-slot cells are dropped once afterwards.
+    for (const model::LayerWork &lw : layers) {
+        for (VertexId v : lw.vertices) {
+            const ByteCount total =
+                std::exchange(gather[static_cast<std::size_t>(v)], 0);
+            if (total == 0)
+                continue;
+            const int ov = owner[static_cast<std::size_t>(v)];
+            const EdgeId row_end = row_ptr[v + 1];
+            for (EdgeId e = row_ptr[v]; e < row_end; ++e)
+                traffic.add(owner[static_cast<std::size_t>(adj[e])], ov,
+                            total);
+        }
+    }
+    traffic.clearDiagonal();
+}
 
 void
 evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
@@ -205,50 +274,10 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
             }
         }
     } else {
-        // Flat CSR iteration: one row-pointer lookup per vertex, the
-        // neighbor walk a contiguous scan of the adjacency array.
-        // Every (ou, ov) pair accumulates branch-free — diagonal
-        // included — and the meaningless same-slot cells are dropped
-        // in one clearDiagonal() pass after the loops.
-        const EdgeId *row_ptr = g.rowPtr().data();
-        const VertexId *adj = g.adjacency().data();
-        for (int l = 0; l < model_config.numGcnLayers(); ++l) {
-            const auto &lw = splan.gcn[static_cast<std::size_t>(l)];
-            const auto in_dim = static_cast<OpCount>(
-                model_config.gcnInputDim(l, feature_dim));
-            const auto out_dim =
-                static_cast<OpCount>(model_config.gcnOutputDim(l));
-            const ByteCount gather_bytes =
-                static_cast<ByteCount>(in_dim) * bpv;
-            for (VertexId v : lw.vertices) {
-                const int ov = ovec[static_cast<std::size_t>(v)];
-                const EdgeId row_begin = row_ptr[v];
-                const EdgeId row_end = row_ptr[v + 1];
-                const auto degree =
-                    static_cast<OpCount>(row_end - row_begin);
-                const OpCount vertex_macs =
-                    (degree + 1) * in_dim + in_dim * out_dim;
-                slot_gnn[static_cast<std::size_t>(ov)] +=
-                    vertex_macs;
-                if (options.detailedTileTiming) {
-                    VertexTask task;
-                    task.vertex = v;
-                    task.macs = vertex_macs;
-                    task.postOps = out_dim;
-                    task.inputBytes =
-                        (static_cast<ByteCount>(degree) + 1) *
-                        static_cast<ByteCount>(in_dim) * bpv;
-                    slot_tasks[static_cast<std::size_t>(ov)]
-                        .push_back(task);
-                }
-                for (EdgeId e = row_begin; e < row_end; ++e) {
-                    const int ou = ovec[static_cast<std::size_t>(
-                        adj[e])];
-                    spatial_traffic.add(ou, ov, gather_bytes);
-                }
-            }
-        }
-        spatial_traffic.clearDiagonal();
+        walkGcnLayers(g, splan.gcn, model_config, feature_dim, bpv, ovec,
+                      slot_gnn,
+                      options.detailedTileTiming ? &slot_tasks : nullptr,
+                      s.gather, spatial_traffic);
     }
     if (digest_snapshot && rnn_all) {
         const auto cnt = pdigest->slotVertexCount();

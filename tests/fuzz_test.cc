@@ -579,22 +579,32 @@ TEST(Fuzz, EdgeListParse)
     config.seed = 6;
     std::ostringstream text;
     graph::writeEdgeList(text, graph::generateDynamicGraph(config).snapshot(0));
-    const std::string seed = text.str();
+    // The second seed's largest id is valid but leaves no room for a
+    // derived universe.
+    const std::string seeds[] = {text.str(), "0 1\n2 2147483647\n"};
+    {
+        std::istringstream in(seeds[1]);
+        EXPECT_THROW(graph::readEdgeList(in), InputError);
+    }
 
     Mutator mutator(0x5eed0006);
     int accepted = 0;
-    for (int i = 0; i < 2000; ++i) {
-        const std::string mutant = mutator.mutate(seed);
-        try {
-            // The declared universe bounds what a mutant can allocate;
-            // one it accepts is small enough to read undeclared too.
-            std::istringstream in(mutant);
-            EXPECT_EQ(graph::readEdgeList(in, kUniverse).numVertices(),
-                      kUniverse);
-            ++accepted;
-            std::istringstream again(mutant);
-            EXPECT_LE(graph::readEdgeList(again).numVertices(), kUniverse);
-        } catch (const InputError &) {
+    for (const std::string &seed : seeds) {
+        for (int i = 0; i < 2000; ++i) {
+            const std::string mutant = mutator.mutate(seed);
+            try {
+                // The declared universe bounds what a mutant can
+                // allocate; one it accepts is small enough to read
+                // undeclared too.
+                std::istringstream in(mutant);
+                EXPECT_EQ(graph::readEdgeList(in, kUniverse).numVertices(),
+                          kUniverse);
+                ++accepted;
+                std::istringstream again(mutant);
+                EXPECT_LE(graph::readEdgeList(again).numVertices(),
+                          kUniverse);
+            } catch (const InputError &) {
+            }
         }
     }
     EXPECT_GT(accepted, 200);

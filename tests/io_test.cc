@@ -107,6 +107,14 @@ TEST(ReadEdgeList, IdPastSignedRangeThrows)
                        "vertex id 2147483648 at line 3");
 }
 
+TEST(ReadEdgeList, LargestIdLeavesNoUniverseThrows)
+{
+    // The largest 32-bit id is a valid id, but counting it needs a
+    // universe of 2^31 vertices, which a 32-bit count cannot hold.
+    std::istringstream in("0 1\n2 2147483647\n");
+    EXPECT_INPUT_ERROR(readEdgeList(in), "vertex id 2147483647 needs");
+}
+
 TEST(ReadEdgeList, NegativeUniverseThrows)
 {
     std::istringstream in("0 1\n");
@@ -204,6 +212,16 @@ TEST(SnapshotFiles, MalformedMemberThrows)
                        "parse error");
     std::remove(good.c_str());
     std::remove(bad.c_str());
+}
+
+TEST(SnapshotFiles, LargestIdLeavesNoUniverseThrows)
+{
+    const std::string path = ::testing::TempDir() +
+        "/ditile_snap_largest.el";
+    { std::ofstream(path) << "0 1\n2 2147483647\n"; }
+    EXPECT_INPUT_ERROR(readSnapshotFiles("disk", {path}, 16),
+                       "vertex id 2147483647 needs");
+    std::remove(path.c_str());
 }
 
 TEST(EventStream, BadOpThrows)

@@ -23,9 +23,9 @@ TEST(RelinkController, StopsFormulaMatchesRingTopology)
     config.topology = TopologyKind::Reconfigurable;
     for (int span : {1, 2, 4, 8}) {
         config.reLinkSpan = span;
-        auto topo = Topology::create(config);
+        const Topology topo(config);
         for (int d = 1; d <= 8; ++d) {
-            const auto hops = topo->route(
+            const auto hops = topo.route(
                 0, static_cast<TileId>(d * 16),
                 TrafficClass::Spatial);
             int stops = 0;

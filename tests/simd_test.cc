@@ -4,7 +4,8 @@
  * must round like a separately rounded reference, the flat SlotArrays
  * census kernels must reproduce the retired map-based walks on
  * adds+removes deltas, the DenseTraffic touched-cell drain must match
- * a dense reference and a std::sort of its mix64 drain keys, and batch
+ * a dense reference and a std::sort of its mix64 drain keys, the
+ * fused Stage-1 GCN walk must match a per-layer walk, and batch
  * planning (SharedFrontEnd)
  * must emit byte-identical plans to per-accelerator planning at any
  * thread width.
@@ -368,6 +369,161 @@ TEST(DenseTraffic, DrainOrderMatchesSortedMix64Reference)
         EXPECT_GE(big.cells.size(), std::min<std::size_t>(1000, all_cells));
         expectSortedDrain(big, same, same);
         expectSortedDrain(big, left, right);
+    }
+}
+
+// The fused Stage-1 GCN walk: one adjacency walk per distinct vertex
+// must drain the same messages, slot MACs and tile tasks as a walk of
+// every layer's adjacency, whatever layer sets a plan document carries.
+
+/** The per-layer walk walkGcnLayers replaced. */
+void
+perLayerWalk(const graph::Csr &g,
+             const std::vector<model::LayerWork> &layers,
+             const model::DgnnConfig &mc, int feature_dim, ByteCount bpv,
+             const std::vector<int> &owner, std::vector<OpCount> &slot_gnn,
+             std::vector<std::vector<sim::VertexTask>> &slot_tasks,
+             sim::detail::DenseTraffic &traffic)
+{
+    for (int l = 0; l < mc.numGcnLayers(); ++l) {
+        const auto in_dim =
+            static_cast<OpCount>(mc.gcnInputDim(l, feature_dim));
+        const auto out_dim = static_cast<OpCount>(mc.gcnOutputDim(l));
+        const ByteCount gather_bytes = static_cast<ByteCount>(in_dim) * bpv;
+        for (VertexId v : layers[static_cast<std::size_t>(l)].vertices) {
+            const int ov = owner[static_cast<std::size_t>(v)];
+            const auto degree = static_cast<OpCount>(g.degree(v));
+            const OpCount macs = (degree + 1) * in_dim + in_dim * out_dim;
+            slot_gnn[static_cast<std::size_t>(ov)] += macs;
+            sim::VertexTask task;
+            task.vertex = v;
+            task.macs = macs;
+            task.postOps = out_dim;
+            task.inputBytes = (static_cast<ByteCount>(degree) + 1) *
+                static_cast<ByteCount>(in_dim) * bpv;
+            slot_tasks[static_cast<std::size_t>(ov)].push_back(task);
+            for (VertexId u : g.neighbors(v))
+                traffic.add(owner[static_cast<std::size_t>(u)], ov,
+                            gather_bytes);
+        }
+    }
+    traffic.clearDiagonal();
+}
+
+TEST(SpatialWalk, FusedWalkMatchesPerLayerWalk)
+{
+    Rng rng(41);
+    const VertexId n = 400;
+    const auto g = graph::generateRmat(n, 3000, {}, rng);
+    const int slots = 16;
+    const int feature_dim = 20;
+    const ByteCount bpv = 2;
+    model::DgnnConfig mc;
+    mc.gcnDims = {24, 12, 6};
+
+    auto random_set = [&](std::size_t size) {
+        std::vector<VertexId> set;
+        for (std::size_t k = 0; k < size; ++k)
+            set.push_back(static_cast<VertexId>(rng.uniformInt(0, n - 1)));
+        return set;
+    };
+    auto sorted_unique = [](std::vector<VertexId> set) {
+        std::sort(set.begin(), set.end());
+        set.erase(std::unique(set.begin(), set.end()), set.end());
+        return set;
+    };
+    std::vector<VertexId> all(static_cast<std::size_t>(n));
+    for (VertexId v = 0; v < n; ++v)
+        all[static_cast<std::size_t>(v)] = v;
+    const auto wide = sorted_unique(random_set(300));
+    std::vector<VertexId> narrow;
+    for (std::size_t k = 0; k < wide.size(); k += 3)
+        narrow.push_back(wide[k]);
+    std::vector<VertexId> thirds[3];
+    for (VertexId v = 0; v < n; ++v)
+        thirds[v % 3].push_back(v);
+
+    using Sets = std::vector<std::vector<VertexId>>;
+    const std::vector<std::pair<const char *, Sets>> cases = {
+        {"unsorted", {random_set(150), random_set(90), random_set(40)}},
+        {"duplicated",
+         {{5, 5, 7, 5, 9}, {7, 7, 7}, {all.begin(), all.begin() + 50}}},
+        {"disjoint", {thirds[0], thirds[1], thirds[2]}},
+        {"nested", {wide, narrow, {narrow.begin(), narrow.begin() + 10}}},
+        {"nested-growing", {narrow, wide, all}},
+        {"identical", {wide, wide, wide}},
+        {"empty", {{}, {}, {}}},
+        {"some-empty", {{}, wide, {}}},
+    };
+
+    std::vector<int> planned(static_cast<std::size_t>(n));
+    std::vector<int> remap(static_cast<std::size_t>(n));
+    for (VertexId v = 0; v < n; ++v) {
+        planned[static_cast<std::size_t>(v)] = v % slots;
+        remap[static_cast<std::size_t>(v)] =
+            static_cast<int>(rng.uniformInt(0, slots / 2)); // survivors
+    }
+    const auto tile = [](int s) { return static_cast<TileId>(s); };
+
+    // One scratch accumulator and matrix across every case, as the
+    // engine's leased arena is reused across snapshots.
+    std::vector<ByteCount> gather;
+    sim::detail::DenseTraffic fused(slots);
+    for (const auto &[name, sets] : cases) {
+        for (const auto *owner : {&planned, &remap}) {
+            SCOPED_TRACE(testing::Message()
+                         << name << (owner == &remap ? " remap" : ""));
+            std::vector<model::LayerWork> layers(sets.size());
+            for (std::size_t l = 0; l < sets.size(); ++l)
+                layers[l].vertices = sets[l];
+
+            std::vector<OpCount> want_gnn(slots, 0);
+            std::vector<std::vector<sim::VertexTask>> want_tasks(slots);
+            sim::detail::DenseTraffic reference(slots);
+            perLayerWalk(g, layers, mc, feature_dim, bpv, *owner, want_gnn,
+                         want_tasks, reference);
+            std::vector<noc::Message> want;
+            reference.emit(want, noc::TrafficClass::Spatial, 0, tile, tile);
+
+            std::vector<OpCount> got_gnn(slots, 0);
+            std::vector<std::vector<sim::VertexTask>> got_tasks(slots);
+            fused.reset(slots);
+            sim::detail::walkGcnLayers(g, layers, mc, feature_dim, bpv,
+                                       owner->data(), got_gnn, &got_tasks,
+                                       gather, fused);
+            std::vector<noc::Message> got;
+            fused.emit(got, noc::TrafficClass::Spatial, 0, tile, tile);
+
+            EXPECT_EQ(want_gnn, got_gnn);
+            ASSERT_EQ(want.size(), got.size());
+            for (std::size_t i = 0; i < want.size(); ++i) {
+                EXPECT_EQ(want[i].src, got[i].src) << "message " << i;
+                EXPECT_EQ(want[i].dst, got[i].dst) << "message " << i;
+                EXPECT_EQ(want[i].bytes, got[i].bytes) << "message " << i;
+            }
+            for (int sl = 0; sl < slots; ++sl) {
+                const auto &w = want_tasks[static_cast<std::size_t>(sl)];
+                const auto &o = got_tasks[static_cast<std::size_t>(sl)];
+                ASSERT_EQ(w.size(), o.size()) << "slot " << sl;
+                for (std::size_t k = 0; k < w.size(); ++k) {
+                    EXPECT_EQ(w[k].vertex, o[k].vertex);
+                    EXPECT_EQ(w[k].macs, o[k].macs);
+                    EXPECT_EQ(w[k].postOps, o[k].postOps);
+                    EXPECT_EQ(w[k].inputBytes, o[k].inputBytes);
+                }
+            }
+            EXPECT_EQ(std::count(gather.begin(), gather.end(), ByteCount{0}),
+                      static_cast<std::ptrdiff_t>(gather.size()))
+                << "the accumulator must be left zero";
+            // Same MACs with the tasks off (the engine default).
+            std::vector<OpCount> flat_gnn(slots, 0);
+            fused.reset(slots);
+            sim::detail::walkGcnLayers(g, layers, mc, feature_dim, bpv,
+                                       owner->data(), flat_gnn, nullptr,
+                                       gather, fused);
+            EXPECT_EQ(want_gnn, flat_gnn);
+            EXPECT_EQ(want.size(), fused.nonzero());
+        }
     }
 }
 

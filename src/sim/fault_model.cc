@@ -255,14 +255,21 @@ FaultSpec::toString() const
           case FaultKind::TileFail:
           case FaultKind::HLinkFail:
           case FaultKind::VLinkFail:
-            item += "r" + coordText(e.row) + "c" + coordText(e.col);
+            // Appended piecewise: a `"r" + std::string` temporary
+            // trips gcc 12's -Wrestrict false positive at -O3.
+            item += 'r';
+            item += coordText(e.row);
+            item += 'c';
+            item += coordText(e.col);
             break;
           case FaultKind::BypassStuckOpen:
           case FaultKind::BypassStuckClosed:
-            item += "c" + coordText(e.col);
+            item += 'c';
+            item += coordText(e.col);
             break;
           case FaultKind::DramTransient:
-            item += "ch" + coordText(e.channel);
+            item += "ch";
+            item += coordText(e.channel);
             break;
         }
         add(item);

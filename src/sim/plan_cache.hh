@@ -15,8 +15,8 @@
  * sibling is resident copies the sibling's plans and recomputes only
  * the RNN sets (model::assignRnnVertices) instead of re-expanding.
  *
- * Thread-safe: lookups lock, misses plan outside the lock (the first
- * finished writer wins; losers reuse the published set).
+ * Lookup, build, publish, counting and the LRU bound follow the shared
+ * policy in common/content_cache.hh.
  */
 
 #ifndef DITILE_SIM_PLAN_CACHE_HH
@@ -24,10 +24,9 @@
 
 #include <cstdio>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/content_cache.hh"
 #include "graph/dynamic_graph.hh"
 #include "model/incremental.hh"
 
@@ -67,50 +66,32 @@ class PlanCache
      * meaningful from serial points (the serving tier's admission
      * step), since concurrent writers may publish in between.
      */
-    bool contains(std::uint64_t key) const;
+    bool contains(std::uint64_t key) const { return entries_.contains(key); }
 
-    /**
-     * Bound the number of published plan sets; 0 (the default) means
-     * unbounded. The bound is enforced only by evictToCapacity() —
-     * obtain() never evicts, so a plan set pinned by an in-flight
-     * batch is never yanked mid-execution.
-     */
-    void setCapacity(std::size_t capacity);
-    std::size_t capacity() const;
+    /** Bound the published plan sets (0 = unbounded); see the LRU in
+     *  common/content_cache.hh. */
+    void setCapacity(std::size_t capacity) { entries_.setCapacity(capacity); }
 
-    /**
-     * Mark `key` as most recently used. Recency advances *only* here —
-     * never inside obtain() — so eviction order is a pure function of
-     * the serial touch sequence (the serving admission step), not of
-     * which pool worker finished planning first.
-     */
-    void touch(std::uint64_t key);
+    /** Mark `key` most recently used; the serving admission step
+     *  touches, so eviction follows its serial order. */
+    void touch(std::uint64_t key) { entries_.touch(key); }
 
-    /**
-     * Evict least-recently-touched entries until size() <= capacity
-     * (no-op when unbounded). Ties — entries never touched — break on
-     * ascending key, so eviction is deterministic regardless of hash-
-     * map iteration order. Call from serial points only; returns the
-     * evicted keys so callers can invalidate hit predictions.
-     */
-    std::vector<std::uint64_t> evictToCapacity();
+    /** Enforce the bound; returns the evicted keys so callers can
+     *  invalidate hit predictions. Serial points only. */
+    std::vector<std::uint64_t> evictToCapacity()
+    {
+        return entries_.evictToCapacity();
+    }
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::uint64_t evictions() const;
-    std::size_t size() const;
-    void clear();
+    std::uint64_t hits() const { return entries_.hits(); }
+    std::uint64_t misses() const { return entries_.misses(); }
+    std::uint64_t evictions() const { return entries_.evictions(); }
+    std::size_t size() const { return entries_.size(); }
+    void clear() { entries_.clear(); }
 
   private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const SnapshotPlans>> entries_;
-    std::unordered_map<std::uint64_t, std::uint64_t> recency_;
-    std::uint64_t touchSeq_ = 0;
-    std::size_t capacity_ = 0; ///< 0 = unbounded.
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
-    std::uint64_t evictions_ = 0;
+    ContentCache<std::uint64_t, std::shared_ptr<const SnapshotPlans>>
+        entries_{"plan-cache", "plan"};
 };
 
 /**

@@ -306,55 +306,12 @@ CommModelCache::get(const ApplicationFeatures &app,
                     std::uint64_t app_key, int tiling_factor,
                     int snapshot_groups, int vertex_parts)
 {
-    const PointKey key{app_key, tiling_factor, snapshot_groups,
-                       vertex_parts};
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = points_.find(key);
-        if (it != points_.end()) {
-            ++hits_;
-            return it->second;
-        }
-    }
-    // Evaluate outside the lock: the breakdown is a pure function of
-    // the key, so a racing computer produces the identical value.
-    const CommBreakdown bd = commBreakdown(app, tiling_factor,
-                                           snapshot_groups,
-                                           vertex_parts);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    points_.emplace(key, bd);
-    return bd;
-}
-
-std::uint64_t
-CommModelCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-CommModelCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-CommModelCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return points_.size();
-}
-
-void
-CommModelCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    points_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    return points_.obtain(
+        PointKey{app_key, tiling_factor, snapshot_groups, vertex_parts},
+        [&] {
+            return commBreakdown(app, tiling_factor, snapshot_groups,
+                                 vertex_parts);
+        });
 }
 
 CommModelCache &

@@ -26,10 +26,9 @@
 #define DITILE_TILING_COMM_MODEL_HH
 
 #include <cstdint>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
+#include "common/content_cache.hh"
 #include "common/types.hh"
 #include "graph/dynamic_graph.hh"
 
@@ -158,9 +157,9 @@ std::uint64_t appFeatureKey(const ApplicationFeatures &app);
  * (appFeatureKey, a, Gs, Gv). Algorithm 1's parallelism sweep walks
  * the full Gs x Gv grid per accelerator, and every accelerator
  * family planning the same dynamic graph walks the *same* grid — the
- * memo collapses those repeat passes to hash lookups. Internally
- * synchronized: concurrent sweep points may race to insert the same
- * key, in which case both compute the identical value and one wins.
+ * memo collapses those repeat passes to hash lookups. A silent,
+ * unbounded cache under the shared policy of common/content_cache.hh:
+ * racing sweep points compute the identical value and one publishes.
  */
 class CommModelCache
 {
@@ -177,10 +176,9 @@ class CommModelCache
                       std::uint64_t app_key, int tiling_factor,
                       int snapshot_groups, int vertex_parts);
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::size_t size() const;
-    void clear();
+    std::uint64_t hits() const { return points_.hits(); }
+    std::uint64_t misses() const { return points_.misses(); }
+    std::size_t size() const { return points_.size(); }
 
     /** Process-wide instance shared by planners and tools. */
     static CommModelCache &global();
@@ -204,10 +202,7 @@ class CommModelCache
         std::size_t operator()(const PointKey &k) const;
     };
 
-    mutable std::mutex mutex_;
-    std::unordered_map<PointKey, CommBreakdown, PointKeyHash> points_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    ContentCache<PointKey, CommBreakdown, PointKeyHash> points_;
 };
 
 } // namespace ditile::tiling

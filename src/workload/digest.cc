@@ -37,7 +37,6 @@
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/simd.hh"
-#include "common/trace.hh"
 #include "workload/slot_arrays.hh"
 
 namespace ditile::workload {
@@ -293,91 +292,20 @@ partitionDigestKey(const graph::DynamicGraph &dg,
 std::shared_ptr<const LoadDigest>
 DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
 {
-    const std::uint64_t key = loadDigestKey(dg, gcn_layers);
-    std::shared_ptr<const LoadDigest> cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = loads_.find(key);
-        if (it != loads_.end()) {
-            ++hits_;
-            cached = it->second;
-        }
-    }
-    if (cached) {
-        Tracer::global().cacheInstant("digest-loads hit", key);
-        Tracer::global().addMetric("cache.digest_loads.hits", 1);
-        return cached;
-    }
-    Tracer::global().cacheInstant("digest-loads miss", key);
-    Tracer::global().addMetric("cache.digest_loads.misses", 1);
-    // Build outside the lock; the first finished writer wins.
-    auto digest = std::make_shared<const LoadDigest>(
-        buildLoadDigest(dg, gcn_layers));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    const auto [it, inserted] = loads_.emplace(key, std::move(digest));
-    return it->second;
+    return loads_.obtain(loadDigestKey(dg, gcn_layers), [&] {
+        return std::make_shared<const LoadDigest>(
+            buildLoadDigest(dg, gcn_layers));
+    });
 }
 
 std::shared_ptr<const PartitionDigest>
 DigestCache::partition(const graph::DynamicGraph &dg,
                        const std::vector<int> &owners, int slots)
 {
-    const std::uint64_t key = partitionDigestKey(dg, owners, slots);
-    std::shared_ptr<const PartitionDigest> cached;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = partitions_.find(key);
-        if (it != partitions_.end()) {
-            ++hits_;
-            cached = it->second;
-        }
-    }
-    if (cached) {
-        Tracer::global().cacheInstant("digest-partition hit", key);
-        Tracer::global().addMetric("cache.digest_partition.hits", 1);
-        return cached;
-    }
-    Tracer::global().cacheInstant("digest-partition miss", key);
-    Tracer::global().addMetric("cache.digest_partition.misses", 1);
-    auto digest = std::make_shared<const PartitionDigest>(
-        buildPartitionDigest(dg, owners, slots));
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    const auto [it, inserted] =
-        partitions_.emplace(key, std::move(digest));
-    return it->second;
-}
-
-std::uint64_t
-DigestCache::hits() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return hits_;
-}
-
-std::uint64_t
-DigestCache::misses() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return misses_;
-}
-
-std::size_t
-DigestCache::size() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return loads_.size() + partitions_.size();
-}
-
-void
-DigestCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    loads_.clear();
-    partitions_.clear();
-    hits_ = 0;
-    misses_ = 0;
+    return partitions_.obtain(partitionDigestKey(dg, owners, slots), [&] {
+        return std::make_shared<const PartitionDigest>(
+            buildPartitionDigest(dg, owners, slots));
+    });
 }
 
 DigestCache &

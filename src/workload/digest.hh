@@ -32,11 +32,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "common/content_cache.hh"
 #include "graph/dynamic_graph.hh"
 #include "workload/slot_arrays.hh"
 
@@ -157,10 +156,8 @@ std::uint64_t partitionDigestKey(const graph::DynamicGraph &dg,
 /**
  * Content-addressed digest cache, the workload-layer sibling of
  * sim::PlanCache: sweep variants, the balancer and the engine share
- * one digest per (graph, layers) / (graph, partition) input set.
- *
- * Thread-safe with the PlanCache discipline: lookups lock, misses
- * build outside the lock, the first finished writer wins.
+ * one digest per (graph, layers) / (graph, partition) input set,
+ * under the shared policy of common/content_cache.hh (unbounded).
  */
 class DigestCache
 {
@@ -172,23 +169,30 @@ class DigestCache
     partition(const graph::DynamicGraph &dg,
               const std::vector<int> &owners, int slots);
 
-    std::uint64_t hits() const;
-    std::uint64_t misses() const;
-    std::size_t size() const;
-    void clear();
+    /** Counters and entries summed over both digest kinds. */
+    std::uint64_t hits() const { return loads_.hits() + partitions_.hits(); }
+    std::uint64_t
+    misses() const
+    {
+        return loads_.misses() + partitions_.misses();
+    }
+    std::size_t size() const { return loads_.size() + partitions_.size(); }
+
+    void
+    clear()
+    {
+        loads_.clear();
+        partitions_.clear();
+    }
 
     /** Process-wide instance shared by balancer, engine and tools. */
     static DigestCache &global();
 
   private:
-    mutable std::mutex mutex_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const LoadDigest>> loads_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const PartitionDigest>>
-        partitions_;
-    std::uint64_t hits_ = 0;
-    std::uint64_t misses_ = 0;
+    ContentCache<std::uint64_t, std::shared_ptr<const LoadDigest>>
+        loads_{"digest-loads", "digest_loads"};
+    ContentCache<std::uint64_t, std::shared_ptr<const PartitionDigest>>
+        partitions_{"digest-partition", "digest_partition"};
 };
 
 } // namespace ditile::workload

@@ -6,16 +6,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/cli.hh"
+#include "common/content_cache.hh"
 #include "common/hash.hh"
 #include "common/logging.hh"
 #include "common/math_util.hh"
 #include "common/rng.hh"
 #include "common/stats.hh"
 #include "common/table.hh"
+#include "common/trace.hh"
 
 namespace ditile {
 namespace {
@@ -436,6 +442,87 @@ TEST(WarnOnce, ResetHookClearsTableAndSaturation)
     EXPECT_EQ(detail::warnOnceTableSize(), 0u);
     EXPECT_TRUE(warnOnce("reset probe"));
     detail::warnOnceResetForTest();
+}
+
+// ---------------------------------------------------------------------
+// ContentCache: the shared lookup/build/publish/count policy.
+// ---------------------------------------------------------------------
+
+TEST(ContentCache, LaterRacerGetsThePublishedValue)
+{
+    // A race, played serially: while the outer miss builds (outside
+    // the lock), a nested lookup of the same key misses too, builds
+    // and publishes first. The outer build's value is dropped.
+    ContentCache<std::uint64_t, int> cache;
+    const int outer = cache.obtain(7, [&] {
+        EXPECT_EQ(cache.obtain(7, [] { return 1; }), 1);
+        return 2;
+    });
+    EXPECT_EQ(outer, 1);
+    EXPECT_EQ(cache.size(), 1u);
+    EXPECT_EQ(cache.misses(), 2u);
+    EXPECT_EQ(cache.obtain(7, [] { return 3; }), 1);
+    EXPECT_EQ(cache.hits(), 1u);
+    // peek() and contains() count no lookup.
+    EXPECT_EQ(cache.peek(7), std::optional<int>(1));
+    EXPECT_FALSE(cache.peek(8).has_value());
+    EXPECT_TRUE(cache.contains(7));
+    EXPECT_FALSE(cache.contains(8));
+    EXPECT_EQ(cache.hits() + cache.misses(), 3u);
+}
+
+TEST(ContentCache, NamedCacheReportsEachLookupOnceAndSilentNone)
+{
+    Tracer &tracer = Tracer::global();
+    tracer.reset();
+    tracer.enable(true, true);
+    ContentCache<std::uint64_t, int> named("demo-cache", "demo");
+    ContentCache<std::uint64_t, int> silent;
+    for (const std::uint64_t key : {1u, 2u, 1u}) {
+        named.obtain(key, [] { return 0; });
+        silent.obtain(key, [] { return 0; });
+    }
+    named.setCapacity(1);
+    EXPECT_EQ(named.evictToCapacity().size(), 1u);
+    const auto metrics = tracer.metrics();
+    const std::map<std::string, long long> registry(metrics.begin(),
+                                                    metrics.end());
+    const std::map<std::string, long long> expected{
+        {"cache.demo.evictions", 1},
+        {"cache.demo.hits", 1},
+        {"cache.demo.misses", 2}};
+    EXPECT_EQ(registry, expected);
+    std::map<std::string, std::uint64_t> instants;
+    for (const auto &row : tracer.rollup())
+        instants[row.cat + "/" + row.name] = row.count;
+    const std::map<std::string, std::uint64_t> expected_instants{
+        {"cache/demo-cache hit", 1}, {"cache/demo-cache miss", 2}};
+    EXPECT_EQ(instants, expected_instants);
+    EXPECT_EQ(silent.hits(), 1u);
+    EXPECT_EQ(silent.misses(), 2u);
+    tracer.reset();
+}
+
+TEST(ContentCache, EvictsUntouchedFirstThenLeastRecentlyTouched)
+{
+    ContentCache<std::uint64_t, int> cache;
+    for (const std::uint64_t key : {30u, 10u, 20u, 40u})
+        cache.obtain(key, [] { return 0; });
+    cache.touch(40);
+    cache.touch(30);
+    cache.touch(99); // Recency may precede publication.
+    // A lookup moves no recency: 40 stays older than 30.
+    cache.obtain(40, [] { return 0; });
+    EXPECT_TRUE(cache.evictToCapacity().empty()); // Unbounded.
+    cache.setCapacity(1);
+    EXPECT_EQ(cache.evictToCapacity(),
+              (std::vector<std::uint64_t>{10, 20, 40}));
+    EXPECT_TRUE(cache.contains(30));
+    EXPECT_EQ(cache.evictions(), 3u);
+    cache.clear();
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.hits() + cache.misses(), 0u);
 }
 
 } // namespace

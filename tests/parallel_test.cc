@@ -447,6 +447,43 @@ TEST(PlanCache, StatsAccessorsSafeUnderConcurrentObtain)
     EXPECT_GE(cache.misses(), 3u);
 }
 
+TEST(SharedCache, RacingColdMissesShareOnePublishedValue)
+{
+    // Four workers look up one cold key at once. However many of them
+    // miss and build, every caller gets the one published value, one
+    // entry lands, and each lookup counts exactly once.
+    constexpr std::size_t kWorkers = 4;
+    const auto dg = ctdgWorkload();
+    const model::DgnnConfig mconfig;
+    sim::PlanCache plans;
+    workload::DigestCache digests;
+    std::vector<std::shared_ptr<const sim::PlanCache::SnapshotPlans>>
+        plan_sets(kWorkers);
+    std::vector<std::shared_ptr<const workload::LoadDigest>> loads(
+        kWorkers);
+    ThreadPool::setGlobalThreads(kWorkers);
+    parallelFor(kWorkers, [&](std::size_t i) {
+        plan_sets[i] =
+            plans.obtain(dg, mconfig, model::AlgoKind::DiTileAlg);
+    });
+    parallelFor(kWorkers, [&](std::size_t i) {
+        loads[i] = digests.loads(dg, mconfig.numGcnLayers());
+    });
+    ThreadPool::setGlobalThreads(1);
+    for (std::size_t i = 0; i < kWorkers; ++i) {
+        EXPECT_EQ(plan_sets[i], plan_sets[0]) << i;
+        EXPECT_EQ(loads[i], loads[0]) << i;
+    }
+    EXPECT_NE(plan_sets[0], nullptr);
+    EXPECT_NE(loads[0], nullptr);
+    EXPECT_EQ(plans.size(), 1u);
+    EXPECT_EQ(plans.hits() + plans.misses(), kWorkers);
+    EXPECT_GE(plans.misses(), 1u);
+    EXPECT_EQ(digests.size(), 1u);
+    EXPECT_EQ(digests.hits() + digests.misses(), kWorkers);
+    EXPECT_GE(digests.misses(), 1u);
+}
+
 TEST(ConcurrentRunner, RacingInfersOnOneKeyAgreeAndMemoizeOnce)
 {
     // The server never races one key (it groups batches by structure),

@@ -674,10 +674,12 @@ TEST(TaskGraphJson, Format2EmbedsGraphAndRoundTripsByteStable)
     // The embedded section mirrors buildTaskGraph on the same plan.
     const auto g = sim::buildTaskGraph(plan);
     EXPECT_NE(json.find("\"edges\":["), std::string::npos);
-    for (const auto &lane : g.lanes)
-        EXPECT_NE(json.find("\"" + lane.name() + "\""),
-                  std::string::npos)
-            << lane.name();
+    for (const auto &lane : g.lanes) {
+        std::string quoted = "\"";
+        quoted += lane.name();
+        quoted += '"';
+        EXPECT_NE(json.find(quoted), std::string::npos) << lane.name();
+    }
 }
 
 TEST(TaskGraphJson, Format1DocumentsLoadWithOverlapOff)

@@ -24,7 +24,9 @@
 #include "core/ditile_accelerator.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
+#include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
+#include "sim/plan_cache.hh"
 #include "sim/run_trace.hh"
 #include "workload/digest.hh"
 
@@ -69,6 +71,48 @@ captureTinyTrace()
     std::string json = tracer.toChromeJson();
     tracer.reset();
     return json;
+}
+
+TEST(CacheMetrics, EachCacheCounterIsCountedOnce)
+{
+    // The registry's cache.* totals and the caches' own counters come
+    // from one bump per lookup, so over a fleet that both hits and
+    // misses they agree.
+    TracerGuard guard;
+    workload::setDigestEnabled(true);
+    auto &digests = workload::DigestCache::global();
+    digests.clear();
+    Tracer::global().enable(false, true);
+    const auto dg = tinyWorkload();
+    const model::DgnnConfig mconfig;
+    sim::PlanCache plans;
+    for (int round = 0; round < 2; ++round) {
+        core::DiTileAccelerator ditile;
+        core::DiTileAccelerator nora(
+            sim::AcceleratorConfig::defaults(),
+            core::DiTileOptions::fromVariant("NoRa"));
+        const auto ready = sim::makeReady();
+        for (sim::Accelerator *accel :
+             {static_cast<sim::Accelerator *>(&ditile),
+              static_cast<sim::Accelerator *>(&nora), ready.get()})
+            accel->execute(dg, accel->plan(dg, mconfig, &plans));
+    }
+    const auto metrics = Tracer::global().metrics();
+    std::map<std::string, std::uint64_t> registry;
+    for (const auto &[path, value] : metrics)
+        registry[path] = static_cast<std::uint64_t>(value);
+    EXPECT_GT(plans.hits(), 0u);
+    EXPECT_GT(plans.misses(), 0u);
+    EXPECT_EQ(registry["cache.plan.hits"], plans.hits());
+    EXPECT_EQ(registry["cache.plan.misses"], plans.misses());
+    EXPECT_GT(digests.hits(), 0u);
+    EXPECT_GT(digests.misses(), 0u);
+    EXPECT_EQ(registry["cache.digest_loads.hits"] +
+                  registry["cache.digest_partition.hits"],
+              digests.hits());
+    EXPECT_EQ(registry["cache.digest_loads.misses"] +
+                  registry["cache.digest_partition.misses"],
+              digests.misses());
 }
 
 TEST(Tracer, DisabledByDefaultAndRecordIsNoOp)
@@ -186,10 +230,12 @@ TEST(ChromeTrace, SchemaIsValidAndCoversAllStages)
         EXPECT_NE(e.find("ts"), nullptr);
         EXPECT_NE(e.find("name"), nullptr);
         cats.insert(e.at("cat").asString());
-        if (ph == "X")
+        if (ph == "X") {
             EXPECT_NE(e.find("dur"), nullptr);
-        if (ph == "i")
+        }
+        if (ph == "i") {
             EXPECT_EQ(e.at("s").asString(), "t");
+        }
     }
     // Every instrumented stage shows up even on a tiny run.
     for (const char *cat : {"plan", "engine", "noc", "dram", "cache"})

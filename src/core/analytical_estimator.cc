@@ -18,13 +18,14 @@
 #include <algorithm>
 #include <cmath>
 
+#include "model/incremental.hh"
+
 namespace ditile::core {
 
 namespace {
 
-/** Mean influence-propagation count per changed vertex per layer
- *  (must match IncrementalPlanner's default kappa). */
-constexpr double kKappa = 1.2;
+/** Mean influence-propagation count per changed vertex per layer. */
+constexpr double kKappa = model::kDefaultKappa;
 
 } // namespace
 

@@ -61,8 +61,8 @@ findDataset(const std::string &name_or_abbrev)
                  "'; expected one of PM, RD, MB, TW, WD, FK");
 }
 
-DynamicGraph
-makeDataset(const DatasetSpec &spec, const DatasetOptions &options)
+EvolutionConfig
+datasetConfig(const DatasetSpec &spec, const DatasetOptions &options)
 {
     const double scale =
         options.scale > 0.0 ? options.scale : spec.defaultScale;
@@ -83,7 +83,13 @@ makeDataset(const DatasetSpec &spec, const DatasetOptions &options)
     config.seed = options.seed != 0
         ? options.seed
         : mix64(std::hash<std::string>{}(spec.name));
-    return generateDynamicGraph(config);
+    return config;
+}
+
+DynamicGraph
+makeDataset(const DatasetSpec &spec, const DatasetOptions &options)
+{
+    return generateDynamicGraph(datasetConfig(spec, options));
 }
 
 DynamicGraph

@@ -52,6 +52,10 @@ struct DatasetOptions
     std::uint64_t seed = 0;     ///< 0 => derived from the dataset name.
 };
 
+/** The generator inputs makeDataset() uses for a spec and options. */
+EvolutionConfig datasetConfig(const DatasetSpec &spec,
+                              const DatasetOptions &options = {});
+
 /**
  * Synthesize the dynamic graph for a dataset spec.
  *

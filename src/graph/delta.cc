@@ -109,7 +109,7 @@ expandFrontier(const Csr &g, const std::vector<VertexId> &seeds, int hops)
 
 std::vector<std::vector<VertexId>>
 expandFrontierLevels(const Csr &g, const std::vector<VertexId> &seeds,
-                     int hops)
+                     int hops, std::size_t reach_cap)
 {
     std::vector<bool> visited(static_cast<std::size_t>(g.numVertices()),
                               false);
@@ -126,9 +126,10 @@ expandFrontierLevels(const Csr &g, const std::vector<VertexId> &seeds,
         }
     }
     std::sort(frontier.begin(), frontier.end());
+    std::size_t reached = frontier.size();
     levels.push_back(frontier);
 
-    for (int h = 0; h < hops; ++h) {
+    for (int h = 0; h < hops && reached <= reach_cap; ++h) {
         std::vector<VertexId> next;
         for (VertexId v : levels.back()) {
             for (VertexId w : g.neighbors(v)) {
@@ -137,7 +138,10 @@ expandFrontierLevels(const Csr &g, const std::vector<VertexId> &seeds,
                     next.push_back(w);
                 }
             }
+            if (reached + next.size() > reach_cap)
+                break;
         }
+        reached += next.size();
         std::sort(next.begin(), next.end());
         levels.push_back(std::move(next));
         if (levels.back().empty())

@@ -92,10 +92,16 @@ std::vector<VertexId> expandFrontier(const Csr &g,
  * seed, each sorted ascending. The union of levels[0..h] is exactly
  * the set whose h+1-hop walk counts can differ after the change that
  * produced the seeds, which is what digest patching iterates.
+ *
+ * The walk stops as soon as more than `reach_cap` vertices are
+ * reached: the levels are then incomplete, and their total size
+ * exceeds the cap, which is all a caller deciding "is the reach small
+ * enough to patch?" needs.
  */
 std::vector<std::vector<VertexId>>
 expandFrontierLevels(const Csr &g, const std::vector<VertexId> &seeds,
-                     int hops);
+                     int hops,
+                     std::size_t reach_cap = static_cast<std::size_t>(-1));
 
 } // namespace ditile::graph
 

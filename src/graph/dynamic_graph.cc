@@ -12,26 +12,55 @@
 
 namespace ditile::graph {
 
+namespace {
+
+std::vector<std::shared_ptr<const Csr>>
+share(std::vector<Csr> snapshots)
+{
+    std::vector<std::shared_ptr<const Csr>> shared;
+    shared.reserve(snapshots.size());
+    for (Csr &g : snapshots)
+        shared.push_back(std::make_shared<const Csr>(std::move(g)));
+    return shared;
+}
+
+std::vector<GraphDelta>
+diffAll(const std::vector<std::shared_ptr<const Csr>> &snapshots)
+{
+    std::vector<GraphDelta> deltas;
+    for (std::size_t t = 1; t < snapshots.size(); ++t)
+        deltas.push_back(GraphDelta::diff(*snapshots[t - 1],
+                                          *snapshots[t]));
+    return deltas;
+}
+
+} // namespace
+
 DynamicGraph::DynamicGraph(std::string name, std::vector<Csr> snapshots,
                            int feature_dim)
-    : name_(std::move(name)), snapshots_(std::move(snapshots)),
+    : name_(std::move(name)), snapshots_(share(std::move(snapshots))),
       featureDim_(feature_dim)
 {
     DITILE_ASSERT(!snapshots_.empty(), "need at least one snapshot");
     DITILE_ASSERT(featureDim_ > 0, "feature dim must be positive");
     for (const auto &s : snapshots_) {
-        DITILE_ASSERT(s.numVertices() == snapshots_.front().numVertices(),
+        DITILE_ASSERT(s->numVertices() == snapshots_.front()->numVertices(),
                       "snapshots must share a vertex universe");
     }
-    deltas_.reserve(snapshots_.size() - 1);
-    for (std::size_t t = 1; t < snapshots_.size(); ++t)
-        deltas_.push_back(GraphDelta::diff(snapshots_[t - 1],
-                                           snapshots_[t]));
-    structureHash_ = computeStructureHash();
+    deltas_ = diffAll(snapshots_);
+    computeKeys();
 }
 
 DynamicGraph::DynamicGraph(std::string name, std::vector<Csr> snapshots,
                            std::vector<GraphDelta> deltas, int feature_dim)
+    : DynamicGraph(std::move(name), share(std::move(snapshots)),
+                   std::move(deltas), feature_dim)
+{
+}
+
+DynamicGraph::DynamicGraph(
+    std::string name, std::vector<std::shared_ptr<const Csr>> snapshots,
+    std::vector<GraphDelta> deltas, int feature_dim)
     : name_(std::move(name)), snapshots_(std::move(snapshots)),
       deltas_(std::move(deltas)), featureDim_(feature_dim)
 {
@@ -39,11 +68,17 @@ DynamicGraph::DynamicGraph(std::string name, std::vector<Csr> snapshots,
     DITILE_ASSERT(featureDim_ > 0, "feature dim must be positive");
     DITILE_ASSERT(deltas_.size() + 1 == snapshots_.size(),
                   "need exactly T-1 deltas for T snapshots");
-    structureHash_ = computeStructureHash();
+    computeKeys();
 }
 
 const Csr &
 DynamicGraph::snapshot(SnapshotId t) const
+{
+    return *sharedSnapshot(t);
+}
+
+const std::shared_ptr<const Csr> &
+DynamicGraph::sharedSnapshot(SnapshotId t) const
 {
     DITILE_ASSERT(t >= 0 && t < numSnapshots(), "snapshot ", t,
                   " out of range");
@@ -65,7 +100,7 @@ DynamicGraph::avgEdges() const
         return 0.0;
     double sum = 0.0;
     for (const auto &s : snapshots_)
-        sum += static_cast<double>(s.numEdges());
+        sum += static_cast<double>(s->numEdges());
     return sum / static_cast<double>(snapshots_.size());
 }
 
@@ -74,7 +109,7 @@ DynamicGraph::maxEdges() const
 {
     EdgeId best = 0;
     for (const auto &s : snapshots_)
-        best = std::max(best, s.numEdges());
+        best = std::max(best, s->numEdges());
     return best;
 }
 
@@ -96,21 +131,55 @@ DynamicGraph::dissimilarity(SnapshotId t) const
 }
 
 std::uint64_t
-DynamicGraph::computeStructureHash() const
+DynamicGraph::snapshotKey(SnapshotId t) const
 {
+    DITILE_ASSERT(t >= 0 && t < numSnapshots(), "snapshot ", t,
+                  " out of range");
+    return snapshotKeys_[static_cast<std::size_t>(t)];
+}
+
+std::uint64_t
+DynamicGraph::prefixKey(SnapshotId t) const
+{
+    DITILE_ASSERT(t >= 0 && t < numSnapshots(), "snapshot ", t,
+                  " out of range");
+    return prefixKeys_[static_cast<std::size_t>(t)];
+}
+
+void
+DynamicGraph::computeKeys()
+{
+    // The whole-graph hash walks exactly as it always has (cache keys
+    // and checkpointed plan keys depend on its value); each snapshot's
+    // key is a second accumulator over the same words.
     WordHasher hasher;
     hasher.mix(static_cast<std::uint64_t>(numVertices()));
     hasher.mix(static_cast<std::uint64_t>(featureDim()));
     hasher.mix(static_cast<std::uint64_t>(numSnapshots()));
-    for (const Csr &g : snapshots_) {
+    WordHasher prefix;
+    snapshotKeys_.clear();
+    prefixKeys_.clear();
+    snapshotKeys_.reserve(snapshots_.size());
+    prefixKeys_.reserve(snapshots_.size());
+    for (const auto &snapshot : snapshots_) {
+        const Csr &g = *snapshot;
+        WordHasher own;
+        own.mix(static_cast<std::uint64_t>(g.numVertices()));
         hasher.mix(static_cast<std::uint64_t>(g.numEdges()));
+        own.mix(static_cast<std::uint64_t>(g.numEdges()));
         for (VertexId v = 0; v < g.numVertices(); ++v) {
             hasher.mix(static_cast<std::uint64_t>(g.degree(v)));
-            for (VertexId u : g.neighbors(v))
+            own.mix(static_cast<std::uint64_t>(g.degree(v)));
+            for (VertexId u : g.neighbors(v)) {
                 hasher.mix(static_cast<std::uint64_t>(u));
+                own.mix(static_cast<std::uint64_t>(u));
+            }
         }
+        snapshotKeys_.push_back(own.h);
+        prefix.mix(own.h);
+        prefixKeys_.push_back(prefix.h);
     }
-    return hasher.h;
+    structureHash_ = hasher.h;
 }
 
 std::uint64_t

@@ -5,11 +5,19 @@
  * Owns the snapshot sequence, the per-step deltas, and the feature
  * dimensionality of the vertex inputs. All DGNN algorithms and the
  * accelerator models consume this container.
+ *
+ * Snapshots are immutable and held shared, so graphs that start from
+ * the same snapshot (sweep grid points drawn from one seed, rolled
+ * serve windows) hold one copy of it. Each snapshot also carries a
+ * content key, and each prefix a chained key, so snapshot-local
+ * results can be shared across graphs (see DESIGN.md, "Caches").
  */
 
 #ifndef DITILE_GRAPH_DYNAMIC_GRAPH_HH
 #define DITILE_GRAPH_DYNAMIC_GRAPH_HH
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,6 +53,11 @@ class DynamicGraph
     DynamicGraph(std::string name, std::vector<Csr> snapshots,
                  std::vector<GraphDelta> deltas, int feature_dim);
 
+    /** As above, over snapshots shared with other graphs. */
+    DynamicGraph(std::string name,
+                 std::vector<std::shared_ptr<const Csr>> snapshots,
+                 std::vector<GraphDelta> deltas, int feature_dim);
+
     const std::string &name() const { return name_; }
 
     /** Number of snapshots T. */
@@ -56,12 +69,15 @@ class DynamicGraph
     /** Shared vertex-universe size. */
     VertexId numVertices() const
     {
-        return snapshots_.empty() ? 0 : snapshots_.front().numVertices();
+        return snapshots_.empty() ? 0 : snapshots_.front()->numVertices();
     }
 
     int featureDim() const { return featureDim_; }
 
     const Csr &snapshot(SnapshotId t) const;
+
+    /** Snapshot t as held, for building other graphs that share it. */
+    const std::shared_ptr<const Csr> &sharedSnapshot(SnapshotId t) const;
 
     /** Delta from snapshot t-1 to snapshot t (t in [1, T)). */
     const GraphDelta &delta(SnapshotId t) const;
@@ -84,15 +100,32 @@ class DynamicGraph
     /** Cached structure hash (see structureHash() below). */
     std::uint64_t structureHashValue() const { return structureHash_; }
 
+    /**
+     * Content key of snapshot t alone: FNV-1a over its vertex count,
+     * edge count and every adjacency list. Equal keys identify equal
+     * snapshots in any graph, at any position.
+     */
+    std::uint64_t snapshotKey(SnapshotId t) const;
+
+    /**
+     * Chained key of snapshots 0..t: equal prefix keys identify graphs
+     * whose first t+1 snapshots are equal (and so are their deltas).
+     * Independent of the name, the feature width and of T.
+     */
+    std::uint64_t prefixKey(SnapshotId t) const;
+
   private:
-    /** FNV-1a walk over the full snapshot structure (ctor-time). */
-    std::uint64_t computeStructureHash() const;
+    /** One walk over every snapshot (ctor-time): the structure hash,
+     *  each snapshot's key and the chained prefix keys. */
+    void computeKeys();
 
     std::string name_;
-    std::vector<Csr> snapshots_;
+    std::vector<std::shared_ptr<const Csr>> snapshots_;
     std::vector<GraphDelta> deltas_;
     int featureDim_ = 0;
     std::uint64_t structureHash_ = 0;
+    std::vector<std::uint64_t> snapshotKeys_; ///< [T]
+    std::vector<std::uint64_t> prefixKeys_;   ///< [T]
 };
 
 /**

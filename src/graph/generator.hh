@@ -14,6 +14,7 @@
 #define DITILE_GRAPH_GENERATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/rng.hh"
@@ -79,6 +80,20 @@ Csr generateRmat(VertexId num_vertices, EdgeId num_edges,
  * plus O(V + E) to copy the unchanged rows.
  */
 DynamicGraph generateDynamicGraph(const EvolutionConfig &config);
+
+/**
+ * The seed snapshot generateDynamicGraph's memo holds for config's
+ * inputs, or null. Snapshot 0 and the Rng state after it depend only
+ * on (numVertices, numEdges, rmat, seed), so every graph with those
+ * inputs (the points of a dis x T sweep) shares one snapshot 0, drawn
+ * once per process. The memo holds one entry and is silent; it never
+ * changes a generated graph.
+ */
+std::shared_ptr<const Csr>
+memoizedSeedSnapshot(const EvolutionConfig &config);
+
+/** Empty the seed memo (tests compare cold and warm generation). */
+void clearGenerationMemo();
 
 } // namespace ditile::graph
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <memory>
 
 #include "common/logging.hh"
 
@@ -178,20 +179,21 @@ SnapshotWindow::apply(const GraphEvent &event)
 void
 SnapshotWindow::roll()
 {
-    // Keep the newest capacity - 1 snapshots and the deltas between
-    // them, then append the live set and its one diff.
+    // Share the newest capacity - 1 snapshots and copy the deltas
+    // between them, then append the live set and its one diff.
     const SnapshotId size = graph_.numSnapshots();
     const SnapshotId first = size < capacity_ ? 0 : 1;
-    std::vector<Csr> snapshots;
+    std::vector<std::shared_ptr<const Csr>> snapshots;
     std::vector<GraphDelta> deltas;
     for (SnapshotId t = first; t < size; ++t) {
-        snapshots.push_back(graph_.snapshot(t));
+        snapshots.push_back(graph_.sharedSnapshot(t));
         if (t > first)
             deltas.push_back(graph_.delta(t));
     }
-    Csr next = Csr::fromEdges(numVertices(), live_);
+    auto next = std::make_shared<const Csr>(
+        Csr::fromEdges(numVertices(), live_));
     if (!snapshots.empty())
-        deltas.push_back(GraphDelta::diff(snapshots.back(), next));
+        deltas.push_back(GraphDelta::diff(*snapshots.back(), *next));
     snapshots.push_back(std::move(next));
     graph_ = DynamicGraph(graph_.name(), std::move(snapshots),
                           std::move(deltas), graph_.featureDim());

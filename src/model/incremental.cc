@@ -163,6 +163,20 @@ IncrementalPlanner::IncrementalPlanner(const graph::DynamicGraph &dg,
     buildAll();
 }
 
+IncrementalPlanner::IncrementalPlanner(const graph::DynamicGraph &dg,
+                                       const DgnnConfig &config,
+                                       AlgoKind kind,
+                                       std::vector<SnapshotPlan> prefix)
+    : dg_(dg), config_(config), kind_(kind), exactExpansion_(false),
+      kappa_(kDefaultKappa), plans_(std::move(prefix))
+{
+    DITILE_ASSERT(config_.numGcnLayers() >= 1);
+    DITILE_ASSERT(plans_.size() <=
+                      static_cast<std::size_t>(dg_.numSnapshots()),
+                  "a prefix longer than the graph");
+    buildAll();
+}
+
 const SnapshotPlan &
 IncrementalPlanner::plan(SnapshotId t) const
 {
@@ -245,6 +259,7 @@ IncrementalPlanner::buildAll()
 {
     const SnapshotId t_count = dg_.numSnapshots();
     const int layers = config_.numGcnLayers();
+    const std::size_t first = plans_.size();
     plans_.resize(static_cast<std::size_t>(t_count));
 
     // Per-snapshot plan construction (seed expansion, degree sums,
@@ -254,7 +269,8 @@ IncrementalPlanner::buildAll()
     // DiTile's cumulative selective-RNN state chains across
     // snapshots; assignRnnVertices fills every RNN set in a cheap
     // serial epilogue, so plans are identical at any thread width.
-    parallelFor(static_cast<std::size_t>(t_count), [&](std::size_t i) {
+    parallelFor(plans_.size() - first, [&](std::size_t k) {
+        const std::size_t i = first + k;
         const auto t = static_cast<SnapshotId>(i);
         if (t == 0 || kind_ == AlgoKind::ReAlg) {
             plans_[i] = fullPlan(t);

@@ -33,9 +33,18 @@
  * at u propagates across edge (u,v) with probability
  * min(1, kappa / sqrt(deg_u * deg_v)) — i.e. an expected kappa
  * downstream changes per changed vertex, independent of degree. The
- * sampling is a deterministic hash of (u, v, layer), so plans are
+ * sampling is a deterministic hash of the crossing (v, u) and a salt
+ * t*16 + l of the snapshot index t and the layer l, so plans are
  * reproducible. Passing exact_expansion = true restores the exact
  * structural frontier (used by the functional-equivalence tests).
+ *
+ * Because the salt carries t, plans are *prefix-closed* but not
+ * shift-invariant. Snapshot t's GCN sets depend on snapshot t, its
+ * delta and t alone, and the RNN sets on the plans up to t, so any two
+ * graphs that share their first k snapshots share their first k plans
+ * (PlanCache extends a resident prefix on that rule). The same
+ * snapshot pair at another position samples other crossings, so a
+ * rolled window cannot reuse the previous window's layer sets.
  *
  * A SnapshotPlan captures exactly which vertices recompute at each GCN
  * layer, how many adjacency entries they gather, how many distinct
@@ -56,6 +65,9 @@
 #include "model/dgnn_config.hh"
 
 namespace ditile::model {
+
+/** Expected downstream value changes per changed vertex per layer. */
+inline constexpr double kDefaultKappa = 1.2;
 
 /** The four evaluated DGNN update algorithms. */
 enum class AlgoKind { ReAlg, RaceAlg, MegaAlg, DiTileAlg };
@@ -119,7 +131,17 @@ class IncrementalPlanner
     IncrementalPlanner(const graph::DynamicGraph &dg,
                        const DgnnConfig &config, AlgoKind kind,
                        bool exact_expansion = false,
-                       double kappa = 1.2);
+                       double kappa = kDefaultKappa);
+
+    /**
+     * Default-damping planner that keeps `prefix`, the plans of a
+     * graph whose first prefix.size() snapshots equal dg's, and plans
+     * only the later snapshots (see "prefix-closed" above). Every RNN
+     * set is refilled over the whole sequence.
+     */
+    IncrementalPlanner(const graph::DynamicGraph &dg,
+                       const DgnnConfig &config, AlgoKind kind,
+                       std::vector<SnapshotPlan> prefix);
 
     /** Plan for snapshot t (t in [0, T)). */
     const SnapshotPlan &plan(SnapshotId t) const;
@@ -127,8 +149,13 @@ class IncrementalPlanner
     AlgoKind kind() const { return kind_; }
     const DgnnConfig &config() const { return config_; }
 
+    /** Move every plan out; the planner is left without plans. */
+    std::vector<SnapshotPlan> releasePlans() { return std::move(plans_); }
+
   private:
     SnapshotPlan fullPlan(SnapshotId t) const;
+
+    /** Plan snapshots [plans_.size(), T), then fill every RNN set. */
     void buildAll();
 
     /**

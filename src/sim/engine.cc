@@ -231,7 +231,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             std::vector<double> scratch_loads;
             const std::vector<double> *loads;
             if (fault_loads) {
-                loads = &fault_loads->snapshotLoads[i];
+                loads = fault_loads->snapshotLoads[i].get();
             } else {
                 scratch_loads = workload::computeSnapshotLoads(
                     dg.snapshot(t), model_config.numGcnLayers());

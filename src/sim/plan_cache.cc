@@ -5,6 +5,7 @@
 
 #include "sim/plan_cache.hh"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/hash.hh"
@@ -13,24 +14,14 @@
 
 namespace ditile::sim {
 
-std::shared_ptr<const PlanCache::SnapshotPlans>
-PlanCache::buildSnapshotPlans(const graph::DynamicGraph &dg,
-                              const model::DgnnConfig &config,
-                              model::AlgoKind algo)
-{
-    model::IncrementalPlanner planner(dg, config, algo);
-    auto plans = std::make_shared<SnapshotPlans>();
-    plans->reserve(static_cast<std::size_t>(dg.numSnapshots()));
-    for (SnapshotId t = 0; t < dg.numSnapshots(); ++t)
-        plans->push_back(planner.plan(t));
-    return plans;
-}
+namespace {
 
-std::uint64_t
-PlanCache::planKey(const graph::DynamicGraph &dg,
-                   const model::DgnnConfig &config, model::AlgoKind algo)
+/** Mix the model shape and the algorithm: every non-graph planning
+ *  input. */
+void
+mixPlanInputs(WordHasher &hasher, const model::DgnnConfig &config,
+              model::AlgoKind algo)
 {
-    WordHasher hasher;
     hasher.mix(static_cast<std::uint64_t>(algo));
     hasher.mix(static_cast<std::uint64_t>(config.lstmHidden));
     hasher.mix(static_cast<std::uint64_t>(config.bytesPerValue));
@@ -39,29 +30,122 @@ PlanCache::planKey(const graph::DynamicGraph &dg,
     hasher.mix(static_cast<std::uint64_t>(config.precision));
     for (int d : config.gcnDims)
         hasher.mix(static_cast<std::uint64_t>(d));
+}
+
+} // namespace
+
+std::shared_ptr<const PlanCache::SnapshotPlans>
+PlanCache::buildSnapshotPlans(const graph::DynamicGraph &dg,
+                              const model::DgnnConfig &config,
+                              model::AlgoKind algo)
+{
+    model::IncrementalPlanner planner(dg, config, algo);
+    return std::make_shared<const SnapshotPlans>(planner.releasePlans());
+}
+
+std::uint64_t
+PlanCache::planKey(const graph::DynamicGraph &dg,
+                   const model::DgnnConfig &config, model::AlgoKind algo)
+{
+    WordHasher hasher;
+    mixPlanInputs(hasher, config, algo);
     // Structure walk shared with the workload-digest keys so both
     // caches agree on what "the same graph" means.
     hasher.mix(graph::structureHash(dg));
     return hasher.h;
 }
 
+std::uint64_t
+PlanCache::prefixIndexKey(const graph::DynamicGraph &dg, SnapshotId t,
+                          const model::DgnnConfig &config,
+                          model::AlgoKind algo)
+{
+    WordHasher hasher;
+    hasher.mix(0x505245464958ull); // "PREFIX" tag.
+    mixPlanInputs(hasher, config, algo);
+    hasher.mix(dg.prefixKey(t));
+    return hasher.h;
+}
+
+PlanCache::SnapshotPlans
+PlanCache::residentPrefix(const graph::DynamicGraph &dg,
+                          const model::DgnnConfig &config,
+                          model::AlgoKind algo) const
+{
+    for (SnapshotId t = dg.numSnapshots() - 1; t >= 0; --t) {
+        const std::uint64_t index_key =
+            prefixIndexKey(dg, t, config, algo);
+        std::uint64_t plan_key = 0;
+        {
+            std::lock_guard<std::mutex> lock(indexMutex_);
+            const auto it = prefixIndex_.find(index_key);
+            if (it == prefixIndex_.end())
+                continue;
+            plan_key = it->second;
+        }
+        const auto plans = entries_.peek(plan_key);
+        const auto length = static_cast<std::size_t>(t) + 1;
+        if (plans && (*plans)->size() >= length)
+            return SnapshotPlans((*plans)->begin(),
+                                 (*plans)->begin() +
+                                     static_cast<std::ptrdiff_t>(length));
+    }
+    return {};
+}
+
 std::shared_ptr<const PlanCache::SnapshotPlans>
 PlanCache::obtain(const graph::DynamicGraph &dg,
                   const model::DgnnConfig &config, model::AlgoKind algo)
 {
-    return entries_.obtain(planKey(dg, config, algo), [&] {
+    const std::uint64_t key = planKey(dg, config, algo);
+    return entries_.obtain(key, [&] {
+        std::shared_ptr<const SnapshotPlans> plans;
         // A resident sibling already holds this algorithm's GCN layer
         // sets; only the RNN sets are redone.
         const auto sibling_algo = model::layerSetSibling(algo);
         const auto sibling = sibling_algo
             ? entries_.peek(planKey(dg, config, *sibling_algo))
             : std::nullopt;
-        if (!sibling)
-            return buildSnapshotPlans(dg, config, algo);
-        auto derived = std::make_shared<SnapshotPlans>(**sibling);
-        model::assignRnnVertices(dg, algo, *derived);
-        return std::shared_ptr<const SnapshotPlans>(std::move(derived));
+        if (sibling) {
+            auto derived = std::make_shared<SnapshotPlans>(**sibling);
+            model::assignRnnVertices(dg, algo, *derived);
+            plans = std::move(derived);
+        } else if (auto prefix = residentPrefix(dg, config, algo);
+                   !prefix.empty()) {
+            model::IncrementalPlanner planner(dg, config, algo,
+                                              std::move(prefix));
+            plans = std::make_shared<const SnapshotPlans>(
+                planner.releasePlans());
+        } else {
+            plans = buildSnapshotPlans(dg, config, algo);
+        }
+        std::lock_guard<std::mutex> lock(indexMutex_);
+        for (SnapshotId t = 0; t < dg.numSnapshots(); ++t)
+            prefixIndex_[prefixIndexKey(dg, t, config, algo)] = key;
+        return plans;
     });
+}
+
+std::vector<std::uint64_t>
+PlanCache::evictToCapacity()
+{
+    std::vector<std::uint64_t> evicted = entries_.evictToCapacity();
+    if (!evicted.empty()) {
+        std::lock_guard<std::mutex> lock(indexMutex_);
+        std::erase_if(prefixIndex_, [&](const auto &entry) {
+            return std::find(evicted.begin(), evicted.end(),
+                             entry.second) != evicted.end();
+        });
+    }
+    return evicted;
+}
+
+void
+PlanCache::clear()
+{
+    entries_.clear();
+    std::lock_guard<std::mutex> lock(indexMutex_);
+    prefixIndex_.clear();
 }
 
 void

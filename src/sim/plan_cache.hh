@@ -14,6 +14,11 @@
  * GCN layer sets (model::layerSetSibling), so a miss on one whose
  * sibling is resident copies the sibling's plans and recomputes only
  * the RNN sets (model::assignRnnVertices) instead of re-expanding.
+ * Plans are prefix-closed (model/incremental.hh), so a miss whose
+ * graph shares its first snapshots with a resident plan set of the
+ * same algorithm and model (a sweep's T=16 graph after its T=8 graph,
+ * or the T=8 graph after the T=16 one) copies those plans and plans
+ * only the later snapshots.
  *
  * Lookup, build, publish, counting and the LRU bound follow the shared
  * policy in common/content_cache.hh.
@@ -24,6 +29,8 @@
 
 #include <cstdio>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "common/content_cache.hh"
@@ -53,8 +60,10 @@ class PlanCache
 
     /**
      * Return the cached plan set for the inputs, planning on miss
-     * (from a resident layer-set sibling when there is one; reading
-     * the sibling counts no lookup and touches no recency).
+     * from a resident layer-set sibling, else from the longest prefix
+     * a resident plan set of the same algorithm and model shares,
+     * else from scratch (reading a sibling or prefix counts no lookup
+     * and touches no recency).
      */
     std::shared_ptr<const SnapshotPlans>
     obtain(const graph::DynamicGraph &dg,
@@ -78,20 +87,37 @@ class PlanCache
 
     /** Enforce the bound; returns the evicted keys so callers can
      *  invalidate hit predictions. Serial points only. */
-    std::vector<std::uint64_t> evictToCapacity()
-    {
-        return entries_.evictToCapacity();
-    }
+    std::vector<std::uint64_t> evictToCapacity();
 
     std::uint64_t hits() const { return entries_.hits(); }
     std::uint64_t misses() const { return entries_.misses(); }
     std::uint64_t evictions() const { return entries_.evictions(); }
     std::size_t size() const { return entries_.size(); }
-    void clear() { entries_.clear(); }
+    void clear();
 
   private:
+    /** Prefix-index key of dg's snapshots 0..t under (config, algo). */
+    static std::uint64_t prefixIndexKey(const graph::DynamicGraph &dg,
+                                        SnapshotId t,
+                                        const model::DgnnConfig &config,
+                                        model::AlgoKind algo);
+
+    /** A copy of the longest run of dg's first plans (up to all of
+     *  them) that a resident plan set of (config, algo) holds: the
+     *  set's graph shares those snapshots. Empty if none does. */
+    SnapshotPlans residentPrefix(const graph::DynamicGraph &dg,
+                                 const model::DgnnConfig &config,
+                                 model::AlgoKind algo) const;
+
     ContentCache<std::uint64_t, std::shared_ptr<const SnapshotPlans>>
         entries_{"plan-cache", "plan"};
+
+    /** prefixIndexKey of every prefix of each built plan set's graph
+     *  -> its plan key (a later set sharing the prefix overwrites).
+     *  Keys only: a plan set the LRU evicts is freed, and its index
+     *  entries go with it. */
+    mutable std::mutex indexMutex_;
+    std::unordered_map<std::uint64_t, std::uint64_t> prefixIndex_;
 };
 
 /**

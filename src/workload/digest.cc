@@ -98,8 +98,33 @@ setDigestEnabled(bool enabled)
     g_digest_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
+namespace {
+
+using SnapshotLoadsMemo = ContentCache<std::uint64_t, SnapshotLoads>;
+
+/** Memo key of snapshot t's loads: the snapshot's content + layers. */
+std::uint64_t
+snapshotLoadsKey(const graph::DynamicGraph &dg, SnapshotId t,
+                 int gcn_layers)
+{
+    WordHasher hasher;
+    hasher.mix(0x534e41504c44ull); // "SNAPLD" tag.
+    hasher.mix(static_cast<std::uint64_t>(gcn_layers));
+    hasher.mix(dg.snapshotKey(t));
+    return hasher.h;
+}
+
+/**
+ * The one LoadDigest build. Without a memo every snapshot is computed
+ * (buildLoadDigest, the oracle). With one, a snapshot the memo holds
+ * is shared as is, and a computed snapshot is published to it; the
+ * loads are a pure function of the snapshot, so both give the same
+ * bits. Patching needs snapshot t-1's walk arrays, so a snapshot right
+ * after a shared one is walked from scratch.
+ */
 LoadDigest
-buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
+assembleLoadDigest(const graph::DynamicGraph &dg, int gcn_layers,
+                   SnapshotLoadsMemo *memo)
 {
     DITILE_ASSERT(gcn_layers >= 1);
     const auto n = static_cast<std::size_t>(dg.numVertices());
@@ -114,23 +139,22 @@ buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
     std::vector<std::vector<double>> walks(
         static_cast<std::size_t>(gcn_layers) + 1,
         std::vector<double>(n, 0.0));
+    bool walks_current = false; // walks hold snapshot t-1's counts.
 
-    for (SnapshotId t = 0; t < t_count; ++t) {
+    auto compute = [&](SnapshotId t) {
         const graph::Csr &g = dg.snapshot(t);
-        auto &vload = d.snapshotLoads[static_cast<std::size_t>(t)];
-        vload.resize(n);
-
-        bool patched = false;
-        if (t > 0) {
+        std::vector<double> vload;
+        if (walks_current) {
+            // Large deltas gain nothing from patching; fall back to
+            // the scratch pass (the results are bitwise equal either
+            // way, so the threshold is pure policy). The probe stops
+            // as soon as the reach passes it.
             const graph::GraphDelta &delta = dg.delta(t);
             const auto levels = graph::expandFrontierLevels(
-                g, delta.affectedVertices(), gcn_layers - 1);
+                g, delta.affectedVertices(), gcn_layers - 1, n / 2);
             std::size_t reached = 0;
             for (const auto &level : levels)
                 reached += level.size();
-            // Large deltas gain nothing from patching; fall back to
-            // the scratch pass (the results are bitwise equal either
-            // way, so the threshold is pure policy).
             if (reached * 2 <= n) {
                 for (int hop = 1; hop <= gcn_layers; ++hop) {
                     const auto &prev =
@@ -148,7 +172,7 @@ buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
                         }
                     }
                 }
-                vload = d.snapshotLoads[static_cast<std::size_t>(t) - 1];
+                vload = *d.snapshotLoads[static_cast<std::size_t>(t) - 1];
                 for (const auto &level : levels) {
                     for (VertexId v : level) {
                         double acc = 0.0;
@@ -161,24 +185,54 @@ buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
                         vload[static_cast<std::size_t>(v)] = acc;
                     }
                 }
-                patched = true;
+                ++d.incrementalSnapshots;
+                return std::make_shared<const std::vector<double>>(
+                    std::move(vload));
             }
         }
-        if (patched) {
-            ++d.incrementalSnapshots;
-        } else {
-            scratchWalks(g, gcn_layers, walks, vload);
-            ++d.scratchSnapshots;
+        vload.resize(n);
+        scratchWalks(g, gcn_layers, walks, vload);
+        ++d.scratchSnapshots;
+        return std::make_shared<const std::vector<double>>(
+            std::move(vload));
+    };
+
+    for (SnapshotId t = 0; t < t_count; ++t) {
+        auto &slot = d.snapshotLoads[static_cast<std::size_t>(t)];
+        if (memo == nullptr) {
+            slot = compute(t);
+            walks_current = true;
+            continue;
         }
+        const std::uint64_t key = snapshotLoadsKey(dg, t, gcn_layers);
+        bool computed = false;
+        slot = memo->obtain(key, [&] {
+            computed = true;
+            return compute(t);
+        });
+        memo->touch(key);
+        // A racer may have published first; its bits are the same,
+        // and the walks still hold this snapshot's counts.
+        walks_current = computed;
     }
+    if (memo != nullptr)
+        memo->evictToCapacity();
 
     // Ascending-t accumulation, matching computeVertexLoads bitwise.
     d.totalLoads.assign(n, 0.0);
     for (SnapshotId t = 0; t < t_count; ++t) {
-        const auto &snap = d.snapshotLoads[static_cast<std::size_t>(t)];
+        const auto &snap = *d.snapshotLoads[static_cast<std::size_t>(t)];
         simd::f64Add(d.totalLoads.data(), snap.data(), n);
     }
     return d;
+}
+
+} // namespace
+
+LoadDigest
+buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
+{
+    return assembleLoadDigest(dg, gcn_layers, nullptr);
 }
 
 PartitionDigest
@@ -294,7 +348,7 @@ DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
 {
     return loads_.obtain(loadDigestKey(dg, gcn_layers), [&] {
         return std::make_shared<const LoadDigest>(
-            buildLoadDigest(dg, gcn_layers));
+            assembleLoadDigest(dg, gcn_layers, &snapshotLoads_));
     });
 }
 

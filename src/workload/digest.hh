@@ -49,19 +49,24 @@ namespace ditile::workload {
 bool digestEnabled();
 void setDigestEnabled(bool enabled);
 
+/** One snapshot's per-vertex loads, shared by every digest holding it. */
+using SnapshotLoads = std::shared_ptr<const std::vector<double>>;
+
 /**
  * Per-snapshot Eq.-17 workload loads for a whole dynamic graph.
- * snapshotLoads[t] is bit-identical to
+ * *snapshotLoads[t] is bit-identical to
  * computeSnapshotLoads(dg.snapshot(t), gcnLayers); totalLoads is their
  * ascending-t sum (bit-identical to computeVertexLoads).
  */
 struct LoadDigest
 {
     int gcnLayers = 0;
-    std::vector<std::vector<double>> snapshotLoads; ///< [T][V]
-    std::vector<double> totalLoads;                 ///< [V]
+    std::vector<SnapshotLoads> snapshotLoads; ///< [T] -> [V]
+    std::vector<double> totalLoads;           ///< [V]
 
-    /** Construction accounting: how each snapshot was produced. */
+    /** Construction accounting: how each computed snapshot was
+     *  produced. A snapshot served by DigestCache's per-snapshot memo
+     *  counts in neither. */
     std::uint64_t incrementalSnapshots = 0;
     std::uint64_t scratchSnapshots = 0;
 };
@@ -132,7 +137,10 @@ struct PartitionDigest
     }
 };
 
-/** Build a LoadDigest, patching snapshot t from t-1 where profitable. */
+/**
+ * Build a LoadDigest, patching snapshot t from t-1 where profitable.
+ * Cache-free: the oracle for DigestCache::loads.
+ */
 LoadDigest buildLoadDigest(const graph::DynamicGraph &dg,
                            int gcn_layers);
 
@@ -158,10 +166,24 @@ std::uint64_t partitionDigestKey(const graph::DynamicGraph &dg,
  * sim::PlanCache: sweep variants, the balancer and the engine share
  * one digest per (graph, layers) / (graph, partition) input set,
  * under the shared policy of common/content_cache.hh (unbounded).
+ *
+ * Below the load-digest map sits a silent per-snapshot memo keyed on
+ * (layers, DynamicGraph::snapshotKey): a load-digest miss takes every
+ * snapshot it already holds (one another graph shares — a sweep
+ * point's seed, a T=8 graph's snapshots inside the T=16 graph, a
+ * rolled window's kept snapshots) and computes only the rest. Its
+ * arrays are the ones the digests hold, so it adds only its index
+ * while those digests are resident; an LRU bound of
+ * kSnapshotLoadsMemoEntries caps what it can pin alone.
  */
 class DigestCache
 {
   public:
+    /** Per-snapshot memo bound, in snapshots. */
+    static constexpr std::size_t kSnapshotLoadsMemoEntries = 256;
+
+    DigestCache() { snapshotLoads_.setCapacity(kSnapshotLoadsMemoEntries); }
+
     std::shared_ptr<const LoadDigest>
     loads(const graph::DynamicGraph &dg, int gcn_layers);
 
@@ -178,11 +200,13 @@ class DigestCache
     }
     std::size_t size() const { return loads_.size() + partitions_.size(); }
 
+    /** Drop both digest maps and the per-snapshot memo. */
     void
     clear()
     {
         loads_.clear();
         partitions_.clear();
+        snapshotLoads_.clear();
     }
 
     /** Process-wide instance shared by balancer, engine and tools. */
@@ -193,6 +217,7 @@ class DigestCache
         loads_{"digest-loads", "digest_loads"};
     ContentCache<std::uint64_t, std::shared_ptr<const PartitionDigest>>
         partitions_{"digest-partition", "digest_partition"};
+    ContentCache<std::uint64_t, SnapshotLoads> snapshotLoads_;
 };
 
 } // namespace ditile::workload

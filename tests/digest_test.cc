@@ -127,7 +127,7 @@ TEST(LoadDigest, IncrementalMatchesScratchBitwise)
             for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
                 const auto scratch = workload::computeSnapshotLoads(
                     dg.snapshot(t), layers);
-                const auto &snap = digest.snapshotLoads[
+                const auto &snap = *digest.snapshotLoads[
                     static_cast<std::size_t>(t)];
                 ASSERT_EQ(snap.size(), scratch.size());
                 for (std::size_t v = 0; v < scratch.size(); ++v) {

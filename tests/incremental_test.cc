@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <utility>
 
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "model/functional.hh"
 #include "model/incremental.hh"
@@ -381,6 +383,86 @@ TEST(PlanCacheSibling, DerivedPlansMatchDirectBuild)
     }
     EXPECT_FALSE(layerSetSibling(AlgoKind::ReAlg).has_value());
     EXPECT_FALSE(layerSetSibling(AlgoKind::MegaAlg).has_value());
+}
+
+// The damping salt is t*16 + l, so plans are prefix-closed: a sweep's
+// T=8 graph is the first 8 snapshots of its T=16 graph, and its plans
+// must be the first 8 plans of the T=16 graph, for every algorithm
+// (GCN sets, gather and unique counts, and the cumulative RNN sets).
+TEST(PrefixClosure, ShorterGraphPlansArePrefixOfLonger)
+{
+    const DgnnConfig config;
+    for (const double dis : {0.02, 0.10}) {
+        SCOPED_TRACE(dis);
+        graph::DatasetOptions options;
+        options.scale = 0.5;
+        options.dissimilarity = dis;
+        options.seed = 42;
+        options.numSnapshots = 8;
+        const auto short_dg = graph::makeDataset("WD", options);
+        options.numSnapshots = 16;
+        const auto long_dg = graph::makeDataset("WD", options);
+        EXPECT_EQ(short_dg.prefixKey(7), long_dg.prefixKey(7));
+        for (AlgoKind kind : allAlgorithms()) {
+            SCOPED_TRACE(algoName(kind));
+            IncrementalPlanner short_plans(short_dg, config, kind);
+            IncrementalPlanner long_plans(long_dg, config, kind);
+            auto want = long_plans.releasePlans();
+            want.resize(8);
+            expectSamePlans(short_plans.releasePlans(), want);
+        }
+    }
+}
+
+// PlanCache extends a resident prefix: the T=6 plan set built from the
+// resident T=3 set must be a direct build's, and the counters those of
+// two plain misses. The reverse order (longer graph first) has no
+// prefix to extend and must agree too.
+TEST(PlanCachePrefix, ExtendedPlansMatchDirectBuild)
+{
+    const auto short_dg = smallDynamicGraph(5, 0.12, 3);
+    const auto long_dg = smallDynamicGraph(5, 0.12, 6);
+    ASSERT_EQ(short_dg.prefixKey(2), long_dg.prefixKey(2));
+    const DgnnConfig config = smallModel();
+    for (AlgoKind kind : allAlgorithms()) {
+        SCOPED_TRACE(algoName(kind));
+        for (const bool short_first : {true, false}) {
+            sim::PlanCache cache;
+            const auto &first = short_first ? short_dg : long_dg;
+            const auto &second = short_first ? long_dg : short_dg;
+            cache.obtain(first, config, kind);
+            const auto got = cache.obtain(second, config, kind);
+            expectSamePlans(*got, *sim::PlanCache::buildSnapshotPlans(
+                                      second, config, kind));
+            EXPECT_EQ(0u, cache.hits());
+            EXPECT_EQ(2u, cache.misses());
+        }
+    }
+}
+
+// The prefix index holds plan keys, not plan sets: once the LRU evicts
+// a plan set it is freed, and a later extension plans from scratch.
+TEST(PlanCachePrefix, IndexPinsNoEvictedPlanSet)
+{
+    const auto short_dg = smallDynamicGraph(5, 0.12, 3);
+    const auto long_dg = smallDynamicGraph(5, 0.12, 6);
+    const auto other_dg = smallDynamicGraph(9, 0.12, 3);
+    const DgnnConfig config = smallModel();
+    sim::PlanCache cache;
+    cache.setCapacity(1);
+    std::weak_ptr<const sim::PlanCache::SnapshotPlans> evicted =
+        cache.obtain(short_dg, config, AlgoKind::RaceAlg);
+    cache.obtain(other_dg, config, AlgoKind::RaceAlg);
+    cache.touch(sim::PlanCache::planKey(other_dg, config,
+                                        AlgoKind::RaceAlg));
+    const auto gone = cache.evictToCapacity();
+    ASSERT_EQ(gone.size(), 1u);
+    EXPECT_EQ(gone.front(), sim::PlanCache::planKey(short_dg, config,
+                                                    AlgoKind::RaceAlg));
+    EXPECT_TRUE(evicted.expired());
+    const auto got = cache.obtain(long_dg, config, AlgoKind::RaceAlg);
+    expectSamePlans(*got, *sim::PlanCache::buildSnapshotPlans(
+                              long_dg, config, AlgoKind::RaceAlg));
 }
 
 /**

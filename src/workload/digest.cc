@@ -31,7 +31,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/hash.hh"
@@ -43,7 +42,7 @@ namespace ditile::workload {
 
 namespace {
 
-std::atomic<int> g_digest_state{-1}; // -1 unset, 0 off, 1 on.
+std::atomic<bool> g_digest_enabled{true};
 
 /**
  * Scratch walk pass retaining every hop: walks[h][v] is the number of
@@ -80,22 +79,13 @@ scratchWalks(const graph::Csr &g, int gcn_layers,
 bool
 digestEnabled()
 {
-    int s = g_digest_state.load(std::memory_order_relaxed);
-    if (s < 0) {
-        const char *env = std::getenv("DITILE_NO_DIGEST");
-        const bool disabled =
-            env != nullptr && *env != '\0' &&
-            !(env[0] == '0' && env[1] == '\0');
-        s = disabled ? 0 : 1;
-        g_digest_state.store(s, std::memory_order_relaxed);
-    }
-    return s == 1;
+    return g_digest_enabled.load(std::memory_order_relaxed);
 }
 
 void
 setDigestEnabled(bool enabled)
 {
-    g_digest_state.store(enabled ? 1 : 0, std::memory_order_relaxed);
+    g_digest_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 namespace {

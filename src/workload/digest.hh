@@ -23,8 +23,7 @@
  * Both digests are exact — integer counters patch exactly, and the
  * float walk arrays are re-summed per changed vertex in the same CSR
  * order the scratch pass uses — so consumers produce byte-identical
- * results whether the digest or the scratch path computed the data
- * (the DITILE_NO_DIGEST=1 escape hatch flips between them).
+ * results whether the digest or the scratch path computed the data.
  */
 
 #ifndef DITILE_WORKLOAD_DIGEST_HH
@@ -42,9 +41,8 @@
 namespace ditile::workload {
 
 /**
- * Global digest gate. Initialized once from the DITILE_NO_DIGEST
- * environment variable (any non-empty value other than "0" disables
- * digests); tests flip it programmatically to compare both paths.
+ * Global digest gate, on by default; tests turn it off to compare the
+ * digest path with the scratch path.
  */
 bool digestEnabled();
 void setDigestEnabled(bool enabled);

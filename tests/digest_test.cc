@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iomanip>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,9 +21,11 @@
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
+#include "graph/datasets.hh"
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
+#include "sim/plan_cache.hh"
 #include "workload/balance.hh"
 #include "workload/digest.hh"
 #include "workload/slot_arrays.hh"
@@ -408,6 +412,79 @@ TEST(DigestIdentity, FaultedRunsMatchScratchPath)
     const auto on = sim::executePlan(dg, plan);
     expectIdentical(off, on);
     EXPECT_GT(on.resilience.remappedVertices, 0u);
+}
+
+/** The six modeled fields of one ditile_sweep CSV row. */
+struct SweepRow
+{
+    std::uint64_t cycles = 0;
+    std::uint64_t ops = 0;
+    std::uint64_t dramBytes = 0;
+    std::uint64_t nocBytes = 0;
+    double energyPj = 0.0;
+    double peUtilization = 0.0;
+
+    bool operator==(const SweepRow &) const = default;
+};
+
+/**
+ * ditile_sweep's WD scale-0.3 grid (dis {0.02, 0.10} x T {4, 8}, every
+ * accelerator), its points run concurrently through one shared
+ * PlanCache as the tool runs them, so prefix extension and the
+ * seed-draw memo take part. Rows come back in grid order.
+ */
+std::vector<SweepRow>
+sweepGrid(bool digests, int threads)
+{
+    DigestGate gate(digests);
+    ThreadPool::setGlobalThreads(threads);
+    workload::DigestCache::global().clear();
+    graph::clearGenerationMemo();
+    const std::vector<std::pair<double, SnapshotId>> points = {
+        {0.02, 4}, {0.02, 8}, {0.10, 4}, {0.10, 8}};
+    const std::size_t fleet_size = 5;
+    std::vector<SweepRow> rows(points.size() * fleet_size);
+    sim::PlanCache plan_cache;
+    parallelFor(points.size(), [&](std::size_t j) {
+        graph::DatasetOptions options;
+        options.scale = 0.3;
+        options.dissimilarity = points[j].first;
+        options.numSnapshots = points[j].second;
+        const auto dg = graph::makeDataset("WD", options);
+        const model::DgnnConfig mconfig;
+        std::vector<std::unique_ptr<sim::Accelerator>> fleet;
+        fleet.push_back(sim::makeReady());
+        fleet.push_back(sim::makeDgnnBooster());
+        fleet.push_back(sim::makeRace());
+        fleet.push_back(sim::makeMega());
+        fleet.push_back(std::make_unique<core::DiTileAccelerator>());
+        for (std::size_t a = 0; a < fleet_size; ++a) {
+            const auto r = sim::executePlan(
+                dg, fleet[a]->plan(dg, mconfig, &plan_cache), &plan_cache);
+            rows[j * fleet_size + a] = {
+                r.totalCycles, r.ops.totalArithmetic(), r.dramTraffic.total(),
+                r.nocBytes, r.energy.totalPj(), r.peUtilization};
+        }
+    });
+    ThreadPool::setGlobalThreads(1);
+    return rows;
+}
+
+void
+PrintTo(const SweepRow &r, std::ostream *os)
+{
+    *os << std::setprecision(17) << r.cycles << ',' << r.ops << ','
+        << r.dramBytes << ',' << r.nocBytes << ',' << r.energyPj << ','
+        << r.peUtilization;
+}
+
+TEST(DigestIdentity, SweepGridMatchesScratchPath)
+{
+    const auto reference = sweepGrid(false, 1);
+    ASSERT_EQ(reference.size(), 20u);
+    EXPECT_EQ(sweepGrid(true, 1), reference);
+    EXPECT_EQ(sweepGrid(false, 4), reference);
+    EXPECT_EQ(sweepGrid(true, 4), reference);
 }
 
 TEST(DigestIdentity, PlanJsonUnaffectedByDigestGate)

@@ -12,6 +12,13 @@
  *   callable, so misses on different keys proceed in parallel.
  * - Publish: the first finished builder wins; a racer that finishes
  *   later drops its own value and returns the published one.
+ * - Coverage (optional): obtain()'s `covers` predicate says whether a
+ *   value serves this lookup. A published value that does not is
+ *   still counted and announced as a hit, then rebuilt outside the
+ *   lock and republished under the same key, unless a racer has
+ *   meanwhile published one that covers. Coverage must be monotone
+ *   (a value covering a lookup covers every smaller one), so a
+ *   republish never drops what an earlier lookup needed.
  * - Observability: a named cache also emits, per lookup, the Tracer
  *   cache instant "<label> hit" or "<label> miss" carrying the key,
  *   and bumps the metric "cache.<name>.hits" or "cache.<name>.misses";
@@ -74,22 +81,36 @@ class ContentCache
     Value
     obtain(const Key &key, Build &&build)
     {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            const auto it = entries_.find(key);
-            if (it != entries_.end()) {
-                ++hits_;
-                Value value = it->second;
-                lock.unlock();
-                announce(key, hitEvent_, hitMetric_);
-                return value;
-            }
-            ++misses_;
-        }
-        announce(key, missEvent_, missMetric_);
+        return obtain(key, std::forward<Build>(build),
+                      [](const Value &) { return true; });
+    }
+
+    /** The value under `key` that `covers(value)`, from `build()` on a
+     *  miss or when the published value does not cover. */
+    template <typename Build, typename Covers>
+    Value
+    obtain(const Key &key, Build &&build, Covers &&covers)
+    {
+        std::unique_lock<std::mutex> lock(mutex_);
+        const auto found = entries_.find(key);
+        const bool hit = found != entries_.end();
+        ++(hit ? hits_ : misses_);
+        std::optional<Value> value;
+        if (hit)
+            value = found->second;
+        lock.unlock();
+        announce(key, hit ? hitEvent_ : missEvent_,
+                 hit ? hitMetric_ : missMetric_);
+        if (value && covers(*value))
+            return *value;
         Value built = build();
-        std::lock_guard<std::mutex> lock(mutex_);
-        return entries_.emplace(key, std::move(built)).first->second;
+        lock.lock();
+        auto [it, inserted] = entries_.try_emplace(key, std::move(built));
+        // try_emplace leaves `built` untouched when the key is taken;
+        // `covers` runs under the lock so check and replace are one.
+        if (!inserted && !covers(it->second))
+            it->second = std::move(built);
+        return it->second;
     }
 
     /** The published value under `key`, if any; counts no lookup. */

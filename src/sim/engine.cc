@@ -249,17 +249,25 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     // Partition digest for the full-recompute fast paths. It
     // summarizes the *planned* assignment, so degraded snapshots whose
-    // owners were re-dealt take the scratch loops regardless.
+    // owners were re-dealt take the scratch loops regardless. Rows are
+    // read only on full-recompute snapshots without detailed tile
+    // timing, so it covers up to the last of those; the RNN and
+    // boundary fast paths read just slotVertexCount.
     std::shared_ptr<const workload::PartitionDigest> pdigest;
     if (use_digest) {
-        for (const auto &sp : snapshot_plans) {
-            if (sp.fullRecompute ||
+        bool wanted = false;
+        SnapshotId rows = 0;
+        for (SnapshotId t = 0; t < num_snapshots; ++t) {
+            const auto &sp = snapshot_plans[static_cast<std::size_t>(t)];
+            wanted = wanted || sp.fullRecompute ||
                 static_cast<VertexId>(sp.rnnVertices.size()) ==
-                    num_vertices) {
-                pdigest = workload::DigestCache::global().partition(
-                    dg, base_owner, compute_slots);
-                break;
-            }
+                    num_vertices;
+            if (sp.fullRecompute && !options.detailedTileTiming)
+                rows = t + 1;
+        }
+        if (wanted) {
+            pdigest = workload::DigestCache::global().partition(
+                dg, base_owner, compute_slots, rows);
         }
     }
 

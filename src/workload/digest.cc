@@ -22,9 +22,8 @@
  * counts are integers; an added undirected edge {u,v} contributes
  * exactly one degree to each endpoint's slot and (when the owners
  * differ) one adjacency entry in each direction, so +/-1 patching
- * reproduces the scratch count exactly. The distance histogram counts
- * nonzero cross cells, so it carries forward from snapshot t-1 and
- * moves only when a cell flips between zero and nonzero.
+ * reproduces the scratch count exactly. Row t is the same whatever
+ * the coverage: a build stops after the last covered row.
  */
 
 #include "workload/digest.hh"
@@ -227,12 +226,14 @@ buildLoadDigest(const graph::DynamicGraph &dg, int gcn_layers)
 
 PartitionDigest
 buildPartitionDigest(const graph::DynamicGraph &dg,
-                     const std::vector<int> &owners, int slots)
+                     const std::vector<int> &owners, int slots,
+                     SnapshotId covered)
 {
     DITILE_ASSERT(slots >= 1);
+    DITILE_ASSERT(covered >= 0);
     DITILE_ASSERT(owners.size() ==
                   static_cast<std::size_t>(dg.numVertices()));
-    const SnapshotId t_count = dg.numSnapshots();
+    const SnapshotId t_count = std::min(covered, dg.numSnapshots());
     const auto s_slots = static_cast<std::size_t>(slots);
 
     PartitionDigest d;
@@ -252,21 +253,17 @@ buildPartitionDigest(const graph::DynamicGraph &dg,
         const graph::Csr &g = dg.snapshot(t);
         std::uint64_t *deg_sum = d.arrays.degreeSumRowMut(t);
         std::uint64_t *cross = d.arrays.crossRowMut(t);
-        std::uint64_t *hist = d.arrays.distanceHistRowMut(t);
 
         const bool patch = t > 0 &&
             static_cast<EdgeId>(dg.delta(t).numChanges()) * 4 <=
                 g.numAdjacencies();
         if (patch) {
-            // Contiguous planes: the carry-forward is three memcpys
+            // Contiguous planes: the carry-forward is two memcpys
             // from snapshot t-1's rows.
             std::memcpy(deg_sum, d.arrays.degreeSumRowMut(t - 1),
                         s_slots * sizeof(std::uint64_t));
             std::memcpy(cross, d.arrays.crossRowMut(t - 1),
                         s_slots * s_slots * sizeof(std::uint64_t));
-            std::memcpy(hist, d.arrays.distanceHistRowMut(t - 1),
-                        static_cast<std::size_t>(d.arrays.histBins) *
-                            sizeof(std::uint64_t));
             const graph::GraphDelta &delta = dg.delta(t);
             auto apply = [&](const graph::Edge &e, std::uint64_t up,
                              std::uint64_t down) {
@@ -278,21 +275,8 @@ buildPartitionDigest(const graph::DynamicGraph &dg,
                 deg_sum[ov] += up - down;
                 if (ou == ov)
                     return;
-                // The histogram counts nonzero cells, so it moves only
-                // when the (symmetric) cell pair flips between zero
-                // and nonzero; additions run first, so no count wraps.
-                std::uint64_t &fwd = cross[ou * s_slots + ov];
-                const bool was_zero = fwd == 0;
-                fwd += up - down;
+                cross[ou * s_slots + ov] += up - down;
                 cross[ov * s_slots + ou] += up - down;
-                if (was_zero != (fwd == 0)) {
-                    const std::size_t gap = (ov + s_slots - ou) % s_slots;
-                    const std::size_t bin = std::min(gap, s_slots - gap);
-                    if (was_zero)
-                        hist[bin] += 2;
-                    else
-                        hist[bin] -= 2;
-                }
             };
             for (const auto &e : delta.addedEdges())
                 apply(e, 1, 0);
@@ -303,7 +287,6 @@ buildPartitionDigest(const graph::DynamicGraph &dg,
             buildEdgeOwnerIndex(g, owners, edge_owner);
             countSlotEdges(g, owners, edge_owner.data(), slots,
                            deg_sum, cross);
-            distanceHistogram(cross, slots, hist);
             ++d.scratchSnapshots;
         }
     }
@@ -344,12 +327,19 @@ DigestCache::loads(const graph::DynamicGraph &dg, int gcn_layers)
 
 std::shared_ptr<const PartitionDigest>
 DigestCache::partition(const graph::DynamicGraph &dg,
-                       const std::vector<int> &owners, int slots)
+                       const std::vector<int> &owners, int slots,
+                       SnapshotId covered)
 {
-    return partitions_.obtain(partitionDigestKey(dg, owners, slots), [&] {
-        return std::make_shared<const PartitionDigest>(
-            buildPartitionDigest(dg, owners, slots));
-    });
+    const SnapshotId rows = std::min(covered, dg.numSnapshots());
+    return partitions_.obtain(
+        partitionDigestKey(dg, owners, slots),
+        [&] {
+            return std::make_shared<const PartitionDigest>(
+                buildPartitionDigest(dg, owners, slots, rows));
+        },
+        [rows](const std::shared_ptr<const PartitionDigest> &d) {
+            return d->covered() >= rows;
+        });
 }
 
 DigestCache &

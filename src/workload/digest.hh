@@ -15,10 +15,12 @@
  *   - LoadDigest: per-snapshot Eq.-17 per-vertex MAC loads (and their
  *     over-snapshots total), bit-identical to
  *     workload::computeSnapshotLoads on every snapshot;
- *   - PartitionDigest: per-slot vertex counts and degree sums, the
- *     dense slot x slot cross-owner adjacency matrix behind the
- *     spatial gather traffic, and per-snapshot vertical-distance
- *     histograms for the Re-Link controller's input profile.
+ *   - PartitionDigest: per-slot vertex counts and, per snapshot, the
+ *     per-slot degree sums and the dense slot x slot cross-owner
+ *     adjacency matrix behind the spatial gather traffic. It covers
+ *     only snapshots [0, N) for the N its requester names: the engine
+ *     reads rows on full-recompute snapshots alone, which for the
+ *     incremental accelerators is snapshot 0.
  *
  * Both digests are exact — integer counters patch exactly, and the
  * float walk arrays are re-summed per changed vertex in the same CSR
@@ -30,6 +32,7 @@
 #define DITILE_WORKLOAD_DIGEST_HH
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -69,10 +72,15 @@ struct LoadDigest
     std::uint64_t scratchSnapshots = 0;
 };
 
+/** Coverage that asks a PartitionDigest for every snapshot. */
+inline constexpr SnapshotId kAllSnapshots =
+    std::numeric_limits<SnapshotId>::max();
+
 /**
  * Per-snapshot, per-partition summary of the quantities the engine's
- * full-recompute fast path needs. All counters are integers, patched
- * exactly from the GraphDelta edge lists.
+ * full-recompute fast path needs, for the covered snapshots [0,
+ * covered()). All counters are integers, patched exactly from the
+ * GraphDelta edge lists, so row t does not depend on the coverage.
  *
  * Backed by a flat SlotArrays store (one contiguous plane per
  * counter family) so consumers read unit-stride rows; the accessors
@@ -87,6 +95,9 @@ struct PartitionDigest
 
     std::uint64_t incrementalSnapshots = 0;
     std::uint64_t scratchSnapshots = 0;
+
+    /** Snapshots [0, covered()) have rows; others assert. */
+    SnapshotId covered() const { return arrays.snapshots; }
 
     /** Vertices owned by each slot (static across snapshots). */
     std::span<const std::uint64_t>
@@ -113,26 +124,6 @@ struct PartitionDigest
     {
         return arrays.crossRow(t);
     }
-
-    /**
-     * Ring-minimal vertical-distance histogram over the nonzero
-     * cross-owner slot pairs of each snapshot (slots interpreted as a
-     * ring of S rows): the shape of the distance profile the Re-Link
-     * controller scores.
-     */
-    std::span<const std::uint64_t>
-    verticalDistanceHist(SnapshotId t) const
-    {
-        return arrays.distanceHistRow(t);
-    }
-
-    std::uint64_t
-    cross(SnapshotId t, int src, int dst) const
-    {
-        return crossRow(t)[static_cast<std::size_t>(src) *
-                               static_cast<std::size_t>(slots) +
-                           static_cast<std::size_t>(dst)];
-    }
 };
 
 /**
@@ -143,12 +134,14 @@ LoadDigest buildLoadDigest(const graph::DynamicGraph &dg,
                            int gcn_layers);
 
 /**
- * Build a PartitionDigest for a vertex->slot assignment. owners must
- * assign every vertex to [0, slots).
+ * Build a PartitionDigest for a vertex->slot assignment covering
+ * snapshots [0, min(covered, T)). owners must assign every vertex to
+ * [0, slots). Cache-free: the oracle for DigestCache::partition.
  */
 PartitionDigest buildPartitionDigest(const graph::DynamicGraph &dg,
                                      const std::vector<int> &owners,
-                                     int slots);
+                                     int slots,
+                                     SnapshotId covered = kAllSnapshots);
 
 /** Content key of a LoadDigest: graph structure + layer count. */
 std::uint64_t loadDigestKey(const graph::DynamicGraph &dg,
@@ -173,6 +166,11 @@ std::uint64_t partitionDigestKey(const graph::DynamicGraph &dg,
  * arrays are the ones the digests hold, so it adds only its index
  * while those digests are resident; an LRU bound of
  * kSnapshotLoadsMemoEntries caps what it can pin alone.
+ *
+ * A partition lookup names its coverage. When the published digest
+ * covers fewer snapshots (ReaDy's T rows after RACE's one), the
+ * lookup still counts as a hit, and ContentCache rebuilds the digest
+ * at the larger coverage and republishes it under the same key.
  */
 class DigestCache
 {
@@ -187,7 +185,8 @@ class DigestCache
 
     std::shared_ptr<const PartitionDigest>
     partition(const graph::DynamicGraph &dg,
-              const std::vector<int> &owners, int slots);
+              const std::vector<int> &owners, int slots,
+              SnapshotId covered = kAllSnapshots);
 
     /** Counters and entries summed over both digest kinds. */
     std::uint64_t hits() const { return loads_.hits() + partitions_.hits(); }

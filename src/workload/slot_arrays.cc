@@ -13,10 +13,7 @@
 
 #include "workload/slot_arrays.hh"
 
-#include <algorithm>
 #include <cstring>
-
-#include "common/logging.hh"
 
 namespace ditile::workload {
 
@@ -25,13 +22,11 @@ SlotArrays::resize(SnapshotId snapshot_count, int slot_count)
 {
     slots = slot_count;
     snapshots = snapshot_count;
-    histBins = slot_count / 2 + 1;
     const auto t = static_cast<std::size_t>(snapshot_count);
     const auto s = static_cast<std::size_t>(slot_count);
     slotVertexCount.assign(s, 0);
     degreeSum.assign(t * s, 0);
     cross.assign(t * s * s, 0);
-    distanceHist.assign(t * static_cast<std::size_t>(histBins), 0);
 }
 
 void
@@ -78,27 +73,6 @@ countSlotEdges(const graph::Csr &g, const std::vector<int> &owners,
     }
     for (std::size_t d = 0; d < s_slots; ++d)
         cross[d * s_slots + d] = 0;
-}
-
-void
-distanceHistogram(const std::uint64_t *cross, int slots,
-                  std::uint64_t *hist)
-{
-    const auto s_slots = static_cast<std::size_t>(slots);
-    const auto bins = s_slots / 2 + 1;
-    std::memset(hist, 0, bins * sizeof(std::uint64_t));
-    for (int src = 0; src < slots; ++src) {
-        for (int dst = 0; dst < slots; ++dst) {
-            if (src == dst ||
-                cross[static_cast<std::size_t>(src) * s_slots +
-                      static_cast<std::size_t>(dst)] == 0) {
-                continue;
-            }
-            const int fwd = (dst - src + slots) % slots;
-            ++hist[static_cast<std::size_t>(
-                std::min(fwd, slots - fwd))];
-        }
-    }
 }
 
 } // namespace ditile::workload

@@ -6,15 +6,17 @@
  * The PartitionDigest used to hold vector<vector<...>> per-snapshot
  * rows; every consumer walked them through two indirections and every
  * patch step re-allocated rows. SlotArrays keeps the same counters as
- * three contiguous planes plus the static per-slot census:
+ * two contiguous planes plus the static per-slot census:
  *
  *       slotVertexCount   [S]            (static across snapshots)
- *       degreeSum         [T * S]        row t = snapshot t
- *       cross             [T * S * S]    row-major (src, dst) per t
- *       distanceHist      [T * (S/2+1)]  ring-minimal distance bins
+ *       degreeSum         [N * S]        row t = snapshot t
+ *       cross             [N * S * S]    row-major (src, dst) per t
  *
- * so a snapshot's row is one pointer + length, patch steps are one
- * memcpy + delta walk, and the scratch kernels below iterate the CSR
+ * where N is the number of covered snapshots, [0, N): a digest holds
+ * only the rows its requester reads. A snapshot's row is one pointer
+ * + length, patch steps are one memcpy + delta walk, and the row
+ * accessors assert that t is covered. The scratch kernels below
+ * iterate the CSR
  * arrays directly (unit-stride over adjacency, accumulate-then-merge)
  * instead of constructing per-vertex spans.
  *
@@ -33,6 +35,7 @@
 #include <span>
 #include <vector>
 
+#include "common/logging.hh"
 #include "graph/csr.hh"
 
 namespace ditile::workload {
@@ -41,22 +44,20 @@ namespace ditile::workload {
 struct SlotArrays
 {
     int slots = 0;
-    SnapshotId snapshots = 0;
-    int histBins = 0;
+    SnapshotId snapshots = 0; ///< Covered snapshots: rows [0, N).
 
     std::vector<std::uint64_t> slotVertexCount; ///< [S]
-    std::vector<std::uint64_t> degreeSum;       ///< [T*S]
-    std::vector<std::uint64_t> cross;           ///< [T*S*S]
-    std::vector<std::uint64_t> distanceHist;    ///< [T*histBins]
+    std::vector<std::uint64_t> degreeSum;       ///< [N*S]
+    std::vector<std::uint64_t> cross;           ///< [N*S*S]
 
-    /** Dimension and zero every plane for T snapshots x S slots. */
+    /** Dimension and zero every plane for N snapshots x S slots. */
     void resize(SnapshotId snapshot_count, int slot_count);
 
     std::span<const std::uint64_t>
     degreeSumRow(SnapshotId t) const
     {
         const auto s = static_cast<std::size_t>(slots);
-        return {degreeSum.data() + static_cast<std::size_t>(t) * s, s};
+        return {degreeSum.data() + rowIndex(t) * s, s};
     }
 
     std::span<const std::uint64_t>
@@ -64,38 +65,31 @@ struct SlotArrays
     {
         const auto ss = static_cast<std::size_t>(slots) *
             static_cast<std::size_t>(slots);
-        return {cross.data() + static_cast<std::size_t>(t) * ss, ss};
-    }
-
-    std::span<const std::uint64_t>
-    distanceHistRow(SnapshotId t) const
-    {
-        const auto b = static_cast<std::size_t>(histBins);
-        return {distanceHist.data() + static_cast<std::size_t>(t) * b,
-                b};
+        return {cross.data() + rowIndex(t) * ss, ss};
     }
 
     std::uint64_t *
     degreeSumRowMut(SnapshotId t)
     {
         return degreeSum.data() +
-            static_cast<std::size_t>(t) * static_cast<std::size_t>(slots);
+            rowIndex(t) * static_cast<std::size_t>(slots);
     }
 
     std::uint64_t *
     crossRowMut(SnapshotId t)
     {
-        return cross.data() + static_cast<std::size_t>(t) *
+        return cross.data() + rowIndex(t) *
             static_cast<std::size_t>(slots) *
             static_cast<std::size_t>(slots);
     }
 
-    std::uint64_t *
-    distanceHistRowMut(SnapshotId t)
+  private:
+    std::size_t
+    rowIndex(SnapshotId t) const
     {
-        return distanceHist.data() +
-            static_cast<std::size_t>(t) *
-            static_cast<std::size_t>(histBins);
+        DITILE_ASSERT(t >= 0 && t < snapshots,
+                      "snapshot row outside the digest's coverage");
+        return static_cast<std::size_t>(t);
     }
 };
 
@@ -122,14 +116,6 @@ void buildEdgeOwnerIndex(const graph::Csr &g,
 void countSlotEdges(const graph::Csr &g, const std::vector<int> &owners,
                     const std::int32_t *edge_owner, int slots,
                     std::uint64_t *deg_sum, std::uint64_t *cross);
-
-/**
- * Ring-minimal vertical-distance histogram over the nonzero
- * off-diagonal cells of one cross matrix. hist must have S/2+1
- * entries; overwritten.
- */
-void distanceHistogram(const std::uint64_t *cross, int slots,
-                       std::uint64_t *hist);
 
 } // namespace ditile::workload
 

@@ -471,6 +471,34 @@ TEST(ContentCache, LaterRacerGetsThePublishedValue)
     EXPECT_EQ(cache.hits() + cache.misses(), 3u);
 }
 
+TEST(ContentCache, UncoveredHitRebuildsAndRepublishes)
+{
+    // Each value is a coverage; a lookup that needs n is covered by
+    // any value >= n.
+    ContentCache<std::uint64_t, int> cache;
+    auto needs = [](int n) { return [n](const int &v) { return v >= n; }; };
+    EXPECT_EQ(cache.obtain(7, [] { return 1; }, needs(1)), 1);
+    EXPECT_EQ(cache.obtain(7, [] { return -1; }, needs(1)), 1);
+    // Not covered: counted as a hit, rebuilt, republished.
+    EXPECT_EQ(cache.obtain(7, [] { return 4; }, needs(3)), 4);
+    EXPECT_EQ(cache.peek(7), std::optional<int>(4));
+    // While a rebuild runs, a racer publishes a value that covers it:
+    // the racer's value is kept.
+    EXPECT_EQ(cache.obtain(7, [&] {
+        EXPECT_EQ(cache.obtain(7, [] { return 8; }, needs(8)), 8);
+        return 6;
+    }, needs(6)), 8);
+    // A racer's value that does not cover it is replaced.
+    EXPECT_EQ(cache.obtain(7, [&] {
+        EXPECT_EQ(cache.obtain(7, [] { return 9; }, needs(9)), 9);
+        return 12;
+    }, needs(12)), 12);
+    EXPECT_EQ(cache.peek(7), std::optional<int>(12));
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 6u);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
 TEST(ContentCache, NamedCacheReportsEachLookupOnceAndSilentNone)
 {
     Tracer &tracer = Tracer::global();

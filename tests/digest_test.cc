@@ -13,12 +13,15 @@
 #include <iomanip>
 #include <memory>
 #include <ostream>
+#include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hh"
+#include "common/trace.hh"
 #include "common/thread_pool.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/datasets.hh"
@@ -213,24 +216,6 @@ TEST(PartitionDigest, MatchesBruteForceCounts)
         ASSERT_EQ(std::vector<std::uint64_t>(row_cross.begin(),
                                              row_cross.end()),
                   cross);
-
-        std::vector<std::uint64_t> hist(s_slots / 2 + 1, 0);
-        for (int src = 0; src < slots; ++src) {
-            for (int dst = 0; dst < slots; ++dst) {
-                if (src == dst ||
-                    cross[static_cast<std::size_t>(src) * s_slots +
-                          static_cast<std::size_t>(dst)] == 0) {
-                    continue;
-                }
-                const int fwd = (dst - src + slots) % slots;
-                ++hist[static_cast<std::size_t>(
-                    std::min(fwd, slots - fwd))];
-            }
-        }
-        const auto row_hist = digest.verticalDistanceHist(t);
-        ASSERT_EQ(std::vector<std::uint64_t>(row_hist.begin(),
-                                             row_hist.end()),
-                  hist);
     }
 }
 
@@ -308,7 +293,7 @@ flippingWorkload(int slots, std::vector<int> &owners)
     return graph::DynamicGraph("flipping", std::move(snapshots), 8);
 }
 
-TEST(PartitionDigest, PatchedHistogramMatchesRecount)
+TEST(PartitionDigest, PatchedCrossRowsMatchRecount)
 {
     for (const int slots : {8, 256}) {
         SCOPED_TRACE(slots);
@@ -316,19 +301,30 @@ TEST(PartitionDigest, PatchedHistogramMatchesRecount)
         const auto dg = flippingWorkload(slots, owners);
         const auto digest =
             workload::buildPartitionDigest(dg, owners, slots);
-        EXPECT_GT(digest.incrementalSnapshots, 0u);
+        EXPECT_EQ(digest.incrementalSnapshots,
+                  static_cast<std::uint64_t>(dg.numSnapshots() - 1));
 
         const auto s_slots = static_cast<std::size_t>(slots);
         std::size_t rises = 0;
         std::size_t falls = 0;
         for (SnapshotId t = 0; t < dg.numSnapshots(); ++t) {
             SCOPED_TRACE(t);
+            std::vector<std::int32_t> edge_owner;
+            workload::buildEdgeOwnerIndex(dg.snapshot(t), owners,
+                                          edge_owner);
+            std::vector<std::uint64_t> deg(s_slots, ~0ull);
+            std::vector<std::uint64_t> want(s_slots * s_slots, ~0ull);
+            workload::countSlotEdges(dg.snapshot(t), owners,
+                                     edge_owner.data(), slots,
+                                     deg.data(), want.data());
             const auto cross = digest.crossRow(t);
-            std::vector<std::uint64_t> want(s_slots / 2 + 1, ~0ull);
-            workload::distanceHistogram(cross.data(), slots, want.data());
-            const auto got = digest.verticalDistanceHist(t);
-            EXPECT_EQ(std::vector<std::uint64_t>(got.begin(), got.end()),
+            EXPECT_EQ(std::vector<std::uint64_t>(cross.begin(),
+                                                 cross.end()),
                       want);
+            const auto deg_row = digest.slotDegreeSum(t);
+            EXPECT_EQ(std::vector<std::uint64_t>(deg_row.begin(),
+                                                 deg_row.end()),
+                      deg);
             if (t == 0)
                 continue;
             const auto prev = digest.crossRow(t - 1);
@@ -341,6 +337,83 @@ TEST(PartitionDigest, PatchedHistogramMatchesRecount)
         EXPECT_GT(rises, 0u);
         EXPECT_GT(falls, 0u);
     }
+}
+
+std::vector<std::uint64_t>
+rowOf(std::span<const std::uint64_t> row)
+{
+    return {row.begin(), row.end()};
+}
+
+/**
+ * Snapshots 0-1 of one graph, then 2-5 of another: snapshot 2's delta
+ * swaps the whole edge set, so the digest rebuilds its row from
+ * scratch between patched ones.
+ */
+graph::DynamicGraph
+restartingWorkload()
+{
+    const auto a = digestWorkload(0.06, 29);
+    const auto b = digestWorkload(0.06, 31);
+    std::vector<graph::Csr> snapshots;
+    for (SnapshotId t = 0; t < 6; ++t)
+        snapshots.push_back(t < 2 ? a.snapshot(t) : b.snapshot(t));
+    return graph::DynamicGraph("restarting", std::move(snapshots), 48);
+}
+
+TEST(PartitionDigest, CoverageIsAPrefixOfTheFullBuild)
+{
+    const auto dg = restartingWorkload();
+    const SnapshotId t_count = dg.numSnapshots();
+    const int slots = 16;
+    std::vector<int> owners(static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v)
+        owners[static_cast<std::size_t>(v)] = (v * 7) % slots;
+    const auto full = workload::buildPartitionDigest(dg, owners, slots);
+    ASSERT_EQ(full.covered(), t_count);
+    EXPECT_EQ(full.scratchSnapshots, 2u);
+    EXPECT_EQ(full.incrementalSnapshots,
+              static_cast<std::uint64_t>(t_count - 2));
+
+    const auto s_slots = static_cast<std::size_t>(slots);
+    for (const SnapshotId n : {SnapshotId{0}, SnapshotId{1},
+                               t_count / 2, t_count}) {
+        SCOPED_TRACE(n);
+        const auto part =
+            workload::buildPartitionDigest(dg, owners, slots, n);
+        ASSERT_EQ(part.covered(), n);
+        EXPECT_EQ(part.scratchSnapshots + part.incrementalSnapshots,
+                  static_cast<std::uint64_t>(n));
+        // The planes hold the covered rows and nothing more.
+        EXPECT_EQ(part.arrays.degreeSum.size(),
+                  static_cast<std::size_t>(n) * s_slots);
+        EXPECT_EQ(part.arrays.cross.size(),
+                  static_cast<std::size_t>(n) * s_slots * s_slots);
+        EXPECT_EQ(rowOf(part.slotVertexCount()),
+                  rowOf(full.slotVertexCount()));
+        for (SnapshotId t = 0; t < n; ++t) {
+            SCOPED_TRACE(t);
+            EXPECT_EQ(rowOf(part.slotDegreeSum(t)),
+                      rowOf(full.slotDegreeSum(t)));
+            EXPECT_EQ(rowOf(part.crossRow(t)), rowOf(full.crossRow(t)));
+        }
+    }
+    // A coverage past the last snapshot is every snapshot.
+    EXPECT_EQ(workload::buildPartitionDigest(dg, owners, slots,
+                                             t_count + 5).covered(),
+              t_count);
+}
+
+TEST(PartitionDigestDeathTest, UncoveredRowPanics)
+{
+    const auto dg = digestWorkload();
+    const std::vector<int> owners(
+        static_cast<std::size_t>(dg.numVertices()), 0);
+    const auto digest = workload::buildPartitionDigest(dg, owners, 1, 1);
+    EXPECT_EQ(digest.crossRow(0).size(), 1u);
+    EXPECT_DEATH(digest.crossRow(1), "coverage");
+    EXPECT_DEATH(digest.slotDegreeSum(1), "coverage");
+    EXPECT_DEATH(digest.crossRow(-1), "coverage");
 }
 
 // ---------------------------------------------------------------------
@@ -427,6 +500,33 @@ struct SweepRow
     bool operator==(const SweepRow &) const = default;
 };
 
+/** ditile_sweep's WD scale-0.3 grid points: (dissimilarity, T). */
+const std::vector<std::pair<double, SnapshotId>> kSweepPoints = {
+    {0.02, 4}, {0.02, 8}, {0.10, 4}, {0.10, 8}};
+
+graph::DynamicGraph
+sweepGraph(const std::pair<double, SnapshotId> &point)
+{
+    graph::DatasetOptions options;
+    options.scale = 0.3;
+    options.dissimilarity = point.first;
+    options.numSnapshots = point.second;
+    return graph::makeDataset("WD", options);
+}
+
+/** The sweep's --all-accels fleet, in CSV row order. */
+std::vector<std::unique_ptr<sim::Accelerator>>
+sweepFleet()
+{
+    std::vector<std::unique_ptr<sim::Accelerator>> fleet;
+    fleet.push_back(sim::makeReady());
+    fleet.push_back(sim::makeDgnnBooster());
+    fleet.push_back(sim::makeRace());
+    fleet.push_back(sim::makeMega());
+    fleet.push_back(std::make_unique<core::DiTileAccelerator>());
+    return fleet;
+}
+
 /**
  * ditile_sweep's WD scale-0.3 grid (dis {0.02, 0.10} x T {4, 8}, every
  * accelerator), its points run concurrently through one shared
@@ -440,24 +540,14 @@ sweepGrid(bool digests, int threads)
     ThreadPool::setGlobalThreads(threads);
     workload::DigestCache::global().clear();
     graph::clearGenerationMemo();
-    const std::vector<std::pair<double, SnapshotId>> points = {
-        {0.02, 4}, {0.02, 8}, {0.10, 4}, {0.10, 8}};
+    const auto &points = kSweepPoints;
     const std::size_t fleet_size = 5;
     std::vector<SweepRow> rows(points.size() * fleet_size);
     sim::PlanCache plan_cache;
     parallelFor(points.size(), [&](std::size_t j) {
-        graph::DatasetOptions options;
-        options.scale = 0.3;
-        options.dissimilarity = points[j].first;
-        options.numSnapshots = points[j].second;
-        const auto dg = graph::makeDataset("WD", options);
+        const auto dg = sweepGraph(points[j]);
         const model::DgnnConfig mconfig;
-        std::vector<std::unique_ptr<sim::Accelerator>> fleet;
-        fleet.push_back(sim::makeReady());
-        fleet.push_back(sim::makeDgnnBooster());
-        fleet.push_back(sim::makeRace());
-        fleet.push_back(sim::makeMega());
-        fleet.push_back(std::make_unique<core::DiTileAccelerator>());
+        const auto fleet = sweepFleet();
         for (std::size_t a = 0; a < fleet_size; ++a) {
             const auto r = sim::executePlan(
                 dg, fleet[a]->plan(dg, mconfig, &plan_cache), &plan_cache);
@@ -485,6 +575,85 @@ TEST(DigestIdentity, SweepGridMatchesScratchPath)
     EXPECT_EQ(sweepGrid(true, 1), reference);
     EXPECT_EQ(sweepGrid(false, 4), reference);
     EXPECT_EQ(sweepGrid(true, 4), reference);
+}
+
+TEST(DigestIdentity, SweepGridDigestsCoverTheirLastFullRecompute)
+{
+    // After the grid, each cached partition digest covers exactly 1 +
+    // the last full-recompute snapshot of the plans that asked for it
+    // (the largest, when plans share the assignment), and no more.
+    sweepGrid(true, 4);
+    const model::DgnnConfig mconfig;
+    // One digest the engine asked for: its assignment and the rows.
+    struct Asked
+    {
+        std::vector<int> owners;
+        int slots = 0;
+        SnapshotId rows = 0;
+    };
+    // Per grid point, content key -> the widest ask.
+    using Wanted = std::map<std::uint64_t, Asked>;
+    std::vector<std::pair<graph::DynamicGraph, Wanted>> points;
+    for (const auto &point : kSweepPoints) {
+        auto dg = sweepGraph(point);
+        Wanted wanted;
+        for (const auto &accel : sweepFleet()) {
+            const auto plan = accel->plan(dg, mconfig);
+            bool asks = false;
+            SnapshotId rows = 0;
+            for (SnapshotId t = 0; t < plan.numSnapshots(); ++t) {
+                const auto &sp =
+                    (*plan.snapshots)[static_cast<std::size_t>(t)];
+                asks = asks || sp.fullRecompute ||
+                    static_cast<VertexId>(sp.rnnVertices.size()) ==
+                        dg.numVertices();
+                if (sp.fullRecompute)
+                    rows = t + 1;
+            }
+            if (!asks)
+                continue;
+            const auto &mapping = plan.mapping;
+            const int slots = mapping.spatialOnly ? plan.hw.totalTiles()
+                                                  : plan.hw.tileRows;
+            std::vector<int> owners(
+                static_cast<std::size_t>(dg.numVertices()));
+            for (VertexId v = 0; v < dg.numVertices(); ++v) {
+                owners[static_cast<std::size_t>(v)] = mapping.spatialOnly
+                    ? mapping.tilePartition.owner(v)
+                    : mapping.rowPartition.owner(v);
+            }
+            Asked &asked =
+                wanted[workload::partitionDigestKey(dg, owners, slots)];
+            asked.owners = std::move(owners);
+            asked.slots = slots;
+            asked.rows = std::max(asked.rows, rows);
+        }
+        points.emplace_back(std::move(dg), std::move(wanted));
+    }
+
+    auto &cache = workload::DigestCache::global();
+    const auto misses = cache.misses();
+    const auto hits = cache.hits();
+    std::size_t checked = 0;
+    std::set<SnapshotId> coverages;
+    for (const auto &[dg, wanted] : points) {
+        for (const auto &[key, asked] : wanted) {
+            // A 0-snapshot lookup is served by whatever is cached.
+            const auto digest =
+                cache.partition(dg, asked.owners, asked.slots, 0);
+            EXPECT_EQ(digest->covered(), asked.rows) << "key " << key;
+            coverages.insert(asked.rows);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(cache.misses(), misses); // every checked digest was cached
+    EXPECT_EQ(cache.hits(), hits + checked);
+    EXPECT_GE(checked, kSweepPoints.size());
+    // ReaDy recomputes every snapshot, so some digest has T rows;
+    // MEGA recomputes only snapshot 0, so its digests have one.
+    EXPECT_EQ(coverages.count(1), 1u);
+    EXPECT_EQ(coverages.count(8), 1u);
+    cache.clear();
 }
 
 TEST(DigestIdentity, PlanJsonUnaffectedByDigestGate)
@@ -540,6 +709,50 @@ TEST(DigestCacheTest, VariantsShareOneConstruction)
     EXPECT_GT(cache.hits(), after_nora);
     EXPECT_LE(cache.misses(), first_misses + 1);
     EXPECT_EQ(cache.size(), cache.misses());
+}
+
+TEST(DigestCacheTest, WiderLookupRepublishesUnderOneKey)
+{
+    Tracer::global().reset();
+    Tracer::global().enable(true, true);
+    auto &cache = workload::DigestCache::global();
+    cache.clear();
+    const auto dg = digestWorkload();
+    const SnapshotId t_count = dg.numSnapshots();
+    const int slots = 16;
+    std::vector<int> owners(static_cast<std::size_t>(dg.numVertices()));
+    for (VertexId v = 0; v < dg.numVertices(); ++v)
+        owners[static_cast<std::size_t>(v)] = v % slots;
+
+    const auto narrow = cache.partition(dg, owners, slots, 1);
+    EXPECT_EQ(narrow->covered(), 1);
+    const auto wide = cache.partition(dg, owners, slots, t_count);
+    const auto oracle = workload::buildPartitionDigest(dg, owners, slots);
+    ASSERT_EQ(wide->covered(), t_count);
+    EXPECT_EQ(wide->arrays.slotVertexCount, oracle.arrays.slotVertexCount);
+    EXPECT_EQ(wide->arrays.degreeSum, oracle.arrays.degreeSum);
+    EXPECT_EQ(wide->arrays.cross, oracle.arrays.cross);
+    // The rebuild republished under the same key: a narrower lookup
+    // now gets the wide digest.
+    EXPECT_EQ(cache.partition(dg, owners, slots, 1), wide);
+
+    // One miss, then hits, exactly as without coverage.
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.size(), 1u);
+    std::map<std::string, long long> registry;
+    for (const auto &[path, value] : Tracer::global().metrics())
+        registry[path] = value;
+    EXPECT_EQ(registry["cache.digest_partition.misses"], 1);
+    EXPECT_EQ(registry["cache.digest_partition.hits"], 2);
+    EXPECT_EQ(registry["cache.digest_partition.evictions"], 0);
+    std::map<std::string, std::uint64_t> instants;
+    for (const auto &row : Tracer::global().rollup())
+        instants[row.name] += row.count;
+    EXPECT_EQ(instants["digest-partition miss"], 1u);
+    EXPECT_EQ(instants["digest-partition hit"], 2u);
+    Tracer::global().reset();
+    cache.clear();
 }
 
 TEST(DigestCacheTest, KeysSeparateGraphsAndShapes)

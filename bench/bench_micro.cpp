@@ -19,8 +19,10 @@
 #include "common/simd.hh"
 #include "core/ditile_accelerator.hh"
 #include "dram/dram_model.hh"
+#include "graph/ctdg.hh"
 #include "graph/datasets.hh"
 #include "graph/generator.hh"
+#include "graph/window.hh"
 #include "model/functional.hh"
 #include "model/incremental.hh"
 #include "noc/flit_network.hh"
@@ -119,6 +121,55 @@ BM_EdgeSort(benchmark::State &state)
                             static_cast<long>(edges.size()));
 }
 BENCHMARK(BM_EdgeSort);
+
+/** Eq.-1 sampling of the Ctdg.DiscretizePinned stream at T = 128. */
+void
+BM_Discretize(benchmark::State &state)
+{
+    graph::EventStreamConfig config;
+    config.numVertices = 4096;
+    config.initialEdges = 32768;
+    config.numEvents = 20000;
+    config.seed = 3;
+    const auto ctdg = graph::generateEventStream(config);
+    for (auto _ : state) {
+        auto dg = ctdg.discretize(128, 16);
+        benchmark::DoNotOptimize(dg.structureHashValue());
+    }
+}
+BENCHMARK(BM_Discretize)->Unit(benchmark::kMillisecond);
+
+/**
+ * A serve-sized tenant's write path: 160 vertices, 640 edges, a
+ * three-snapshot window rolled every 64 events; one item is one roll
+ * with its 64 events.
+ */
+void
+BM_WindowRoll(benchmark::State &state)
+{
+    constexpr std::size_t kRollEvery = 64;
+    graph::EventStreamConfig config;
+    config.numVertices = 160;
+    config.initialEdges = 640;
+    config.numEvents = kRollEvery * 64;
+    config.seed = 7;
+    const auto ctdg = graph::generateEventStream(config);
+    const auto &events = ctdg.events();
+    std::int64_t rolls = 0;
+    for (auto _ : state) {
+        graph::SnapshotWindow window("bench", ctdg.initial(), 3, 16);
+        for (std::size_t i = 0; i < events.size(); ++i) {
+            window.apply(events[i]);
+            if ((i + 1) % kRollEvery == 0) {
+                window.roll();
+                ++rolls;
+            }
+        }
+        benchmark::DoNotOptimize(window.graph().structureHashValue());
+    }
+    state.SetItemsProcessed(rolls);
+}
+BENCHMARK(BM_WindowRoll)->Unit(benchmark::kMicrosecond);
 
 void
 BM_FrontierExpansion(benchmark::State &state)

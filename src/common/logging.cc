@@ -29,12 +29,6 @@ fatalImpl(const std::string &msg)
 }
 
 void
-informImpl(const std::string &msg)
-{
-    std::fprintf(stdout, "info: %s\n", msg.c_str());
-}
-
-void
 warnImpl(const std::string &msg)
 {
     std::fprintf(stderr, "warn: %s\n", msg.c_str());

@@ -8,8 +8,8 @@
  * DITILE_THROW raises an InputError for malformed user input
  * (files, CLI specs, serialized plans) so library code stays testable
  * and callers can degrade gracefully; tool main()s catch it at the
- * top and turn it into a fatal() exit. inform()/warn() report status
- * without stopping, and warnOnce() deduplicates repeated warnings so
+ * top and turn it into a fatal() exit. warn() reports status without
+ * stopping, and warnOnce() deduplicates repeated warnings so
  * degraded-mode runs do not flood stderr.
  */
 
@@ -39,7 +39,6 @@ namespace detail {
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 [[noreturn]] void fatalImpl(const std::string &msg);
-void informImpl(const std::string &msg);
 void warnImpl(const std::string &msg);
 
 /** Max distinct warnOnce sites remembered. Beyond the cap, novel
@@ -84,14 +83,6 @@ format(Args &&...args)
                                          ##__VA_ARGS__)); \
         } \
     } while (0)
-
-/** Informational message on stdout. */
-template <typename... Args>
-void
-inform(Args &&...args)
-{
-    detail::informImpl(detail::format(std::forward<Args>(args)...));
-}
 
 /** Warning message (always printed). */
 template <typename... Args>

@@ -12,13 +12,11 @@ namespace ditile {
 namespace {
 
 volatile std::sig_atomic_t g_shutdown = 0;
-volatile std::sig_atomic_t g_signal = 0;
 
 extern "C" void
 shutdownHandler(int signum)
 {
     g_shutdown = 1;
-    g_signal = signum;
     // Re-raise with default disposition on the next delivery: a
     // second Ctrl-C must be able to kill a tool stuck mid-flush.
     std::signal(signum, SIG_DFL);
@@ -51,12 +49,6 @@ shutdownRequested()
     return g_shutdown != 0;
 }
 
-int
-shutdownSignal()
-{
-    return static_cast<int>(g_signal);
-}
-
 void
 requestShutdown()
 {
@@ -67,7 +59,6 @@ void
 resetShutdownForTest()
 {
     g_shutdown = 0;
-    g_signal = 0;
 }
 
 } // namespace ditile

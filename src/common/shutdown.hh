@@ -29,14 +29,6 @@ void installShutdownHandler();
 /** True once SIGINT/SIGTERM arrived (or requestShutdown was called). */
 bool shutdownRequested();
 
-/**
- * The signal number that triggered shutdown, or 0 when none did
- * (including programmatic requestShutdown()). Tools use it to report
- * *why* they are flushing and to pick the conventional 128+N exit
- * status.
- */
-int shutdownSignal();
-
 /** Programmatic trigger, for tests and internal stop paths. */
 void requestShutdown();
 

@@ -47,8 +47,6 @@ class Table
     /** Convenience: print toString() to stdout. */
     void print() const;
 
-    std::size_t numRows() const { return rows_.size(); }
-
     /** Format helpers for numeric cells. */
     static std::string num(double v, int precision = 2);
     static std::string integer(long long v);

@@ -6,6 +6,7 @@
 #include "graph/ctdg.hh"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "common/logging.hh"
@@ -47,7 +48,12 @@ ContinuousDynamicGraph::discretize(SnapshotId num_snapshots,
                                    int feature_dim) const
 {
     DITILE_ASSERT(num_snapshots >= 1);
-    SnapshotWindow window(name_, initial_, num_snapshots, feature_dim);
+    // A two-snapshot window rolls each snapshot and its delta out; the
+    // output graph is built (and hashed) once, at the end.
+    SnapshotWindow window(name_, initial_, 2, feature_dim);
+    std::vector<std::shared_ptr<const Csr>> snapshots = {
+        window.graph().sharedSnapshot(0)};
+    std::vector<GraphDelta> deltas;
     const double begin = beginTime();
     const double span = endTime() - begin;
     std::size_t cursor = 0;
@@ -58,8 +64,11 @@ ContinuousDynamicGraph::discretize(SnapshotId num_snapshots,
                events_[cursor].timestamp <= cutoff)
             window.apply(events_[cursor++]);
         window.roll();
+        snapshots.push_back(window.graph().sharedSnapshot(1));
+        deltas.push_back(window.graph().delta(1));
     }
-    return window.graph();
+    return DynamicGraph(name_, std::move(snapshots), std::move(deltas),
+                        feature_dim);
 }
 
 ContinuousDynamicGraph

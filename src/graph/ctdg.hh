@@ -9,8 +9,10 @@
  * regular-interval sampling that turns it into a DynamicGraph, so
  * event-log workloads (the natural form of most real dynamic-graph
  * sources) can drive the accelerator directly. The sampling has no
- * replay of its own: it runs the stream through a SnapshotWindow
- * (graph/window.hh), the same replay the serving tier uses.
+ * replay of its own: it runs the stream through a two-snapshot
+ * SnapshotWindow (graph/window.hh), the same replay the serving tier
+ * uses, and collects each rolled snapshot and its delta, so it costs
+ * O(T) rolls of O(V + E) each rather than re-hashing every prefix.
  */
 
 #ifndef DITILE_GRAPH_CTDG_HH
@@ -64,9 +66,10 @@ class ContinuousDynamicGraph
     double endTime() const;
 
     /**
-     * Eq. 1 sampling: replay the stream through a SnapshotWindow of
-     * capacity `num_snapshots`, rolling it at regular intervals across
-     * the event span. Snapshot 0 is the initial graph; snapshot t
+     * Eq. 1 sampling: replay the stream through a two-snapshot
+     * SnapshotWindow, rolling it at regular intervals across the event
+     * span and collecting each rolled snapshot and its delta. Snapshot
+     * 0 is the initial graph; snapshot t
      * reflects every event with timestamp
      * <= begin + t * (end - begin) / (num_snapshots - 1).
      */

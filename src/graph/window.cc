@@ -6,7 +6,6 @@
 #include "graph/window.hh"
 
 #include <algorithm>
-#include <iterator>
 #include <memory>
 
 #include "common/logging.hh"
@@ -21,13 +20,21 @@ SnapshotWindow::SnapshotWindow(std::string name, Csr initial,
     snapshots.push_back(std::move(initial));
     graph_ = DynamicGraph(std::move(name), std::move(snapshots),
                           feature_dim);
-    live_ = graph_.snapshot(0).edgeList();
-    keys_.reserve(live_.size() * 2);
-    for (auto [u, v] : live_)
-        keys_.insert(edgeKey(u, v));
 }
 
 namespace {
+
+/** The canonical edges an edgeKey() set packs, in hash-set order. */
+std::vector<Edge>
+keyEdges(const std::unordered_set<std::uint64_t> &keys)
+{
+    std::vector<Edge> edges;
+    edges.reserve(keys.size());
+    for (std::uint64_t key : keys)
+        edges.emplace_back(static_cast<VertexId>(key >> 32),
+                           static_cast<VertexId>(key & 0xffffffffu));
+    return edges;
+}
 
 /**
  * Throw InputError unless `delta` is canonical and applies to `prev`:
@@ -97,26 +104,14 @@ SnapshotWindow::restore(std::string name, SnapshotId capacity,
     }
     checkDelta(name, snapshots.back(), pending, "pending delta");
 
-    // Live set = newest snapshot - removed + added; all three lists
-    // are canonical, so one difference and one merge build it sorted.
-    const std::vector<Edge> newest = snapshots.back().edgeList();
-    std::vector<Edge> kept;
-    kept.reserve(newest.size());
-    std::set_difference(newest.begin(), newest.end(),
-                        pending.removedEdges().begin(),
-                        pending.removedEdges().end(),
-                        std::back_inserter(kept));
     SnapshotWindow window(DynamicGraph(std::move(name),
                                        std::move(snapshots),
                                        std::move(deltas), feature_dim),
                           capacity);
-    window.live_.reserve(kept.size() + pending.addedEdges().size());
-    std::merge(kept.begin(), kept.end(), pending.addedEdges().begin(),
-               pending.addedEdges().end(),
-               std::back_inserter(window.live_));
-    window.keys_.reserve(window.live_.size() * 2);
-    for (auto [u, v] : window.live_)
-        window.keys_.insert(edgeKey(u, v));
+    for (auto [u, v] : pending.addedEdges())
+        window.added_.insert(edgeKey(u, v));
+    for (auto [u, v] : pending.removedEdges())
+        window.removed_.insert(edgeKey(u, v));
 
     window.appliedEvents_ = counters.appliedEvents;
     window.noopEvents_ = counters.noopEvents;
@@ -128,17 +123,8 @@ SnapshotWindow::restore(std::string name, SnapshotId capacity,
 GraphDelta
 SnapshotWindow::pendingDelta() const
 {
-    const Csr &newest = graph_.snapshot(graph_.numSnapshots() - 1);
-    std::vector<Edge> added;
-    for (auto [u, v] : live_)
-        if (!newest.hasEdge(u, v))
-            added.emplace_back(u, v);
-    std::vector<Edge> removed;
-    for (VertexId u = 0; u < newest.numVertices(); ++u)
-        for (VertexId v : newest.neighbors(u))
-            if (u < v && !keys_.count(edgeKey(u, v)))
-                removed.emplace_back(u, v);
-    return GraphDelta::fromChanges(std::move(added), std::move(removed));
+    // fromChanges sorts both lists, so hash-set order never leaks.
+    return GraphDelta::fromChanges(keyEdges(added_), keyEdges(removed_));
 }
 
 void
@@ -151,27 +137,21 @@ SnapshotWindow::apply(const GraphEvent &event)
                      ") outside tenant '", name(), "' universe [0,",
                      vertices, ")");
     }
+    // Live = in the newest snapshot, adjusted by the pending delta.
     const auto key = edgeKey(event.u, event.v);
-    if (event.kind == GraphEvent::Kind::AddEdge) {
-        if (event.u == event.v || !keys_.insert(key).second) {
-            ++noopEvents_;
-            return;
-        }
-        live_.emplace_back(std::min(event.u, event.v),
-                           std::max(event.u, event.v));
-    } else {
-        if (!keys_.erase(key)) {
-            ++noopEvents_;
-            return;
-        }
-        const Edge victim{std::min(event.u, event.v),
-                          std::max(event.u, event.v)};
-        auto it = std::find(live_.begin(), live_.end(), victim);
-        DITILE_ASSERT(it != live_.end(),
-                      "live set and key set out of sync");
-        *it = live_.back();
-        live_.pop_back();
+    const bool self_loop = event.u == event.v;
+    const bool live = !self_loop &&
+        (added_.count(key) != 0 ||
+         (removed_.count(key) == 0 && newest().hasEdge(event.u, event.v)));
+    const bool add = event.kind == GraphEvent::Kind::AddEdge;
+    if (self_loop || live == add) {
+        ++noopEvents_;
+        return;
     }
+    // A change that undoes a pending one cancels it.
+    auto &undo = add ? removed_ : added_;
+    if (!undo.erase(key))
+        (add ? added_ : removed_).insert(key);
     ++appliedEvents_;
     ++sinceRoll_;
 }
@@ -180,7 +160,10 @@ void
 SnapshotWindow::roll()
 {
     // Share the newest capacity - 1 snapshots and copy the deltas
-    // between them, then append the live set and its one diff.
+    // between them, then append the patched newest and its delta.
+    GraphDelta delta = pendingDelta();
+    auto next = std::make_shared<const Csr>(Csr::patched(
+        newest(), delta.addedEdges(), delta.removedEdges()));
     const SnapshotId size = graph_.numSnapshots();
     const SnapshotId first = size < capacity_ ? 0 : 1;
     std::vector<std::shared_ptr<const Csr>> snapshots;
@@ -190,13 +173,13 @@ SnapshotWindow::roll()
         if (t > first)
             deltas.push_back(graph_.delta(t));
     }
-    auto next = std::make_shared<const Csr>(
-        Csr::fromEdges(numVertices(), live_));
     if (!snapshots.empty())
-        deltas.push_back(GraphDelta::diff(*snapshots.back(), *next));
+        deltas.push_back(std::move(delta));
     snapshots.push_back(std::move(next));
     graph_ = DynamicGraph(graph_.name(), std::move(snapshots),
                           std::move(deltas), graph_.featureDim());
+    added_.clear();
+    removed_.clear();
     ++rolls_;
     sinceRoll_ = 0;
 }

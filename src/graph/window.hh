@@ -3,20 +3,23 @@
  * Snapshot windows over a continuous event stream: the one event
  * replay of the graph layer.
  *
- * A SnapshotWindow holds the *live* edge set of a <G, O> stream,
- * patches it in O(1) per event (no-op events are counted and skipped),
- * and on roll() materializes the live set as the newest snapshot. Its
- * window is stored once, as one DynamicGraph of the W most recent
- * snapshots and their deltas: a roll appends the new snapshot and one
- * diff against the previous newest, and at capacity drops the oldest
- * snapshot and its delta. graph() is a plain accessor, so back-to-back
- * queries on a quiet tenant see the same graph object — same
- * structure hash — and ride the PlanCache/DigestCache instead of
- * replanning.
+ * A SnapshotWindow's state is one DynamicGraph of the W most recent
+ * snapshots and their deltas, plus the one pending delta since the
+ * newest snapshot: the edge keys added and removed by the events
+ * applied since the last roll. An event is O(1) against that state (a
+ * binary search in the newest snapshot and a hash probe; no-op events
+ * are counted and skipped), and an add and a remove of one edge
+ * between two rolls cancel. roll() patches the newest snapshot with
+ * the pending delta (Csr::patched), appends the result and that delta,
+ * and at capacity drops the oldest snapshot and its delta. graph() is
+ * a plain accessor, so back-to-back queries on a quiet tenant see the
+ * same graph object — same structure hash — and ride the
+ * PlanCache/DigestCache instead of replanning.
  *
  * Both consumers of the Eq.-1 replay run through it: the serving tier
  * keeps one window per tenant, and ContinuousDynamicGraph::discretize()
- * replays a whole stream through a window as wide as its output.
+ * replays a whole stream through a two-snapshot window, collecting
+ * each rolled snapshot and its delta.
  */
 
 #ifndef DITILE_GRAPH_WINDOW_HH
@@ -33,7 +36,7 @@
 namespace ditile::graph {
 
 /**
- * Bounded window of snapshots over a mutating live edge set.
+ * Bounded window of snapshots plus the pending delta since the newest.
  *
  * Not thread-safe: callers (the serve control loop) apply events and
  * roll snapshots from one thread; the DynamicGraph returned by graph()
@@ -65,8 +68,8 @@ class SnapshotWindow
 
     /**
      * Rebuild a window from checkpointed state (crash recovery): the
-     * oldest snapshot, the delta to each later one, the live edge set
-     * as a delta against the newest snapshot, and the event counters.
+     * oldest snapshot, the delta to each later one, the pending delta
+     * against the newest snapshot, and the event counters.
      * The snapshots are patched from the oldest (Csr::patched), not
      * rebuilt or re-diffed. Throws InputError on a corrupt checkpoint:
      * a delta count other than min(rolls, capacity - 1), or a delta
@@ -83,17 +86,19 @@ class SnapshotWindow
                                   const Counters &counters);
 
     /**
-     * Apply one structural event to the live edge set. Out-of-universe
-     * endpoints throw InputError; no-op events (adding an existing
-     * edge, removing a missing one, self loops) are counted and
-     * skipped.
+     * Apply one structural event to the pending delta. Out-of-universe
+     * endpoints throw InputError; no-op events (adding a live edge,
+     * removing a missing one, self loops) are counted and skipped.
+     * Adding an edge pending removal cancels the removal, and removing
+     * an edge pending addition cancels the addition.
      */
     void apply(const GraphEvent &event);
 
     /**
-     * Materialize the live edge set as the newest snapshot, with one
-     * diff against the previous newest. At capacity the oldest
-     * snapshot and its delta leave the window.
+     * Patch the newest snapshot with the pending delta and append it
+     * as the new newest snapshot (with that delta, unless capacity is
+     * 1). At capacity the oldest snapshot and its delta leave the
+     * window.
      */
     void roll();
 
@@ -115,7 +120,8 @@ class SnapshotWindow
     /** Live (undirected) edge count, including unrolled mutations. */
     EdgeId liveEdges() const
     {
-        return static_cast<EdgeId>(live_.size());
+        return newest().numEdges() + static_cast<EdgeId>(added_.size()) -
+            static_cast<EdgeId>(removed_.size());
     }
 
     std::uint64_t appliedEvents() const { return appliedEvents_; }
@@ -128,10 +134,9 @@ class SnapshotWindow
     int featureDim() const { return graph_.featureDim(); }
 
     /**
-     * The live edge set as a delta against the newest snapshot, in
-     * canonical order: what restore() takes back. The in-memory order
-     * of live_ is mutation-history-dependent (removal swap-pops), but
-     * it is behaviorally irrelevant, so checkpoints store this form.
+     * The pending delta against the newest snapshot, sorted into
+     * canonical order (the hash sets' order never leaks): what roll()
+     * patches in and restore() takes back.
      */
     GraphDelta pendingDelta() const;
 
@@ -141,11 +146,18 @@ class SnapshotWindow
     {
     }
 
-    SnapshotId capacity_ = 1;
-    DynamicGraph graph_;                     ///< The window, stored once.
+    const Csr &newest() const
+    {
+        return graph_.snapshot(graph_.numSnapshots() - 1);
+    }
 
-    std::vector<Edge> live_;                 ///< Canonical u <= v.
-    std::unordered_set<std::uint64_t> keys_; ///< edgeKey() of live_.
+    SnapshotId capacity_ = 1;
+    DynamicGraph graph_; ///< The window, stored once.
+
+    /// edgeKey()s of the pending delta: added_ holds edges absent from
+    /// the newest snapshot, removed_ edges present in it.
+    std::unordered_set<std::uint64_t> added_;
+    std::unordered_set<std::uint64_t> removed_;
 
     std::uint64_t appliedEvents_ = 0;
     std::uint64_t noopEvents_ = 0;

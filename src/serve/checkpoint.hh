@@ -41,7 +41,7 @@
  *
  *   "oldest":[u,v,u,v,...]               the oldest snapshot, in full
  *   "deltas":[[[added],[removed]],...]   one per later snapshot
- *   "pending":[[added],[removed]]        live set vs the newest snapshot
+ *   "pending":[[added],[removed]]        changes since the newest snapshot
  *
  * Edge lists are flat [u,v,...] arrays, written in canonical order
  * (u < v, ascending). A window of W snapshots carries W - 1 deltas,

@@ -143,19 +143,6 @@ walSyncFromToken(const std::string &token)
                  "' (expected always, batch, or off)");
 }
 
-const char *
-walSyncToken(WalSync sync)
-{
-    switch (sync) {
-    case WalSync::Always:
-        return "always";
-    case WalSync::Batch:
-        return "batch";
-    default:
-        return "off";
-    }
-}
-
 std::string
 formatWalRecord(const WalRecord &record)
 {

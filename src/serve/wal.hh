@@ -59,9 +59,6 @@ enum class WalSync { Always, Batch, Off };
 /** Parse "always" / "batch" / "off"; throws InputError otherwise. */
 WalSync walSyncFromToken(const std::string &token);
 
-/** Canonical token for a sync policy. */
-const char *walSyncToken(WalSync sync);
-
 /**
  * One validated log record.
  */

@@ -20,7 +20,8 @@ ABLATION = ["--smoke", "--scale=1.0", "--snapshots=12"]
 MICRO = ["BM_SlotScratchKernel", "BM_GenerateDynamicGraph", "BM_EdgeSort",
          "BM_DenseTrafficDrain/256", "BM_DramReplay/1",
          "BM_NocReplay/1/4096", "BM_NocReplay/0/12288", "BM_SpatialWalk",
-         "BM_WalAppend", "BM_CheckpointRender", "BM_CheckpointParse"]
+         "BM_WalAppend", "BM_CheckpointRender", "BM_CheckpointParse",
+         "BM_Discretize", "BM_WindowRoll"]
 
 
 def bench_fig09(cli):

@@ -10,6 +10,7 @@
 
 #include "common/hash.hh"
 #include "graph/ctdg.hh"
+#include "graph/window.hh"
 
 namespace ditile::graph {
 namespace {
@@ -260,6 +261,89 @@ TEST(Ctdg, EventStreamPinned)
             << golden.config.numVertices << " vertices";
         EXPECT_EQ(eventStreamHash(ctdg), golden.hash)
             << golden.config.numVertices << " vertices";
+    }
+}
+
+/** The stream Ctdg.DiscretizePinned and BM_Discretize discretize. */
+EventStreamConfig
+pinnedStreamConfig()
+{
+    EventStreamConfig config;
+    config.numVertices = 4096;
+    config.initialEdges = 32768;
+    config.numEvents = 20000;
+    config.seed = 3;
+    return config;
+}
+
+// Recorded with discretize rolling one window as wide as its output.
+TEST(Ctdg, DiscretizePinned)
+{
+    const auto ctdg = generateEventStream(pinnedStreamConfig());
+    const std::pair<SnapshotId, std::uint64_t> goldens[] = {
+        {8, 0xe7d9dc439e79c227ULL},
+        {32, 0x9b7542e9268554c8ULL},
+        {128, 0x66ffae6c919a6704ULL},
+    };
+    for (const auto &[snapshots, hash] : goldens)
+        EXPECT_EQ(ctdg.discretize(snapshots, 16).structureHashValue(),
+                  hash)
+            << snapshots << " snapshots";
+}
+
+/**
+ * Reference sampling: one window as wide as the output, rolled at each
+ * cutoff, whose graph is the result.
+ */
+DynamicGraph
+wideWindowDiscretize(const ContinuousDynamicGraph &ctdg,
+                     SnapshotId num_snapshots, int feature_dim)
+{
+    SnapshotWindow window(ctdg.name(), ctdg.initial(), num_snapshots,
+                          feature_dim);
+    const double begin = ctdg.beginTime();
+    const double span = ctdg.endTime() - begin;
+    std::size_t cursor = 0;
+    for (SnapshotId t = 1; t < num_snapshots; ++t) {
+        const double cutoff = begin + span * static_cast<double>(t) /
+            static_cast<double>(num_snapshots - 1);
+        while (cursor < ctdg.events().size() &&
+               ctdg.events()[cursor].timestamp <= cutoff)
+            window.apply(ctdg.events()[cursor++]);
+        window.roll();
+    }
+    return window.graph();
+}
+
+TEST(Ctdg, DiscretizeMatchesWideWindow)
+{
+    EventStreamConfig config;
+    config.numVertices = 64;
+    config.initialEdges = 160;
+    config.numEvents = 400;
+    config.seed = 5;
+    const auto ctdg = generateEventStream(config);
+    for (SnapshotId snapshots : {1, 2, 5, 17}) {
+        const auto actual = ctdg.discretize(snapshots, 8);
+        const auto expected = wideWindowDiscretize(ctdg, snapshots, 8);
+        ASSERT_EQ(actual.numSnapshots(), expected.numSnapshots());
+        EXPECT_EQ(actual.name(), expected.name());
+        EXPECT_EQ(actual.featureDim(), expected.featureDim());
+        for (SnapshotId t = 0; t < snapshots; ++t)
+            EXPECT_EQ(actual.snapshot(t).edgeList(),
+                      expected.snapshot(t).edgeList())
+                << snapshots << " snapshots, snapshot " << t;
+        for (SnapshotId t = 1; t < snapshots; ++t) {
+            EXPECT_EQ(actual.delta(t).addedEdges(),
+                      expected.delta(t).addedEdges())
+                << snapshots << " snapshots, delta " << t;
+            EXPECT_EQ(actual.delta(t).removedEdges(),
+                      expected.delta(t).removedEdges())
+                << snapshots << " snapshots, delta " << t;
+        }
+        EXPECT_EQ(actual.structureHashValue(),
+                  expected.structureHashValue())
+            << snapshots << " snapshots";
     }
 }
 

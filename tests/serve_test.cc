@@ -461,6 +461,132 @@ TEST(SnapshotWindow, RolledGraphEqualsRebuiltWindow)
     EXPECT_EQ(window.windowSize(), kCapacity);
 }
 
+/** Restoring a window from its own checkpoint pieces changes nothing. */
+void
+expectRestoresItself(const graph::SnapshotWindow &window, int step)
+{
+    const graph::SnapshotWindow restored = restoredWindow(window);
+    EXPECT_EQ(restored.graph().structureHashValue(),
+              window.graph().structureHashValue())
+        << step;
+    EXPECT_EQ(restored.pendingDelta().addedEdges(),
+              window.pendingDelta().addedEdges())
+        << step;
+    EXPECT_EQ(restored.pendingDelta().removedEdges(),
+              window.pendingDelta().removedEdges())
+        << step;
+    EXPECT_EQ(restored.liveEdges(), window.liveEdges()) << step;
+    EXPECT_EQ(restored.appliedEvents(), window.appliedEvents()) << step;
+    EXPECT_EQ(restored.noopEvents(), window.noopEvents()) << step;
+    EXPECT_EQ(restored.rolls(), window.rolls()) << step;
+    EXPECT_EQ(restored.eventsSinceRoll(), window.eventsSinceRoll())
+        << step;
+}
+
+TEST(SnapshotWindow, MatchesEdgeSetOracle)
+{
+    // Random streams on a small universe, checked against a plain
+    // edge set after every event and every roll. Events favour the
+    // edge touched last, so remove-after-add and add-after-remove
+    // between two rolls (pending changes that cancel) are common.
+    constexpr VertexId kVertices = 24;
+    for (SnapshotId capacity = 1; capacity <= 3; ++capacity) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                         " seed " + std::to_string(seed));
+            Rng rng(seed * 0x9e3779b9ULL + static_cast<std::uint64_t>(
+                                               capacity));
+            auto vertex = [&] {
+                return static_cast<VertexId>(
+                    rng.uniformInt(0, kVertices - 1));
+            };
+            std::vector<graph::Edge> seed_edges;
+            for (int i = 0; i < 40; ++i)
+                seed_edges.emplace_back(vertex(), vertex());
+            const auto initial =
+                graph::Csr::fromEdges(kVertices, seed_edges);
+            const std::vector<graph::Edge> initial_edges =
+                initial.edgeList();
+            std::set<graph::Edge> model(initial_edges.begin(),
+                                        initial_edges.end());
+            graph::SnapshotWindow window("w", initial, capacity, 4);
+            std::uint64_t applied = 0;
+            std::uint64_t noops = 0;
+            VertexId last_u = 0;
+            VertexId last_v = 1;
+
+            for (int step = 0; step < 600; ++step) {
+                VertexId u = last_u;
+                VertexId v = last_v;
+                if (rng.bernoulli(0.05)) {
+                    v = u; // self loop.
+                } else if (!rng.bernoulli(0.4)) {
+                    u = vertex();
+                    v = vertex();
+                }
+                const bool add = rng.bernoulli(0.55);
+                const graph::Edge edge{std::min(u, v), std::max(u, v)};
+                const bool changes =
+                    u != v && (add ? !model.count(edge)
+                                   : model.count(edge) != 0);
+                window.apply({add ? graph::GraphEvent::Kind::AddEdge
+                                  : graph::GraphEvent::Kind::RemoveEdge,
+                              u, v, 0});
+                if (changes) {
+                    ++applied;
+                    if (add)
+                        model.insert(edge);
+                    else
+                        model.erase(edge);
+                } else {
+                    ++noops;
+                }
+                last_u = u;
+                last_v = v;
+                ASSERT_EQ(window.liveEdges(),
+                          static_cast<EdgeId>(model.size()))
+                    << step;
+                ASSERT_EQ(window.appliedEvents(), applied) << step;
+                ASSERT_EQ(window.noopEvents(), noops) << step;
+
+                if (!rng.bernoulli(0.06))
+                    continue;
+                // Restore with changes pending; now and then carry on
+                // from the restored copy, so later events (cancels
+                // included) also run against restored state.
+                expectRestoresItself(window, step);
+                if (rng.bernoulli(0.5))
+                    window = restoredWindow(window);
+                window.roll();
+                const graph::DynamicGraph &dg = window.graph();
+                EXPECT_EQ(dg.numSnapshots(),
+                          std::min<SnapshotId>(
+                              static_cast<SnapshotId>(window.rolls()) + 1,
+                              capacity));
+                EXPECT_EQ(dg.snapshot(dg.numSnapshots() - 1).edgeList(),
+                          std::vector<graph::Edge>(model.begin(),
+                                                   model.end()))
+                    << step;
+                for (SnapshotId t = 1; t < dg.numSnapshots(); ++t) {
+                    const auto diff = graph::GraphDelta::diff(
+                        dg.snapshot(t - 1), dg.snapshot(t));
+                    EXPECT_EQ(dg.delta(t).addedEdges(), diff.addedEdges())
+                        << step << " delta " << t;
+                    EXPECT_EQ(dg.delta(t).removedEdges(),
+                              diff.removedEdges())
+                        << step << " delta " << t;
+                    EXPECT_EQ(dg.delta(t).affectedVertices(),
+                              diff.affectedVertices())
+                        << step << " delta " << t;
+                }
+                expectRestoresItself(window, step);
+            }
+            EXPECT_GT(window.rolls(), 10u);
+            EXPECT_GT(noops, 0u);
+        }
+    }
+}
+
 // --- common primitives ----------------------------------------------
 
 TEST(BoundedQueueTest, RejectsWhenFullAndPreservesFifo)

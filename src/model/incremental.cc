@@ -127,6 +127,19 @@ unionSorted(const std::vector<VertexId> &a, const std::vector<VertexId> &b)
     return out;
 }
 
+/** a union b, both over n vertices; a itself (its list shared) when b
+ *  adds nothing. */
+VertexSet
+unite(const VertexSet &a, const VertexSet &b, VertexId n)
+{
+    if (a.isAll() || b.isAll())
+        return a.isAll() ? a : b;
+    std::vector<VertexId> out = unionSorted(*a.ids(), *b.ids());
+    if (out.size() == a.size())
+        return a;
+    return VertexSet(std::move(out), n);
+}
+
 } // namespace
 
 const char *
@@ -238,15 +251,11 @@ IncrementalPlanner::fullPlan(SnapshotId t) const
     const graph::Csr &g = dg_.snapshot(t);
     SnapshotPlan p;
     p.fullRecompute = true;
-    std::vector<VertexId> all(static_cast<std::size_t>(g.numVertices()));
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        all[static_cast<std::size_t>(v)] = v;
-
     const int layers = config_.numGcnLayers();
     p.gcn.resize(static_cast<std::size_t>(layers));
     for (int l = 0; l < layers; ++l) {
         auto &lw = p.gcn[static_cast<std::size_t>(l)];
-        lw.vertices = all;
+        lw.vertices = VertexSet::all(g.numVertices());
         lw.gatherEdges = g.numAdjacencies();
         lw.uniqueInputs = g.numVertices();
     }
@@ -320,8 +329,9 @@ IncrementalPlanner::buildAll()
             // Output-granularity redundancy tracking: every layer
             // recomputes the full max-hop affected set because
             // intermediate features are not tracked (paper §7.3).
-            const auto &coarse = sets.back();
-            const EdgeId gather = sumDegrees(g, coarse);
+            // The layers share one list.
+            const EdgeId gather = sumDegrees(g, sets.back());
+            const VertexSet coarse(std::move(sets.back()), g.numVertices());
             for (auto &lw : p.gcn) {
                 lw.vertices = coarse;
                 lw.gatherEdges = gather;
@@ -330,8 +340,9 @@ IncrementalPlanner::buildAll()
         } else {
             for (int l = 0; l < layers; ++l) {
                 auto &lw = p.gcn[static_cast<std::size_t>(l)];
-                lw.vertices = std::move(sets[static_cast<std::size_t>(l)]);
-                lw.gatherEdges = sumDegrees(g, lw.vertices);
+                auto &set = sets[static_cast<std::size_t>(l)];
+                lw.gatherEdges = sumDegrees(g, set);
+                lw.vertices = VertexSet(std::move(set), g.numVertices());
                 lw.uniqueInputs = unique_inputs[static_cast<std::size_t>(l)];
             }
         }
@@ -351,20 +362,22 @@ assignRnnVertices(const graph::DynamicGraph &dg, AlgoKind kind,
     // some snapshot, its h/c differ from the reuse baseline at every
     // later snapshot, so DiTile's selective RNN keeps updating it.
     // Full recomputes and the baselines update every hidden state.
-    std::vector<VertexId> dirty_hidden;
+    VertexSet dirty_hidden;
     for (std::size_t t = 0; t < plans.size(); ++t) {
         SnapshotPlan &p = plans[t];
-        if (kind == AlgoKind::DiTileAlg && !p.fullRecompute) {
-            dirty_hidden = unionSorted(dirty_hidden,
-                                       p.gcn.back().vertices);
-            p.rnnVertices = dirty_hidden;
-            continue;
-        }
         const VertexId n =
             dg.snapshot(static_cast<SnapshotId>(t)).numVertices();
-        p.rnnVertices.resize(static_cast<std::size_t>(n));
-        for (VertexId v = 0; v < n; ++v)
-            p.rnnVertices[static_cast<std::size_t>(v)] = v;
+        const bool selective =
+            kind == AlgoKind::DiTileAlg && !p.fullRecompute;
+        VertexSet want = selective
+            ? unite(dirty_hidden, p.gcn.back().vertices, n)
+            : VertexSet::all(n);
+        // A plan reused from a resident prefix already holds this
+        // set; keeping it keeps that list shared.
+        if (!(p.rnnVertices == want))
+            p.rnnVertices = std::move(want);
+        if (selective)
+            dirty_hidden = p.rnnVertices;
     }
 }
 

@@ -51,7 +51,8 @@
  * input features they read, and which vertices run the LSTM. Both the
  * op/byte accounting and the cycle-level simulator consume these
  * plans, so the algorithmic comparison is identical across Figures 7,
- * 8, 9 and 12.
+ * 8, 9 and 12. Its vertex sets are VertexSets: a full recompute's
+ * sets are all(n) bounds, and plans that repeat a set share its list.
  */
 
 #ifndef DITILE_MODEL_INCREMENTAL_HH
@@ -63,6 +64,7 @@
 
 #include "graph/dynamic_graph.hh"
 #include "model/dgnn_config.hh"
+#include "model/vertex_set.hh"
 
 namespace ditile::model {
 
@@ -83,8 +85,8 @@ const std::vector<AlgoKind> &allAlgorithms();
  */
 struct LayerWork
 {
-    /** Vertices whose layer output is recomputed, ascending. */
-    std::vector<VertexId> vertices;
+    /** Vertices whose layer output is recomputed. */
+    VertexSet vertices;
 
     /** Adjacency entries gathered (sum of degrees over vertices). */
     EdgeId gatherEdges = 0;
@@ -104,8 +106,8 @@ struct SnapshotPlan
     /** Per-GCN-layer work, size == L. */
     std::vector<LayerWork> gcn;
 
-    /** Vertices whose LSTM state is recomputed, ascending. */
-    std::vector<VertexId> rnnVertices;
+    /** Vertices whose LSTM state is recomputed. */
+    VertexSet rnnVertices;
 
     /** Changed edges whose adjacency metadata is processed. */
     std::size_t adjacencyUpdates = 0;
@@ -182,6 +184,8 @@ class IncrementalPlanner
  * over its incremental snapshots; full recomputes and every other
  * algorithm update all vertices. The one home of that rule:
  * IncrementalPlanner and PlanCache's sibling derivation both call it.
+ * A plan that already holds its set (a reused prefix) keeps it, and
+ * consecutive equal sets share one list.
  */
 void assignRnnVertices(const graph::DynamicGraph &dg, AlgoKind kind,
                        std::vector<SnapshotPlan> &plans);

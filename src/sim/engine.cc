@@ -259,9 +259,7 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         SnapshotId rows = 0;
         for (SnapshotId t = 0; t < num_snapshots; ++t) {
             const auto &sp = snapshot_plans[static_cast<std::size_t>(t)];
-            wanted = wanted || sp.fullRecompute ||
-                static_cast<VertexId>(sp.rnnVertices.size()) ==
-                    num_vertices;
+            wanted = wanted || sp.fullRecompute || sp.rnnVertices.isAll();
             if (sp.fullRecompute && !options.detailedTileTiming)
                 rows = t + 1;
         }
@@ -462,10 +460,8 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         digest_full_fastpath += digest_snapshot && splan.fullRecompute &&
                 !options.detailedTileTiming
             ? 1 : 0;
-        digest_rnn_fastpath += digest_snapshot &&
-                static_cast<VertexId>(splan.rnnVertices.size()) ==
-                    num_vertices
-            ? 1 : 0;
+        digest_rnn_fastpath +=
+            digest_snapshot && splan.rnnVertices.isAll() ? 1 : 0;
 
         const auto &st = tg.bySnapshot[i];
         node(st.dram).duration =

@@ -157,6 +157,23 @@ class PlanWriter
         out_ += ']';
     }
 
+    /** A vertex set, expanded to its ascending ids. */
+    void
+    vertexSet(const char *key, const model::VertexSet &set, long long,
+              SnapshotId, int = -1)
+    {
+        name(key);
+        out_ += '[';
+        bool first = true;
+        set.forEach([&](VertexId v) {
+            if (!first)
+                out_ += ',';
+            first = false;
+            out_ += std::to_string(v);
+        });
+        out_ += ']';
+    }
+
     template <typename E, std::size_t N>
     void
     token(const char *key, E value, const Token<E> (&table)[N])
@@ -325,6 +342,30 @@ class PlanReader
         values.reserve(items.size());
         for (const JsonValue &item : items)
             values.push_back(static_cast<T>(checkedInt(key, item, lo, hi)));
+    }
+
+    /**
+     * A vertex set over `vertices` ids: strictly ascending, each in
+     * [0, vertices); a list of every id loads as all(vertices). Errors
+     * name snapshot t and, for a GCN set, its layer.
+     */
+    void
+    vertexSet(const char *key, model::VertexSet &set, long long vertices,
+              SnapshotId t, int layer = -1)
+    {
+        std::vector<VertexId> ids;
+        array(key, ids, 0, vertices - 1);
+        for (std::size_t i = 1; i < ids.size(); ++i) {
+            if (ids[i - 1] < ids[i])
+                continue;
+            const std::string gcn = layer < 0
+                ? std::string() : " gcn layer " + std::to_string(layer);
+            DITILE_THROW("plan snapshot ", t, gcn, " ", key,
+                         " is not strictly ascending: ", ids[i],
+                         " follows ", ids[i - 1]);
+        }
+        set = model::VertexSet(std::move(ids),
+                               static_cast<VertexId>(vertices));
     }
 
     template <typename E, std::size_t N>
@@ -713,14 +754,17 @@ planFields(Io &io, Plan &plan)
         ? mapping.tilePartition.numVertices()
         : mapping.rowPartition.numVertices();
     const std::size_t layers = mc.gcnDims.size();
+    SnapshotId t = -1;
     io.list("snapshots", plan.snapshots, [&](auto &snap) {
+        ++t;
         io.boolean("full_recompute", snap.fullRecompute);
         io.u64("adjacency_updates", snap.adjacencyUpdates);
-        io.array("rnn_vertices", snap.rnnVertices, 0, vertices - 1);
+        io.vertexSet("rnn_vertices", snap.rnnVertices, vertices, t);
+        int l = 0;
         io.list("gcn", snap.gcn, [&](auto &layer) {
             io.integer("gather_edges", layer.gatherEdges);
             io.integer("unique_inputs", layer.uniqueInputs);
-            io.array("vertices", layer.vertices, 0, vertices - 1);
+            io.vertexSet("vertices", layer.vertices, vertices, t, l++);
         });
         io.check([&] {
             if (snap.gcn.size() != layers)

@@ -108,6 +108,10 @@ PlanCache::obtain(const graph::DynamicGraph &dg,
             : std::nullopt;
         if (sibling) {
             auto derived = std::make_shared<SnapshotPlans>(**sibling);
+            // A resident prefix of this algorithm already holds the
+            // first RNN sets, which assignRnnVertices then keeps.
+            const SnapshotPlans prefix = residentPrefix(dg, config, algo);
+            std::copy(prefix.begin(), prefix.end(), derived->begin());
             model::assignRnnVertices(dg, algo, *derived);
             plans = std::move(derived);
         } else if (auto prefix = residentPrefix(dg, config, algo);

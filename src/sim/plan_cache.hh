@@ -18,7 +18,9 @@
  * graph shares its first snapshots with a resident plan set of the
  * same algorithm and model (a sweep's T=16 graph after its T=8 graph,
  * or the T=8 graph after the T=16 one) copies those plans and plans
- * only the later snapshots.
+ * only the later snapshots. A copied plan shares its vertex lists
+ * (model::VertexSet), so a derived or extended plan set adds lists
+ * only for the sets it plans anew.
  *
  * Lookup, build, publish, counting and the LRU bound follow the shared
  * policy in common/content_cache.hh.

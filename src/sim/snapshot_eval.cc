@@ -74,7 +74,7 @@ walkGcnLayers(const graph::Csr &g,
             static_cast<OpCount>(model_config.gcnOutputDim(layer));
         const ByteCount gather_bytes =
             static_cast<ByteCount>(in_dim) * bpv;
-        for (VertexId v : layers[l].vertices) {
+        layers[l].vertices.forEach([&](VertexId v) {
             const int ov = owner[static_cast<std::size_t>(v)];
             const auto degree =
                 static_cast<OpCount>(row_ptr[v + 1] - row_ptr[v]);
@@ -92,7 +92,7 @@ walkGcnLayers(const graph::Csr &g,
                     task);
             }
             gather[static_cast<std::size_t>(v)] += gather_bytes;
-        }
+        });
     }
     // One adjacency walk per distinct vertex: its first occurrence
     // takes the total and zeroes it, so later occurrences skip (the
@@ -101,17 +101,17 @@ walkGcnLayers(const graph::Csr &g,
     // (ou, ov) pair accumulates branch-free, diagonal included, and
     // the meaningless same-slot cells are dropped once afterwards.
     for (const model::LayerWork &lw : layers) {
-        for (VertexId v : lw.vertices) {
+        lw.vertices.forEach([&](VertexId v) {
             const ByteCount total =
                 std::exchange(gather[static_cast<std::size_t>(v)], 0);
             if (total == 0)
-                continue;
+                return;
             const int ov = owner[static_cast<std::size_t>(v)];
             const EdgeId row_end = row_ptr[v + 1];
             for (EdgeId e = row_ptr[v]; e < row_end; ++e)
                 traffic.add(owner[static_cast<std::size_t>(adj[e])], ov,
                             total);
-        }
+        });
     }
     traffic.clearDiagonal();
 }
@@ -239,9 +239,7 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
     // Digest fast paths cover snapshots that run on the planned
     // assignment; a degraded re-deal falls back to the loops.
     const bool digest_snapshot = pdigest && ctx.ownerRemap[i].empty();
-    const bool rnn_all =
-        static_cast<VertexId>(splan.rnnVertices.size()) ==
-        num_vertices;
+    const bool rnn_all = splan.rnnVertices.isAll();
 
     if (digest_snapshot && splan.fullRecompute &&
         !options.detailedTileTiming) {
@@ -286,11 +284,11 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
             slot_rnn[si] = ctx.rnnVertexMacs * cnt[si];
         }
     } else {
-        for (VertexId v : splan.rnnVertices) {
+        splan.rnnVertices.forEach([&](VertexId v) {
             slot_rnn[static_cast<std::size_t>(
                 ovec[static_cast<std::size_t>(v)])] +=
                 ctx.rnnVertexMacs;
-        }
+        });
     }
 
     OpCount gnn_crit_macs = 0;
@@ -397,12 +395,12 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                                 cnt[static_cast<std::size_t>(sl)]));
                 }
             } else {
-                for (VertexId v : splan.rnnVertices) {
+                splan.rnnVertices.forEach([&](VertexId v) {
                     boundary.add(
                         prev_ovec[static_cast<std::size_t>(v)],
                         ovec[static_cast<std::size_t>(v)],
                         2 * h_bytes);
-                }
+                });
             }
             // Reuse: incremental algorithms forward the unchanged
             // vertices' outputs instead of recomputing them.
@@ -420,10 +418,10 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                         static_cast<std::size_t>(compute_slots), 0);
                     std::vector<std::uint64_t> &changed_cnt =
                         s.changedCnt;
-                    for (VertexId v : splan.gcn.back().vertices) {
+                    splan.gcn.back().vertices.forEach([&](VertexId v) {
                         ++changed_cnt[static_cast<std::size_t>(
                             ovec[static_cast<std::size_t>(v)])];
-                    }
+                    });
                     for (int sl = 0; sl < compute_slots; ++sl) {
                         const auto si =
                             static_cast<std::size_t>(sl);
@@ -444,8 +442,9 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                         static_cast<std::size_t>(num_vertices),
                         false);
                     std::vector<bool> &changed = s.changed;
-                    for (VertexId v : splan.gcn.back().vertices)
+                    splan.gcn.back().vertices.forEach([&](VertexId v) {
                         changed[static_cast<std::size_t>(v)] = true;
+                    });
                     for (VertexId v = 0; v < num_vertices; ++v) {
                         if (changed[static_cast<std::size_t>(v)])
                             continue;

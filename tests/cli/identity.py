@@ -142,6 +142,12 @@ ROUND_TRIPS = [  # (name, planning args, replay args, plan must hold)
     # A scale-out plan replays without re-specifying --chips.
     ("format3", RUN + DITILE + ["--chips=2"], RUN + ["--csv"],
      ['"plan_format":3', '"scaleout":{"chips":2']),
+    # Every ReaDy set is all(n) and each MEGA snapshot's layers share
+    # one list; both write out as full id lists.
+    ("ready", RUN + ["--accel=ready", "--csv"], RUN + ["--csv"],
+     ['"accelerator":"ReaDy"']),
+    ("mega", RUN + ["--accel=mega", "--csv"], RUN + ["--csv"],
+     ['"accelerator":"MEGA"']),
 ]
 
 BAD_LINKS = ["--interchip-gbps=0", "--interchip-ns=nan",

@@ -604,9 +604,7 @@ TEST(DigestIdentity, SweepGridDigestsCoverTheirLastFullRecompute)
             for (SnapshotId t = 0; t < plan.numSnapshots(); ++t) {
                 const auto &sp =
                     (*plan.snapshots)[static_cast<std::size_t>(t)];
-                asks = asks || sp.fullRecompute ||
-                    static_cast<VertexId>(sp.rnnVertices.size()) ==
-                        dg.numVertices();
+                asks = asks || sp.fullRecompute || sp.rnnVertices.isAll();
                 if (sp.fullRecompute)
                     rows = t + 1;
             }

@@ -45,12 +45,29 @@ smallModel()
 }
 
 EdgeId
-sumDegrees(const graph::Csr &g, const std::vector<VertexId> &vs)
+sumDegrees(const graph::Csr &g, const VertexSet &vs)
 {
     EdgeId total = 0;
-    for (VertexId v : vs)
-        total += g.degree(v);
+    vs.forEach([&](VertexId v) { total += g.degree(v); });
     return total;
+}
+
+/** The set's ids, in order. */
+std::vector<VertexId>
+idsOf(const VertexSet &vs)
+{
+    std::vector<VertexId> ids;
+    vs.forEach([&](VertexId v) { ids.push_back(v); });
+    return ids;
+}
+
+/** Whether `outer` holds every id of `inner`. */
+bool
+includes(const VertexSet &outer, const VertexSet &inner)
+{
+    const auto a = idsOf(outer);
+    const auto b = idsOf(inner);
+    return std::includes(a.begin(), a.end(), b.begin(), b.end());
 }
 
 TEST(AlgoKind, NamesAndOrder)
@@ -64,6 +81,63 @@ TEST(AlgoKind, NamesAndOrder)
     EXPECT_EQ(allAlgorithms().back(), AlgoKind::DiTileAlg);
 }
 
+// VertexSet: all(n) holds only its bound, a list that covers [0, n)
+// is made all(n), and copies share one list.
+TEST(VertexSet, FullListCanonicalizesToAll)
+{
+    const VertexSet full({0, 1, 2, 3}, 4);
+    EXPECT_TRUE(full.isAll());
+    EXPECT_EQ(full.ids(), nullptr);
+    EXPECT_EQ(full.size(), 4u);
+    EXPECT_EQ(full, VertexSet::all(4));
+
+    const VertexSet part({0, 2, 3}, 4);
+    EXPECT_FALSE(part.isAll());
+    ASSERT_NE(part.ids(), nullptr);
+    EXPECT_EQ(part.size(), 3u);
+    const VertexSet copy = part;
+    EXPECT_EQ(copy.ids(), part.ids());
+
+    // Empty is a list over n > 0 vertices and all(0) over none.
+    EXPECT_FALSE(VertexSet().isAll());
+    EXPECT_FALSE(VertexSet({}, 4).isAll());
+    EXPECT_TRUE(VertexSet({}, 0).isAll());
+    EXPECT_TRUE(VertexSet().empty());
+}
+
+TEST(VertexSet, IteratesAscendingInEitherForm)
+{
+    const std::vector<VertexId> ids = {1, 4, 5, 9};
+    const std::vector<VertexId> iota = {0, 1, 2, 3, 4};
+    const std::pair<VertexSet, std::vector<VertexId>> cases[] = {
+        {VertexSet(ids, 10), ids},
+        {VertexSet::all(5), iota},
+        {VertexSet(), {}},
+    };
+    for (const auto &[set, want] : cases) {
+        EXPECT_EQ(idsOf(set), want);
+        std::vector<VertexId> visited;
+        set.forEach([&](VertexId v) { visited.push_back(v); });
+        EXPECT_EQ(visited, want);
+    }
+}
+
+TEST(VertexSet, EqualityComparesContentAcrossForms)
+{
+    const auto all = VertexSet::all(3);
+    // A list holding 0..n-1 exists only under a larger bound.
+    EXPECT_EQ(all, VertexSet({0, 1, 2}, 8));
+    EXPECT_EQ(VertexSet({0, 1, 2}, 8), all);
+    EXPECT_NE(all, VertexSet({1, 2, 3}, 8));
+    EXPECT_NE(all, VertexSet({0, 2}, 3));
+    EXPECT_NE(all, VertexSet::all(4));
+    EXPECT_EQ(VertexSet({2, 5}, 8), VertexSet({2, 5}, 9));
+    EXPECT_NE(VertexSet({2, 5}, 8), VertexSet({2, 6}, 8));
+    EXPECT_EQ(VertexSet(), VertexSet::all(0));
+    EXPECT_EQ(VertexSet(), VertexSet({}, 8));
+    EXPECT_NE(VertexSet(), VertexSet::all(1));
+}
+
 TEST(Planner, ReAlgIsAlwaysFull)
 {
     const auto dg = smallDynamicGraph();
@@ -73,6 +147,7 @@ TEST(Planner, ReAlgIsAlwaysFull)
         EXPECT_TRUE(p.fullRecompute);
         ASSERT_EQ(p.gcn.size(), 2u);
         for (const auto &lw : p.gcn) {
+            EXPECT_TRUE(lw.vertices.isAll());
             EXPECT_EQ(static_cast<VertexId>(lw.vertices.size()),
                       dg.numVertices());
             EXPECT_EQ(lw.gatherEdges,
@@ -103,11 +178,10 @@ TEST(Planner, IncrementalPlansAreSortedUniqueAndSeeded)
             const auto &p = planner.plan(t);
             EXPECT_FALSE(p.fullRecompute);
             for (const auto &lw : p.gcn) {
-                EXPECT_TRUE(std::is_sorted(lw.vertices.begin(),
-                                           lw.vertices.end()));
-                EXPECT_TRUE(std::adjacent_find(lw.vertices.begin(),
-                                               lw.vertices.end()) ==
-                            lw.vertices.end());
+                const auto ids = idsOf(lw.vertices);
+                EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+                EXPECT_TRUE(std::adjacent_find(ids.begin(), ids.end()) ==
+                            ids.end());
                 EXPECT_EQ(lw.gatherEdges,
                           sumDegrees(dg.snapshot(t), lw.vertices));
                 EXPECT_GE(lw.uniqueInputs,
@@ -125,9 +199,7 @@ TEST(Planner, LayerSetsGrowForGradedAlgorithms)
         IncrementalPlanner planner(dg, smallModel(), kind);
         for (SnapshotId t = 1; t < dg.numSnapshots(); ++t) {
             const auto &p = planner.plan(t);
-            EXPECT_TRUE(std::includes(
-                p.gcn[1].vertices.begin(), p.gcn[1].vertices.end(),
-                p.gcn[0].vertices.begin(), p.gcn[0].vertices.end()))
+            EXPECT_TRUE(includes(p.gcn[1].vertices, p.gcn[0].vertices))
                 << algoName(kind) << " t=" << t;
         }
     }
@@ -174,13 +246,11 @@ TEST(Planner, DiTileDirtyHiddenSetIsCumulative)
     for (SnapshotId t = 2; t < dg.numSnapshots(); ++t) {
         const auto &prev = planner.plan(t - 1).rnnVertices;
         const auto &cur = planner.plan(t).rnnVertices;
-        EXPECT_TRUE(std::includes(cur.begin(), cur.end(), prev.begin(),
-                                  prev.end()))
+        EXPECT_TRUE(includes(cur, prev))
             << "dirty set shrank at t=" << t;
         // The current changed-z set is also always included.
         const auto &changed = planner.plan(t).gcn.back().vertices;
-        EXPECT_TRUE(std::includes(cur.begin(), cur.end(),
-                                  changed.begin(), changed.end()));
+        EXPECT_TRUE(includes(cur, changed));
     }
 }
 
@@ -195,7 +265,7 @@ TEST(Planner, ExactExpansionMatchesStructuralFrontier)
         for (int l = 0; l < 2; ++l) {
             const auto expected =
                 graph::expandFrontier(dg.snapshot(t), seeds, l);
-            EXPECT_EQ(p.gcn[static_cast<std::size_t>(l)].vertices,
+            EXPECT_EQ(idsOf(p.gcn[static_cast<std::size_t>(l)].vertices),
                       expected)
                 << "t=" << t << " layer=" << l;
         }
@@ -213,8 +283,7 @@ TEST(Planner, DampedPlansAreSubsetsOfExactPlans)
             for (std::size_t l = 0; l < 2; ++l) {
                 const auto &d = damped.plan(t).gcn[l].vertices;
                 const auto &e = exact.plan(t).gcn[l].vertices;
-                EXPECT_TRUE(std::includes(e.begin(), e.end(), d.begin(),
-                                          d.end()))
+                EXPECT_TRUE(includes(e, d))
                     << algoName(kind);
             }
         }
@@ -254,14 +323,8 @@ TEST(Planner, ThreeLayerModelsPlanEveryLayer)
                 EXPECT_EQ(p.gcn[0].vertices, p.gcn[2].vertices);
             } else {
                 // Graded growth across all three layers.
-                EXPECT_TRUE(std::includes(p.gcn[2].vertices.begin(),
-                                          p.gcn[2].vertices.end(),
-                                          p.gcn[1].vertices.begin(),
-                                          p.gcn[1].vertices.end()));
-                EXPECT_TRUE(std::includes(p.gcn[1].vertices.begin(),
-                                          p.gcn[1].vertices.end(),
-                                          p.gcn[0].vertices.begin(),
-                                          p.gcn[0].vertices.end()));
+                EXPECT_TRUE(includes(p.gcn[2].vertices, p.gcn[1].vertices));
+                EXPECT_TRUE(includes(p.gcn[1].vertices, p.gcn[0].vertices));
             }
         }
     }
@@ -311,7 +374,8 @@ TEST(Planner, UniqueInputsMatchOneHopFrontier)
                         for (std::size_t l = 0; l < p.gcn.size(); ++l) {
                             const auto &lw = p.gcn[l];
                             EXPECT_EQ(
-                                graph::expandFrontier(g, lw.vertices, 1)
+                                graph::expandFrontier(g, idsOf(lw.vertices),
+                                                      1)
                                     .size(),
                                 static_cast<std::size_t>(lw.uniqueInputs))
                                 << algoName(kind) << " exact=" << exact
@@ -507,13 +571,12 @@ class IncrementalExecutor
                 : layers_[static_cast<std::size_t>(l - 1)];
             Matrix &output = layers_[static_cast<std::size_t>(l)];
             const Matrix &w = weights_.gcn[static_cast<std::size_t>(l)];
-            for (VertexId v :
-                 plan.gcn[static_cast<std::size_t>(l)].vertices) {
-                recomputeVertex(g, inv_sqrt, input, w, v, output);
-            }
+            plan.gcn[static_cast<std::size_t>(l)].vertices.forEach(
+                [&](VertexId v) {
+                    recomputeVertex(g, inv_sqrt, input, w, v, output);
+                });
         }
-        for (VertexId v : plan.rnnVertices)
-            lstmRow(v);
+        plan.rnnVertices.forEach([&](VertexId v) { lstmRow(v); });
     }
 
     const Matrix &z() const { return layers_.back(); }
@@ -631,12 +694,10 @@ normalizationExactPlan(const graph::DynamicGraph &dg, SnapshotId t,
     p.gcn.resize(static_cast<std::size_t>(layers));
     const auto seeds = dg.delta(t).affectedVertices();
     for (int l = 0; l < layers; ++l) {
-        p.gcn[static_cast<std::size_t>(l)].vertices =
-            graph::expandFrontier(g, seeds, l + 1);
+        p.gcn[static_cast<std::size_t>(l)].vertices = VertexSet(
+            graph::expandFrontier(g, seeds, l + 1), g.numVertices());
     }
-    p.rnnVertices.resize(static_cast<std::size_t>(g.numVertices()));
-    for (VertexId v = 0; v < g.numVertices(); ++v)
-        p.rnnVertices[static_cast<std::size_t>(v)] = v;
+    p.rnnVertices = VertexSet::all(g.numVertices());
     return p;
 }
 

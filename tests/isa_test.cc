@@ -76,9 +76,11 @@ TEST(Isa, GnnProgramMacsMatchAccounting)
     std::uint64_t program_macs = 0;
     std::uint64_t program_acts = 0;
     for (int l = 0; l < config.numGcnLayers(); ++l) {
+        std::vector<VertexId> worklist;
+        plan.gcn[static_cast<std::size_t>(l)].vertices.forEach(
+            [&](VertexId v) { worklist.push_back(v); });
         const auto program = buildGnnLayerProgram(
-            dg.snapshot(0), config, l, dg.featureDim(),
-            plan.gcn[static_cast<std::size_t>(l)].vertices, {}, 0);
+            dg.snapshot(0), config, l, dg.featureDim(), worklist, {}, 0);
         const auto totals = operandTotals(program);
         program_macs += totals[static_cast<std::size_t>(Opcode::Mac)];
         program_acts +=

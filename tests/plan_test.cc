@@ -467,8 +467,90 @@ TEST(PlanJsonHostile, VertexOutsideThePartitionIsRejected)
         }
     }
     // The last vertex of planWorkload() is still in range.
-    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(
-        withFirstItem(ditilePlanJson(), "\"vertices\":", "799")));
+    const std::string doc = ditilePlanJson();
+    const std::string key = "\"vertices\":[";
+    const auto open = doc.find(key);
+    ASSERT_NE(open, std::string::npos);
+    std::string last = doc;
+    last.replace(open + key.size(), doc.find(']', open) - open - key.size(),
+                 "799");
+    EXPECT_NO_THROW(sim::ExecutionPlan::fromJson(last));
+}
+
+/** The index of snapshot `t`'s "rnn_vertices" list in `doc`. */
+std::size_t
+rnnVerticesOf(const std::string &doc, SnapshotId t)
+{
+    std::size_t at = doc.find("\"snapshots\":");
+    for (SnapshotId k = 0; k <= t && at != std::string::npos; ++k)
+        at = doc.find("\"rnn_vertices\":[", at + 1);
+    return at;
+}
+
+// A vertex list must be a set: strictly ascending ids. The digest fast
+// paths read "every vertex" off a set's form, so a list of n entries
+// that repeats one id and drops another must not pass for it.
+TEST(PlanJsonHostile, VertexListsThatAreNotSetsAreRejected)
+{
+    const std::string doc = ditilePlanJson();
+    const VertexId n = planWorkload().numVertices();
+    const std::string key = "\"rnn_vertices\":[";
+
+    // Snapshot 1's RNN list: [0, 0, 1, ..., n-2], n entries.
+    std::string repeated = doc;
+    const auto at = rnnVerticesOf(repeated, 1);
+    ASSERT_NE(at, std::string::npos);
+    std::string ids = "0";
+    for (VertexId v = 0; v + 1 < n; ++v) {
+        ids += ',';
+        ids += std::to_string(v);
+    }
+    repeated.replace(at + key.size(),
+                     repeated.find(']', at) - at - key.size(), ids);
+    try {
+        sim::ExecutionPlan::fromJson(repeated);
+        ADD_FAILURE() << "a repeated id loaded";
+    } catch (const InputError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "snapshot 1 rnn_vertices is not strictly ascending"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    // A GCN list reversed, with a duplicate.
+    std::string reversed = doc;
+    const std::string gcn_key = "\"vertices\":[";
+    const auto gcn = reversed.find(gcn_key, rnnVerticesOf(doc, 1));
+    ASSERT_NE(gcn, std::string::npos);
+    reversed.replace(gcn + gcn_key.size(),
+                     reversed.find(']', gcn) - gcn - gcn_key.size(),
+                     "9,5,5,1");
+    try {
+        sim::ExecutionPlan::fromJson(reversed);
+        ADD_FAILURE() << "a reversed list loaded";
+    } catch (const InputError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "snapshot 1 gcn layer 0 vertices is not strictly "
+                      "ascending"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+// A list of every id loads as all(n), as the planner builds it, and
+// writes back the same bytes.
+TEST(PlanJson, FullVertexListsLoadAsAll)
+{
+    const std::string doc = ditilePlanJson();
+    const auto plan = sim::ExecutionPlan::fromJson(doc);
+    const auto &snapshots = *plan.snapshots;
+    ASSERT_GT(snapshots.size(), 1u);
+    EXPECT_TRUE(snapshots[0].fullRecompute);
+    for (const auto &layer : snapshots[0].gcn)
+        EXPECT_TRUE(layer.vertices.isAll());
+    EXPECT_TRUE(snapshots[0].rnnVertices.isAll());
+    EXPECT_FALSE(snapshots[1].gcn[0].vertices.isAll());
+    EXPECT_EQ(plan.toJson(), doc);
 }
 
 TEST(PlanJsonHostile, GcnLayerCountOtherThanTheModelsIsRejected)

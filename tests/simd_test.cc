@@ -360,7 +360,8 @@ TEST(DenseTraffic, DrainOrderMatchesSortedMix64Reference)
 
 // The fused Stage-1 GCN walk: one adjacency walk per distinct vertex
 // must drain the same messages, slot MACs and tile tasks as a walk of
-// every layer's adjacency, whatever layer sets a plan document carries.
+// every layer's adjacency, whatever layer sets a plan document carries
+// (strictly ascending lists and all(n) bounds, overlapping or not).
 
 /** The per-layer walk walkGcnLayers replaced. */
 void
@@ -376,7 +377,7 @@ perLayerWalk(const graph::Csr &g,
             static_cast<OpCount>(mc.gcnInputDim(l, feature_dim));
         const auto out_dim = static_cast<OpCount>(mc.gcnOutputDim(l));
         const ByteCount gather_bytes = static_cast<ByteCount>(in_dim) * bpv;
-        for (VertexId v : layers[static_cast<std::size_t>(l)].vertices) {
+        layers[static_cast<std::size_t>(l)].vertices.forEach([&](VertexId v) {
             const int ov = owner[static_cast<std::size_t>(v)];
             const auto degree = static_cast<OpCount>(g.degree(v));
             const OpCount macs = (degree + 1) * in_dim + in_dim * out_dim;
@@ -391,7 +392,7 @@ perLayerWalk(const graph::Csr &g,
             for (VertexId u : g.neighbors(v))
                 traffic.add(owner[static_cast<std::size_t>(u)], ov,
                             gather_bytes);
-        }
+        });
     }
     traffic.clearDiagonal();
 }
@@ -431,9 +432,10 @@ TEST(SpatialWalk, FusedWalkMatchesPerLayerWalk)
 
     using Sets = std::vector<std::vector<VertexId>>;
     const std::vector<std::pair<const char *, Sets>> cases = {
-        {"unsorted", {random_set(150), random_set(90), random_set(40)}},
-        {"duplicated",
-         {{5, 5, 7, 5, 9}, {7, 7, 7}, {all.begin(), all.begin() + 50}}},
+        {"random",
+         {sorted_unique(random_set(150)), sorted_unique(random_set(90)),
+          sorted_unique(random_set(40))}},
+        {"all", {all, {all.begin(), all.begin() + 50}, all}},
         {"disjoint", {thirds[0], thirds[1], thirds[2]}},
         {"nested", {wide, narrow, {narrow.begin(), narrow.begin() + 10}}},
         {"nested-growing", {narrow, wide, all}},
@@ -461,7 +463,7 @@ TEST(SpatialWalk, FusedWalkMatchesPerLayerWalk)
                          << name << (owner == &remap ? " remap" : ""));
             std::vector<model::LayerWork> layers(sets.size());
             for (std::size_t l = 0; l < sets.size(); ++l)
-                layers[l].vertices = sets[l];
+                layers[l].vertices = model::VertexSet(sets[l], n);
 
             std::vector<OpCount> want_gnn(slots, 0);
             std::vector<std::vector<sim::VertexTask>> want_tasks(slots);

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -171,6 +173,115 @@ TEST(SnapshotSharing, MemosDoNotDependOnOrderOrThreads)
                 }
             }
         }
+    }
+    ThreadPool::setGlobalThreads(1);
+    clearMemos();
+}
+
+// Plan vertex sets hold only what they must, counted rather than
+// measured as RSS: a full-recompute or all-vertex set is a bound with
+// no ids, a MEGA snapshot's layers share one list, DiTile's GCN lists
+// are its resident RACE sibling's, and a T=16 plan set's first 8 plans
+// share the T=8 set's lists. Grid points are planned one at a time
+// (each planner still fans out over the pool), so which set is
+// resident first does not depend on the schedule.
+TEST(SnapshotSharing, PlanSetsShareTheirVertexLists)
+{
+    using model::AlgoKind;
+    using Plans = std::shared_ptr<const sim::PlanCache::SnapshotPlans>;
+    const model::DgnnConfig config;
+    const auto &algos = model::allAlgorithms();
+    const auto slot = [&](AlgoKind kind) {
+        return static_cast<std::size_t>(
+            std::find(algos.begin(), algos.end(), kind) - algos.begin());
+    };
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads=" + std::to_string(threads));
+        ThreadPool::setGlobalThreads(threads);
+        clearMemos();
+        sim::PlanCache plan_cache;
+        std::vector<std::vector<Plans>> plans; ///< [point][algo]
+        for (const GridPoint &point : kGrid) {
+            const auto dg = graph::generateDynamicGraph(pointConfig(point));
+            auto &row = plans.emplace_back();
+            for (AlgoKind algo : algos)
+                row.push_back(plan_cache.obtain(dg, config, algo));
+        }
+
+        std::set<const std::vector<VertexId> *> lists;
+        std::size_t sets = 0, bounds = 0, expanded = 0, held = 0;
+        for (std::size_t i = 0; i < kGrid.size(); ++i) {
+            SCOPED_TRACE(i);
+            for (AlgoKind algo : algos) {
+                SCOPED_TRACE(model::algoName(algo));
+                const auto &got = *plans[i][slot(algo)];
+                for (std::size_t t = 0; t < got.size(); ++t) {
+                    const model::SnapshotPlan &p = got[t];
+                    std::vector<const model::VertexSet *> all_sets = {
+                        &p.rnnVertices};
+                    for (const auto &lw : p.gcn) {
+                        all_sets.push_back(&lw.vertices);
+                        if (p.fullRecompute) {
+                            EXPECT_TRUE(lw.vertices.isAll()) << t;
+                            EXPECT_EQ(lw.vertices.ids(), nullptr) << t;
+                        }
+                        if (algo == AlgoKind::MegaAlg) {
+                            EXPECT_EQ(lw.vertices.ids(),
+                                      p.gcn.front().vertices.ids()) << t;
+                        }
+                    }
+                    if (p.fullRecompute || algo != AlgoKind::DiTileAlg) {
+                        EXPECT_TRUE(p.rnnVertices.isAll()) << t;
+                        EXPECT_EQ(p.rnnVertices.ids(), nullptr) << t;
+                    }
+                    for (const model::VertexSet *set : all_sets) {
+                        ++sets;
+                        expanded += set->size();
+                        if (set->isAll())
+                            ++bounds;
+                        else if (lists.insert(set->ids()).second)
+                            held += set->size();
+                    }
+                }
+            }
+            // DiTile's GCN lists are the resident RACE set's.
+            const auto &race = *plans[i][slot(AlgoKind::RaceAlg)];
+            const auto &ditile = *plans[i][slot(AlgoKind::DiTileAlg)];
+            for (std::size_t t = 0; t < race.size(); ++t) {
+                for (std::size_t l = 0; l < race[t].gcn.size(); ++l) {
+                    EXPECT_EQ(ditile[t].gcn[l].vertices.ids(),
+                              race[t].gcn[l].vertices.ids())
+                        << t << " " << l;
+                }
+            }
+        }
+        // Each T=16 set's first 8 plans share the T=8 set's lists.
+        for (std::size_t i = 0; i < kGrid.size(); i += 2) {
+            ASSERT_EQ(kGrid[i].snapshots, 8);
+            ASSERT_EQ(kGrid[i + 1].snapshots, 16);
+            for (std::size_t a = 0; a < algos.size(); ++a) {
+                SCOPED_TRACE(model::algoName(algos[a]));
+                const auto &short_set = *plans[i][a];
+                const auto &long_set = *plans[i + 1][a];
+                for (std::size_t t = 0; t < short_set.size(); ++t) {
+                    EXPECT_EQ(long_set[t].rnnVertices.ids(),
+                              short_set[t].rnnVertices.ids()) << t;
+                    for (std::size_t l = 0; l < short_set[t].gcn.size();
+                         ++l) {
+                        EXPECT_EQ(long_set[t].gcn[l].vertices.ids(),
+                                  short_set[t].gcn[l].vertices.ids())
+                            << t << " " << l;
+                    }
+                }
+            }
+        }
+        // 4 points x 4 algorithms x (8 or 16 plans) x (2 GCN + 1 RNN)
+        // sets: 268 are bounds and the rest share 120 lists, which
+        // hold 47,898 of the 709,997 ids the sets expand to.
+        EXPECT_EQ(sets, 4u * 48u * 3u);
+        EXPECT_EQ(bounds, 268u);
+        EXPECT_EQ(lists.size(), 120u);
+        EXPECT_LT(held * 10, expanded);
     }
     ThreadPool::setGlobalThreads(1);
     clearMemos();

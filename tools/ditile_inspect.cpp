@@ -473,9 +473,11 @@ inspectProgram(const graph::DynamicGraph &dg, bool verbose)
     // A representative tile worklist: the first 16th of the layer-0
     // set.
     std::vector<VertexId> worklist;
-    const auto &l0 = plan.gcn[0].vertices;
-    for (std::size_t i = 0; i < l0.size(); i += 16)
-        worklist.push_back(l0[i]);
+    std::size_t i = 0;
+    plan.gcn[0].vertices.forEach([&](VertexId v) {
+        if (i++ % 16 == 0)
+            worklist.push_back(v);
+    });
     const auto program = sim::buildGnnLayerProgram(
         dg.snapshot(0), mconfig, 0, dg.featureDim(), worklist, {},
         128);

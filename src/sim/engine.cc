@@ -19,7 +19,8 @@
  * snapshots: the DRAM device state (row buffers + completion cursor),
  * the Re-Link controller's engaged span, and the result accumulators.
  *
- * executePlan therefore runs in stages:
+ * A run is two functions. evaluate() runs every stage no timeline
+ * option changes:
  *
  *   1. *parallel* per-snapshot evaluation into one SnapshotWork slot
  *      per snapshot (snapshot_eval.cc; per-tile sub-models fan out a
@@ -28,8 +29,17 @@
  *   3. *parallel* spatial NoC replay for snapshots whose span was
  *      only known after stage 2 (adaptive Re-Link),
  *   4. *serial* merge of every accumulator in canonical snapshot
- *      order, then the timeline, whose schedule drives the trace
- *      spans and registry totals (run_trace.cc).
+ *      order into an Evaluation: the run record without its timeline
+ *      (trace rows carrying each phase's cycles, energy, resilience)
+ *      plus the counters the stats report. No DRAM request or NoC
+ *      message outlives it.
+ *
+ * schedule() then times the evaluation: it annotates the task DAG
+ * with the rows' durations, runs the scheduler, and emits the stats,
+ * trace spans and registry totals (run_trace.cc) from its schedule.
+ * executePlan is evaluate() then schedule(); a PlanCache passed to it
+ * memoizes the evaluation, so runs that differ only in the overlap
+ * option (or, on a cluster, the inter-chip link) share one.
  *
  * The timeline is one task DAG (task_graph.cc) over the per-task
  * durations the stages produced, timed by the deterministic list
@@ -63,8 +73,9 @@
 #include "sim/engine_internal.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
+#include "sim/plan_cache.hh"
 #include "sim/run_trace.hh"
-#include "sim/scaleout.hh"
+#include "sim/scaleout_internal.hh"
 #include "sim/scheduler.hh"
 #include "sim/task_graph.hh"
 #include "workload/balance.hh"
@@ -74,13 +85,12 @@ namespace ditile::sim {
 
 using detail::SnapshotWork;
 
-RunResult
-executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
-            PlanCache *scaleout_cache)
-{
-    if (plan.scaleout.enabled())
-        return runScaleOut(dg, plan, scaleout_cache);
+namespace {
 
+/** Stages 1-3 of a single-chip plan, reduced in snapshot order. */
+Evaluation
+evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
+{
     const AcceleratorConfig &hw = plan.hw;
     const model::DgnnConfig &model_config = plan.modelConfig;
     const MappingSpec &mapping = plan.mapping;
@@ -95,13 +105,6 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const auto h_bytes =
         static_cast<ByteCount>(model_config.lstmHidden) * bpv;
 
-    DITILE_ASSERT(plan.snapshots != nullptr,
-                  "execution plan has no snapshot plans");
-    // A plan loaded from a file (--plan-in) may have been made for
-    // another workload: reject the mismatch as bad input.
-    if (plan.numSnapshots() != num_snapshots)
-        DITILE_THROW("plan has ", plan.numSnapshots(),
-                     " snapshots, the workload ", num_snapshots);
     const std::vector<model::SnapshotPlan> &snapshot_plans =
         *plan.snapshots;
     const graph::VertexPartition &partition = mapping.spatialOnly
@@ -113,10 +116,6 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         mapping.snapshotColumn.size() != snapshot_plans.size())
         DITILE_THROW("snapshot->column map must cover every snapshot");
 
-    // The task DAG is structural (a pure function of the plan). Built
-    // before the evaluation stages allocate, its small blocks do not
-    // split the freed per-snapshot buffers, which holds peak RSS.
-    TaskGraph tg = buildTaskGraph(plan);
     dram::DramModel dram_model(hw.dram);
 
     // Stable address regions so row-buffer locality behaves like a real
@@ -135,7 +134,8 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         static_cast<ByteCount>(num_vertices) * (z_bytes + 2 * h_bytes)
         + 4096);
 
-    RunResult result;
+    Evaluation eval;
+    RunResult &result = eval.result;
     result.acceleratorName = plan.acceleratorName;
     result.workloadName = dg.name();
 
@@ -383,20 +383,14 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         }, &pool);
     }
 
-    // ---- Stage 4: ordered reduction into the result record. ----
+    // ---- Ordered reduction into the result record. ----
     // Every accumulator is an integer count (the capacity sum aside,
     // which keeps its own serial order), merged in ascending snapshot
-    // order, so this reproduces the serial loop exactly. The same
-    // pass annotates the task DAG built above with the durations the
-    // evaluation stages produced. Staged mode charges the whole
-    // configuration time to the last Re-Link task; overlap mode gives
-    // every snapshot its own (task_graph.cc documents both modes'
-    // edges).
+    // order, so this reproduces the serial loop exactly. Each trace
+    // row keeps its snapshot's phase cycles: they are the task
+    // durations schedule() annotates.
     result.configCycles = static_cast<Cycle>(num_snapshots) *
         hw.perSnapshotConfigCycles;
-    auto node = [&](int id) -> TaskNode & {
-        return tg.nodes[static_cast<std::size_t>(id)];
-    };
     // Busy MAC-cycles are offered by the tiles assigned to each
     // compute phase (critical-path window x full per-tile array), so
     // imbalance and statically-partitioned idle regions both show up
@@ -404,11 +398,6 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     const int active_tiles = mapping.spatialOnly ? hw.totalTiles()
                                                  : hw.tileRows;
     double capacity = 0.0;
-    std::uint64_t noc_messages = 0;
-    std::uint64_t digest_full_fastpath = 0;
-    std::uint64_t digest_rnn_fastpath = 0;
-    std::uint64_t relink_engaged = 0;
-    dram::DramResult dram_total;
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
         const SnapshotWork &w = work[i];
@@ -452,49 +441,19 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             noc::TrafficClass::Temporal)];
         row.reuseBytes = w.temporal.bytesByClass[static_cast<int>(
             noc::TrafficClass::Reuse)];
-        noc_messages += w.spatial.numMessages + w.temporal.numMessages;
-        dram_total += row.dram;
-        relink_engaged += row.relinkSpan > 1 ? 1 : 0;
+        eval.nocMessages +=
+            w.spatial.numMessages + w.temporal.numMessages;
+        eval.dramTotal += row.dram;
+        eval.relinkEngaged += row.relinkSpan > 1 ? 1 : 0;
         const model::SnapshotPlan &splan = snapshot_plans[i];
         const bool digest_snapshot = pdigest && owner_remap[i].empty();
-        digest_full_fastpath += digest_snapshot && splan.fullRecompute &&
-                !options.detailedTileTiming
+        eval.digestFullFastpath += digest_snapshot &&
+                splan.fullRecompute && !options.detailedTileTiming
             ? 1 : 0;
-        digest_rnn_fastpath +=
+        eval.digestRnnFastpath +=
             digest_snapshot && splan.rnnVertices.isAll() ? 1 : 0;
-
-        const auto &st = tg.bySnapshot[i];
-        node(st.dram).duration =
-            row.dramDone - (t > 0 ? result.trace[i - 1].dramDone : 0);
-        node(st.gnn).duration = w.gnnCompute;
-        node(st.spatial).duration = w.spatial.makespan;
-        if (st.temporal != -1)
-            node(st.temporal).duration = w.temporal.makespan;
-        node(st.rnn).duration = w.rnnCompute;
-        if (options.overlap)
-            node(st.relink).duration = hw.perSnapshotConfigCycles;
-        else if (t + 1 == num_snapshots)
-            node(st.relink).duration = result.configCycles;
     }
 
-    // ---- Timeline: the deterministic scheduler propagates ready
-    // times through the annotated DAG. ----
-    const ScheduleResult sched = scheduleTaskGraph(tg);
-    for (SnapshotId t = 0; t < num_snapshots; ++t) {
-        const auto i = static_cast<std::size_t>(t);
-        const auto &st = tg.bySnapshot[i];
-        SnapshotTrace &row = result.trace[i];
-        // The DRAM chain reproduces dramDone exactly; the GNN phase
-        // is complete once compute, spatial traffic and the off-chip
-        // stream have all landed.
-        row.gnnDone = std::max(
-            {sched.tasks[static_cast<std::size_t>(st.gnn)].finish,
-             sched.tasks[static_cast<std::size_t>(st.spatial)].finish,
-             row.dramDone});
-        row.rnnDone = sched.tasks[static_cast<std::size_t>(st.rnn)].finish;
-    }
-    result.totalCycles = sched.makespan;
-    result.taskGraph = taskGraphStats(tg, sched);
     result.offChipCycles = dram_cursor;
     result.peUtilization = capacity > 0.0
         ? static_cast<double>(result.ops.totalMacs()) / capacity : 0.0;
@@ -585,28 +544,102 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             ? offline / static_cast<double>(num_snapshots) : 0.0;
     }
 
+    return eval;
+}
+
+} // namespace
+
+Evaluation
+evaluate(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
+         PlanCache *shard_cache)
+{
+    DITILE_ASSERT(plan.snapshots != nullptr,
+                  "execution plan has no snapshot plans");
+    // A plan loaded from a file (--plan-in) may have been made for
+    // another workload: reject the mismatch as bad input, before a
+    // scale-out plan sizes its cluster from either count.
+    if (plan.numSnapshots() != dg.numSnapshots())
+        DITILE_THROW("plan has ", plan.numSnapshots(),
+                     " snapshots, the workload ", dg.numSnapshots());
+    return plan.scaleout.enabled()
+        ? evaluateScaleOut(dg, plan, shard_cache)
+        : evaluateChip(dg, plan);
+}
+
+RunResult
+detail::scheduleChip(const Evaluation &eval, const ExecutionPlan &plan)
+{
+    RunResult result = eval.result;
+    const auto num_snapshots = static_cast<SnapshotId>(result.trace.size());
+
+    // ---- Timeline: annotate the structural task DAG with the
+    // evaluation's durations. Staged mode charges the whole
+    // configuration time to the last Re-Link task; overlap mode gives
+    // every snapshot its own (task_graph.cc documents both modes'
+    // edges). The deterministic scheduler then propagates ready times
+    // through the annotated DAG.
+    TaskGraph tg = buildChipTaskGraph(plan);
+    DITILE_ASSERT(tg.bySnapshot.size() == result.trace.size(),
+                  "schedule plan and evaluation disagree on snapshots");
+    auto node = [&](int id) -> TaskNode & {
+        return tg.nodes[static_cast<std::size_t>(id)];
+    };
+    for (SnapshotId t = 0; t < num_snapshots; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const SnapshotTrace &row = result.trace[i];
+        const auto &st = tg.bySnapshot[i];
+        node(st.dram).duration =
+            row.dramDone - (t > 0 ? result.trace[i - 1].dramDone : 0);
+        node(st.gnn).duration = row.gnnComputeCycles;
+        node(st.spatial).duration = row.spatialCommCycles;
+        if (st.temporal != -1)
+            node(st.temporal).duration = row.temporalCommCycles;
+        node(st.rnn).duration = row.rnnComputeCycles;
+        if (plan.options.overlap)
+            node(st.relink).duration = plan.hw.perSnapshotConfigCycles;
+        else if (t + 1 == num_snapshots)
+            node(st.relink).duration = result.configCycles;
+    }
+    const ScheduleResult sched = scheduleTaskGraph(tg);
+    for (SnapshotId t = 0; t < num_snapshots; ++t) {
+        const auto i = static_cast<std::size_t>(t);
+        const auto &st = tg.bySnapshot[i];
+        SnapshotTrace &row = result.trace[i];
+        // The DRAM chain reproduces dramDone exactly; the GNN phase
+        // is complete once compute, spatial traffic and the off-chip
+        // stream have all landed.
+        row.gnnDone = std::max(
+            {sched.tasks[static_cast<std::size_t>(st.gnn)].finish,
+             sched.tasks[static_cast<std::size_t>(st.spatial)].finish,
+             row.dramDone});
+        row.rnnDone = sched.tasks[static_cast<std::size_t>(st.rnn)].finish;
+    }
+    result.totalCycles = sched.makespan;
+    result.taskGraph = taskGraphStats(tg, sched);
+
     // ---- Stats, then the trace and registry emitted from them. ----
     writeFieldStats(result);
     if (Tracer::global().metricsEnabled()) {
         // Appended, so the stats JSON with metrics off keeps its
         // exact field sequence.
+        const dram::DramResult &dram_total = eval.dramTotal;
         const std::pair<const char *, std::uint64_t> extended[] = {
             {"noc.spatial_bytes", result.nocBytesSpatial},
             {"noc.temporal_bytes", result.nocBytesTemporal},
             {"noc.reuse_bytes", result.nocBytesReuse},
-            {"noc.messages", noc_messages},
+            {"noc.messages", eval.nocMessages},
             {"dram.requests", dram_total.requests},
             {"dram.row_hits", dram_total.rowHits},
             {"dram.row_misses", dram_total.rowMisses},
             {"dram.row_conflicts", dram_total.rowConflicts},
             {"dram.read_bytes", dram_total.readBytes},
             {"dram.write_bytes", dram_total.writeBytes},
-            {"engine.digest_full_fastpath", digest_full_fastpath},
-            {"engine.digest_rnn_fastpath", digest_rnn_fastpath},
+            {"engine.digest_full_fastpath", eval.digestFullFastpath},
+            {"engine.digest_rnn_fastpath", eval.digestRnnFastpath},
             {"engine.scratch_snapshots",
              static_cast<std::uint64_t>(num_snapshots) -
-                 digest_full_fastpath},
-            {"relink.engaged_snapshots", relink_engaged},
+                 eval.digestFullFastpath},
+            {"relink.engaged_snapshots", eval.relinkEngaged},
             {"taskgraph.tasks", tg.nodes.size()},
             {"taskgraph.edges", tg.edges.size()},
             {"taskgraph.lanes", tg.lanes.size()},
@@ -617,6 +650,22 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     }
     emitRunTrace(tg, sched, result);
     return result;
+}
+
+RunResult
+schedule(const Evaluation &eval, const ExecutionPlan &plan)
+{
+    return plan.scaleout.enabled() ? scheduleScaleOut(eval, plan)
+                                   : detail::scheduleChip(eval, plan);
+}
+
+RunResult
+executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
+            PlanCache *cache)
+{
+    if (cache == nullptr)
+        return schedule(evaluate(dg, plan), plan);
+    return schedule(*cache->evaluation(dg, plan), plan);
 }
 
 RunResult

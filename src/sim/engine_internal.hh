@@ -36,6 +36,7 @@ struct PartitionDigest;
 
 namespace ditile::sim {
 
+struct Evaluation;
 struct ExecutionPlan;
 class FaultModel;
 
@@ -258,7 +259,7 @@ struct SnapshotWork
 
 /**
  * Read-only inputs the per-snapshot evaluation needs, resolved once
- * per run by executePlan. All referenced objects outlive the stage-1
+ * per run by evaluate(). All referenced objects outlive the stage-1
  * parallelFor.
  */
 struct EvalContext
@@ -327,6 +328,13 @@ void walkGcnLayers(const graph::Csr &g,
  */
 void evaluateSnapshot(const EvalContext &ctx, std::size_t i,
                       SnapshotWork &w);
+
+/**
+ * schedule() of a single-chip evaluation under `plan`'s timeline. A
+ * scale-out plan's chips each run it with the cluster's plan: the
+ * chip task graph reads only fields every chip plan shares with it.
+ */
+RunResult scheduleChip(const Evaluation &eval, const ExecutionPlan &plan);
 
 } // namespace detail
 

@@ -16,6 +16,7 @@
 
 #include "sim/execution_plan.hh"
 
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -486,6 +487,143 @@ class PlanReader
     const JsonValue *obj_;
 };
 
+/**
+ * Mixes the fields it is walked over into one word hash, rendering
+ * nothing: the snapshot plans alone serialize to megabytes. Key names
+ * and list lengths are mixed as well, so no two documents alias by
+ * shifting a value across a field boundary.
+ */
+class PlanHasher
+{
+  public:
+    std::uint64_t value() const { return hasher_.h; }
+
+    template <typename Fn>
+    void
+    object(const char *key, Fn &&fields)
+    {
+        name(key);
+        fields();
+    }
+
+    bool has(const char *, bool emit = true) const { return emit; }
+
+    void
+    text(const char *key, const std::string &value)
+    {
+        name(key);
+        hasher_.mix(fnv1a(value));
+    }
+
+    void boolean(const char *key, bool value) { u64(key, value); }
+
+    void
+    real(const char *key, double value)
+    {
+        u64(key, std::bit_cast<std::uint64_t>(value));
+    }
+
+    void rate(const char *key, double value) { real(key, value); }
+
+    void fraction(const char *key, double v, double) { real(key, v); }
+
+    void
+    u64(const char *key, std::uint64_t value)
+    {
+        name(key);
+        hasher_.mix(value);
+    }
+
+    template <typename T>
+    void
+    integer(const char *key, T value, long long = 0, long long = 0)
+    {
+        u64(key, static_cast<std::uint64_t>(value));
+    }
+
+    template <typename T>
+    void
+    array(const char *key, const std::vector<T> &values, long long = 0,
+          long long = 0)
+    {
+        u64(key, values.size());
+        for (const T &v : values)
+            hasher_.mix(static_cast<std::uint64_t>(v));
+    }
+
+    void
+    vertexSet(const char *key, const model::VertexSet &set, long long,
+              SnapshotId, int = -1)
+    {
+        u64(key, set.size());
+        set.forEach([&](VertexId v) { hasher_.mix(v); });
+    }
+
+    template <typename E, std::size_t N>
+    void
+    token(const char *key, E value, const Token<E> (&)[N])
+    {
+        u64(key, static_cast<std::uint64_t>(value));
+    }
+
+    template <typename E>
+    void
+    token(const char *key, E value, const char *(*)(E),
+          E (*)(const std::string &))
+    {
+        u64(key, static_cast<std::uint64_t>(value));
+    }
+
+    void
+    partition(const char *key, const graph::VertexPartition &partition,
+              long long)
+    {
+        u64(key, static_cast<std::uint64_t>(partition.numParts()));
+        hasher_.mix(static_cast<std::uint64_t>(partition.numVertices()));
+        for (VertexId v = 0; v < partition.numVertices(); ++v)
+            hasher_.mix(static_cast<std::uint64_t>(partition.owner(v)));
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(const char *key, const std::vector<T> &items, Fn &&fields)
+    {
+        u64(key, items.size());
+        for (const T &item : items)
+            fields(item);
+    }
+
+    template <typename T, typename Fn>
+    void
+    list(const char *key,
+         const std::shared_ptr<const std::vector<T>> &items, Fn &&fields)
+    {
+        static const std::vector<T> empty;
+        list(key, items ? *items : empty, fields);
+    }
+
+    /** A mirror repeats a field already mixed. */
+    template <typename T>
+    void mirror(const char *, T, const char *) {}
+
+    template <typename Fn>
+    void check(Fn &&) {}
+
+    /** Derived sections add nothing the fields above do not pin. */
+    template <typename Fn>
+    void emitOnly(const char *, Fn &&) {}
+
+  private:
+    void
+    name(const char *key)
+    {
+        if (key)
+            hasher_.mix(fnv1a(key));
+    }
+
+    WordHasher hasher_;
+};
+
 /** The derived task-graph skeleton (scheduler input). */
 void
 taskGraphFields(PlanWriter &w, const TaskGraph &tg)
@@ -806,6 +944,22 @@ ExecutionPlan::contentHash() const
 {
     // Equal hash <=> byte-identical canonical form (modulo collisions).
     return fnv1a(toJson());
+}
+
+std::uint64_t
+evaluationFieldsHash(const ExecutionPlan &plan)
+{
+    // Only the schedule reads these two, and they are what callers
+    // vary between back-to-back runs of one plan: the overlap/staged
+    // pair and the inter-chip link sweep. The snapshot plans are keyed
+    // by identity instead of walked.
+    ExecutionPlan keyed = plan;
+    keyed.options.overlap = false;
+    keyed.scaleout.link = {};
+    keyed.snapshots = nullptr;
+    PlanHasher hasher;
+    planFields(hasher, keyed);
+    return hasher.value();
 }
 
 ExecutionPlan

@@ -94,7 +94,7 @@ struct ExecutionPlan
      * Multi-chip scale-out spec (sim/scaleout.hh). Default (chips = 1)
      * means single chip: the plan serializes as plan_format 2 exactly
      * as before; chips > 1 plans serialize as format 3 with a
-     * "scaleout" section and execute through runScaleOut().
+     * "scaleout" section and execute as a ChipCluster.
      */
     ScaleOutSpec scaleout;
 
@@ -144,17 +144,75 @@ ExecutionPlan buildEnginePlan(const graph::DynamicGraph &dg,
                               PlanCache *cache = nullptr);
 
 /**
+ * Hash of every plan field an evaluation reads: the whole plan
+ * document except the options' overlap, the scale-out link and the
+ * snapshot plans, mixed field by field without serializing anything.
+ * Equal hashes over the same snapshot-plan set mean one evaluation
+ * serves both plans (PlanCache::evaluation keys on the pair).
+ */
+std::uint64_t evaluationFieldsHash(const ExecutionPlan &plan);
+
+/**
+ * What a run's timeline-independent stages produce (see the stage list
+ * in sim/engine.cc): per-snapshot work, the DRAM replay, the Re-Link
+ * decisions and the deferred NoC replays, reduced to compact results.
+ * No DRAM request or NoC message vector outlives evaluate().
+ */
+struct Evaluation
+{
+    /**
+     * The run record without its timeline: totalCycles, each trace
+     * row's gnnDone/rnnDone, taskGraph and stats are left for
+     * schedule(). The rows' phase cycles are the task durations.
+     */
+    RunResult result;
+
+    /** Counters only the extended stats report. */
+    std::uint64_t nocMessages = 0;
+    std::uint64_t digestFullFastpath = 0;
+    std::uint64_t digestRnnFastpath = 0;
+    std::uint64_t relinkEngaged = 0;
+    dram::DramResult dramTotal;
+
+    /** Scale-out plans: each chip's evaluation, in chip order, and
+     *  the boundary egress per (snapshot, chip), row-major
+     *  [T * chips] (see crossEgress in sim/scaleout_internal.hh). */
+    std::vector<Evaluation> chips;
+    std::vector<std::uint64_t> crossEgress;
+};
+
+/**
+ * Run every stage of a plan that no timeline option changes. Throws
+ * InputError when the plan does not fit the graph (its snapshot count
+ * first). A scale-out plan shards the graph, plans each shard through
+ * `shard_cache` (or a run-local cache) and evaluates every chip.
+ */
+Evaluation evaluate(const graph::DynamicGraph &dg,
+                    const ExecutionPlan &plan,
+                    PlanCache *shard_cache = nullptr);
+
+/**
+ * Time an evaluation under the plan's timeline: annotate the task
+ * graph with the evaluation's durations, schedule it, and emit the
+ * stats, trace spans and registry totals. `plan` must be the
+ * evaluated plan, up to its overlap option and scale-out link.
+ */
+RunResult schedule(const Evaluation &eval, const ExecutionPlan &plan);
+
+/**
  * Execute a plan over a dynamic graph and return the full result
- * record. Pure replay: all planning decisions come from the plan; the
- * graph supplies the adjacency the plan's vertex sets index into, and
- * must structurally match the planning-time workload. Scale-out plans
- * (scaleout.enabled()) dispatch to runScaleOut(); `scaleout_cache`
- * optionally shares the per-shard snapshot-plan sets across chips and
- * repeated runs, and is ignored by single-chip plans.
+ * record: evaluate(), then schedule(). Pure replay: all planning
+ * decisions come from the plan; the graph supplies the adjacency the
+ * plan's vertex sets index into, and must structurally match the
+ * planning-time workload. `cache` (optional) shares work across
+ * chips and repeated runs: it memoizes the evaluation, so a run that
+ * differs from an earlier one only in its overlap option or its
+ * scale-out link only re-schedules, and it shares the per-shard
+ * snapshot-plan sets of scale-out plans.
  */
 RunResult executePlan(const graph::DynamicGraph &dg,
                       const ExecutionPlan &plan,
-                      PlanCache *scaleout_cache = nullptr);
+                      PlanCache *cache = nullptr);
 
 } // namespace ditile::sim
 

@@ -22,6 +22,11 @@
  * (model::VertexSet), so a derived or extended plan set adds lists
  * only for the sets it plans anew.
  *
+ * The cache also memoizes run evaluations (sim::evaluate), keyed on
+ * the graph and the plan with its overlap option and scale-out link
+ * cleared, so a run that differs from the one before it only in those
+ * re-schedules that evaluation instead of making its own.
+ *
  * Lookup, build, publish, counting and the LRU bound follow the shared
  * policy in common/content_cache.hh.
  */
@@ -33,6 +38,7 @@
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/content_cache.hh"
@@ -41,10 +47,15 @@
 
 namespace ditile::sim {
 
+struct Evaluation;
+struct ExecutionPlan;
+
 class PlanCache
 {
   public:
     using SnapshotPlans = std::vector<model::SnapshotPlan>;
+
+    PlanCache();
 
     /** Build a plan set directly, bypassing any cache. */
     static std::shared_ptr<const SnapshotPlans>
@@ -91,6 +102,26 @@ class PlanCache
      *  invalidate hit predictions. Serial points only. */
     std::vector<std::uint64_t> evictToCapacity();
 
+    /**
+     * The evaluation of `plan` over `dg`, from evaluate(dg, plan, this)
+     * unless the last one evaluated was of the same graph and of a plan
+     * equal to this one up to its overlap option and scale-out link.
+     * The memo is silent: it emits no instant and no metric, and a hit
+     * plans no shard and makes none of the evaluation's cache lookups.
+     */
+    std::shared_ptr<const Evaluation>
+    evaluation(const graph::DynamicGraph &dg, const ExecutionPlan &plan);
+
+    std::uint64_t evaluationHits() const { return evaluations_.hits(); }
+    std::uint64_t evaluationMisses() const
+    {
+        return evaluations_.misses();
+    }
+
+    /** Forget the memoized evaluations (and their counts), so the next
+     *  run evaluates again; the plan sets stay. */
+    void clearEvaluations() { evaluations_.clear(); }
+
     std::uint64_t hits() const { return entries_.hits(); }
     std::uint64_t misses() const { return entries_.misses(); }
     std::uint64_t evictions() const { return entries_.evictions(); }
@@ -113,6 +144,26 @@ class PlanCache
 
     ContentCache<std::uint64_t, std::shared_ptr<const SnapshotPlans>>
         entries_{"plan-cache", "plan"};
+
+    /** An evaluation's key: the hash of its graph and of its plan's
+     *  fields (evaluationFieldsHash), and the plan's snapshot-plan set
+     *  by identity. Holding the set keeps its address from being
+     *  reused by another set while the key lives. */
+    using EvaluationKey =
+        std::pair<std::uint64_t, std::shared_ptr<const SnapshotPlans>>;
+
+    struct EvaluationKeyHash
+    {
+        std::size_t
+        operator()(const EvaluationKey &key) const
+        {
+            return static_cast<std::size_t>(key.first);
+        }
+    };
+
+    ContentCache<EvaluationKey, std::shared_ptr<const Evaluation>,
+                 EvaluationKeyHash>
+        evaluations_;
 
     /** prefixIndexKey of every prefix of each built plan set's graph
      *  -> its plan key (a later set sharing the prefix overwrites).

@@ -2,8 +2,8 @@
  * @file
  * One observability path for chip and cluster runs.
  *
- * Both timelines (a chip's task graph in executePlan, a scale-out
- * cluster's in runScaleOut) hand their duration-annotated graph, its
+ * Both timelines (a chip's task graph and a scale-out cluster's, each
+ * timed by schedule()) hand their duration-annotated graph, its
  * schedule and the finished RunResult to emitRunTrace(). It draws one
  * span per scheduled task at the task's scheduled start, so a trace
  * shows each phase where the model ran it, in the overlap and the

@@ -11,6 +11,7 @@
 
 #include "common/logging.hh"
 #include "common/trace.hh"
+#include "sim/engine_internal.hh"
 #include "sim/execution_plan.hh"
 #include "sim/plan_cache.hh"
 #include "sim/run_trace.hh"
@@ -66,6 +67,14 @@ validateSpec(const ExecutionPlan &plan, VertexId num_vertices)
             DITILE_THROW("scale-out assignment names chip ", c,
                          " outside [0, ", spec.chips, ")");
     }
+}
+
+/** Track base of chip `chip`'s group (the cluster's is chip `chips`). */
+std::uint64_t
+chipTrackBase(std::uint64_t track_base, int chip)
+{
+    return track_base +
+        static_cast<std::uint64_t>(chip) * Tracer::kTracksPerRun;
 }
 
 /** Restrict a global vertex partition to a shard (owners kept). */
@@ -262,30 +271,29 @@ buildClusterTaskGraph(const ExecutionPlan &plan)
     return g;
 }
 
-RunResult
-runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
-            PlanCache *cache)
+Evaluation
+evaluateScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
+                 PlanCache *cache)
 {
     const ScaleOutSpec &spec = plan.scaleout;
-    const int chips = spec.chips;
-    const auto chips_sz = static_cast<std::size_t>(chips);
     const VertexId num_vertices = dg.numVertices();
-    const SnapshotId num_snapshots = dg.numSnapshots();
     validateSpec(plan, num_vertices);
 
     const ShardLayout layout = shardLayout(spec, num_vertices);
-    const std::vector<std::uint64_t> egress_adj = crossEgress(dg, layout);
+    Evaluation eval;
+    eval.result.acceleratorName = plan.acceleratorName;
+    eval.result.workloadName = dg.name();
+    eval.crossEgress = crossEgress(dg, layout);
 
-    // ---- Build, instantiate and execute the M per-chip plans
-    // serially, one shard alive at a time. Shards share `cache` (or a
-    // run-local one), keyed per shard by the shard graph's structure
-    // hash, so equal shards plan once.
+    // ---- Build, plan and evaluate the M shards serially, one shard
+    // alive at a time. Shards share `cache` (or a run-local one),
+    // keyed per shard by the shard graph's structure hash, so equal
+    // shards plan once.
     PlanCache local_cache;
     PlanCache *shard_cache = cache ? cache : &local_cache;
     const std::uint64_t track_base = Tracer::trackBase();
-    std::vector<RunResult> chip_results;
-    chip_results.reserve(chips_sz);
-    for (int c = 0; c < chips; ++c) {
+    eval.chips.reserve(static_cast<std::size_t>(spec.chips));
+    for (int c = 0; c < spec.chips; ++c) {
         const auto &global_ids =
             layout.globalIds[static_cast<std::size_t>(c)];
         const graph::DynamicGraph shard = buildShard(dg, layout, c);
@@ -299,14 +307,36 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
             restrictPartition(plan.mapping.tilePartition, global_ids);
 
         // Disjoint trace track group per chip; restored below.
-        Tracer::setTrackBase(track_base +
-                             static_cast<std::uint64_t>(c) *
-                                 Tracer::kTracksPerRun);
+        Tracer::setTrackBase(chipTrackBase(track_base, c));
         ExecutionPlan chip_plan = buildEnginePlan(
             shard, plan.modelConfig, plan.hw, shard_mapping,
             plan.options, plan.acceleratorName, shard_cache);
         chip_plan.faults = plan.faults;
-        chip_results.push_back(executePlan(shard, chip_plan));
+        eval.chips.push_back(evaluate(shard, chip_plan));
+    }
+    Tracer::setTrackBase(track_base);
+    return eval;
+}
+
+RunResult
+scheduleScaleOut(const Evaluation &eval, const ExecutionPlan &plan)
+{
+    const ScaleOutSpec &spec = plan.scaleout;
+    const int chips = spec.chips;
+    const auto chips_sz = static_cast<std::size_t>(chips);
+    DITILE_ASSERT(eval.chips.size() == chips_sz,
+                  "schedule plan and evaluation disagree on chips");
+    const SnapshotId num_snapshots = plan.numSnapshots();
+    const std::vector<std::uint64_t> &egress_adj = eval.crossEgress;
+
+    // ---- Each chip's own timeline, on its own track group.
+    const std::uint64_t track_base = Tracer::trackBase();
+    std::vector<RunResult> chip_results;
+    chip_results.reserve(chips_sz);
+    for (int c = 0; c < chips; ++c) {
+        Tracer::setTrackBase(chipTrackBase(track_base, c));
+        chip_results.push_back(detail::scheduleChip(
+            eval.chips[static_cast<std::size_t>(c)], plan));
     }
     Tracer::setTrackBase(track_base);
 
@@ -366,8 +396,8 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     // ---- Merge the per-chip results under the cluster timeline.
     RunResult result;
-    result.acceleratorName = plan.acceleratorName;
-    result.workloadName = dg.name();
+    result.acceleratorName = eval.result.acceleratorName;
+    result.workloadName = eval.result.workloadName;
     result.totalCycles = sched.makespan;
     double busy_mac_cycles = 0.0;
     for (const RunResult &r : chip_results) {
@@ -445,8 +475,7 @@ runScaleOut(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
 
     result.taskGraph = taskGraphStats(tg, sched);
     // The cluster draws on the track group after its chips'.
-    Tracer::setTrackBase(track_base + static_cast<std::uint64_t>(chips) *
-                                          Tracer::kTracksPerRun);
+    Tracer::setTrackBase(chipTrackBase(track_base, chips));
     emitRunTrace(tg, sched, result);
     Tracer::setTrackBase(track_base);
     return result;

@@ -13,9 +13,11 @@
  * shard's delta (sim/scaleout_internal.hh). It then instantiates one
  * per-chip ExecutionPlan each (restricting the global mapping to the
  * shard and re-deriving the redundancy-free snapshot plans through the
- * shared PlanCache, keyed per shard by its structure hash), executes
- * every chip through the unchanged single-chip engine, and assembles
- * the cluster timeline as a task graph: ChipCompute nodes chained per
+ * shared PlanCache, keyed per shard by its structure hash) and
+ * evaluates every chip through the unchanged single-chip engine. That
+ * is the cluster's evaluation, which reads neither the overlap option
+ * nor the link. Scheduling it times each chip's task graph, then the
+ * cluster timeline as a task graph: ChipCompute nodes chained per
  * chip, InterChipComm nodes on per-chip link lanes carrying the
  * boundary state between consecutive snapshots. The deterministic
  * list scheduler propagates ready times, so cross-chip traffic
@@ -45,9 +47,7 @@
 namespace ditile::sim {
 
 struct ExecutionPlan;
-struct RunResult;
 struct TaskGraph;
-class PlanCache;
 
 /**
  * Scale-out section of an ExecutionPlan. Default-constructed means
@@ -86,19 +86,10 @@ void applyScaleOut(ExecutionPlan &plan, const graph::DynamicGraph &dg,
 int traceTrackGroups(int chips);
 
 /**
- * Execute a chips > 1 plan as a ChipCluster (see file comment).
- * `cache` (optional) shares the per-shard snapshot-plan sets across
- * chips and across repeated runs; when null a run-local cache still
- * shares them across this run's chips.
- */
-RunResult runScaleOut(const graph::DynamicGraph &dg,
-                      const ExecutionPlan &plan, PlanCache *cache);
-
-/**
  * Structural cluster-level task graph for a chips > 1 plan: per-chip
  * ChipCompute chains plus InterChipComm nodes on per-chip link lanes,
  * pure function of (chips, snapshot count, overlap). Durations are
- * zero; runScaleOut annotates them.
+ * zero; schedule() annotates them.
  */
 TaskGraph buildClusterTaskGraph(const ExecutionPlan &plan);
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Scale-out shard construction, shared by runScaleOut and its tests
- * (not part of the public sim API).
+ * Scale-out evaluation and scheduling, and the shard construction
+ * they share with their tests (not part of the public sim API).
  *
  * A chip's shard is the subgraph its vertices induce: the intra-chip
  * edges, with local ids that ascend with the global ids. Snapshot 0 is
@@ -25,6 +25,10 @@
 #include "sim/scaleout.hh"
 
 namespace ditile::sim {
+
+struct Evaluation;
+struct RunResult;
+class PlanCache;
 
 /** The vertex universe cut per chip by a recorded assignment. */
 struct ShardLayout
@@ -58,6 +62,23 @@ graph::DynamicGraph buildShard(const graph::DynamicGraph &dg,
  */
 std::vector<std::uint64_t> crossEgress(const graph::DynamicGraph &dg,
                                        const ShardLayout &layout);
+
+/**
+ * evaluate() of a chips > 1 plan: shard the graph, plan each shard
+ * through `cache` (when null, a run-local cache still shares plans
+ * across this run's chips) and evaluate every chip, serially in chip
+ * order, each on its chip's trace track group.
+ */
+Evaluation evaluateScaleOut(const graph::DynamicGraph &dg,
+                            const ExecutionPlan &plan, PlanCache *cache);
+
+/**
+ * schedule() of a chips > 1 evaluation: each chip's timeline on its
+ * chip's track group, then the cluster task graph under the plan's
+ * overlap option and link, on the group after the chips'.
+ */
+RunResult scheduleScaleOut(const Evaluation &eval,
+                           const ExecutionPlan &plan);
 
 } // namespace ditile::sim
 

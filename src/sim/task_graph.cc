@@ -81,8 +81,13 @@ buildTaskGraph(const ExecutionPlan &plan)
 {
     // Scale-out plans schedule whole chips, not tile columns: the
     // cluster-level DAG is the plan's task graph.
-    if (plan.scaleout.enabled())
-        return buildClusterTaskGraph(plan);
+    return plan.scaleout.enabled() ? buildClusterTaskGraph(plan)
+                                   : buildChipTaskGraph(plan);
+}
+
+TaskGraph
+buildChipTaskGraph(const ExecutionPlan &plan)
+{
     TaskGraph g;
     const SnapshotId num_snapshots = plan.numSnapshots();
     const MappingSpec &mapping = plan.mapping;

@@ -138,6 +138,13 @@ struct TaskGraph
  */
 TaskGraph buildTaskGraph(const ExecutionPlan &plan);
 
+/**
+ * The single-chip task graph of a plan, also for a scale-out plan,
+ * whose chips each run it (buildTaskGraph gives such a plan the
+ * cluster graph instead).
+ */
+TaskGraph buildChipTaskGraph(const ExecutionPlan &plan);
+
 } // namespace ditile::sim
 
 #endif // DITILE_SIM_TASK_GRAPH_HH

@@ -43,7 +43,11 @@ def bench_fig11b(cli):
 
 def bench_scaleout(cli):
     """Weak-scaling efficiency decays monotonically but stays at or
-    above 0.15 at 8 chips; wider links never slow the cluster down.
+    above 0.15 at 8 chips; wider links make the cluster strictly
+    faster and longer latencies strictly slower. The weak and strong
+    4-chip rows run one workload, so they and the default-link rows of
+    both link sweeps print equal cycles: a run that re-schedules an
+    earlier evaluation under another link must time its own link.
     Modeled cycles are hardware-independent, so this holds anywhere."""
     out = cli.run("bench_scaleout", ["--smoke", "--csv"]).stdout
     header = re.search(r"^mode,chips,", out, re.M)
@@ -58,8 +62,18 @@ def bench_scaleout(cli):
     cli.expect(eff[-1] >= 0.15, "weak-scaling efficiency %.3f at 8 chips"
                % eff[-1])
     bw = [int(r["cycles"]) for r in rows if r["mode"] == "bandwidth"]
-    cli.expect(all(a >= b for a, b in zip(bw, bw[1:])),
-               "cycles not monotone in link bandwidth: %s" % bw)
+    cli.expect(len(bw) == 4 and all(a > b for a, b in zip(bw, bw[1:])),
+               "cycles not strictly falling with link bandwidth: %s" % bw)
+    lat = [int(r["cycles"]) for r in rows if r["mode"] == "latency"]
+    cli.expect(len(lat) == 3 and all(a < b for a, b in zip(lat, lat[1:])),
+               "cycles not strictly rising with link latency: %s" % lat)
+    default_link = {(r["mode"], r["chips"], r["gbps"], r["latency_ns"]):
+                    int(r["cycles"]) for r in rows
+                    if r["chips"] == "4" and r["gbps"] == "100"
+                    and r["latency_ns"] == "350"}
+    cli.expect(len(default_link) == 4
+               and len(set(default_link.values())) == 1,
+               "4-chip default-link rows differ: %s" % default_link)
 
 
 def bench_micro(cli):

@@ -9,7 +9,8 @@ overlap scheduler never reports a longer makespan than the staged
 timeline on a fault-free run or sweep point. Equal sweep points print
 equal rows whichever thread ran them, and the workload digest cache
 hits. A failing grid point, an invalid link or SIGINT still leave a
-CSV with its header, and the sweep says why on stderr.
+CSV with its header, and the sweep says why on stderr. A scale-out
+plan replayed over a workload with another snapshot count exits 1.
 """
 
 import csv
@@ -37,6 +38,12 @@ FAILING_SWEEPS = [  # (args, stdout pattern, stderr pattern), exit 1
     # A point with an invalid inter-chip link fails on its own.
     (["--chips=2", "--interchip-ns=1e20"], None, r"sweep point failed"),
 ]
+
+# A plan written for one snapshot count and replayed over another is
+# bad input on the scale-out path too: (accel, plan T, workload T),
+# exit 1 with the count check's message.
+MISMATCHED_PLANS = [("mega", 4, 8), ("mega", 8, 4), ("ditile", 4, 8),
+                    ("ditile", 8, 4)]
 
 
 def rows(text):
@@ -97,6 +104,23 @@ def failing_sweeps(cli):
         cli.expect_match(err_pattern, proc.stderr, " ".join(args))
 
 
+def mismatched_plans(cli):
+    base = ["--dataset=WD", "--scale=0.1", "--chips=2"]
+    for accel, planned, executed in MISMATCHED_PLANS:
+        plan = cli.path("plan-%s-%d.json" % (accel, planned))
+        cli.run("ditile_run", base + ["--accel=" + accel,
+                                      "--snapshots=%d" % planned,
+                                      "--plan-out=" + plan])
+        proc = cli.run("ditile_run", base + ["--accel=" + accel,
+                                             "--snapshots=%d" % executed,
+                                             "--plan-in=" + plan],
+                       status=1)
+        cli.expect_match(r"plan has %d snapshots, the workload %d"
+                         % (planned, executed), proc.stderr,
+                         "%s plan T=%d over T=%d" % (accel, planned,
+                                                     executed))
+
+
 def sweep_interrupt(cli):
     """SIGINT once the header is out: the point in flight finishes,
     the rest are skipped, and the partial CSV is flushed (exit 130).
@@ -116,4 +140,4 @@ def sweep_interrupt(cli):
 if __name__ == "__main__":
     raise SystemExit(main([run_overlap_not_slower, sweep_overlap_not_slower,
                            equal_points_equal_rows, failing_sweeps,
-                           sweep_interrupt]))
+                           mismatched_plans, sweep_interrupt]))

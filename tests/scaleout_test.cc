@@ -356,12 +356,60 @@ TEST(ScaleOut, ClusterGraphShapeAndOverlapBound)
     EXPECT_GT(overlap.totalCycles, 0u);
 }
 
+TEST(ScaleOut, SnapshotCountMismatchIsInputError)
+{
+    // A plan made for one snapshot count (as --plan-in loads it) and
+    // executed over a workload with another is bad input, in both
+    // directions, before a cluster is sized from either count.
+    graph::EvolutionConfig config;
+    config.numVertices = 1200;
+    config.numEdges = 9600;
+    config.dissimilarity = 0.12;
+    config.featureDim = 64;
+    config.seed = 7;
+    config.numSnapshots = 4;
+    const auto short_dg = graph::generateDynamicGraph(config);
+    config.numSnapshots = 8;
+    const auto long_dg = graph::generateDynamicGraph(config);
+    const std::pair<const graph::DynamicGraph *,
+                    const graph::DynamicGraph *>
+        directions[] = {{&short_dg, &long_dg}, {&long_dg, &short_dg}};
+    for (const bool mega : {true, false}) {
+        for (const auto &[planned, executed] : directions) {
+            SCOPED_TRACE(testing::Message()
+                         << (mega ? "MEGA" : "DiTile") << " plan T="
+                         << planned->numSnapshots() << " workload T="
+                         << executed->numSnapshots());
+            auto plan = mega
+                ? sim::makeMega()->plan(*planned, model::DgnnConfig{})
+                : planFor(*planned, 1);
+            sim::applyScaleOut(plan, *planned, 2,
+                               noc::InterChipLinkConfig{});
+            try {
+                sim::executePlan(*executed, plan);
+                ADD_FAILURE() << "mismatched plan executed";
+            } catch (const InputError &e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "plan has " +
+                              std::to_string(planned->numSnapshots()) +
+                              " snapshots, the workload " +
+                              std::to_string(executed->numSnapshots())),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
+}
+
 TEST(ScaleOut, SharedPlanCacheHitsAcrossRepeatRuns)
 {
     const auto dg = scaleoutWorkload();
     sim::PlanCache cache;
     auto plan = planFor(dg, 2, &cache);
     const auto first = sim::executePlan(dg, plan, &cache);
+    // Without its memoized evaluation, the second run plans its shards
+    // again, and the plan sets the first run left serve them.
+    cache.clearEvaluations();
     const auto second = sim::executePlan(dg, plan, &cache);
     expectSameResult(first, second);
     EXPECT_GT(cache.hits(), 0u);

@@ -11,8 +11,7 @@
 #include <memory>
 
 #include "bench/bench_util.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 
 using namespace ditile;
 
@@ -22,12 +21,7 @@ main(int argc, char **argv)
     const auto options = bench::BenchOptions::parse(argc, argv);
     const auto mconfig = bench::paperModel();
 
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    accelerators.push_back(sim::makeReady());
-    accelerators.push_back(sim::makeDgnnBooster());
-    accelerators.push_back(sim::makeRace());
-    accelerators.push_back(sim::makeMega());
-    accelerators.push_back(std::make_unique<core::DiTileAccelerator>());
+    const auto accelerators = core::paperFleet();
 
     Table table("Figure 9: execution time in cycles (lower is better)");
     table.setHeader({"Dataset", "ReaDy", "DGNN-Booster", "RACE", "MEGA",

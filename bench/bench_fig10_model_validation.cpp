@@ -32,17 +32,18 @@ main(int argc, char **argv)
     for (const auto &name : options.datasets) {
         const auto dg = graph::makeDataset(name,
                                            options.datasetOptions());
-        core::DiTileAccelerator accel;
-        const auto result = accel.run(dg, mconfig);
+        const core::DiTileAccelerator accel;
+        const auto plan = accel.plan(dg, mconfig);
+        const auto result = accel.execute(dg, plan);
 
         int boundaries = 0;
-        const auto &cols = accel.lastMapping().snapshotColumn;
+        const auto &cols = plan.mapping.snapshotColumn;
         for (std::size_t t = 1; t < cols.size(); ++t)
             if (cols[t] != cols[t - 1])
                 ++boundaries;
 
         const auto est = core::estimateTraffic(dg, mconfig,
-                                               accel.lastPlan(),
+                                               plan.parallel,
                                                boundaries);
         const double actual_da =
             static_cast<double>(result.dramTraffic.total());

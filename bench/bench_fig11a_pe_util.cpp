@@ -11,8 +11,7 @@
 #include <memory>
 
 #include "bench/bench_util.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 
 using namespace ditile;
 
@@ -25,12 +24,7 @@ main(int argc, char **argv)
         options.datasets = {"WD"};
     const auto mconfig = bench::paperModel();
 
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    accelerators.push_back(sim::makeReady());
-    accelerators.push_back(sim::makeDgnnBooster());
-    accelerators.push_back(sim::makeRace());
-    accelerators.push_back(sim::makeMega());
-    accelerators.push_back(std::make_unique<core::DiTileAccelerator>());
+    const auto accelerators = core::paperFleet();
 
     Table table("Figure 11a: PE utilization (WD)");
     table.setHeader({"Accelerator", "PE utilization",

@@ -10,8 +10,7 @@
 #include <memory>
 
 #include "bench/bench_util.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 
 using namespace ditile;
 
@@ -21,12 +20,7 @@ main(int argc, char **argv)
     const auto options = bench::BenchOptions::parse(argc, argv);
     const auto mconfig = bench::paperModel();
 
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    accelerators.push_back(sim::makeReady());
-    accelerators.push_back(sim::makeDgnnBooster());
-    accelerators.push_back(sim::makeRace());
-    accelerators.push_back(sim::makeMega());
-    accelerators.push_back(std::make_unique<core::DiTileAccelerator>());
+    const auto accelerators = core::paperFleet();
 
     Table table("Figure 12: energy breakdown, normalized to "
                 "DiTile-DGNN per dataset");

@@ -12,8 +12,7 @@
 #include <memory>
 
 #include "bench/bench_util.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 
 using namespace ditile;
 
@@ -30,12 +29,7 @@ main(int argc, char **argv)
         options.numSnapshots = 16;
     const auto mconfig = bench::paperModel();
 
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    accelerators.push_back(sim::makeReady());
-    accelerators.push_back(sim::makeDgnnBooster());
-    accelerators.push_back(sim::makeRace());
-    accelerators.push_back(sim::makeMega());
-    accelerators.push_back(std::make_unique<core::DiTileAccelerator>());
+    const auto accelerators = core::paperFleet();
 
     // Band centers for 0-5%, 5-10%, 10-15%.
     const std::vector<std::pair<std::string, double>> bands = {

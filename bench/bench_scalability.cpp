@@ -11,8 +11,7 @@
 #include <memory>
 
 #include "bench/bench_util.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 
 using namespace ditile;
 
@@ -37,8 +36,8 @@ main(int argc, char **argv)
         hw.tileCols = dim;
         hw.noc.rows = dim;
         hw.noc.cols = dim;
-        core::DiTileAccelerator ditile(hw);
-        auto race = sim::makeRace(hw);
+        const core::DiTileAccelerator ditile(hw);
+        const auto race = core::makeAccelerator("race", hw);
         const auto dt = static_cast<double>(
             ditile.run(dg, mconfig).totalCycles);
         const auto rc = static_cast<double>(

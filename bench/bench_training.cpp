@@ -13,6 +13,7 @@
 #include "sim/training_engine.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/partition.hh"
+#include "sim/baselines.hh"
 
 using namespace ditile;
 
@@ -35,8 +36,9 @@ trainWith(model::AlgoKind algo, const graph::DynamicGraph &dg,
     options.algo = algo;
     options.accounting.crossFetchFraction =
         sim::baselineCrossFetchFraction(dg, mconfig, hw);
-    return sim::runTrainingIteration(dg, mconfig, hw, mapping, options,
-                                     model::algoName(algo));
+    return sim::runTrainingIteration(
+        dg, sim::buildEnginePlan(dg, mconfig, hw, mapping, options,
+                                 model::algoName(algo)));
 }
 
 } // namespace
@@ -62,9 +64,10 @@ main(int argc, char **argv)
             cycles[idx++] = static_cast<double>(
                 trainWith(kind, dg, mconfig).iterationCycles);
         }
-        core::DiTileAccelerator ditile;
+        const core::DiTileAccelerator ditile;
         cycles[3] = static_cast<double>(
-            ditile.runTraining(dg, mconfig).iterationCycles);
+            sim::runTrainingIteration(dg, ditile.plan(dg, mconfig))
+                .iterationCycles);
         table.addRow({dg.name(), Table::sci(cycles[0]),
                       Table::sci(cycles[1]), Table::sci(cycles[2]),
                       Table::sci(cycles[3]),

@@ -24,8 +24,7 @@ sim::RunResult
 runWith(const graph::DynamicGraph &dg, const model::DgnnConfig &config,
         sim::AcceleratorConfig hw)
 {
-    core::DiTileAccelerator accel(hw);
-    return accel.run(dg, config);
+    return core::DiTileAccelerator(hw).run(dg, config);
 }
 
 energy::AreaConfig
@@ -85,13 +84,14 @@ main(int argc, char **argv)
         for (ByteCount kb : {512u, 1024u, 4096u, 16384u}) {
             auto hw = sim::AcceleratorConfig::defaults();
             hw.distBufferBytes = kb << 10;
-            core::DiTileAccelerator accel(hw);
-            const auto r = accel.run(dg, config);
+            const core::DiTileAccelerator accel(hw);
+            const auto plan = accel.plan(dg, config);
+            const auto r = accel.execute(dg, plan);
             const auto area = energy::computeArea(areaOf(hw));
             table.addRow({Table::integer(static_cast<long long>(kb)) +
                               " KB",
                           Table::integer(
-                              accel.lastPlan().tiling.tilingFactor),
+                              plan.parallel.tiling.tilingFactor),
                           Table::integer(static_cast<long long>(
                               r.totalCycles)),
                           Table::num(r.energy.totalPj() / 1e6, 1),

@@ -13,9 +13,8 @@
 
 #include "common/cli.hh"
 #include "common/table.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "graph/generator.hh"
-#include "sim/baselines.hh"
 
 using namespace ditile;
 
@@ -45,12 +44,7 @@ main(int argc, char **argv)
     model::DgnnConfig mconfig;
 
     // 3. Run every accelerator.
-    std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    accelerators.push_back(sim::makeReady());
-    accelerators.push_back(sim::makeDgnnBooster());
-    accelerators.push_back(sim::makeRace());
-    accelerators.push_back(sim::makeMega());
-    accelerators.push_back(std::make_unique<core::DiTileAccelerator>());
+    const auto accelerators = core::paperFleet();
 
     Table table("Quickstart comparison");
     table.setHeader({"Accelerator", "Cycles", "Ops", "DRAM bytes",

@@ -19,10 +19,9 @@
 
 #include "common/cli.hh"
 #include "common/table.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "graph/ctdg.hh"
 #include "model/functional.hh"
-#include "sim/baselines.hh"
 
 using namespace ditile;
 
@@ -116,8 +115,8 @@ main(int argc, char **argv)
 
     // ---- 3. Deployment: accelerator comparison at full scale. ----
     model::DgnnConfig deploy_model; // paper-shaped DGCN.
-    core::DiTileAccelerator ditile;
-    auto race = sim::makeRace();
+    const core::DiTileAccelerator ditile;
+    const auto race = core::makeAccelerator("race");
     const auto dt = ditile.run(dg, deploy_model);
     const auto rc = race->run(dg, deploy_model);
 

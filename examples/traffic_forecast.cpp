@@ -18,9 +18,8 @@
 #include "common/cli.hh"
 #include "common/rng.hh"
 #include "common/table.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "graph/dynamic_graph.hh"
-#include "sim/baselines.hh"
 
 using namespace ditile;
 
@@ -104,8 +103,8 @@ main(int argc, char **argv)
                      "speedup", "DiTile cycles/snapshot"});
     for (SnapshotId horizon : {2, 4, 8, 16}) {
         const auto dg = evolvingRoadNetwork(n, horizon, rng);
-        core::DiTileAccelerator ditile;
-        auto ready = sim::makeReady();
+        const core::DiTileAccelerator ditile;
+        const auto ready = core::makeAccelerator("ready");
         const auto dt = ditile.run(dg, config);
         const auto rd = ready->run(dg, config);
         table.addRow({Table::integer(horizon),

@@ -7,39 +7,12 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
 #include "common/trace.hh"
 #include "core/plan_batch.hh"
+#include "core/units.hh"
 #include "sim/engine.hh"
 
 namespace ditile::core {
-
-DiTileOptions
-DiTileOptions::fromVariant(const std::string &variant)
-{
-    DiTileOptions o;
-    if (variant == "DiTile-DGNN" || variant == "full") {
-        // all on
-    } else if (variant == "NoPs") {
-        o.parallelismStrategy = false;
-    } else if (variant == "NoWos") {
-        o.workloadBalance = false;
-    } else if (variant == "NoRa") {
-        o.reconfigurableNoc = false;
-    } else if (variant == "OnlyPs") {
-        o.workloadBalance = false;
-        o.reconfigurableNoc = false;
-    } else if (variant == "OnlyWos") {
-        o.parallelismStrategy = false;
-        o.reconfigurableNoc = false;
-    } else if (variant == "OnlyRa") {
-        o.parallelismStrategy = false;
-        o.workloadBalance = false;
-    } else {
-        DITILE_FATAL("unknown DiTile variant '", variant, "'");
-    }
-    return o;
-}
 
 DiTileAccelerator::DiTileAccelerator(sim::AcceleratorConfig hw,
                                      DiTileOptions options)
@@ -61,16 +34,22 @@ DiTileAccelerator::name() const
     return n;
 }
 
-void
-DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
-                           const model::DgnnConfig &model_config,
-                           sim::AcceleratorConfig &hw,
-                           sim::MappingSpec &mapping,
-                           sim::EngineOptions &engine_options,
-                           SharedFrontEnd *shared)
+sim::ExecutionPlan
+DiTileAccelerator::plan(const graph::DynamicGraph &dg,
+                        const model::DgnnConfig &model_config,
+                        sim::PlanCache *cache) const
+{
+    return plan(dg, model_config, cache, nullptr);
+}
+
+sim::ExecutionPlan
+DiTileAccelerator::plan(const graph::DynamicGraph &dg,
+                        const model::DgnnConfig &model_config,
+                        sim::PlanCache *cache,
+                        SharedFrontEnd *shared) const
 {
     // Plan-stage spans live on a step clock (one step per sub-stage);
-    // prepare() is serial per run, so the order is deterministic.
+    // one plan() call is serial, so the order is deterministic.
     Tracer &tracer = Tracer::global();
     const std::uint64_t plan_track =
         Tracer::trackBase() + Tracer::kPlanTrack;
@@ -80,8 +59,10 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
     // for the whole batch); the loads are a pure function of
     // (graph, layers), so both paths yield bitwise-equal labels.
     std::vector<double> own_loads;
-    if (shared == nullptr)
-        own_loads = workloadUnit_.computeLoads(dg, model_config);
+    if (shared == nullptr) {
+        own_loads = workload::computeVertexLoads(
+            dg, model_config.numGcnLayers());
+    }
     const std::vector<double> &loads = shared != nullptr
         ? shared->loads(dg, model_config)
         : own_loads;
@@ -95,115 +76,84 @@ DiTileAccelerator::prepare(const graph::DynamicGraph &dg,
 
     // Step (3): Algorithm 1 — tiling factor + parallel factors,
     // likewise memoized per batch by the shared front end.
-    lastPlan_ = shared != nullptr
+    tiling::ParallelPlan parallel = shared != nullptr
         ? shared->strategy(dg, model_config, hw_,
                            options_.parallelismStrategy)
-        : strategyAdjuster_.adjust(dg, model_config, hw_,
-                                   options_.parallelismStrategy);
+        : adjustStrategy(dg, model_config, hw_,
+                         options_.parallelismStrategy);
     {
         TraceEvent ev;
         ev.addArg("tiling_factor", static_cast<long long>(
-                      lastPlan_.tiling.tilingFactor))
+                      parallel.tiling.tilingFactor))
             .addArg("snapshot_groups", static_cast<long long>(
-                        lastPlan_.parallelism.snapshotGroups))
+                        parallel.parallelism.snapshotGroups))
             .addArg("vertex_parts", static_cast<long long>(
-                        lastPlan_.parallelism.vertexParts));
+                        parallel.parallelism.vertexParts));
         tracer.stepSpan("plan", "alg1-tiling", plan_track, std::move(ev));
     }
 
     // Steps (4)-(6): Algorithm 2 — the BDW mapping.
-    lastMapping_ = workloadGenerator_.generate(
-        dg, loads, lastPlan_, hw_, options_.workloadBalance);
+    WorkloadMapping bdw = generateWorkload(
+        dg, loads, parallel, hw_, options_.workloadBalance);
+    const double imbalance = bdw.rowPartition.imbalance(loads);
     {
         TraceEvent ev;
-        ev.addArg("groups", static_cast<long long>(
-                      lastMapping_.groups.size()))
-            .addArg("imbalance_permille", static_cast<long long>(
-                        lastMapping_.imbalance * 1000.0));
+        ev.addArg("groups", static_cast<long long>(bdw.groups.size()))
+            .addArg("imbalance_permille",
+                    static_cast<long long>(imbalance * 1000.0));
         tracer.stepSpan("plan", "alg2-bdw", plan_track, std::move(ev));
     }
 
     // Steps (8)-(9): interconnect mode.
-    const auto reconfig =
-        reconfigurationUnit_.configure(options_.reconfigurableNoc);
+    const InterconnectMode mode =
+        configureInterconnect(options_.reconfigurableNoc);
     {
         TraceEvent ev;
         ev.addArg("topology",
-                  std::string(noc::topologyKindName(reconfig.topology)))
+                  std::string(noc::topologyKindName(mode.topology)))
             .addArg("reconfig_events_per_snapshot",
                     static_cast<long long>(
-                        reconfig.reconfigEventsPerSnapshot));
+                        mode.reconfigEventsPerSnapshot));
         tracer.stepSpan("plan", "relink-config", plan_track, std::move(ev));
     }
     if (tracer.metricsEnabled()) {
         tracer.addMetric("plan.prepares", 1);
         tracer.addMetric("plan.tiling_factor_sum",
-                         lastPlan_.tiling.tilingFactor);
+                         parallel.tiling.tilingFactor);
     }
-    hw = hw_;
-    hw.noc.topology = reconfig.topology;
+    sim::AcceleratorConfig hw = hw_;
+    hw.noc.topology = mode.topology;
 
     // Step (7): redundant-free execution policy feeding the engine.
-    engine_options = sim::EngineOptions{};
+    sim::EngineOptions engine_options;
     engine_options.algo = model::AlgoKind::DiTileAlg;
     // Access-minimizing tiling forms subgraphs around connectivity;
     // without the parallelism strategy the subgraphs respect no
     // locality (the adjuster already doubled the tiling factor).
     engine_options.accounting.crossFetchFraction =
-        lastPlan_.tiling.crossFetchFraction(
+        parallel.tiling.crossFetchFraction(
             options_.parallelismStrategy
                 ? tiling::kOptimizedTilingLocality : 1.0);
     engine_options.reuseFifoForwarding = true;
     engine_options.detailedTileTiming = options_.detailedTileTiming;
     engine_options.adaptiveRelink = options_.reconfigurableNoc;
     engine_options.reconfigEventsPerSnapshot =
-        reconfig.reconfigEventsPerSnapshot;
+        mode.reconfigEventsPerSnapshot;
     // Uneven load skews the distributed-buffer occupancy: the hot
     // tiles overflow and re-fetch, so off-chip traffic grows with the
     // partition imbalance (paper §7.3's "uneven data distribution ...
     // leading to increased DRAM access").
-    engine_options.dramTrafficScale = std::min(
-        1.25, 1.0 + 0.08 * (lastMapping_.imbalance - 1.0));
+    engine_options.dramTrafficScale =
+        std::min(1.25, 1.0 + 0.08 * (imbalance - 1.0));
 
-    mapping = sim::MappingSpec{};
-    mapping.rowPartition = lastMapping_.rowPartition;
-    mapping.snapshotColumn = lastMapping_.snapshotColumn;
-}
-
-sim::ExecutionPlan
-DiTileAccelerator::plan(const graph::DynamicGraph &dg,
-                        const model::DgnnConfig &model_config,
-                        sim::PlanCache *cache)
-{
-    return plan(dg, model_config, cache, nullptr);
-}
-
-sim::ExecutionPlan
-DiTileAccelerator::plan(const graph::DynamicGraph &dg,
-                        const model::DgnnConfig &model_config,
-                        sim::PlanCache *cache, SharedFrontEnd *shared)
-{
-    sim::AcceleratorConfig hw;
     sim::MappingSpec mapping;
-    sim::EngineOptions engine_options;
-    prepare(dg, model_config, hw, mapping, engine_options, shared);
+    mapping.rowPartition = std::move(bdw.rowPartition);
+    mapping.snapshotColumn = std::move(bdw.snapshotColumn);
     sim::ExecutionPlan plan = sim::buildEnginePlan(
         dg, model_config, hw, mapping, engine_options, name(), cache);
-    plan.parallel = lastPlan_;
-    plan.groups = lastMapping_.groups;
+    plan.parallel = std::move(parallel);
+    plan.groups = std::move(bdw.groups);
     return plan;
-}
-
-sim::TrainingResult
-DiTileAccelerator::runTraining(const graph::DynamicGraph &dg,
-                               const model::DgnnConfig &model_config)
-{
-    sim::AcceleratorConfig hw;
-    sim::MappingSpec mapping;
-    sim::EngineOptions engine_options;
-    prepare(dg, model_config, hw, mapping, engine_options);
-    return sim::runTrainingIteration(dg, model_config, hw, mapping,
-                                     engine_options, name());
 }
 
 } // namespace ditile::core

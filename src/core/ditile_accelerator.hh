@@ -7,7 +7,8 @@
  * dynamic workload generation (Algorithm 2) -> redundant-free
  * execution planning -> NoC reconfiguration -> execution on the
  * reconfigurable distributed tile array. The three contribution
- * toggles drive the Figure-11(b) ablation variants.
+ * toggles drive the Figure-11(b) ablation variants. Build
+ * accelerators by name through core/catalog.hh.
  */
 
 #ifndef DITILE_CORE_DITILE_ACCELERATOR_HH
@@ -15,10 +16,7 @@
 
 #include <string>
 
-#include "core/units.hh"
 #include "sim/accelerator.hh"
-#include "sim/baselines.hh"
-#include "sim/training_engine.hh"
 
 namespace ditile::core {
 
@@ -41,7 +39,12 @@ struct DiTileOptions
 };
 
 /**
- * The DiTile-DGNN accelerator model.
+ * The DiTile-DGNN accelerator model. It holds only its hardware and
+ * options: plan() is a pure function of (graph, model config, plan
+ * cache, this configuration), and every front-end output it derives
+ * (Algorithm 1's parallel plan, Algorithm 2's mapping and groups)
+ * travels in the returned ExecutionPlan. One instance serves any
+ * number of threads.
  */
 class DiTileAccelerator : public sim::Accelerator
 {
@@ -60,7 +63,7 @@ class DiTileAccelerator : public sim::Accelerator
      */
     sim::ExecutionPlan plan(const graph::DynamicGraph &dg,
                             const model::DgnnConfig &model_config,
-                            sim::PlanCache *cache = nullptr) override;
+                            sim::PlanCache *cache = nullptr) const override;
 
     /**
      * Same plan, drawing the graph-determined front-end prefix
@@ -71,50 +74,14 @@ class DiTileAccelerator : public sim::Accelerator
     sim::ExecutionPlan plan(const graph::DynamicGraph &dg,
                             const model::DgnnConfig &model_config,
                             sim::PlanCache *cache,
-                            SharedFrontEnd *shared);
-
-    /**
-     * Simulate one training iteration (paper §4.1's extension): the
-     * same Algorithm-1/2 front end, plus backward sweep, gradient
-     * all-reduce, and optimizer update.
-     */
-    sim::TrainingResult runTraining(
-        const graph::DynamicGraph &dg,
-        const model::DgnnConfig &model_config);
-
-    /** Algorithm-1 output of the most recent run (Fig. 10 inputs). */
-    const tiling::ParallelPlan &lastPlan() const { return lastPlan_; }
-
-    /** BDW mapping of the most recent run. */
-    const BalancedWorkloadGenerator::Output &lastMapping() const
-    {
-        return lastMapping_;
-    }
+                            SharedFrontEnd *shared) const;
 
     const DiTileOptions &options() const { return options_; }
     const sim::AcceleratorConfig &hardware() const { return hw_; }
 
   private:
-    /**
-     * Runs the Figure-5 front end and emits the engine inputs. A
-     * non-null shared front end supplies the loads and Algorithm-1
-     * prefix (built once per batch); the Alg-2/Re-Link tail always
-     * runs per variant.
-     */
-    void prepare(const graph::DynamicGraph &dg,
-                 const model::DgnnConfig &model_config,
-                 sim::AcceleratorConfig &hw, sim::MappingSpec &mapping,
-                 sim::EngineOptions &engine_options,
-                 SharedFrontEnd *shared = nullptr);
-
     sim::AcceleratorConfig hw_;
     DiTileOptions options_;
-    WorkloadComputationUnit workloadUnit_;
-    ParallelizationStrategyAdjuster strategyAdjuster_;
-    BalancedWorkloadGenerator workloadGenerator_;
-    ReconfigurationUnit reconfigurationUnit_;
-    tiling::ParallelPlan lastPlan_;
-    BalancedWorkloadGenerator::Output lastMapping_;
 };
 
 } // namespace ditile::core

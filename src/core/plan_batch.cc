@@ -31,7 +31,7 @@ SharedFrontEnd::loads(const graph::DynamicGraph &dg,
     if (loadLayers_ != layers) {
         DITILE_ASSERT(loadLayers_ < 0,
                       "SharedFrontEnd reused across model configs");
-        loads_ = workloadUnit_.computeLoads(dg, model_config);
+        loads_ = workload::computeVertexLoads(dg, layers);
         loadLayers_ = layers;
     }
     return loads_;
@@ -55,8 +55,7 @@ SharedFrontEnd::strategy(const graph::DynamicGraph &dg,
     entry.optimize = optimize;
     entry.totalTiles = tiles;
     entry.distBufferBytes = hw.distBufferBytes;
-    entry.plan =
-        strategyAdjuster_.adjust(dg, model_config, hw, optimize);
+    entry.plan = adjustStrategy(dg, model_config, hw, optimize);
     strategies_.push_back(std::move(entry));
     return strategies_.back().plan;
 }

@@ -75,8 +75,6 @@ class SharedFrontEnd
     std::vector<double> loads_;
     // Deque: returned references stay valid as entries accumulate.
     std::deque<StrategyEntry> strategies_;
-    WorkloadComputationUnit workloadUnit_;
-    ParallelizationStrategyAdjuster strategyAdjuster_;
 };
 
 } // namespace ditile::core

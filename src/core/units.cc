@@ -29,9 +29,9 @@ residentDims(const graph::DynamicGraph &dg,
 } // namespace
 
 tiling::ParallelPlan
-ParallelizationStrategyAdjuster::adjust(
-    const graph::DynamicGraph &dg, const model::DgnnConfig &model_config,
-    const sim::AcceleratorConfig &hw, bool optimize) const
+adjustStrategy(const graph::DynamicGraph &dg,
+               const model::DgnnConfig &model_config,
+               const sim::AcceleratorConfig &hw, bool optimize)
 {
     const auto app = tiling::ApplicationFeatures::fromGraph(
         dg, model_config.numGcnLayers(), residentDims(dg, model_config),
@@ -89,14 +89,13 @@ ParallelizationStrategyAdjuster::adjust(
     return plan;
 }
 
-BalancedWorkloadGenerator::Output
-BalancedWorkloadGenerator::generate(const graph::DynamicGraph &dg,
-                                    const std::vector<double> &loads,
-                                    const tiling::ParallelPlan &plan,
-                                    const sim::AcceleratorConfig &hw,
-                                    bool balance) const
+WorkloadMapping
+generateWorkload(const graph::DynamicGraph &dg,
+                 const std::vector<double> &loads,
+                 const tiling::ParallelPlan &plan,
+                 const sim::AcceleratorConfig &hw, bool balance)
 {
-    Output out;
+    WorkloadMapping out;
     const int parts = clamp(plan.parallelism.vertexParts, 1,
                             hw.tileRows);
     if (balance) {
@@ -105,7 +104,6 @@ BalancedWorkloadGenerator::generate(const graph::DynamicGraph &dg,
         out.rowPartition = graph::VertexPartition::contiguous(
             dg.numVertices(), parts);
     }
-    out.imbalance = out.rowPartition.imbalance(loads);
 
     // Snapshot -> column: Gs groups laid left-to-right, each owning a
     // contiguous band of columns; snapshots inside a group rotate over
@@ -130,10 +128,10 @@ BalancedWorkloadGenerator::generate(const graph::DynamicGraph &dg,
     return out;
 }
 
-ReconfigurationUnit::Output
-ReconfigurationUnit::configure(bool reconfigurable) const
+InterconnectMode
+configureInterconnect(bool reconfigurable)
 {
-    Output out;
+    InterconnectMode out;
     if (reconfigurable) {
         out.topology = noc::TopologyKind::Reconfigurable;
         // Two Re-Link mode switches per snapshot: one entering the

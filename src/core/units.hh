@@ -1,14 +1,15 @@
 /**
  * @file
- * The DiTile-DGNN front-end units of Figure 5 (a).
+ * The DiTile-DGNN front-end units of Figure 5 (a), as functions.
  *
  * The accelerator overview names four pre-execution blocks: the
- * Workload Computation Unit (per-vertex load labels), the
- * Parallelization Strategy Adjuster (Algorithm 1), the Balanced and
- * Dynamic Workload Generator (Algorithm 2 + BDW reservoir), and the
- * Reconfiguration Unit (NoC mode selection). Each is a small class
- * here so the orchestration in DiTileAccelerator::run() reads like the
- * paper's step (1)-(9) walkthrough.
+ * Workload Computation Unit (per-vertex load labels, which is
+ * workload::computeVertexLoads), the Parallelization Strategy
+ * Adjuster (Algorithm 1), the Balanced and Dynamic Workload Generator
+ * (Algorithm 2 + BDW reservoir), and the Reconfiguration Unit (NoC
+ * mode selection). Each is a pure function of its inputs, so
+ * DiTileAccelerator::plan() reads like the paper's step (1)-(9)
+ * walkthrough and SharedFrontEnd memoizes the same calls.
  */
 
 #ifndef DITILE_CORE_UNITS_HH
@@ -27,82 +28,54 @@
 namespace ditile::core {
 
 /**
- * Step (2): computes the per-vertex workload labels for the whole
- * dynamic graph (Algorithm 2 lines 1-8 / Eq. 17).
- */
-class WorkloadComputationUnit
-{
-  public:
-    std::vector<double>
-    computeLoads(const graph::DynamicGraph &dg,
-                 const model::DgnnConfig &model_config) const
-    {
-        return workload::computeVertexLoads(
-            dg, model_config.numGcnLayers());
-    }
-};
-
-/**
  * Step (3): derives the tiling factor and parallel factors from the
  * application and hardware features (Algorithm 1).
+ *
+ * @param optimize Run the full Algorithm 1 search; when false the
+ *        adjuster returns the naive static strategy (per-snapshot
+ *        temporal spread, all rows, fragmented tiling) used by the
+ *        NoPs ablation.
  */
-class ParallelizationStrategyAdjuster
+tiling::ParallelPlan
+adjustStrategy(const graph::DynamicGraph &dg,
+               const model::DgnnConfig &model_config,
+               const sim::AcceleratorConfig &hw, bool optimize);
+
+/** Steps (4)-(6) output: the balanced and dynamic workload (BDW)
+ *  mapping the tile array consumes. */
+struct WorkloadMapping
 {
-  public:
-    /**
-     * @param optimize Run the full Algorithm 1 search; when false the
-     *        adjuster returns the naive static strategy (per-snapshot
-     *        temporal spread, all rows, fragmented tiling) used by the
-     *        NoPs ablation.
-     */
-    tiling::ParallelPlan
-    adjust(const graph::DynamicGraph &dg,
-           const model::DgnnConfig &model_config,
-           const sim::AcceleratorConfig &hw, bool optimize) const;
+    graph::VertexPartition rowPartition;
+    std::vector<int> snapshotColumn;
+    std::vector<workload::BalancedGroup> groups;
 };
 
 /**
- * Steps (4)-(6): turns loads + parallel factors into the balanced and
- * dynamic workload (BDW) mapping the tile array consumes.
+ * Steps (4)-(6): turns loads + parallel factors into the BDW mapping.
+ *
+ * @param balance Apply Algorithm 2's sort + round-robin; when false
+ *        vertices are placed contiguously (NoWos ablation).
  */
-class BalancedWorkloadGenerator
-{
-  public:
-    struct Output
-    {
-        graph::VertexPartition rowPartition;
-        std::vector<int> snapshotColumn;
-        std::vector<workload::BalancedGroup> groups;
-        double imbalance = 1.0;
-    };
+WorkloadMapping
+generateWorkload(const graph::DynamicGraph &dg,
+                 const std::vector<double> &loads,
+                 const tiling::ParallelPlan &plan,
+                 const sim::AcceleratorConfig &hw, bool balance);
 
-    /**
-     * @param balance Apply Algorithm 2's sort + round-robin; when
-     *        false vertices are placed contiguously (NoWos ablation).
-     */
-    Output
-    generate(const graph::DynamicGraph &dg,
-             const std::vector<double> &loads,
-             const tiling::ParallelPlan &plan,
-             const sim::AcceleratorConfig &hw, bool balance) const;
+/** Step (9) output: the interconnect operating mode. */
+struct InterconnectMode
+{
+    noc::TopologyKind topology = noc::TopologyKind::Reconfigurable;
+    std::uint64_t reconfigEventsPerSnapshot = 0;
 };
 
 /**
  * Step (9): selects the interconnect operating mode and accounts for
  * the reconfiguration events the Re-Link switches consume.
+ *
+ * @param reconfigurable False selects the fixed mesh (NoRa).
  */
-class ReconfigurationUnit
-{
-  public:
-    struct Output
-    {
-        noc::TopologyKind topology = noc::TopologyKind::Reconfigurable;
-        std::uint64_t reconfigEventsPerSnapshot = 0;
-    };
-
-    /** @param reconfigurable False selects the fixed mesh (NoRa). */
-    Output configure(bool reconfigurable) const;
-};
+InterconnectMode configureInterconnect(bool reconfigurable);
 
 } // namespace ditile::core
 

@@ -252,9 +252,6 @@ class Server
      */
     void restoreState(const ServerCheckpoint &checkpoint);
 
-    /** Server-wide live fault spec (merged `fault` verbs). */
-    const sim::FaultSpec &activeFaults() const { return activeFaults_; }
-
   private:
     struct Tenant;
     struct PendingQuery;

@@ -28,6 +28,10 @@ class PlanCache;
  * of a plan at any thread count. run() is the one-shot convenience
  * combining both — `run(dg, m)` and `execute(dg, plan(dg, m))` return
  * bit-identical results (asserted by plan_test.cc).
+ *
+ * An accelerator is a stateless plan builder: plan() is `const` and a
+ * function of its arguments and the accelerator's configuration alone,
+ * so one instance plans for any number of threads at once.
  */
 class Accelerator
 {
@@ -44,20 +48,20 @@ class Accelerator
      */
     virtual ExecutionPlan plan(const graph::DynamicGraph &dg,
                                const model::DgnnConfig &model_config,
-                               PlanCache *cache = nullptr) = 0;
+                               PlanCache *cache = nullptr) const = 0;
 
     /** Replay a previously built plan. */
     RunResult
     execute(const graph::DynamicGraph &dg,
-            const ExecutionPlan &execution_plan)
+            const ExecutionPlan &execution_plan) const
     {
         return executePlan(dg, execution_plan);
     }
 
     /** Simulate one full inference (plan + execute). */
-    virtual RunResult
+    RunResult
     run(const graph::DynamicGraph &dg,
-        const model::DgnnConfig &model_config)
+        const model::DgnnConfig &model_config) const
     {
         return execute(dg, plan(dg, model_config));
     }

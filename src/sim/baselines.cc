@@ -83,7 +83,7 @@ class BaselineAccelerator : public Accelerator
     ExecutionPlan
     plan(const graph::DynamicGraph &dg,
          const model::DgnnConfig &model_config,
-         PlanCache *cache = nullptr) override
+         PlanCache *cache = nullptr) const override
     {
         const auto tiled = baselineTiling(dg, model_config, hw_);
         EngineOptions options = options_;
@@ -127,7 +127,7 @@ class MegaAccelerator : public Accelerator
     ExecutionPlan
     plan(const graph::DynamicGraph &dg,
          const model::DgnnConfig &model_config,
-         PlanCache *cache = nullptr) override
+         PlanCache *cache = nullptr) const override
     {
         const auto tiled = baselineTiling(dg, model_config, hw_);
         EngineOptions options;

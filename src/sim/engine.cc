@@ -7,9 +7,8 @@
  * The engine executes an ExecutionPlan: every planning decision (the
  * mapping, the policy knobs, the per-snapshot redundancy-free plans,
  * the reconfiguration schedule) is pure data computed before the first
- * simulated cycle. runEngine() is the legacy one-shot entry point and
- * simply assembles a plan (buildEnginePlan) and replays it, so the two
- * paths are bit-identical by construction.
+ * simulated cycle (buildEnginePlan assembles one from engine inputs;
+ * executePlan replays it).
  *
  * Snapshots mapped to different tile columns are independent by
  * construction (paper §4): given the plan's per-snapshot work sets,
@@ -666,18 +665,6 @@ executePlan(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
     if (cache == nullptr)
         return schedule(evaluate(dg, plan), plan);
     return schedule(*cache->evaluation(dg, plan), plan);
-}
-
-RunResult
-runEngine(const graph::DynamicGraph &dg,
-          const model::DgnnConfig &model_config,
-          const AcceleratorConfig &hw, const MappingSpec &mapping,
-          const EngineOptions &options,
-          const std::string &accelerator_name)
-{
-    return executePlan(dg, buildEnginePlan(dg, model_config, hw,
-                                           mapping, options,
-                                           accelerator_name));
 }
 
 } // namespace ditile::sim

@@ -145,16 +145,6 @@ struct EngineOptions
     bool overlap = false;
 };
 
-/**
- * Execute one DGNN inference and return the full result record.
- */
-RunResult runEngine(const graph::DynamicGraph &dg,
-                    const model::DgnnConfig &model_config,
-                    const AcceleratorConfig &hw,
-                    const MappingSpec &mapping,
-                    const EngineOptions &options,
-                    const std::string &accelerator_name);
-
 } // namespace ditile::sim
 
 #endif // DITILE_SIM_ENGINE_HH

@@ -18,9 +18,10 @@ PinnedFaults::PinnedFaults(FaultSpec spec)
 
 ConcurrentRunner::ConcurrentRunner(AcceleratorFactory factory,
                                    std::size_t plan_capacity)
-    : factory_(std::move(factory))
 {
-    DITILE_ASSERT(factory_, "ConcurrentRunner needs a factory");
+    DITILE_ASSERT(factory, "ConcurrentRunner needs a factory");
+    accel_ = factory();
+    DITILE_ASSERT(accel_, "accelerator factory returned null");
     cache_.setCapacity(plan_capacity);
 }
 
@@ -52,9 +53,7 @@ ConcurrentRunner::infer(const graph::DynamicGraph &dg,
     if (hit)
         return outcome;
 
-    auto accel = factory_();
-    DITILE_ASSERT(accel, "accelerator factory returned null");
-    auto plan = accel->plan(dg, config, &cache_);
+    auto plan = accel_->plan(dg, config, &cache_);
     plan.options.overlap = true;
     if (!faults.spec().empty())
         plan.faults = faults.spec();

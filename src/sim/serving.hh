@@ -2,32 +2,25 @@
  * @file
  * Re-entrant, memoizing plan+execute entry for concurrent tenants.
  *
- * The batch CLIs call Accelerator::plan()/execute() from one thread
- * per accelerator object, which lets the concrete accelerators keep
- * convenience state from the last run (DiTileAccelerator::lastPlan()
- * et al.). The serving tier breaks that assumption: one logical
- * accelerator answers queries for many tenants concurrently inside a
- * parallelFor batch.
+ * The serving tier answers queries for many tenants concurrently
+ * inside a parallelFor batch. ConcurrentRunner needs no lock for that:
+ * it calls its factory once, at construction, and every infer() plans
+ * through that one `const` accelerator, whose plan() is a pure
+ * function of its arguments (sim/accelerator.hh). The per-snapshot
+ * SnapshotPlans are shared through the internally synchronized
+ * PlanCache, and executePlan() is a pure replay over const inputs
+ * whose internal parallelFor nests safely in the global pool.
  *
- * ConcurrentRunner restores re-entrancy by construction instead of by
- * locking: every executed infer() builds a *fresh* accelerator
- * instance from the injected factory, so all mutable planner state is
- * confined to the call. The per-snapshot SnapshotPlans are shared
- * through the internally synchronized PlanCache, and executePlan() is
- * a pure replay over const inputs whose internal parallelFor nests
- * safely in the global pool.
- *
- * Because the runner's factory fixes the hardware and always runs the
- * overlap task graph, an inference is a pure function of (plan key,
- * fault spec). The runner therefore memoizes the compact outcome of
- * every successful run under that pair: a repeat query on a quiet
- * tenant costs one key lookup and never builds an accelerator, plans
- * or executes. The memo lives here rather than in the PlanCache
- * because a PlanCache may be shared by accelerator families (ReaDy
- * and DGNN-Booster share Re-Alg) or chips, where a plan key alone
- * does not identify the executor. It is
- * bounded by the plan cache's LRU: evictToCapacity() drops a plan
- * key's outcomes together with its plan set.
+ * Because the runner's accelerator fixes the hardware and the runner
+ * always runs the overlap task graph, an inference is a pure function
+ * of (plan key, fault spec). The runner therefore memoizes the compact
+ * outcome of every successful run under that pair: a repeat query on a
+ * quiet tenant costs one key lookup and never plans or executes. The
+ * memo lives here rather than in the PlanCache because a PlanCache
+ * may be shared by accelerator families (ReaDy and DGNN-Booster share
+ * Re-Alg) or chips, where a plan key alone does not identify the
+ * executor. It is bounded by the plan cache's LRU: evictToCapacity()
+ * drops a plan key's outcomes together with its plan set.
  */
 
 #ifndef DITILE_SIM_SERVING_HH
@@ -46,7 +39,8 @@
 
 namespace ditile::sim {
 
-/** Builds a fresh accelerator instance per call. */
+/** Builds the accelerator a ConcurrentRunner serves with; the runner
+ *  calls it once, at construction. */
 using AcceleratorFactory =
     std::function<std::unique_ptr<Accelerator>()>;
 
@@ -88,7 +82,10 @@ class PinnedFaults
 class ConcurrentRunner
 {
   public:
-    /** `plan_capacity` bounds the plan cache (0 = unbounded). */
+    /**
+     * Builds the runner's one accelerator from `factory`.
+     * `plan_capacity` bounds the plan cache (0 = unbounded).
+     */
     explicit ConcurrentRunner(AcceleratorFactory factory,
                               std::size_t plan_capacity = 0);
 
@@ -153,7 +150,7 @@ class ConcurrentRunner
     const QueryOutcome *memoized(std::uint64_t key,
                                  std::uint64_t faults) const;
 
-    AcceleratorFactory factory_;
+    std::unique_ptr<const Accelerator> accel_;
     PlanCache cache_;
 
     mutable std::mutex mutex_; ///< Guards algo_ and memo_.

@@ -56,15 +56,13 @@ allReduceStepCycles(const AcceleratorConfig &hw, ByteCount chunk_bytes)
 
 TrainingResult
 runTrainingIteration(const graph::DynamicGraph &dg,
-                     const model::DgnnConfig &model_config,
-                     const AcceleratorConfig &hw,
-                     const MappingSpec &mapping,
-                     const EngineOptions &options,
-                     const std::string &accelerator_name)
+                     const ExecutionPlan &plan)
 {
+    const model::DgnnConfig &model_config = plan.modelConfig;
+    const AcceleratorConfig &hw = plan.hw;
+    const EngineOptions &options = plan.options;
     TrainingResult result;
-    result.forward = runEngine(dg, model_config, hw, mapping, options,
-                               accelerator_name);
+    result.forward = executePlan(dg, plan);
     result.ops = model::countTrainingOps(dg, model_config,
                                          options.algo);
 

@@ -24,7 +24,7 @@
 #define DITILE_SIM_TRAINING_ENGINE_HH
 
 #include "model/training.hh"
-#include "sim/engine.hh"
+#include "sim/execution_plan.hh"
 
 namespace ditile::sim {
 
@@ -53,14 +53,12 @@ struct TrainingResult
 };
 
 /**
- * Simulate one training iteration over the dynamic graph.
+ * Simulate one training iteration over the dynamic graph: the plan's
+ * inference as the forward pass, then the backward sweep, all-reduce
+ * and update on the plan's hardware and mapping.
  */
 TrainingResult runTrainingIteration(const graph::DynamicGraph &dg,
-                                    const model::DgnnConfig &model_config,
-                                    const AcceleratorConfig &hw,
-                                    const MappingSpec &mapping,
-                                    const EngineOptions &options,
-                                    const std::string &accelerator_name);
+                                    const ExecutionPlan &plan);
 
 } // namespace ditile::sim
 

@@ -116,6 +116,7 @@ IDENTICAL = [  # (name, tool, invocations that agree, files, validator)
     ("task_dump", "ditile_inspect", widths(
         ["plan", "--tasks={out}/tasks.json"] + RUN + ["--accel=ditile"]),
      ["tasks.json"], task_dump),
+    ("mapping", "ditile_inspect", widths(["mapping"] + RUN), [], None),
     ("chips2", "ditile_run", widths(RUN + DITILE + ["--chips=2"]), [], None),
     ("chips4", "ditile_run", widths(RUN + DITILE + ["--chips=4"]), [], None),
     ("scaleout_trace", "ditile_run", widths(

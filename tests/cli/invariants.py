@@ -11,10 +11,13 @@ equal rows whichever thread ran them, and the workload digest cache
 hits. A failing grid point, an invalid link or SIGINT still leave a
 CSV with its header, and the sweep says why on stderr. A scale-out
 plan replayed over a workload with another snapshot count exits 1.
+An unknown accelerator or DiTile variant exits 1 with the catalog's
+one message, which lists the valid names.
 """
 
 import csv
 import io
+import re
 import signal
 
 from clitest import digest_hits, main
@@ -44,6 +47,15 @@ FAILING_SWEEPS = [  # (args, stdout pattern, stderr pattern), exit 1
 # exit 1 with the count check's message.
 MISMATCHED_PLANS = [("mega", 4, 8), ("mega", 8, 4), ("ditile", 4, 8),
                     ("ditile", 8, 4)]
+
+ACCELS = "ready|booster|race|mega|ditile"
+VARIANTS = "full|NoPs|NoWos|NoRa|OnlyPs|OnlyWos|OnlyRa"
+UNKNOWN_NAMES = [  # (tool, args, name kind, valid names), exit 1
+    ("ditile_run", ["--accel=bogus"], "accelerator", ACCELS),
+    ("ditile_inspect", ["plan", "--dump", "--accel=bogus"], "accelerator",
+     ACCELS),
+    ("ditile_serve", ["--variant=bogus"], "DiTile variant", VARIANTS),
+]
 
 
 def rows(text):
@@ -121,6 +133,14 @@ def mismatched_plans(cli):
                                                      executed))
 
 
+def unknown_names(cli):
+    for tool, args, what, choices in UNKNOWN_NAMES:
+        proc = cli.run(tool, args, status=1)
+        cli.expect_match(r"^fatal: unknown %s 'bogus' \(expected %s\)$"
+                         % (what, re.escape(choices)), proc.stderr,
+                         "%s %s" % (tool, " ".join(args)))
+
+
 def sweep_interrupt(cli):
     """SIGINT once the header is out: the point in flight finishes,
     the rest are skipped, and the partial CSV is flushed (exit 130).
@@ -140,4 +160,5 @@ def sweep_interrupt(cli):
 if __name__ == "__main__":
     raise SystemExit(main([run_overlap_not_slower, sweep_overlap_not_slower,
                            equal_points_equal_rows, failing_sweeps,
-                           mismatched_plans, sweep_interrupt]))
+                           mismatched_plans, unknown_names,
+                           sweep_interrupt]))

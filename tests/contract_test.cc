@@ -16,6 +16,7 @@
 #include "graph/dynamic_graph.hh"
 #include "graph/generator.hh"
 #include "sim/engine.hh"
+#include "sim/execution_plan.hh"
 #include "tiling/optimizer.hh"
 
 namespace ditile {
@@ -147,8 +148,10 @@ TEST(ContractEngine, WrongPartitionSizeThrows)
     mapping.snapshotColumn = {0, 1};
     // A mapping made for another workload is rejected input (a plan
     // file may carry it), not a process abort.
-    expectInputError([&] { sim::runEngine(dg, mconfig, hw, mapping, {},
-                                          "x"); },
+    expectInputError([&] {
+        sim::executePlan(dg, sim::buildEnginePlan(dg, mconfig, hw,
+                                                  mapping, {}, "x"));
+    },
                      "cover the graph");
 }
 
@@ -168,8 +171,10 @@ TEST(ContractEngine, MissingColumnMapThrows)
     mapping.rowPartition = graph::VertexPartition::contiguous(
         dg.numVertices(), hw.tileRows);
     mapping.snapshotColumn = {0}; // T = 3 but one entry.
-    expectInputError([&] { sim::runEngine(dg, mconfig, hw, mapping, {},
-                                          "x"); },
+    expectInputError([&] {
+        sim::executePlan(dg, sim::buildEnginePlan(dg, mconfig, hw,
+                                                  mapping, {}, "x"));
+    },
                      "cover every snapshot");
 }
 

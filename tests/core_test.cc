@@ -8,6 +8,7 @@
 
 #include "core/analytical_estimator.hh"
 #include "core/ditile_accelerator.hh"
+#include "core/units.hh"
 #include "graph/generator.hh"
 
 namespace ditile::core {
@@ -73,20 +74,31 @@ TEST(DiTileAccelerator, NameReflectsOptions)
     EXPECT_EQ(ablated.name(), "DiTile+Ps-Wos+Ra");
 }
 
+/** The Algorithm-2 imbalance of a plan's row partition. */
+double
+imbalanceOf(const sim::ExecutionPlan &plan,
+            const graph::DynamicGraph &dg,
+            const model::DgnnConfig &config)
+{
+    return plan.mapping.rowPartition.imbalance(
+        workload::computeVertexLoads(dg, config.numGcnLayers()));
+}
+
 TEST(DiTileAccelerator, RunPopulatesPlanAndMapping)
 {
     const auto dg = workload();
     model::DgnnConfig config;
-    DiTileAccelerator accel;
-    const auto result = accel.run(dg, config);
+    const DiTileAccelerator accel;
+    const auto execution_plan = accel.plan(dg, config);
+    const auto result = accel.execute(dg, execution_plan);
     EXPECT_GT(result.totalCycles, 0u);
 
-    const auto &plan = accel.lastPlan();
+    const auto &plan = execution_plan.parallel;
     EXPECT_GE(plan.tiling.tilingFactor, 1);
     EXPECT_GE(plan.parallelism.snapshotGroups, 1);
     EXPECT_GE(plan.parallelism.vertexParts, 1);
 
-    const auto &mapping = accel.lastMapping();
+    const auto &mapping = execution_plan.mapping;
     EXPECT_EQ(mapping.rowPartition.numVertices(), dg.numVertices());
     ASSERT_EQ(static_cast<SnapshotId>(mapping.snapshotColumn.size()),
               dg.numSnapshots());
@@ -96,21 +108,20 @@ TEST(DiTileAccelerator, RunPopulatesPlanAndMapping)
         EXPECT_LT(c, hw.tileCols);
     }
     EXPECT_LE(mapping.rowPartition.numParts(), hw.tileRows);
-    EXPECT_FALSE(mapping.groups.empty());
-    EXPECT_GE(mapping.imbalance, 1.0);
+    EXPECT_FALSE(execution_plan.groups.empty());
+    EXPECT_GE(imbalanceOf(execution_plan, dg, config), 1.0);
 }
 
 TEST(DiTileAccelerator, BalancedMappingBeatsUnbalanced)
 {
     const auto dg = workload();
     model::DgnnConfig config;
-    DiTileAccelerator balanced;
-    DiTileAccelerator unbalanced(sim::AcceleratorConfig::defaults(),
-                                 DiTileOptions::fromVariant("NoWos"));
-    balanced.run(dg, config);
-    unbalanced.run(dg, config);
-    EXPECT_LT(balanced.lastMapping().imbalance,
-              unbalanced.lastMapping().imbalance);
+    const DiTileAccelerator balanced;
+    const DiTileAccelerator unbalanced(
+        sim::AcceleratorConfig::defaults(),
+        DiTileOptions::fromVariant("NoWos"));
+    EXPECT_LT(imbalanceOf(balanced.plan(dg, config), dg, config),
+              imbalanceOf(unbalanced.plan(dg, config), dg, config));
 }
 
 TEST(DiTileAccelerator, Deterministic)
@@ -152,15 +163,16 @@ TEST(AnalyticalEstimator, PositiveAndScaleConsistent)
 {
     const auto dg = workload();
     model::DgnnConfig config;
-    DiTileAccelerator accel;
-    const auto result = accel.run(dg, config);
+    const DiTileAccelerator accel;
+    const auto plan = accel.plan(dg, config);
+    const auto result = accel.execute(dg, plan);
 
     int boundaries = 0;
-    const auto &cols = accel.lastMapping().snapshotColumn;
+    const auto &cols = plan.mapping.snapshotColumn;
     for (std::size_t t = 1; t < cols.size(); ++t)
         boundaries += cols[t] != cols[t - 1];
 
-    const auto est = estimateTraffic(dg, config, accel.lastPlan(),
+    const auto est = estimateTraffic(dg, config, plan.parallel,
                                      boundaries);
     EXPECT_GT(est.dramBytes, 0.0);
     EXPECT_GT(est.onChipBytes, 0.0);
@@ -188,9 +200,8 @@ TEST(AnalyticalEstimator, GrowsWithHorizon)
     for (SnapshotId t_count : {2, 6, 12}) {
         gconfig.numSnapshots = t_count;
         const auto dg = graph::generateDynamicGraph(gconfig);
-        DiTileAccelerator accel;
-        accel.run(dg, config);
-        const auto est = estimateTraffic(dg, config, accel.lastPlan(),
+        const auto plan = DiTileAccelerator().plan(dg, config);
+        const auto est = estimateTraffic(dg, config, plan.parallel,
                                          t_count - 1);
         EXPECT_GT(est.dramBytes, prev);
         prev = est.dramBytes;
@@ -201,10 +212,9 @@ TEST(AnalyticalEstimator, BoundaryCountScalesBoundaryTraffic)
 {
     model::DgnnConfig config;
     const auto dg = workload();
-    DiTileAccelerator accel;
-    accel.run(dg, config);
-    const auto none = estimateTraffic(dg, config, accel.lastPlan(), 0);
-    const auto many = estimateTraffic(dg, config, accel.lastPlan(), 5);
+    const auto plan = DiTileAccelerator().plan(dg, config);
+    const auto none = estimateTraffic(dg, config, plan.parallel, 0);
+    const auto many = estimateTraffic(dg, config, plan.parallel, 5);
     EXPECT_GT(many.onChipBytes, none.onChipBytes);
     EXPECT_DOUBLE_EQ(many.dramBytes, none.dramBytes);
 }
@@ -222,10 +232,8 @@ TEST(AnalyticalEstimator, GrowsWithDissimilarity)
     for (double dis : {0.02, 0.10, 0.25}) {
         gconfig.dissimilarity = dis;
         const auto dg = graph::generateDynamicGraph(gconfig);
-        DiTileAccelerator accel;
-        accel.run(dg, config);
-        const auto est = estimateTraffic(dg, config, accel.lastPlan(),
-                                         3);
+        const auto plan = DiTileAccelerator().plan(dg, config);
+        const auto est = estimateTraffic(dg, config, plan.parallel, 3);
         EXPECT_GT(est.dramBytes, prev_dram);
         prev_dram = est.dramBytes;
     }
@@ -233,11 +241,10 @@ TEST(AnalyticalEstimator, GrowsWithDissimilarity)
 
 TEST(ReconfigurationUnit, ModesMatchOptions)
 {
-    ReconfigurationUnit unit;
-    const auto on = unit.configure(true);
+    const auto on = configureInterconnect(true);
     EXPECT_EQ(on.topology, noc::TopologyKind::Reconfigurable);
     EXPECT_GT(on.reconfigEventsPerSnapshot, 0u);
-    const auto off = unit.configure(false);
+    const auto off = configureInterconnect(false);
     EXPECT_EQ(off.topology, noc::TopologyKind::Mesh);
     EXPECT_EQ(off.reconfigEventsPerSnapshot, 0u);
 }
@@ -247,9 +254,8 @@ TEST(StrategyAdjuster, NaiveStrategyFragmentsTiling)
     const auto dg = workload();
     model::DgnnConfig config;
     const auto hw = sim::AcceleratorConfig::defaults();
-    ParallelizationStrategyAdjuster adjuster;
-    const auto optimized = adjuster.adjust(dg, config, hw, true);
-    const auto naive = adjuster.adjust(dg, config, hw, false);
+    const auto optimized = adjustStrategy(dg, config, hw, true);
+    const auto naive = adjustStrategy(dg, config, hw, false);
     EXPECT_GE(naive.tiling.tilingFactor,
               optimized.tiling.tilingFactor);
     EXPECT_GE(naive.tiling.refetchFactor,
@@ -261,12 +267,10 @@ TEST(WorkloadGenerator, GroupsCoverEverySnapshot)
     const auto dg = workload();
     model::DgnnConfig config;
     const auto hw = sim::AcceleratorConfig::defaults();
-    ParallelizationStrategyAdjuster adjuster;
-    const auto plan = adjuster.adjust(dg, config, hw, true);
-    WorkloadComputationUnit wcu;
-    const auto loads = wcu.computeLoads(dg, config);
-    BalancedWorkloadGenerator generator;
-    const auto out = generator.generate(dg, loads, plan, hw, true);
+    const auto plan = adjustStrategy(dg, config, hw, true);
+    const auto loads =
+        workload::computeVertexLoads(dg, config.numGcnLayers());
+    const auto out = generateWorkload(dg, loads, plan, hw, true);
 
     std::vector<bool> covered(
         static_cast<std::size_t>(dg.numSnapshots()), false);

@@ -10,6 +10,7 @@
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
 #include "sim/engine.hh"
+#include "sim/execution_plan.hh"
 
 namespace ditile::sim {
 namespace {
@@ -69,8 +70,9 @@ TEST(Engine, ProducesPopulatedResult)
     const auto dg = workload();
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
-    const auto r = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "test");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "test"));
     EXPECT_EQ(r.acceleratorName, "test");
     EXPECT_EQ(r.workloadName, dg.name());
     EXPECT_GT(r.totalCycles, 0u);
@@ -92,10 +94,12 @@ TEST(Engine, Deterministic)
     const auto dg = workload();
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "b"));
     EXPECT_EQ(a.totalCycles, b.totalCycles);
     EXPECT_EQ(a.nocBytes, b.nocBytes);
     EXPECT_DOUBLE_EQ(a.energy.totalPj(), b.energy.totalPj());
@@ -108,8 +112,9 @@ TEST(Engine, OpsMatchAccountingLayer)
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
     options.algo = model::AlgoKind::RaceAlg;
-    const auto r = runEngine(dg, config, hw, temporalMapping(dg, hw),
-                             options, "x");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, config, hw, temporalMapping(dg, hw), options,
+                            "x"));
     EXPECT_EQ(r.ops.totalArithmetic(),
               model::countTotalOps(dg, config, model::AlgoKind::RaceAlg)
                   .totalArithmetic());
@@ -127,10 +132,12 @@ TEST(Engine, GlobalBarrierNeverFaster)
     EngineOptions plain;
     EngineOptions barrier;
     barrier.globalGnnBarrier = true;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), plain, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), barrier, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            plain, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            barrier, "b"));
     EXPECT_GE(b.totalCycles, a.totalCycles);
 }
 
@@ -142,10 +149,12 @@ TEST(Engine, SmallerMacFractionSlowsCompute)
     EngineOptions half;
     half.gnnMacFraction = 0.5;
     half.rnnMacFraction = 0.5;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), full, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), half, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            full, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            half, "b"));
     EXPECT_GT(b.computeCycles, a.computeCycles);
 }
 
@@ -156,10 +165,12 @@ TEST(Engine, DramTrafficScaleChangesMovedBytes)
     EngineOptions normal;
     EngineOptions reduced;
     reduced.dramTrafficScale = 0.5;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), normal, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), reduced, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            normal, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            reduced, "b"));
     EXPECT_LT(b.energyEvents.dramBytes, a.energyEvents.dramBytes);
     // The algorithmic accounting view stays unscaled.
     EXPECT_EQ(b.dramTraffic.total(), a.dramTraffic.total());
@@ -175,8 +186,9 @@ TEST(Engine, SpatialOnlyMappingRuns)
         dg.numVertices(), hw.totalTiles());
     EngineOptions options;
     options.algo = model::AlgoKind::MegaAlg;
-    const auto r = runEngine(dg, smallModel(), hw, mapping, options,
-                             "mega-like");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, mapping, options,
+                            "mega-like"));
     EXPECT_GT(r.totalCycles, 0u);
     // Spatial-only has no inter-tile temporal or reuse transfers.
     EXPECT_EQ(r.nocBytesTemporal, 0u);
@@ -190,8 +202,9 @@ TEST(Engine, TemporalMappingGeneratesAllTrafficClasses)
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
     options.algo = model::AlgoKind::DiTileAlg;
-    const auto r = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "x");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "x"));
     EXPECT_GT(r.nocBytesSpatial, 0u);
     EXPECT_GT(r.nocBytesTemporal, 0u);
     EXPECT_GT(r.nocBytesReuse, 0u);
@@ -205,10 +218,12 @@ TEST(Engine, ReuseFifoForwardingRoutesReuseEnergy)
     without.algo = model::AlgoKind::DiTileAlg;
     EngineOptions with = without;
     with.reuseFifoForwarding = true;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), without, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), with, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            without, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            with, "b"));
     EXPECT_EQ(a.energyEvents.reuseFifoBytes, 0u);
     EXPECT_GT(b.energyEvents.reuseFifoBytes, 0u);
 }
@@ -219,8 +234,9 @@ TEST(Engine, ReconfigEventsFeedControlEnergy)
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
     options.reconfigEventsPerSnapshot = 4;
-    const auto r = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "x");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "x"));
     EXPECT_EQ(r.energyEvents.reconfigEvents,
               4u * static_cast<std::uint64_t>(dg.numSnapshots()));
 }
@@ -230,8 +246,9 @@ TEST(Engine, TraceCoversEverySnapshot)
     const auto dg = workload();
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
-    const auto r = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "x");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "x"));
     ASSERT_EQ(static_cast<SnapshotId>(r.trace.size()),
               dg.numSnapshots());
     Cycle last_rnn = 0;
@@ -266,11 +283,12 @@ TEST(Engine, DetailedTileTimingAddsOverheads)
     EngineOptions flat;
     EngineOptions detailed;
     detailed.detailedTileTiming = true;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), flat, "flat");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), detailed,
-                             "detailed");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            flat, "flat"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            detailed, "detailed"));
     // Dispatch latency and intra-tile imbalance make the detailed
     // compute slower, but within a bounded envelope of the flat model
     // (the cross-validation claim).
@@ -288,10 +306,12 @@ TEST(Engine, DetailedTileTimingDeterministic)
     const auto hw = AcceleratorConfig::defaults();
     EngineOptions options;
     options.detailedTileTiming = true;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), options, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            options, "b"));
     EXPECT_EQ(a.totalCycles, b.totalCycles);
 }
 
@@ -303,10 +323,12 @@ TEST(Engine, AlgorithmChoiceDrivesTime)
     re.algo = model::AlgoKind::ReAlg;
     EngineOptions ditile;
     ditile.algo = model::AlgoKind::DiTileAlg;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), re, "re");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), ditile, "dt");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw), re,
+                            "re"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            ditile, "dt"));
     EXPECT_GT(a.totalCycles, b.totalCycles);
     EXPECT_GT(a.ops.totalArithmetic(), b.ops.totalArithmetic());
 }
@@ -320,10 +342,12 @@ TEST(Engine, EnergyScalesMultiplyCategories)
     scaled.computeEnergyScale = 3.0;
     scaled.onChipEnergyScale = 2.0;
     scaled.offChipEnergyScale = 1.5;
-    const auto a = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), plain, "a");
-    const auto b = runEngine(dg, smallModel(), hw,
-                             temporalMapping(dg, hw), scaled, "b");
+    const auto a = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            plain, "a"));
+    const auto b = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, temporalMapping(dg, hw),
+                            scaled, "b"));
     EXPECT_NEAR(b.energy.computePj, 3.0 * a.energy.computePj, 1e-6);
     EXPECT_NEAR(b.energy.onChipCommPj, 2.0 * a.energy.onChipCommPj,
                 1e-6);
@@ -346,8 +370,8 @@ TEST(Engine, SingleSnapshotHasNoBoundaryTraffic)
     mapping.rowPartition = graph::VertexPartition::contiguous(
         dg.numVertices(), hw.tileRows);
     mapping.snapshotColumn = {0};
-    const auto r = runEngine(dg, smallModel(), hw, mapping, options,
-                             "one");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, mapping, options, "one"));
     EXPECT_EQ(r.nocBytesTemporal, 0u);
     EXPECT_EQ(r.nocBytesReuse, 0u);
     EXPECT_GT(r.totalCycles, 0u);
@@ -364,8 +388,8 @@ TEST(Engine, SameColumnChainSkipsTemporalMessages)
     // Every snapshot on column 0: hidden state never crosses tiles.
     mapping.snapshotColumn.assign(
         static_cast<std::size_t>(dg.numSnapshots()), 0);
-    const auto r = runEngine(dg, smallModel(), hw, mapping, options,
-                             "pinned");
+    const auto r = executePlan(
+        dg, buildEnginePlan(dg, smallModel(), hw, mapping, options, "pinned"));
     EXPECT_EQ(r.nocBytesTemporal, 0u);
     EXPECT_EQ(r.nocBytesReuse, 0u);
 }

@@ -143,13 +143,14 @@ TEST_P(GridSweep, DiTileRunsOnAnySquareGrid)
     hw.tileCols = dim;
     hw.noc.rows = dim;
     hw.noc.cols = dim;
-    core::DiTileAccelerator accel(hw);
+    const core::DiTileAccelerator accel(hw);
     model::DgnnConfig mconfig;
     mconfig.gcnDims = {16, 8};
     mconfig.lstmHidden = 8;
-    const auto r = accel.run(dg, mconfig);
+    const auto plan = accel.plan(dg, mconfig);
+    const auto r = accel.execute(dg, plan);
     EXPECT_GT(r.totalCycles, 0u);
-    const auto &mapping = accel.lastMapping();
+    const auto &mapping = plan.mapping;
     EXPECT_LE(mapping.rowPartition.numParts(), dim);
     for (int c : mapping.snapshotColumn)
         EXPECT_LT(c, dim);
@@ -174,11 +175,12 @@ TEST_P(BufferSweep, TilingAdaptsToCapacity)
 
     auto hw = sim::AcceleratorConfig::defaults();
     hw.distBufferBytes = GetParam();
-    core::DiTileAccelerator accel(hw);
+    const core::DiTileAccelerator accel(hw);
     model::DgnnConfig mconfig;
-    const auto r = accel.run(dg, mconfig);
+    const auto plan = accel.plan(dg, mconfig);
+    const auto r = accel.execute(dg, plan);
     EXPECT_GT(r.totalCycles, 0u);
-    const auto &tiling = accel.lastPlan().tiling;
+    const auto &tiling = plan.parallel.tiling;
     EXPECT_GE(tiling.tilingFactor, 1);
     // Smaller buffers force finer tiling.
     if (GetParam() <= (64u << 10)) {

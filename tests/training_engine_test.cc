@@ -49,8 +49,9 @@ trainDefault(const graph::DynamicGraph &dg,
             static_cast<int>(t % hw.tileCols);
     EngineOptions options;
     options.algo = algo;
-    return runTrainingIteration(dg, smallModel(), hw, mapping, options,
-                                "train");
+    return runTrainingIteration(
+        dg, buildEnginePlan(dg, smallModel(), hw, mapping, options,
+                            "train"));
 }
 
 TEST(TrainingEngine, IterationCostsMoreThanInference)
@@ -112,12 +113,12 @@ TEST(TrainingEngine, Deterministic)
 TEST(TrainingEngine, DiTileFrontEndIntegration)
 {
     const auto dg = workload();
-    core::DiTileAccelerator accel;
-    const auto r = accel.runTraining(dg, smallModel());
+    const auto plan = core::DiTileAccelerator().plan(dg, smallModel());
+    const auto r = runTrainingIteration(dg, plan);
     EXPECT_GT(r.iterationCycles, r.forward.totalCycles);
     EXPECT_EQ(r.forward.acceleratorName, "DiTile-DGNN");
     // The front end ran: the plan is populated.
-    EXPECT_GE(accel.lastPlan().tiling.tilingFactor, 1);
+    EXPECT_GE(plan.parallel.tiling.tilingFactor, 1);
 }
 
 TEST(TrainingEngine, SingleTileSkipsAllReduce)
@@ -133,9 +134,8 @@ TEST(TrainingEngine, SingleTileSkipsAllReduce)
         dg.numVertices(), 1);
     mapping.snapshotColumn.assign(
         static_cast<std::size_t>(dg.numSnapshots()), 0);
-    EngineOptions options;
-    const auto r = runTrainingIteration(dg, smallModel(), hw, mapping,
-                                        options, "single");
+    const auto r = runTrainingIteration(
+        dg, buildEnginePlan(dg, smallModel(), hw, mapping, {}, "single"));
     EXPECT_EQ(r.allReduceCycles, 0u);
 }
 

@@ -43,13 +43,13 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "graph/metrics.hh"
 #include "model/incremental.hh"
-#include "sim/baselines.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
 #include "sim/isa.hh"
+#include "workload/balance.hh"
 #include "workload_flags.hh"
 
 using namespace ditile;
@@ -154,23 +154,11 @@ inspectPlan(const graph::DynamicGraph &dg, model::AlgoKind algo)
 std::unique_ptr<sim::Accelerator>
 buildAccelerator(const CliFlags &flags)
 {
-    const auto which = flags.getString("accel", "ditile");
-    const auto hw = sim::AcceleratorConfig::defaults();
-    if (which == "ditile") {
-        return std::make_unique<core::DiTileAccelerator>(
-            hw, core::DiTileOptions::fromVariant(
-                    flags.getString("variant", "full")));
-    }
-    if (which == "ready")
-        return sim::makeReady(hw);
-    if (which == "booster")
-        return sim::makeDgnnBooster(hw);
-    if (which == "race")
-        return sim::makeRace(hw);
-    if (which == "mega")
-        return sim::makeMega(hw);
-    DITILE_FATAL("unknown --accel '", which,
-                 "' (expected ditile|ready|booster|race|mega)");
+    return core::makeAccelerator(
+        flags.getString("accel", "ditile"),
+        sim::AcceleratorConfig::defaults(),
+        core::DiTileOptions::fromVariant(
+            flags.getString("variant", "full")));
 }
 
 void
@@ -355,30 +343,29 @@ diffPlans(const std::string &path_a, const std::string &path_b)
 void
 inspectMapping(const graph::DynamicGraph &dg)
 {
-    core::DiTileAccelerator accel;
     const model::DgnnConfig mconfig;
-    accel.run(dg, mconfig);
-    const auto &plan = accel.lastPlan();
-    const auto &mapping = accel.lastMapping();
+    const auto plan = core::DiTileAccelerator().plan(dg, mconfig);
+    const auto &tiling = plan.parallel.tiling;
+    const auto &par = plan.parallel.parallelism;
+    const auto loads =
+        workload::computeVertexLoads(dg, mconfig.numGcnLayers());
 
     std::printf("Algorithm 1: tiling factor a=%d (DRAM model %.3e "
                 "units, cross-fetch %.3f)\n",
-                plan.tiling.tilingFactor, plan.tiling.dramAccessUnits,
-                plan.tiling.crossFetchFraction());
+                tiling.tilingFactor, tiling.dramAccessUnits,
+                tiling.crossFetchFraction());
     std::printf("parallel factors: Gs=%d snapshot groups (Ps=%d), "
                 "Gv=%d vertex parts (Pv=%d), TotalComm %.3e units\n",
-                plan.parallelism.snapshotGroups,
-                plan.parallelism.snapshotsPerGroup,
-                plan.parallelism.vertexParts,
-                plan.parallelism.verticesPerPart,
-                plan.parallelism.totalCommUnits);
+                par.snapshotGroups, par.snapshotsPerGroup,
+                par.vertexParts, par.verticesPerPart,
+                par.totalCommUnits);
     std::printf("Algorithm 2: load imbalance %.3f (1.0 = perfect)\n",
-                mapping.imbalance);
+                plan.mapping.rowPartition.imbalance(loads));
     std::printf("snapshot -> column:");
-    for (std::size_t t = 0; t < mapping.snapshotColumn.size(); ++t)
-        std::printf(" %d:%d", static_cast<int>(t),
-                    mapping.snapshotColumn[t]);
-    std::printf("\nBDW groups: %zu\n", mapping.groups.size());
+    const auto &columns = plan.mapping.snapshotColumn;
+    for (std::size_t t = 0; t < columns.size(); ++t)
+        std::printf(" %d:%d", static_cast<int>(t), columns[t]);
+    std::printf("\nBDW groups: %zu\n", plan.groups.size());
 }
 
 void

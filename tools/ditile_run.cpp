@@ -64,8 +64,7 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
-#include "core/ditile_accelerator.hh"
-#include "sim/baselines.hh"
+#include "core/catalog.hh"
 #include "sim/engine.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
@@ -80,35 +79,14 @@ std::vector<std::unique_ptr<sim::Accelerator>>
 buildAccelerators(const CliFlags &flags)
 {
     const auto which = flags.getString("accel", "ditile");
-    auto hw = sim::AcceleratorConfig::defaults();
+    const auto hw = sim::AcceleratorConfig::defaults();
+    auto options = core::DiTileOptions::fromVariant(
+        flags.getString("variant", "full"));
+    options.detailedTileTiming = flags.getBool("detailed-tiles", false);
+    if (which == "all")
+        return core::paperFleet(hw, options);
     std::vector<std::unique_ptr<sim::Accelerator>> accelerators;
-    auto add_ditile = [&] {
-        auto options = core::DiTileOptions::fromVariant(
-            flags.getString("variant", "full"));
-        options.detailedTileTiming =
-            flags.getBool("detailed-tiles", false);
-        accelerators.push_back(
-            std::make_unique<core::DiTileAccelerator>(hw, options));
-    };
-    if (which == "all") {
-        accelerators.push_back(sim::makeReady(hw));
-        accelerators.push_back(sim::makeDgnnBooster(hw));
-        accelerators.push_back(sim::makeRace(hw));
-        accelerators.push_back(sim::makeMega(hw));
-        add_ditile();
-    } else if (which == "ditile") {
-        add_ditile();
-    } else if (which == "ready") {
-        accelerators.push_back(sim::makeReady(hw));
-    } else if (which == "booster") {
-        accelerators.push_back(sim::makeDgnnBooster(hw));
-    } else if (which == "race") {
-        accelerators.push_back(sim::makeRace(hw));
-    } else if (which == "mega") {
-        accelerators.push_back(sim::makeMega(hw));
-    } else {
-        DITILE_FATAL("unknown --accel '", which, "'");
-    }
+    accelerators.push_back(core::makeAccelerator(which, hw, options));
     return accelerators;
 }
 

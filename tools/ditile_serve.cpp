@@ -101,7 +101,7 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "serve/loadgen.hh"
 #include "serve/server.hh"
 #include "workload_flags.hh"
@@ -363,12 +363,11 @@ runTool(const CliFlags &flags)
 
     const DurabilityFlags dur = buildDurabilityFlags(flags);
 
-    const auto hw = sim::AcceleratorConfig::defaults();
     const auto variant = core::DiTileOptions::fromVariant(
         flags.getString("variant", "full"));
-    sim::AcceleratorFactory factory = [hw, variant] {
-        return std::unique_ptr<sim::Accelerator>(
-            std::make_unique<core::DiTileAccelerator>(hw, variant));
+    sim::AcceleratorFactory factory = [variant] {
+        return core::makeAccelerator(
+            "ditile", sim::AcceleratorConfig::defaults(), variant);
     };
     serve::Server server(buildServerOptions(flags),
                          std::move(factory));

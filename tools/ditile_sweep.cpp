@@ -61,9 +61,8 @@
 #include "common/table.hh"
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
-#include "core/ditile_accelerator.hh"
+#include "core/catalog.hh"
 #include "graph/datasets.hh"
-#include "sim/baselines.hh"
 #include "sim/fault_model.hh"
 #include "sim/plan_cache.hh"
 #include "sim/scaleout.hh"
@@ -150,6 +149,13 @@ runTool(const CliFlags &flags)
     // algorithm on the same grid point (ReaDy and DGNN-Booster both
     // run Re-Alg) reuse one snapshot-plan set instead of replanning.
     sim::PlanCache plan_cache;
+    // Accelerators are stateless plan builders, so every grid point
+    // plans through this one fleet, whichever thread runs it.
+    std::vector<std::unique_ptr<sim::Accelerator>> fleet;
+    if (all_accels)
+        fleet = core::paperFleet();
+    else
+        fleet.push_back(core::makeAccelerator("ditile"));
 
     const auto runPoint = [&](std::size_t j, Job &job) {
         if (shutdownRequested()) {
@@ -168,15 +174,6 @@ runTool(const CliFlags &flags)
                 graph::makeDataset(dataset, options);
             const model::DgnnConfig mconfig;
 
-            std::vector<std::unique_ptr<sim::Accelerator>> fleet;
-            if (all_accels) {
-                fleet.push_back(sim::makeReady());
-                fleet.push_back(sim::makeDgnnBooster());
-                fleet.push_back(sim::makeRace());
-                fleet.push_back(sim::makeMega());
-            }
-            fleet.push_back(
-                std::make_unique<core::DiTileAccelerator>());
             // Disjoint track groups per (grid point, accelerator) so
             // concurrent jobs never share a trace track.
             const auto setTrack = [&](std::size_t a) {

@@ -5,6 +5,7 @@
 
 #include "common/cli.hh"
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/logging.hh"
@@ -31,6 +32,21 @@ CliFlags::parse(int argc, char **argv)
         }
     }
     return flags;
+}
+
+void
+CliFlags::requireKnown(
+    std::initializer_list<std::span<const std::string_view>> known) const
+{
+    for (const auto &[name, value] : values_) {
+        const bool declared = std::any_of(
+            known.begin(), known.end(), [&](const auto &list) {
+                return std::find(list.begin(), list.end(), name) !=
+                    list.end();
+            });
+        if (!declared)
+            DITILE_FATAL("unknown flag '--", name, "'");
+    }
 }
 
 bool

@@ -23,7 +23,12 @@
  *
  *   1. *parallel* per-snapshot evaluation into one SnapshotWork slot
  *      per snapshot (snapshot_eval.cc; per-tile sub-models fan out a
- *      second level),
+ *      second level). Each snapshot's work is a per-run part (ops and
+ *      DRAM bytes, the DRAM requests) and a placement part (compute
+ *      distribution, critical-slot cycles, NoC replays); a PlanCache
+ *      shares the placement between runs that agree on its inputs,
+ *      so a sweep's T=16 point places only the snapshots its T=8
+ *      point did not,
  *   2. *serial* DRAM replay and Re-Link decisions in snapshot order,
  *   3. *parallel* spatial NoC replay for snapshots whose span was
  *      only known after stage 2 (adaptive Re-Link),
@@ -38,7 +43,9 @@
  * trace spans and registry totals (run_trace.cc) from its schedule.
  * executePlan is evaluate() then schedule(); a PlanCache passed to it
  * memoizes the evaluation, so runs that differ only in the overlap
- * option (or, on a cluster, the inter-chip link) share one.
+ * option (or, on a cluster, the inter-chip link) share one. Both memos
+ * are silent, and a hit changes no engine.* or cache.* count: the
+ * digest fast-path counters follow the plan, not the work done.
  *
  * The timeline is one task DAG (task_graph.cc) over the per-task
  * durations the stages produced, timed by the deterministic list
@@ -86,9 +93,11 @@ using detail::SnapshotWork;
 
 namespace {
 
-/** Stages 1-3 of a single-chip plan, reduced in snapshot order. */
+/** Stages 1-3 of a single-chip plan, reduced in snapshot order;
+ *  `cache` (optional) memoizes each snapshot's placement. */
 Evaluation
-evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
+evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
+             PlanCache *cache)
 {
     const AcceleratorConfig &hw = plan.hw;
     const model::DgnnConfig &model_config = plan.modelConfig;
@@ -276,11 +285,21 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
         output_base,
         compute_slots, tile_macs, rnn_vertex_macs, adaptive_relink,
         sum_in_dims, sum_in_out_dims,
-        base_owner, owner_remap, fm, pdigest.get(), pool};
+        base_owner, owner_remap, fm, pdigest.get(), pool,
+        cache, cache ? placementFieldsHash(plan) : 0};
     parallelFor(static_cast<std::size_t>(num_snapshots),
                 [&](std::size_t i) {
         detail::evaluateSnapshot(ctx, i, work[i]);
     }, &pool);
+    if (cache) {
+        // Recency follows snapshot order, not which worker looked up
+        // first.
+        std::vector<std::uint64_t> keys;
+        keys.reserve(work.size());
+        for (const SnapshotWork &w : work)
+            keys.push_back(w.placementKey);
+        cache->retainPlacements(keys);
+    }
 
     // ---- Stage 2: serial DRAM replay + Re-Link decisions. ----
     // Row-buffer state and the completion cursor chain snapshot to
@@ -339,7 +358,7 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
         result.energyEvents.dramActivates +=
             row.dram.rowMisses + row.dram.rowConflicts;
         row.dramDone = dram_cursor;
-        if (w.spatialPending) {
+        if (w.placement->spatialPending) {
             // Stuck-open bypass columns force span-1 routing for the
             // traffic crossing them; the controller prices that into
             // its engage/bypass decision as a per-message blend.
@@ -355,7 +374,7 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
                     static_cast<double>(hw.tileCols);
             }
             const auto decision = relink_controller.decide(
-                w.spatialDistances, hw.noc.routerLatencyCycles,
+                w.placement->spatialDistances, hw.noc.routerLatencyCycles,
                 stuck_open);
             row.relinkSpan = decision.span;
             result.energyEvents.reconfigEvents +=
@@ -368,17 +387,15 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
         parallelFor(static_cast<std::size_t>(num_snapshots),
                     [&](std::size_t i) {
             SnapshotWork &w = work[i];
-            if (!w.spatialPending)
+            if (!w.placement->spatialPending)
                 return;
             const auto t = static_cast<SnapshotId>(i);
             const noc::NocFaults *noc_faults =
                 fm && fm->at(t).anyNoc() ? &fm->at(t).noc : nullptr;
             noc::NocConfig noc_config = hw.noc;
             noc_config.reLinkSpan = result.trace[i].relinkSpan;
-            w.spatial = noc::simulateTraffic(noc_config,
-                                             std::move(w.spatialMsgs),
-                                             noc_faults);
-            w.spatialMsgs.clear();
+            w.relinkedSpatial = noc::simulateTraffic(
+                noc_config, w.placement->spatialMsgs, noc_faults);
         }, &pool);
     }
 
@@ -400,48 +417,50 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
     for (SnapshotId t = 0; t < num_snapshots; ++t) {
         const auto i = static_cast<std::size_t>(t);
         const SnapshotWork &w = work[i];
+        const detail::SnapshotPlacement &p = *w.placement;
+        const noc::NocResult &spatial = w.spatial();
         SnapshotTrace &row = result.trace[i];
         result.ops += w.ops;
         result.dramTraffic += w.dramTraffic;
-        result.energyEvents.localBufferBytes += w.localBufferBytes;
-        result.nocBytes += w.spatial.totalBytes;
-        result.nocBytesSpatial += w.spatial.totalBytes;
-        result.energyEvents.nocLinkBytes += w.spatial.hopBytes;
-        result.energyEvents.nocRouterBytes += w.spatial.routerBytes;
-        if (w.hasTemporal) {
-            result.nocBytes += w.temporal.totalBytes;
+        result.energyEvents.localBufferBytes += p.localBufferBytes;
+        result.nocBytes += spatial.totalBytes;
+        result.nocBytesSpatial += spatial.totalBytes;
+        result.energyEvents.nocLinkBytes += spatial.hopBytes;
+        result.energyEvents.nocRouterBytes += spatial.routerBytes;
+        if (p.hasTemporal) {
+            result.nocBytes += p.temporal.totalBytes;
             result.nocBytesTemporal +=
-                w.temporal.bytesByClass[static_cast<int>(
+                p.temporal.bytesByClass[static_cast<int>(
                     noc::TrafficClass::Temporal)];
-            result.nocBytesReuse += w.temporal.bytesByClass[
+            result.nocBytesReuse += p.temporal.bytesByClass[
                 static_cast<int>(noc::TrafficClass::Reuse)];
-            result.energyEvents.nocLinkBytes += w.temporal.hopBytes;
-            result.energyEvents.nocRouterBytes += w.temporal.routerBytes;
+            result.energyEvents.nocLinkBytes += p.temporal.hopBytes;
+            result.energyEvents.nocRouterBytes += p.temporal.routerBytes;
             if (options.reuseFifoForwarding)
-                result.energyEvents.reuseFifoBytes += w.reuseTotal;
+                result.energyEvents.reuseFifoBytes += p.reuseTotal;
         }
-        result.computeCycles += w.gnnCompute + w.rnnCompute;
+        result.computeCycles += p.gnnCompute + p.rnnCompute;
         result.onChipCommCycles +=
-            w.spatial.makespan + w.temporal.makespan;
+            spatial.makespan + p.temporal.makespan;
         // Dead tiles offer no capacity; fault-free runs see the
         // unmodified tile count (dead_slots stays all-zero).
         capacity += static_cast<double>(active_tiles - dead_slots[i]) *
             tile_macs *
-            (options.gnnMacFraction * static_cast<double>(w.gnnCompute) +
-             options.rnnMacFraction * static_cast<double>(w.rnnCompute));
+            (options.gnnMacFraction * static_cast<double>(p.gnnCompute) +
+             options.rnnMacFraction * static_cast<double>(p.rnnCompute));
 
-        row.gnnComputeCycles = w.gnnCompute;
-        row.rnnComputeCycles = w.rnnCompute;
-        row.spatialCommCycles = w.spatial.makespan;
-        row.temporalCommCycles = w.temporal.makespan;
-        row.spatialBytes = w.spatial.totalBytes;
-        row.spatialMessages = w.spatial.numMessages;
-        row.temporalBytes = w.temporal.bytesByClass[static_cast<int>(
+        row.gnnComputeCycles = p.gnnCompute;
+        row.rnnComputeCycles = p.rnnCompute;
+        row.spatialCommCycles = spatial.makespan;
+        row.temporalCommCycles = p.temporal.makespan;
+        row.spatialBytes = spatial.totalBytes;
+        row.spatialMessages = spatial.numMessages;
+        row.temporalBytes = p.temporal.bytesByClass[static_cast<int>(
             noc::TrafficClass::Temporal)];
-        row.reuseBytes = w.temporal.bytesByClass[static_cast<int>(
+        row.reuseBytes = p.temporal.bytesByClass[static_cast<int>(
             noc::TrafficClass::Reuse)];
         eval.nocMessages +=
-            w.spatial.numMessages + w.temporal.numMessages;
+            spatial.numMessages + p.temporal.numMessages;
         eval.dramTotal += row.dram;
         eval.relinkEngaged += row.relinkSpan > 1 ? 1 : 0;
         const model::SnapshotPlan &splan = snapshot_plans[i];
@@ -492,14 +511,15 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
         double offline = 0.0;
         for (SnapshotId t = 0; t < num_snapshots; ++t) {
             const auto i = static_cast<std::size_t>(t);
-            const SnapshotWork &w = work[i];
+            const noc::NocResult &spatial = work[i].spatial();
+            const noc::NocResult &temporal = work[i].placement->temporal;
             const SnapshotTrace &row = result.trace[i];
-            const std::uint64_t rerouted = w.spatial.reroutedMessages +
-                w.temporal.reroutedMessages;
-            const std::uint64_t retried = w.spatial.retriedMessages +
-                w.temporal.retriedMessages;
-            const Cycle backoff = w.spatial.retryBackoffCycles +
-                w.temporal.retryBackoffCycles;
+            const std::uint64_t rerouted = spatial.reroutedMessages +
+                temporal.reroutedMessages;
+            const std::uint64_t retried = spatial.retriedMessages +
+                temporal.retriedMessages;
+            const Cycle backoff = spatial.retryBackoffCycles +
+                temporal.retryBackoffCycles;
             rr.remappedVertices += remap_moved[i];
             rr.reroutedMessages += rerouted;
             rr.retriedMessages += retried;
@@ -550,7 +570,7 @@ evaluateChip(const graph::DynamicGraph &dg, const ExecutionPlan &plan)
 
 Evaluation
 evaluate(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
-         PlanCache *shard_cache)
+         PlanCache *cache)
 {
     DITILE_ASSERT(plan.snapshots != nullptr,
                   "execution plan has no snapshot plans");
@@ -561,8 +581,8 @@ evaluate(const graph::DynamicGraph &dg, const ExecutionPlan &plan,
         DITILE_THROW("plan has ", plan.numSnapshots(),
                      " snapshots, the workload ", dg.numSnapshots());
     return plan.scaleout.enabled()
-        ? evaluateScaleOut(dg, plan, shard_cache)
-        : evaluateChip(dg, plan);
+        ? evaluateScaleOut(dg, plan, cache)
+        : evaluateChip(dg, plan, cache);
 }
 
 RunResult

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -39,6 +40,7 @@ namespace ditile::sim {
 struct Evaluation;
 struct ExecutionPlan;
 class FaultModel;
+class PlanCache;
 
 namespace detail {
 
@@ -231,6 +233,33 @@ computeCycles(OpCount macs, double units)
 }
 
 /**
+ * The placement part of one snapshot's Stage-1 evaluation: the compute
+ * distribution over slots, the critical-slot cycles, and the spatial,
+ * temporal and reuse NoC replays (or, under adaptive Re-Link, the
+ * spatial messages and distances stage 3 replays once the span is
+ * known). It reads the snapshot, the previous one, the snapshot's plan,
+ * the column pair and the plan fields placementFieldsHash covers, and
+ * nothing of the run's accounting or DRAM requests, so a PlanCache
+ * shares it between runs under placementKey.
+ */
+struct SnapshotPlacement
+{
+    Cycle gnnCompute = 0;
+    Cycle rnnCompute = 0;
+    ByteCount localBufferBytes = 0; ///< Detailed-tile staging traffic.
+
+    /** Spatial messages whose replay adaptive Re-Link defers. */
+    std::vector<noc::Message> spatialMsgs;
+    std::vector<int> spatialDistances; ///< Vertical hops per message.
+    bool spatialPending = false;
+    noc::NocResult spatial; ///< Unless pending.
+
+    bool hasTemporal = false;
+    noc::NocResult temporal;
+    ByteCount reuseTotal = 0;
+};
+
+/**
  * Everything one snapshot contributes to the run, produced by the
  * parallel evaluation stage and merged in canonical order afterwards.
  */
@@ -242,19 +271,19 @@ struct SnapshotWork
     /** Off-chip requests; issue cycles patched in the serial stage. */
     std::vector<dram::DramRequest> requests;
 
-    Cycle gnnCompute = 0;
-    Cycle rnnCompute = 0;
-    ByteCount localBufferBytes = 0; ///< Detailed-tile staging traffic.
+    /** Shared with a PlanCache's placement memo; never written. */
+    std::shared_ptr<const SnapshotPlacement> placement;
+    std::uint64_t placementKey = 0;
 
-    /** Pending spatial messages (adaptive Re-Link defers the replay). */
-    std::vector<noc::Message> spatialMsgs;
-    std::vector<int> spatialDistances; ///< Vertical hops per message.
-    bool spatialPending = false;
-    noc::NocResult spatial;
+    /** Stage 3's replay of a pending placement's spatial messages. */
+    noc::NocResult relinkedSpatial;
 
-    bool hasTemporal = false;
-    noc::NocResult temporal;
-    ByteCount reuseTotal = 0;
+    const noc::NocResult &
+    spatial() const
+    {
+        return placement->spatialPending ? relinkedSpatial
+                                         : placement->spatial;
+    }
 };
 
 /**
@@ -290,6 +319,11 @@ struct EvalContext
     const FaultModel *faultModel = nullptr;
     const workload::PartitionDigest *pdigest = nullptr;
     ThreadPool &pool;
+
+    /** Memoizes placements (null: every snapshot places anew). */
+    PlanCache *cache = nullptr;
+    /** placementFieldsHash of the plan (only read with a cache). */
+    std::uint64_t placementFields = 0;
 };
 
 /**
@@ -319,12 +353,23 @@ void walkGcnLayers(const graph::Csr &g,
                    DenseTraffic &traffic);
 
 /**
- * Stage 1 for one snapshot: accounting, off-chip request synthesis,
- * compute distribution, NoC replays. Pure per-snapshot function of
- * the context; runs under parallelFor. A thread-local scratch arena
- * (slot accumulators, traffic matrices, changed bitmaps, per-vertex
- * gather totals) is reused
- * across snapshots instead of reallocating per iteration.
+ * Content key of snapshot i's placement: the plan's placement fields,
+ * the graph's prefix key through snapshot i (the temporal boundary and
+ * a fault re-deal read the previous snapshot) with i and the feature
+ * width, the column pair (column of i - 1, column of i), and the
+ * snapshot plan's flags, counts and every layer and RNN set.
+ */
+std::uint64_t placementKey(const EvalContext &ctx, std::size_t i);
+
+/**
+ * Stage 1 for one snapshot: accounting and off-chip request synthesis
+ * (per run: they read the accounting options, the DRAM traffic scale
+ * and the run's region bases), then the placement, from ctx.cache's
+ * memo when it holds placementKey. Pure per-snapshot function of the
+ * context; runs under parallelFor. A thread-local scratch arena (slot
+ * accumulators, traffic matrices, changed bitmaps, per-vertex gather
+ * totals) is reused across snapshots instead of reallocating per
+ * iteration.
  */
 void evaluateSnapshot(const EvalContext &ctx, std::size_t i,
                       SnapshotWork &w);

@@ -962,6 +962,29 @@ evaluationFieldsHash(const ExecutionPlan &plan)
     return hasher.value();
 }
 
+std::uint64_t
+placementFieldsHash(const ExecutionPlan &plan)
+{
+    ExecutionPlan keyed = plan;
+    keyed.acceleratorName.clear();
+    keyed.workloadName.clear();
+    keyed.workloadDigest = 0;
+    keyed.parallel = {};
+    keyed.groups.clear();
+    keyed.options.accounting = {};
+    keyed.options.dramTrafficScale = 0.0;
+    keyed.options.computeEnergyScale = 0.0;
+    keyed.options.onChipEnergyScale = 0.0;
+    keyed.options.offChipEnergyScale = 0.0;
+    keyed.options.overlap = false;
+    keyed.scaleout.link = {};
+    keyed.snapshots = nullptr;
+    keyed.mapping.snapshotColumn.clear();
+    PlanHasher hasher;
+    planFields(hasher, keyed);
+    return hasher.value();
+}
+
 ExecutionPlan
 buildEnginePlan(const graph::DynamicGraph &dg,
                 const model::DgnnConfig &model_config,

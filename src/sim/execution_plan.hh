@@ -153,6 +153,18 @@ ExecutionPlan buildEnginePlan(const graph::DynamicGraph &dg,
 std::uint64_t evaluationFieldsHash(const ExecutionPlan &plan);
 
 /**
+ * Hash of the fields of `plan` a snapshot's Stage-1 placement may
+ * read: the plan's fields walked as evaluationFieldsHash walks them,
+ * with two kinds cleared. Those the placement never reads: the names
+ * and the workload digest, the Algorithm-1 and -2 outputs, the
+ * accounting options, the DRAM traffic scale, the energy scales, the
+ * overlap option and the scale-out link. Those its per-snapshot key
+ * mixes itself: the snapshot plans and the snapshot columns. A field
+ * added to planFields() is keyed.
+ */
+std::uint64_t placementFieldsHash(const ExecutionPlan &plan);
+
+/**
  * What a run's timeline-independent stages produce (see the stage list
  * in sim/engine.cc): per-snapshot work, the DRAM replay, the Re-Link
  * decisions and the deferred NoC replays, reduced to compact results.
@@ -184,12 +196,14 @@ struct Evaluation
 /**
  * Run every stage of a plan that no timeline option changes. Throws
  * InputError when the plan does not fit the graph (its snapshot count
- * first). A scale-out plan shards the graph, plans each shard through
- * `shard_cache` (or a run-local cache) and evaluates every chip.
+ * first). A single-chip plan shares each snapshot's placement through
+ * `cache`'s memo (PlanCache::placement). A scale-out plan shards the
+ * graph, plans each shard through `cache` (or a run-local cache) and
+ * evaluates every chip without a cache.
  */
 Evaluation evaluate(const graph::DynamicGraph &dg,
                     const ExecutionPlan &plan,
-                    PlanCache *shard_cache = nullptr);
+                    PlanCache *cache = nullptr);
 
 /**
  * Time an evaluation under the plan's timeline: annotate the task
@@ -207,8 +221,11 @@ RunResult schedule(const Evaluation &eval, const ExecutionPlan &plan);
  * planning-time workload. `cache` (optional) shares work across
  * chips and repeated runs: it memoizes the evaluation, so a run that
  * differs from an earlier one only in its overlap option or its
- * scale-out link only re-schedules, and it shares the per-shard
- * snapshot-plan sets of scale-out plans.
+ * scale-out link only re-schedules; on a single chip it memoizes each
+ * snapshot's placement, so runs that share a snapshot, its plan and
+ * its placement inputs (a sweep's T=16 point after its T=8 point)
+ * place it once; and it shares the per-shard snapshot-plan sets of
+ * scale-out plans.
  */
 RunResult executePlan(const graph::DynamicGraph &dg,
                       const ExecutionPlan &plan,

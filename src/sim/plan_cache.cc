@@ -43,6 +43,7 @@ PlanCache::PlanCache()
     // grid points never repeat one. A second entry would only keep a
     // dead evaluation, and the snapshot-plan set its key holds, alive.
     evaluations_.setCapacity(1);
+    placements_.setCapacity(kPlacementCapacity);
 }
 
 std::shared_ptr<const PlanCache::SnapshotPlans>
@@ -161,6 +162,14 @@ PlanCache::evaluation(const graph::DynamicGraph &dg,
     return eval;
 }
 
+void
+PlanCache::retainPlacements(const std::vector<std::uint64_t> &keys)
+{
+    for (const std::uint64_t key : keys)
+        placements_.touch(key);
+    placements_.evictToCapacity();
+}
+
 std::vector<std::uint64_t>
 PlanCache::evictToCapacity()
 {
@@ -180,6 +189,7 @@ PlanCache::clear()
 {
     entries_.clear();
     evaluations_.clear();
+    placements_.clear();
     std::lock_guard<std::mutex> lock(indexMutex_);
     prefixIndex_.clear();
 }

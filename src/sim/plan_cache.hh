@@ -25,7 +25,13 @@
  * The cache also memoizes run evaluations (sim::evaluate), keyed on
  * the graph and the plan with its overlap option and scale-out link
  * cleared, so a run that differs from the one before it only in those
- * re-schedules that evaluation instead of making its own.
+ * re-schedules that evaluation instead of making its own. Below that,
+ * it memoizes each snapshot's Stage-1 placement (the compute
+ * distribution and NoC replays, see detail::SnapshotPlacement), so
+ * runs that differ in their graph or plan but share a snapshot with
+ * its predecessor, its plan, its columns and the placement fields (a
+ * sweep's T=16 point after its T=8 point; MEGA's snapshot 0 at every
+ * dissimilarity) place it once.
  *
  * Lookup, build, publish, counting and the LRU bound follow the shared
  * policy in common/content_cache.hh.
@@ -49,6 +55,9 @@ namespace ditile::sim {
 
 struct Evaluation;
 struct ExecutionPlan;
+namespace detail {
+struct SnapshotPlacement;
+}
 
 class PlanCache
 {
@@ -119,8 +128,42 @@ class PlanCache
     }
 
     /** Forget the memoized evaluations (and their counts), so the next
-     *  run evaluates again; the plan sets stay. */
+     *  run evaluates again; the plan sets and placements stay. */
     void clearEvaluations() { evaluations_.clear(); }
+
+    /**
+     * Bound of the placement memo, in snapshots. A sweep point runs
+     * the five-accelerator fleet over at most 16 snapshots (80
+     * placements), and what a point reuses was placed at most one
+     * point earlier (its T=8 or T=16 sibling's snapshots, the previous
+     * dissimilarity's snapshot 0), so the memo holds a T=16 point and
+     * a T=8 point (120) with room to spare.
+     */
+    static constexpr std::size_t kPlacementCapacity = 128;
+
+    /**
+     * The placement of one snapshot under `key` (detail::placementKey),
+     * from build() on a miss. The memo is silent: it emits no instant
+     * and no metric, and a hit changes no counter a run reports, since
+     * the engine derives those from the plan, not from the work done.
+     */
+    template <typename Build>
+    std::shared_ptr<const detail::SnapshotPlacement>
+    placement(std::uint64_t key, Build &&build)
+    {
+        return placements_.obtain(key, std::forward<Build>(build));
+    }
+
+    /** Mark one evaluation's placement keys used, in snapshot order,
+     *  and evict the least recently used beyond kPlacementCapacity. */
+    void retainPlacements(const std::vector<std::uint64_t> &keys);
+
+    std::uint64_t placementHits() const { return placements_.hits(); }
+    std::uint64_t placementMisses() const
+    {
+        return placements_.misses();
+    }
+    std::size_t placementCount() const { return placements_.size(); }
 
     std::uint64_t hits() const { return entries_.hits(); }
     std::uint64_t misses() const { return entries_.misses(); }
@@ -164,6 +207,10 @@ class PlanCache
     ContentCache<EvaluationKey, std::shared_ptr<const Evaluation>,
                  EvaluationKeyHash>
         evaluations_;
+
+    ContentCache<std::uint64_t,
+                 std::shared_ptr<const detail::SnapshotPlacement>>
+        placements_;
 
     /** prefixIndexKey of every prefix of each built plan set's graph
      *  -> its plan key (a later set sharing the prefix overwrites).

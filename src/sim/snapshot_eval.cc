@@ -2,11 +2,15 @@
  * @file
  * Stage-1 per-snapshot evaluation (extracted from engine.cc).
  *
- * Pure function of the EvalContext and the snapshot index: accounting,
- * off-chip request synthesis, compute distribution over tiles, and the
- * NoC replays. Runs under parallelFor; everything it writes lands in
- * the snapshot's own SnapshotWork slot, so the schedule is invisible
- * and results are bit-identical at any thread width.
+ * Pure function of the EvalContext and the snapshot index, in two
+ * parts. The per-run part does the accounting and the off-chip request
+ * synthesis. The placement part (placeSnapshot) distributes the
+ * compute over tiles and replays the NoC; it reads nothing the
+ * accounting options, the DRAM traffic scale or the run's region bases
+ * set, so a PlanCache memoizes it per snapshot under placementKey.
+ * Runs under parallelFor; everything it writes lands in the snapshot's
+ * own SnapshotWork slot, so the schedule is invisible and results are
+ * bit-identical at any thread width.
  *
  * Hot-loop temporaries (per-slot MAC accumulators, the dense traffic
  * matrices, the changed-vertex bitmap, the per-vertex gather totals of
@@ -18,12 +22,15 @@
 
 #include "sim/engine_internal.hh"
 
+#include <memory>
 #include <utility>
 
+#include "common/hash.hh"
 #include "common/scratch_lease.hh"
 #include "common/thread_pool.hh"
 #include "sim/execution_plan.hh"
 #include "sim/fault_model.hh"
+#include "sim/plan_cache.hh"
 #include "sim/tile_model.hh"
 #include "workload/digest.hh"
 
@@ -48,6 +55,9 @@ struct EvalScratch
     std::vector<std::uint64_t> changedCnt;
     std::vector<ByteCount> gather; ///< Per-vertex gather-byte totals.
 };
+
+/** The placement part of snapshot i (see SnapshotPlacement). */
+SnapshotPlacement placeSnapshot(const EvalContext &ctx, std::size_t i);
 
 } // namespace
 
@@ -116,28 +126,54 @@ walkGcnLayers(const graph::Csr &g,
     traffic.clearDiagonal();
 }
 
+std::uint64_t
+placementKey(const EvalContext &ctx, std::size_t i)
+{
+    const MappingSpec &mapping = ctx.plan.mapping;
+    const model::SnapshotPlan &splan = ctx.snapshotPlans[i];
+    const auto column = [&](std::size_t k) {
+        return static_cast<std::uint64_t>(
+            mapping.spatialOnly ? 0 : mapping.snapshotColumn[k]);
+    };
+    WordHasher hasher;
+    hasher.mix(ctx.placementFields);
+    hasher.mix(ctx.dg.prefixKey(static_cast<SnapshotId>(i)));
+    hasher.mix(i);
+    hasher.mix(static_cast<std::uint64_t>(ctx.dg.featureDim()));
+    hasher.mix(i > 0 ? column(i - 1) : ~std::uint64_t{0});
+    hasher.mix(column(i));
+    // A list covering every vertex is always built as all(n), so the
+    // form and the ids pin the set.
+    const auto mix_set = [&](const model::VertexSet &set) {
+        hasher.mix(set.size());
+        hasher.mix(set.isAll() ? 1 : 0);
+        if (const std::vector<VertexId> *ids = set.ids()) {
+            for (const VertexId v : *ids)
+                hasher.mix(static_cast<std::uint64_t>(v));
+        }
+    };
+    hasher.mix(splan.fullRecompute ? 1 : 0);
+    hasher.mix(splan.adjacencyUpdates);
+    mix_set(splan.rnnVertices);
+    hasher.mix(splan.gcn.size());
+    for (const model::LayerWork &layer : splan.gcn) {
+        hasher.mix(static_cast<std::uint64_t>(layer.gatherEdges));
+        hasher.mix(static_cast<std::uint64_t>(layer.uniqueInputs));
+        mix_set(layer.vertices);
+    }
+    return hasher.h;
+}
+
 void
 evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
 {
     const graph::DynamicGraph &dg = ctx.dg;
     const model::DgnnConfig &model_config = ctx.plan.modelConfig;
-    const MappingSpec &mapping = ctx.plan.mapping;
     const EngineOptions &options = ctx.plan.options;
-    const AcceleratorConfig &hw = ctx.plan.hw;
-    const FaultModel *fm = ctx.faultModel;
-    const workload::PartitionDigest *pdigest = ctx.pdigest;
-    const int compute_slots = ctx.computeSlots;
     const VertexId num_vertices = dg.numVertices();
-    const int feature_dim = dg.featureDim();
-    const ByteCount bpv = ctx.bpv;
     const ByteCount z_bytes = ctx.zBytes;
-    const ByteCount h_bytes = ctx.hBytes;
-
     const auto t = static_cast<SnapshotId>(i);
-    const graph::Csr &g = dg.snapshot(t);
     const model::SnapshotPlan &splan = ctx.snapshotPlans[i];
-    const ScratchLease<EvalScratch> lease;
-    EvalScratch &s = *lease;
 
     // ---- Accounting (ops + off-chip bytes). ----
     w.ops = model::countSnapshotOps(dg, t, model_config, splan);
@@ -207,6 +243,45 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                               scaled(w.dramTraffic.outputBytes -
                                      writes), false, 0});
     }
+
+    // ---- Placement, shared through the cache's memo. ----
+    const auto place = [&] {
+        return std::make_shared<const SnapshotPlacement>(
+            placeSnapshot(ctx, i));
+    };
+    if (ctx.cache == nullptr) {
+        w.placement = place();
+        return;
+    }
+    w.placementKey = placementKey(ctx, i);
+    w.placement = ctx.cache->placement(w.placementKey, place);
+}
+
+namespace {
+
+SnapshotPlacement
+placeSnapshot(const EvalContext &ctx, std::size_t i)
+{
+    const graph::DynamicGraph &dg = ctx.dg;
+    const model::DgnnConfig &model_config = ctx.plan.modelConfig;
+    const MappingSpec &mapping = ctx.plan.mapping;
+    const EngineOptions &options = ctx.plan.options;
+    const AcceleratorConfig &hw = ctx.plan.hw;
+    const FaultModel *fm = ctx.faultModel;
+    const workload::PartitionDigest *pdigest = ctx.pdigest;
+    const int compute_slots = ctx.computeSlots;
+    const VertexId num_vertices = dg.numVertices();
+    const int feature_dim = dg.featureDim();
+    const ByteCount bpv = ctx.bpv;
+    const ByteCount z_bytes = ctx.zBytes;
+    const ByteCount h_bytes = ctx.hBytes;
+
+    const auto t = static_cast<SnapshotId>(i);
+    const graph::Csr &g = dg.snapshot(t);
+    const model::SnapshotPlan &splan = ctx.snapshotPlans[i];
+    const ScratchLease<EvalScratch> lease;
+    EvalScratch &s = *lease;
+    SnapshotPlacement p;
 
     // ---- Compute distribution over tiles. ----
     // Under tile faults the pre-computed degraded-mode re-deal
@@ -325,38 +400,38 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
         Cycle worst = 0;
         for (std::size_t sl = 0; sl < slots; ++sl) {
             worst = std::max(worst, slot_cycles[sl]);
-            w.localBufferBytes += slot_traffic[sl];
+            p.localBufferBytes += slot_traffic[sl];
         }
-        w.gnnCompute = worst;
+        p.gnnCompute = worst;
     } else {
-        w.gnnCompute = computeCycles(
+        p.gnnCompute = computeCycles(
             gnn_crit_macs, ctx.tileMacs * options.gnnMacFraction);
     }
-    w.rnnCompute = computeCycles(
+    p.rnnCompute = computeCycles(
         rnn_crit_macs, ctx.tileMacs * options.rnnMacFraction);
 
     // ---- NoC replay: GNN-phase spatial traffic. ----
-    spatial_traffic.emit(w.spatialMsgs, noc::TrafficClass::Spatial,
+    spatial_traffic.emit(p.spatialMsgs, noc::TrafficClass::Spatial,
                          0, tile_of_slot, tile_of_slot);
     if (ctx.adaptiveRelink) {
         // The Re-Link span depends on the controller's engaged
         // state, which chains across snapshots: record this
         // phase's vertical-distance profile and defer the replay
         // until the serial stage has decided the span.
-        w.spatialDistances.reserve(w.spatialMsgs.size());
-        for (const auto &m : w.spatialMsgs) {
+        p.spatialDistances.reserve(p.spatialMsgs.size());
+        for (const auto &m : p.spatialMsgs) {
             const int rs = m.src / hw.tileCols;
             const int rd = m.dst / hw.tileCols;
             const int fwd = (rd - rs + hw.tileRows) % hw.tileRows;
-            w.spatialDistances.push_back(
+            p.spatialDistances.push_back(
                 std::min(fwd, hw.tileRows - fwd));
         }
-        w.spatialPending = true;
+        p.spatialPending = true;
     } else {
-        w.spatial = noc::simulateTraffic(hw.noc,
-                                         std::move(w.spatialMsgs),
+        p.spatial = noc::simulateTraffic(hw.noc,
+                                         std::move(p.spatialMsgs),
                                          noc_faults);
-        w.spatialMsgs.clear();
+        p.spatialMsgs.clear();
     }
 
     // ---- RNN-boundary temporal + reuse traffic. ----
@@ -434,7 +509,7 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                                   (z_bytes + h_bytes) *
                                       static_cast<ByteCount>(
                                           unchanged));
-                        w.reuseTotal += (z_bytes + h_bytes) *
+                        p.reuseTotal += (z_bytes + h_bytes) *
                             static_cast<ByteCount>(unchanged);
                     }
                 } else {
@@ -452,18 +527,21 @@ evaluateSnapshot(const EvalContext &ctx, std::size_t i, SnapshotWork &w)
                             prev_ovec[static_cast<std::size_t>(v)],
                             ovec[static_cast<std::size_t>(v)],
                             z_bytes + h_bytes);
-                        w.reuseTotal += z_bytes + h_bytes;
+                        p.reuseTotal += z_bytes + h_bytes;
                     }
                 }
                 reuse.emit(msgs, noc::TrafficClass::Reuse, 0,
                            src_tile, dst_tile);
             }
-            w.temporal = noc::simulateTraffic(hw.noc,
+            p.temporal = noc::simulateTraffic(hw.noc,
                                               std::move(msgs),
                                               noc_faults);
-            w.hasTemporal = true;
+            p.hasTemporal = true;
         }
     }
+    return p;
 }
+
+} // namespace
 
 } // namespace ditile::sim::detail

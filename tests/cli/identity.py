@@ -26,7 +26,7 @@ FAULTS = "--faults=tile@1:r3c*;vlink@0:r1c2;bypass-open@1:c5;dram@2:ch*"
 # the column-chain barrier edges.
 STAGED = ["--dataset=WD", "--scale=0.1", "--snapshots=20", "--no-overlap"]
 DITILE = ["--accel=ditile", "--csv"]
-ALL = ["--all-accels", "--csv"]
+ALL = ["--accel=all", "--csv"]
 
 
 def trace_schema(cli, dirs, _):
@@ -105,7 +105,7 @@ IDENTICAL = [  # (name, tool, invocations that agree, files, validator)
         SWEEP + ["--trace={out}/trace.json", "--metrics={out}/metrics.csv"]),
      ["metrics.csv"], sidecar_header),
     ("traced_run", "ditile_run", widths(
-        RUN + ["--all-accels", "--trace={out}/trace.json", "--metrics"]),
+        RUN + ["--accel=all", "--trace={out}/trace.json", "--metrics"]),
      ["trace.json"], trace_schema),
     ("faulted_run", "ditile_run", widths(RUN + DITILE + [FAULTS]), [], None),
     ("resilience", "ditile_inspect", widths(["resilience"] + RUN + [FAULTS]),

@@ -12,7 +12,8 @@ hits. A failing grid point, an invalid link or SIGINT still leave a
 CSV with its header, and the sweep says why on stderr. A scale-out
 plan replayed over a workload with another snapshot count exits 1.
 An unknown accelerator or DiTile variant exits 1 with the catalog's
-one message, which lists the valid names.
+one message, which lists the valid names. A flag a tool does not
+declare (a misspelling) exits 1 naming it, before any work is done.
 """
 
 import csv
@@ -55,6 +56,15 @@ UNKNOWN_NAMES = [  # (tool, args, name kind, valid names), exit 1
     ("ditile_inspect", ["plan", "--dump", "--accel=bogus"], "accelerator",
      ACCELS),
     ("ditile_serve", ["--variant=bogus"], "DiTile variant", VARIANTS),
+]
+
+UNKNOWN_FLAGS = [  # (tool, args, the undeclared flag), exit 1
+    ("ditile_run", ["--acel=race"], "acel"),
+    ("ditile_run", ["--dataset=WD", "--all-accels"], "all-accels"),
+    ("ditile_sweep", ["--dataset=WD", "--snapshot=4"], "snapshot"),
+    ("ditile_sweep", ["--csv"], "csv"),
+    ("ditile_inspect", ["plan", "--dump", "--acel=ditile"], "acel"),
+    ("ditile_serve", ["--loadgen", "--request=10"], "request"),
 ]
 
 
@@ -141,6 +151,15 @@ def unknown_names(cli):
                          "%s %s" % (tool, " ".join(args)))
 
 
+def unknown_flags(cli):
+    for tool, args, flag in UNKNOWN_FLAGS:
+        proc = cli.run(tool, args, status=1)
+        what = "%s %s" % (tool, " ".join(args))
+        cli.expect_match(r"^fatal: unknown flag '--%s'$" % re.escape(flag),
+                         proc.stderr, what)
+        cli.expect(proc.stdout == "", what + " printed before failing")
+
+
 def sweep_interrupt(cli):
     """SIGINT once the header is out: the point in flight finishes,
     the rest are skipped, and the partial CSV is flushed (exit 130).
@@ -161,4 +180,4 @@ if __name__ == "__main__":
     raise SystemExit(main([run_overlap_not_slower, sweep_overlap_not_slower,
                            equal_points_equal_rows, failing_sweeps,
                            mismatched_plans, unknown_names,
-                           sweep_interrupt]))
+                           unknown_flags, sweep_interrupt]))

@@ -8,10 +8,20 @@
  * accelerator, faulted, detailed-tile and adaptive Re-Link plans, on
  * one to three chips and at any thread width; an overlap/staged pair
  * and a link sweep evaluate once; any other plan field misses.
+ *
+ * Below the evaluation memo, a PlanCache memoizes each snapshot's
+ * Stage-1 placement. Sweep-shaped sequences (three dissimilarities x
+ * T=8,16, in both orders) through one cache must equal cache-free runs
+ * field for field for all five accelerators, faulted, detailed-tile
+ * and static or adaptive Re-Link plans, at one and four threads; the
+ * hits a sweep relies on are pinned; and a plan or graph that differs
+ * only in one part of the placement key (the column pair, a snapshot's
+ * vertex set, the previous snapshot, the partition) misses.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -22,6 +32,7 @@
 
 #include "common/thread_pool.hh"
 #include "common/trace.hh"
+#include "core/catalog.hh"
 #include "core/ditile_accelerator.hh"
 #include "graph/generator.hh"
 #include "sim/baselines.hh"
@@ -413,6 +424,280 @@ TEST(EvaluationMemoCount, EvaluationSideChangesMiss)
     const auto other = graph::generateDynamicGraph(config);
     sim::executePlan(other, base, &cache);
     EXPECT_EQ(cache.evaluationMisses(), ++misses);
+}
+
+
+// ---- Per-snapshot placement memo. ----
+
+/** A sweep grid point's graph: snapshot 0 is shared by every
+ *  dissimilarity, and the T=8 graph is the T=16 graph's prefix. */
+graph::DynamicGraph
+sweepWorkload(double dissimilarity, SnapshotId snapshots)
+{
+    graph::EvolutionConfig config;
+    config.name = "sweep-memo";
+    config.numVertices = 600;
+    config.numEdges = 4800;
+    config.numSnapshots = snapshots;
+    config.dissimilarity = dissimilarity;
+    config.featureDim = 64;
+    config.seed = 5;
+    return graph::generateDynamicGraph(config);
+}
+
+constexpr double kSweepDis[] = {0.02, 0.06, 0.10};
+
+/** A plan adjustment applied to every accelerator of the fleet. */
+struct PlacementCase
+{
+    std::string name;
+    std::function<void(sim::ExecutionPlan &)> adjust;
+};
+
+void
+PrintTo(const PlacementCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** Placement hits of one fleet member's run at one grid point. */
+struct PointHits
+{
+    double dis;
+    SnapshotId snapshots;
+    std::string accelerator;
+    std::uint64_t hits;
+};
+
+/**
+ * Runs the fleet over the sweep grid through one PlanCache, snapshot
+ * list in `order`, expecting each run to equal a cache-free run of the
+ * same plan; returns each run's placement hits.
+ */
+std::vector<PointHits>
+runSweep(const std::vector<SnapshotId> &order,
+         const std::function<void(sim::ExecutionPlan &)> &adjust)
+{
+    const auto fleet = core::paperFleet();
+    sim::PlanCache cache;
+    std::vector<PointHits> hits;
+    for (const double dis : kSweepDis) {
+        for (const SnapshotId snapshots : order) {
+            const auto dg = sweepWorkload(dis, snapshots);
+            for (const auto &accel : fleet) {
+                SCOPED_TRACE(testing::Message()
+                             << "dis=" << dis << " T=" << snapshots << " "
+                             << accel->name());
+                auto plan = accel->plan(dg, model::DgnnConfig{}, &cache);
+                adjust(plan);
+                const std::uint64_t before = cache.placementHits();
+                const auto run = sim::executePlan(dg, plan, &cache);
+                hits.push_back({dis, snapshots, accel->name(),
+                                cache.placementHits() - before});
+                EXPECT_EQ(render(run), render(sim::executePlan(dg, plan)));
+            }
+        }
+    }
+    EXPECT_LE(cache.placementCount(), sim::PlanCache::kPlacementCapacity);
+    return hits;
+}
+
+class PlacementMemo : public testing::TestWithParam<PlacementCase>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        Tracer::global().reset();
+        Tracer::global().enable(false, true);
+    }
+
+    void
+    TearDown() override
+    {
+        Tracer::global().reset();
+        ThreadPool::setGlobalThreads(1);
+    }
+};
+
+TEST_P(PlacementMemo, SweepRunsEqualCacheFreeRuns)
+{
+    for (const int threads : {1, 4}) {
+        ThreadPool::setGlobalThreads(threads);
+        for (const auto &order : {std::vector<SnapshotId>{8, 16},
+                                  std::vector<SnapshotId>{16, 8}}) {
+            SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                            << " first T=" << order[0]);
+            runSweep(order, GetParam().adjust);
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Variants, PlacementMemo,
+    testing::Values(
+        PlacementCase{"planned", [](sim::ExecutionPlan &) {}},
+        PlacementCase{"faulted",
+                      [](sim::ExecutionPlan &plan) {
+                          plan.faults = sim::FaultSpec::parse(
+                              "tile@1:r3c*;dram@2:ch*;hlink@3:r1c2");
+                      }},
+        PlacementCase{"detailed_tiles",
+                      [](sim::ExecutionPlan &plan) {
+                          plan.options.detailedTileTiming = true;
+                      }},
+        PlacementCase{"adaptive_relink",
+                      [](sim::ExecutionPlan &plan) {
+                          plan.options.adaptiveRelink = true;
+                      }},
+        PlacementCase{"static_relink",
+                      [](sim::ExecutionPlan &plan) {
+                          plan.options.adaptiveRelink = false;
+                      }}),
+    [](const testing::TestParamInfo<PlacementCase> &info) {
+        return info.param.name;
+    });
+
+TEST(PlacementMemoCount, SweepSharesPrefixesAndSnapshotZero)
+{
+    // The four accelerators whose mapping does not depend on T place a
+    // T=16 point's first eight snapshots from its T=8 sibling (and the
+    // reverse), and snapshot 0 from the previous dissimilarity's
+    // point. DiTile's mapping follows T and the graph: it never hits.
+    const std::vector<std::string> t_free = {"ReaDy", "DGNN-Booster",
+                                             "RACE", "MEGA"};
+    for (const auto &order : {std::vector<SnapshotId>{8, 16},
+                              std::vector<SnapshotId>{16, 8}}) {
+        SCOPED_TRACE(testing::Message() << "first T=" << order[0]);
+        for (const PointHits &point :
+             runSweep(order, [](sim::ExecutionPlan &) {})) {
+            SCOPED_TRACE(testing::Message()
+                         << "dis=" << point.dis << " T=" << point.snapshots
+                         << " " << point.accelerator);
+            const bool first_point =
+                point.dis == kSweepDis[0] && point.snapshots == order[0];
+            std::uint64_t want = 0;
+            if (std::find(t_free.begin(), t_free.end(),
+                          point.accelerator) != t_free.end()) {
+                if (point.snapshots != order[0])
+                    want = 8;
+                else if (!first_point)
+                    want = 1;
+            }
+            EXPECT_EQ(point.hits, want);
+        }
+    }
+}
+
+/** The plan of `accel` for `dg`, and its cache-free run. */
+struct KeyBase
+{
+    sim::ExecutionPlan plan;
+    std::string coldRun;
+};
+
+KeyBase
+keyBase(const graph::DynamicGraph &dg, const std::string &accel)
+{
+    KeyBase base;
+    base.plan = core::makeAccelerator(accel)->plan(dg, model::DgnnConfig{});
+    base.coldRun = render(sim::executePlan(dg, base.plan));
+    return base;
+}
+
+/** `changed` run through a cache that already placed `base`: equals
+ *  its cache-free run, which differs from the base run. */
+void
+expectKeyed(const graph::DynamicGraph &base_dg, const KeyBase &base,
+            const graph::DynamicGraph &dg,
+            const sim::ExecutionPlan &changed)
+{
+    sim::PlanCache cache;
+    EXPECT_EQ(render(sim::executePlan(base_dg, base.plan, &cache)),
+              base.coldRun);
+    const std::string cold = render(sim::executePlan(dg, changed));
+    ASSERT_NE(cold, base.coldRun) << "the change does not show";
+    EXPECT_EQ(render(sim::executePlan(dg, changed, &cache)), cold);
+}
+
+TEST(PlacementMemoKey, ColumnPairIsKeyed)
+{
+    // One column for every snapshot: no temporal boundary traffic.
+    const auto dg = sweepWorkload(0.06, 6);
+    const KeyBase base = keyBase(dg, "ready");
+    auto changed = base.plan;
+    std::fill(changed.mapping.snapshotColumn.begin(),
+              changed.mapping.snapshotColumn.end(), 0);
+    expectKeyed(dg, base, dg, changed);
+}
+
+TEST(PlacementMemoKey, SnapshotVertexSetsAreKeyed)
+{
+    // Snapshot 2's layer sets shifted by one vertex id: the same sizes
+    // and counts, other vertices.
+    const auto dg = sweepWorkload(0.06, 6);
+    const KeyBase base = keyBase(dg, "race");
+    auto plans = *base.plan.snapshots;
+    const auto n = dg.numVertices();
+    for (model::LayerWork &layer : plans[2].gcn) {
+        ASSERT_FALSE(layer.vertices.isAll());
+        std::vector<VertexId> ids;
+        layer.vertices.forEach(
+            [&](VertexId v) { ids.push_back((v + 1) % n); });
+        std::sort(ids.begin(), ids.end());
+        layer.vertices = model::VertexSet(std::move(ids), n);
+    }
+    auto changed = base.plan;
+    changed.snapshots =
+        std::make_shared<const sim::PlanCache::SnapshotPlans>(plans);
+    expectKeyed(dg, base, dg, changed);
+}
+
+TEST(PlacementMemoKey, PreviousSnapshotIsKeyedUnderFaults)
+{
+    // Another snapshot 0 before the same snapshot 1: its loads re-deal
+    // the dead row differently, and snapshot 1's boundary reads that.
+    const auto dg = sweepWorkload(0.06, 3);
+    graph::EvolutionConfig other_config;
+    other_config.numVertices = dg.numVertices();
+    other_config.numEdges = 4800;
+    other_config.numSnapshots = 1;
+    other_config.featureDim = dg.featureDim();
+    other_config.seed = 77;
+    const auto other = graph::generateDynamicGraph(other_config);
+    std::vector<std::shared_ptr<const graph::Csr>> snapshots = {
+        other.sharedSnapshot(0), dg.sharedSnapshot(1),
+        dg.sharedSnapshot(2)};
+    const graph::DynamicGraph swapped(dg.name(), std::move(snapshots),
+                                      {dg.delta(1), dg.delta(2)},
+                                      dg.featureDim());
+    ASSERT_EQ(swapped.snapshotKey(1), dg.snapshotKey(1));
+    ASSERT_NE(swapped.prefixKey(1), dg.prefixKey(1));
+
+    KeyBase base;
+    base.plan = core::makeAccelerator("ready")->plan(dg, model::DgnnConfig{});
+    base.plan.faults = sim::FaultSpec::parse("tile@0:r3c*");
+    base.coldRun = render(sim::executePlan(dg, base.plan));
+    expectKeyed(dg, base, swapped, base.plan);
+    // Snapshot 1 places differently behind the other snapshot 0.
+    ASSERT_NE(sim::executePlan(swapped, base.plan).trace[1].temporalCommCycles,
+              sim::executePlan(dg, base.plan).trace[1].temporalCommCycles);
+}
+
+TEST(PlacementMemoKey, PartitionIsKeyed)
+{
+    // Every vertex of row 0 moved to row 1.
+    const auto dg = sweepWorkload(0.06, 6);
+    const KeyBase base = keyBase(dg, "mega");
+    auto changed = base.plan;
+    auto &partition = changed.mapping.spatialOnly
+        ? changed.mapping.tilePartition
+        : changed.mapping.rowPartition;
+    for (VertexId v = 0; v < dg.numVertices(); ++v) {
+        if (partition.owner(v) == 0)
+            partition.assign(v, 1);
+    }
+    expectKeyed(dg, base, dg, changed);
 }
 
 } // namespace

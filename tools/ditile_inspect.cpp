@@ -56,6 +56,11 @@ using namespace ditile;
 
 namespace {
 
+/** Every flag this tool reads; any other is an error. */
+constexpr std::string_view kFlags[] = {
+    "accel", "variant", "algo", "threads", "faults", "dump", "diff",
+    "tasks", "verbose"};
+
 model::AlgoKind
 algoFromFlag(const CliFlags &flags)
 {
@@ -576,6 +581,7 @@ int
 main(int argc, char **argv)
 {
     const CliFlags flags = CliFlags::parse(argc, argv);
+    flags.requireKnown({kFlags, tools::kWorkloadFlags});
     try {
         return runTool(flags);
     } catch (const std::exception &e) {

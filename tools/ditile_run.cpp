@@ -8,7 +8,7 @@
  *   ditile_run --accel=all --dataset=WD
  *   ditile_run --accel=ditile --vertices=5000 --edges=40000 --json
  *   ditile_run --accel=ditile --variant=NoWos --rnn=gru
- *   ditile_run --snapshots-dir evolution_t0.el evolution_t1.el ...
+ *   ditile_run evolution_t0.el evolution_t1.el ...
  *
  * Flags:
  *   --accel=ditile|ready|booster|race|mega|all   (default ditile)
@@ -74,6 +74,12 @@
 using namespace ditile;
 
 namespace {
+
+/** Every flag this tool reads; any other is an error. */
+constexpr std::string_view kFlags[] = {
+    "accel", "variant", "threads", "detailed-tiles", "no-overlap",
+    "task-stats", "plan-out", "plan-in", "faults", "chips",
+    "interchip-gbps", "interchip-ns", "json", "csv", "trace", "metrics"};
 
 std::vector<std::unique_ptr<sim::Accelerator>>
 buildAccelerators(const CliFlags &flags)
@@ -426,6 +432,7 @@ int
 main(int argc, char **argv)
 {
     const CliFlags flags = CliFlags::parse(argc, argv);
+    flags.requireKnown({kFlags, tools::kWorkloadFlags, tools::kModelFlags});
     try {
         return runTool(flags);
     } catch (const std::exception &e) {

@@ -110,6 +110,20 @@ using namespace ditile;
 
 namespace {
 
+/** Every flag this tool reads; any other is an error. */
+constexpr std::string_view kFlags[] = {
+    "threads", "variant", "seed", "vertices", "edges", "features",
+    "plan-cache-capacity", "queue-capacity", "deadline-us", "batch-max",
+    "batch-overhead-us", "cycles-per-us", "max-tenants", "window",
+    "roll-every", "roll-fraction", "breaker-threshold",
+    "breaker-backoff-us", "breaker-max-backoff-us", "wal", "wal-sync",
+    "wal-batch", "checkpoint", "checkpoint-every", "restore", "script",
+    "script-out", "loadgen", "requests", "tenants", "zipf", "mean-gap-us",
+    "event-fraction", "burst-toggle", "burst-speedup", "chaos",
+    "chaos-seed", "chaos-malformed", "chaos-bad-event", "chaos-overload",
+    "chaos-fault", "chaos-kill-after", "summary", "responses", "metrics",
+    "trace"};
+
 serve::ServerOptions
 buildServerOptions(const CliFlags &flags)
 {
@@ -462,6 +476,7 @@ int
 main(int argc, char **argv)
 {
     const CliFlags flags = CliFlags::parse(argc, argv);
+    flags.requireKnown({kFlags, tools::kModelFlags});
     try {
         return runTool(flags);
     } catch (const std::exception &e) {

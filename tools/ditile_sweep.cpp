@@ -53,6 +53,7 @@
 #include <cstdio>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "common/cli.hh"
@@ -70,6 +71,12 @@
 using namespace ditile;
 
 namespace {
+
+/** Every flag this tool reads; any other is an error. */
+constexpr std::string_view kFlags[] = {
+    "dataset", "scale", "dis", "snapshots", "seed", "all-accels",
+    "no-overlap", "faults", "chips", "interchip-gbps", "interchip-ns",
+    "threads", "trace", "metrics"};
 
 std::vector<double>
 parseList(const std::string &csv, double fallback)
@@ -325,6 +332,7 @@ int
 main(int argc, char **argv)
 {
     const CliFlags flags = CliFlags::parse(argc, argv);
+    flags.requireKnown({kFlags});
     try {
         return runTool(flags);
     } catch (const std::exception &e) {

@@ -9,6 +9,7 @@
 #define DITILE_TOOLS_WORKLOAD_FLAGS_HH
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/cli.hh"
@@ -19,6 +20,14 @@
 #include "model/dgnn_config.hh"
 
 namespace ditile::tools {
+
+/** The flags buildWorkload reads. */
+inline constexpr std::string_view kWorkloadFlags[] = {
+    "dataset", "scale", "snapshots", "dissimilarity", "seed",
+    "vertices", "edges", "features"};
+
+/** The flags buildModel reads. */
+inline constexpr std::string_view kModelFlags[] = {"rnn", "aggregator"};
 
 /**
  * The workload the flags name: the snapshot edge-list files when any
